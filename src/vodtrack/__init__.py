@@ -9,14 +9,13 @@ and linking the result into tubelets that are re-scored by path averaging.
 __version__ = "0.1.0"
 
 from .detections import Detection
-from .geometry import Box, JitterCoefficients, RegressionDelta
+from .geometry import Box, RegressionDelta
 from .tensor_ops import ConvBlockWeights, FeaturePyramid
 
 __all__ = [
     "__version__",
     "Box",
     "RegressionDelta",
-    "JitterCoefficients",
     "Detection",
     "FeaturePyramid",
     "ConvBlockWeights",

@@ -59,6 +59,18 @@ def _write_manifest(path, command: str, argv: list[str], outputs: dict, timings:
         fh.write("\n")
 
 
+def _write_result(path, label: str | None, result) -> None:
+    payload = {
+        "variant": label,
+        "map": result.mean_ap,
+        "iou_thresh": result.iou_thresh,
+        "per_class_ap": {str(c): ap for c, ap in sorted(result.per_class_ap.items())},
+    }
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2)
+        fh.write("\n")
+
+
 def _scenario_from_args(args) -> ScenarioSpec:
     if args.spec:
         return load_scenario(args.spec)
@@ -104,13 +116,23 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--final-nms", type=float, dest="final_nms")
 
 
-def _add_oracle_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--oracle", action="store_true", help="use the ground-truth oracle tracker")
-    p.add_argument("--gt", help="ground-truth detections (required with --oracle)")
+def _add_scenario_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--spec", help="scenario JSON file")
+    p.add_argument("--preset", choices=("clean", "degraded", "fast"), default="degraded")
+    p.add_argument("--seed", type=int, default=0, help="preset seed (ignored with --spec)")
+
+
+def _add_noise_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--noise-center", type=float, default=0.0, help="oracle center jitter sigma, px")
     p.add_argument("--noise-size", type=float, default=0.0, help="oracle log-size jitter sigma")
     p.add_argument("--noise-failure", type=float, default=0.0, help="oracle track-failure probability")
     p.add_argument("--oracle-seed", type=int, default=0)
+
+
+def _add_oracle_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--oracle", action="store_true", help="use the ground-truth oracle tracker")
+    p.add_argument("--gt", help="ground-truth detections (required with --oracle)")
+    _add_noise_flags(p)
 
 
 def _add_manifest_flag(p: argparse.ArgumentParser) -> None:
@@ -181,16 +203,20 @@ def cmd_track(args, argv) -> int:
             tau=args.tau, fuse_stride=args.fuse_stride,
         )
         feat_dir = Path(args.features_dir)
-        pyramids = []
-        for t in range(vds.n_frames):
+
+        def pyramid(t: int):
             fp = feat_dir / f"frame_{t}.feat"
             if not fp.exists():
                 raise ValueError(f"missing feature file {fp}")
-            pyramids.append(load_features(fp))
-        preds_per_frame = [
-            track(pyramids[t], pyramids[t + 1], list(vds.frames[t]), weights, cfg)
-            for t in range(vds.n_frames - 1)
-        ]
+            return load_features(fp)
+
+        # Two pyramids are held at a time: frame t and frame t+1.
+        current = pyramid(0)
+        preds_per_frame = []
+        for t in range(vds.n_frames - 1):
+            following = pyramid(t + 1)
+            preds_per_frame.append(track(current, following, list(vds.frames[t]), weights, cfg))
+            current = following
     timings["track"] = time.perf_counter() - t0
     save_predictions(preds_per_frame, vds.video, args.out)
     if args.manifest:
@@ -219,10 +245,7 @@ def cmd_tfd(args, argv) -> int:
     merged, preds = run_video(vds.frames, track_fn, cfg)
     timings["pipeline"] = time.perf_counter() - t0
 
-    out_set = VideoDetectionSet.from_records(
-        vds.video, [d for frame in merged for d in frame], n_frames=vds.n_frames
-    )
-    save_detections(out_set, args.out)
+    save_detections(VideoDetectionSet(vds.video, merged), args.out)
     outputs = {"merged": args.out}
     if args.out_preds:
         save_predictions(preds, vds.video, args.out_preds)
@@ -257,11 +280,7 @@ def cmd_link(args, argv) -> int:
             aligned = align_predictions(vds, preds_by_video.get(vds.video, {}))
             graph = build_graph_seqtrack(video, aligned, args.link_iou)
         rescored = rescore_and_suppress(video, graph, args.mode, args.nms_iou)
-        out_sets.append(
-            VideoDetectionSet.from_records(
-                vds.video, [d for f in rescored for d in f], n_frames=vds.n_frames
-            )
-        )
+        out_sets.append(VideoDetectionSet(vds.video, rescored))
     timings["link"] = time.perf_counter() - t0
     save_detections(out_sets, args.out)
     if args.manifest:
@@ -284,25 +303,29 @@ def cmd_eval(args, argv) -> int:
         print(f"{c:>8}  {result.per_class_ap[c]:>8.4f}")
     print(f"{'mAP':>8}  {result.mean_ap:>8.4f}   (IoU >= {result.iou_thresh})")
     if args.out:
-        payload = {
-            "variant": args.label,
-            "map": result.mean_ap,
-            "iou_thresh": result.iou_thresh,
-            "per_class_ap": {str(c): ap for c, ap in sorted(result.per_class_ap.items())},
-        }
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+        _write_result(args.out, args.label, result)
     if args.manifest:
         _write_manifest(args.manifest, "eval", argv, {"result": args.out}, timings)
     return 0
 
 
-def _variant_outputs(variant: str, vds, gt, cfg: PipelineConfig, noise: NoiseParams,
-                     oracle_seed: int, link_iou: float):
-    """Produce the evaluated detection set for one ablation variant."""
-    artifacts = {}
-    frames = [list(f) for f in vds.frames]
+def run_variant(spec, variant: str, cfg: PipelineConfig, noise: NoiseParams,
+                oracle_seed: int = 0, link_iou: float = 0.5, eval_iou: float = 0.5):
+    """Generate a scene, run one ablation variant on it and evaluate the result.
+
+    Returns ``(EvalResult, artifacts)``. ``artifacts`` holds the scene's
+    ``gt`` and ``dets``, the evaluated ``final`` set, for the tfd variants
+    the ``merged`` set and per-frame ``preds``, and ``timings`` of the
+    generate, variant and eval stages in seconds.
+    """
+    timings = {}
+    t0 = time.perf_counter()
+    gt, dets = generate(spec)
+    timings["generate"] = time.perf_counter() - t0
+
+    t0 = time.perf_counter()
+    artifacts = {"gt": gt, "dets": dets, "timings": timings}
+    frames = [list(f) for f in dets.frames]
     if variant == "detector":
         final = final_detections(frames, cfg)
     elif variant == "seqnms":
@@ -312,7 +335,7 @@ def _variant_outputs(variant: str, vds, gt, cfg: PipelineConfig, noise: NoisePar
     else:
         track_fn = make_oracle_track_fn(gt, noise, oracle_seed)
         merged, preds = run_video(frames, track_fn, cfg)
-        artifacts["merged"] = merged
+        artifacts["merged"] = VideoDetectionSet(spec.video, merged)
         artifacts["preds"] = preds
         if variant == "tfd+seqnms":
             graph = build_graph_seqnms(merged, link_iou)
@@ -322,20 +345,12 @@ def _variant_outputs(variant: str, vds, gt, cfg: PipelineConfig, noise: NoisePar
             final = rescore_and_suppress(merged, graph, "seqtrack", cfg.final_nms_iou)
         else:
             raise ValueError(f"unknown variant {variant!r}")
-    artifacts["final"] = final
-    return artifacts
+    artifacts["final"] = VideoDetectionSet(spec.video, final)
+    timings["variant"] = time.perf_counter() - t0
 
-
-def run_variant(spec, variant: str, cfg: PipelineConfig, noise: NoiseParams,
-                oracle_seed: int = 0, link_iou: float = 0.5, eval_iou: float = 0.5):
-    """In-process equivalent of the ``run`` subcommand; returns (EvalResult, artifacts)."""
-    gt, dets = generate(spec)
-    artifacts = _variant_outputs(variant, dets, gt, cfg, noise, oracle_seed, link_iou)
-    final_set = VideoDetectionSet.from_records(
-        spec.video, [d for f in artifacts["final"] for d in f], n_frames=spec.n_frames
-    )
-    result = evaluate_map(final_set, gt, eval_iou)
-    artifacts.update(gt=gt, dets=dets, final_set=final_set)
+    t0 = time.perf_counter()
+    result = evaluate_map(artifacts["final"], gt, eval_iou)
+    timings["eval"] = time.perf_counter() - t0
     return result, artifacts
 
 
@@ -355,55 +370,22 @@ def cmd_run(args, argv) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     spec = _scenario_from_args(args)
-    cfg = _config_from_args(args)
-    noise = _noise_from_args(args)
-
-    timings = {}
-    t0 = time.perf_counter()
-    gt, dets = generate(spec)
-    timings["generate"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    artifacts = _variant_outputs(args.variant, dets, gt, cfg, noise, args.oracle_seed, args.link_iou)
-    timings["variant"] = time.perf_counter() - t0
-
-    final_set = VideoDetectionSet.from_records(
-        spec.video, [d for f in artifacts["final"] for d in f], n_frames=spec.n_frames
+    result, artifacts = run_variant(
+        spec, args.variant, _config_from_args(args), _noise_from_args(args),
+        args.oracle_seed, args.link_iou, args.iou,
     )
-    t0 = time.perf_counter()
-    result = evaluate_map(final_set, gt, args.iou)
-    timings["eval"] = time.perf_counter() - t0
-
+    names = ["scenario.json", "gt.jsonl", "dets.jsonl", "final.jsonl", "result.json"]
     save_scenario(spec, out_dir / "scenario.json")
-    save_detections(gt, out_dir / "gt.jsonl")
-    save_detections(dets, out_dir / "dets.jsonl")
-    outputs = {
-        "scenario": str(out_dir / "scenario.json"),
-        "gt": str(out_dir / "gt.jsonl"),
-        "dets": str(out_dir / "dets.jsonl"),
-        "final": str(out_dir / "final.jsonl"),
-        "result": str(out_dir / "result.json"),
-    }
+    for name in ("gt", "dets", "final"):
+        save_detections(artifacts[name], out_dir / f"{name}.jsonl")
+    _write_result(out_dir / "result.json", args.variant, result)
     if "merged" in artifacts:
-        merged_set = VideoDetectionSet.from_records(
-            spec.video, [d for f in artifacts["merged"] for d in f], n_frames=spec.n_frames
-        )
-        save_detections(merged_set, out_dir / "merged.jsonl")
+        save_detections(artifacts["merged"], out_dir / "merged.jsonl")
         save_predictions(artifacts["preds"], spec.video, out_dir / "preds.jsonl")
-        outputs["merged"] = str(out_dir / "merged.jsonl")
-        outputs["preds"] = str(out_dir / "preds.jsonl")
-    save_detections(final_set, out_dir / "final.jsonl")
-    payload = {
-        "variant": args.variant,
-        "map": result.mean_ap,
-        "iou_thresh": result.iou_thresh,
-        "per_class_ap": {str(c): ap for c, ap in sorted(result.per_class_ap.items())},
-    }
-    with open(out_dir / "result.json", "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+        names += ["merged.jsonl", "preds.jsonl"]
+    outputs = {Path(name).stem: str(out_dir / name) for name in names}
     _write_manifest(
-        out_dir / "manifest.json", "run", argv, outputs, timings,
+        out_dir / "manifest.json", "run", argv, outputs, artifacts["timings"],
         {"variant": args.variant, "seed": spec.seed},
     )
     print(f"{args.variant}: mAP {result.mean_ap:.4f}  -> {out_dir}")
@@ -456,9 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth-gen", help="generate a synthetic scenario's ground truth and detections")
-    p.add_argument("--spec", help="scenario JSON file")
-    p.add_argument("--preset", choices=("clean", "degraded", "fast"), default="degraded")
-    p.add_argument("--seed", type=int, default=0, help="preset seed (ignored with --spec)")
+    _add_scenario_flags(p)
     p.add_argument("--out-gt", required=True)
     p.add_argument("--out-dets", required=True)
     p.add_argument("--out-spec", help="also write the resolved scenario JSON")
@@ -511,17 +491,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("run", help="full pipeline for one ablation variant")
-    p.add_argument("--spec", help="scenario JSON file")
-    p.add_argument("--preset", choices=("clean", "degraded", "fast"), default="degraded")
-    p.add_argument("--seed", type=int, default=0)
+    _add_scenario_flags(p)
     p.add_argument("--variant", choices=VARIANTS, default="tfd+seqnms")
     _add_config_flags(p)
     p.add_argument("--link-iou", type=float, default=0.5)
     p.add_argument("--iou", type=float, default=0.5, help="evaluation IoU threshold")
-    p.add_argument("--noise-center", type=float, default=0.0)
-    p.add_argument("--noise-size", type=float, default=0.0)
-    p.add_argument("--noise-failure", type=float, default=0.0)
-    p.add_argument("--oracle-seed", type=int, default=0)
+    _add_noise_flags(p)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--from-manifest", help="re-run a recorded run manifest")
     p.set_defaults(func=cmd_run)

@@ -32,6 +32,3 @@ class Detection:
 
     def with_score(self, score: float) -> "Detection":
         return replace(self, score=score)
-
-    def with_track(self, track: int | None) -> "Detection":
-        return replace(self, track=track)

@@ -5,9 +5,19 @@ Detection files are JSON lines, one object per detection::
     {"video": "v0", "frame": 3, "class": 7, "score": 0.91,
      "box": [x1, y1, x2, y2], "track": 4, "provenance": "detected"}
 
-``track`` and ``provenance`` may be null. Keys are written in the order
-above with repr-exact floats, so saving a loaded file reproduces it byte
-for byte.
+``track`` and ``provenance`` may be null; ``provenance`` is otherwise
+``"detected"`` or ``"tracked"``. Keys are written in the order above with
+repr-exact floats, so saving a loaded file reproduces it byte for byte.
+
+Prediction files are JSON lines, one object per track prediction::
+
+    {"video": "v0", "frame": 3, "det": 0, "box": [x1, y1, x2, y2],
+     "quality": 0.87, "source": {"frame": 3, "class": 7, ...}}
+
+``det`` indexes the source detection within its frame. ``source`` is a
+detection record without ``video``: it is written and read by the same
+code as a detection file's lines. Every loader rejects a malformed line
+with a ``ValueError`` naming ``path:line``.
 
 Feature pyramids and named weight tensors use the same binary layout: a
 single UTF-8 JSON header line declaring shapes and element width, followed
@@ -17,17 +27,17 @@ by the raw little-endian row-major payloads in header order.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .detections import Detection
+from .detections import PROVENANCE_DETECTED, PROVENANCE_TRACKED, Detection
 from .geometry import Box, iou
 from .tensor_ops import FeaturePyramid
 
 __all__ = [
-    "VID_CLASSES",
     "VideoDetectionSet",
     "EvalResult",
     "load_detections",
@@ -40,16 +50,6 @@ __all__ = [
     "save_named_arrays",
     "evaluate_map",
 ]
-
-# The 30 ImageNet VID category names.
-VID_CLASSES = (
-    "airplane", "antelope", "bear", "bicycle", "bird", "bus", "car", "cattle",
-    "dog", "domestic cat", "elephant", "fox", "giant panda", "hamster",
-    "horse", "lion", "lizard", "monkey", "motorcycle", "rabbit", "red panda",
-    "sheep", "snake", "squirrel", "tiger", "train", "turtle", "watercraft",
-    "whale", "zebra",
-)
-
 
 @dataclass(frozen=True)
 class VideoDetectionSet:
@@ -92,34 +92,73 @@ class VideoDetectionSet:
         return {d.class_id for frame in self.frames for d in frame}
 
 
-def _detection_record(video: str, det: Detection) -> str:
-    return json.dumps(
-        {
-            "video": video,
-            "frame": det.frame,
-            "class": det.class_id,
-            "score": float(det.score),
-            "box": [float(v) for v in det.box.corners()],
-            "track": det.track,
-            "provenance": det.provenance,
-        }
+_PROVENANCES = (None, PROVENANCE_DETECTED, PROVENANCE_TRACKED)
+
+
+def _detection_fields(det: Detection) -> dict:
+    """A detection's record fields in file order, without its video."""
+    return {
+        "frame": det.frame,
+        "class": det.class_id,
+        "score": float(det.score),
+        "box": [float(v) for v in det.box.corners()],
+        "track": det.track,
+        "provenance": det.provenance,
+    }
+
+
+# Exact types as ``json.loads`` returns them; ``bool`` is no number here.
+_JSON_TYPES = {"an integer": {int}, "a number": {int, float}, "a string": {str},
+               "an object": {dict}, "a list": {list}}
+
+
+def _value(obj: dict, key: str, kind: str):
+    """``obj[key]``, which must be present and of JSON type ``kind``."""
+    try:
+        value = obj[key]
+    except KeyError:
+        raise ValueError(f"missing key {key!r}") from None
+    if type(value) not in _JSON_TYPES[kind]:
+        raise ValueError(f"{key!r} must be {kind}, got {value!r}")
+    return value
+
+
+def _box(obj: dict) -> Box:
+    corners = _value(obj, "box", "a list")
+    if len(corners) != 4 or not set(map(type, corners)) <= _JSON_TYPES["a number"]:
+        raise ValueError(f"'box' must be a list of 4 numbers, got {corners!r}")
+    return Box(*map(float, corners))
+
+
+def _parse_detection_fields(obj: dict) -> Detection:
+    """Inverse of :func:`_detection_fields`; any malformed field raises ``ValueError``."""
+    provenance = obj.get("provenance")
+    if provenance not in _PROVENANCES:
+        raise ValueError(f"unknown provenance {provenance!r}")
+    return Detection(
+        frame=_value(obj, "frame", "an integer"),
+        class_id=_value(obj, "class", "an integer"),
+        score=float(_value(obj, "score", "a number")),
+        box=_box(obj),
+        track=None if obj.get("track") is None else _value(obj, "track", "an integer"),
+        provenance=provenance,
     )
 
 
-def _parse_detection(obj: dict, path: str, lineno: int) -> tuple[str, Detection]:
-    try:
-        box = Box(*(float(v) for v in obj["box"]))
-        det = Detection(
-            frame=int(obj["frame"]),
-            class_id=int(obj["class"]),
-            score=float(obj["score"]),
-            box=box,
-            track=None if obj.get("track") is None else int(obj["track"]),
-            provenance=obj.get("provenance"),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"{path}:{lineno}: invalid detection record: {exc}") from exc
-    return str(obj["video"]), det
+def _json_objects(path):
+    """Yield ``(lineno, object)`` for each non-blank line of a JSON-lines file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                obj = json.loads(line)
+            except ValueError as exc:  # also integers past Python's digit limit
+                raise ValueError(f"{path}:{lineno}: malformed JSON: {exc}") from exc
+            if not isinstance(obj, dict):
+                raise ValueError(f"{path}:{lineno}: expected a JSON object, got {obj!r}")
+            yield lineno, obj
 
 
 def save_detections(sets: VideoDetectionSet | Sequence[VideoDetectionSet], path) -> None:
@@ -130,23 +169,18 @@ def save_detections(sets: VideoDetectionSet | Sequence[VideoDetectionSet], path)
         for vds in sets:
             for frame in vds.frames:
                 for det in frame:
-                    fh.write(_detection_record(vds.video, det) + "\n")
+                    fh.write(json.dumps({"video": vds.video, **_detection_fields(det)}) + "\n")
 
 
 def load_detections(path) -> list[VideoDetectionSet]:
     """Read a detection file; videos are returned in order of first appearance."""
     per_video: dict[str, list[Detection]] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}:{lineno}: malformed JSON: {exc}") from exc
-            video, det = _parse_detection(obj, str(path), lineno)
-            per_video.setdefault(video, []).append(det)
+    for lineno, obj in _json_objects(path):
+        try:
+            video, det = _value(obj, "video", "a string"), _parse_detection_fields(obj)
+        except (ValueError, OverflowError) as exc:
+            raise ValueError(f"{path}:{lineno}: invalid detection record: {exc}") from exc
+        per_video.setdefault(video, []).append(det)
     return [VideoDetectionSet.from_records(v, dets) for v, dets in per_video.items()]
 
 
@@ -167,27 +201,15 @@ def save_predictions(preds_per_frame, video: str, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for t, preds in enumerate(preds_per_frame):
             for i, p in enumerate(preds):
-                src = p.source
-                fh.write(
-                    json.dumps(
-                        {
-                            "video": video,
-                            "frame": t,
-                            "det": i,
-                            "box": [float(v) for v in p.predicted_box.corners()],
-                            "quality": float(p.quality),
-                            "source": {
-                                "frame": src.frame,
-                                "class": src.class_id,
-                                "score": float(src.score),
-                                "box": [float(v) for v in src.box.corners()],
-                                "track": src.track,
-                                "provenance": src.provenance,
-                            },
-                        }
-                    )
-                    + "\n"
-                )
+                record = {
+                    "video": video,
+                    "frame": t,
+                    "det": i,
+                    "box": [float(v) for v in p.predicted_box.corners()],
+                    "quality": float(p.quality),
+                    "source": _detection_fields(p.source),
+                }
+                fh.write(json.dumps(record) + "\n")
 
 
 def load_predictions(path) -> dict[str, dict[int, list]]:
@@ -195,31 +217,18 @@ def load_predictions(path) -> dict[str, dict[int, list]]:
     from .tracker import TrackPrediction
 
     out: dict[str, dict[int, list]] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-                src = obj["source"]
-                source = Detection(
-                    frame=int(src["frame"]),
-                    class_id=int(src["class"]),
-                    score=float(src["score"]),
-                    box=Box(*(float(v) for v in src["box"])),
-                    track=None if src.get("track") is None else int(src["track"]),
-                    provenance=src.get("provenance"),
-                )
-                pred = TrackPrediction(
-                    source=source,
-                    predicted_box=Box(*(float(v) for v in obj["box"])),
-                    quality=float(obj["quality"]),
-                )
-                video, frame, det = str(obj["video"]), int(obj["frame"]), int(obj["det"])
-            except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
-                raise ValueError(f"{path}:{lineno}: invalid prediction record: {exc}") from exc
-            out.setdefault(video, {}).setdefault(frame, []).append((det, pred))
+    for lineno, obj in _json_objects(path):
+        try:
+            pred = TrackPrediction(
+                source=_parse_detection_fields(_value(obj, "source", "an object")),
+                predicted_box=_box(obj),
+                quality=float(_value(obj, "quality", "a number")),
+            )
+            video = _value(obj, "video", "a string")
+            frame, det = _value(obj, "frame", "an integer"), _value(obj, "det", "an integer")
+        except (ValueError, OverflowError) as exc:
+            raise ValueError(f"{path}:{lineno}: invalid prediction record: {exc}") from exc
+        out.setdefault(video, {}).setdefault(frame, []).append((det, pred))
     for frames in out.values():
         for preds in frames.values():
             preds.sort(key=lambda item: item[0])
@@ -272,26 +281,56 @@ def save_features(pyr: FeaturePyramid, path, dtype: str = "<f8") -> None:
             fh.write(np.ascontiguousarray(fmap, dtype=_DTYPES[dtype]).tobytes())
 
 
-def load_features(path) -> FeaturePyramid:
-    """Read a feature pyramid file, verifying the payload against the header."""
+def _read_header(path, fmt: str, what: str) -> tuple[dict, bytes]:
+    """Split a binary container into its JSON header object and its payload."""
     with open(path, "rb") as fh:
         header_line = fh.readline()
         payload = fh.read()
     try:
         header = json.loads(header_line.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ValueError(f"{path}: malformed feature header: {exc}") from exc
-    if header.get("format") != "feature-pyramid":
-        raise ValueError(f"{path}: not a feature pyramid file")
+    except ValueError as exc:  # bad UTF-8, bad JSON, or an integer past the digit limit
+        raise ValueError(f"{path}: malformed {what} header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise ValueError(f"{path}: {what} header is not a JSON object")
+    if header.get("format") != fmt:
+        raise ValueError(f"{path}: not a {what} file")
+    return header, payload
+
+
+def _is_count(value, minimum: int) -> bool:
+    return type(value) is int and value >= minimum
+
+
+def _header_counts(entry, keys: tuple[str, ...], path) -> list[int]:
+    """The positive integers stored under ``keys`` in one header object."""
+    if not isinstance(entry, dict):
+        raise ValueError(f"{path}: header entry is not a JSON object: {entry!r}")
+    for key in keys:
+        if not _is_count(entry.get(key), 1):
+            raise ValueError(
+                f"{path}: header field {key!r} must be a positive integer, got {entry.get(key)!r}"
+            )
+    return [entry[key] for key in keys]
+
+
+def load_features(path) -> FeaturePyramid:
+    """Read a feature pyramid file, verifying the header and the payload size."""
+    header, payload = _read_header(path, "feature-pyramid", "feature pyramid")
     if not header.get("levels"):
         raise ValueError(f"{path}: empty pyramid (no levels declared)")
-    dtype = _DTYPES.get(header.get("dtype"))
+    if not isinstance(header["levels"], list):
+        raise ValueError(f"{path}: 'levels' must be a list")
+    dtype = header.get("dtype")
+    dtype = _DTYPES.get(dtype) if isinstance(dtype, str) else None
     if dtype is None:
         raise ValueError(f"{path}: unsupported element dtype {header.get('dtype')!r}")
+    image_height, image_width = _header_counts(header, ("image_height", "image_width"), path)
+    shapes = [
+        _header_counts(lv, ("stride", "channels", "height", "width"), path)
+        for lv in header["levels"]
+    ]
 
-    expected = sum(
-        lv["channels"] * lv["height"] * lv["width"] for lv in header["levels"]
-    ) * dtype.itemsize
+    expected = sum(c * h * w for _, c, h, w in shapes) * dtype.itemsize
     if len(payload) != expected:
         raise ValueError(
             f"{path}: payload size mismatch: header declares {expected} bytes, "
@@ -299,15 +338,17 @@ def load_features(path) -> FeaturePyramid:
         )
     levels = []
     offset = 0
-    for lv in header["levels"]:
-        shape = (lv["channels"], lv["height"], lv["width"])
-        count = shape[0] * shape[1] * shape[2]
+    for stride, *shape in shapes:
+        count = math.prod(shape)
         arr = np.frombuffer(
             payload, dtype=dtype, count=count, offset=offset
         ).reshape(shape).astype(np.float64)
         offset += count * dtype.itemsize
-        levels.append((lv["stride"], arr))
-    return FeaturePyramid(tuple(levels), header["image_height"], header["image_width"])
+        levels.append((stride, arr))
+    try:
+        return FeaturePyramid(tuple(levels), image_height, image_width)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def save_named_arrays(arrays: dict[str, np.ndarray], path) -> None:
@@ -326,27 +367,28 @@ def save_named_arrays(arrays: dict[str, np.ndarray], path) -> None:
 
 def load_named_arrays(path) -> dict[str, np.ndarray]:
     """Read a named-tensor container written by :func:`save_named_arrays`."""
-    with open(path, "rb") as fh:
-        header_line = fh.readline()
-        payload = fh.read()
-    try:
-        header = json.loads(header_line.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ValueError(f"{path}: malformed tensor header: {exc}") from exc
-    if header.get("format") != "named-tensors":
-        raise ValueError(f"{path}: not a named-tensor file")
+    header, payload = _read_header(path, "named-tensors", "named-tensor")
+    if not isinstance(header.get("arrays"), list):
+        raise ValueError(f"{path}: header has no 'arrays' list")
     out: dict[str, np.ndarray] = {}
     offset = 0
     dtype = np.dtype("<f8")
     for spec in header["arrays"]:
-        shape = tuple(spec["shape"])
-        count = int(np.prod(shape)) if shape else 1
+        if not (isinstance(spec, dict) and isinstance(spec.get("name"), str)):
+            raise ValueError(f"{path}: array entry without a string 'name': {spec!r}")
+        name, shape = spec["name"], spec.get("shape")
+        if not (isinstance(shape, list) and all(_is_count(d, 0) for d in shape)):
+            raise ValueError(f"{path}: array {name!r} has a negative or non-integer shape {shape!r}")
+        count = math.prod(shape)
         end = offset + count * dtype.itemsize
         if end > len(payload):
-            raise ValueError(f"{path}: payload truncated at array {spec['name']!r}")
-        out[spec["name"]] = np.frombuffer(
-            payload, dtype=dtype, count=count, offset=offset
-        ).reshape(shape).copy()
+            raise ValueError(f"{path}: payload truncated at array {name!r}")
+        try:
+            out[name] = np.frombuffer(
+                payload, dtype=dtype, count=count, offset=offset
+            ).reshape(shape).copy()
+        except ValueError as exc:
+            raise ValueError(f"{path}: array {name!r}: {exc}") from exc
         offset = end
     if offset != len(payload):
         raise ValueError(f"{path}: {len(payload) - offset} trailing payload bytes")

@@ -14,24 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-__all__ = [
-    "Box",
-    "RegressionDelta",
-    "JitterCoefficients",
-    "RoiSamplingError",
-    "iou",
-    "encode",
-    "decode",
-    "expand",
-    "jitter_roi",
-    "sample_jittered_rois",
-]
-
-
-class RoiSamplingError(RuntimeError):
-    """Raised when the jittered-RoI draw budget is exhausted before enough samples pass the overlap filter."""
+__all__ = ["Box", "RegressionDelta", "iou", "encode", "decode", "expand"]
 
 
 @dataclass(frozen=True)
@@ -112,26 +95,6 @@ class RegressionDelta:
         return (self.dx, self.dy, self.dw, self.dh)
 
 
-@dataclass(frozen=True)
-class JitterCoefficients:
-    """Uniform jitter coefficients for RoI resampling around a reference box.
-
-    Shift components lie in [-1, 1] (in units of the reference size),
-    scale components in [0.5, 1.5].
-    """
-
-    dx: float
-    dy: float
-    dw: float
-    dh: float
-
-    def __post_init__(self) -> None:
-        if not (-1.0 <= self.dx <= 1.0 and -1.0 <= self.dy <= 1.0):
-            raise ValueError(f"shift coefficients out of [-1, 1]: ({self.dx}, {self.dy})")
-        if not (0.5 <= self.dw <= 1.5 and 0.5 <= self.dh <= 1.5):
-            raise ValueError(f"scale coefficients out of [0.5, 1.5]: ({self.dw}, {self.dh})")
-
-
 def iou(a: Box, b: Box) -> float:
     """Intersection-over-union of two boxes; 0.0 when the union has zero area."""
     ix1 = max(a.x1, b.x1)
@@ -200,65 +163,3 @@ def expand(b: Box, k: float) -> Box:
     my = (k - 1.0) * b.h / 2.0
     return Box(b.x1 - mx, b.y1 - my, b.x2 + mx, b.y2 + my)
 
-
-def jitter_roi(g: Box, d: JitterCoefficients) -> Box:
-    """Shift and resize ``g`` by jitter coefficients.
-
-    The result has center ``(d.dx * g.w + g.cx, d.dy * g.h + g.cy)`` and
-    size ``(d.dw * g.w, d.dh * g.h)``.
-    """
-    _require_positive_extent(g, "reference")
-    sx = g.w * (1.0 - d.dw) / 2.0
-    sy = g.h * (1.0 - d.dh) / 2.0
-    tx = d.dx * g.w
-    ty = d.dy * g.h
-    return Box(
-        g.x1 + tx + sx,
-        g.y1 + ty + sy,
-        g.x2 + tx - sx,
-        g.y2 + ty - sy,
-    )
-
-
-def sample_jittered_rois(
-    g: Box,
-    n_keep: int,
-    rng_seed: int,
-    *,
-    overlap_threshold: float = 0.5,
-    keep_low_overlap: bool = False,
-) -> list[Box]:
-    """Draw jittered RoIs around ``g`` and keep ``n_keep`` passing the overlap filter.
-
-    A fixed budget of ``2 * n_keep`` jitters is drawn up front; the kept
-    RoIs are chosen uniformly at random among the passers. By default a
-    candidate passes when ``iou(R, g) >= overlap_threshold``; with
-    ``keep_low_overlap=True`` the predicate flips to ``< overlap_threshold``.
-
-    Raises:
-        RoiSamplingError: fewer than ``n_keep`` candidates pass within the budget.
-    """
-    if n_keep < 1:
-        raise ValueError(f"n_keep must be >= 1, got {n_keep}")
-    _require_positive_extent(g, "reference")
-
-    rng = np.random.default_rng(rng_seed)
-    budget = 2 * n_keep
-    shifts = rng.uniform(-1.0, 1.0, size=(budget, 2))
-    scales = rng.uniform(0.5, 1.5, size=(budget, 2))
-
-    passing: list[Box] = []
-    for (dx, dy), (dw, dh) in zip(shifts, scales):
-        roi = jitter_roi(g, JitterCoefficients(dx, dy, dw, dh))
-        overlap = iou(roi, g)
-        ok = overlap < overlap_threshold if keep_low_overlap else overlap >= overlap_threshold
-        if ok:
-            passing.append(roi)
-
-    if len(passing) < n_keep:
-        raise RoiSamplingError(
-            f"only {len(passing)} of {budget} jittered RoIs passed the overlap "
-            f"filter; {n_keep} required"
-        )
-    chosen = rng.choice(len(passing), size=n_keep, replace=False)
-    return [passing[i] for i in chosen]

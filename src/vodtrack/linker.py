@@ -58,9 +58,6 @@ class LinkGraph:
     def n_frames(self) -> int:
         return len(self.nodes)
 
-    def node_count(self) -> int:
-        return sum(len(f) for f in self.nodes)
-
 
 @dataclass(frozen=True)
 class Tubelet:

@@ -26,7 +26,6 @@ __all__ = [
     "ConvBlockWeights",
     "as_tensor3",
     "roi_align_full_avg",
-    "roi_align_nearest4",
     "depthwise_correlate",
     "conv2d_same",
     "conv_block",
@@ -125,14 +124,6 @@ class ConvBlockWeights:
                 raise ValueError(f"bias must have shape ({c_out},), got {bias.shape}")
             object.__setattr__(self, "bias", bias)
 
-    @property
-    def in_channels(self) -> int:
-        return self.kernel.shape[1]
-
-    @property
-    def out_channels(self) -> int:
-        return self.kernel.shape[0]
-
 
 def _bilinear_sample(feat: Tensor3, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Sample the zero-extended bilinear field of ``feat`` at continuous points.
@@ -189,18 +180,13 @@ def roi_align_full_avg(
     out_h: int,
     out_w: int,
     stride: float,
-    *,
-    samples_per_axis: int | None = None,
 ) -> Tensor3:
     """Pool an RoI into ``out_h x out_w`` bins of exact field averages.
 
     Each bin value is the mean of the bilinearly interpolated field over the
     bin rectangle, with regions outside the feature extent contributing
-    zero. By default the mean is the exact integral (the field is piecewise
-    bilinear, so each cell-aligned piece integrates in closed form); passing
-    ``samples_per_axis`` switches to a regular midpoint sub-sample grid of
-    that density per bin, which converges to the exact value as the density
-    grows.
+    zero. The mean is the exact integral: the field is piecewise bilinear,
+    so each cell-aligned piece integrates in closed form.
 
     A zero-area RoI yields an all-zero output.
     """
@@ -215,17 +201,6 @@ def roi_align_full_avg(
     if x2 - x1 <= 0.0 or y2 - y1 <= 0.0:
         return np.zeros((c, out_h, out_w), dtype=np.float64)
 
-    if samples_per_axis is not None:
-        if samples_per_axis < 1:
-            raise ValueError("samples_per_axis must be positive")
-        s = samples_per_axis
-        bw = (x2 - x1) / out_w
-        bh = (y2 - y1) / out_h
-        xs = x1 + bw * (np.arange(out_w * s) + 0.5) / s
-        ys = y1 + bh * (np.arange(out_h * s) + 0.5) / s
-        grid = _bilinear_sample(feat, *np.meshgrid(xs, ys))
-        return grid.reshape(c, out_h, s, out_w, s).mean(axis=(2, 4))
-
     cx, lx, ox = _axis_segments(x1, x2, out_w)
     cy, ly, oy = _axis_segments(y1, y2, out_h)
     values = _bilinear_sample(feat, *np.meshgrid(cx, cy))
@@ -234,30 +209,6 @@ def roi_align_full_avg(
     np.add.at(acc, (slice(None), oy[:, None], ox[None, :]), values * weights)
     bin_area = ((x2 - x1) / out_w) * ((y2 - y1) / out_h)
     return acc / bin_area
-
-
-def roi_align_nearest4(
-    feat: Tensor3, roi: Box, out_h: int, out_w: int, stride: float
-) -> Tensor3:
-    """Pool an RoI by bilinearly sampling the field once at each bin center.
-
-    Each bin value is the weighted average of the four grid features nearest
-    the bin center (plain bilinear interpolation); zero outside the extent.
-    """
-    feat = as_tensor3(feat)
-    if out_h < 1 or out_w < 1:
-        raise ValueError("output size must be positive")
-    if stride <= 0:
-        raise ValueError("stride must be positive")
-
-    c = feat.shape[0]
-    x1, y1, x2, y2 = (v / stride for v in roi.corners())
-    if x2 - x1 <= 0.0 or y2 - y1 <= 0.0:
-        return np.zeros((c, out_h, out_w), dtype=np.float64)
-
-    xs = x1 + (x2 - x1) * (np.arange(out_w) + 0.5) / out_w
-    ys = y1 + (y2 - y1) * (np.arange(out_h) + 0.5) / out_h
-    return _bilinear_sample(feat, *np.meshgrid(xs, ys))
 
 
 def depthwise_correlate(template: Tensor3, search: Tensor3) -> Tensor3:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .detections import Detection
-from .geometry import Box, RegressionDelta, decode, encode, expand, iou
+from .geometry import Box, RegressionDelta, decode, expand, iou
 from .tensor_ops import (
     ConvBlockWeights,
     FeaturePyramid,
@@ -38,10 +38,8 @@ __all__ = [
     "NoiseParams",
     "track",
     "head_forward",
-    "tracking_targets",
     "smooth_l1",
     "smooth_l1_grad",
-    "tracking_loss",
     "oracle_track",
     "make_oracle_track_fn",
     "synthesize_weights",
@@ -226,16 +224,6 @@ def track(
     return preds
 
 
-def tracking_targets(b_t: Box, g_t1: Box, p_t1: Box) -> tuple[RegressionDelta, float]:
-    """Regression and overlap-score targets for one tracked object.
-
-    The regression target takes the current box onto the next-frame ground
-    truth; the score target is the overlap of the predicted box with that
-    ground truth.
-    """
-    return encode(b_t, g_t1), iou(p_t1, g_t1)
-
-
 def smooth_l1(x: float) -> float:
     """Huber-style loss: quadratic inside the unit interval, linear outside."""
     ax = abs(x)
@@ -249,16 +237,6 @@ def smooth_l1_grad(x: float) -> float:
     if abs(x) < 1.0:
         return x
     return math.copysign(1.0, x)
-
-
-def tracking_loss(
-    pred: tuple[RegressionDelta, float], target: tuple[RegressionDelta, float]
-) -> float:
-    """Total smooth-L1 over the four delta components plus the score residual."""
-    pd, ps = pred
-    td, ts = target
-    loss = sum(smooth_l1(a - b) for a, b in zip(pd.as_tuple(), td.as_tuple()))
-    return loss + smooth_l1(ps - ts)
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import vodtrack.cli as cli
 from vodtrack.cli import main
 from vodtrack.evalio import load_detections, load_predictions, save_features
 from vodtrack.synth import preset_scenario, render_features, save_scenario
@@ -44,6 +45,28 @@ class TestSynthGen:
         assert "synth-gen" in capsys.readouterr().err
 
 
+@pytest.fixture(scope="module")
+def learned_files(tmp_path_factory):
+    """Detections, per-frame feature pyramids and head weights for ``clean`` seed 1."""
+    tmp_path = tmp_path_factory.mktemp("learned")
+    spec = preset_scenario("clean", 1)
+    gt = tmp_path / "gt.jsonl"
+    dets = tmp_path / "dets.jsonl"
+    assert run_cli("synth-gen", "--preset", "clean", "--seed", "1",
+                   "--out-gt", gt, "--out-dets", dets) == 0
+    feat_dir = tmp_path / "features"
+    feat_dir.mkdir()
+    for t in range(spec.n_frames):
+        save_features(render_features(spec, t), feat_dir / f"frame_{t}.feat")
+    weights_path = tmp_path / "head.tensors"
+    save_weights(
+        synthesize_weights(spec.feature_channels, TrackerConfig(), seed=3,
+                           shared_head_channels=8),
+        weights_path,
+    )
+    return dets, feat_dir, weights_path, spec.n_frames
+
+
 class TestTrack:
     def test_oracle_predictions(self, clean_files, tmp_path):
         gt, dets = clean_files
@@ -58,28 +81,62 @@ class TestTrack:
         assert all(q == 1.0 or q < 0.5 for q in qualities)
         assert qualities.count(1.0) > len(qualities) * 0.8
 
-    def test_learned_head_path(self, tmp_path):
-        spec = preset_scenario("clean", 1)
-        gt = tmp_path / "gt.jsonl"
-        dets = tmp_path / "dets.jsonl"
-        assert run_cli("synth-gen", "--preset", "clean", "--seed", "1",
-                       "--out-gt", gt, "--out-dets", dets) == 0
-        feat_dir = tmp_path / "features"
-        feat_dir.mkdir()
-        for t in range(spec.n_frames):
-            save_features(render_features(spec, t), feat_dir / f"frame_{t}.feat")
-        weights_path = tmp_path / "head.tensors"
-        save_weights(
-            synthesize_weights(spec.feature_channels, TrackerConfig(), seed=3,
-                               shared_head_channels=8),
-            weights_path,
-        )
+    def test_learned_head_path(self, learned_files, tmp_path):
+        dets, feat_dir, weights_path, _ = learned_files
         out = tmp_path / "preds.jsonl"
         rc = run_cli("track", "--dets", dets, "--weights", weights_path,
                      "--features-dir", feat_dir, "--out", out)
         assert rc == 0
         loaded = load_predictions(out)
         assert loaded
+
+    def test_learned_head_streams_pyramids(self, learned_files, tmp_path, monkeypatch):
+        # Frame 0 is loaded first, then frame t+1 just before frame t is
+        # tracked, so no more than two pyramids are alive at once.
+        dets, feat_dir, weights_path, n_frames = learned_files
+        events = []
+        load_features, track = cli.load_features, cli.track
+
+        def logged_load(path):
+            events.append(("load", path.name))
+            return load_features(path)
+
+        def logged_track(feat_t, feat_t1, boxes, *args):
+            events.append(("track", boxes[0].frame if boxes else None))
+            return track(feat_t, feat_t1, boxes, *args)
+
+        monkeypatch.setattr(cli, "load_features", logged_load)
+        monkeypatch.setattr(cli, "track", logged_track)
+        rc = run_cli("track", "--dets", dets, "--weights", weights_path,
+                     "--features-dir", feat_dir, "--out", tmp_path / "preds.jsonl")
+        assert rc == 0
+        assert events[0] == ("load", "frame_0.feat")
+        for t in range(n_frames - 1):
+            assert events[1 + 2 * t] == ("load", f"frame_{t + 1}.feat")
+            assert events[2 + 2 * t][0] == "track"
+        assert len(events) == 2 * n_frames - 1
+
+    def test_missing_last_feature_file_named(self, learned_files, tmp_path, capsys):
+        dets, feat_dir, weights_path, n_frames = learned_files
+        partial = tmp_path / "features"
+        partial.mkdir()
+        for t in range(n_frames - 1):
+            (partial / f"frame_{t}.feat").write_bytes((feat_dir / f"frame_{t}.feat").read_bytes())
+        out = tmp_path / "preds.jsonl"
+        rc = run_cli("track", "--dets", dets, "--weights", weights_path,
+                     "--features-dir", partial, "--out", out)
+        assert rc != 0
+        assert f"missing feature file {partial / f'frame_{n_frames - 1}.feat'}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_bad_weights_header_fails_named(self, clean_files, tmp_path, capsys):
+        _, dets = clean_files
+        weights = tmp_path / "bad.tensors"
+        weights.write_bytes(b'{"format": "named-tensors", "version": 1}\n')
+        rc = run_cli("track", "--dets", dets, "--weights", weights,
+                     "--features-dir", tmp_path, "--out", tmp_path / "p.jsonl")
+        assert rc != 0
+        assert "bad.tensors" in capsys.readouterr().err
 
     def test_oracle_requires_gt(self, tmp_path, clean_files, capsys):
         _, dets = clean_files
@@ -136,6 +193,16 @@ class TestEval:
         assert data["map"] == 1.0
         assert data["variant"] == "x"
 
+    def test_record_without_video_fails_named(self, clean_files, tmp_path, capsys):
+        gt, _ = clean_files
+        preds = tmp_path / "preds.jsonl"
+        record = json.loads(gt.read_text().splitlines()[0])
+        del record["video"]
+        preds.write_text(json.dumps(record) + "\n")
+        rc = run_cli("eval", "--preds", preds, "--gt", gt)
+        assert rc != 0
+        assert "preds.jsonl:1" in capsys.readouterr().err
+
 
 class TestRun:
     def test_detector_on_clean_is_perfect(self, tmp_path):
@@ -147,7 +214,7 @@ class TestRun:
         assert data["map"] == 1.0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["command"] == "run"
-        assert "timings_ms" in manifest
+        assert set(manifest["timings_ms"]) == {"generate", "variant", "eval"}
 
     def test_equals_chained_subcommands(self, tmp_path):
         out = tmp_path / "composed"

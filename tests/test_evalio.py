@@ -126,6 +126,78 @@ class TestPredictionFiles:
         with pytest.raises(ValueError, match="do not cover"):
             align_predictions(vds, load_predictions(p)["v0"])
 
+    def test_source_is_a_detection_record_without_video(self, tmp_path):
+        src = det(3, 1, 0.9, (0.5, 0, 10, 10.25), track=4, provenance="tracked")
+        dets, preds = tmp_path / "dets.jsonl", tmp_path / "preds.jsonl"
+        save_detections(VideoDetectionSet.from_records("v0", [src]), dets)
+        save_predictions([[], [], [], [TrackPrediction(src, Box(1, 1, 11, 11), 0.5)]], "v0", preds)
+        source = json.loads(preds.read_text())["source"]
+        assert json.dumps({"video": "v0", **source}) + "\n" == dets.read_text()
+
+
+def record_line(kind, drop=(), **changes):
+    """One valid detection or prediction line, with source fields changed or keys dropped."""
+    fields = {"frame": 0, "class": 0, "score": 0.5, "box": [0, 0, 5, 5],
+              "track": None, "provenance": None, **changes}
+    if kind == "detections":
+        record = {"video": "v", **fields}
+    else:
+        record = {"video": "v", "frame": 0, "det": 0, "box": [0, 0, 5, 5],
+                  "quality": 0.9, "source": fields}
+    for key in drop:
+        del record[key]
+    return json.dumps(record)
+
+
+RECORD_LOADERS = {"detections": load_detections, "predictions": load_predictions}
+
+
+@pytest.mark.parametrize("kind", sorted(RECORD_LOADERS))
+class TestRecordValidation:
+    """Detection records and prediction sources share one parser."""
+
+    def reject_second_line(self, tmp_path, kind, line) -> str:
+        p = tmp_path / "bad.jsonl"
+        p.write_text(record_line(kind) + "\n" + line + "\n")
+        with pytest.raises(ValueError, match=r"bad\.jsonl:2") as info:
+            RECORD_LOADERS[kind](p)
+        return str(info.value)
+
+    def test_missing_video(self, tmp_path, kind):
+        message = self.reject_second_line(tmp_path, kind, record_line(kind, drop=("video",)))
+        assert "'video'" in message
+
+    def test_boolean_frame(self, tmp_path, kind):
+        message = self.reject_second_line(tmp_path, kind, record_line(kind, frame=True))
+        assert "'frame' must be an integer" in message
+
+    def test_fractional_frame(self, tmp_path, kind):
+        message = self.reject_second_line(tmp_path, kind, record_line(kind, frame=1.7))
+        assert "'frame' must be an integer" in message
+
+    def test_unknown_provenance(self, tmp_path, kind):
+        message = self.reject_second_line(tmp_path, kind, record_line(kind, provenance="guessed"))
+        assert "provenance" in message
+
+    def test_score_beyond_float_range(self, tmp_path, kind):
+        message = self.reject_second_line(tmp_path, kind, record_line(kind, score=10**400))
+        assert "too large" in message
+
+    def test_non_object_line(self, tmp_path, kind):
+        message = self.reject_second_line(tmp_path, kind, "[1, 2]")
+        assert "JSON object" in message
+
+
+def feature_file(tmp_path, header, payload=b""):
+    p = tmp_path / "f.feat"
+    p.write_bytes((json.dumps(header) + "\n").encode() + payload)
+    return p
+
+
+FEATURE_HEADER = {"format": "feature-pyramid", "version": 1, "image_height": 8,
+                  "image_width": 8, "dtype": "<f8",
+                  "levels": [{"stride": 4, "channels": 1, "height": 2, "width": 2}]}
+
 
 class TestFeatureFiles:
     def test_round_trip(self, tmp_path):
@@ -176,6 +248,23 @@ class TestFeatureFiles:
         with pytest.raises(ValueError, match="size mismatch"):
             load_features(p)
 
+    def test_non_object_header_rejected(self, tmp_path):
+        p = feature_file(tmp_path, [1, 2])
+        with pytest.raises(ValueError, match=r"f\.feat: .*not a JSON object"):
+            load_features(p)
+
+    @pytest.mark.parametrize("key", ["channels", "height", "width"])
+    def test_level_missing_key_rejected(self, tmp_path, key):
+        level = dict(FEATURE_HEADER["levels"][0])
+        del level[key]
+        p = feature_file(tmp_path, {**FEATURE_HEADER, "levels": [level]}, bytes(32))
+        with pytest.raises(ValueError, match=rf"f\.feat: .*'{key}'"):
+            load_features(p)
+
+    def test_valid_header_loads(self, tmp_path):
+        p = feature_file(tmp_path, FEATURE_HEADER, bytes(32))
+        assert load_features(p).levels[0][1].shape == (1, 2, 2)
+
 
 class TestNamedArrays:
     def test_round_trip_byte_identical(self, tmp_path):
@@ -200,6 +289,20 @@ class TestNamedArrays:
         p.write_bytes(p.read_bytes() + b"\x00" * 8)
         with pytest.raises(ValueError, match="trailing"):
             load_named_arrays(p)
+
+    @pytest.mark.parametrize("header, hint", [
+        ([1, 2], "not a JSON object"),
+        ({"format": "named-tensors", "version": 1}, "'arrays'"),
+        ({"format": "named-tensors", "arrays": [{"shape": [1]}]}, "'name'"),
+        ({"format": "named-tensors", "arrays": [{"name": "a", "shape": [-1]}]}, "shape"),
+        ({"format": "named-tensors", "arrays": [{"name": "a", "shape": [0.5]}]}, "shape"),
+    ], ids=["non-object", "no-arrays", "no-name", "negative-shape", "fractional-shape"])
+    def test_malformed_header_rejected(self, tmp_path, header, hint):
+        p = tmp_path / "x.tensors"
+        p.write_bytes((json.dumps(header) + "\n").encode() + bytes(8))
+        with pytest.raises(ValueError, match=r"x\.tensors: ") as info:
+            load_named_arrays(p)
+        assert hint in str(info.value)
 
 
 def gt_two_boxes():

@@ -5,15 +5,11 @@ import pytest
 
 from vodtrack.geometry import (
     Box,
-    JitterCoefficients,
     RegressionDelta,
-    RoiSamplingError,
     decode,
     encode,
     expand,
     iou,
-    jitter_roi,
-    sample_jittered_rois,
 )
 
 
@@ -185,66 +181,3 @@ class TestExpand:
     def test_k_below_one_rejected(self):
         with pytest.raises(ValueError, match=">= 1"):
             expand(Box(0, 0, 1, 1), 0.99)
-
-
-class TestJitter:
-    def test_hand_example(self):
-        g = Box.from_center(10, 10, 4, 6)
-        r = jitter_roi(g, JitterCoefficients(0.5, -0.5, 1.0, 1.5))
-        assert r.cx == pytest.approx(12, abs=1e-12)
-        assert r.cy == pytest.approx(7, abs=1e-12)
-        assert r.w == pytest.approx(4, abs=1e-12)
-        assert r.h == pytest.approx(9, abs=1e-12)
-
-    def test_identity(self):
-        g = Box(2, 3, 8, 9)
-        assert jitter_roi(g, JitterCoefficients(0, 0, 1, 1)).corners() == g.corners()
-
-    def test_any_in_range_jitter_gives_finite_iou(self):
-        rng = np.random.default_rng(31)
-        g = Box.from_center(50, 50, 10, 14)
-        for _ in range(200):
-            d = JitterCoefficients(
-                rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(0.5, 1.5), rng.uniform(0.5, 1.5)
-            )
-            v = iou(jitter_roi(g, d), g)
-            assert math.isfinite(v) and 0.0 <= v <= 1.0
-
-    def test_coefficients_range_validated(self):
-        with pytest.raises(ValueError):
-            JitterCoefficients(1.2, 0, 1, 1)
-        with pytest.raises(ValueError):
-            JitterCoefficients(0, 0, 0.4, 1)
-
-
-class TestSampleJitteredRois:
-    def test_deterministic(self):
-        g = Box.from_center(50, 50, 20, 12)
-        a = sample_jittered_rois(g, 8, rng_seed=123, keep_low_overlap=True)
-        b = sample_jittered_rois(g, 8, rng_seed=123, keep_low_overlap=True)
-        assert [r.corners() for r in a] == [r.corners() for r in b]
-
-    def test_low_overlap_direction_fills_budget(self):
-        # Low-overlap jitters pass ~97% of the time, so 256 draws cover 128 keeps.
-        g = Box.from_center(0, 0, 10, 10)
-        rois = sample_jittered_rois(g, 128, rng_seed=0, keep_low_overlap=True)
-        assert len(rois) == 128
-        assert all(iou(r, g) < 0.5 for r in rois)
-
-    def test_default_direction_exhausts_at_full_budget(self):
-        # Well-overlapping jitters are rare (~5%); 256 draws cannot yield 128.
-        g = Box.from_center(0, 0, 10, 10)
-        with pytest.raises(RoiSamplingError):
-            sample_jittered_rois(g, 128, rng_seed=0)
-
-    def test_default_direction_small_keep(self):
-        g = Box.from_center(0, 0, 10, 10)
-        rois = sample_jittered_rois(g, 2, rng_seed=120)
-        assert len(rois) == 2
-        assert all(iou(r, g) >= 0.5 for r in rois)
-
-    def test_filter_predicate_postcondition(self):
-        g = Box.from_center(5, 5, 8, 6)
-        for seed in range(5):
-            rois = sample_jittered_rois(g, 16, rng_seed=seed, keep_low_overlap=True)
-            assert all(iou(r, g) < 0.5 for r in rois)

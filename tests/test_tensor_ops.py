@@ -11,7 +11,6 @@ from vodtrack.tensor_ops import (
     depthwise_correlate,
     fuse_pyramid,
     roi_align_full_avg,
-    roi_align_nearest4,
 )
 
 
@@ -80,28 +79,6 @@ class TestRoiAlignFullAvg:
             ref = oversampled_roi_align(feat, roi.corners(), 3, 3, 1.0, samples=8)
             assert np.allclose(out, ref, atol=1e-10)
 
-    def test_sampled_mode_monotone_convergence(self):
-        rng = np.random.default_rng(9)
-        feat = rng.random((2, 8, 8))
-        roi = Box(0.9, 1.3, 6.4, 6.9)
-        exact = roi_align_full_avg(feat, roi, 5, 5, 1.0)
-        errors = []
-        for s in (2, 4, 8, 16, 32, 64):
-            est = roi_align_full_avg(feat, roi, 5, 5, 1.0, samples_per_axis=s)
-            errors.append(np.abs(est - exact).max())
-        for lo, hi in zip(errors[1:], errors[:-1]):
-            assert lo <= hi + 1e-15
-        assert errors[-1] < errors[0]
-
-    def test_sampled_mode_constant_field_invariant(self):
-        feat = np.full((1, 6, 6), 2.0)
-        roi = Box(0.5, 0.5, 4.5, 4.5)
-        outs = [
-            roi_align_full_avg(feat, roi, 3, 3, 1.0, samples_per_axis=s) for s in (2, 4, 8)
-        ]
-        for out in outs:
-            assert np.allclose(out, 2.0, atol=1e-12)
-
     def test_expanded_roi_keeps_bin_scale(self):
         # 3x-expanded RoI pooled at 21x21 and the original at 7x7 cover the
         # same feature area per bin.
@@ -117,24 +94,6 @@ class TestRoiAlignFullAvg:
         a = roi_align_full_avg(feat, roi, 7, 7, 2.0)
         b = roi_align_full_avg(feat, roi, 7, 7, 2.0)
         assert np.array_equal(a, b)
-
-
-class TestRoiAlignNearest4:
-    def test_constant_map(self):
-        feat = np.full((2, 5, 5), 1.5)
-        out = roi_align_nearest4(feat, Box(0.5, 0.5, 3.5, 3.5), 3, 3, 1.0)
-        assert np.allclose(out, 1.5, atol=1e-12)
-
-    def test_bin_center_on_grid_point(self):
-        feat = np.arange(16.0).reshape(1, 4, 4)
-        # single bin over [1.5, 2.5]^2: center lands exactly on grid point (2, 2)
-        out = roi_align_nearest4(feat, Box(1.5, 1.5, 2.5, 2.5), 1, 1, 1.0)
-        assert out[0, 0, 0] == feat[0, 2, 2]
-
-    def test_map_center_example(self):
-        feat = np.array([[[1.0, 2.0], [3.0, 4.0]]])
-        out = roi_align_nearest4(feat, Box(0, 0, 1, 1), 1, 1, 1.0)
-        assert out[0, 0, 0] == pytest.approx(2.5, abs=1e-12)
 
 
 class TestDepthwiseCorrelate:

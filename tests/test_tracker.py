@@ -27,8 +27,6 @@ from vodtrack.tracker import (
     smooth_l1_grad,
     synthesize_weights,
     track,
-    tracking_loss,
-    tracking_targets,
 )
 
 SMALL_CFG = TrackerConfig(k=3, template_pool=3, search_pool=9)
@@ -208,47 +206,9 @@ class TestTrack:
 
 
 class TestTargetsAndLoss:
-    def test_score_target_identity(self):
-        g = Box.from_center(5, 5, 4, 4)
-        b = Box.from_center(4, 5, 4, 4)
-        delta, score = tracking_targets(b, g, g)
-        assert score == 1.0
-
-    def test_zero_delta_and_zero_score(self):
-        b = Box.from_center(5, 5, 4, 4)
-        p = Box.from_center(50, 50, 4, 4)
-        delta, score = tracking_targets(b, b, p)
-        assert delta.as_tuple() == (0, 0, 0, 0)
-        assert score == 0.0
-
-    def test_hand_example(self):
-        b = Box.from_center(10, 20, 4, 8)
-        g = Box.from_center(12, 16, 8, 4)
-        p = Box.from_center(13, 16, 8, 4)
-        delta, score = tracking_targets(b, g, p)
-        assert delta.dx == pytest.approx(0.5, abs=1e-12)
-        assert delta.dy == pytest.approx(-0.5, abs=1e-12)
-        assert delta.dw == pytest.approx(math.log(2), abs=1e-12)
-        assert delta.dh == pytest.approx(-math.log(2), abs=1e-12)
-        # inter = 7*4 = 28, union = 32 + 32 - 28 = 36
-        assert score == pytest.approx(28 / 36, abs=1e-12)
-
     @pytest.mark.parametrize("x,expected", [(0.0, 0.0), (0.5, 0.125), (2.0, 1.5), (-2.0, 1.5)])
     def test_smooth_l1_values(self, x, expected):
         assert smooth_l1(x) == pytest.approx(expected, abs=1e-15)
-
-    def test_loss_zero_at_target(self):
-        from vodtrack.geometry import RegressionDelta
-
-        d = RegressionDelta(0.3, -0.2, 0.1, 0.05)
-        assert tracking_loss((d, 0.7), (d, 0.7)) == 0.0
-
-    def test_loss_sums_components(self):
-        from vodtrack.geometry import RegressionDelta
-
-        pred = (RegressionDelta(0.5, 0, 0, 0), 1.0)
-        target = (RegressionDelta(0, 0, 0, 0), 0.5)
-        assert tracking_loss(pred, target) == pytest.approx(0.125 + 0.125, abs=1e-15)
 
     def test_grad_matches_finite_differences(self):
         rng = np.random.default_rng(43)
