@@ -29,6 +29,7 @@ from .tracker import (
     NoiseParams,
     TrackerConfig,
     TrackPrediction,
+    fuse_for_head,
     load_weights,
     make_oracle_track_fn,
     oracle_track,
@@ -191,7 +192,7 @@ def cmd_track(args, argv) -> int:
         gt = load_single_video(args.gt)
         noise = _noise_from_args(args)
         preds_per_frame = [
-            oracle_track(list(frame), gt, noise, args.oracle_seed, tau=args.tau)
+            oracle_track(list(frame), gt, noise, args.oracle_seed)
             for frame in vds.frames
         ]
     else:
@@ -200,7 +201,7 @@ def cmd_track(args, argv) -> int:
         weights = load_weights(args.weights)
         cfg = TrackerConfig(
             k=args.k, template_pool=args.template_pool, search_pool=args.search_pool,
-            tau=args.tau, fuse_stride=args.fuse_stride,
+            fuse_stride=args.fuse_stride,
         )
         feat_dir = Path(args.features_dir)
 
@@ -208,9 +209,10 @@ def cmd_track(args, argv) -> int:
             fp = feat_dir / f"frame_{t}.feat"
             if not fp.exists():
                 raise ValueError(f"missing feature file {fp}")
-            return load_features(fp)
+            return fuse_for_head(load_features(fp), cfg)
 
-        # Two pyramids are held at a time: frame t and frame t+1.
+        # Each frame is fused once, and two fused maps are held at a time:
+        # frame t and frame t+1.
         current = pyramid(0)
         preds_per_frame = []
         for t in range(vds.n_frames - 1):
@@ -452,7 +454,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=float, default=3.0)
     p.add_argument("--template-pool", type=int, default=7)
     p.add_argument("--search-pool", type=int, default=21)
-    p.add_argument("--tau", type=int, default=1)
     p.add_argument("--fuse-stride", type=int)
     _add_oracle_flags(p)
     p.add_argument("--out", required=True)

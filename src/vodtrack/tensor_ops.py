@@ -7,6 +7,17 @@ interpolated field that decays linearly to zero over one cell beyond the
 border and is zero everywhere outside. RoIs are given in image pixel units
 and mapped to feature space by dividing by the level stride.
 
+The head kernels work on batches: :func:`roi_align_full_avg` pools N RoIs
+in one call and returns ``(N, C, H, W)``, and :func:`conv2d_same`,
+:func:`conv_block` and :func:`depthwise_correlate` accept any leading axes
+before ``(C, H, W)``. Each kernel sums in one fixed order that its docstring
+states, so an entry of a batch gets the same bits as it would alone, in any
+batch and in any order. Pooling, correlation and max-pool fusion never call
+a BLAS library. The correlation is shift-equivariant bit for bit, and so is
+pooling on bins that lie on whole cells. The convolutions contract channels
+through one BLAS matrix product per tap, so they are shift-equivariant only
+up to that product's rounding.
+
 Everything here is deterministic and pure; callers may parallelize across
 RoIs and frames freely.
 """
@@ -14,9 +25,9 @@ RoIs and frames freely.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .geometry import Box
 
@@ -38,9 +49,19 @@ Tensor3 = np.ndarray
 
 def as_tensor3(data) -> Tensor3:
     """Validate and coerce ``data`` into a (C, H, W) float64 array."""
+    return _as_maps(data, batched=False)
+
+
+def _as_maps(data, batched: bool = True) -> np.ndarray:
+    """Validate and coerce ``data`` into a float64 ``(..., C, H, W)`` array.
+
+    Without ``batched`` the array must be exactly ``(C, H, W)``.
+    """
     arr = np.asarray(data, dtype=np.float64)
-    if arr.ndim != 3:
-        raise ValueError(f"expected a (C, H, W) array, got shape {arr.shape}")
+    if arr.ndim < 3 or (arr.ndim > 3 and not batched):
+        raise ValueError(
+            f"expected a {'(..., C, H, W)' if batched else '(C, H, W)'} array, got shape {arr.shape}"
+        )
     if min(arr.shape) < 1:
         raise ValueError(f"all tensor dimensions must be positive, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
@@ -125,70 +146,59 @@ class ConvBlockWeights:
             object.__setattr__(self, "bias", bias)
 
 
-def _bilinear_sample(feat: Tensor3, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Sample the zero-extended bilinear field of ``feat`` at continuous points.
+def _hat_band(lo: np.ndarray, hi: np.ndarray, n_bins: int, size: int):
+    """Banded rows of the bin-mean matrix along one axis, one matrix per RoI.
 
-    Returns an array of shape ``(C,) + xs.shape``; points whose entire
-    bilinear neighborhood lies outside the grid evaluate to zero.
+    Row ``b`` for RoI ``n`` holds the integral of each grid point's hat
+    function (the 1-D interpolation basis, ``max(0, 1 - |x - i|)``) over bin
+    ``b`` of ``n_bins`` equal bins on ``[lo[n], hi[n]]``, divided by the bin
+    width. Only points within one cell of a bin weigh anything, so each row
+    is stored as ``taps`` consecutive weights from cell ``first[n, b]``; taps
+    past the map or past the bin weigh exactly zero. Returns ``first``
+    (N, n_bins) and the weights (N, n_bins, taps). A zero-width extent gives
+    all-zero weights.
     """
-    _, h, w = feat.shape
-    x0 = np.floor(xs)
-    y0 = np.floor(ys)
-    fx = xs - x0
-    fy = ys - y0
-    x0 = x0.astype(np.int64)
-    y0 = y0.astype(np.int64)
-
-    out = np.zeros((feat.shape[0],) + xs.shape, dtype=np.float64)
-    for dy, dx, wgt in (
-        (0, 0, (1.0 - fx) * (1.0 - fy)),
-        (0, 1, fx * (1.0 - fy)),
-        (1, 0, (1.0 - fx) * fy),
-        (1, 1, fx * fy),
-    ):
-        xi = x0 + dx
-        yi = y0 + dy
-        valid = (xi >= 0) & (xi < w) & (yi >= 0) & (yi < h)
-        xc = np.clip(xi, 0, w - 1)
-        yc = np.clip(yi, 0, h - 1)
-        vals = feat[:, yc, xc]
-        out += vals * (wgt * valid)
-    return out
-
-
-def _axis_segments(lo: float, hi: float, n_bins: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Split ``n_bins`` equal bins over [lo, hi] at integer cell boundaries.
-
-    Returns (segment centers, segment lengths, owning bin index per segment).
-    """
-    edges = np.linspace(lo, hi, n_bins + 1)
-    interior = np.arange(np.ceil(lo), np.floor(hi) + 1.0)
-    interior = interior[(interior > lo) & (interior < hi)]
-    cuts = np.unique(np.concatenate([edges, interior]))
-    lengths = np.diff(cuts)
-    keep = lengths > 0
-    lengths = lengths[keep]
-    centers = (cuts[:-1] + cuts[1:])[keep] / 2.0
-    bin_w = (hi - lo) / n_bins
-    owner = np.clip(((centers - lo) / bin_w).astype(np.int64), 0, n_bins - 1)
-    return centers, lengths, owner
+    edges = np.linspace(lo, hi, n_bins + 1, axis=-1)
+    a, b = edges[:, :-1, None], edges[:, 1:, None]
+    first = np.clip(np.floor(a[..., 0]), 0, size - 1).astype(np.int64)
+    last = np.clip(np.ceil(b[..., 0]), 0, size - 1).astype(np.int64)
+    cells = first[..., None] + np.arange(int(np.max(last - first)) + 1)
+    # The hat rises on [i - 1, i] and falls on [i, i + 1]; each half
+    # integrates in closed form over its part of the bin.
+    p, q = np.clip(a - cells, -1.0, 0.0), np.clip(b - cells, -1.0, 0.0)
+    area = (q - p) * (1.0 + (p + q) / 2.0)
+    p, q = np.clip(a - cells, 0.0, 1.0), np.clip(b - cells, 0.0, 1.0)
+    area += (q - p) * (1.0 - (p + q) / 2.0)
+    width = ((hi - lo) / n_bins)[:, None, None]
+    keep = (cells < size) & (width > 0.0)
+    return first, np.where(keep, area / np.where(width > 0.0, width, 1.0), 0.0)
 
 
 def roi_align_full_avg(
     feat: Tensor3,
-    roi: Box,
+    rois: Box | Sequence[Box],
     out_h: int,
     out_w: int,
     stride: float,
-) -> Tensor3:
-    """Pool an RoI into ``out_h x out_w`` bins of exact field averages.
+) -> np.ndarray:
+    """Pool RoIs into ``out_h x out_w`` bins of exact field averages.
 
     Each bin value is the mean of the bilinearly interpolated field over the
     bin rectangle, with regions outside the feature extent contributing
-    zero. The mean is the exact integral: the field is piecewise bilinear,
-    so each cell-aligned piece integrates in closed form.
+    zero. The field is a sum of separable hat functions, so the bin means of
+    one RoI are ``Wy @ F @ Wx.T`` per channel, where ``Wy`` and ``Wx`` hold
+    hat-function integrals (:func:`_hat_band`): exact up to rounding, with
+    no sampling.
 
-    A zero-area RoI yields an all-zero output.
+    ``rois`` is one :class:`Box`, giving a ``(C, out_h, out_w)`` result, or
+    a sequence of N boxes, giving ``(N, C, out_h, out_w)``. All N are pooled
+    in one pass. Both products are summed over the band of each matrix row
+    in increasing cell order, one multiply and one add per tap, vectorised
+    over RoIs, channels and bins. Every value therefore depends only on its
+    own RoI: it is the same bit for bit whatever other RoIs share the call
+    and in whatever order, and it does not depend on a BLAS library.
+
+    A zero-area RoI yields all zeros.
     """
     feat = as_tensor3(feat)
     if out_h < 1 or out_w < 1:
@@ -196,99 +206,162 @@ def roi_align_full_avg(
     if stride <= 0:
         raise ValueError("stride must be positive")
 
-    c = feat.shape[0]
-    x1, y1, x2, y2 = (v / stride for v in roi.corners())
-    if x2 - x1 <= 0.0 or y2 - y1 <= 0.0:
-        return np.zeros((c, out_h, out_w), dtype=np.float64)
+    single = isinstance(rois, Box)
+    boxes = [rois] if single else list(rois)
+    corners = np.array([r.corners() for r in boxes], dtype=np.float64).reshape(-1, 4) / stride
+    c, h, w = feat.shape
+    n = corners.shape[0]
+    if n == 0:
+        return np.zeros((0, c, out_h, out_w), dtype=np.float64)
+    first_y, wy = _hat_band(corners[:, 1], corners[:, 3], out_h, h)
+    first_x, wx = _hat_band(corners[:, 0], corners[:, 2], out_w, w)
 
-    cx, lx, ox = _axis_segments(x1, x2, out_w)
-    cy, ly, oy = _axis_segments(y1, y2, out_h)
-    values = _bilinear_sample(feat, *np.meshgrid(cx, cy))
-    weights = np.outer(ly, lx)
-    acc = np.zeros((c, out_h, out_w), dtype=np.float64)
-    np.add.at(acc, (slice(None), oy[:, None], ox[None, :]), values * weights)
-    bin_area = ((x2 - x1) / out_w) * ((y2 - y1) / out_h)
-    return acc / bin_area
+    # Each RoI's band columns, counted from its first band column, and the
+    # window of map columns they span.
+    cols = np.minimum(first_x[..., None] + np.arange(wx.shape[-1]), w - 1)
+    cols -= first_x[:, :1, None]
+    span = int(cols.max()) + 1
+    window = np.minimum(first_x[:, :1] + np.arange(span), w - 1)
+    # Channels last, one row per map cell, so that each gather is one
+    # ``np.take`` of whole channel vectors.
+    cells = feat.transpose(1, 2, 0).reshape(h * w, c)
+    # Wy @ F on the window: rows[n, y, k] sums map column window[n, k] over
+    # the band of row bin y. Products go through one reused buffer per pass.
+    rows = np.zeros((n, out_h, span, c), dtype=np.float64)
+    taken = np.empty_like(rows)
+    for t in range(wy.shape[-1]):
+        at = np.minimum(first_y[..., None] + t, h - 1) * w + window[:, None, :]
+        np.take(cells, at, axis=0, out=taken, mode="clip")
+        taken *= wy[:, :, t, None, None]
+        rows += taken
+    # (Wy @ F) @ Wx.T over the band of each column bin.
+    rows = rows.reshape(n * out_h * span, c)
+    row_start = (np.arange(n)[:, None, None] * out_h + np.arange(out_h)[:, None]) * span
+    out = np.zeros((n, out_h, out_w, c), dtype=np.float64)
+    taken = np.empty_like(out)
+    for t in range(wx.shape[-1]):
+        np.take(rows, row_start + cols[:, None, :, t], axis=0, out=taken, mode="clip")
+        taken *= wx[:, None, :, t, None]
+        out += taken
+    out = out.transpose(0, 3, 1, 2)
+    return out[0] if single else out
 
 
-def depthwise_correlate(template: Tensor3, search: Tensor3) -> Tensor3:
+def depthwise_correlate(template: np.ndarray, search: np.ndarray) -> np.ndarray:
     """Valid cross-correlation of each template channel over the same search channel.
 
-    Output shape is ``(C, Hs - Ht + 1, Ws - Wt + 1)``.
+    Inputs are ``(..., C, Ht, Wt)`` and ``(..., C, Hs, Ws)`` with leading
+    axes that broadcast (a batch of N pairs is ``(N, C, ...)`` each). The
+    output is ``(..., C, Hs - Ht + 1, Ws - Wt + 1)``.
 
     Every output cell sums its ``Ht * Wt`` products in one fixed order: the
     template taps in row-major order, starting from zero, one multiply and
     one add per tap. The order does not depend on where a window sits in the
-    search map, so the result is shift-equivariant bit for bit (a search map
-    moved by whole cells gives an output moved by the same cells, exactly),
-    it equals the dense per-cell loop in that same order bit for bit, and it
-    does not depend on a BLAS library, its thread count or an einsum path.
-    The loop runs over taps only; each step is vectorised over channels and
-    output cells.
+    search map or on the other pairs of a batch, so the result is
+    shift-equivariant bit for bit (a search map moved by whole cells gives
+    an output moved by the same cells, exactly), each pair's output is the
+    same bit for bit alone or in any batch, it equals the dense per-cell
+    loop in that same order bit for bit, and it does not depend on a BLAS
+    library, its thread count or an einsum path. The loop runs over taps
+    only; each step is vectorised over pairs, channels and output cells.
     """
-    template = as_tensor3(template)
-    search = as_tensor3(search)
-    if template.shape[0] != search.shape[0]:
+    template = _as_maps(template)
+    search = _as_maps(search)
+    if template.shape[-3] != search.shape[-3]:
         raise ValueError(
-            f"channel mismatch: template {template.shape[0]} vs search {search.shape[0]}"
+            f"channel mismatch: template {template.shape[-3]} vs search {search.shape[-3]}"
         )
-    if template.shape[1] > search.shape[1] or template.shape[2] > search.shape[2]:
+    ht, wt = template.shape[-2:]
+    if ht > search.shape[-2] or wt > search.shape[-1]:
         raise ValueError(
-            f"template {template.shape[1:]} larger than search {search.shape[1:]}"
+            f"template {template.shape[-2:]} larger than search {search.shape[-2:]}"
         )
-    c, ht, wt = template.shape
-    oh, ow = search.shape[1] - ht + 1, search.shape[2] - wt + 1
-    out = np.zeros((c, oh, ow), dtype=np.float64)
+    oh, ow = search.shape[-2] - ht + 1, search.shape[-1] - wt + 1
+    lead = np.broadcast_shapes(template.shape[:-2], search.shape[:-2])
+    out = np.zeros(lead + (oh, ow), dtype=np.float64)
     for i in range(ht):
         for j in range(wt):
-            out += template[:, i, j, None, None] * search[:, i : i + oh, j : j + ow]
+            out += template[..., i, j, None, None] * search[..., i : i + oh, j : j + ow]
     return out
 
 
-def conv2d_same(x: Tensor3, kernel: np.ndarray, bias: np.ndarray | None = None) -> Tensor3:
+def conv2d_same(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray | None = None) -> np.ndarray:
     """Stride-1 2-D convolution with zero same-padding.
 
-    ``kernel`` has shape (C_out, C_in, kh, kw); output keeps the input's
-    spatial size.
+    ``x`` is ``(..., C_in, H, W)`` with any leading axes; ``kernel`` has
+    shape (C_out, C_in, kh, kw). The output is ``(..., C_out, H, W)``.
+
+    The taps are summed in one fixed order, row-major, starting from zero:
+    for each tap, one channel contraction (a ``(C_out, C_in)`` by
+    ``(C_in, H * W)`` matrix product per leading index) is added to the
+    running sum; the bias is added last. Each leading index runs the same
+    products as it would alone, so an entry's result does not depend on the
+    rest of the batch. Within one tap the channel sum is the BLAS library's,
+    which may round an output cell by where its column sits in the product:
+    a one-cell shift of the input moves the output by one cell only up to
+    that rounding (about 1e-15 here), and bit for bit when ``C_in`` is 1,
+    where each tap adds a single product.
     """
-    x = as_tensor3(x)
+    x = _as_maps(x)
     kernel = np.asarray(kernel, dtype=np.float64)
     if kernel.ndim != 4:
         raise ValueError(f"kernel must be (C_out, C_in, kh, kw), got shape {kernel.shape}")
-    _, c_in, kh, kw = kernel.shape
-    if x.shape[0] != c_in:
-        raise ValueError(f"input has {x.shape[0]} channels, kernel expects {c_in}")
+    c_out, c_in, kh, kw = kernel.shape
+    if x.shape[-3] != c_in:
+        raise ValueError(f"input has {x.shape[-3]} channels, kernel expects {c_in}")
 
-    pad_t, pad_b = (kh - 1) // 2, kh // 2
-    pad_l, pad_r = (kw - 1) // 2, kw // 2
-    padded = np.pad(x, ((0, 0), (pad_t, pad_b), (pad_l, pad_r)))
-    windows = sliding_window_view(padded, (kh, kw), axis=(1, 2))
-    out = np.einsum("cyxij,ocij->oyx", windows, kernel, optimize=True)
+    lead, (h, w) = x.shape[:-3], x.shape[-2:]
+    pad = [(0, 0)] * (x.ndim - 2) + [((kh - 1) // 2, kh // 2), ((kw - 1) // 2, kw // 2)]
+    padded = np.pad(x, pad)
+    out = np.zeros(lead + (c_out, h * w), dtype=np.float64)
+    product = np.empty_like(out)
+    for i in range(kh):
+        for j in range(kw):
+            window = padded[..., i : i + h, j : j + w].reshape(lead + (c_in, h * w))
+            out += np.matmul(kernel[:, :, i, j], window, out=product)
     if bias is not None:
-        out = out + np.asarray(bias, dtype=np.float64)[:, None, None]
-    return out
+        out += np.asarray(bias, dtype=np.float64)[:, None]
+    return out.reshape(lead + (c_out, h, w))
 
 
-def conv_block(x: Tensor3, w: ConvBlockWeights) -> Tensor3:
-    """Same-padded stride-1 convolution, inference batch-norm, then relu."""
+def conv_block(x: np.ndarray, w: ConvBlockWeights) -> np.ndarray:
+    """Same-padded stride-1 convolution, inference batch-norm, then relu.
+
+    ``x`` is ``(..., C_in, H, W)``; the normalisation and relu act on each
+    value alone, so a batch gives each entry its result alone bit for bit.
+    """
     out = conv2d_same(x, w.kernel, w.bias)
-    scale = w.gamma / np.sqrt(w.var + w.eps)
-    out = scale[:, None, None] * (out - w.mean[:, None, None]) + w.beta[:, None, None]
-    return np.maximum(out, 0.0)
+    out -= w.mean[:, None, None]
+    out *= (w.gamma / np.sqrt(w.var + w.eps))[:, None, None]
+    out += w.beta[:, None, None]
+    return np.maximum(out, 0.0, out=out)
+
+
+def _block_bounds(n_out: int, ratio: int, size: int) -> np.ndarray:
+    """Start and end of each max-pool block along one axis, interleaved.
+
+    Block ``i`` covers ``[i * ratio, (i + 1) * ratio)``, cut at ``size`` and
+    moved back onto the map's last cell when it starts past it.
+    """
+    starts = np.minimum(np.arange(n_out) * ratio, size - 1)
+    ends = np.maximum(starts + 1, np.minimum(np.arange(1, n_out + 1) * ratio, size))
+    return np.stack([starts, ends], axis=1).ravel()
 
 
 def _max_pool_to(arr: Tensor3, out_h: int, out_w: int, ratio: int) -> Tensor3:
-    c, h, w = arr.shape
-    out = np.empty((c, out_h, out_w), dtype=np.float64)
-    for y in range(out_h):
-        y0 = min(y * ratio, h - 1)
-        y1 = max(y0 + 1, min((y + 1) * ratio, h))
-        rows = arr[:, y0:y1, :]
-        for x in range(out_w):
-            x0 = min(x * ratio, w - 1)
-            x1 = max(x0 + 1, min((x + 1) * ratio, w))
-            out[:, y, x] = rows[:, :, x0:x1].max(axis=(1, 2))
-    return out
+    """Max over each ``ratio x ratio`` block, one output cell per block.
+
+    ``np.maximum.reduceat`` reduces from each index to the next, so the
+    block ends are interleaved with the block starts and every other result
+    is kept; that keeps blocks that overlap or stop short of the map's edge
+    exact. The padded last row and column make an end at the map's edge a
+    valid index; no kept block reaches them. A max is exact, so the result
+    equals the per-cell loop bit for bit.
+    """
+    _, h, w = arr.shape
+    padded = np.pad(arr, ((0, 0), (0, 1), (0, 1)))
+    rows = np.maximum.reduceat(padded, _block_bounds(out_h, ratio, h), axis=1)[:, ::2]
+    return np.maximum.reduceat(rows, _block_bounds(out_w, ratio, w), axis=2)[:, :, ::2]
 
 
 def _bilinear_resize(arr: Tensor3, out_h: int, out_w: int) -> Tensor3:

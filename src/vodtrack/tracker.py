@@ -14,7 +14,7 @@ pipeline can run and be tested without trained weights.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -23,7 +23,6 @@ from .geometry import Box, RegressionDelta, decode, expand, iou
 from .tensor_ops import (
     ConvBlockWeights,
     FeaturePyramid,
-    Tensor3,
     conv2d_same,
     conv_block,
     depthwise_correlate,
@@ -37,6 +36,7 @@ __all__ = [
     "TrackPrediction",
     "NoiseParams",
     "track",
+    "fuse_for_head",
     "head_forward",
     "smooth_l1",
     "smooth_l1_grad",
@@ -59,7 +59,6 @@ class TrackerConfig:
     k: float = 3.0
     template_pool: int = 7
     search_pool: int = 21
-    tau: int = 1
     fuse_stride: int | None = None
 
     def __post_init__(self) -> None:
@@ -72,8 +71,6 @@ class TrackerConfig:
                 f"search_pool ({self.search_pool}) must equal k * template_pool "
                 f"({self.k} * {self.template_pool})"
             )
-        if self.tau < 1:
-            raise ValueError(f"frame gap tau must be >= 1, got {self.tau}")
 
     @property
     def corr_size(self) -> int:
@@ -148,48 +145,74 @@ def _sigmoid(x: float) -> float:
 
 
 def head_forward(
-    template: Tensor3,
-    search: Tensor3,
+    templates: np.ndarray,
+    searches: np.ndarray,
     w: TrackerWeights,
     *,
     return_intermediates: bool = False,
 ):
-    """Run the correlation head on one pooled template/search pair.
+    """Run the correlation head on pooled template/search pairs.
 
-    Returns ``(delta, quality)``; with ``return_intermediates=True`` a dict
-    of the intermediate tensors is appended for shape inspection.
+    ``templates`` and ``searches`` are ``(N, C, H, W)`` batches of N pairs;
+    the result is a list of N ``(delta, quality)``. One ``(C, H, W)`` pair
+    gives one ``(delta, quality)``. The pre blocks, the correlation and the
+    post block run on the whole batch; the shared head convolution and the
+    FC heads run one pair at a time, so no ``(N, C_shared, H, W)`` block is
+    held. Each pair's result is the same bit for bit in any batch. With
+    ``return_intermediates=True`` a dict of the intermediate tensors (of the
+    last pair, for ``shared``) is appended for shape inspection.
     """
-    t = conv_block(template, w.pre_template)
-    s = conv_block(search, w.pre_for_search)
+    single = np.ndim(templates) == 3
+    if single:
+        templates, searches = templates[None], searches[None]
+    t = conv_block(templates, w.pre_template)
+    s = conv_block(searches, w.pre_for_search)
     corr = depthwise_correlate(t, s)
     adjusted = conv_block(corr, w.post)
-    shared = conv2d_same(adjusted, w.head_kernel, w.head_bias)
-    flat = shared.ravel()
-    if flat.shape[0] != w.box_weight.shape[1]:
-        raise ValueError(
-            f"flattened head input has {flat.shape[0]} values, "
-            f"FC heads expect {w.box_weight.shape[1]}"
-        )
-    box_out = w.box_weight @ flat + w.box_bias
-    logit = float((w.score_weight @ flat)[0] + w.score_bias[0])
-    delta = RegressionDelta(*box_out)
-    quality = _sigmoid(logit)
+    results = []
+    for pair in adjusted:
+        shared = conv2d_same(pair, w.head_kernel, w.head_bias)
+        flat = shared.ravel()
+        if flat.shape[0] != w.box_weight.shape[1]:
+            raise ValueError(
+                f"flattened head input has {flat.shape[0]} values, "
+                f"FC heads expect {w.box_weight.shape[1]}"
+            )
+        box_out = w.box_weight @ flat + w.box_bias
+        logit = float((w.score_weight @ flat)[0] + w.score_bias[0])
+        results.append((RegressionDelta(*box_out), _sigmoid(logit)))
+    if single:
+        templates, searches, corr, adjusted = templates[0], searches[0], corr[0], adjusted[0]
+        results = results[0]
     if return_intermediates:
         inter = {
-            "template": template,
-            "search": search,
+            "template": templates,
+            "search": searches,
             "correlation": corr,
             "adjusted": adjusted,
             "shared": shared,
         }
-        return delta, quality, inter
-    return delta, quality
+        return (*results, inter) if single else (results, inter)
+    return results
 
 
 def default_fuse_stride(pyr: FeaturePyramid) -> int:
     """Fusion target when none is configured: the second-finest level if present."""
     strides = pyr.strides
     return strides[1] if len(strides) > 1 else strides[0]
+
+
+def fuse_for_head(pyr: FeaturePyramid, cfg: TrackerConfig = TrackerConfig()) -> FeaturePyramid:
+    """``pyr`` fused at the head's stride, as a one-level pyramid.
+
+    A one-level pyramid at that stride is returned as it is, so a caller
+    that tracks every frame twice (as frame t+1, then as frame t) fuses each
+    frame once by passing this to :func:`track`.
+    """
+    stride = cfg.fuse_stride if cfg.fuse_stride is not None else default_fuse_stride(pyr)
+    if pyr.strides == (stride,):
+        return pyr
+    return FeaturePyramid(((stride, fuse_pyramid(pyr, stride)),), pyr.image_height, pyr.image_width)
 
 
 def track(
@@ -201,27 +224,28 @@ def track(
 ) -> list[TrackPrediction]:
     """Predict each box's next-frame location from two frames' feature pyramids.
 
-    Output is order-preserving, one prediction per input detection.
+    Output is order-preserving, one prediction per input detection. All
+    boxes are pooled and run through the head in one batch; each box's
+    prediction is the same bit for bit whatever other boxes it is tracked
+    with. Pass pyramids from :func:`fuse_for_head` to fuse each frame once.
     """
     if (feat_t.image_height, feat_t.image_width) != (feat_t1.image_height, feat_t1.image_width):
         raise ValueError("feature pyramids must come from frames of equal image size")
     if not boxes:
         return []
-    stride = cfg.fuse_stride if cfg.fuse_stride is not None else default_fuse_stride(feat_t)
-    fused_t = fuse_pyramid(feat_t, stride)
-    fused_t1 = fuse_pyramid(feat_t1, stride)
-
-    preds = []
-    for det in boxes:
-        template = roi_align_full_avg(
-            fused_t, det.box, cfg.template_pool, cfg.template_pool, stride
-        )
-        search = roi_align_full_avg(
-            fused_t1, expand(det.box, cfg.k), cfg.search_pool, cfg.search_pool, stride
-        )
-        delta, quality = head_forward(template, search, w)
-        preds.append(TrackPrediction(det, decode(det.box, delta), quality))
-    return preds
+    (stride, fused_t), = fuse_for_head(feat_t, cfg).levels
+    (_, fused_t1), = fuse_for_head(feat_t1, replace(cfg, fuse_stride=stride)).levels
+    templates = roi_align_full_avg(
+        fused_t, [det.box for det in boxes], cfg.template_pool, cfg.template_pool, stride
+    )
+    searches = roi_align_full_avg(
+        fused_t1, [expand(det.box, cfg.k) for det in boxes], cfg.search_pool, cfg.search_pool,
+        stride,
+    )
+    return [
+        TrackPrediction(det, decode(det.box, delta), quality)
+        for det, (delta, quality) in zip(boxes, head_forward(templates, searches, w))
+    ]
 
 
 def smooth_l1(x: float) -> float:
@@ -282,7 +306,6 @@ def oracle_track(
     noise: NoiseParams,
     seed: int,
     *,
-    tau: int = 1,
     match_iou: float = 0.5,
 ) -> list[TrackPrediction]:
     """Ground-truth-backed stand-in for the learned head.
@@ -307,8 +330,8 @@ def oracle_track(
                 if v >= best:
                     matched, best = g, v
         nxt = None
-        if matched is not None and det.frame + tau < gt.n_frames:
-            for g in gt.frames[det.frame + tau]:
+        if matched is not None and det.frame + 1 < gt.n_frames:
+            for g in gt.frames[det.frame + 1]:
                 if g.track == matched.track:
                     nxt = g
                     break
@@ -324,11 +347,11 @@ def oracle_track(
     return preds
 
 
-def make_oracle_track_fn(gt, noise: NoiseParams, seed: int, *, tau: int = 1):
+def make_oracle_track_fn(gt, noise: NoiseParams, seed: int):
     """Bind the oracle tracker into the single-argument interface the pipeline calls."""
 
     def track_fn(boxes: list[Detection]) -> list[TrackPrediction]:
-        return oracle_track(boxes, gt, noise, seed, tau=tau)
+        return oracle_track(boxes, gt, noise, seed)
 
     return track_fn
 

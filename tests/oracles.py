@@ -167,6 +167,20 @@ def naive_conv2d(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray | None = No
     return out
 
 
+def naive_max_pool_to(arr: np.ndarray, out_h: int, out_w: int, ratio: int) -> np.ndarray:
+    """Per-cell max over ``ratio x ratio`` blocks, clamped onto the map at its edges."""
+    c, h, w = arr.shape
+    out = np.empty((c, out_h, out_w))
+    for y in range(out_h):
+        y0 = min(y * ratio, h - 1)
+        y1 = max(y0 + 1, min((y + 1) * ratio, h))
+        for x in range(out_w):
+            x0 = min(x * ratio, w - 1)
+            x1 = max(x0 + 1, min((x + 1) * ratio, w))
+            out[:, y, x] = arr[:, y0:y1, x0:x1].max(axis=(1, 2))
+    return out
+
+
 def box_iou(a, b) -> float:
     ax1, ay1, ax2, ay2 = a
     bx1, by1, bx2, by2 = b

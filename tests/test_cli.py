@@ -3,9 +3,11 @@ import json
 import pytest
 
 import vodtrack.cli as cli
+import vodtrack.tracker as tracker
 from vodtrack.cli import main
 from vodtrack.evalio import load_detections, load_predictions, save_features
 from vodtrack.synth import preset_scenario, render_features, save_scenario
+from vodtrack.tensor_ops import FeaturePyramid
 from vodtrack.tracker import TrackerConfig, save_weights, synthesize_weights
 
 
@@ -115,6 +117,36 @@ class TestTrack:
             assert events[1 + 2 * t] == ("load", f"frame_{t + 1}.feat")
             assert events[2 + 2 * t][0] == "track"
         assert len(events) == 2 * n_frames - 1
+
+    def test_learned_head_fuses_each_frame_once(self, learned_files, tmp_path, monkeypatch):
+        # Every frame is tracked twice (as frame t+1, then as frame t) but
+        # fused once. The one-level feature files become two-level pyramids.
+        dets, feat_dir, _, n_frames = learned_files
+        load_features = cli.load_features
+
+        def two_level(path):
+            pyr = load_features(path)
+            (stride, fmap), = pyr.levels
+            fine = fmap.repeat(2, axis=1).repeat(2, axis=2)
+            return FeaturePyramid(((stride // 2, fine), (stride, fmap)),
+                                  pyr.image_height, pyr.image_width)
+
+        fused = []
+        fuse_pyramid = tracker.fuse_pyramid
+
+        def counted(pyr, stride):
+            fused.append(stride)
+            return fuse_pyramid(pyr, stride)
+
+        weights_path = tmp_path / "head.tensors"
+        save_weights(synthesize_weights(16, TrackerConfig(), seed=3, shared_head_channels=4),
+                     weights_path)
+        monkeypatch.setattr(cli, "load_features", two_level)
+        monkeypatch.setattr(tracker, "fuse_pyramid", counted)
+        rc = run_cli("track", "--dets", dets, "--weights", weights_path,
+                     "--features-dir", feat_dir, "--out", tmp_path / "preds.jsonl")
+        assert rc == 0
+        assert fused == [8] * n_frames
 
     def test_missing_last_feature_file_named(self, learned_files, tmp_path, capsys):
         dets, feat_dir, weights_path, n_frames = learned_files

@@ -5,6 +5,7 @@ import pytest
 
 from vodtrack.detections import Detection
 from vodtrack.evalio import (
+    MAX_FRAME_INDEX,
     VideoDetectionSet,
     align_predictions,
     evaluate_map,
@@ -174,6 +175,16 @@ class TestRecordValidation:
     def test_fractional_frame(self, tmp_path, kind):
         message = self.reject_second_line(tmp_path, kind, record_line(kind, frame=1.7))
         assert "'frame' must be an integer" in message
+
+    def test_frame_above_bound(self, tmp_path, kind):
+        line = record_line(kind, frame=MAX_FRAME_INDEX + 1)
+        message = self.reject_second_line(tmp_path, kind, line)
+        assert f"above the largest frame index {MAX_FRAME_INDEX}" in message
+
+    def test_frame_at_bound_loads(self, tmp_path, kind):
+        p = tmp_path / "ok.jsonl"
+        p.write_text(record_line(kind, frame=MAX_FRAME_INDEX) + "\n")
+        RECORD_LOADERS[kind](p)
 
     def test_unknown_provenance(self, tmp_path, kind):
         message = self.reject_second_line(tmp_path, kind, record_line(kind, provenance="guessed"))

@@ -1,8 +1,9 @@
 """Property tests for the file loaders.
 
 A valid detection, prediction, feature or tensor file is mutated at random:
-a key dropped, a value replaced by JSON of any type, a line or header
-replaced by a non-object, a line or the payload cut short or extended. Each
+a key dropped, a value replaced by JSON of any type, a frame index set at or
+past the largest allowed, a line or header replaced by a non-object, a line
+or the payload cut short or extended. Each
 mutated file must either load or raise a ``ValueError`` that names the file;
 any other exception fails the test.
 """
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 from vodtrack.detections import Detection
 from vodtrack.evalio import (
+    MAX_FRAME_INDEX,
     VideoDetectionSet,
     load_detections,
     load_features,
@@ -32,17 +34,13 @@ from vodtrack.tracker import TrackPrediction
 
 PROPERTY = settings(max_examples=40, deadline=None, database=None, derandomize=True)
 
-# Frame indices of detection records are drawn below this bound: loading a
-# detection file allocates one list per frame up to its largest index, so a
-# huge index exhausts memory instead of failing (an open loader limit).
-MAX_FRAME = 10_000
-
-
-# Integers past int64 and past the largest float.
+# Integers past int64 and past the largest float, and integers at the
+# largest frame index a detection record may carry.
 HUGE_INTS = st.sampled_from([2**63, -(2**63) - 1, 10**400])
+FRAME_BOUND_INTS = st.integers(MAX_FRAME_INDEX - 1, MAX_FRAME_INDEX + 1)
 
 
-def json_values(ints=st.integers() | HUGE_INTS):
+def json_values(ints=st.integers() | HUGE_INTS | FRAME_BOUND_INTS):
     scalars = st.none() | st.booleans() | ints | st.floats() | st.text(max_size=6)
     return st.recursive(
         scalars,
@@ -84,7 +82,7 @@ def valid_files(tmp_path_factory):
     }
 
 
-def mutate_object(draw, how: str, obj: dict, targets: list[dict], bounded: set[str]) -> None:
+def mutate_object(draw, how: str, targets: list[dict]) -> None:
     """Drop a key from (``how == "drop"``), or give another JSON value to, one of
     ``targets`` in place."""
     target = draw(st.sampled_from([t for t in targets if t]))
@@ -92,18 +90,21 @@ def mutate_object(draw, how: str, obj: dict, targets: list[dict], bounded: set[s
     if how == "drop":
         del target[key]
     else:
-        ints = st.integers(-MAX_FRAME, MAX_FRAME) if key in bounded and target is obj else st.integers()
-        target[key] = draw(json_values(ints))
+        target[key] = draw(json_values())
 
 
-def mutated_lines(draw, how: str, text: str, bounded: set[str]) -> str:
+def mutated_lines(draw, how: str, text: str) -> str:
     """``text`` with one line mutated as ``how`` says."""
     lines = text.splitlines()
     i = draw(st.integers(0, len(lines) - 1))
     if how in ("drop", "retype"):
         obj = json.loads(lines[i])
         targets = [obj] + ([obj["source"]] if "source" in obj else [])
-        mutate_object(draw, how, obj, targets, bounded)
+        mutate_object(draw, how, targets)
+        lines[i] = json.dumps(obj)
+    elif how == "frame":
+        obj = json.loads(lines[i])
+        obj["frame"] = draw(FRAME_BOUND_INTS | HUGE_INTS)
         lines[i] = json.dumps(obj)
     elif how == "non-object":
         lines[i] = json.dumps(draw(non_objects()))
@@ -120,7 +121,7 @@ def mutated_container(draw, how: str, data: bytes) -> bytes:
     if how in ("drop", "retype"):
         header = json.loads(header_line)
         entries = [e for key in ("levels", "arrays") for e in header.get(key, [])]
-        mutate_object(draw, how, header, [header] + entries, set())
+        mutate_object(draw, how, [header] + entries)
         header_line = json.dumps(header).encode()
     elif how == "non-object":
         header_line = json.dumps(draw(non_objects())).encode()
@@ -133,7 +134,7 @@ def mutated_container(draw, how: str, data: bytes) -> bytes:
     return header_line + b"\n" + payload
 
 
-LINE_MUTATIONS = ["drop", "retype", "non-object", "cut", "extend"]
+LINE_MUTATIONS = ["drop", "retype", "frame", "non-object", "cut", "extend"]
 CONTAINER_MUTATIONS = ["drop", "retype", "non-object", "raw-header", "cut", "extend"]
 
 
@@ -149,7 +150,7 @@ def loads_or_names_file(loader, path) -> None:
 @given(data=st.data())
 def test_mutated_detection_file(valid_files, tmp_path_factory, how, data):
     path = tmp_path_factory.getbasetemp() / "mutated-dets.jsonl"
-    path.write_text(mutated_lines(data.draw, how, valid_files["detections"], {"frame"}))
+    path.write_text(mutated_lines(data.draw, how, valid_files["detections"]))
     loads_or_names_file(load_detections, path)
 
 
@@ -158,7 +159,7 @@ def test_mutated_detection_file(valid_files, tmp_path_factory, how, data):
 @given(data=st.data())
 def test_mutated_prediction_file(valid_files, tmp_path_factory, how, data):
     path = tmp_path_factory.getbasetemp() / "mutated-preds.jsonl"
-    path.write_text(mutated_lines(data.draw, how, valid_files["predictions"], set()))
+    path.write_text(mutated_lines(data.draw, how, valid_files["predictions"]))
     loads_or_names_file(load_predictions, path)
 
 

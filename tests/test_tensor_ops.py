@@ -1,12 +1,20 @@
 import numpy as np
 import pytest
 
-from oracles import naive_conv_block, naive_depthwise_correlate, oversampled_roi_align
+from oracles import (
+    naive_conv2d,
+    naive_conv_block,
+    naive_depthwise_correlate,
+    naive_max_pool_to,
+    oversampled_roi_align,
+)
 from vodtrack.geometry import Box, expand
 from vodtrack.tensor_ops import (
     ConvBlockWeights,
     FeaturePyramid,
+    _max_pool_to,
     as_tensor3,
+    conv2d_same,
     conv_block,
     depthwise_correlate,
     fuse_pyramid,
@@ -87,6 +95,43 @@ class TestRoiAlignFullAvg:
         assert abs(b.w / 7 - e.w / 21) <= 1e-12
         assert abs(b.h / 7 - e.h / 21) <= 1e-12
 
+    def test_batch_is_each_roi_alone_bit_for_bit(self):
+        # Pooled together, in any order, each RoI gets the bits it gets alone,
+        # however many band taps and window columns the other RoIs need.
+        rng = np.random.default_rng(53)
+        for _ in range(20):
+            c = int(rng.integers(1, 5))
+            feat = rng.standard_normal((c, 12, 15))
+            rois = [random_roi(rng, span=18.0, max_size=14.0) for _ in range(int(rng.integers(2, 7)))]
+            out_h, out_w = (int(v) for v in rng.integers(1, 9, 2))
+            batch = roi_align_full_avg(feat, rois, out_h, out_w, 1.0)
+            assert batch.shape == (len(rois), c, out_h, out_w)
+            order = rng.permutation(len(rois))
+            permuted = roi_align_full_avg(feat, [rois[i] for i in order], out_h, out_w, 1.0)
+            for i, roi in enumerate(rois):
+                alone = roi_align_full_avg(feat, roi, out_h, out_w, 1.0)
+                assert np.array_equal(batch[i], alone)
+                assert np.array_equal(permuted[list(order).index(i)], alone)
+        assert roi_align_full_avg(feat, [], 3, 2, 1.0).shape == (0, feat.shape[0], 3, 2)
+
+    def test_one_bin_shift_is_bit_exact(self):
+        # Bins m cells wide on whole cells: a map moved by m cells under a
+        # fixed RoI moves the pooled output by one bin, exactly, because each
+        # bin sums the same taps in the same order wherever it sits.
+        rng = np.random.default_rng(59)
+        for _ in range(50):
+            feat = rng.standard_normal((int(rng.integers(1, 5)), 9, 14))
+            m, out_w = int(rng.integers(1, 3)), int(rng.integers(2, 6))
+            x1 = float(rng.integers(-2, 4))
+            y1, y2 = sorted(rng.uniform(-2.0, 11.0, 2))
+            roi = Box(x1, y1, x1 + m * out_w, y2)
+            moved = np.zeros(feat.shape[:2] + (14 + m,))
+            moved[:, :, m:] = feat
+            out_h = int(rng.integers(1, 6))
+            base = roi_align_full_avg(feat, roi, out_h, out_w, 1.0)
+            shifted = roi_align_full_avg(moved, roi, out_h, out_w, 1.0)
+            assert np.array_equal(shifted[:, :, 1:], base[:, :, :-1])
+
     def test_deterministic(self):
         rng = np.random.default_rng(13)
         feat = rng.random((2, 9, 9))
@@ -141,6 +186,16 @@ class TestDepthwiseCorrelate:
             right = depthwise_correlate(template, np.roll(search, 1, axis=2))
             assert np.array_equal(down[:, 1:, :], base[:, :-1, :])
             assert np.array_equal(right[:, :, 1:], base[:, :, :-1])
+
+    def test_batch_is_each_pair_alone_bit_for_bit(self):
+        rng = np.random.default_rng(61)
+        template = rng.standard_normal((5, 3, 4, 4))
+        search = rng.standard_normal((5, 3, 11, 9))
+        batch = depthwise_correlate(template, search)
+        assert batch.shape == (5, 3, 8, 6)
+        for i in range(5):
+            assert np.array_equal(batch[i], depthwise_correlate(template[i], search[i]))
+            assert np.array_equal(batch[i], naive_depthwise_correlate(template[i], search[i]))
 
     def test_linear_in_search(self):
         rng = np.random.default_rng(23)
@@ -214,6 +269,96 @@ class TestConvBlock:
         w = self.identity_block(3)
         with pytest.raises(ValueError, match="channels"):
             conv_block(np.zeros((2, 4, 4)), w)
+
+
+class TestConv2dSame:
+    def test_matches_naive_oracle(self):
+        rng = np.random.default_rng(67)
+        for ksize in (1, 3):
+            x = rng.standard_normal((3, 6, 5))
+            kernel = rng.standard_normal((4, 3, ksize, ksize))
+            bias = rng.standard_normal(4)
+            out = conv2d_same(x, kernel, bias)
+            assert np.allclose(out, naive_conv2d(x, kernel, bias), atol=1e-12)
+
+    @staticmethod
+    def shifted_pairs(rng, c_in):
+        """Outputs for an input and for the input moved one cell down and
+        right, cut to the cells whose windows stay off the border."""
+        c_out = int(rng.integers(1, 9))
+        k = int(rng.choice([1, 3]))
+        h, w = (int(v) for v in rng.integers(k + 2, 16, 2))
+        x = rng.standard_normal((c_in, h, w))
+        kernel = rng.standard_normal((c_out, c_in, k, k))
+        p = k // 2
+        base = conv2d_same(x, kernel)
+        down = conv2d_same(np.roll(x, 1, axis=1), kernel)
+        right = conv2d_same(np.roll(x, 1, axis=2), kernel)
+        return [(down[:, p + 1 : h - p, :], base[:, p : h - p - 1, :]),
+                (right[:, :, p + 1 : w - p], base[:, :, p : w - p - 1])]
+
+    def test_one_cell_shift_is_bit_exact_on_one_channel(self):
+        # With one input channel each tap adds one product per cell, and the
+        # taps are summed in one fixed order wherever a window sits.
+        rng = np.random.default_rng(71)
+        for _ in range(100):
+            for moved, base in self.shifted_pairs(rng, c_in=1):
+                assert np.array_equal(moved, base)
+
+    def test_one_cell_shift_within_rounding(self):
+        # Past one input channel, each tap's channel sum is a BLAS matrix
+        # product, which may round a column by where it sits in the product.
+        rng = np.random.default_rng(73)
+        for _ in range(200):
+            for moved, base in self.shifted_pairs(rng, c_in=int(rng.integers(1, 9))):
+                assert np.allclose(moved, base, rtol=0.0, atol=1e-14)
+
+    def test_batch_is_each_input_alone_bit_for_bit(self):
+        # Each leading index runs its own products; folding a batch into one
+        # wider matrix product would round some cells differently.
+        rng = np.random.default_rng(77)
+        for _ in range(50):
+            n = int(rng.integers(2, 7))
+            c_in, c_out = (int(v) for v in rng.integers(1, 25, 2))
+            k = int(rng.choice([1, 3]))
+            h, w = (int(v) for v in rng.integers(3, 16, 2))
+            x = rng.standard_normal((n, c_in, h, w))
+            kernel = rng.standard_normal((c_out, c_in, k, k))
+            bias = rng.standard_normal(c_out)
+            batch = conv2d_same(x, kernel, bias)
+            assert batch.shape == (n, c_out, h, w)
+            for i in range(n):
+                assert np.array_equal(batch[i], conv2d_same(x[i], kernel, bias))
+
+
+class TestMaxPool:
+    @pytest.mark.parametrize("shape,ratio,out", [
+        ((8, 96, 128), 2, (48, 64)),
+        ((8, 96, 128), 4, (24, 32)),
+        ((8, 95, 127), 2, (48, 64)),
+        ((8, 95, 127), 4, (24, 32)),
+        ((3, 96, 96), 2, (49, 49)),
+        ((3, 9, 7), 2, (8, 6)),
+        ((2, 9, 7), 3, (2, 1)),
+        ((2, 1, 1), 4, (3, 2)),
+    ])
+    def test_matches_per_cell_loop(self, shape, ratio, out):
+        # Includes outputs past h / ratio (blocks clamped onto the last cell)
+        # and short of it (cells past the last block left out).
+        arr = np.random.default_rng(79).standard_normal(shape)
+        got = _max_pool_to(arr, *out, ratio)
+        assert got.shape == (shape[0],) + out
+        assert np.array_equal(got, naive_max_pool_to(arr, *out, ratio))
+
+    def test_random_shapes_match_per_cell_loop(self):
+        rng = np.random.default_rng(83)
+        for _ in range(100):
+            h, w = (int(v) for v in rng.integers(1, 30, 2))
+            ratio = int(rng.integers(1, 6))
+            out_h, out_w = (int(v) for v in rng.integers(1, 2 + 30 // ratio, 2))
+            arr = rng.standard_normal((int(rng.integers(1, 4)), h, w))
+            assert np.array_equal(_max_pool_to(arr, out_h, out_w, ratio),
+                                  naive_max_pool_to(arr, out_h, out_w, ratio))
 
 
 class TestFusePyramid:

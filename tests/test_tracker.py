@@ -18,6 +18,7 @@ from vodtrack.tracker import (
     NoiseParams,
     TrackerConfig,
     TrackPrediction,
+    fuse_for_head,
     head_forward,
     load_weights,
     make_oracle_track_fn,
@@ -56,7 +57,7 @@ def pyramid(seed, channels=2, size=16, stride=4):
 class TestConfig:
     def test_defaults(self):
         cfg = TrackerConfig()
-        assert (cfg.k, cfg.template_pool, cfg.search_pool, cfg.tau) == (3.0, 7, 21, 1)
+        assert (cfg.k, cfg.template_pool, cfg.search_pool) == (3.0, 7, 21)
         assert cfg.corr_size == 15
 
     def test_pool_consistency_enforced(self):
@@ -196,6 +197,64 @@ class TestTrack:
         c0 = corr_map(base)
         c1 = corr_map(shifted)
         assert np.array_equal(c1[:, :, 1:], c0[:, :, :-1])
+
+    def test_batch_invariance(self):
+        # Each box's prediction has the same bits tracked alone, with the
+        # frame's other boxes, or with those boxes in another order, though
+        # the boxes need different band taps and pooling windows.
+        cfg = TrackerConfig()
+        w = synthesize_weights(16, cfg, seed=13, shared_head_channels=8)
+        rng = np.random.default_rng(17)
+        pyr_t = FeaturePyramid(((8, rng.standard_normal((16, 20, 24))),), 160, 192)
+        pyr_t1 = FeaturePyramid(((8, rng.standard_normal((16, 20, 24))),), 160, 192)
+        dets = [
+            Detection(0, 0, 0.9, Box(40.0, 30.0, 70.0, 62.0)),
+            Detection(0, 1, 0.8, Box(3.5, 100.25, 20.0, 150.0)),
+            Detection(0, 2, 0.7, Box(150.0, -10.0, 200.0, 30.0)),
+            Detection(0, 0, 0.6, Box(10.0, 10.0, 180.0, 150.0)),
+            Detection(0, 1, 0.5, Box(90.3, 70.7, 97.1, 75.9)),
+        ]
+
+        def key(pred):
+            return pred.predicted_box.corners(), pred.quality
+
+        together = [key(p) for p in track(pyr_t, pyr_t1, dets, w, cfg)]
+        order = [3, 0, 4, 2, 1]
+        permuted = track(pyr_t, pyr_t1, [dets[i] for i in order], w, cfg)
+        for det, want in zip(dets, together):
+            assert [key(p) for p in track(pyr_t, pyr_t1, [det], w, cfg)] == [want]
+        assert [key(p) for p in permuted] == [together[i] for i in order]
+
+    def test_fused_pyramid_gives_the_same_predictions(self):
+        cfg = TrackerConfig(k=3, template_pool=3, search_pool=9)
+        w = synthesize_weights(4, cfg, seed=19, shared_head_channels=5)
+        rng = np.random.default_rng(23)
+
+        def two_level():
+            return FeaturePyramid(
+                ((4, rng.random((2, 16, 16))), (8, rng.random((2, 8, 8)))), 64, 64
+            )
+
+        pyr_t, pyr_t1 = two_level(), two_level()
+        dets = [Detection(0, 0, 0.9, Box(12.3, 8.7, 30.1, 26.6))]
+        fused_t, fused_t1 = fuse_for_head(pyr_t, cfg), fuse_for_head(pyr_t1, cfg)
+        assert fused_t.strides == (8,)
+        assert fuse_for_head(fused_t, cfg) is fused_t
+        a = track(pyr_t, pyr_t1, dets, w, cfg)
+        b = track(fused_t, fused_t1, dets, w, cfg)
+        assert [(p.predicted_box.corners(), p.quality) for p in a] == [
+            (p.predicted_box.corners(), p.quality) for p in b
+        ]
+
+    def test_head_forward_batch_matches_single_pairs(self):
+        w = small_weights(channels=3)
+        rng = np.random.default_rng(29)
+        templates = rng.random((4, 3, 3, 3))
+        searches = rng.random((4, 3, 9, 9))
+        batch = head_forward(templates, searches, w)
+        assert len(batch) == 4
+        for i, (delta, quality) in enumerate(batch):
+            assert head_forward(templates[i], searches[i], w) == (delta, quality)
 
     def test_pyramid_size_mismatch_rejected(self):
         w = small_weights()
