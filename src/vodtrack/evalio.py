@@ -22,13 +22,16 @@ with a ``ValueError`` naming ``path:line``; a detection frame index above
 
 Feature pyramids and named weight tensors use the same binary layout: a
 single UTF-8 JSON header line declaring shapes and element width, followed
-by the raw little-endian row-major payloads in header order.
+by the raw little-endian row-major payloads in header order, which must be
+exactly the declared size.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -89,9 +92,6 @@ class VideoDetectionSet:
 
     def all_detections(self) -> list[Detection]:
         return [d for frame in self.frames for d in frame]
-
-    def class_ids(self) -> set[int]:
-        return {d.class_id for frame in self.frames for d in frame}
 
 
 _PROVENANCES = (None, PROVENANCE_DETECTED, PROVENANCE_TRACKED)
@@ -269,27 +269,17 @@ def align_predictions(vds: VideoDetectionSet, loaded: dict[int, list]) -> list[l
 
 
 _DTYPES = {"<f4": np.dtype("<f4"), "<f8": np.dtype("<f8")}
+# A feature pyramid header's image size and per-level keys, in file order.
+_IMAGE_KEYS = ("image_height", "image_width")
+_LEVEL_KEYS = ("stride", "channels", "height", "width")
 
 
-def save_features(pyr: FeaturePyramid, path, dtype: str = "<f8") -> None:
-    """Write a feature pyramid: JSON header line, then raw level payloads."""
-    if dtype not in _DTYPES:
-        raise ValueError(f"dtype must be one of {sorted(_DTYPES)}, got {dtype!r}")
-    header = {
-        "format": "feature-pyramid",
-        "version": 1,
-        "image_height": pyr.image_height,
-        "image_width": pyr.image_width,
-        "dtype": dtype,
-        "levels": [
-            {"stride": s, "channels": m.shape[0], "height": m.shape[1], "width": m.shape[2]}
-            for s, m in pyr.levels
-        ],
-    }
+def _write_container(path, header: dict, arrays: Sequence[np.ndarray]) -> None:
+    """Write a binary container: the JSON header line, then each array's raw bytes."""
     with open(path, "wb") as fh:
         fh.write((json.dumps(header) + "\n").encode("utf-8"))
-        for _, fmap in pyr.levels:
-            fh.write(np.ascontiguousarray(fmap, dtype=_DTYPES[dtype]).tobytes())
+        for a in arrays:
+            fh.write(a.tobytes())
 
 
 def _read_header(path, fmt: str, what: str) -> tuple[dict, bytes]:
@@ -306,6 +296,33 @@ def _read_header(path, fmt: str, what: str) -> tuple[dict, bytes]:
     if header.get("format") != fmt:
         raise ValueError(f"{path}: not a {what} file")
     return header, payload
+
+
+def _split_payload(path, payload: bytes, shapes: list, dtype: np.dtype) -> list[np.ndarray]:
+    """The payload, which must be exactly the declared size, as float64 arrays of ``shapes``."""
+    counts = [math.prod(shape) for shape in shapes]
+    expected = sum(counts) * dtype.itemsize
+    if len(payload) != expected:
+        fault = "truncated" if len(payload) < expected else f"{len(payload) - expected} trailing bytes"
+        raise ValueError(
+            f"{path}: payload size mismatch: header declares {expected} bytes, "
+            f"file has {len(payload)} ({fault})"
+        )
+    offsets = itertools.accumulate(counts, initial=0)
+    return [
+        np.frombuffer(payload, dtype, count, offset * dtype.itemsize).reshape(shape).astype(np.float64)
+        for shape, count, offset in zip(shapes, counts, offsets)
+    ]
+
+
+def save_features(pyr: FeaturePyramid, path, dtype: str = "<f8") -> None:
+    """Write a feature pyramid: JSON header line, then raw level payloads."""
+    if dtype not in _DTYPES:
+        raise ValueError(f"dtype must be one of {sorted(_DTYPES)}, got {dtype!r}")
+    header = {"format": "feature-pyramid", "version": 1,
+              **dict(zip(_IMAGE_KEYS, (pyr.image_height, pyr.image_width))), "dtype": dtype,
+              "levels": [dict(zip(_LEVEL_KEYS, (s, *m.shape))) for s, m in pyr.levels]}
+    _write_container(path, header, [np.ascontiguousarray(m, dtype=_DTYPES[dtype]) for _, m in pyr.levels])
 
 
 def _is_count(value, minimum: int) -> bool:
@@ -335,29 +352,11 @@ def load_features(path) -> FeaturePyramid:
     dtype = _DTYPES.get(dtype) if isinstance(dtype, str) else None
     if dtype is None:
         raise ValueError(f"{path}: unsupported element dtype {header.get('dtype')!r}")
-    image_height, image_width = _header_counts(header, ("image_height", "image_width"), path)
-    shapes = [
-        _header_counts(lv, ("stride", "channels", "height", "width"), path)
-        for lv in header["levels"]
-    ]
-
-    expected = sum(c * h * w for _, c, h, w in shapes) * dtype.itemsize
-    if len(payload) != expected:
-        raise ValueError(
-            f"{path}: payload size mismatch: header declares {expected} bytes, "
-            f"file has {len(payload)}"
-        )
-    levels = []
-    offset = 0
-    for stride, *shape in shapes:
-        count = math.prod(shape)
-        arr = np.frombuffer(
-            payload, dtype=dtype, count=count, offset=offset
-        ).reshape(shape).astype(np.float64)
-        offset += count * dtype.itemsize
-        levels.append((stride, arr))
+    image_size = _header_counts(header, _IMAGE_KEYS, path)
+    levels = [_header_counts(lv, _LEVEL_KEYS, path) for lv in header["levels"]]
+    maps = _split_payload(path, payload, [shape for _, *shape in levels], dtype)
     try:
-        return FeaturePyramid(tuple(levels), image_height, image_width)
+        return FeaturePyramid(tuple(zip([s for s, *_ in levels], maps)), *image_size)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
 
@@ -370,10 +369,7 @@ def save_named_arrays(arrays: dict[str, np.ndarray], path) -> None:
         "version": 1,
         "arrays": [{"name": n, "shape": list(a.shape), "dtype": "<f8"} for n, a in items],
     }
-    with open(path, "wb") as fh:
-        fh.write((json.dumps(header) + "\n").encode("utf-8"))
-        for _, a in items:
-            fh.write(a.tobytes())
+    _write_container(path, header, [a for _, a in items])
 
 
 def load_named_arrays(path) -> dict[str, np.ndarray]:
@@ -381,29 +377,18 @@ def load_named_arrays(path) -> dict[str, np.ndarray]:
     header, payload = _read_header(path, "named-tensors", "named-tensor")
     if not isinstance(header.get("arrays"), list):
         raise ValueError(f"{path}: header has no 'arrays' list")
-    out: dict[str, np.ndarray] = {}
-    offset = 0
-    dtype = np.dtype("<f8")
-    for spec in header["arrays"]:
-        if not (isinstance(spec, dict) and isinstance(spec.get("name"), str)):
-            raise ValueError(f"{path}: array entry without a string 'name': {spec!r}")
-        name, shape = spec["name"], spec.get("shape")
+    for entry in header["arrays"]:
+        if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)):
+            raise ValueError(f"{path}: array entry without a string 'name': {entry!r}")
+        shape = entry.get("shape")
         if not (isinstance(shape, list) and all(_is_count(d, 0) for d in shape)):
-            raise ValueError(f"{path}: array {name!r} has a negative or non-integer shape {shape!r}")
-        count = math.prod(shape)
-        end = offset + count * dtype.itemsize
-        if end > len(payload):
-            raise ValueError(f"{path}: payload truncated at array {name!r}")
-        try:
-            out[name] = np.frombuffer(
-                payload, dtype=dtype, count=count, offset=offset
-            ).reshape(shape).copy()
-        except ValueError as exc:
-            raise ValueError(f"{path}: array {name!r}: {exc}") from exc
-        offset = end
-    if offset != len(payload):
-        raise ValueError(f"{path}: {len(payload) - offset} trailing payload bytes")
-    return out
+            raise ValueError(
+                f"{path}: array {entry['name']!r} has a negative or non-integer shape {shape!r}"
+            )
+        if entry.get("dtype") != "<f8":
+            raise ValueError(f"{path}: array {entry['name']!r} is not '<f8': {entry.get('dtype')!r}")
+    arrays = _split_payload(path, payload, [e["shape"] for e in header["arrays"]], np.dtype("<f8"))
+    return {e["name"]: a for e, a in zip(header["arrays"], arrays)}
 
 
 @dataclass(frozen=True)
@@ -417,9 +402,7 @@ class EvalResult:
 
 def _average_precision(matches: list[tuple[float, bool]], n_gt: int) -> float:
     """All-point interpolated AP from (score, is_tp) pairs in ranked order."""
-    if n_gt == 0:
-        return 0.0
-    if not matches:
+    if n_gt == 0 or not matches:
         return 0.0
     tp = np.cumsum([1.0 if m else 0.0 for _, m in matches])
     fp = np.cumsum([0.0 if m else 1.0 for _, m in matches])
@@ -460,11 +443,8 @@ def evaluate_map(
         if p.video not in gt_by_video:
             raise ValueError(f"predictions reference unknown video {p.video!r}")
 
-    classes = sorted({c for v in gt for c in v.class_ids()})
-    gt_counts = {c: 0 for c in classes}
-    for v in gt:
-        for det in v.all_detections():
-            gt_counts[det.class_id] += 1
+    gt_counts = Counter(det.class_id for v in gt for det in v.all_detections())
+    classes = sorted(gt_counts)
 
     # (video, frame, class) -> list of (gt Detection, matched flag holder)
     gt_index: dict[tuple[str, int, int], list[list]] = {}

@@ -68,9 +68,6 @@ class Box:
     def corners(self) -> tuple[float, float, float, float]:
         return (self.x1, self.y1, self.x2, self.y2)
 
-    def shift(self, dx: float, dy: float) -> "Box":
-        return Box(self.x1 + dx, self.y1 + dy, self.x2 + dx, self.y2 + dy)
-
 
 @dataclass(frozen=True)
 class RegressionDelta:
@@ -90,9 +87,6 @@ class RegressionDelta:
             v = getattr(self, name)
             if not math.isfinite(v):
                 raise ValueError(f"regression delta {name} is not finite: {v!r}")
-
-    def as_tuple(self) -> tuple[float, float, float, float]:
-        return (self.dx, self.dy, self.dw, self.dh)
 
 
 def iou(a: Box, b: Box) -> float:

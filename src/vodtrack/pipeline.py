@@ -9,7 +9,7 @@ by class score alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Sequence
 
 from .detections import PROVENANCE_DETECTED, PROVENANCE_TRACKED, Detection
@@ -47,23 +47,16 @@ class PipelineConfig:
     final_nms_iou: float = 0.45
 
     def __post_init__(self) -> None:
-        for name in (
-            "detect_to_track_score",
-            "track_quality_min",
-            "track_nms_iou",
-            "t_merge",
-            "final_score_min",
-            "final_nms_iou",
-        ):
-            v = getattr(self, name)
+        for f in fields(self):
+            v = getattr(self, f.name)
             if not (0.0 <= v <= 1.0):
-                raise ValueError(f"{name} must be in [0, 1], got {v}")
+                raise ValueError(f"{f.name} must be in [0, 1], got {v}")
 
     @classmethod
     def from_file(cls, path) -> "PipelineConfig":
         """Parse a ``key = value`` config file; unknown keys are rejected."""
         values = {}
-        fields = set(cls.__dataclass_fields__)
+        known = {f.name for f in fields(cls)}
         with open(path, "r", encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
                 line = line.split("#", 1)[0].strip()
@@ -73,7 +66,7 @@ class PipelineConfig:
                     raise ValueError(f"{path}:{lineno}: expected 'key = value'")
                 key, _, raw = line.partition("=")
                 key = key.strip()
-                if key not in fields:
+                if key not in known:
                     raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
                 try:
                     values[key] = float(raw.strip())
@@ -109,10 +102,6 @@ class FrameState:
     @classmethod
     def empty(cls) -> "FrameState":
         return cls(frame=-1, emitted=(), next_track_id=0)
-
-    @property
-    def tracks(self) -> list[tuple[int, Detection]]:
-        return [(d.track, d) for d in self.emitted if d.track is not None]
 
 
 def nms(dets: Sequence, iou_thresh: float, key: Callable | None = None, *, box: Callable | None = None) -> list:

@@ -13,13 +13,16 @@ boxes never overlap).
 
 from __future__ import annotations
 
+import functools
 import json
-from dataclasses import asdict, dataclass
+import sys
+import typing
+from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
 
 from .detections import PROVENANCE_DETECTED, Detection
-from .evalio import VideoDetectionSet
+from .evalio import MAX_FRAME_INDEX, VideoDetectionSet
 from .geometry import Box
 from .tensor_ops import FeaturePyramid
 
@@ -127,9 +130,11 @@ class ScenarioSpec:
     def __post_init__(self) -> None:
         if self.width < 1 or self.height < 1 or self.n_frames < 1:
             raise ValueError("image size and frame count must be positive")
+        if self.n_frames > MAX_FRAME_INDEX + 1:
+            raise ValueError(f"n_frames must be at most {MAX_FRAME_INDEX + 1}, got {self.n_frames}")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
-        if self.feature_channels < 1 or not self.feature_strides:
+        if self.feature_channels < 1 or not self.feature_strides or min(self.feature_strides) < 1:
             raise ValueError("feature settings must be positive/non-empty")
         object.__setattr__(self, "objects", tuple(self.objects))
         object.__setattr__(self, "feature_strides", tuple(int(s) for s in self.feature_strides))
@@ -242,54 +247,76 @@ def render_features(spec: ScenarioSpec, frame: int) -> FeaturePyramid:
     return FeaturePyramid(tuple(levels), spec.height, spec.width)
 
 
-def _spec_dict(spec: ScenarioSpec) -> dict:
-    return asdict(spec)
+# The JSON types a field of each type takes, as ``json.load`` returns them
+# (``bool`` is no number here). A number must also convert to a finite float.
+_JSON_TYPES = {int: ("an integer", (int,)), float: ("a number", (int, float)),
+               str: ("a string", (str,))}
+
+
+def _at(where: str, message: str) -> str:
+    return f"{where}: {message}" if where else message
+
+
+@functools.cache
+def _field_types(cls) -> dict:
+    """``cls``'s fields by name: their type, and whether they have no default."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: (hints[f.name], f.default is MISSING and f.default_factory is MISSING)
+            for f in fields(cls)}
+
+
+def _from_json(value, hint, where: str = ""):
+    """``value`` as a field of type ``hint``: a number or a string as it is, a tuple
+    from a list, and a dataclass from an object holding its fields by name
+    (omitted ones take their defaults, unknown keys are rejected)."""
+    if hint in _JSON_TYPES:
+        kind, types = _JSON_TYPES[hint]
+        if type(value) not in types or (hint is not str and not abs(value) <= sys.float_info.max):
+            raise ValueError(_at(where, f"expected {kind}, got {value!r}"))
+        return value
+    if typing.get_origin(hint) is tuple:
+        args = typing.get_args(hint)
+        if type(value) is list and args[-1] is Ellipsis:
+            args = args[:1] * len(value)
+        if type(value) is not list or len(value) != len(args):
+            raise ValueError(_at(where, f"expected a list for {hint}, got {value!r}"))
+        return tuple(_from_json(v, a, f"{where}[{i}]") for i, (v, a) in enumerate(zip(value, args)))
+    if type(value) is not dict:
+        raise ValueError(_at(where, f"expected an object, got {value!r}"))
+    declared = _field_types(hint)
+    if value.keys() - declared:
+        raise ValueError(_at(where, f"unknown keys {sorted(value.keys() - declared)}"))
+    missing = [name for name, (_, required) in declared.items() if required and name not in value]
+    if missing:
+        raise ValueError(_at(where, f"missing keys {missing}"))
+    values = {key: _from_json(v, declared[key][0], f"{where}.{key}" if where else key)
+              for key, v in value.items()}
+    try:
+        return hint(**values)
+    except ValueError as exc:
+        raise ValueError(_at(where, str(exc))) from None
 
 
 def save_scenario(spec: ScenarioSpec, path) -> None:
-    """Write a scenario spec as editable JSON."""
+    """Write a scenario spec as editable JSON: each dataclass's fields by name."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(_spec_dict(spec), fh, indent=2)
+        json.dump(asdict(spec), fh, indent=2)
         fh.write("\n")
 
 
 def load_scenario(path) -> ScenarioSpec:
-    """Read a scenario spec written by :func:`save_scenario` (or by hand)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: malformed scenario JSON: {exc}") from exc
+    """Read a scenario spec written by :func:`save_scenario` (or by hand).
+
+    Any malformed spec raises a ``ValueError`` that names ``path``.
+    """
     try:
-        objects = tuple(
-            ObjectSpec(
-                class_id=o["class_id"],
-                first_frame=o["first_frame"],
-                last_frame=o["last_frame"],
-                cx=o["cx"],
-                cy=o["cy"],
-                w=o["w"],
-                h=o["h"],
-                vx=o.get("vx", 0.0),
-                vy=o.get("vy", 0.0),
-                scale_rate=o.get("scale_rate", 1.0),
-                degradations=tuple(tuple(win) for win in o.get("degradations", ())),
-            )
-            for o in data["objects"]
-        )
-        noise = DetectorNoise(**data.get("noise", {}))
-        return ScenarioSpec(
-            width=data["width"],
-            height=data["height"],
-            n_frames=data["n_frames"],
-            objects=objects,
-            noise=noise,
-            seed=data.get("seed", 0),
-            video=data.get("video", "scene"),
-            feature_channels=data.get("feature_channels", 8),
-            feature_strides=tuple(data.get("feature_strides", (8,))),
-        )
-    except (KeyError, TypeError) as exc:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+    except ValueError as exc:  # bad UTF-8, bad JSON, or an integer past the digit limit
+        raise ValueError(f"{path}: malformed scenario JSON: {exc}") from exc
+    try:
+        return _from_json(data, ScenarioSpec)
+    except ValueError as exc:
         raise ValueError(f"{path}: invalid scenario spec: {exc}") from exc
 
 

@@ -24,6 +24,7 @@ RoIs and frames freely.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -337,31 +338,20 @@ def conv_block(x: np.ndarray, w: ConvBlockWeights) -> np.ndarray:
     return np.maximum(out, 0.0, out=out)
 
 
-def _block_bounds(n_out: int, ratio: int, size: int) -> np.ndarray:
-    """Start and end of each max-pool block along one axis, interleaved.
-
-    Block ``i`` covers ``[i * ratio, (i + 1) * ratio)``, cut at ``size`` and
-    moved back onto the map's last cell when it starts past it.
-    """
-    starts = np.minimum(np.arange(n_out) * ratio, size - 1)
-    ends = np.maximum(starts + 1, np.minimum(np.arange(1, n_out + 1) * ratio, size))
-    return np.stack([starts, ends], axis=1).ravel()
-
-
 def _max_pool_to(arr: Tensor3, out_h: int, out_w: int, ratio: int) -> Tensor3:
     """Max over each ``ratio x ratio`` block, one output cell per block.
 
-    ``np.maximum.reduceat`` reduces from each index to the next, so the
-    block ends are interleaved with the block starts and every other result
-    is kept; that keeps blocks that overlap or stop short of the map's edge
-    exact. The padded last row and column make an end at the map's edge a
-    valid index; no kept block reaches them. A max is exact, so the result
-    equals the per-cell loop bit for bit.
+    The map is cut or edge-padded to ``out * ratio`` cells per axis, so a
+    block cut short by the map's edge, or lying wholly past it, takes its
+    max over the map's last row or column. The max is then taken over the
+    ``ratio`` strided row views and then the column views. A max is exact,
+    so the result equals the per-cell loop bit for bit.
     """
     _, h, w = arr.shape
-    padded = np.pad(arr, ((0, 0), (0, 1), (0, 1)))
-    rows = np.maximum.reduceat(padded, _block_bounds(out_h, ratio, h), axis=1)[:, ::2]
-    return np.maximum.reduceat(rows, _block_bounds(out_w, ratio, w), axis=2)[:, :, ::2]
+    th, tw = out_h * ratio, out_w * ratio
+    padded = np.pad(arr[:, :th, :tw], ((0, 0), (0, max(th - h, 0)), (0, max(tw - w, 0))), mode="edge")
+    rows = functools.reduce(np.maximum, (padded[:, i::ratio] for i in range(ratio)))
+    return functools.reduce(np.maximum, (rows[:, :, j::ratio] for j in range(ratio)))
 
 
 def _bilinear_resize(arr: Tensor3, out_h: int, out_w: int) -> Tensor3:

@@ -90,6 +90,16 @@ class TrackPrediction:
             raise ValueError(f"quality must be in [0, 1], got {self.quality!r}")
 
 
+# The weights file layout, in file order: each conv block's arrays named
+# "<block>.<field>", then the head arrays. ``pre_search`` is stored only when
+# the branches are not shared and ``bias`` only when a block has one;
+# ``eps`` is stored as one value.
+_WEIGHT_BLOCKS = ("pre_template", "pre_search", "post")
+_BLOCK_FIELDS = ("kernel", "gamma", "beta", "mean", "var", "eps", "bias")
+_HEAD_ARRAYS = ("head_kernel", "head_bias", "box_weight", "box_bias", "score_weight", "score_bias")
+_OPTIONAL = ("pre_search", "bias")
+
+
 @dataclass(frozen=True)
 class TrackerWeights:
     """All learnable parameters of the head, with explicit shapes.
@@ -113,8 +123,7 @@ class TrackerWeights:
     pre_search: ConvBlockWeights | None = None
 
     def __post_init__(self) -> None:
-        for name in ("head_kernel", "head_bias", "box_weight", "box_bias",
-                     "score_weight", "score_bias"):
+        for name in _HEAD_ARRAYS:
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.float64))
         if self.head_kernel.ndim != 4:
             raise ValueError("head_kernel must be (C_out, C_in, kh, kw)")
@@ -300,18 +309,20 @@ def _perturb_box(b: Box, noise: NoiseParams, rng: np.random.Generator) -> Box:
     return Box(b.x1 + tx + sx, b.y1 + ty + sy, b.x2 + tx - sx, b.y2 + ty - sy)
 
 
+# Smallest overlap at which the oracle matches a box to a ground-truth object.
+_MATCH_IOU = 0.5
+
+
 def oracle_track(
     boxes: list[Detection],
     gt,
     noise: NoiseParams,
     seed: int,
-    *,
-    match_iou: float = 0.5,
 ) -> list[TrackPrediction]:
     """Ground-truth-backed stand-in for the learned head.
 
     Each input box is matched to the ground-truth object it overlaps most
-    (at ``match_iou`` or better); matched boxes predict that object's
+    (at ``_MATCH_IOU`` or better); matched boxes predict that object's
     next-frame box perturbed by ``noise``, with quality equal to the true
     overlap of the perturbed box. Unmatched boxes, objects absent from the
     next frame, and simulated failures return quality below 0.5.
@@ -323,7 +334,7 @@ def oracle_track(
     for det in boxes:
         rng = _det_rng(seed, det)
         matched = None
-        best = match_iou
+        best = _MATCH_IOU
         if det.frame < gt.n_frames:
             for g in gt.frames[det.frame]:
                 v = iou(det.box, g.box)
@@ -356,74 +367,43 @@ def make_oracle_track_fn(gt, noise: NoiseParams, seed: int):
     return track_fn
 
 
-def _block_arrays(prefix: str, block: ConvBlockWeights) -> dict[str, np.ndarray]:
-    arrays = {
-        f"{prefix}.kernel": block.kernel,
-        f"{prefix}.gamma": block.gamma,
-        f"{prefix}.beta": block.beta,
-        f"{prefix}.mean": block.mean,
-        f"{prefix}.var": block.var,
-        f"{prefix}.eps": np.array([block.eps]),
-    }
-    if block.bias is not None:
-        arrays[f"{prefix}.bias"] = block.bias
-    return arrays
-
-
-def _block_from_arrays(prefix: str, arrays: dict[str, np.ndarray]) -> ConvBlockWeights:
-    return ConvBlockWeights(
-        kernel=arrays[f"{prefix}.kernel"],
-        gamma=arrays[f"{prefix}.gamma"],
-        beta=arrays[f"{prefix}.beta"],
-        mean=arrays[f"{prefix}.mean"],
-        var=arrays[f"{prefix}.var"],
-        bias=arrays.get(f"{prefix}.bias"),
-        eps=float(np.asarray(arrays[f"{prefix}.eps"]).reshape(-1)[0]),
-    )
-
-
 def save_weights(w: TrackerWeights, path) -> None:
     """Write tracker weights as a named-tensor container (bit-exact round trip)."""
     from .evalio import save_named_arrays
 
-    arrays = _block_arrays("pre_template", w.pre_template)
-    if w.pre_search is not None:
-        arrays.update(_block_arrays("pre_search", w.pre_search))
-    arrays.update(_block_arrays("post", w.post))
-    arrays.update(
-        head_kernel=w.head_kernel,
-        head_bias=w.head_bias,
-        box_weight=w.box_weight,
-        box_bias=w.box_bias,
-        score_weight=w.score_weight,
-        score_bias=w.score_bias,
-    )
+    blocks = {name: getattr(w, name) for name in _WEIGHT_BLOCKS if getattr(w, name) is not None}
+    arrays = {f"{name}.{f}": np.atleast_1d(getattr(block, f)) for name, block in blocks.items()
+              for f in _BLOCK_FIELDS if getattr(block, f) is not None}
+    arrays.update((name, getattr(w, name)) for name in _HEAD_ARRAYS)
     save_named_arrays(arrays, path)
 
 
 def load_weights(path) -> TrackerWeights:
-    """Read tracker weights written by :func:`save_weights`."""
+    """Read tracker weights written by :func:`save_weights`; any fault names ``path``."""
     from .evalio import load_named_arrays
 
     arrays = load_named_arrays(path)
+
+    def array(name: str, optional: bool):
+        if name not in arrays and not optional:
+            raise ValueError(f"missing weight array {name!r}")
+        return arrays.get(name)
+
+    def block(name: str) -> ConvBlockWeights | None:
+        if name in _OPTIONAL and not any(key.startswith(f"{name}.") for key in arrays):
+            return None
+        values = {f: array(f"{name}.{f}", f in _OPTIONAL) for f in _BLOCK_FIELDS}
+        eps = values["eps"]
+        if eps.size != 1:
+            raise ValueError(f"{name}.eps must hold exactly one value, got shape {eps.shape}")
+        values["eps"] = eps.item()
+        return ConvBlockWeights(**values)
+
     try:
-        return TrackerWeights(
-            pre_template=_block_from_arrays("pre_template", arrays),
-            pre_search=(
-                _block_from_arrays("pre_search", arrays)
-                if "pre_search.kernel" in arrays
-                else None
-            ),
-            post=_block_from_arrays("post", arrays),
-            head_kernel=arrays["head_kernel"],
-            head_bias=arrays["head_bias"],
-            box_weight=arrays["box_weight"],
-            box_bias=arrays["box_bias"],
-            score_weight=arrays["score_weight"],
-            score_bias=arrays["score_bias"],
-        )
-    except KeyError as exc:
-        raise ValueError(f"{path}: missing weight array {exc}") from exc
+        return TrackerWeights(**{name: block(name) for name in _WEIGHT_BLOCKS},
+                              **{name: array(name, False) for name in _HEAD_ARRAYS})
+    except ValueError as exc:
+        raise ValueError(f"{path}: invalid weights: {exc}") from exc
 
 
 def synthesize_weights(

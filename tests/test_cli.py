@@ -1,11 +1,19 @@
 import json
 
+import numpy as np
 import pytest
 
 import vodtrack.cli as cli
 import vodtrack.tracker as tracker
 from vodtrack.cli import main
-from vodtrack.evalio import load_detections, load_predictions, save_features
+from vodtrack.evalio import (
+    MAX_FRAME_INDEX,
+    load_detections,
+    load_named_arrays,
+    load_predictions,
+    save_features,
+    save_named_arrays,
+)
 from vodtrack.synth import preset_scenario, render_features, save_scenario
 from vodtrack.tensor_ops import FeaturePyramid
 from vodtrack.tracker import TrackerConfig, save_weights, synthesize_weights
@@ -39,6 +47,32 @@ class TestSynthGen:
         rc = run_cli("synth-gen", "--spec", spec_path,
                      "--out-gt", tmp_path / "g.jsonl", "--out-dets", tmp_path / "d.jsonl")
         assert rc == 0
+
+    # Edits that make a valid spec invalid; each must fail naming the file.
+    SPEC_FAULTS = {
+        "fractional-n-frames": lambda s: s.update(n_frames=2.5),
+        "string-cx": lambda s: s["objects"][0].update(cx="5"),
+        "fractional-seed": lambda s: s.update(seed=1.5),
+        "fractional-first-frame": lambda s: s["objects"][0].update(first_frame=0.5),
+        "unknown-key": lambda s: s.update(colour="red"),
+        "unknown-object-key": lambda s: s["objects"][0].update(colour="red"),
+        "two-value-degradation": lambda s: s["objects"][0].update(degradations=[[0, 1]]),
+        "negative-seed": lambda s: s.update(seed=-1),
+        "reversed-lifetime": lambda s: s["objects"][0].update(first_frame=9, last_frame=3),
+        "too-many-frames": lambda s: s.update(n_frames=MAX_FRAME_INDEX + 2),
+    }
+
+    @pytest.mark.parametrize("fault", SPEC_FAULTS.values(), ids=SPEC_FAULTS.keys())
+    def test_invalid_spec_fails_named(self, tmp_path, capsys, fault):
+        spec_path = tmp_path / "scenario.json"
+        save_scenario(preset_scenario("clean", 0), spec_path)
+        spec = json.loads(spec_path.read_text())
+        fault(spec)
+        spec_path.write_text(json.dumps(spec))
+        rc = run_cli("synth-gen", "--spec", spec_path,
+                     "--out-gt", tmp_path / "g.jsonl", "--out-dets", tmp_path / "d.jsonl")
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error [synth-gen]: {spec_path}: ")
 
     def test_missing_spec_fails_named(self, tmp_path, capsys):
         rc = run_cli("synth-gen", "--spec", tmp_path / "nope.json",
@@ -169,6 +203,17 @@ class TestTrack:
                      "--features-dir", tmp_path, "--out", tmp_path / "p.jsonl")
         assert rc != 0
         assert "bad.tensors" in capsys.readouterr().err
+
+    def test_empty_eps_weights_fail_named(self, learned_files, tmp_path, capsys):
+        dets, feat_dir, weights_path, _ = learned_files
+        arrays = load_named_arrays(weights_path)
+        arrays["pre_template.eps"] = np.zeros(0)
+        weights = tmp_path / "bad.tensors"
+        save_named_arrays(arrays, weights)
+        rc = run_cli("track", "--dets", dets, "--weights", weights,
+                     "--features-dir", feat_dir, "--out", tmp_path / "p.jsonl")
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error [track]: {weights}: ")
 
     def test_oracle_requires_gt(self, tmp_path, clean_files, capsys):
         _, dets = clean_files

@@ -1,4 +1,5 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -11,6 +12,10 @@ from vodtrack.geometry import (
     expand,
     iou,
 )
+
+
+def shifted(b: Box, dx: float, dy: float) -> Box:
+    return Box(b.x1 + dx, b.y1 + dy, b.x2 + dx, b.y2 + dy)
 
 
 def random_box(rng, min_size=0.5, max_size=50.0, span=100.0) -> Box:
@@ -81,7 +86,7 @@ class TestIou:
         for _ in range(100):
             a, b = random_box(rng), random_box(rng)
             dx, dy = rng.uniform(-40, 40, size=2)
-            assert abs(iou(a, b) - iou(a.shift(dx, dy), b.shift(dx, dy))) <= 1e-12
+            assert abs(iou(a, b) - iou(shifted(a, dx, dy), shifted(b, dx, dy))) <= 1e-12
 
 
 class TestEncodeDecode:
@@ -96,13 +101,13 @@ class TestEncodeDecode:
 
     def test_encode_identity(self):
         b = Box.from_center(5, 6, 3, 7)
-        assert encode(b, b).as_tuple() == (0.0, 0.0, 0.0, 0.0)
+        assert astuple(encode(b, b)) == (0.0, 0.0, 0.0, 0.0)
 
     def test_encode_unit_example(self):
         b = Box.from_center(0, 0, 1, 1)
         g = Box.from_center(1, 1, math.e, math.e)
         d = encode(b, g)
-        for got in d.as_tuple():
+        for got in astuple(d):
             assert got == pytest.approx(1.0, abs=1e-12)
 
     def test_decode_zero_delta_is_identity(self):
@@ -130,7 +135,7 @@ class TestEncodeDecode:
                 assert abs(got - want) <= 1e-9
             d = RegressionDelta(*rng.uniform(-1.5, 1.5, size=4))
             d2 = encode(b, decode(b, d))
-            for got, want in zip(d2.as_tuple(), d.as_tuple()):
+            for got, want in zip(astuple(d2), astuple(d)):
                 assert abs(got - want) <= 1e-9
 
     def test_scale_invariance(self):
@@ -141,7 +146,7 @@ class TestEncodeDecode:
             bs = Box(b.x1 * s, b.y1 * s, b.x2 * s, b.y2 * s)
             gs = Box(g.x1 * s, g.y1 * s, g.x2 * s, g.y2 * s)
             d, ds = encode(b, g), encode(bs, gs)
-            for got, want in zip(ds.as_tuple(), d.as_tuple()):
+            for got, want in zip(astuple(ds), astuple(d)):
                 assert abs(got - want) <= 1e-9
 
     def test_degenerate_boxes_rejected(self):

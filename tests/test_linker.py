@@ -15,6 +15,10 @@ from vodtrack.linker import (
 from vodtrack.tracker import TrackPrediction
 
 
+def shifted(b: Box, dx: float, dy: float) -> Box:
+    return Box(b.x1 + dx, b.y1 + dy, b.x2 + dx, b.y2 + dy)
+
+
 def det(frame, cls, score, corners):
     return Detection(frame, cls, score, Box(*corners))
 
@@ -111,7 +115,7 @@ class TestBuildGraphSeqtrack:
                 frame_preds = []
                 for d in frame:
                     dx, dy = rng.uniform(-4, 4, 2)
-                    frame_preds.append(TrackPrediction(d, d.box.shift(dx, dy), 0.8))
+                    frame_preds.append(TrackPrediction(d, shifted(d.box, dx, dy), 0.8))
                 preds.append(frame_preds)
             g = build_graph_seqtrack(video, preds)
             got = graph_edge_dict(g)

@@ -1,14 +1,18 @@
 """Property tests for the file loaders.
 
-A valid detection, prediction, feature or tensor file is mutated at random:
-a key dropped, a value replaced by JSON of any type, a frame index set at or
-past the largest allowed, a line or header replaced by a non-object, a line
-or the payload cut short or extended. Each
-mutated file must either load or raise a ``ValueError`` that names the file;
-any other exception fails the test.
+A valid detection, prediction, feature, tensor, weights or scenario file is
+mutated at random: a key dropped, a value replaced by JSON of any type, a
+frame index or frame count set at or past the largest allowed, a line,
+header or spec replaced by a non-object, a line, the payload or the spec cut
+short or extended, a weights array given another shape of the same size, or
+an unknown key added to a spec. Each mutated file must either load or raise
+a ``ValueError`` that names the file; any other exception fails the test. A
+spec with an unknown key must not load.
 """
 
 import json
+import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,8 +33,15 @@ from vodtrack.evalio import (
     save_predictions,
 )
 from vodtrack.geometry import Box
+from vodtrack.synth import load_scenario, preset_scenario, save_scenario
 from vodtrack.tensor_ops import FeaturePyramid
-from vodtrack.tracker import TrackPrediction
+from vodtrack.tracker import (
+    TrackerConfig,
+    TrackPrediction,
+    load_weights,
+    save_weights,
+    synthesize_weights,
+)
 
 PROPERTY = settings(max_examples=40, deadline=None, database=None, derandomize=True)
 
@@ -68,17 +79,23 @@ def valid_files(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("valid")
     sets = sample_detections()
     save_detections(sets, tmp / "dets.jsonl")
-    preds = [[TrackPrediction(d, d.box.shift(1.0, -0.5), 0.8) for d in frame] for frame in sets[0].frames]
+    preds = [[TrackPrediction(d, Box(d.box.x1 + 1.0, d.box.y1 - 0.5, d.box.x2 + 1.0, d.box.y2 - 0.5), 0.8) for d in frame] for frame in sets[0].frames]
     save_predictions(preds, "v0", tmp / "preds.jsonl")
     rng = np.random.default_rng(5)
     pyr = FeaturePyramid(((4, rng.random((2, 4, 4))), (8, rng.random((3, 2, 2)))), 16, 16)
     save_features(pyr, tmp / "f.feat")
     save_named_arrays({"a": rng.random((2, 3)), "b": rng.random(4), "c": np.array(1.5)}, tmp / "w.tensors")
+    # Separate search branch and a post-block bias, so every optional array is stored.
+    w = synthesize_weights(2, TrackerConfig(), seed=1, shared_head_channels=1, share_pre=False)
+    save_weights(replace(w, post=replace(w.post, bias=rng.random(2))), tmp / "head.tensors")
+    save_scenario(preset_scenario("degraded", 0), tmp / "scenario.json")
     return {
         "detections": (tmp / "dets.jsonl").read_text(),
         "predictions": (tmp / "preds.jsonl").read_text(),
         "features": (tmp / "f.feat").read_bytes(),
         "tensors": (tmp / "w.tensors").read_bytes(),
+        "weights": (tmp / "head.tensors").read_bytes(),
+        "scenario": (tmp / "scenario.json").read_text(),
     }
 
 
@@ -127,6 +144,13 @@ def mutated_container(draw, how: str, data: bytes) -> bytes:
         header_line = json.dumps(draw(non_objects())).encode()
     elif how == "raw-header":
         header_line = draw(st.binary(max_size=24).filter(lambda b: b"\n" not in b))
+    elif how == "reshape":
+        header = json.loads(header_line)
+        entry = draw(st.sampled_from(header["arrays"]))
+        shape = entry["shape"]
+        count = math.prod(shape)
+        entry["shape"] = draw(st.sampled_from([[count], [1] + shape, shape[::-1]] + [[]] * (count == 1)))
+        header_line = json.dumps(header).encode()
     elif how == "cut":
         payload = payload[: draw(st.integers(0, len(payload) - 1))]
     else:
@@ -134,15 +158,41 @@ def mutated_container(draw, how: str, data: bytes) -> bytes:
     return header_line + b"\n" + payload
 
 
+def mutated_spec(draw, how: str, text: str) -> str:
+    """A scenario spec with one of its objects, or its text, mutated as ``how`` says."""
+    spec = json.loads(text)
+    targets = [spec, spec["noise"]] + spec["objects"]
+    if how in ("drop", "retype"):
+        mutate_object(draw, how, targets)
+    elif how == "frame":
+        target = draw(st.sampled_from([spec] + spec["objects"]))
+        key = "n_frames" if target is spec else draw(st.sampled_from(["first_frame", "last_frame"]))
+        target[key] = draw(FRAME_BOUND_INTS | HUGE_INTS)
+    elif how == "extra-key":
+        target = draw(st.sampled_from(targets))
+        target[draw(st.text(max_size=6).filter(lambda k: k not in target))] = draw(json_values())
+    elif how == "non-object":
+        return json.dumps(draw(non_objects()))
+    elif how == "cut":
+        return text[: draw(st.integers(0, len(text) - 1))]
+    else:
+        return text + draw(st.text(min_size=1, max_size=8))
+    return json.dumps(spec, indent=2)
+
+
 LINE_MUTATIONS = ["drop", "retype", "frame", "non-object", "cut", "extend"]
 CONTAINER_MUTATIONS = ["drop", "retype", "non-object", "raw-header", "cut", "extend"]
+WEIGHTS_MUTATIONS = CONTAINER_MUTATIONS + ["reshape"]
+SPEC_MUTATIONS = ["drop", "retype", "frame", "non-object", "cut", "extend", "extra-key"]
 
 
-def loads_or_names_file(loader, path) -> None:
+def loads_or_names_file(loader, path, must_fail: bool = False) -> None:
     try:
         loader(path)
     except ValueError as exc:
         assert path.name in str(exc)
+    else:
+        assert not must_fail, f"{path.name} loaded but must be rejected"
 
 
 @pytest.mark.parametrize("how", LINE_MUTATIONS)
@@ -179,3 +229,21 @@ def test_mutated_tensor_file(valid_files, tmp_path_factory, how, data):
     path = tmp_path_factory.getbasetemp() / "mutated.tensors"
     path.write_bytes(mutated_container(data.draw, how, valid_files["tensors"]))
     loads_or_names_file(load_named_arrays, path)
+
+
+@pytest.mark.parametrize("how", WEIGHTS_MUTATIONS)
+@PROPERTY
+@given(data=st.data())
+def test_mutated_weights_file(valid_files, tmp_path_factory, how, data):
+    path = tmp_path_factory.getbasetemp() / "mutated-head.tensors"
+    path.write_bytes(mutated_container(data.draw, how, valid_files["weights"]))
+    loads_or_names_file(load_weights, path)
+
+
+@pytest.mark.parametrize("how", SPEC_MUTATIONS)
+@PROPERTY
+@given(data=st.data())
+def test_mutated_scenario_file(valid_files, tmp_path_factory, how, data):
+    path = tmp_path_factory.getbasetemp() / "mutated-scenario.json"
+    path.write_text(mutated_spec(data.draw, how, valid_files["scenario"]))
+    loads_or_names_file(load_scenario, path, must_fail=how == "extra-key")
