@@ -142,23 +142,32 @@ def _add_manifest_flag(p: argparse.ArgumentParser) -> None:
 
 def make_replay_track_fn(stored: dict[int, list]):
     """Replay file predictions: candidates claim the stored prediction whose
-    source box they overlap most (at 0.5 IoU or better), each at most once.
-    Unclaimed candidates come back with zero quality and are filtered out."""
+    source box they overlap most (at 0.5 IoU or better; the last such entry
+    on a tie), each at most once, in candidate order. Unclaimed candidates
+    come back with zero quality and are filtered out."""
 
     def track_fn(candidates: list[Detection]) -> list[TrackPrediction]:
-        out = []
-        for det in candidates:
-            entries = stored.get(det.frame, [])
-            best_iou, best_pos = 0.5, None
-            for pos, (_, pred) in enumerate(entries):
-                v = iou(det.box, pred.source.box)
-                if v >= best_iou:
-                    best_iou, best_pos = v, pos
-            if best_pos is None:
-                out.append(TrackPrediction(det, det.box, 0.0))
-            else:
-                _, pred = entries.pop(best_pos)
-                out.append(TrackPrediction(det, pred.predicted_box, pred.quality))
+        out: list[TrackPrediction | None] = [None] * len(candidates)
+        by_frame: dict[int, list[int]] = {}
+        for k, det in enumerate(candidates):
+            by_frame.setdefault(det.frame, []).append(k)
+        for frame, ks in by_frame.items():
+            entries = stored.get(frame, [])
+            overlaps = iou([candidates[k].box for k in ks], [pred.source.box for _, pred in entries])
+            claimed = [False] * len(entries)
+            for k, row in zip(ks, overlaps.tolist()):
+                det = candidates[k]
+                best_iou, best_pos = 0.5, None
+                for pos, v in enumerate(row):
+                    if v >= best_iou and not claimed[pos]:
+                        best_iou, best_pos = v, pos
+                if best_pos is None:
+                    out[k] = TrackPrediction(det, det.box, 0.0)
+                else:
+                    claimed[best_pos] = True
+                    pred = entries[best_pos][1]
+                    out[k] = TrackPrediction(det, pred.predicted_box, pred.quality)
+            entries[:] = [e for e, c in zip(entries, claimed) if not c]
         return out
 
     return track_fn

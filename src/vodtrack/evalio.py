@@ -427,8 +427,9 @@ def evaluate_map(
     """Mean average precision of predictions against ground truth.
 
     Predictions are ranked per class by score (ties keep file order) and
-    greedily matched to the highest-overlap unmatched ground-truth box in
-    the same video and frame at ``iou_thresh`` or better. AP uses all-point
+    greedily matched to the highest-overlap unmatched ground-truth box of
+    their class in the same video and frame (the first such box on a tie),
+    at ``iou_thresh`` or better. AP uses all-point
     interpolation; the mean runs over classes with at least one ground-truth
     instance.
     """
@@ -446,40 +447,37 @@ def evaluate_map(
     gt_counts = Counter(det.class_id for v in gt for det in v.all_detections())
     classes = sorted(gt_counts)
 
-    # (video, frame, class) -> list of (gt Detection, matched flag holder)
-    gt_index: dict[tuple[str, int, int], list[list]] = {}
-    for v in gt:
-        for det in v.all_detections():
-            gt_index.setdefault((v.video, det.frame, det.class_id), []).append([det, False])
+    # Matching is greedy per (video, frame, class): predictions in descending
+    # score order (ties keep file order) each take the first unmatched box of
+    # largest positive overlap. Groups never share a box, so each (video,
+    # frame) is matched on its own overlap matrix.
+    gt_frames = {(v.video, t): frame for v in gt for t, frame in enumerate(v.frames)}
+    entries = [(v.video, det) for v in preds for det in v.all_detections() if det.class_id in gt_counts]
+    hits = [False] * len(entries)
+    groups: dict[tuple[str, int], list[int]] = {}
+    for k, (video, det) in enumerate(entries):
+        groups.setdefault((video, det.frame), []).append(k)
+    for key, ks in groups.items():
+        truth = gt_frames.get(key, ())
+        overlaps = iou([entries[k][1].box for k in ks], [g.box for g in truth])
+        columns: dict[int, list[int]] = {}
+        for j, g in enumerate(truth):
+            columns.setdefault(g.class_id, []).append(j)
+        taken = [False] * len(truth)
+        for r in sorted(range(len(ks)), key=lambda r: -entries[ks[r]][1].score):
+            cols = columns.get(entries[ks[r]][1].class_id, [])
+            best_iou, best_j = 0.0, None
+            for j, overlap in zip(cols, overlaps[r, cols].tolist()):
+                if overlap > best_iou and not taken[j]:
+                    best_iou, best_j = overlap, j
+            if best_j is not None and best_iou >= iou_thresh:
+                taken[best_j] = hits[ks[r]] = True
 
-    ranked: dict[int, list[tuple[float, str, Detection]]] = {c: [] for c in classes}
-    for v in preds:
-        for det in v.all_detections():
-            if det.class_id in ranked:
-                ranked[det.class_id].append((det.score, v.video, det))
-
-    per_class_ap: dict[int, float] = {}
-    for c in classes:
-        entries = ranked[c]
-        order = sorted(range(len(entries)), key=lambda i: -entries[i][0])
-        matches: list[tuple[float, bool]] = []
-        for i in order:
-            score, video, det = entries[i]
-            candidates = gt_index.get((video, det.frame, c), [])
-            best_iou = 0.0
-            best_slot = None
-            for slot in candidates:
-                if slot[1]:
-                    continue
-                v = iou(det.box, slot[0].box)
-                if v > best_iou:
-                    best_iou, best_slot = v, slot
-            if best_slot is not None and best_iou >= iou_thresh:
-                best_slot[1] = True
-                matches.append((score, True))
-            else:
-                matches.append((score, False))
-        per_class_ap[c] = _average_precision(matches, gt_counts[c])
+    ranked: dict[int, list[tuple[float, bool]]] = {c: [] for c in classes}
+    for (_, det), hit in zip(entries, hits):
+        ranked[det.class_id].append((det.score, hit))
+    per_class_ap = {c: _average_precision(sorted(ranked[c], key=lambda m: -m[0]), gt_counts[c])
+                    for c in classes}
 
     mean_ap = float(np.mean(list(per_class_ap.values()))) if per_class_ap else 0.0
     return EvalResult(per_class_ap=per_class_ap, mean_ap=mean_ap, iou_thresh=iou_thresh)

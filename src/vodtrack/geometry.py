@@ -7,12 +7,20 @@ parameterization: center offsets normalized by the reference box size,
 log-space scale ratios.
 
 All types are immutable and all operations are pure functions.
+
+Box overlap has one kernel, :func:`iou`: it takes two sequences of boxes
+and returns their whole ``(len(a), len(b))`` IoU matrix, each entry equal
+bit for bit to the pairwise formula. Callers compute one matrix per frame
+(or frame pair) and apply their own threshold and tie rule to it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
 
 __all__ = ["Box", "RegressionDelta", "iou", "encode", "decode", "expand"]
 
@@ -89,21 +97,39 @@ class RegressionDelta:
                 raise ValueError(f"regression delta {name} is not finite: {v!r}")
 
 
-def iou(a: Box, b: Box) -> float:
-    """Intersection-over-union of two boxes; 0.0 when the union has zero area."""
-    ix1 = max(a.x1, b.x1)
-    iy1 = max(a.y1, b.y1)
-    ix2 = min(a.x2, b.x2)
-    iy2 = min(a.y2, b.y2)
-    iw = ix2 - ix1
-    ih = iy2 - iy1
-    if iw <= 0.0 or ih <= 0.0:
-        return 0.0
-    inter = iw * ih
-    union = a.area + b.area - inter
-    if union <= 0.0:
-        return 0.0
-    return inter / union
+def iou(a: Sequence[Box], b: Sequence[Box]) -> np.ndarray:
+    """IoU matrix of two box sequences: entry ``(i, j)`` is the overlap of ``a[i]`` and ``b[j]``.
+
+    Returns float64 of shape ``(len(a), len(b))``. The kernel is exact: each
+    entry takes the pairwise formula's float operations in its order
+    (``iw, ih = min - max`` of the corners, ``inter = iw * ih``, ``union =
+    area(a[i]) + area(b[j]) - inter``, ``inter / union``), so it equals that
+    formula bit for bit and ``iou(a, b) == iou(b, a).T``. An entry is 0.0
+    when ``iw <= 0``, ``ih <= 0`` or ``union <= 0``. It raises no
+    floating-point warning, even where a box's extent overflows. A call
+    costs about ten pairwise evaluations up front, so call it per frame.
+    """
+    if len(a) == 0 or len(b) == 0:
+        return np.zeros((len(a), len(b)))
+    (ax1, ay1, ax2, ay2), (bx1, by1, bx2, by2) = _corner_array(a)[:, :, None], _corner_array(b)
+    # In-place steps keep three (len(a), len(b)) float arrays alive at most.
+    with np.errstate(over="ignore", invalid="ignore"):
+        iw = np.minimum(ax2, bx2)
+        iw -= np.maximum(ax1, bx1)
+        ih = np.minimum(ay2, by2)
+        ih -= np.maximum(ay1, by1)
+        nonzero = (iw > 0.0) & (ih > 0.0)
+        inter = np.multiply(iw, ih, out=iw)
+        del ih
+        union = (ax2 - ax1) * (ay2 - ay1) + (bx2 - bx1) * (by2 - by1)
+        union -= inter
+        nonzero &= ~(union <= 0.0)
+        return np.divide(inter, union, out=np.zeros(inter.shape), where=nonzero)
+
+
+def _corner_array(boxes: Sequence[Box]) -> np.ndarray:
+    """Corners as a ``(4, n)`` array: rows x1, y1, x2, y2."""
+    return np.array([(b.x1, b.y1, b.x2, b.y2) for b in boxes], dtype=np.float64).T
 
 
 def _require_positive_extent(b: Box, role: str) -> None:

@@ -14,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .detections import Detection
 from .geometry import iou
 from .tracker import TrackPrediction
@@ -78,22 +80,30 @@ class Tubelet:
         return self.path_score / len(self.members)
 
 
-def _build_graph(video: Sequence[Sequence[Detection]], link_box, link_iou: float, constraint: str) -> LinkGraph:
+def _overlaps_above(a: Sequence[Detection], boxes_a, b: Sequence[Detection], boxes_b, thresh: float) -> np.ndarray:
+    """Boolean matrix: ``a[i]`` and ``b[j]`` share a class and overlap above ``thresh``."""
+    classes_a = np.array([d.class_id for d in a])
+    classes_b = np.array([d.class_id for d in b])
+    return (iou(boxes_a, boxes_b) > thresh) & (classes_a[:, None] == classes_b)
+
+
+def _row_table(hits: np.ndarray) -> dict[int, tuple[int, ...]]:
+    """The true columns of each row that has any, in ascending order."""
+    table: dict[int, list[int]] = {}
+    rows, cols = np.nonzero(hits)
+    for i, j in zip(rows.tolist(), cols.tolist()):
+        table.setdefault(i, []).append(j)
+    return {i: tuple(js) for i, js in table.items()}
+
+
+def _build_graph(video: Sequence[Sequence[Detection]], probes, link_iou: float, constraint: str) -> LinkGraph:
+    """``probes[t]`` holds, aligned with ``video[t]``, the boxes tested against frame ``t+1``."""
     nodes = tuple(tuple(range(len(frame))) for frame in video)
-    edges = []
-    for t in range(len(video) - 1):
-        table: dict[int, tuple[int, ...]] = {}
-        for i, det in enumerate(video[t]):
-            probe = link_box(t, i, det)
-            succs = tuple(
-                j
-                for j, nxt in enumerate(video[t + 1])
-                if nxt.class_id == det.class_id and iou(probe, nxt.box) > link_iou
-            )
-            if succs:
-                table[i] = succs
-        edges.append(table)
-    return LinkGraph(nodes=nodes, edges=tuple(edges), constraint=constraint)
+    edges = tuple(
+        _row_table(_overlaps_above(video[t], probes[t], video[t + 1], [d.box for d in video[t + 1]], link_iou))
+        for t in range(len(video) - 1)
+    )
+    return LinkGraph(nodes=nodes, edges=edges, constraint=constraint)
 
 
 def build_graph_seqnms(
@@ -104,7 +114,7 @@ def build_graph_seqnms(
     An edge requires the same class and strictly more than ``link_iou``
     overlap between the frame-``t`` box and the frame-``t+1`` box.
     """
-    return _build_graph(video, lambda t, i, det: det.box, link_iou, "seqnms")
+    return _build_graph(video, [[d.box for d in frame] for frame in video], link_iou, "seqnms")
 
 
 def build_graph_seqtrack(
@@ -125,11 +135,8 @@ def build_graph_seqtrack(
             raise ValueError(
                 f"frame {t}: {len(preds[t])} predictions for {len(video[t])} detections"
             )
-
-    def link_box(t, i, det):
-        return preds[t][i].predicted_box
-
-    return _build_graph(video, link_box, link_iou, "seqtrack")
+    probes = [[p.predicted_box for p in frame] for frame in preds[: max(n - 1, 0)]]
+    return _build_graph(video, probes, link_iou, "seqtrack")
 
 
 def best_path(
@@ -207,6 +214,13 @@ def rescore_and_suppress(
     scores = [[d.score for d in frame] for frame in video]
     alive = [set(frame_nodes) for frame_nodes in graph.nodes]
     rescored: dict[tuple[int, int], float] = {}
+    # clashes[t][i]: the other nodes of frame t that a member (t, i) suppresses.
+    clashes = []
+    for frame in video:
+        boxes = [d.box for d in frame]
+        hits = _overlaps_above(frame, boxes, frame, boxes, nms_iou)
+        np.fill_diagonal(hits, False)
+        clashes.append(_row_table(hits))
 
     while any(alive_frame for alive_frame in alive):
         tube = best_path(graph, scores, alive)
@@ -216,11 +230,7 @@ def rescore_and_suppress(
             rescored[(t, i)] = mean
             alive[t].discard(i)
         for t, i in tube.members:
-            member = video[t][i]
-            for j in list(alive[t]):
-                other = video[t][j]
-                if other.class_id == member.class_id and iou(member.box, other.box) > nms_iou:
-                    alive[t].discard(j)
+            alive[t].difference_update(clashes[t].get(i, ()))
 
     out: list[list[Detection]] = []
     for t, frame in enumerate(video):

@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Sequence
 
+import numpy as np
+
 from .detections import PROVENANCE_DETECTED, PROVENANCE_TRACKED, Detection
 from .geometry import iou
 from .tracker import TrackPrediction
@@ -114,11 +116,22 @@ def nms(dets: Sequence, iou_thresh: float, key: Callable | None = None, *, box: 
     key = key if key is not None else (lambda d: d.score)
     box = box if box is not None else (lambda d: d.box)
     order = sorted(range(len(dets)), key=lambda i: -key(dets[i]))
-    kept: list = []
+    boxes = [box(d) for d in dets]
+    return [dets[i] for i in _greedy_keep(order, ~(iou(boxes, boxes) <= iou_thresh))]
+
+
+def _greedy_keep(order: Sequence[int], clash: np.ndarray) -> list[int]:
+    """Walk ``order`` and keep each index that clashes with no index kept before it.
+
+    ``clash`` is a symmetric boolean matrix over the indices. Returns the
+    kept indices in ``order``'s order.
+    """
+    suppressed = np.zeros(len(clash), dtype=bool)
+    kept = []
     for i in order:
-        cand = dets[i]
-        if all(iou(box(cand), box(k)) <= iou_thresh for k in kept):
-            kept.append(cand)
+        if not suppressed[i]:
+            kept.append(i)
+            suppressed |= clash[i]
     return kept
 
 
@@ -171,8 +184,9 @@ def tfd_merge(
     """
     merged = list(tracked)
     next_id = id_start
-    for det in detected:
-        if all(iou(det.box, t.box) < cfg.t_merge for t in tracked):
+    clear = (iou([d.box for d in detected], [t.box for t in tracked]) < cfg.t_merge).all(axis=1)
+    for det, admit in zip(detected, clear):
+        if admit:
             merged.append(replace(det, track=next_id, provenance=PROVENANCE_DETECTED))
             next_id += 1
     return merged
@@ -238,10 +252,10 @@ def final_detections(frames: Sequence[Sequence[Detection]], cfg: PipelineConfig)
     out: list[list[Detection]] = []
     for dets in frames:
         strong = [d for d in dets if d.score >= cfg.final_score_min]
-        pos = {id(d): i for i, d in enumerate(strong)}
-        kept: list[Detection] = []
-        for cls in sorted({d.class_id for d in strong}):
-            kept.extend(nms([d for d in strong if d.class_id == cls], cfg.final_nms_iou))
-        kept.sort(key=lambda d: pos[id(d)])
-        out.append(kept)
+        boxes = [d.box for d in strong]
+        classes = np.array([d.class_id for d in strong])
+        # Suppression runs per class: boxes of different classes never clash.
+        clash = ~(iou(boxes, boxes) <= cfg.final_nms_iou) & (classes[:, None] == classes)
+        order = sorted(range(len(strong)), key=lambda i: -strong[i].score)
+        out.append([strong[i] for i in sorted(_greedy_keep(order, clash))])
     return out

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import sys
 import typing
 from dataclasses import MISSING, asdict, dataclass, fields
@@ -37,6 +38,12 @@ __all__ = [
     "load_scenario",
     "PRESETS",
 ]
+
+
+# Largest box coordinate magnitude, in pixels, an object may reach. Past 2**53
+# a float64 no longer resolves one pixel; inside it the generator's and the
+# renderer's sums, products and squares of coordinates stay finite.
+MAX_COORDINATE = 2.0**53
 
 
 @dataclass(frozen=True)
@@ -70,16 +77,27 @@ class ObjectSpec:
         object.__setattr__(
             self, "degradations", tuple((int(s), int(e), float(f)) for s, e, f in self.degradations)
         )
+        # Center and size change monotonically with the frame, so the two ends
+        # of the lifetime bound the box over all of it.
+        for dt in (0, self.last_frame - self.first_frame):
+            try:
+                cx, cy, w, h = self._center_size(dt)
+            except OverflowError:  # scale_rate**dt is past the float range
+                cx = cy = w = h = math.inf
+            if not (abs(cx) + w / 2.0 <= MAX_COORDINATE and abs(cy) + h / 2.0 <= MAX_COORDINATE):
+                raise ValueError(
+                    f"object motion leaves the coordinate range ±2**53 by frame {self.first_frame + dt}"
+                )
 
     def alive(self, frame: int) -> bool:
         return self.first_frame <= frame <= self.last_frame
 
-    def box_at(self, frame: int) -> Box:
-        dt = frame - self.first_frame
+    def _center_size(self, dt: int) -> tuple[float, float, float, float]:
         scale = self.scale_rate**dt
-        return Box.from_center(
-            self.cx + self.vx * dt, self.cy + self.vy * dt, self.w * scale, self.h * scale
-        )
+        return self.cx + self.vx * dt, self.cy + self.vy * dt, self.w * scale, self.h * scale
+
+    def box_at(self, frame: int) -> Box:
+        return Box.from_center(*self._center_size(frame - self.first_frame))
 
     def score_factor(self, frame: int) -> float:
         factor = 1.0

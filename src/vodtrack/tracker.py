@@ -140,6 +140,15 @@ class TrackerWeights:
             raise ValueError("score_bias must have shape (1,)")
         if self.score_weight.shape[1] != self.box_weight.shape[1]:
             raise ValueError("box and score heads must consume the same flattened input")
+        # The channel chain: features -> pre blocks -> correlation -> post -> head conv.
+        pre = self.pre_template.kernel.shape[:2]
+        if self.pre_search is not None and self.pre_search.kernel.shape[:2] != pre:
+            raise ValueError(f"pre_search has (out, in) channels {self.pre_search.kernel.shape[:2]}, "
+                             f"pre_template {pre}; they must agree")
+        for name, takes, given in (("post", self.post.kernel.shape[1], pre[0]),
+                                   ("head_kernel", self.head_kernel.shape[1], self.post.kernel.shape[0])):
+            if takes != given:
+                raise ValueError(f"{name} takes {takes} channels, the block before it gives {given}")
 
     @property
     def pre_for_search(self) -> ConvBlockWeights:
@@ -313,6 +322,20 @@ def _perturb_box(b: Box, noise: NoiseParams, rng: np.random.Generator) -> Box:
 _MATCH_IOU = 0.5
 
 
+def _best_match(overlaps: np.ndarray, floor: float) -> np.ndarray:
+    """Per row of an overlap matrix, the column of its largest value at or above ``floor``.
+
+    When several columns hold that value the last one wins. Rows with no
+    value at or above ``floor`` give -1.
+    """
+    n, m = overlaps.shape
+    if m == 0:
+        return np.full(n, -1)
+    eligible = np.where(overlaps >= floor, overlaps, -np.inf)
+    last = m - 1 - np.argmax(eligible[:, ::-1], axis=1)
+    return np.where(eligible[np.arange(n), last] >= floor, last, -1)
+
+
 def oracle_track(
     boxes: list[Detection],
     gt,
@@ -322,39 +345,43 @@ def oracle_track(
     """Ground-truth-backed stand-in for the learned head.
 
     Each input box is matched to the ground-truth object it overlaps most
-    (at ``_MATCH_IOU`` or better); matched boxes predict that object's
-    next-frame box perturbed by ``noise``, with quality equal to the true
-    overlap of the perturbed box. Unmatched boxes, objects absent from the
-    next frame, and simulated failures return quality below 0.5.
+    (at ``_MATCH_IOU`` or better; the last such object on a tie); matched
+    boxes predict that object's next-frame box perturbed by ``noise``, with
+    quality equal to the true overlap of the perturbed box. Unmatched boxes,
+    objects absent from the next frame, and simulated failures return
+    quality below 0.5.
 
     ``gt`` is a :class:`~vodtrack.evalio.VideoDetectionSet` whose records
     carry track ids. Deterministic for a fixed seed.
     """
-    preds = []
-    for det in boxes:
-        rng = _det_rng(seed, det)
-        matched = None
-        best = _MATCH_IOU
-        if det.frame < gt.n_frames:
-            for g in gt.frames[det.frame]:
-                v = iou(det.box, g.box)
-                if v >= best:
-                    matched, best = g, v
-        nxt = None
-        if matched is not None and det.frame + 1 < gt.n_frames:
-            for g in gt.frames[det.frame + 1]:
-                if g.track == matched.track:
-                    nxt = g
-                    break
-        if nxt is None:
-            preds.append(TrackPrediction(det, det.box, rng.uniform(0.0, 0.5)))
-            continue
-        predicted = _perturb_box(nxt.box, noise, rng)
-        if rng.uniform() < noise.failure_prob:
-            quality = rng.uniform(0.0, 0.5)
-        else:
-            quality = iou(predicted, nxt.box)
-        preds.append(TrackPrediction(det, predicted, quality))
+    by_frame: dict[int, list[int]] = {}
+    for k, det in enumerate(boxes):
+        by_frame.setdefault(det.frame, []).append(k)
+    preds: list[TrackPrediction | None] = [None] * len(boxes)
+    for frame, ks in by_frame.items():
+        here = gt.frames[frame] if frame < gt.n_frames else ()
+        after = gt.frames[frame + 1] if frame + 1 < gt.n_frames else ()
+        first_of_track = {g.track: j for j, g in reversed(list(enumerate(after)))}
+        matches = _best_match(iou([boxes[k].box for k in ks], [g.box for g in here]), _MATCH_IOU)
+        # Boxes whose quality is the true overlap of their prediction: (k, predicted, next column).
+        scored = []
+        for k, m in zip(ks, matches.tolist()):
+            det = boxes[k]
+            rng = _det_rng(seed, det)
+            col = first_of_track.get(here[m].track) if m >= 0 else None
+            if col is None:
+                preds[k] = TrackPrediction(det, det.box, rng.uniform(0.0, 0.5))
+                continue
+            predicted = _perturb_box(after[col].box, noise, rng)
+            if rng.uniform() < noise.failure_prob:
+                preds[k] = TrackPrediction(det, predicted, rng.uniform(0.0, 0.5))
+            else:
+                scored.append((k, predicted, col))
+        if scored:
+            ks, predicted, cols = zip(*scored)
+            quality = iou(predicted, [g.box for g in after])[np.arange(len(ks)), cols]
+            for k, p, q in zip(ks, predicted, quality.tolist()):
+                preds[k] = TrackPrediction(boxes[k], p, q)
     return preds
 
 

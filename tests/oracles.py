@@ -182,15 +182,24 @@ def naive_max_pool_to(arr: np.ndarray, out_h: int, out_w: int, ratio: int) -> np
 
 
 def box_iou(a, b) -> float:
-    ax1, ay1, ax2, ay2 = a
-    bx1, by1, bx2, by2 = b
+    """The pairwise IoU formula on one pair: the reference for ``geometry.iou``.
+
+    ``a`` and ``b`` are ``Box`` objects or ``(x1, y1, x2, y2)`` tuples. The
+    result is 0.0 when the intersection is empty or the union is not
+    positive; otherwise ``inter / union`` with ``union = area(a) + area(b) -
+    inter``.
+    """
+    ax1, ay1, ax2, ay2 = a.corners() if hasattr(a, "corners") else a
+    bx1, by1, bx2, by2 = b.corners() if hasattr(b, "corners") else b
     iw = min(ax2, bx2) - max(ax1, bx1)
     ih = min(ay2, by2) - max(ay1, by1)
-    if iw <= 0 or ih <= 0:
+    if iw <= 0.0 or ih <= 0.0:
         return 0.0
     inter = iw * ih
     union = (ax2 - ax1) * (ay2 - ay1) + (bx2 - bx1) * (by2 - by1) - inter
-    return inter / union if union > 0 else 0.0
+    if union <= 0.0:
+        return 0.0
+    return inter / union
 
 
 def reference_rescore(video, edges, nms_iou: float):

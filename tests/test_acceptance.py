@@ -11,11 +11,11 @@ import time
 
 import numpy as np
 
-from oracles import brute_force_best_path, naive_depthwise_correlate, reference_rescore
+from oracles import box_iou, brute_force_best_path, naive_depthwise_correlate, reference_rescore
 from vodtrack.cli import main, run_variant
 from vodtrack.detections import Detection
 from vodtrack.evalio import load_detections, save_detections
-from vodtrack.geometry import Box, decode, encode, iou
+from vodtrack.geometry import Box, decode, encode
 from vodtrack.linker import best_path, build_graph_seqnms, rescore_and_suppress
 from vodtrack.pipeline import PipelineConfig
 from vodtrack.synth import generate, preset_scenario
@@ -289,7 +289,7 @@ def test_criterion_6_fast_motion_separation():
         for obj_id in range(len(spec.objects)):
             boxes = {d.frame: d.box for f in gt.frames for d in f if d.track == obj_id}
             pairs = [(boxes[t], boxes[t + 1]) for t in boxes if t + 1 in boxes]
-            if pairs and all(iou(a, b) == 0.0 for a, b in pairs):
+            if pairs and all(box_iou(a, b) == 0.0 for a, b in pairs):
                 has_zero_iou_object = True
         assert has_zero_iou_object, f"seed {seed}: no zero-overlap object"
 

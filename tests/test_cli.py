@@ -6,6 +6,7 @@ import pytest
 import vodtrack.cli as cli
 import vodtrack.tracker as tracker
 from vodtrack.cli import main
+from vodtrack.detections import Detection
 from vodtrack.evalio import (
     MAX_FRAME_INDEX,
     load_detections,
@@ -15,8 +16,9 @@ from vodtrack.evalio import (
     save_named_arrays,
 )
 from vodtrack.synth import preset_scenario, render_features, save_scenario
+from vodtrack.geometry import Box
 from vodtrack.tensor_ops import FeaturePyramid
-from vodtrack.tracker import TrackerConfig, save_weights, synthesize_weights
+from vodtrack.tracker import TrackerConfig, TrackPrediction, save_weights, synthesize_weights
 
 
 def run_cli(*args) -> int:
@@ -60,6 +62,8 @@ class TestSynthGen:
         "negative-seed": lambda s: s.update(seed=-1),
         "reversed-lifetime": lambda s: s["objects"][0].update(first_frame=9, last_frame=3),
         "too-many-frames": lambda s: s.update(n_frames=MAX_FRAME_INDEX + 2),
+        "overflowing-scale-rate": lambda s: s["objects"][0].update(scale_rate=1e10),
+        "overflowing-vx": lambda s: s["objects"][0].update(vx=1e308),
     }
 
     @pytest.mark.parametrize("fault", SPEC_FAULTS.values(), ids=SPEC_FAULTS.keys())
@@ -72,7 +76,7 @@ class TestSynthGen:
         rc = run_cli("synth-gen", "--spec", spec_path,
                      "--out-gt", tmp_path / "g.jsonl", "--out-dets", tmp_path / "d.jsonl")
         assert rc == 1
-        assert capsys.readouterr().err.startswith(f"error [synth-gen]: {spec_path}: ")
+        assert capsys.readouterr().err.startswith(f"error [synth-gen]: {spec_path}: invalid scenario spec: ")
 
     def test_missing_spec_fails_named(self, tmp_path, capsys):
         rc = run_cli("synth-gen", "--spec", tmp_path / "nope.json",
@@ -215,6 +219,19 @@ class TestTrack:
         assert rc == 1
         assert capsys.readouterr().err.startswith(f"error [track]: {weights}: ")
 
+    def test_channel_chain_mismatch_fails_named(self, learned_files, tmp_path, capsys):
+        dets, feat_dir, weights_path, _ = learned_files
+        arrays = load_named_arrays(weights_path)
+        arrays["head_kernel"] = arrays["head_kernel"][:, : arrays["head_kernel"].shape[1] // 2]
+        weights = tmp_path / "bad.tensors"
+        save_named_arrays(arrays, weights)
+        rc = run_cli("track", "--dets", dets, "--weights", weights,
+                     "--features-dir", feat_dir, "--out", tmp_path / "p.jsonl")
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error [track]: {weights}: invalid weights: ")
+        assert "head_kernel takes 4 channels, the block before it gives 8" in err
+
     def test_oracle_requires_gt(self, tmp_path, clean_files, capsys):
         _, dets = clean_files
         rc = run_cli("track", "--dets", dets, "--oracle", "--out", tmp_path / "p.jsonl")
@@ -240,6 +257,24 @@ class TestTfdAndLink:
         assert run_cli("link", "--dets", merged, "--preds", preds,
                        "--mode", "seqtrack", "--out", linked2) == 0
         assert load_detections(linked) and load_detections(linked2)
+
+    def test_replay_matcher_ties_and_claims(self):
+        # Two stored predictions share one source box: a candidate on that box
+        # claims the later one, the next candidate the one left, a third none.
+        # A candidate with IoU exactly 0.5 against a source claims it.
+        def stored(source, predicted, quality):
+            src = Detection(0, 0, 0.9, source)
+            return src, TrackPrediction(src, predicted, quality)
+
+        box = Box(0, 0, 10, 10)
+        entries = [stored(box, Box(1, 0, 11, 10), 0.7), stored(box, Box(2, 0, 12, 10), 0.8),
+                   stored(Box(40, 40, 50, 50), Box(41, 40, 51, 50), 0.9)]
+        track_fn = cli.make_replay_track_fn({0: entries})
+        candidates = [Detection(0, 0, 0.9, box), Detection(0, 0, 0.8, box),
+                      Detection(0, 0, 0.7, box), Detection(0, 0, 0.6, Box(40, 40, 50, 45))]
+        got = [(p.predicted_box, p.quality) for p in track_fn(candidates)]
+        assert got == [(Box(2, 0, 12, 10), 0.8), (Box(1, 0, 11, 10), 0.7),
+                       (box, 0.0), (Box(41, 40, 51, 50), 0.9)]
 
     def test_replay_preds_path(self, clean_files, tmp_path):
         gt, dets = clean_files

@@ -351,6 +351,24 @@ class TestEvaluateMap:
         result = evaluate_map(preds, gt)
         assert result.per_class_ap[0] == pytest.approx(0.5 + 1.0 / 3, abs=1e-12)
 
+    def test_equal_overlap_matches_first_slot(self):
+        # The first prediction overlaps both objects with IoU exactly 0.6 and
+        # takes the first; the second then overlaps only the taken one.
+        gt = VideoDetectionSet.from_records(
+            "v", [det(0, 0, 1.0, (0, 0, 10, 10), track=0), det(0, 0, 1.0, (5, 0, 15, 10), track=1)],
+            n_frames=1,
+        )
+        preds = VideoDetectionSet.from_records(
+            "v", [det(0, 0, 0.9, (2.5, 0, 12.5, 10)), det(0, 0, 0.8, (0, 0, 10, 10))], n_frames=1
+        )
+        assert evaluate_map(preds, gt).per_class_ap[0] == 0.5
+
+    def test_overlap_at_threshold_matches(self):
+        gt = VideoDetectionSet.from_records("v", [det(0, 0, 1.0, (0, 0, 10, 10), track=0)], n_frames=1)
+        preds = VideoDetectionSet.from_records("v", [det(0, 0, 0.9, (0, 0, 10, 5))], n_frames=1)
+        assert evaluate_map(preds, gt, 0.5).mean_ap == 1.0
+        assert evaluate_map(preds, gt, 0.5001).mean_ap == 0.0
+
     def test_monotone_score_transform_invariance(self):
         rng = np.random.default_rng(95)
         gt = random_set(rng, n_frames=4)

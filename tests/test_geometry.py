@@ -1,9 +1,11 @@
 import math
+import warnings
 from dataclasses import astuple
 
 import numpy as np
 import pytest
 
+from oracles import box_iou
 from vodtrack.geometry import (
     Box,
     RegressionDelta,
@@ -56,28 +58,51 @@ class TestBox:
                 assert abs(got - want) <= 1e-12
 
 
+def pair_iou(a: Box, b: Box) -> float:
+    """One entry of the kernel, for tests about a single pair."""
+    return iou([a], [b])[0, 0]
+
+
+def kernel_test_boxes(rng, n: int) -> list[Box]:
+    """Random boxes, most on a quarter-pixel grid so that edges are often
+    shared; a tenth of them have zero width and a tenth zero height."""
+    boxes = []
+    for _ in range(n):
+        x1, y1 = rng.integers(0, 40, 2) / 4.0
+        w, h = rng.integers(1, 40, 2) / 4.0
+        kind = rng.uniform()
+        if kind < 0.1:
+            w = 0.0
+        elif kind < 0.2:
+            h = 0.0
+        elif kind < 0.5:
+            x1, y1, w, h = rng.uniform(0, 10, 4)
+        boxes.append(Box(x1, y1, x1 + w, y1 + h))
+    return boxes
+
+
 class TestIou:
     def test_identity(self):
         a = Box(1, 2, 11, 22)
-        assert iou(a, a) == 1.0
+        assert pair_iou(a, a) == 1.0
 
     def test_disjoint(self):
-        assert iou(Box(0, 0, 10, 10), Box(20, 20, 30, 30)) == 0.0
+        assert pair_iou(Box(0, 0, 10, 10), Box(20, 20, 30, 30)) == 0.0
 
     def test_partial_overlap(self):
         # intersection 5*5=25, union 100+100-25=175
-        got = iou(Box(0, 0, 10, 10), Box(5, 5, 15, 15))
+        got = pair_iou(Box(0, 0, 10, 10), Box(5, 5, 15, 15))
         assert got == pytest.approx(25 / 175, abs=1e-15)
 
     def test_zero_union(self):
         z = Box(5, 5, 5, 5)
-        assert iou(z, z) == 0.0
+        assert pair_iou(z, z) == 0.0
 
     def test_symmetric_and_bounded(self):
         rng = np.random.default_rng(11)
         for _ in range(300):
             a, b = random_box(rng), random_box(rng)
-            ab, ba = iou(a, b), iou(b, a)
+            ab, ba = pair_iou(a, b), pair_iou(b, a)
             assert ab == ba
             assert 0.0 <= ab <= 1.0
 
@@ -86,7 +111,43 @@ class TestIou:
         for _ in range(100):
             a, b = random_box(rng), random_box(rng)
             dx, dy = rng.uniform(-40, 40, size=2)
-            assert abs(iou(a, b) - iou(shifted(a, dx, dy), shifted(b, dx, dy))) <= 1e-12
+            assert abs(pair_iou(a, b) - pair_iou(shifted(a, dx, dy), shifted(b, dx, dy))) <= 1e-12
+
+    def test_matrix_equals_scalar_reference_bit_for_bit(self):
+        rng = np.random.default_rng(17)
+        a = kernel_test_boxes(rng, 120)
+        b = kernel_test_boxes(rng, 90) + a[:10]  # identical pairs too
+        got = iou(a, b)
+        want = np.array([[box_iou(x, y) for y in b] for x in a])
+        assert got.shape == (120, 100) and got.dtype == np.float64
+        assert np.array_equal(got, want)
+        # the fixture covers every edge case it claims to
+        assert any(x.w == 0.0 for x in a) and any(x.h == 0.0 for x in a)
+        assert any(x.x2 == y.x1 for x in a for y in b)
+        assert (got == 1.0).any() and (got == 0.0).any() and ((got > 0.0) & (got < 1.0)).any()
+
+    def test_empty_inputs(self):
+        boxes = [Box(0, 0, 1, 1), Box(2, 2, 3, 5)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert iou([], boxes).shape == (0, 2)
+            assert iou(boxes, []).shape == (2, 0)
+            assert iou([], []).shape == (0, 0)
+
+    def test_matrix_symmetry(self):
+        rng = np.random.default_rng(19)
+        a, b = kernel_test_boxes(rng, 40), kernel_test_boxes(rng, 30)
+        assert np.array_equal(iou(a, b), iou(b, a).T)
+        m = iou(a, a)
+        assert np.array_equal(m, m.T)
+
+    def test_overflowing_extent_matches_reference_without_warning(self):
+        boxes = [Box(-1e308, 0, 1e308, 1), Box(-1e308, -1e308, 1e308, 1e308), Box(0, 0, 1, 1)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = iou(boxes, boxes)
+            want = np.array([[box_iou(x, y) for y in boxes] for x in boxes])
+        assert np.array_equal(got, want, equal_nan=True)
 
 
 class TestEncodeDecode:

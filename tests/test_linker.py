@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from oracles import brute_force_best_path, reference_rescore
+from oracles import box_iou, brute_force_best_path, reference_rescore
 from vodtrack.detections import Detection
-from vodtrack.geometry import Box, iou
+from vodtrack.geometry import Box
 from vodtrack.linker import (
     LinkGraph,
     Tubelet,
@@ -64,7 +64,7 @@ class TestBuildGraphSeqnms:
     def test_overlap_edge(self):
         video = [[det(0, 0, 0.9, (0, 0, 10, 10))], [det(1, 0, 0.8, (1, 1, 11, 11))]]
         g = build_graph_seqnms(video)
-        assert iou(video[0][0].box, video[1][0].box) == pytest.approx(0.680672, abs=1e-5)
+        assert box_iou(video[0][0].box, video[1][0].box) == pytest.approx(0.680672, abs=1e-5)
         assert g.edges[0] == {0: (0,)}
         assert g.constraint == "seqnms"
 
@@ -75,7 +75,7 @@ class TestBuildGraphSeqnms:
     def test_boundary_strict(self):
         # IoU exactly 0.5: [0,0,10,10] vs [0,0,10,5] has inter 50, union 100
         video = [[det(0, 0, 0.9, (0, 0, 10, 10))], [det(1, 0, 0.8, (0, 0, 10, 5))]]
-        assert iou(video[0][0].box, video[1][0].box) == 0.5
+        assert box_iou(video[0][0].box, video[1][0].box) == 0.5
         assert build_graph_seqnms(video).edges[0] == {}
 
     def test_rebuild_identical(self):
@@ -126,7 +126,7 @@ class TestBuildGraphSeqtrack:
                         j
                         for j, nxt in enumerate(video[t + 1])
                         if nxt.class_id == d.class_id
-                        and iou(preds[t][i].predicted_box, nxt.box) > 0.5
+                        and box_iou(preds[t][i].predicted_box, nxt.box) > 0.5
                     ]
                     if succ:
                         want[(t, i)] = succ
@@ -210,6 +210,12 @@ class TestRescoreAndSuppress:
         g = build_graph_seqnms(video)
         out = rescore_and_suppress(video, g, "seqnms", 0.45)
         assert sorted(d.score for d in out[0]) == [0.3, 0.9]
+
+    def test_overlap_at_nms_iou_is_not_suppressed(self):
+        video = [[det(0, 0, 0.9, (0, 0, 10, 10)), det(0, 0, 0.8, (0, 0, 10, 5))]]  # IoU exactly 0.5
+        g = build_graph_seqnms(video)
+        assert len(rescore_and_suppress(video, g, "seqnms", 0.5)[0]) == 2
+        assert len(rescore_and_suppress(video, g, "seqnms", 0.4999)[0]) == 1
 
     def test_matches_reference_loop(self):
         rng = np.random.default_rng(71)

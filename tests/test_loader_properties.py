@@ -240,6 +240,25 @@ def test_mutated_weights_file(valid_files, tmp_path_factory, how, data):
     loads_or_names_file(load_weights, path)
 
 
+@pytest.mark.parametrize("block", ["pre_template", "pre_search", "post", "head"])
+@PROPERTY
+@given(data=st.data())
+def test_weights_with_broken_channel_chain(tmp_path_factory, block, data):
+    """One block taken from weights with another channel count: every array
+    is consistent with its own block, but the chain across blocks breaks."""
+    channels, other = data.draw(st.lists(st.integers(1, 4), min_size=2, max_size=2, unique=True))
+    tmp = tmp_path_factory.getbasetemp()
+    for c, name in ((channels, "chain.tensors"), (other, "alien.tensors")):
+        save_weights(synthesize_weights(c, TrackerConfig(), seed=c, shared_head_channels=1,
+                                        share_pre=False), tmp / name)
+    arrays, alien = load_named_arrays(tmp / "chain.tensors"), load_named_arrays(tmp / "alien.tensors")
+    prefix = "head_" if block == "head" else f"{block}."
+    arrays.update((k, v) for k, v in alien.items() if k.startswith(prefix))
+    path = tmp / "broken-chain.tensors"
+    save_named_arrays(arrays, path)
+    loads_or_names_file(load_weights, path, must_fail=True)
+
+
 @pytest.mark.parametrize("how", SPEC_MUTATIONS)
 @PROPERTY
 @given(data=st.data())

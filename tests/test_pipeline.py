@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from oracles import box_iou
 from vodtrack.detections import PROVENANCE_DETECTED, PROVENANCE_TRACKED, Detection
-from vodtrack.geometry import Box, iou
+from vodtrack.geometry import Box
 from vodtrack.pipeline import (
     FrameState,
     PipelineConfig,
@@ -30,7 +31,7 @@ def nms_reference(dets, thresh, key):
         kept.append(dets[best])
         remaining = [
             i for i in remaining
-            if i != best and iou(dets[i].box, dets[best].box) <= thresh
+            if i != best and box_iou(dets[i].box, dets[best].box) <= thresh
         ]
     return kept
 
@@ -80,6 +81,12 @@ class TestNms:
         a = det(0, 0, 0.8, (0, 0, 10, 10))
         b = det(0, 0, 0.8, (1, 1, 11, 11))
         assert nms([a, b], 0.45) == [a]
+        # p and q tie on score and overlap (IoU 2/3); r overlaps only q (IoU 7/13).
+        p = det(0, 0, 0.8, (0, 0, 10, 10))
+        q = det(0, 0, 0.8, (2, 0, 12, 10))
+        r = det(0, 0, 0.5, (5, 0, 15, 10))
+        assert nms([p, q, r], 0.45) == [p, r]
+        assert nms([q, p, r], 0.45) == [q]
 
     def test_matches_definition_oracle(self):
         rng = np.random.default_rng(51)
@@ -94,6 +101,13 @@ class TestNms:
             want = nms_reference(dets, 0.45, key=lambda d: d.score)
             assert got == want
 
+    def test_overlap_at_threshold_is_kept(self):
+        # (0,0,10,10) and (0,0,10,5): intersection 50, union 100, IoU exactly 0.5
+        a = det(0, 0, 0.9, (0, 0, 10, 10))
+        b = det(0, 0, 0.8, (0, 0, 10, 5))
+        assert nms([a, b], 0.5) == [a, b]
+        assert nms([a, b], 0.4999) == [a]
+
     def test_postconditions(self):
         rng = np.random.default_rng(53)
         dets = [
@@ -105,7 +119,7 @@ class TestNms:
         assert set(id(k) for k in kept) <= set(id(d) for d in dets)
         for i, a in enumerate(kept):
             for b in kept[i + 1 :]:
-                assert iou(a.box, b.box) <= 0.4
+                assert box_iou(a.box, b.box) <= 0.4
         top = max(dets, key=lambda d: d.score)
         assert top in kept
 
@@ -144,17 +158,23 @@ class TestFilterTracks:
 
 
 class TestTfdMerge:
+    def test_overlap_at_t_merge_is_dropped(self):
+        tracked = [det(1, 0, 0.9, (0, 0, 10, 10), track=0, provenance=PROVENANCE_TRACKED)]
+        detected = [det(1, 0, 0.95, (0, 0, 10, 5))]  # IoU exactly 0.5
+        assert tfd_merge(tracked, detected, PipelineConfig(t_merge=0.5)) == tracked
+        assert len(tfd_merge(tracked, detected, PipelineConfig(t_merge=0.5001))) == 2
+
     def test_overlapping_detection_discarded(self):
         tracked = [det(1, 0, 0.9, (0, 0, 10, 10), track=0, provenance=PROVENANCE_TRACKED)]
         detected = [det(1, 0, 0.95, (1, 1, 10.5, 10.5))]
-        assert iou(tracked[0].box, detected[0].box) > 0.7
+        assert box_iou(tracked[0].box, detected[0].box) > 0.7
         merged = tfd_merge(tracked, detected, PipelineConfig())
         assert merged == tracked
 
     def test_moderate_overlap_keeps_both(self):
         tracked = [det(1, 0, 0.9, (0, 0, 10, 10), track=0, provenance=PROVENANCE_TRACKED)]
         detected = [det(1, 1, 0.95, (4, 0, 14, 10))]
-        assert 0.3 < iou(tracked[0].box, detected[0].box) < 0.7
+        assert 0.3 < box_iou(tracked[0].box, detected[0].box) < 0.7
         merged = tfd_merge(tracked, detected, PipelineConfig(), id_start=5)
         assert len(merged) == 2
         assert merged[1].track == 5
@@ -184,7 +204,7 @@ class TestTfdMerge:
         want = {
             d.box.corners()
             for d in detected
-            if max((iou(d.box, t.box) for t in tracked), default=0.0) < cfg.t_merge
+            if max((box_iou(d.box, t.box) for t in tracked), default=0.0) < cfg.t_merge
         }
         assert kept_boxes == want
 
@@ -226,7 +246,7 @@ class TestStep:
             for d in frame:
                 best, best_iou = None, 0.5
                 for g in gt.frames[t]:
-                    v = iou(d.box, g.box)
+                    v = box_iou(d.box, g.box)
                     if v >= best_iou:
                         best, best_iou = g, v
                 assert best is not None

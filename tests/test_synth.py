@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
+from oracles import box_iou
 from vodtrack.evalio import save_detections
-from vodtrack.geometry import iou
 from vodtrack.synth import (
     DetectorNoise,
     ObjectSpec,
@@ -121,7 +121,7 @@ class TestGenerate:
                 gt, dets = generate(spec)
                 for gf, df in zip(gt.frames, dets.frames):
                     for g, d in zip(gf, df):
-                        vals.append(iou(g.box, d.box))
+                        vals.append(box_iou(g.box, d.box))
             means.append(np.mean(vals))
         for a, b in zip(means, means[1:]):
             assert b < a
@@ -217,7 +217,7 @@ class TestPresets:
         for obj_id in range(len(spec.objects)):
             boxes = {d.frame: d.box for f in gt.frames for d in f if d.track == obj_id}
             pairs = [(boxes[t], boxes[t + 1]) for t in boxes if t + 1 in boxes]
-            if pairs and all(iou(a, b) == 0.0 for a, b in pairs):
+            if pairs and all(box_iou(a, b) == 0.0 for a, b in pairs):
                 found = True
         assert found
 

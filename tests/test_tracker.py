@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 
 from oracles import (
+    box_iou,
     naive_conv2d,
     naive_conv_block,
     naive_depthwise_correlate,
     oversampled_roi_align,
 )
 from vodtrack.detections import Detection
-from vodtrack.geometry import Box, iou
+from vodtrack.geometry import Box
 from vodtrack.evalio import VideoDetectionSet
 from vodtrack.tensor_ops import FeaturePyramid
 from vodtrack.tracker import (
@@ -298,6 +299,26 @@ class TestOracleTrack:
             n_frames=3,
         )
 
+    def test_equal_overlap_matches_last_object(self):
+        # Two objects share the frame-0 box, so the box overlaps both exactly
+        # as much; the later object in the frame wins.
+        first, second = Box(2, 1, 12, 11), Box(50, 50, 60, 60)
+        gt = make_gt([({0: Box(0, 0, 10, 10), 1: first}, 0), ({0: Box(0, 0, 10, 10), 1: second}, 0)],
+                     n_frames=2)
+        (pred,) = oracle_track([Detection(0, 0, 0.9, Box(0, 0, 10, 10))], gt, NoiseParams(), seed=0)
+        assert pred.predicted_box == second
+        swapped = make_gt([({0: Box(0, 0, 10, 10), 1: second}, 0), ({0: Box(0, 0, 10, 10), 1: first}, 0)],
+                          n_frames=2)
+        (pred,) = oracle_track([Detection(0, 0, 0.9, Box(0, 0, 10, 10))], swapped, NoiseParams(), seed=0)
+        assert pred.predicted_box == first
+
+    def test_overlap_at_match_floor_matches(self):
+        at_floor = Detection(0, 0, 0.9, Box(0, 0, 10, 5))  # IoU exactly 0.5 with object 0
+        below = Detection(0, 0, 0.9, Box(0, 0, 10, 4.999))
+        hit, miss = oracle_track([at_floor, below], self.gt, NoiseParams(), seed=0)
+        assert hit.predicted_box == Box(2, 1, 12, 11) and hit.quality == 1.0
+        assert miss.predicted_box == below.box and miss.quality < 0.5
+
     def test_zero_noise_exact(self):
         det = Detection(0, 0, 0.9, Box(0.2, 0.1, 10.1, 10.2))
         (pred,) = oracle_track([det], self.gt, NoiseParams(), seed=0)
@@ -342,7 +363,7 @@ class TestOracleTrack:
         det = Detection(0, 0, 0.9, Box(0, 0, 10, 10))
         (pred,) = oracle_track([det], self.gt, NoiseParams(center_sigma=2.0), seed=5)
         assert 0.0 <= pred.quality < 1.0
-        assert pred.quality == iou(pred.predicted_box, Box(2, 1, 12, 11))
+        assert pred.quality == box_iou(pred.predicted_box, Box(2, 1, 12, 11))
 
     def test_track_fn_factory(self):
         fn = make_oracle_track_fn(self.gt, NoiseParams(), seed=0)
