@@ -209,8 +209,7 @@ def cmd_track(args, argv) -> int:
             raise ValueError("provide --weights and --features-dir, or --oracle")
         weights = load_weights(args.weights)
         cfg = TrackerConfig(
-            k=args.k, template_pool=args.template_pool, search_pool=args.search_pool,
-            fuse_stride=args.fuse_stride,
+            template_pool=args.template_pool, search_pool=args.search_pool, fuse_stride=args.fuse_stride,
         )
         feat_dir = Path(args.features_dir)
 
@@ -290,7 +289,7 @@ def cmd_link(args, argv) -> int:
         else:
             aligned = align_predictions(vds, preds_by_video.get(vds.video, {}))
             graph = build_graph_seqtrack(video, aligned, args.link_iou)
-        rescored = rescore_and_suppress(video, graph, args.mode, args.nms_iou)
+        rescored = rescore_and_suppress(video, graph, args.nms_iou)
         out_sets.append(VideoDetectionSet(vds.video, rescored))
     timings["link"] = time.perf_counter() - t0
     save_detections(out_sets, args.out)
@@ -342,7 +341,7 @@ def run_variant(spec, variant: str, cfg: PipelineConfig, noise: NoiseParams,
     elif variant == "seqnms":
         strong = [[d for d in f if d.score >= cfg.final_score_min] for f in frames]
         graph = build_graph_seqnms(strong, link_iou)
-        final = rescore_and_suppress(strong, graph, "seqnms", cfg.final_nms_iou)
+        final = rescore_and_suppress(strong, graph, cfg.final_nms_iou)
     else:
         track_fn = make_oracle_track_fn(gt, noise, oracle_seed)
         merged, preds = run_video(frames, track_fn, cfg)
@@ -350,12 +349,11 @@ def run_variant(spec, variant: str, cfg: PipelineConfig, noise: NoiseParams,
         artifacts["preds"] = preds
         if variant == "tfd+seqnms":
             graph = build_graph_seqnms(merged, link_iou)
-            final = rescore_and_suppress(merged, graph, "seqnms", cfg.final_nms_iou)
         elif variant == "tfd+seqtracknms":
             graph = build_graph_seqtrack(merged, preds, link_iou)
-            final = rescore_and_suppress(merged, graph, "seqtrack", cfg.final_nms_iou)
         else:
             raise ValueError(f"unknown variant {variant!r}")
+        final = rescore_and_suppress(merged, graph, cfg.final_nms_iou)
     artifacts["final"] = VideoDetectionSet(spec.video, final)
     timings["variant"] = time.perf_counter() - t0
 
@@ -460,7 +458,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dets", required=True)
     p.add_argument("--weights", help="tracker weights container")
     p.add_argument("--features-dir", help="directory of frame_<n>.feat pyramids")
-    p.add_argument("--k", type=float, default=3.0)
     p.add_argument("--template-pool", type=int, default=7)
     p.add_argument("--search-pool", type=int, default=21)
     p.add_argument("--fuse-stride", type=int)

@@ -18,7 +18,8 @@ Prediction files are JSON lines, one object per track prediction::
 detection record without ``video``: it is written and read by the same
 code as a detection file's lines. Every loader rejects a malformed line
 with a ``ValueError`` naming ``path:line``; a detection frame index above
-``MAX_FRAME_INDEX`` counts as malformed.
+``MAX_FRAME_INDEX`` and a box corner beyond ``geometry.MAX_COORDINATE``
+count as malformed.
 
 Feature pyramids and named weight tensors use the same binary layout: a
 single UTF-8 JSON header line declaring shapes and element width, followed
@@ -38,7 +39,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .detections import PROVENANCE_DETECTED, PROVENANCE_TRACKED, Detection
-from .geometry import Box, iou
+from .geometry import MAX_COORDINATE, Box, iou
 from .tensor_ops import FeaturePyramid
 
 __all__ = [
@@ -135,6 +136,8 @@ def _box(obj: dict) -> Box:
     corners = _value(obj, "box", "a list")
     if len(corners) != 4 or not set(map(type, corners)) <= _JSON_TYPES["a number"]:
         raise ValueError(f"'box' must be a list of 4 numbers, got {corners!r}")
+    if not all(abs(v) <= MAX_COORDINATE for v in corners):
+        raise ValueError(f"'box' corners must lie within ±2**53, got {corners!r}")
     return Box(*map(float, corners))
 
 

@@ -22,7 +22,13 @@ from typing import Sequence
 
 import numpy as np
 
-__all__ = ["Box", "RegressionDelta", "iou", "encode", "decode", "expand"]
+__all__ = ["MAX_COORDINATE", "Box", "RegressionDelta", "iou", "encode", "decode", "expand"]
+
+# Largest box coordinate magnitude, in pixels, that loaded and generated boxes
+# may reach. Past 2**53 a float64 no longer resolves one pixel; inside it the
+# extent, area and overlap of a box, and the generator's and the renderer's
+# sums, products and squares of coordinates, stay finite.
+MAX_COORDINATE = 2.0**53
 
 
 @dataclass(frozen=True)

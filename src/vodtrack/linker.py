@@ -38,12 +38,11 @@ class LinkGraph:
     """Per-frame node lists with directed edges between consecutive frames only.
 
     ``edges[t]`` maps a node index in frame ``t`` to its successor indices
-    in frame ``t+1``. ``constraint`` records which predicate built the graph.
+    in frame ``t+1``.
     """
 
     nodes: tuple[tuple[int, ...], ...]
     edges: tuple[dict[int, tuple[int, ...]], ...]
-    constraint: str
 
     def __post_init__(self) -> None:
         if len(self.edges) != max(len(self.nodes) - 1, 0):
@@ -96,14 +95,14 @@ def _row_table(hits: np.ndarray) -> dict[int, tuple[int, ...]]:
     return {i: tuple(js) for i, js in table.items()}
 
 
-def _build_graph(video: Sequence[Sequence[Detection]], probes, link_iou: float, constraint: str) -> LinkGraph:
+def _build_graph(video: Sequence[Sequence[Detection]], probes, link_iou: float) -> LinkGraph:
     """``probes[t]`` holds, aligned with ``video[t]``, the boxes tested against frame ``t+1``."""
     nodes = tuple(tuple(range(len(frame))) for frame in video)
     edges = tuple(
         _row_table(_overlaps_above(video[t], probes[t], video[t + 1], [d.box for d in video[t + 1]], link_iou))
         for t in range(len(video) - 1)
     )
-    return LinkGraph(nodes=nodes, edges=edges, constraint=constraint)
+    return LinkGraph(nodes=nodes, edges=edges)
 
 
 def build_graph_seqnms(
@@ -114,7 +113,7 @@ def build_graph_seqnms(
     An edge requires the same class and strictly more than ``link_iou``
     overlap between the frame-``t`` box and the frame-``t+1`` box.
     """
-    return _build_graph(video, [[d.box for d in frame] for frame in video], link_iou, "seqnms")
+    return _build_graph(video, [[d.box for d in frame] for frame in video], link_iou)
 
 
 def build_graph_seqtrack(
@@ -136,7 +135,7 @@ def build_graph_seqtrack(
                 f"frame {t}: {len(preds[t])} predictions for {len(video[t])} detections"
             )
     probes = [[p.predicted_box for p in frame] for frame in preds[: max(n - 1, 0)]]
-    return _build_graph(video, probes, link_iou, "seqtrack")
+    return _build_graph(video, probes, link_iou)
 
 
 def best_path(
@@ -156,33 +155,34 @@ def best_path(
     if alive is None:
         alive = [set(frame) for frame in graph.nodes]
 
-    # chains[t][i] = (total, start_frame, path) of the best chain ending at (t, i)
-    chains: list[dict[int, tuple[float, int, tuple[int, ...]]]] = []
+    # prev[i] = (total, start_frame, path) of the best chain ending at node i
+    # of the previous frame, filled in ascending i.
+    prev: dict[int, tuple[float, int, tuple[int, ...]]] = {}
     best: tuple[float, int, tuple[int, ...]] | None = None
 
     def key(c):
         return (-c[0], c[1], c[2])
 
     for t in range(graph.n_frames):
-        current: dict[int, tuple[float, int, tuple[int, ...]]] = {}
+        # Predecessors of each node, in ascending order because prev is.
         incoming: dict[int, list[int]] = {}
-        if t > 0:
-            for i in chains[t - 1]:
-                for j in graph.edges[t - 1].get(i, ()):
-                    if j in alive[t]:
-                        incoming.setdefault(j, []).append(i)
+        for i in prev:
+            for j in graph.edges[t - 1].get(i, ()):
+                if j in alive[t]:
+                    incoming.setdefault(j, []).append(i)
+        current: dict[int, tuple[float, int, tuple[int, ...]]] = {}
         for j in sorted(alive[t]):
             s = scores[t][j]
             cand = (s, t, (j,))
-            for i in sorted(incoming.get(j, ())):
-                total, start, path = chains[t - 1][i]
+            for i in incoming.get(j, ()):
+                total, start, path = prev[i]
                 ext = (total + s, start, path + (j,))
                 if key(ext) < key(cand):
                     cand = ext
             current[j] = cand
             if best is None or key(cand) < key(best):
                 best = cand
-        chains.append(current)
+        prev = current
 
     if best is None:
         return None
@@ -194,7 +194,6 @@ def best_path(
 def rescore_and_suppress(
     video: Sequence[Sequence[Detection]],
     graph: LinkGraph,
-    mode: str,
     nms_iou: float = 0.45,
 ) -> list[list[Detection]]:
     """Extract tubelets best-first, average their scores, suppress around members.
@@ -204,10 +203,6 @@ def rescore_and_suppress(
     frame). Emits the surviving detections in original frame order with
     their re-scored values; geometry is never modified.
     """
-    if mode not in ("seqnms", "seqtrack"):
-        raise ValueError(f"mode must be 'seqnms' or 'seqtrack', got {mode!r}")
-    if graph.constraint != mode:
-        raise ValueError(f"graph was built with {graph.constraint!r}, not {mode!r}")
     if len(video) != graph.n_frames:
         raise ValueError("video and graph frame counts differ")
 

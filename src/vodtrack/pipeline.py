@@ -1,15 +1,15 @@
 """Per-frame fusion of detector output and tracked boxes (tracking-first merge).
 
-Each step tracks the previous frame's emitted objects into the current
-frame, keeps the confident tracks, and admits a new detection only where it
-does not collide with a tracked box. Tracked boxes win collisions because
-the tracker localizes a known object better than a fresh detection ranked
-by class score alone.
+For each frame, :func:`run_video` tracks the previous frame's emitted
+objects into the frame, keeps the confident tracks, and admits a new
+detection only where it does not collide with a tracked box. Tracked boxes
+win collisions because the tracker localizes a known object better than a
+fresh detection ranked by class score alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -20,11 +20,9 @@ from .tracker import TrackPrediction
 
 __all__ = [
     "PipelineConfig",
-    "FrameState",
     "nms",
     "filter_tracks",
     "tfd_merge",
-    "step",
     "run_video",
     "final_detections",
 ]
@@ -75,35 +73,6 @@ class PipelineConfig:
                 except ValueError as exc:
                     raise ValueError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
         return cls(**values)
-
-
-@dataclass(frozen=True)
-class FrameState:
-    """Emitted detections of one processed frame plus the track id allocator.
-
-    ``preds_from_prev`` records the track predictions (aligned with the
-    previous state's emitted list) that produced this frame, for downstream
-    linking.
-    """
-
-    frame: int
-    emitted: tuple[Detection, ...]
-    next_track_id: int
-    preds_from_prev: tuple[TrackPrediction, ...] = field(default=())
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "emitted", tuple(self.emitted))
-        object.__setattr__(self, "preds_from_prev", tuple(self.preds_from_prev))
-        ids = [d.track for d in self.emitted if d.track is not None]
-        if len(ids) != len(set(ids)):
-            raise ValueError(f"duplicate track ids in frame {self.frame}: {sorted(ids)}")
-        for d in self.emitted:
-            if d.provenance not in (PROVENANCE_DETECTED, PROVENANCE_TRACKED):
-                raise ValueError(f"emitted detection without provenance: {d}")
-
-    @classmethod
-    def empty(cls) -> "FrameState":
-        return cls(frame=-1, emitted=(), next_track_id=0)
 
 
 def nms(dets: Sequence, iou_thresh: float, key: Callable | None = None, *, box: Callable | None = None) -> list:
@@ -192,57 +161,44 @@ def tfd_merge(
     return merged
 
 
-def step(
-    state: FrameState,
-    detections_t1: Sequence[Detection],
-    track_fn: Callable[[list[Detection]], list[TrackPrediction]],
-    cfg: PipelineConfig,
-) -> FrameState:
-    """Advance the merge pipeline by one frame.
-
-    The previous frame's emitted detections (score-gated) are tracked into
-    this frame, filtered, and merged with this frame's score-gated detector
-    output.
-    """
-    frame = detections_t1[0].frame if detections_t1 else state.frame + 1
-    candidates = [d for d in state.emitted if d.score >= cfg.detect_to_track_score]
-    preds = track_fn(candidates)
-    if len(preds) != len(candidates):
-        raise ValueError(
-            f"tracker returned {len(preds)} predictions for {len(candidates)} boxes"
-        )
-    tracked = filter_tracks(preds, cfg, frame=frame)
-    detected = [d for d in detections_t1 if d.score >= cfg.detect_to_track_score]
-    merged = tfd_merge(tracked, detected, cfg, id_start=state.next_track_id)
-    top_id = max((d.track for d in merged if d.track is not None), default=state.next_track_id - 1)
-    return FrameState(
-        frame=frame,
-        emitted=tuple(merged),
-        next_track_id=max(state.next_track_id, top_id + 1),
-        preds_from_prev=tuple(preds),
-    )
-
-
 def run_video(
     frames: Sequence[Sequence[Detection]],
     track_fn: Callable[[list[Detection]], list[TrackPrediction]],
     cfg: PipelineConfig,
 ) -> tuple[list[list[Detection]], list[list[TrackPrediction]]]:
-    """Run :func:`step` over a whole video.
+    """Run the tracking-first merge over a whole video, frame by frame.
+
+    ``frames[t]`` holds frame ``t``'s detections. The previous frame's
+    emitted detections (score-gated) are tracked into frame ``t``, filtered,
+    and merged with frame ``t``'s score-gated detector output; admitted
+    detections take fresh track ids, counting up from 0 over the video.
 
     Returns the per-frame merged detections and, aligned with each merged
     frame, the track predictions made from it (empty for the last frame).
     Predictions align index for index with the merged lists because every
     emitted detection passes the tracking score gate by construction.
     """
-    state = FrameState.empty()
+    emitted: list[Detection] = []
+    next_id = 0
     merged: list[list[Detection]] = []
     preds: list[list[TrackPrediction]] = []
-    for dets in frames:
-        state = step(state, list(dets), track_fn, cfg)
-        if merged:
-            preds.append(list(state.preds_from_prev))
-        merged.append(list(state.emitted))
+    for t, dets in enumerate(frames):
+        candidates = [d for d in emitted if d.score >= cfg.detect_to_track_score]
+        frame_preds = track_fn(candidates)
+        if len(frame_preds) != len(candidates):
+            raise ValueError(
+                f"tracker returned {len(frame_preds)} predictions for {len(candidates)} boxes"
+            )
+        tracked = filter_tracks(frame_preds, cfg, frame=t)
+        detected = [d for d in dets if d.score >= cfg.detect_to_track_score]
+        emitted = tfd_merge(tracked, detected, cfg, id_start=next_id)
+        next_id += len(emitted) - len(tracked)
+        ids = [d.track for d in emitted if d.track is not None]
+        if len(ids) != len(set(ids)):
+            raise ValueError(f"duplicate track ids in frame {t}: {sorted(ids)}")
+        if t > 0:
+            preds.append(frame_preds)
+        merged.append(emitted)
     preds.append([])
     return merged, preds
 

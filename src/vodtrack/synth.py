@@ -24,7 +24,7 @@ import numpy as np
 
 from .detections import PROVENANCE_DETECTED, Detection
 from .evalio import MAX_FRAME_INDEX, VideoDetectionSet
-from .geometry import Box
+from .geometry import MAX_COORDINATE, Box
 from .tensor_ops import FeaturePyramid
 
 __all__ = [
@@ -38,12 +38,6 @@ __all__ = [
     "load_scenario",
     "PRESETS",
 ]
-
-
-# Largest box coordinate magnitude, in pixels, an object may reach. Past 2**53
-# a float64 no longer resolves one pixel; inside it the generator's and the
-# renderer's sums, products and squares of coordinates stay finite.
-MAX_COORDINATE = 2.0**53
 
 
 @dataclass(frozen=True)

@@ -52,25 +52,27 @@ __all__ = [
 class TrackerConfig:
     """Pooling geometry of the tracker head.
 
-    ``search_pool`` must equal ``k * template_pool`` so template and search
-    features share one object-relative scale.
+    The search box is the object box expanded ``k = search_pool /
+    template_pool`` times, so template and search features share one
+    object-relative scale.
     """
 
-    k: float = 3.0
     template_pool: int = 7
     search_pool: int = 21
     fuse_stride: int | None = None
 
     def __post_init__(self) -> None:
-        if self.k < 1.0:
-            raise ValueError(f"search expansion k must be >= 1, got {self.k}")
         if self.template_pool < 1 or self.search_pool < 1:
             raise ValueError("pool sizes must be positive")
-        if abs(self.search_pool - self.k * self.template_pool) > 1e-9:
+        if self.search_pool < self.template_pool:
             raise ValueError(
-                f"search_pool ({self.search_pool}) must equal k * template_pool "
-                f"({self.k} * {self.template_pool})"
+                f"search_pool ({self.search_pool}) must be at least template_pool ({self.template_pool})"
             )
+
+    @property
+    def k(self) -> float:
+        """Search expansion factor."""
+        return self.search_pool / self.template_pool
 
     @property
     def corr_size(self) -> int:

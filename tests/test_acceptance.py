@@ -80,7 +80,7 @@ def test_criterion_1_linker_oracle_equivalence():
             assert got.path_score == want_score
             assert list(got.members) == want_path
 
-        rescored = rescore_and_suppress(video, graph, "seqnms", 0.45)
+        rescored = rescore_and_suppress(video, graph, 0.45)
         ref = reference_rescore(
             [[(d.class_id, d.score, d.box.corners()) for d in f] for f in video],
             edges,

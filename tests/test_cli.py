@@ -286,6 +286,17 @@ class TestTfdAndLink:
         (merged_set,) = load_detections(merged)
         assert any(d.provenance == "tracked" for f in merged_set.frames for d in f)
 
+    def test_link_rejects_overflowing_box_naming_the_file(self, tmp_path, capsys):
+        # Two identical boxes whose width overflows: loaded, their overlap
+        # would be NaN and suppression would keep both.
+        line = json.dumps({"video": "v", "frame": 0, "class": 0, "score": 0.9,
+                           "box": [-1e308, 0, 1e308, 10], "track": None, "provenance": None})
+        dets = tmp_path / "dets.jsonl"
+        dets.write_text(line + "\n" + line + "\n")
+        rc = run_cli("link", "--dets", dets, "--mode", "seqnms", "--out", tmp_path / "x.jsonl")
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error [link]: {dets}:1: invalid detection record: ")
+
     def test_seqtrack_requires_preds(self, clean_files, tmp_path, capsys):
         _, dets = clean_files
         rc = run_cli("link", "--dets", dets, "--mode", "seqtrack",

@@ -18,7 +18,7 @@ from vodtrack.evalio import (
     save_named_arrays,
     save_predictions,
 )
-from vodtrack.geometry import Box
+from vodtrack.geometry import MAX_COORDINATE, Box
 from vodtrack.tensor_ops import FeaturePyramid
 from vodtrack.tracker import TrackPrediction
 
@@ -127,6 +127,14 @@ class TestPredictionFiles:
         with pytest.raises(ValueError, match="do not cover"):
             align_predictions(vds, load_predictions(p)["v0"])
 
+    def test_predicted_box_beyond_bound_rejected(self, tmp_path):
+        record = json.loads(record_line("predictions"))
+        record["box"] = [0, 0, 2 * MAX_COORDINATE, 5]
+        p = tmp_path / "preds.jsonl"
+        p.write_text(json.dumps(record) + "\n")
+        with pytest.raises(ValueError, match=r"preds\.jsonl:1: invalid prediction record: 'box' corners"):
+            load_predictions(p)
+
     def test_source_is_a_detection_record_without_video(self, tmp_path):
         src = det(3, 1, 0.9, (0.5, 0, 10, 10.25), track=4, provenance="tracked")
         dets, preds = tmp_path / "dets.jsonl", tmp_path / "preds.jsonl"
@@ -184,6 +192,17 @@ class TestRecordValidation:
     def test_frame_at_bound_loads(self, tmp_path, kind):
         p = tmp_path / "ok.jsonl"
         p.write_text(record_line(kind, frame=MAX_FRAME_INDEX) + "\n")
+        RECORD_LOADERS[kind](p)
+
+    def test_box_corner_beyond_bound(self, tmp_path, kind):
+        # The extent of this box overflows to inf, and its overlap with an
+        # identical box would be NaN.
+        message = self.reject_second_line(tmp_path, kind, record_line(kind, box=[-1e308, 0, 1e308, 10]))
+        assert f"invalid {kind[:-1]} record: 'box' corners must lie within ±2**53" in message
+
+    def test_box_corner_at_bound_loads(self, tmp_path, kind):
+        p = tmp_path / "ok.jsonl"
+        p.write_text(record_line(kind, box=[-MAX_COORDINATE, 0, MAX_COORDINATE, 10]) + "\n")
         RECORD_LOADERS[kind](p)
 
     def test_unknown_provenance(self, tmp_path, kind):

@@ -66,7 +66,6 @@ class TestBuildGraphSeqnms:
         g = build_graph_seqnms(video)
         assert box_iou(video[0][0].box, video[1][0].box) == pytest.approx(0.680672, abs=1e-5)
         assert g.edges[0] == {0: (0,)}
-        assert g.constraint == "seqnms"
 
     def test_class_gate(self):
         video = [[det(0, 0, 0.9, (0, 0, 10, 10))], [det(1, 1, 0.8, (1, 1, 11, 11))]]
@@ -96,7 +95,6 @@ class TestBuildGraphSeqtrack:
         preds = [[TrackPrediction(b_t, b_t1.box, 0.9)], []]
         g = build_graph_seqtrack(video, preds)
         assert g.edges[0] == {0: (0,)}
-        assert g.constraint == "seqtrack"
 
     def test_identity_predictions_reduce_to_seqnms(self):
         rng = np.random.default_rng(63)
@@ -194,7 +192,7 @@ class TestBestPath:
 class TestRescoreAndSuppress:
     def test_spec_worked_example(self):
         g = build_graph_seqnms(SPEC_VIDEO)
-        out = rescore_and_suppress(SPEC_VIDEO, g, "seqnms", 0.45)
+        out = rescore_and_suppress(SPEC_VIDEO, g, 0.45)
         flat = {
             (t, d.box.corners()): d.score for t, frame in enumerate(out) for d in frame
         }
@@ -208,21 +206,21 @@ class TestRescoreAndSuppress:
     def test_single_frame_scores_unchanged(self):
         video = [[det(0, 0, 0.3, (0, 0, 10, 10)), det(0, 1, 0.9, (40, 40, 50, 50))]]
         g = build_graph_seqnms(video)
-        out = rescore_and_suppress(video, g, "seqnms", 0.45)
+        out = rescore_and_suppress(video, g, 0.45)
         assert sorted(d.score for d in out[0]) == [0.3, 0.9]
 
     def test_overlap_at_nms_iou_is_not_suppressed(self):
         video = [[det(0, 0, 0.9, (0, 0, 10, 10)), det(0, 0, 0.8, (0, 0, 10, 5))]]  # IoU exactly 0.5
         g = build_graph_seqnms(video)
-        assert len(rescore_and_suppress(video, g, "seqnms", 0.5)[0]) == 2
-        assert len(rescore_and_suppress(video, g, "seqnms", 0.4999)[0]) == 1
+        assert len(rescore_and_suppress(video, g, 0.5)[0]) == 2
+        assert len(rescore_and_suppress(video, g, 0.4999)[0]) == 1
 
     def test_matches_reference_loop(self):
         rng = np.random.default_rng(71)
         for _ in range(30):
             video = random_video(rng, max_frames=4, max_boxes=4)
             g = build_graph_seqnms(video)
-            got = rescore_and_suppress(video, g, "seqnms", 0.45)
+            got = rescore_and_suppress(video, g, 0.45)
             ref = reference_rescore(
                 [[(d.class_id, d.score, d.box.corners()) for d in f] for f in video],
                 graph_edge_dict(g),
@@ -249,7 +247,7 @@ class TestRescoreAndSuppress:
         for _ in range(20):
             video = random_video(rng)
             g = build_graph_seqnms(video)
-            out = rescore_and_suppress(video, g, "seqnms", 0.45)
+            out = rescore_and_suppress(video, g, 0.45)
             all_scores = [d.score for f in video for d in f]
             if not all_scores:
                 continue
@@ -262,17 +260,12 @@ class TestRescoreAndSuppress:
         rng = np.random.default_rng(79)
         video = random_video(rng, max_frames=5, max_boxes=5)
         g = build_graph_seqnms(video)
-        out = rescore_and_suppress(video, g, "seqnms", 0.45)
+        out = rescore_and_suppress(video, g, 0.45)
         assert sum(len(f) for f in out) <= sum(len(f) for f in video)
         originals = {(t, d.box.corners()) for t, f in enumerate(video) for d in f}
         for t, frame in enumerate(out):
             for d in frame:
                 assert (t, d.box.corners()) in originals
-
-    def test_mode_mismatch_rejected(self):
-        g = build_graph_seqnms(SPEC_VIDEO)
-        with pytest.raises(ValueError, match="built with"):
-            rescore_and_suppress(SPEC_VIDEO, g, "seqtrack", 0.45)
 
 
 class TestTypes:
@@ -284,4 +277,4 @@ class TestTypes:
 
     def test_graph_validates_edges(self):
         with pytest.raises(ValueError, match="unknown node"):
-            LinkGraph(nodes=((0,), (0,)), edges=({5: (0,)},), constraint="seqnms")
+            LinkGraph(nodes=((0,), (0,)), edges=({5: (0,)},))

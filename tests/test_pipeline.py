@@ -5,13 +5,11 @@ from oracles import box_iou
 from vodtrack.detections import PROVENANCE_DETECTED, PROVENANCE_TRACKED, Detection
 from vodtrack.geometry import Box
 from vodtrack.pipeline import (
-    FrameState,
     PipelineConfig,
     filter_tracks,
     final_detections,
     nms,
     run_video,
-    step,
     tfd_merge,
 )
 from vodtrack.synth import generate, preset_scenario
@@ -210,14 +208,22 @@ class TestTfdMerge:
 
 
 class TestStep:
+    """The per-frame step of :func:`run_video`."""
+
     def test_first_frame_emits_thresholded_detections(self):
         cfg = PipelineConfig()
         dets = [det(0, 0, 0.5, (0, 0, 10, 10)), det(0, 1, 0.01, (20, 20, 30, 30))]
-        state = step(FrameState.empty(), dets, lambda boxes: [], cfg)
-        assert len(state.emitted) == 1
-        assert state.emitted[0].track == 0
-        assert state.emitted[0].provenance == PROVENANCE_DETECTED
-        assert state.next_track_id == 1
+        later = [det(1, 0, 0.5, (40, 40, 50, 50))]
+
+        def dead_tracker(boxes):
+            return [TrackPrediction(b, b.box, 0.0) for b in boxes]
+
+        merged, _ = run_video([dets, later], dead_tracker, cfg)
+        assert len(merged[0]) == 1
+        assert merged[0][0].track == 0
+        assert merged[0][0].provenance == PROVENANCE_DETECTED
+        # The next admitted detection takes the next id.
+        assert [d.track for d in merged[1]] == [1]
 
     def test_zero_quality_tracker_degenerates_to_detection(self):
         cfg = PipelineConfig()
@@ -278,23 +284,23 @@ class TestStep:
                 assert d.provenance in (PROVENANCE_DETECTED, PROVENANCE_TRACKED)
 
     def test_tracker_length_mismatch_rejected(self):
-        cfg = PipelineConfig()
-        state = step(FrameState.empty(), [det(0, 0, 0.9, (0, 0, 10, 10))], lambda b: [], cfg)
+        frames = [[det(0, 0, 0.9, (0, 0, 10, 10))], [det(1, 0, 0.9, (0, 0, 10, 10))]]
         with pytest.raises(ValueError, match="tracker returned"):
-            step(state, [det(1, 0, 0.9, (0, 0, 10, 10))], lambda b: [], cfg)
+            run_video(frames, lambda b: [], PipelineConfig())
 
-
-class TestFrameState:
     def test_duplicate_ids_rejected(self):
-        d1 = det(0, 0, 0.9, (0, 0, 10, 10), track=1, provenance=PROVENANCE_DETECTED)
-        d2 = det(0, 0, 0.8, (20, 20, 30, 30), track=1, provenance=PROVENANCE_DETECTED)
-        with pytest.raises(ValueError, match="duplicate track ids"):
-            FrameState(frame=0, emitted=(d1, d2), next_track_id=2)
+        frames = [[det(0, 0, 0.9, (0, 0, 10, 10)), det(0, 0, 0.8, (20, 20, 30, 30))], []]
 
-    def test_provenance_required(self):
-        d = det(0, 0, 0.9, (0, 0, 10, 10), track=1)
-        with pytest.raises(ValueError, match="provenance"):
-            FrameState(frame=0, emitted=(d,), next_track_id=2)
+        def twin_tracker(boxes):
+            # Both predictions come from the first source, at boxes that do
+            # not overlap, so both survive suppression with one track id.
+            if not boxes:
+                return []
+            return [TrackPrediction(boxes[0], Box(0, 0, 10, 10), 1.0),
+                    TrackPrediction(boxes[0], Box(50, 50, 60, 60), 1.0)]
+
+        with pytest.raises(ValueError, match="duplicate track ids in frame 1"):
+            run_video(frames, twin_tracker, PipelineConfig())
 
 
 class TestFinalDetections:

@@ -31,7 +31,7 @@ from vodtrack.tracker import (
     track,
 )
 
-SMALL_CFG = TrackerConfig(k=3, template_pool=3, search_pool=9)
+SMALL_CFG = TrackerConfig(template_pool=3, search_pool=9)
 
 
 def small_weights(seed=11, channels=2):
@@ -62,10 +62,8 @@ class TestConfig:
         assert cfg.corr_size == 15
 
     def test_pool_consistency_enforced(self):
-        with pytest.raises(ValueError, match="search_pool"):
-            TrackerConfig(k=3, template_pool=7, search_pool=20)
-        with pytest.raises(ValueError, match=">= 1"):
-            TrackerConfig(k=0.5, template_pool=7, search_pool=4)
+        with pytest.raises(ValueError, match="at least template_pool"):
+            TrackerConfig(template_pool=7, search_pool=4)
 
 
 class TestTrack:
@@ -178,7 +176,7 @@ class TestTrack:
     def test_translation_equivariance_one_cell(self):
         # Shift the next-frame pattern by one stride unit: the correlation map
         # shifts by exactly one cell (bit-exact on integer-aligned boxes).
-        cfg = TrackerConfig(k=3, template_pool=7, search_pool=21)
+        cfg = TrackerConfig(template_pool=7, search_pool=21)
         w = synthesize_weights(1, cfg, seed=3, shared_head_channels=4)
         base = np.zeros((1, 40, 40))
         base[0, 18:25, 16:23] = np.random.default_rng(8).random((7, 7)) + 1.0
@@ -227,7 +225,7 @@ class TestTrack:
         assert [key(p) for p in permuted] == [together[i] for i in order]
 
     def test_fused_pyramid_gives_the_same_predictions(self):
-        cfg = TrackerConfig(k=3, template_pool=3, search_pool=9)
+        cfg = TrackerConfig(template_pool=3, search_pool=9)
         w = synthesize_weights(4, cfg, seed=19, shared_head_channels=5)
         rng = np.random.default_rng(23)
 
