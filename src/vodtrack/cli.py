@@ -211,6 +211,10 @@ def cmd_track(args, argv) -> int:
         cfg = TrackerConfig(
             template_pool=args.template_pool, search_pool=args.search_pool, fuse_stride=args.fuse_stride,
         )
+        n_flat = weights.head_kernel.shape[0] * cfg.corr_size ** 2
+        if weights.box_weight.shape[1] != n_flat:
+            raise ValueError(f"{args.weights}: FC heads take {weights.box_weight.shape[1]} values, but --template-pool "
+                             f"{cfg.template_pool} and --search-pool {cfg.search_pool} give {n_flat}")
         feat_dir = Path(args.features_dir)
 
         def pyramid(t: int):

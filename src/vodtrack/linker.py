@@ -3,16 +3,20 @@
 Detections in consecutive frames are linked into a graph under an overlap
 constraint; maximum-score paths (tubelets) are extracted one by one, each
 member is re-scored to the tubelet's mean score, and overlapping same-class
-detections are suppressed around every member. The two graph constraints
-differ in which box represents frame ``t`` when testing overlap against
-frame ``t+1``: the raw detection itself, or the tracker's predicted
-next-frame box (which keeps links alive under large motion).
+detections are suppressed around every member. Extraction runs within each
+independent component (nodes joined by links or suppressing overlaps): one
+extraction changes no other component, so the order across components does
+not change the output. The two graph constraints differ in which box
+represents frame ``t`` when testing overlap against frame ``t+1``: the raw
+detection itself, or the tracker's predicted next-frame box (which keeps
+links alive under large motion).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import accumulate
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -141,53 +145,64 @@ def build_graph_seqtrack(
 def best_path(
     graph: LinkGraph,
     scores: Sequence[Sequence[float]],
-    alive: Sequence[set[int]] | None = None,
+    alive: Mapping[int, set[int]] | None = None,
 ) -> Tubelet | None:
-    """Maximum-total-score path over the graph, by dynamic programming.
+    """Maximum-total-score path over the alive nodes, by dynamic programming.
 
-    Paths may start and end at any frame but must step through consecutive
-    frames along edges. Score ties prefer the earliest start frame, then the
-    lexicographically smallest index sequence. Returns ``None`` when no
-    (alive) node exists.
+    ``alive`` maps a frame to its alive node indices and may omit frames
+    (``None``: every node); the DP visits only the frames it names. Paths may
+    start and end at any frame but step through consecutive frames along
+    edges. Score ties prefer the earliest start frame, then the
+    lexicographically smallest index sequence. Returns ``None`` when no alive
+    node exists.
     """
     if len(scores) != graph.n_frames:
         raise ValueError("scores must align with the graph's frames")
     if alive is None:
-        alive = [set(frame) for frame in graph.nodes]
+        alive = {t: set(frame) for t, frame in enumerate(graph.nodes)}
 
-    # prev[i] = (total, start_frame, path) of the best chain ending at node i
-    # of the previous frame, filled in ascending i.
-    prev: dict[int, tuple[float, int, tuple[int, ...]]] = {}
-    best: tuple[float, int, tuple[int, ...]] | None = None
+    # chains[t][j] = (total, start_frame, back) of the best chain ending at
+    # node j of frame t, where back is its node in frame t-1 (-1 if none).
+    chains: dict[int, dict[int, tuple[float, int, int]]] = {}
 
-    def key(c):
-        return (-c[0], c[1], c[2])
+    def path(t: int, j: int) -> list[int]:
+        seq = []
+        while j >= 0:
+            seq.append(j)
+            t, j = t - 1, chains[t][j][2]
+        return seq[::-1]
 
-    for t in range(graph.n_frames):
+    def outranks(a, b) -> bool:
+        """Chain ``a`` beats ``b``; each is ``(total, start, t, j)`` and ends at node j of frame t."""
+        return (a[0], -a[1]) > (b[0], -b[1]) if a[:2] != b[:2] else path(*a[2:]) < path(*b[2:])
+
+    best = None
+    for t in sorted(alive):
+        nodes = alive[t]
+        prev = chains.get(t - 1, {})
         # Predecessors of each node, in ascending order because prev is.
         incoming: dict[int, list[int]] = {}
         for i in prev:
             for j in graph.edges[t - 1].get(i, ()):
-                if j in alive[t]:
+                if j in nodes:
                     incoming.setdefault(j, []).append(i)
-        current: dict[int, tuple[float, int, tuple[int, ...]]] = {}
-        for j in sorted(alive[t]):
+        current = chains[t] = {}
+        for j in sorted(nodes):
             s = scores[t][j]
-            cand = (s, t, (j,))
+            # Candidates for node j differ only before j: compare the chains they extend.
+            cand = (s, t, t - 1, -1)
             for i in incoming.get(j, ()):
-                total, start, path = prev[i]
-                ext = (total + s, start, path + (j,))
-                if key(ext) < key(cand):
-                    cand = ext
-            current[j] = cand
-            if best is None or key(cand) < key(best):
-                best = cand
-        prev = current
+                total, start, _ = prev[i]
+                if outranks((total + s, start, t - 1, i), cand):
+                    cand = (total + s, start, t - 1, i)
+            current[j] = (cand[0], cand[1], cand[3])
+            if best is None or outranks((cand[0], cand[1], t, j), best):
+                best = (cand[0], cand[1], t, j)
 
     if best is None:
         return None
-    total, start, path = best
-    members = tuple((start + k, idx) for k, idx in enumerate(path))
+    total, start, t, j = best
+    members = tuple((start + k, idx) for k, idx in enumerate(path(t, j)))
     return Tubelet(members=members, path_score=total)
 
 
@@ -201,14 +216,14 @@ def rescore_and_suppress(
     Repeats until every detection is either re-scored as a tubelet member or
     suppressed (same class, overlap above ``nms_iou`` with a member in its
     frame). Emits the surviving detections in original frame order with
-    their re-scored values; geometry is never modified.
+    their re-scored values; geometry is never modified. Extraction runs
+    within each component of nodes joined by link edges or clashes; one
+    changes only its own component, so the result is the whole-video one.
     """
     if len(video) != graph.n_frames:
         raise ValueError("video and graph frame counts differ")
 
     scores = [[d.score for d in frame] for frame in video]
-    alive = [set(frame_nodes) for frame_nodes in graph.nodes]
-    rescored: dict[tuple[int, int], float] = {}
     # clashes[t][i]: the other nodes of frame t that a member (t, i) suppresses.
     clashes = []
     for frame in video:
@@ -217,19 +232,40 @@ def rescore_and_suppress(
         np.fill_diagonal(hits, False)
         clashes.append(_row_table(hits))
 
-    while any(alive_frame for alive_frame in alive):
-        tube = best_path(graph, scores, alive)
-        assert tube is not None
-        mean = tube.rescored
-        for t, i in tube.members:
-            rescored[(t, i)] = mean
-            alive[t].discard(i)
-        for t, i in tube.members:
-            alive[t].difference_update(clashes[t].get(i, ()))
+    # Node (t, i) has the flat id offsets[t] + i; parent is a union-find forest.
+    offsets = [0, *accumulate(len(frame) for frame in video)]
+    parent = list(range(offsets[-1]))
 
-    out: list[list[Detection]] = []
-    for t, frame in enumerate(video):
-        out.append(
-            [d.with_score(rescored[(t, i)]) for i, d in enumerate(frame) if (t, i) in rescored]
-        )
-    return out
+    def find(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        return a
+
+    links = [(t, t, table) for t, table in enumerate(clashes)]
+    links += [(t, t + 1, table) for t, table in enumerate(graph.edges)]
+    for t, u, table in links:
+        for i, js in table.items():
+            for j in js:
+                parent[find(offsets[t] + i)] = find(offsets[u] + j)
+
+    # components[root] = {frame: alive nodes}, frames in ascending order.
+    components: dict[int, dict[int, set[int]]] = {}
+    for t, frame_nodes in enumerate(graph.nodes):
+        for i in frame_nodes:
+            components.setdefault(find(offsets[t] + i), {}).setdefault(t, set()).add(i)
+
+    rescored: list[float | None] = [None] * offsets[-1]
+    for alive in components.values():
+        while alive:
+            tube = best_path(graph, scores, alive)
+            mean = tube.rescored
+            for t, i in tube.members:
+                rescored[offsets[t] + i] = mean
+                alive[t].discard(i)
+            for t, i in tube.members:
+                alive[t].difference_update(clashes[t].get(i, ()))
+                if not alive[t]:
+                    del alive[t]
+
+    return [[d.with_score(rescored[offsets[t] + i]) for i, d in enumerate(frame) if rescored[offsets[t] + i] is not None]
+            for t, frame in enumerate(video)]

@@ -232,6 +232,24 @@ class TestTrack:
         assert err.startswith(f"error [track]: {weights}: invalid weights: ")
         assert "head_kernel takes 4 channels, the block before it gives 8" in err
 
+    @pytest.mark.parametrize("search_pool, n_flat", [(20, 8 * 14 * 14), (14, 8 * 8 * 8)])
+    def test_pool_sizes_checked_against_weights(self, learned_files, tmp_path, monkeypatch, capsys,
+                                                search_pool, n_flat):
+        # The weights expect 8 head channels x 15x15 (pools 7 and 21); the
+        # mismatch fails before any feature file is read.
+        dets, feat_dir, weights_path, _ = learned_files
+        loaded = []
+        monkeypatch.setattr(cli, "load_features", lambda path: loaded.append(path))
+        out = tmp_path / "p.jsonl"
+        rc = run_cli("track", "--dets", dets, "--weights", weights_path, "--features-dir", feat_dir,
+                     "--search-pool", search_pool, "--out", out)
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error [track]: {weights_path}: FC heads take 1800 values, but --template-pool 7 "
+            f"and --search-pool {search_pool} give {n_flat}\n"
+        )
+        assert loaded == [] and not out.exists()
+
     def test_oracle_requires_gt(self, tmp_path, clean_files, capsys):
         _, dets = clean_files
         rc = run_cli("track", "--dets", dets, "--oracle", "--out", tmp_path / "p.jsonl")

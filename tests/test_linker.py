@@ -1,6 +1,13 @@
+from collections import Counter
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
+import vodtrack.linker as linker
 from oracles import box_iou, brute_force_best_path, reference_rescore
 from vodtrack.detections import Detection
 from vodtrack.geometry import Box
@@ -51,6 +58,37 @@ def graph_edge_dict(graph):
         for t, table in enumerate(graph.edges)
         for i, succ in table.items()
     }
+
+
+def records(video):
+    """The ``(class, score, corners)`` records that ``reference_rescore`` takes."""
+    return [[(d.class_id, d.score, d.box.corners()) for d in f] for f in video]
+
+
+@st.composite
+def dyadic_instances(draw):
+    """A video with scores in multiples of 1/8 and a random link graph over it.
+
+    With four distinct scores, paths tie exactly in total and start: paths
+    of different lengths, and paths in different components. Every sum of
+    such scores is exact. Boxes sit at three anchors, 0-3 px apart, so
+    same-class boxes at one anchor clash at ``nms_iou`` 0.45.
+    """
+    video = []
+    for t in range(draw(st.integers(1, 5))):
+        frame = []
+        for _ in range(draw(st.integers(0, 4))):
+            x = 40.0 * draw(st.integers(0, 2)) + draw(st.integers(0, 3))
+            frame.append(det(t, draw(st.integers(0, 1)), draw(st.integers(1, 4)) / 8, (x, 0, x + 10, 10)))
+        video.append(frame)
+    edges = []
+    for here, there in zip(video, video[1:]):
+        succs = {i: tuple(j for j in range(len(there)) if draw(st.booleans())) for i in range(len(here))}
+        edges.append({i: js for i, js in succs.items() if js})
+    return video, LinkGraph(nodes=tuple(tuple(range(len(f))) for f in video), edges=tuple(edges))
+
+
+DYADIC = settings(max_examples=300, deadline=None, database=None, derandomize=True)
 
 
 SPEC_VIDEO = [
@@ -221,11 +259,7 @@ class TestRescoreAndSuppress:
             video = random_video(rng, max_frames=4, max_boxes=4)
             g = build_graph_seqnms(video)
             got = rescore_and_suppress(video, g, 0.45)
-            ref = reference_rescore(
-                [[(d.class_id, d.score, d.box.corners()) for d in f] for f in video],
-                graph_edge_dict(g),
-                0.45,
-            )
+            ref = reference_rescore(records(video), graph_edge_dict(g), 0.45)
             got_map = {}
             for t, frame in enumerate(got):
                 kept_indices = [
@@ -266,6 +300,77 @@ class TestRescoreAndSuppress:
         for t, frame in enumerate(out):
             for d in frame:
                 assert (t, d.box.corners()) in originals
+
+
+class TestExactTies:
+    """Dyadic scores: results must equal the brute-force oracles with ``==``."""
+
+    @DYADIC
+    @given(dyadic_instances())
+    def test_best_path_matches_brute_force(self, instance):
+        video, g = instance
+        scores = [[d.score for d in f] for f in video]
+        got = best_path(g, scores)
+        want_path, want_score = brute_force_best_path(scores, graph_edge_dict(g))
+        if want_path is None:
+            assert got is None
+        else:
+            assert (list(got.members), got.path_score) == (want_path, want_score)
+
+    @DYADIC
+    @given(dyadic_instances())
+    def test_rescore_matches_reference(self, instance):
+        video, g = instance
+        ref = reference_rescore(records(video), graph_edge_dict(g), 0.45)
+        want = [[d.with_score(ref[(t, i)]) for i, d in enumerate(f) if (t, i) in ref] for t, f in enumerate(video)]
+        assert rescore_and_suppress(video, g, 0.45) == want
+
+
+class TestComponents:
+    @pytest.mark.parametrize("apart", ["far", "classes"])
+    def test_side_by_side_videos_give_standalone_results(self, apart):
+        # b moves 1000 px right, or onto classes a never uses: no link or
+        # clash joins the two videos.
+        def moved(d):
+            return replace(d, box=shifted(d.box, 1000, 0)) if apart == "far" else replace(d, class_id=d.class_id + 2)
+
+        def rescored(video):
+            return rescore_and_suppress(video, build_graph_seqnms(video), 0.45)
+
+        def frame(video, t):
+            return list(video[t]) if t < len(video) else []
+
+        rng = np.random.default_rng(83)
+        for _ in range(30):
+            a = random_video(rng)
+            b = [[moved(d) for d in f] for f in random_video(rng)]
+            n = max(len(a), len(b))
+            both = [frame(a, t) + frame(b, t) for t in range(n)]
+            alone_a, alone_b = rescored(a), rescored(b)
+            assert rescored(both) == [frame(alone_a, t) + frame(alone_b, t) for t in range(n)]
+
+    def test_one_best_path_call_per_extracted_tubelet(self, monkeypatch):
+        calls = Counter()
+
+        def counted(key, fn):
+            def wrapped(*args):
+                calls[key] += 1
+                return fn(*args)
+            return wrapped
+
+        monkeypatch.setattr(linker, "best_path", counted("linker", linker.best_path))
+        monkeypatch.setattr(oracles, "_best_alive_path", counted("reference", oracles._best_alive_path))
+        rng = np.random.default_rng(89)
+        total = 0
+        for _ in range(30):
+            video = random_video(rng, max_frames=5, max_boxes=5)
+            g = build_graph_seqnms(video)
+            calls.clear()
+            rescore_and_suppress(video, g, 0.45)
+            reference_rescore(records(video), graph_edge_dict(g), 0.45)
+            assert calls["linker"] == calls["reference"]
+            total += calls["linker"]
+        assert total > 30
 
 
 class TestTypes:
