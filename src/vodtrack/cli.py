@@ -1,4 +1,8 @@
-"""Command-line front end composing the detection, tracking, and linking stages."""
+"""Command-line front end composing the detection, tracking, and linking stages.
+
+``run`` and the staged commands compose the same stage functions (``run_video``,
+``link_frames``, ``evaluate_map``), so a ``run`` and its staged chain cannot drift apart.
+"""
 
 from __future__ import annotations
 
@@ -6,6 +10,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import fields, replace
 from pathlib import Path
 
 from . import __version__
@@ -44,17 +49,27 @@ def _fail(stage: str, message: str) -> int:
     return 1
 
 
-def _write_manifest(path, command: str, argv: list[str], outputs: dict, timings: dict, extra: dict | None = None) -> None:
+def _timed(timings: dict, key: str, fn, *args):
+    """Call ``fn(*args)`` and record its wall time in seconds as ``timings[key]``."""
+    t0 = time.perf_counter()
+    result = fn(*args)
+    timings[key] = time.perf_counter() - t0
+    return result
+
+
+def _write_manifest(path, args, argv: list[str], outputs: dict, timings: dict, **extra) -> None:
+    """Record the command, its argv, outputs and stage timings; no-op without a path."""
+    if path is None:
+        return
     manifest = {
         "tool": "vodtrack",
         "version": __version__,
-        "command": command,
+        "command": args.command,
         "argv": list(argv),
         "outputs": outputs,
         "timings_ms": {k: round(v * 1000.0, 3) for k, v in timings.items()},
+        **extra,
     }
-    if extra:
-        manifest.update(extra)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2)
         fh.write("\n")
@@ -80,23 +95,8 @@ def _scenario_from_args(args) -> ScenarioSpec:
 
 def _config_from_args(args) -> PipelineConfig:
     cfg = PipelineConfig.from_file(args.config) if args.config else PipelineConfig()
-    overrides = {}
-    for flag, field in (
-        ("detect_score", "detect_to_track_score"),
-        ("track_quality", "track_quality_min"),
-        ("track_nms", "track_nms_iou"),
-        ("t_merge", "t_merge"),
-        ("final_score", "final_score_min"),
-        ("final_nms", "final_nms_iou"),
-    ):
-        value = getattr(args, flag, None)
-        if value is not None:
-            overrides[field] = value
-    if overrides:
-        from dataclasses import replace
-
-        cfg = replace(cfg, **overrides)
-    return cfg
+    return replace(cfg, **{f.name: getattr(args, f.name) for f in fields(PipelineConfig)
+                           if getattr(args, f.name) is not None})
 
 
 def _noise_from_args(args) -> NoiseParams:
@@ -109,12 +109,12 @@ def _noise_from_args(args) -> NoiseParams:
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="key = value config file (PipelineConfig field names)")
-    p.add_argument("--detect-score", type=float, dest="detect_score")
-    p.add_argument("--track-quality", type=float, dest="track_quality")
-    p.add_argument("--track-nms", type=float, dest="track_nms")
+    p.add_argument("--detect-score", type=float, dest="detect_to_track_score")
+    p.add_argument("--track-quality", type=float, dest="track_quality_min")
+    p.add_argument("--track-nms", type=float, dest="track_nms_iou")
     p.add_argument("--t-merge", type=float, dest="t_merge")
-    p.add_argument("--final-score", type=float, dest="final_score")
-    p.add_argument("--final-nms", type=float, dest="final_nms")
+    p.add_argument("--final-score", type=float, dest="final_score_min")
+    p.add_argument("--final-nms", type=float, dest="final_nms_iou")
 
 
 def _add_scenario_flags(p: argparse.ArgumentParser) -> None:
@@ -173,68 +173,81 @@ def make_replay_track_fn(stored: dict[int, list]):
     return track_fn
 
 
+def link_frames(frames, preds, link_iou: float, nms_iou: float, score_min: float = 0.0):
+    """The link stage on one video: score gate, tubelet graph, re-scoring.
+
+    Boxes below ``score_min`` are dropped, each with its prediction. With
+    ``preds`` (per-frame predictions aligned with ``frames``; a frame's list
+    may be empty) the graph is Seq-Track-NMS's, without it Seq-NMS's.
+    """
+    keep = [[i for i, d in enumerate(f) if d.score >= score_min] for f in frames]
+    video = [[f[i] for i in k] for f, k in zip(frames, keep)]
+    if preds is None:
+        graph = build_graph_seqnms(video, link_iou)
+    else:
+        preds = [[p[i] for i in k] if p else p for p, k in zip(preds, keep)]
+        graph = build_graph_seqtrack(video, preds, link_iou)
+    return rescore_and_suppress(video, graph, nms_iou)
+
+
 def cmd_synth_gen(args, argv) -> int:
     timings = {}
-    t0 = time.perf_counter()
     spec = _scenario_from_args(args)
-    gt, dets = generate(spec)
-    timings["generate"] = time.perf_counter() - t0
+    gt, dets = _timed(timings, "generate", generate, spec)
     save_detections(gt, args.out_gt)
     save_detections(dets, args.out_dets)
     if args.out_spec:
         save_scenario(spec, args.out_spec)
     outputs = {"gt": args.out_gt, "dets": args.out_dets}
-    if args.manifest:
-        _write_manifest(args.manifest, "synth-gen", argv, outputs, timings, {"seed": spec.seed})
+    _write_manifest(args.manifest, args, argv, outputs, timings, seed=spec.seed)
     print(f"wrote {args.out_gt} ({sum(len(f) for f in gt.frames)} gt boxes), "
           f"{args.out_dets} ({sum(len(f) for f in dets.frames)} detections)")
     return 0
 
 
-def cmd_track(args, argv) -> int:
-    vds = load_single_video(args.dets)
-    timings = {}
-    t0 = time.perf_counter()
+def _track_frames(vds: VideoDetectionSet, args) -> list[list[TrackPrediction]]:
+    """Predictions for every frame but the last, from the oracle or the learned head."""
     if args.oracle:
         if not args.gt:
             raise ValueError("--oracle requires --gt")
         gt = load_single_video(args.gt)
         noise = _noise_from_args(args)
-        preds_per_frame = [
-            oracle_track(list(frame), gt, noise, args.oracle_seed)
-            for frame in vds.frames
-        ]
-    else:
-        if not (args.weights and args.features_dir):
-            raise ValueError("provide --weights and --features-dir, or --oracle")
-        weights = load_weights(args.weights)
-        cfg = TrackerConfig(
-            template_pool=args.template_pool, search_pool=args.search_pool, fuse_stride=args.fuse_stride,
-        )
-        n_flat = weights.head_kernel.shape[0] * cfg.corr_size ** 2
-        if weights.box_weight.shape[1] != n_flat:
-            raise ValueError(f"{args.weights}: FC heads take {weights.box_weight.shape[1]} values, but --template-pool "
-                             f"{cfg.template_pool} and --search-pool {cfg.search_pool} give {n_flat}")
-        feat_dir = Path(args.features_dir)
+        return [oracle_track(list(frame), gt, noise, args.oracle_seed) for frame in vds.frames]
+    if not (args.weights and args.features_dir):
+        raise ValueError("provide --weights and --features-dir, or --oracle")
+    weights = load_weights(args.weights)
+    cfg = TrackerConfig(
+        template_pool=args.template_pool, search_pool=args.search_pool, fuse_stride=args.fuse_stride,
+    )
+    n_flat = weights.head_kernel.shape[0] * cfg.corr_size ** 2
+    if weights.box_weight.shape[1] != n_flat:
+        raise ValueError(f"{args.weights}: FC heads take {weights.box_weight.shape[1]} values, but --template-pool "
+                         f"{cfg.template_pool} and --search-pool {cfg.search_pool} give {n_flat}")
+    feat_dir = Path(args.features_dir)
 
-        def pyramid(t: int):
-            fp = feat_dir / f"frame_{t}.feat"
-            if not fp.exists():
-                raise ValueError(f"missing feature file {fp}")
-            return fuse_for_head(load_features(fp), cfg)
+    def pyramid(t: int):
+        fp = feat_dir / f"frame_{t}.feat"
+        if not fp.exists():
+            raise ValueError(f"missing feature file {fp}")
+        return fuse_for_head(load_features(fp), cfg)
 
-        # Each frame is fused once, and two fused maps are held at a time:
-        # frame t and frame t+1.
-        current = pyramid(0)
-        preds_per_frame = []
-        for t in range(vds.n_frames - 1):
-            following = pyramid(t + 1)
-            preds_per_frame.append(track(current, following, list(vds.frames[t]), weights, cfg))
-            current = following
-    timings["track"] = time.perf_counter() - t0
+    # Each frame is fused once, and two fused maps are held at a time:
+    # frame t and frame t+1.
+    current = pyramid(0)
+    preds_per_frame = []
+    for t in range(vds.n_frames - 1):
+        following = pyramid(t + 1)
+        preds_per_frame.append(track(current, following, list(vds.frames[t]), weights, cfg))
+        current = following
+    return preds_per_frame
+
+
+def cmd_track(args, argv) -> int:
+    vds = load_single_video(args.dets)
+    timings = {}
+    preds_per_frame = _timed(timings, "track", _track_frames, vds, args)
     save_predictions(preds_per_frame, vds.video, args.out)
-    if args.manifest:
-        _write_manifest(args.manifest, "track", argv, {"preds": args.out}, timings)
+    _write_manifest(args.manifest, args, argv, {"preds": args.out}, timings)
     n = sum(len(p) for p in preds_per_frame)
     print(f"wrote {args.out} ({n} predictions over {len(preds_per_frame)} frames)")
     return 0
@@ -255,50 +268,32 @@ def cmd_tfd(args, argv) -> int:
         raise ValueError("provide --preds or --oracle")
 
     timings = {}
-    t0 = time.perf_counter()
-    merged, preds = run_video(vds.frames, track_fn, cfg)
-    timings["pipeline"] = time.perf_counter() - t0
-
+    merged, preds = _timed(timings, "pipeline", run_video, vds.frames, track_fn, cfg)
     save_detections(VideoDetectionSet(vds.video, merged), args.out)
     outputs = {"merged": args.out}
     if args.out_preds:
         save_predictions(preds, vds.video, args.out_preds)
         outputs["preds"] = args.out_preds
-    if args.manifest:
-        _write_manifest(args.manifest, "tfd", argv, outputs, timings)
+    _write_manifest(args.manifest, args, argv, outputs, timings)
     print(f"wrote {args.out} ({sum(len(f) for f in merged)} merged detections)")
     return 0
 
 
 def cmd_link(args, argv) -> int:
     sets = load_detections(args.dets)
-    preds_by_video = load_predictions(args.preds) if args.preds else {}
     if args.mode == "seqtrack" and not args.preds:
         raise ValueError("--mode seqtrack requires --preds")
+    preds_by_video = load_predictions(args.preds) if args.preds else {}
+
+    def link_video(vds: VideoDetectionSet) -> VideoDetectionSet:
+        preds = align_predictions(vds, preds_by_video.get(vds.video, {})) if args.mode == "seqtrack" else None
+        frames = link_frames(vds.frames, preds, args.link_iou, args.nms_iou, args.score_min)
+        return VideoDetectionSet(vds.video, frames)
 
     timings = {}
-    t0 = time.perf_counter()
-    out_sets = []
-    for vds in sets:
-        if args.score_min > 0.0:
-            vds = VideoDetectionSet(
-                vds.video,
-                tuple(
-                    tuple(d for d in f if d.score >= args.score_min) for f in vds.frames
-                ),
-            )
-        video = [list(f) for f in vds.frames]
-        if args.mode == "seqnms":
-            graph = build_graph_seqnms(video, args.link_iou)
-        else:
-            aligned = align_predictions(vds, preds_by_video.get(vds.video, {}))
-            graph = build_graph_seqtrack(video, aligned, args.link_iou)
-        rescored = rescore_and_suppress(video, graph, args.nms_iou)
-        out_sets.append(VideoDetectionSet(vds.video, rescored))
-    timings["link"] = time.perf_counter() - t0
+    out_sets = _timed(timings, "link", lambda: [link_video(vds) for vds in sets])
     save_detections(out_sets, args.out)
-    if args.manifest:
-        _write_manifest(args.manifest, "link", argv, {"linked": args.out}, timings)
+    _write_manifest(args.manifest, args, argv, {"linked": args.out}, timings)
     total = sum(len(f) for v in out_sets for f in v.frames)
     print(f"wrote {args.out} ({total} re-scored detections, mode {args.mode})")
     return 0
@@ -308,9 +303,7 @@ def cmd_eval(args, argv) -> int:
     preds = load_detections(args.preds)
     gt = load_detections(args.gt)
     timings = {}
-    t0 = time.perf_counter()
-    result = evaluate_map(preds, gt, args.iou)
-    timings["eval"] = time.perf_counter() - t0
+    result = _timed(timings, "eval", evaluate_map, preds, gt, args.iou)
 
     print(f"{'class':>8}  {'AP':>8}")
     for c in sorted(result.per_class_ap):
@@ -318,8 +311,7 @@ def cmd_eval(args, argv) -> int:
     print(f"{'mAP':>8}  {result.mean_ap:>8.4f}   (IoU >= {result.iou_thresh})")
     if args.out:
         _write_result(args.out, args.label, result)
-    if args.manifest:
-        _write_manifest(args.manifest, "eval", argv, {"result": args.out}, timings)
+    _write_manifest(args.manifest, args, argv, {"result": args.out}, timings)
     return 0
 
 
@@ -332,53 +324,34 @@ def run_variant(spec, variant: str, cfg: PipelineConfig, noise: NoiseParams,
     the ``merged`` set and per-frame ``preds``, and ``timings`` of the
     generate, variant and eval stages in seconds.
     """
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}")
     timings = {}
-    t0 = time.perf_counter()
-    gt, dets = generate(spec)
-    timings["generate"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
+    gt, dets = _timed(timings, "generate", generate, spec)
     artifacts = {"gt": gt, "dets": dets, "timings": timings}
-    frames = [list(f) for f in dets.frames]
-    if variant == "detector":
-        final = final_detections(frames, cfg)
-    elif variant == "seqnms":
-        strong = [[d for d in f if d.score >= cfg.final_score_min] for f in frames]
-        graph = build_graph_seqnms(strong, link_iou)
-        final = rescore_and_suppress(strong, graph, cfg.final_nms_iou)
-    else:
-        track_fn = make_oracle_track_fn(gt, noise, oracle_seed)
-        merged, preds = run_video(frames, track_fn, cfg)
+
+    def final_frames():
+        frames = dets.frames
+        if variant == "detector":
+            return final_detections(frames, cfg)
+        if variant == "seqnms":
+            return link_frames(frames, None, link_iou, cfg.final_nms_iou, cfg.final_score_min)
+        merged, preds = run_video(frames, make_oracle_track_fn(gt, noise, oracle_seed), cfg)
         artifacts["merged"] = VideoDetectionSet(spec.video, merged)
         artifacts["preds"] = preds
-        if variant == "tfd+seqnms":
-            graph = build_graph_seqnms(merged, link_iou)
-        elif variant == "tfd+seqtracknms":
-            graph = build_graph_seqtrack(merged, preds, link_iou)
-        else:
-            raise ValueError(f"unknown variant {variant!r}")
-        final = rescore_and_suppress(merged, graph, cfg.final_nms_iou)
-    artifacts["final"] = VideoDetectionSet(spec.video, final)
-    timings["variant"] = time.perf_counter() - t0
+        return link_frames(merged, preds if variant == "tfd+seqtracknms" else None,
+                           link_iou, cfg.final_nms_iou)
 
-    t0 = time.perf_counter()
-    result = evaluate_map(artifacts["final"], gt, eval_iou)
-    timings["eval"] = time.perf_counter() - t0
+    artifacts["final"] = VideoDetectionSet(spec.video, _timed(timings, "variant", final_frames))
+    result = _timed(timings, "eval", evaluate_map, artifacts["final"], gt, eval_iou)
     return result, artifacts
 
 
 def cmd_run(args, argv) -> int:
     if args.from_manifest:
-        with open(args.from_manifest, "r", encoding="utf-8") as fh:
-            manifest = json.load(fh)
-        if manifest.get("command") != "run":
-            raise ValueError(f"{args.from_manifest}: not a run manifest")
-        replay_argv = [a for a in manifest["argv"]]
-        # Drop any previous --out-dir / --from-manifest and install the new target.
-        replay_argv = _strip_flag(replay_argv, "--out-dir")
-        replay_argv = _strip_flag(replay_argv, "--from-manifest")
-        replay_argv += ["--out-dir", args.out_dir]
-        return main(replay_argv)
+        # A repeated --out-dir is last-wins, so the recorded one is overridden.
+        recorded = _read_manifest(args.from_manifest, "run")
+        return main(recorded + ["--out-dir", args.out_dir], manifest=args.from_manifest)
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -397,26 +370,10 @@ def cmd_run(args, argv) -> int:
         save_predictions(artifacts["preds"], spec.video, out_dir / "preds.jsonl")
         names += ["merged.jsonl", "preds.jsonl"]
     outputs = {Path(name).stem: str(out_dir / name) for name in names}
-    _write_manifest(
-        out_dir / "manifest.json", "run", argv, outputs, artifacts["timings"],
-        {"variant": args.variant, "seed": spec.seed},
-    )
+    _write_manifest(out_dir / "manifest.json", args, argv, outputs, artifacts["timings"],
+                    variant=args.variant, seed=spec.seed)
     print(f"{args.variant}: mAP {result.mean_ap:.4f}  -> {out_dir}")
     return 0
-
-
-def _strip_flag(argv: list[str], flag: str) -> list[str]:
-    out = []
-    skip = False
-    for a in argv:
-        if skip:
-            skip = False
-            continue
-        if a == flag:
-            skip = True
-            continue
-        out.append(a)
-    return out
 
 
 def cmd_plot(args, argv) -> int:
@@ -434,12 +391,25 @@ def cmd_plot(args, argv) -> int:
     return 0
 
 
+def _read_manifest(path, command: str | None = None) -> list[str]:
+    """The argv a manifest recorded; ``command``, if given, must be the one it records."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            manifest = json.load(fh)
+    except ValueError as exc:
+        raise ValueError(f"{path}: not a JSON manifest: {exc}") from None
+    if not isinstance(manifest, dict):
+        raise ValueError(f"{path}: manifest is not a JSON object")
+    argv = manifest.get("argv")
+    if not (isinstance(argv, list) and argv and all(isinstance(a, str) for a in argv)):
+        raise ValueError(f"{path}: manifest argv must be a non-empty list of strings")
+    if command is not None and not manifest.get("command") == argv[0] == command:
+        raise ValueError(f"{path}: not a {command} manifest")
+    return argv
+
+
 def cmd_replay(args, argv) -> int:
-    with open(args.manifest_path, "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    if "argv" not in manifest:
-        raise ValueError(f"{args.manifest_path}: manifest has no recorded argv")
-    return main(list(manifest["argv"]))
+    return main(_read_manifest(args.manifest_path), manifest=args.manifest_path)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -524,11 +494,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
+def main(argv: list[str] | None = None, manifest=None) -> int:
+    """Run one subcommand; an argv read from ``manifest`` may not re-run a manifest."""
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if manifest is not None and (args.command == "replay" or getattr(args, "from_manifest", None)):
+            raise ValueError(f"{manifest}: the recorded argv re-runs a manifest")
         return args.func(args, argv)
     except (ValueError, OSError) as exc:
         return _fail(args.command, str(exc))

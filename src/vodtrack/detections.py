@@ -27,6 +27,8 @@ class Detection:
     def __post_init__(self) -> None:
         if self.frame < 0:
             raise ValueError(f"frame index must be non-negative, got {self.frame}")
+        if self.class_id < 0:
+            raise ValueError(f"class id must be non-negative, got {self.class_id}")
         if not math.isfinite(self.score) or not (0.0 <= self.score <= 1.0):
             raise ValueError(f"detection score must be in [0, 1], got {self.score!r}")
 

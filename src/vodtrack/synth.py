@@ -59,6 +59,8 @@ class ObjectSpec:
     degradations: tuple[tuple[int, int, float], ...] = ()
 
     def __post_init__(self) -> None:
+        if self.class_id < 0:
+            raise ValueError(f"class id must be non-negative, got {self.class_id}")
         if self.first_frame < 0 or self.last_frame < self.first_frame:
             raise ValueError("object lifetime must be a non-empty frame range")
         if self.w <= 0 or self.h <= 0 or self.scale_rate <= 0:

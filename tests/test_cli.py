@@ -1,4 +1,7 @@
 import json
+import re
+from collections import Counter
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -17,6 +20,7 @@ from vodtrack.evalio import (
 )
 from vodtrack.synth import preset_scenario, render_features, save_scenario
 from vodtrack.geometry import Box
+from vodtrack.pipeline import PipelineConfig
 from vodtrack.tensor_ops import FeaturePyramid
 from vodtrack.tracker import TrackerConfig, TrackPrediction, save_weights, synthesize_weights
 
@@ -315,6 +319,45 @@ class TestTfdAndLink:
         assert rc == 1
         assert capsys.readouterr().err.startswith(f"error [link]: {dets}:1: invalid detection record: ")
 
+    def test_seqtrack_score_gate_drops_predictions(self, tmp_path):
+        # link --score-min on a tfd output equals link on a hand-filtered pair:
+        # merged boxes below 0.5 removed, their predictions dropped and the
+        # remaining predictions' det indices renumbered.
+        gt, dets = tmp_path / "gt.jsonl", tmp_path / "dets.jsonl"
+        assert run_cli("synth-gen", "--preset", "degraded", "--seed", "0",
+                       "--out-gt", gt, "--out-dets", dets) == 0
+        merged, preds = tmp_path / "merged.jsonl", tmp_path / "preds.jsonl"
+        assert run_cli("tfd", "--dets", dets, "--oracle", "--gt", gt,
+                       "--out", merged, "--out-preds", preds) == 0
+        gated = tmp_path / "gated.jsonl"
+        assert run_cli("link", "--dets", merged, "--preds", preds, "--mode", "seqtrack",
+                       "--score-min", "0.5", "--out", gated) == 0
+
+        seen, kept, renumbered, strong = Counter(), Counter(), {}, []
+        for line in merged.read_text().splitlines():
+            record = json.loads(line)
+            t = record["frame"]
+            if record["score"] >= 0.5:
+                renumbered[t, seen[t]] = kept[t]
+                kept[t] += 1
+                strong.append(line)
+            seen[t] += 1
+        hand_preds = []
+        for line in preds.read_text().splitlines():
+            record = json.loads(line)
+            key = (record["frame"], record["det"])
+            if key in renumbered:
+                hand_preds.append(json.dumps({**record, "det": renumbered[key]}))
+        assert len(strong) < sum(seen.values())
+        assert len(hand_preds) < len(preds.read_text().splitlines())
+        hand_merged, hand_preds_path = tmp_path / "hand_merged.jsonl", tmp_path / "hand_preds.jsonl"
+        hand_merged.write_text("".join(line + "\n" for line in strong))
+        hand_preds_path.write_text("".join(line + "\n" for line in hand_preds))
+        expected = tmp_path / "expected.jsonl"
+        assert run_cli("link", "--dets", hand_merged, "--preds", hand_preds_path,
+                       "--mode", "seqtrack", "--out", expected) == 0
+        assert gated.read_bytes() == expected.read_bytes()
+
     def test_seqtrack_requires_preds(self, clean_files, tmp_path, capsys):
         _, dets = clean_files
         rc = run_cli("link", "--dets", dets, "--mode", "seqtrack",
@@ -406,6 +449,30 @@ class TestRun:
                        "--score-min", "0.03", "--out", linked_sn) == 0
         assert (out_sn / "final.jsonl").read_bytes() == linked_sn.read_bytes()
 
+    CONFIG_FLAGS = {
+        "detect_to_track_score": "--detect-score",
+        "track_quality_min": "--track-quality",
+        "track_nms_iou": "--track-nms",
+        "t_merge": "--t-merge",
+        "final_score_min": "--final-score",
+        "final_nms_iou": "--final-nms",
+    }
+
+    @pytest.mark.parametrize("command", ["tfd", "run"])
+    @pytest.mark.parametrize("field", [f.name for f in fields(PipelineConfig)])
+    def test_config_flag_reaches_config(self, clean_files, tmp_path, monkeypatch, command, field):
+        gt, dets = clean_files
+        configs = []
+        config_from_args = cli._config_from_args
+        monkeypatch.setattr(cli, "_config_from_args",
+                            lambda args: configs.append(config_from_args(args)) or configs[-1])
+        if command == "tfd":
+            argv = ["tfd", "--dets", dets, "--oracle", "--gt", gt, "--out", tmp_path / "m.jsonl"]
+        else:
+            argv = ["run", "--preset", "clean", "--variant", "detector", "--out-dir", tmp_path / "run"]
+        assert run_cli(*argv, self.CONFIG_FLAGS[field], "0.25") == 0
+        assert configs == [replace(PipelineConfig(), **{field: 0.25})]
+
     def test_from_manifest_reproduces_outputs(self, tmp_path):
         first = tmp_path / "r1"
         rc = run_cli("run", "--preset", "degraded", "--seed", "4",
@@ -420,6 +487,66 @@ class TestRun:
             assert (first / name).read_bytes() == (second / name).read_bytes(), name
 
 
+class TestManifest:
+    # Per subcommand: its argv (with --manifest where the command takes one),
+    # the manifest's output keys and its timing keys.
+    SHAPES = {
+        "synth-gen": (lambda d: ["synth-gen", "--preset", "clean", "--seed", "0",
+                                 "--out-gt", d / "g.jsonl", "--out-dets", d / "d.jsonl"],
+                      {"gt", "dets"}, {"generate"}),
+        "track": (lambda d: ["track", "--dets", d / "dets.jsonl", "--oracle", "--gt", d / "gt.jsonl",
+                             "--out", d / "p.jsonl"],
+                  {"preds"}, {"track"}),
+        "tfd": (lambda d: ["tfd", "--dets", d / "dets.jsonl", "--oracle", "--gt", d / "gt.jsonl",
+                           "--out", d / "m.jsonl", "--out-preds", d / "p.jsonl"],
+                {"merged", "preds"}, {"pipeline"}),
+        "link": (lambda d: ["link", "--dets", d / "dets.jsonl", "--mode", "seqnms", "--out", d / "l.jsonl"],
+                 {"linked"}, {"link"}),
+        "eval": (lambda d: ["eval", "--preds", d / "gt.jsonl", "--gt", d / "gt.jsonl",
+                            "--out", d / "r.json"],
+                 {"result"}, {"eval"}),
+        "run": (lambda d: ["run", "--preset", "clean", "--seed", "0", "--variant", "tfd+seqnms",
+                           "--out-dir", d / "run"],
+                {"scenario", "gt", "dets", "final", "result", "merged", "preds"},
+                {"generate", "variant", "eval"}),
+    }
+
+    @pytest.mark.parametrize("command", SHAPES)
+    def test_manifest_shape(self, clean_files, command):
+        argv_of, outputs, timings = self.SHAPES[command]
+        work = clean_files[0].parent
+        argv = [str(a) for a in argv_of(work)]
+        if command == "run":
+            manifest_path = work / "run" / "manifest.json"
+        else:
+            manifest_path = work / "manifest.json"
+            argv += ["--manifest", str(manifest_path)]
+        assert main(argv) == 0
+        manifest = json.loads(manifest_path.read_text())
+        assert manifest["tool"] == "vodtrack"
+        assert manifest["command"] == command
+        assert manifest["argv"] == argv
+        assert set(manifest["outputs"]) == outputs
+        assert set(manifest["timings_ms"]) == timings
+
+
+# Manifests that replay and run --from-manifest must reject naming the
+# file; "M" stands for the manifest's own path, "D" for an output dir.
+BAD_MANIFESTS = {
+    "self-replay": {"argv": ["replay", "M"]},
+    "recorded-replay": {"command": "run", "argv": ["replay", "M"]},
+    "from-manifest": {"command": "run", "argv": ["run", "--from-manifest", "M", "--out-dir", "D"]},
+    "abbreviated-from-manifest": {"command": "run", "argv": ["run", "--from-m", "M", "--out-dir", "D"]},
+    "non-object": ["run"],
+    "missing-argv": {"command": "run"},
+    "empty-argv": {"command": "run", "argv": []},
+    "non-list-argv": {"command": "run", "argv": "run --out-dir D"},
+    "non-string-argv": {"command": "run", "argv": ["run", 1]},
+    "malformed-json": '{"command": "run", "argv": [',
+    "not-run": {"command": "eval", "argv": ["eval", "--preds", "M", "--gt", "M"]},
+}
+
+
 class TestPlotAndReplay:
     def test_plot_csv(self, tmp_path):
         rows = []
@@ -430,6 +557,27 @@ class TestPlotAndReplay:
         out = tmp_path / "plot.csv"
         assert run_cli("plot", "--results", *rows, "--out", out) == 0
         assert out.read_text() == "variant,map\ndetector,0.5\nseqnms,0.75\n"
+
+    @pytest.mark.parametrize("command, case", [
+        (command, case) for command in ("replay", "run") for case in BAD_MANIFESTS
+        if (command, case) != ("replay", "not-run")
+    ])
+    def test_bad_manifest_fails_naming_the_file(self, tmp_path, capsys, command, case):
+        manifest, out_dir = tmp_path / "m.json", tmp_path / "out"
+        content = BAD_MANIFESTS[case]
+        if not isinstance(content, str):
+            content = json.dumps(content).replace('"M"', json.dumps(str(manifest)))
+            content = content.replace('"D"', json.dumps(str(out_dir)))
+        manifest.write_text(content)
+        if command == "replay":
+            rc = run_cli("replay", manifest)
+        else:
+            rc = run_cli("run", "--from-manifest", manifest, "--out-dir", out_dir)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert re.match(rf"error \[(replay|run)\]: {re.escape(str(manifest))}: ", err), err
+        assert not out_dir.exists()
 
     def test_replay_subcommand_manifest(self, tmp_path):
         gt = tmp_path / "gt.jsonl"

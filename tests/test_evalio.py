@@ -213,6 +213,10 @@ class TestRecordValidation:
         message = self.reject_second_line(tmp_path, kind, record_line(kind, score=10**400))
         assert "too large" in message
 
+    def test_negative_class(self, tmp_path, kind):
+        message = self.reject_second_line(tmp_path, kind, record_line(kind, **{"class": -1}))
+        assert message.endswith(f"invalid {kind[:-1]} record: class id must be non-negative, got -1")
+
     def test_non_object_line(self, tmp_path, kind):
         message = self.reject_second_line(tmp_path, kind, "[1, 2]")
         assert "JSON object" in message

@@ -41,6 +41,15 @@ class TestSpecValidation:
             ObjectSpec(class_id=0, first_frame=0, last_frame=5, cx=0, cy=0, w=5, h=5,
                        degradations=((0, 3, 1.5),))
 
+    def test_negative_class_id_rejected_by_loader(self, tmp_path):
+        path = tmp_path / "spec.json"
+        save_scenario(simple_spec(), path)
+        path.write_text(path.read_text().replace('"class_id": 1', '"class_id": -1'))
+        with pytest.raises(ValueError) as info:
+            load_scenario(path)
+        assert str(info.value) == (f"{path}: invalid scenario spec: "
+                                   "objects[1]: class id must be non-negative, got -1")
+
     def test_noise_ranges(self):
         with pytest.raises(ValueError, match="miss_prob"):
             DetectorNoise(miss_prob=1.5)
