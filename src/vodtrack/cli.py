@@ -286,7 +286,12 @@ def cmd_link(args, argv) -> int:
     preds_by_video = load_predictions(args.preds) if args.preds else {}
 
     def link_video(vds: VideoDetectionSet) -> VideoDetectionSet:
-        preds = align_predictions(vds, preds_by_video.get(vds.video, {})) if args.mode == "seqtrack" else None
+        preds = None
+        if args.mode == "seqtrack":
+            try:
+                preds = align_predictions(vds, preds_by_video.get(vds.video, {}))
+            except ValueError as exc:
+                raise ValueError(f"--dets {args.dets}, --preds {args.preds}: video {vds.video!r}: {exc}") from None
         frames = link_frames(vds.frames, preds, args.link_iou, args.nms_iou, args.score_min)
         return VideoDetectionSet(vds.video, frames)
 
@@ -412,8 +417,15 @@ def cmd_replay(args, argv) -> int:
     return main(_read_manifest(args.manifest_path), manifest=args.manifest_path)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+class _RecordedArgvParser(argparse.ArgumentParser):
+    """Raises ``ValueError`` where argparse would exit, for an argv read from a manifest."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
+def build_parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParser:
+    parser = parser_class(
         prog="vodtrack",
         description="Video object detection post-processing: tracking-first merge and tubelet re-scoring.",
     )
@@ -495,10 +507,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None, manifest=None) -> int:
-    """Run one subcommand; an argv read from ``manifest`` may not re-run a manifest."""
+    """Run one subcommand; an argv read from ``manifest`` may not re-run a manifest.
+
+    An argv that argparse rejects exits 2, or raises a ``ValueError``
+    naming ``manifest`` when it was read from one.
+    """
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if manifest is None:
+        args = build_parser().parse_args(argv)
+    else:
+        try:
+            args = build_parser(_RecordedArgvParser).parse_args(argv)
+        except ValueError as exc:
+            raise ValueError(f"{manifest}: recorded argv: {exc}") from None
     try:
         if manifest is not None and (args.command == "replay" or getattr(args, "from_manifest", None)):
             raise ValueError(f"{manifest}: the recorded argv re-runs a manifest")

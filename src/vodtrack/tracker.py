@@ -7,6 +7,11 @@ from the correlation map. Pool sizes scale with the expansion factor
 (7x7 template against 21x21 search for k=3), so correlation operates in
 object-relative coordinates regardless of object size.
 
+The shared head convolution feeds both fully connected heads with no
+nonlinearity in between, so the head runs the two as one folded linear map:
+one matrix-vector product per box instead of a 256-channel convolution. A
+nonlinearity added after the shared convolution would end the fold.
+
 An oracle tracker backed by ground truth is included so the detection-merge
 pipeline can run and be tested without trained weights.
 """
@@ -14,7 +19,7 @@ pipeline can run and be tested without trained weights.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -112,6 +117,11 @@ class TrackerWeights:
     convolution feeding both fully connected heads: ``box_weight`` maps the
     flattened shared output to the 4 regression components, ``score_weight``
     to the single overlap logit.
+
+    Nothing nonlinear sits between the shared convolution and the FC heads,
+    so :meth:`folded_head` composes them, once per map size, and caches the
+    fold on this object; the head arrays are read-only so it cannot go
+    stale.
     """
 
     pre_template: ConvBlockWeights
@@ -123,10 +133,13 @@ class TrackerWeights:
     score_weight: np.ndarray
     score_bias: np.ndarray
     pre_search: ConvBlockWeights | None = None
+    _folds: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for name in _HEAD_ARRAYS:
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.float64))
+            array = np.asarray(getattr(self, name), dtype=np.float64).view()
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
         if self.head_kernel.ndim != 4:
             raise ValueError("head_kernel must be (C_out, C_in, kh, kw)")
         n_shared = self.head_kernel.shape[0]
@@ -156,6 +169,42 @@ class TrackerWeights:
     def pre_for_search(self) -> ConvBlockWeights:
         return self.pre_search if self.pre_search is not None else self.pre_template
 
+    def folded_head(self, h: int, w: int) -> tuple[np.ndarray, np.ndarray]:
+        """The shared convolution and both FC heads folded, for an ``h x w`` post-block map.
+
+        Returns a ``(5, C * h * w)`` matrix and a 5-vector: a flattened map
+        ``x`` gives the 4 regression components and the logit as
+        ``matrix @ x + bias``.
+        """
+        if (h, w) not in self._folds:
+            self._folds[h, w] = _fold_head(self, h, w)
+        return self._folds[h, w]
+
+
+def _fold_head(w: TrackerWeights, h: int, wd: int) -> tuple[np.ndarray, np.ndarray]:
+    """Compose ``head_kernel``/``head_bias`` with the FC heads for an ``h x wd`` map.
+
+    Each FC row, read as a ``(C_shared, h, wd)`` map, is pulled back through
+    the same-padded convolution: each tap adds its transposed channel matrix
+    times the row at the tap's offset, and the window the padding keeps is
+    the folded row. The FC weights are read in place, never copied.
+    """
+    c_shared, c_in, kh, kw = w.head_kernel.shape
+    n_flat = c_shared * h * wd
+    if n_flat != w.box_weight.shape[1]:
+        raise ValueError(f"flattened head input has {n_flat} values, FC heads expect {w.box_weight.shape[1]}")
+    rows = [row.reshape(c_shared, h * wd) for row in (*w.box_weight, *w.score_weight)]
+    full = np.zeros((len(rows), c_in, h + kh - 1, wd + kw - 1))
+    for i in range(kh):
+        for j in range(kw):
+            tap = np.ascontiguousarray(w.head_kernel[:, :, i, j].T)
+            for out, fc in zip(full, rows):
+                out[:, i : i + h, j : j + wd] += (tap @ fc).reshape(c_in, h, wd)
+    top, left = (kh - 1) // 2, (kw - 1) // 2
+    matrix = full[:, :, top : top + h, left : left + wd].reshape(len(rows), -1)
+    bias = np.concatenate([w.box_bias, w.score_bias]) + [w.head_bias @ fc.sum(axis=1) for fc in rows]
+    return matrix, bias
+
 
 def _sigmoid(x: float) -> float:
     if x >= 0:
@@ -176,11 +225,13 @@ def head_forward(
     ``templates`` and ``searches`` are ``(N, C, H, W)`` batches of N pairs;
     the result is a list of N ``(delta, quality)``. One ``(C, H, W)`` pair
     gives one ``(delta, quality)``. The pre blocks, the correlation and the
-    post block run on the whole batch; the shared head convolution and the
-    FC heads run one pair at a time, so no ``(N, C_shared, H, W)`` block is
-    held. Each pair's result is the same bit for bit in any batch. With
-    ``return_intermediates=True`` a dict of the intermediate tensors (of the
-    last pair, for ``shared``) is appended for shape inspection.
+    post block run on the whole batch. The shared head convolution and the
+    FC heads run as their fold (:meth:`TrackerWeights.folded_head`), which
+    holds while nothing nonlinear sits between them: one matrix-vector
+    product per pair, so each pair's result is the same bit for bit in any
+    batch. With ``return_intermediates=True`` a dict of the intermediate
+    tensors is appended for shape inspection; only then is ``shared`` (of
+    the last pair) computed, by the convolution.
     """
     single = np.ndim(templates) == 3
     if single:
@@ -189,18 +240,11 @@ def head_forward(
     s = conv_block(searches, w.pre_for_search)
     corr = depthwise_correlate(t, s)
     adjusted = conv_block(corr, w.post)
+    matrix, bias = w.folded_head(*adjusted.shape[-2:])
     results = []
     for pair in adjusted:
-        shared = conv2d_same(pair, w.head_kernel, w.head_bias)
-        flat = shared.ravel()
-        if flat.shape[0] != w.box_weight.shape[1]:
-            raise ValueError(
-                f"flattened head input has {flat.shape[0]} values, "
-                f"FC heads expect {w.box_weight.shape[1]}"
-            )
-        box_out = w.box_weight @ flat + w.box_bias
-        logit = float((w.score_weight @ flat)[0] + w.score_bias[0])
-        results.append((RegressionDelta(*box_out), _sigmoid(logit)))
+        out = matrix @ pair.ravel() + bias
+        results.append((RegressionDelta(*out[:4]), _sigmoid(float(out[4]))))
     if single:
         templates, searches, corr, adjusted = templates[0], searches[0], corr[0], adjusted[0]
         results = results[0]
@@ -210,7 +254,7 @@ def head_forward(
             "search": searches,
             "correlation": corr,
             "adjusted": adjusted,
-            "shared": shared,
+            "shared": conv2d_same(adjusted if single else adjusted[-1], w.head_kernel, w.head_bias),
         }
         return (*results, inter) if single else (results, inter)
     return results

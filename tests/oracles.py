@@ -167,6 +167,18 @@ def naive_conv2d(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray | None = No
     return out
 
 
+def naive_head(adjusted: np.ndarray, w) -> list[float]:
+    """The unfolded head on one ``(C, H, W)`` post-block map: 4 regression components, then the logit.
+
+    ``w`` is a ``TrackerWeights``. The shared convolution runs as
+    :func:`naive_conv2d` and its flattened output feeds both FC heads.
+    """
+    flat = naive_conv2d(adjusted, w.head_kernel, w.head_bias).ravel()
+    rows = [*w.box_weight, *w.score_weight]
+    biases = [*w.box_bias, *w.score_bias]
+    return [math.fsum(row * flat) + b for row, b in zip(rows, biases)]
+
+
 def naive_max_pool_to(arr: np.ndarray, out_h: int, out_w: int, ratio: int) -> np.ndarray:
     """Per-cell max over ``ratio x ratio`` blocks, clamped onto the map at its edges."""
     c, h, w = arr.shape

@@ -358,6 +358,25 @@ class TestTfdAndLink:
                        "--mode", "seqtrack", "--out", expected) == 0
         assert gated.read_bytes() == expected.read_bytes()
 
+    def test_seqtrack_misaligned_preds_name_both_files(self, tmp_path, capsys):
+        # tfd --out-preds is aligned with the merged file, not with the raw
+        # detections it was run on.
+        gt, dets = tmp_path / "gt.jsonl", tmp_path / "dets.jsonl"
+        assert run_cli("synth-gen", "--preset", "degraded", "--seed", "0",
+                       "--out-gt", gt, "--out-dets", dets) == 0
+        merged, preds = tmp_path / "merged.jsonl", tmp_path / "preds.jsonl"
+        assert run_cli("tfd", "--dets", dets, "--oracle", "--gt", gt,
+                       "--out", merged, "--out-preds", preds) == 0
+        capsys.readouterr()
+        rc = run_cli("link", "--dets", dets, "--preds", preds, "--mode", "seqtrack",
+                     "--out", tmp_path / "x.jsonl")
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert re.match(rf"error \[link\]: --dets {re.escape(str(dets))}, --preds {re.escape(str(preds))}: "
+                        r"video '\S+': frame \d+: prediction indices \[.*\] do not cover the \d+ detections\n$",
+                        err), err
+        assert not (tmp_path / "x.jsonl").exists()
+
     def test_seqtrack_requires_preds(self, clean_files, tmp_path, capsys):
         _, dets = clean_files
         rc = run_cli("link", "--dets", dets, "--mode", "seqtrack",
@@ -544,6 +563,8 @@ BAD_MANIFESTS = {
     "non-string-argv": {"command": "run", "argv": ["run", 1]},
     "malformed-json": '{"command": "run", "argv": [',
     "not-run": {"command": "eval", "argv": ["eval", "--preds", "M", "--gt", "M"]},
+    "unknown-command": {"argv": ["bogus"]},
+    "bad-variant": {"command": "run", "argv": ["run", "--variant", "nope", "--out-dir", "D"]},
 }
 
 
@@ -578,6 +599,28 @@ class TestPlotAndReplay:
         assert err.count("\n") == 1
         assert re.match(rf"error \[(replay|run)\]: {re.escape(str(manifest))}: ", err), err
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("command, recorded, complaint", [
+        ("replay", ["bogus"], "argument command: invalid choice: 'bogus'"),
+        ("run", ["run", "--variant", "nope"], "argument --variant: invalid choice: 'nope'"),
+    ])
+    def test_argv_argparse_rejects_names_the_manifest(self, tmp_path, capsys, command, recorded,
+                                                       complaint):
+        manifest, out_dir = tmp_path / "m.json", tmp_path / "out"
+        manifest.write_text(json.dumps({"command": recorded[0], "argv": recorded}))
+        if command == "replay":
+            rc = run_cli("replay", manifest)
+        else:
+            rc = run_cli("run", "--from-manifest", manifest, "--out-dir", out_dir)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error [{command}]: {manifest}: recorded argv: {complaint}"), err
+        assert "usage:" not in err
+        # Typed by hand, the same argv keeps argparse's usage text and exit 2.
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*recorded, "--out-dir", out_dir)
+        assert exc.value.code == 2
+        assert "usage:" in capsys.readouterr().err
 
     def test_replay_subcommand_manifest(self, tmp_path):
         gt = tmp_path / "gt.jsonl"

@@ -9,11 +9,13 @@ from oracles import (
     naive_conv2d,
     naive_conv_block,
     naive_depthwise_correlate,
+    naive_head,
     oversampled_roi_align,
 )
 from vodtrack.detections import Detection
 from vodtrack.geometry import Box
 from vodtrack.evalio import VideoDetectionSet
+import vodtrack.tracker as tracker
 from vodtrack.tensor_ops import FeaturePyramid
 from vodtrack.tracker import (
     NoiseParams,
@@ -261,6 +263,97 @@ class TestTrack:
         b = FeaturePyramid(((4, np.zeros((2, 8, 8))),), 32, 32)
         with pytest.raises(ValueError, match="equal image size"):
             track(a, b, [], w, SMALL_CFG)
+
+
+def head_weights(kernel, n_cells, channels=3, shared=5, seed=0):
+    """Random weights with a ``(shared, channels, *kernel)`` head conv and FC heads over ``n_cells`` cells."""
+    rng = np.random.default_rng(seed)
+
+    def u(*shape):
+        return rng.uniform(-0.5, 0.5, size=shape)
+
+    n_flat = shared * n_cells
+    return dataclasses.replace(
+        synthesize_weights(channels, SMALL_CFG, seed=seed, shared_head_channels=shared),
+        head_kernel=u(shared, channels, *kernel), head_bias=u(shared),
+        box_weight=u(4, n_flat), box_bias=u(4), score_weight=u(1, n_flat), score_bias=u(1),
+    )
+
+
+class TestFoldedHead:
+    # (template, search) pooled sizes: the small config, a non-square map,
+    # and the pool sizes of TrackerConfig(template_pool=5, search_pool=11).
+    SIZES = {
+        "pool-3-9": ((3, 3), (9, 9)),
+        "non-square": ((3, 3), (9, 12)),
+        "pool-5-11": ((5, 5), (11, 11)),
+    }
+
+    @pytest.mark.parametrize("kernel", [(1, 1), (2, 2), (3, 3), (5, 5)])
+    @pytest.mark.parametrize("sizes", SIZES)
+    def test_fold_matches_unfolded_head(self, kernel, sizes):
+        (th, tw), (sh, sw) = self.SIZES[sizes]
+        h, wd = sh - th + 1, sw - tw + 1
+        w = head_weights(kernel, h * wd, seed=kernel[0] * 100 + sh * 10 + sw)
+        rng = np.random.default_rng(sh * sw)
+        templates, searches = rng.random((3, 3, th, tw)), rng.random((3, 3, sh, sw))
+        results, inter = head_forward(templates, searches, w, return_intermediates=True)
+        assert inter["adjusted"].shape == (3, 3, h, wd)
+        matrix, bias = w.folded_head(h, wd)
+        for pair, (delta, quality) in zip(inter["adjusted"], results):
+            want = naive_head(pair, w)
+            assert np.max(np.abs(matrix @ pair.ravel() + bias - want)) <= 1e-12
+            assert np.max(np.abs(np.array(dataclasses.astuple(delta)) - want[:4])) <= 1e-12
+            assert abs(quality - 1.0 / (1.0 + math.exp(-want[4]))) <= 1e-12
+        shared = naive_conv2d(inter["adjusted"][-1], w.head_kernel, w.head_bias)
+        assert np.max(np.abs(inter["shared"] - shared)) <= 1e-12
+
+    def test_map_size_mismatch_rejected(self):
+        w = head_weights((3, 3), 7 * 7)
+        with pytest.raises(ValueError, match="flattened head input has 320 values, FC heads expect 245"):
+            w.folded_head(8, 8)
+        rng = np.random.default_rng(3)
+        with pytest.raises(ValueError, match="FC heads expect 245"):
+            head_forward(rng.random((3, 3, 3)), rng.random((3, 10, 10)), w)
+        assert w.folded_head(7, 7)[0].shape == (5, 3 * 7 * 7)
+
+    def test_folds_once_per_weights_and_map_size(self, monkeypatch):
+        calls = []
+        fold = tracker._fold_head
+
+        def counted(w, h, wd):
+            calls.append((h, wd))
+            return fold(w, h, wd)
+
+        monkeypatch.setattr(tracker, "_fold_head", counted)
+        w = small_weights()
+        dets = [Detection(0, 0, 0.9, Box(12.3, 8.7, 30.1, 26.6)),
+                Detection(0, 1, 0.8, Box(30.0, 34.0, 50.0, 52.0))]
+        frames = [pyramid(seed) for seed in range(101, 106)]
+        for feat_t, feat_t1 in zip(frames, frames[1:]):
+            track(feat_t, feat_t1, dets, w, SMALL_CFG)
+        assert calls == [(7, 7)]
+        matrix = w.folded_head(7, 7)[0]
+        track(frames[0], frames[1], dets, w, SMALL_CFG)
+        assert w.folded_head(7, 7)[0] is matrix and calls == [(7, 7)]
+        # Another weights object folds afresh, even one derived by replace.
+        track(frames[0], frames[1], dets, dataclasses.replace(w), SMALL_CFG)
+        assert calls == [(7, 7), (7, 7)]
+
+        # Two map sizes of one flattened length: one fold each.
+        calls.clear()
+        w36 = head_weights((3, 3), 36)
+        rng = np.random.default_rng(5)
+        for _ in range(2):
+            for sh, sw in ((8, 8), (6, 11)):
+                head_forward(rng.random((2, 3, 3, 3)), rng.random((2, 3, sh, sw)), w36)
+        assert calls == [(6, 6), (4, 9)]
+
+    def test_head_arrays_are_read_only(self):
+        w = small_weights()
+        for name in ("head_kernel", "head_bias", "box_weight", "box_bias", "score_weight", "score_bias"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(w, name).flat[0] = 1.0
 
 
 class TestTargetsAndLoss:
