@@ -50,10 +50,10 @@ def _fail(stage: str, message: str) -> int:
 
 
 def _timed(timings: dict, key: str, fn, *args):
-    """Call ``fn(*args)`` and record its wall time in seconds as ``timings[key]``."""
+    """Call ``fn(*args)`` and add its wall time in seconds to ``timings[key]``."""
     t0 = time.perf_counter()
     result = fn(*args)
-    timings[key] = time.perf_counter() - t0
+    timings[key] = timings.get(key, 0.0) + time.perf_counter() - t0
     return result
 
 
@@ -123,11 +123,21 @@ def _add_scenario_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0, help="preset seed (ignored with --spec)")
 
 
+def _non_negative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
+    return value
+
+
 def _add_noise_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--noise-center", type=float, default=0.0, help="oracle center jitter sigma, px")
     p.add_argument("--noise-size", type=float, default=0.0, help="oracle log-size jitter sigma")
     p.add_argument("--noise-failure", type=float, default=0.0, help="oracle track-failure probability")
-    p.add_argument("--oracle-seed", type=int, default=0)
+    p.add_argument("--oracle-seed", type=_non_negative_int, default=0)
 
 
 def _add_oracle_flags(p: argparse.ArgumentParser) -> None:
@@ -194,8 +204,8 @@ def cmd_synth_gen(args, argv) -> int:
     timings = {}
     spec = _scenario_from_args(args)
     gt, dets = _timed(timings, "generate", generate, spec)
-    save_detections(gt, args.out_gt)
-    save_detections(dets, args.out_dets)
+    _timed(timings, "save", save_detections, gt, args.out_gt)
+    _timed(timings, "save", save_detections, dets, args.out_dets)
     if args.out_spec:
         save_scenario(spec, args.out_spec)
     outputs = {"gt": args.out_gt, "dets": args.out_dets}
@@ -205,12 +215,16 @@ def cmd_synth_gen(args, argv) -> int:
     return 0
 
 
-def _track_frames(vds: VideoDetectionSet, args) -> list[list[TrackPrediction]]:
-    """Predictions for every frame but the last, from the oracle or the learned head."""
+def _oracle_gt(args, timings: dict) -> VideoDetectionSet:
+    """The ``--gt`` video the oracle tracker reads, timed as a load."""
+    if not args.gt:
+        raise ValueError("--oracle requires --gt")
+    return _timed(timings, "load", load_single_video, args.gt)
+
+
+def _track_frames(vds: VideoDetectionSet, args, gt) -> list[list[TrackPrediction]]:
+    """Predictions for every frame but the last, from the oracle (given ``gt``) or the learned head."""
     if args.oracle:
-        if not args.gt:
-            raise ValueError("--oracle requires --gt")
-        gt = load_single_video(args.gt)
         noise = _noise_from_args(args)
         return [oracle_track(list(frame), gt, noise, args.oracle_seed) for frame in vds.frames]
     if not (args.weights and args.features_dir):
@@ -243,10 +257,11 @@ def _track_frames(vds: VideoDetectionSet, args) -> list[list[TrackPrediction]]:
 
 
 def cmd_track(args, argv) -> int:
-    vds = load_single_video(args.dets)
     timings = {}
-    preds_per_frame = _timed(timings, "track", _track_frames, vds, args)
-    save_predictions(preds_per_frame, vds.video, args.out)
+    vds = _timed(timings, "load", load_single_video, args.dets)
+    gt = _oracle_gt(args, timings) if args.oracle else None
+    preds_per_frame = _timed(timings, "track", _track_frames, vds, args, gt)
+    _timed(timings, "save", save_predictions, preds_per_frame, vds.video, args.out)
     _write_manifest(args.manifest, args, argv, {"preds": args.out}, timings)
     n = sum(len(p) for p in preds_per_frame)
     print(f"wrote {args.out} ({n} predictions over {len(preds_per_frame)} frames)")
@@ -254,25 +269,23 @@ def cmd_track(args, argv) -> int:
 
 
 def cmd_tfd(args, argv) -> int:
-    vds = load_single_video(args.dets)
+    timings = {}
+    vds = _timed(timings, "load", load_single_video, args.dets)
     cfg = _config_from_args(args)
     if args.oracle:
-        if not args.gt:
-            raise ValueError("--oracle requires --gt")
-        gt = load_single_video(args.gt)
+        gt = _oracle_gt(args, timings)
         track_fn = make_oracle_track_fn(gt, _noise_from_args(args), args.oracle_seed)
     elif args.preds:
-        stored = load_predictions(args.preds).get(vds.video, {})
+        stored = _timed(timings, "load", load_predictions, args.preds).get(vds.video, {})
         track_fn = make_replay_track_fn(stored)
     else:
         raise ValueError("provide --preds or --oracle")
 
-    timings = {}
     merged, preds = _timed(timings, "pipeline", run_video, vds.frames, track_fn, cfg)
-    save_detections(VideoDetectionSet(vds.video, merged), args.out)
+    _timed(timings, "save", save_detections, VideoDetectionSet(vds.video, merged), args.out)
     outputs = {"merged": args.out}
     if args.out_preds:
-        save_predictions(preds, vds.video, args.out_preds)
+        _timed(timings, "save", save_predictions, preds, vds.video, args.out_preds)
         outputs["preds"] = args.out_preds
     _write_manifest(args.manifest, args, argv, outputs, timings)
     print(f"wrote {args.out} ({sum(len(f) for f in merged)} merged detections)")
@@ -280,10 +293,11 @@ def cmd_tfd(args, argv) -> int:
 
 
 def cmd_link(args, argv) -> int:
-    sets = load_detections(args.dets)
+    timings = {}
+    sets = _timed(timings, "load", load_detections, args.dets)
     if args.mode == "seqtrack" and not args.preds:
         raise ValueError("--mode seqtrack requires --preds")
-    preds_by_video = load_predictions(args.preds) if args.preds else {}
+    preds_by_video = _timed(timings, "load", load_predictions, args.preds) if args.preds else {}
 
     def link_video(vds: VideoDetectionSet) -> VideoDetectionSet:
         preds = None
@@ -295,9 +309,8 @@ def cmd_link(args, argv) -> int:
         frames = link_frames(vds.frames, preds, args.link_iou, args.nms_iou, args.score_min)
         return VideoDetectionSet(vds.video, frames)
 
-    timings = {}
     out_sets = _timed(timings, "link", lambda: [link_video(vds) for vds in sets])
-    save_detections(out_sets, args.out)
+    _timed(timings, "save", save_detections, out_sets, args.out)
     _write_manifest(args.manifest, args, argv, {"linked": args.out}, timings)
     total = sum(len(f) for v in out_sets for f in v.frames)
     print(f"wrote {args.out} ({total} re-scored detections, mode {args.mode})")
@@ -305,9 +318,9 @@ def cmd_link(args, argv) -> int:
 
 
 def cmd_eval(args, argv) -> int:
-    preds = load_detections(args.preds)
-    gt = load_detections(args.gt)
     timings = {}
+    preds = _timed(timings, "load", load_detections, args.preds)
+    gt = _timed(timings, "load", load_detections, args.gt)
     result = _timed(timings, "eval", evaluate_map, preds, gt, args.iou)
 
     print(f"{'class':>8}  {'AP':>8}")
@@ -366,16 +379,17 @@ def cmd_run(args, argv) -> int:
         args.oracle_seed, args.link_iou, args.iou,
     )
     names = ["scenario.json", "gt.jsonl", "dets.jsonl", "final.jsonl", "result.json"]
+    timings = artifacts["timings"]
     save_scenario(spec, out_dir / "scenario.json")
     for name in ("gt", "dets", "final"):
-        save_detections(artifacts[name], out_dir / f"{name}.jsonl")
+        _timed(timings, "save", save_detections, artifacts[name], out_dir / f"{name}.jsonl")
     _write_result(out_dir / "result.json", args.variant, result)
     if "merged" in artifacts:
-        save_detections(artifacts["merged"], out_dir / "merged.jsonl")
-        save_predictions(artifacts["preds"], spec.video, out_dir / "preds.jsonl")
+        _timed(timings, "save", save_detections, artifacts["merged"], out_dir / "merged.jsonl")
+        _timed(timings, "save", save_predictions, artifacts["preds"], spec.video, out_dir / "preds.jsonl")
         names += ["merged.jsonl", "preds.jsonl"]
     outputs = {Path(name).stem: str(out_dir / name) for name in names}
-    _write_manifest(out_dir / "manifest.json", args, argv, outputs, artifacts["timings"],
+    _write_manifest(out_dir / "manifest.json", args, argv, outputs, timings,
                     variant=args.variant, seed=spec.seed)
     print(f"{args.variant}: mAP {result.mean_ap:.4f}  -> {out_dir}")
     return 0

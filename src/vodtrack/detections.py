@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 from .geometry import Box
@@ -13,7 +12,7 @@ PROVENANCE_DETECTED = "detected"
 PROVENANCE_TRACKED = "tracked"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Detection:
     """One scored box in one frame, with optional identity and origin tag."""
 
@@ -29,7 +28,7 @@ class Detection:
             raise ValueError(f"frame index must be non-negative, got {self.frame}")
         if self.class_id < 0:
             raise ValueError(f"class id must be non-negative, got {self.class_id}")
-        if not math.isfinite(self.score) or not (0.0 <= self.score <= 1.0):
+        if not (0.0 <= self.score <= 1.0):  # also false for NaN
             raise ValueError(f"detection score must be in [0, 1], got {self.score!r}")
 
     def with_score(self, score: float) -> "Detection":

@@ -8,6 +8,10 @@ Detection files are JSON lines, one object per detection::
 ``track`` and ``provenance`` may be null; ``provenance`` is otherwise
 ``"detected"`` or ``"tracked"``. Keys are written in the order above with
 repr-exact floats, so saving a loaded file reproduces it byte for byte.
+The writers fill one ``%``-format string per line instead of calling
+``json.dumps`` on a dict: ``json.dumps`` writes a finite float as its
+``repr`` (and every stored float is finite), an int as ``%d`` and a string
+escaped, so the text is the same and the video id is escaped once per video.
 
 Prediction files are JSON lines, one object per track prediction::
 
@@ -104,21 +108,30 @@ _PROVENANCES = (None, PROVENANCE_DETECTED, PROVENANCE_TRACKED)
 MAX_FRAME_INDEX = 100_000
 
 
-def _detection_fields(det: Detection) -> dict:
-    """A detection's record fields in file order, without its video."""
-    return {
-        "frame": det.frame,
-        "class": det.class_id,
-        "score": float(det.score),
-        "box": [float(v) for v in det.box.corners()],
-        "track": det.track,
-        "provenance": det.provenance,
-    }
+# A detection record's fields after ``video``, in file order, and the two
+# record lines built on them; each line is the ``json.dumps`` text of its
+# record (see the module docstring).
+_DETECTION_FIELDS = ('"frame": %d, "class": %d, "score": %r, "box": [%r, %r, %r, %r], '
+                     '"track": %s, "provenance": %s')
+_DETECTION_LINE = '{"video": %s, ' + _DETECTION_FIELDS + '}\n'
+_PREDICTION_LINE = ('{"video": %s, "frame": %d, "det": %d, "box": [%r, %r, %r, %r], '
+                    '"quality": %r, "source": {' + _DETECTION_FIELDS + '}}\n')
+_PROVENANCE_JSON = {p: json.dumps(p) for p in _PROVENANCES}
+
+
+def _detection_values(det: Detection) -> tuple:
+    """A detection's values for ``_DETECTION_FIELDS``."""
+    b, track = det.box, det.track
+    return (det.frame, det.class_id, float(det.score),
+            float(b.x1), float(b.y1), float(b.x2), float(b.y2),
+            "null" if track is None else "%d" % track,
+            _PROVENANCE_JSON.get(det.provenance) or json.dumps(det.provenance))
 
 
 # Exact types as ``json.loads`` returns them; ``bool`` is no number here.
-_JSON_TYPES = {"an integer": {int}, "a number": {int, float}, "a string": {str},
-               "an object": {dict}, "a list": {list}}
+_NUMBER = (int, float)
+_JSON_TYPES = {"an integer": (int,), "a number": _NUMBER, "a string": (str,),
+               "an object": (dict,), "a list": (list,)}
 
 
 def _value(obj: dict, key: str, kind: str):
@@ -134,29 +147,38 @@ def _value(obj: dict, key: str, kind: str):
 
 def _box(obj: dict) -> Box:
     corners = _value(obj, "box", "a list")
-    if len(corners) != 4 or not set(map(type, corners)) <= _JSON_TYPES["a number"]:
+    if len(corners) != 4:
         raise ValueError(f"'box' must be a list of 4 numbers, got {corners!r}")
-    if not all(abs(v) <= MAX_COORDINATE for v in corners):
+    x1, y1, x2, y2 = corners
+    if not (type(x1) in _NUMBER and type(y1) in _NUMBER and type(x2) in _NUMBER
+            and type(y2) in _NUMBER):
+        raise ValueError(f"'box' must be a list of 4 numbers, got {corners!r}")
+    if not (abs(x1) <= MAX_COORDINATE and abs(y1) <= MAX_COORDINATE
+            and abs(x2) <= MAX_COORDINATE and abs(y2) <= MAX_COORDINATE):
         raise ValueError(f"'box' corners must lie within ±2**53, got {corners!r}")
-    return Box(*map(float, corners))
+    return Box(float(x1), float(y1), float(x2), float(y2))
 
 
 def _parse_detection_fields(obj: dict) -> Detection:
-    """Inverse of :func:`_detection_fields`; any malformed field raises ``ValueError``."""
+    """A detection from its record fields, checked in file order; a fault raises ``ValueError``."""
     provenance = obj.get("provenance")
     if provenance not in _PROVENANCES:
         raise ValueError(f"unknown provenance {provenance!r}")
     frame = _value(obj, "frame", "an integer")
     if frame > MAX_FRAME_INDEX:
         raise ValueError(f"frame {frame} is above the largest frame index {MAX_FRAME_INDEX}")
-    return Detection(
-        frame=frame,
-        class_id=_value(obj, "class", "an integer"),
-        score=float(_value(obj, "score", "a number")),
-        box=_box(obj),
-        track=None if obj.get("track") is None else _value(obj, "track", "an integer"),
-        provenance=provenance,
-    )
+    class_id = _value(obj, "class", "an integer")
+    score = float(_value(obj, "score", "a number"))
+    box = _box(obj)
+    track = obj.get("track")
+    if track is not None and type(track) is not int:
+        raise ValueError(f"'track' must be an integer, got {track!r}")
+    return Detection(frame, class_id, score, box, track, provenance)
+
+
+# ``json.loads`` less its per-call wrapper, which costs about as much as the
+# scan of a record: the decoder's scanner returns a value and where it ends.
+_scan_json = json.JSONDecoder().scan_once
 
 
 def _json_objects(path):
@@ -167,9 +189,14 @@ def _json_objects(path):
             if not line:
                 continue
             try:
-                obj = json.loads(line)
-            except ValueError as exc:  # also integers past Python's digit limit
-                raise ValueError(f"{path}:{lineno}: malformed JSON: {exc}") from exc
+                obj, end = _scan_json(line, 0)
+            except (StopIteration, ValueError):
+                end = None
+            if end != len(line):  # not one whole value: json.loads raises json's own error
+                try:
+                    obj = json.loads(line)
+                except ValueError as exc:  # also integers past Python's digit limit
+                    raise ValueError(f"{path}:{lineno}: malformed JSON: {exc}") from exc
             if not isinstance(obj, dict):
                 raise ValueError(f"{path}:{lineno}: expected a JSON object, got {obj!r}")
             yield lineno, obj
@@ -181,9 +208,9 @@ def save_detections(sets: VideoDetectionSet | Sequence[VideoDetectionSet], path)
         sets = [sets]
     with open(path, "w", encoding="utf-8") as fh:
         for vds in sets:
-            for frame in vds.frames:
-                for det in frame:
-                    fh.write(json.dumps({"video": vds.video, **_detection_fields(det)}) + "\n")
+            video = json.dumps(vds.video)
+            fh.writelines(_DETECTION_LINE % (video, *_detection_values(det))
+                          for frame in vds.frames for det in frame)
 
 
 def load_detections(path) -> list[VideoDetectionSet]:
@@ -212,18 +239,14 @@ def save_predictions(preds_per_frame, video: str, path) -> None:
     ``preds_per_frame`` is a sequence over frames of prediction lists, each
     aligned by index with the detections they were computed from.
     """
+    video = json.dumps(video)
     with open(path, "w", encoding="utf-8") as fh:
         for t, preds in enumerate(preds_per_frame):
             for i, p in enumerate(preds):
-                record = {
-                    "video": video,
-                    "frame": t,
-                    "det": i,
-                    "box": [float(v) for v in p.predicted_box.corners()],
-                    "quality": float(p.quality),
-                    "source": _detection_fields(p.source),
-                }
-                fh.write(json.dumps(record) + "\n")
+                b = p.predicted_box
+                fh.write(_PREDICTION_LINE % (video, t, i, float(b.x1), float(b.y1), float(b.x2),
+                                             float(b.y2), float(p.quality),
+                                             *_detection_values(p.source)))
 
 
 def load_predictions(path) -> dict[str, dict[int, list]]:

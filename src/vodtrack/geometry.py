@@ -17,6 +17,7 @@ bit for bit to the pairwise formula. Callers compute one matrix per frame
 from __future__ import annotations
 
 import math
+from math import isfinite
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -31,7 +32,7 @@ __all__ = ["MAX_COORDINATE", "Box", "RegressionDelta", "iou", "encode", "decode"
 MAX_COORDINATE = 2.0**53
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Box:
     """Axis-aligned rectangle with corner storage and center-form accessors.
 
@@ -45,10 +46,12 @@ class Box:
     y2: float
 
     def __post_init__(self) -> None:
-        for name in ("x1", "y1", "x2", "y2"):
-            v = getattr(self, name)
-            if not math.isfinite(v):
-                raise ValueError(f"box coordinate {name} is not finite: {v!r}")
+        # One chain on the common path; only a failure looks up which corner.
+        if not (isfinite(self.x1) and isfinite(self.y1) and isfinite(self.x2) and isfinite(self.y2)):
+            for name in ("x1", "y1", "x2", "y2"):
+                v = getattr(self, name)
+                if not isfinite(v):
+                    raise ValueError(f"box coordinate {name} is not finite: {v!r}")
         if self.x2 < self.x1 or self.y2 < self.y1:
             raise ValueError(
                 f"negative box extent: ({self.x1}, {self.y1}, {self.x2}, {self.y2})"
@@ -83,7 +86,7 @@ class Box:
         return (self.x1, self.y1, self.x2, self.y2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RegressionDelta:
     """Dimensionless box regression target/prediction.
 

@@ -19,6 +19,7 @@ pipeline can run and be tested without trained weights.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -84,7 +85,7 @@ class TrackerConfig:
         return self.search_pool - self.template_pool + 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrackPrediction:
     """A tracked box for the next frame with its predicted overlap quality."""
 
@@ -93,7 +94,7 @@ class TrackPrediction:
     quality: float
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.quality) or not (0.0 <= self.quality <= 1.0):
+        if not (0.0 <= self.quality <= 1.0):  # also false for NaN
             raise ValueError(f"quality must be in [0, 1], got {self.quality!r}")
 
 
@@ -348,12 +349,27 @@ class NoiseParams:
             raise ValueError("failure_prob must be in [0, 1]")
 
 
+_WORD = 0xFFFFFFFF
+
+
 def _det_rng(seed: int, det: Detection) -> np.random.Generator:
     # Keyed on the detection's own identity so results do not depend on how
-    # calls are batched.
-    coords = np.array(det.box.corners(), dtype=np.float64).view(np.uint64)
-    entropy = [seed, det.frame, det.class_id] + [int(c) for c in coords]
-    return np.random.default_rng(np.random.SeedSequence(entropy))
+    # calls are batched. The entropy is the int list [seed, frame, class_id,
+    # *bits of each float64 corner], handed to SeedSequence as the uint32
+    # words numpy itself splits such a list into: each int gives its
+    # little-endian 32-bit words without high zero words, and at least one
+    # word, so 0 (and a 0.0 corner) gives [0] and any int below 2**32 one
+    # word. The generator state is the list form's; building the words here
+    # halves the cost of seeding.
+    bits = struct.unpack("<4Q", struct.pack("<4d", *det.box.corners()))
+    words = []
+    for n in (seed, det.frame, det.class_id, *bits):
+        if n < 0:  # a negative int has no words: n >>= 32 never reaches 0
+            raise ValueError(f"expected non-negative integer, got {n}")
+        words.append(n & _WORD)
+        while n := n >> 32:
+            words.append(n & _WORD)
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(np.array(words, np.uint32))))
 
 
 def _perturb_box(b: Box, noise: NoiseParams, rng: np.random.Generator) -> Box:

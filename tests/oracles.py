@@ -6,6 +6,7 @@ no code with the implementations under test.
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -265,3 +266,37 @@ def _best_alive_path(scores, edges, alive):
                 for j in edges.get((t, i), []):
                     stack.append(path + [(t + 1, j)])
     return best, sum(scores[t][i] for t, i in best)
+
+
+def json_detection_fields(det) -> dict:
+    """A detection record's fields after ``video``, as a dict in file order."""
+    return {
+        "frame": det.frame,
+        "class": det.class_id,
+        "score": float(det.score),
+        "box": [float(v) for v in det.box.corners()],
+        "track": det.track,
+        "provenance": det.provenance,
+    }
+
+
+def json_detection_lines(sets) -> str:
+    """A detection file as ``json.dumps`` writes each record."""
+    return "".join(json.dumps({"video": vds.video, **json_detection_fields(det)}) + "\n"
+                   for vds in sets for frame in vds.frames for det in frame)
+
+
+def json_prediction_lines(preds_per_frame, video: str) -> str:
+    """A prediction file as ``json.dumps`` writes each record."""
+    return "".join(
+        json.dumps({"video": video, "frame": t, "det": i,
+                    "box": [float(v) for v in p.predicted_box.corners()],
+                    "quality": float(p.quality), "source": json_detection_fields(p.source)}) + "\n"
+        for t, preds in enumerate(preds_per_frame) for i, p in enumerate(preds))
+
+
+def list_seeded_rng(seed: int, det) -> np.random.Generator:
+    """The oracle tracker's per-box generator, seeded from a list of Python ints."""
+    bits = np.array(det.box.corners(), dtype=np.float64).view(np.uint64)
+    entropy = [seed, det.frame, det.class_id] + [int(c) for c in bits]
+    return np.random.default_rng(np.random.SeedSequence(entropy))

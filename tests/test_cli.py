@@ -261,6 +261,35 @@ class TestTrack:
         assert "track" in capsys.readouterr().err
 
 
+class TestOracleSeed:
+    # Each command that takes --oracle-seed, with a negative seed: track on
+    # real files, tfd on an empty detection file (nothing to track, and a
+    # file that would fail to load), run on the detector variant (which
+    # tracks nothing).
+    ARGV = {
+        "track": lambda gt, dets, out: ["track", "--dets", dets, "--oracle", "--gt", gt,
+                                        "--out", out / "p.jsonl"],
+        "tfd": lambda gt, dets, out: ["tfd", "--dets", out / "empty.jsonl", "--oracle", "--gt", gt,
+                                      "--out", out / "m.jsonl"],
+        "run": lambda gt, dets, out: ["run", "--preset", "clean", "--variant", "detector",
+                                      "--out-dir", out / "run"],
+    }
+
+    @pytest.mark.parametrize("command", ARGV)
+    def test_negative_seed_rejected_before_reading(self, clean_files, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "empty.jsonl").write_text("")
+        argv = self.ARGV[command](*clean_files, out)
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv, "--oracle-seed", "-3")
+        assert exc.value.code == 2
+        assert "argument --oracle-seed: must be a non-negative integer, got -3" in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == ["empty.jsonl"]
+        # Seed 0 parses; tfd then fails on reading the empty file.
+        assert run_cli(*argv, "--oracle-seed", "0") == (1 if command == "tfd" else 0)
+
+
 class TestTfdAndLink:
     def test_oracle_pipeline_and_linking(self, clean_files, tmp_path):
         gt, dets = clean_files
@@ -417,7 +446,7 @@ class TestRun:
         assert data["map"] == 1.0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["command"] == "run"
-        assert set(manifest["timings_ms"]) == {"generate", "variant", "eval"}
+        assert set(manifest["timings_ms"]) == {"generate", "variant", "eval", "save"}
 
     def test_equals_chained_subcommands(self, tmp_path):
         out = tmp_path / "composed"
@@ -512,22 +541,22 @@ class TestManifest:
     SHAPES = {
         "synth-gen": (lambda d: ["synth-gen", "--preset", "clean", "--seed", "0",
                                  "--out-gt", d / "g.jsonl", "--out-dets", d / "d.jsonl"],
-                      {"gt", "dets"}, {"generate"}),
+                      {"gt", "dets"}, {"generate", "save"}),
         "track": (lambda d: ["track", "--dets", d / "dets.jsonl", "--oracle", "--gt", d / "gt.jsonl",
                              "--out", d / "p.jsonl"],
-                  {"preds"}, {"track"}),
+                  {"preds"}, {"load", "track", "save"}),
         "tfd": (lambda d: ["tfd", "--dets", d / "dets.jsonl", "--oracle", "--gt", d / "gt.jsonl",
                            "--out", d / "m.jsonl", "--out-preds", d / "p.jsonl"],
-                {"merged", "preds"}, {"pipeline"}),
+                {"merged", "preds"}, {"load", "pipeline", "save"}),
         "link": (lambda d: ["link", "--dets", d / "dets.jsonl", "--mode", "seqnms", "--out", d / "l.jsonl"],
-                 {"linked"}, {"link"}),
+                 {"linked"}, {"load", "link", "save"}),
         "eval": (lambda d: ["eval", "--preds", d / "gt.jsonl", "--gt", d / "gt.jsonl",
                             "--out", d / "r.json"],
-                 {"result"}, {"eval"}),
+                 {"result"}, {"load", "eval"}),
         "run": (lambda d: ["run", "--preset", "clean", "--seed", "0", "--variant", "tfd+seqnms",
                            "--out-dir", d / "run"],
                 {"scenario", "gt", "dets", "final", "result", "merged", "preds"},
-                {"generate", "variant", "eval"}),
+                {"generate", "variant", "eval", "save"}),
     }
 
     @pytest.mark.parametrize("command", SHAPES)
