@@ -14,15 +14,17 @@ from dataclasses import fields, replace
 from pathlib import Path
 
 from . import __version__
-from .detections import Detection
+from .detections import Detection, TrackPrediction, frame_of
 from .evalio import (
     VideoDetectionSet,
+    _value,
     align_predictions,
     evaluate_map,
     load_detections,
     load_features,
     load_predictions,
     load_single_video,
+    read_json_object,
     save_detections,
     save_predictions,
 )
@@ -33,7 +35,6 @@ from .synth import ScenarioSpec, generate, load_scenario, preset_scenario, save_
 from .tracker import (
     NoiseParams,
     TrackerConfig,
-    TrackPrediction,
     fuse_for_head,
     load_weights,
     make_oracle_track_fn,
@@ -42,11 +43,6 @@ from .tracker import (
 )
 
 VARIANTS = ("detector", "seqnms", "tfd+seqnms", "tfd+seqtracknms")
-
-
-def _fail(stage: str, message: str) -> int:
-    print(f"error [{stage}]: {message}", file=sys.stderr)
-    return 1
 
 
 def _timed(timings: dict, key: str, fn, *args):
@@ -100,11 +96,7 @@ def _config_from_args(args) -> PipelineConfig:
 
 
 def _noise_from_args(args) -> NoiseParams:
-    return NoiseParams(
-        center_sigma=args.noise_center,
-        size_sigma=args.noise_size,
-        failure_prob=args.noise_failure,
-    )
+    return NoiseParams(args.noise_center, args.noise_size, args.noise_failure)
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
@@ -154,30 +146,27 @@ def make_replay_track_fn(stored: dict[int, list]):
     """Replay file predictions: candidates claim the stored prediction whose
     source box they overlap most (at 0.5 IoU or better; the last such entry
     on a tie), each at most once, in candidate order. Unclaimed candidates
-    come back with zero quality and are filtered out."""
+    come back with zero quality and are filtered out. Each call takes one
+    frame's boxes and leaves ``stored`` as it was."""
 
     def track_fn(candidates: list[Detection]) -> list[TrackPrediction]:
-        out: list[TrackPrediction | None] = [None] * len(candidates)
-        by_frame: dict[int, list[int]] = {}
-        for k, det in enumerate(candidates):
-            by_frame.setdefault(det.frame, []).append(k)
-        for frame, ks in by_frame.items():
-            entries = stored.get(frame, [])
-            overlaps = iou([candidates[k].box for k in ks], [pred.source.box for _, pred in entries])
-            claimed = [False] * len(entries)
-            for k, row in zip(ks, overlaps.tolist()):
-                det = candidates[k]
-                best_iou, best_pos = 0.5, None
-                for pos, v in enumerate(row):
-                    if v >= best_iou and not claimed[pos]:
-                        best_iou, best_pos = v, pos
-                if best_pos is None:
-                    out[k] = TrackPrediction(det, det.box, 0.0)
-                else:
-                    claimed[best_pos] = True
-                    pred = entries[best_pos][1]
-                    out[k] = TrackPrediction(det, pred.predicted_box, pred.quality)
-            entries[:] = [e for e, c in zip(entries, claimed) if not c]
+        if not candidates:
+            return []
+        entries = stored.get(frame_of(candidates), [])
+        overlaps = iou([det.box for det in candidates], [pred.source.box for _, pred in entries])
+        claimed = [False] * len(entries)
+        out = []
+        for det, row in zip(candidates, overlaps.tolist()):
+            best_iou, best_pos = 0.5, None
+            for pos, v in enumerate(row):
+                if v >= best_iou and not claimed[pos]:
+                    best_iou, best_pos = v, pos
+            if best_pos is None:
+                out.append(TrackPrediction(det, det.box, 0.0))
+            else:
+                claimed[best_pos] = True
+                pred = entries[best_pos][1]
+                out.append(TrackPrediction(det, pred.predicted_box, pred.quality))
         return out
 
     return track_fn
@@ -223,7 +212,13 @@ def _oracle_gt(args, timings: dict) -> VideoDetectionSet:
 
 
 def _track_frames(vds: VideoDetectionSet, args, gt) -> list[list[TrackPrediction]]:
-    """Predictions for every frame but the last, from the oracle (given ``gt``) or the learned head."""
+    """Per-frame predictions from the oracle (given ``gt``) or the learned head.
+
+    The oracle predicts every frame, the last included (its boxes have no
+    next ground-truth frame, so each comes back below quality 0.5); the
+    learned head needs frame ``t + 1``'s features and stops one frame
+    short. The ``track-replay`` golden digest pins the oracle's output.
+    """
     if args.oracle:
         noise = _noise_from_args(args)
         return [oracle_track(list(frame), gt, noise, args.oracle_seed) for frame in vds.frames]
@@ -398,10 +393,13 @@ def cmd_run(args, argv) -> int:
 def cmd_plot(args, argv) -> int:
     rows = []
     for path in args.results:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        variant = data.get("variant") or Path(path).stem
-        rows.append((variant, data["map"]))
+        with open(path, "rb") as fh:
+            data = read_json_object(fh.read(), path, "result")
+        try:
+            value = _value(data, "map", "a number")
+        except ValueError as exc:
+            raise ValueError(f"{path}: invalid result: {exc}") from None
+        rows.append((data.get("variant") or Path(path).stem, value))
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write("variant,map\n")
         for variant, value in rows:
@@ -412,13 +410,8 @@ def cmd_plot(args, argv) -> int:
 
 def _read_manifest(path, command: str | None = None) -> list[str]:
     """The argv a manifest recorded; ``command``, if given, must be the one it records."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            manifest = json.load(fh)
-    except ValueError as exc:
-        raise ValueError(f"{path}: not a JSON manifest: {exc}") from None
-    if not isinstance(manifest, dict):
-        raise ValueError(f"{path}: manifest is not a JSON object")
+    with open(path, "rb") as fh:
+        manifest = read_json_object(fh.read(), path, "manifest")
     argv = manifest.get("argv")
     if not (isinstance(argv, list) and argv and all(isinstance(a, str) for a in argv)):
         raise ValueError(f"{path}: manifest argv must be a non-empty list of strings")
@@ -539,7 +532,8 @@ def main(argv: list[str] | None = None, manifest=None) -> int:
             raise ValueError(f"{manifest}: the recorded argv re-runs a manifest")
         return args.func(args, argv)
     except (ValueError, OSError) as exc:
-        return _fail(args.command, str(exc))
+        print(f"error [{args.command}]: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

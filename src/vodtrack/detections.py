@@ -1,15 +1,19 @@
-"""Per-frame detection records shared by the pipeline, linker, and evaluator."""
+"""Per-frame records shared by the pipeline, linker, and evaluator; each checks its own values."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import Sequence
 
 from .geometry import Box
 
-__all__ = ["Detection", "PROVENANCE_DETECTED", "PROVENANCE_TRACKED"]
+__all__ = ["Detection", "TrackPrediction", "PROVENANCES", "PROVENANCE_DETECTED",
+           "PROVENANCE_TRACKED", "frame_of"]
 
 PROVENANCE_DETECTED = "detected"
 PROVENANCE_TRACKED = "tracked"
+# Every provenance a detection may carry; None means unknown.
+PROVENANCES = (None, PROVENANCE_DETECTED, PROVENANCE_TRACKED)
 
 
 @dataclass(frozen=True, slots=True)
@@ -30,6 +34,29 @@ class Detection:
             raise ValueError(f"class id must be non-negative, got {self.class_id}")
         if not (0.0 <= self.score <= 1.0):  # also false for NaN
             raise ValueError(f"detection score must be in [0, 1], got {self.score!r}")
+        if self.provenance not in PROVENANCES:
+            raise ValueError(f"unknown provenance {self.provenance!r}")
 
     def with_score(self, score: float) -> "Detection":
-        return replace(self, score=score)
+        return Detection(self.frame, self.class_id, score, self.box, self.track, self.provenance)
+
+
+@dataclass(frozen=True, slots=True)
+class TrackPrediction:
+    """A tracked box for the next frame with its predicted overlap quality."""
+
+    source: Detection
+    predicted_box: Box
+    quality: float
+
+    def __post_init__(self) -> None:
+        if not (0.0 <= self.quality <= 1.0):  # also false for NaN
+            raise ValueError(f"quality must be in [0, 1], got {self.quality!r}")
+
+
+def frame_of(boxes: Sequence[Detection]) -> int:
+    """The one frame of a tracker call's boxes (at least one); two frames raise ``ValueError``."""
+    frames = {det.frame for det in boxes}
+    if len(frames) != 1:
+        raise ValueError(f"a tracker call takes the boxes of one frame, got frames {sorted(frames)}")
+    return frames.pop()

@@ -23,7 +23,9 @@ detection record without ``video``: it is written and read by the same
 code as a detection file's lines. Every loader rejects a malformed line
 with a ``ValueError`` naming ``path:line``; a detection frame index above
 ``MAX_FRAME_INDEX`` and a box corner beyond ``geometry.MAX_COORDINATE``
-count as malformed.
+count as malformed; the record types check the values they hold. Every
+JSON text the package reads, these lines and the headers below included,
+is decoded by :func:`read_json_object`, which names the file (and line).
 
 Feature pyramids and named weight tensors use the same binary layout: a
 single UTF-8 JSON header line declaring shapes and element width, followed
@@ -42,7 +44,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .detections import PROVENANCE_DETECTED, PROVENANCE_TRACKED, Detection
+from .detections import PROVENANCES, Detection, TrackPrediction
 from .geometry import MAX_COORDINATE, Box, iou
 from .tensor_ops import FeaturePyramid
 
@@ -59,6 +61,7 @@ __all__ = [
     "load_named_arrays",
     "save_named_arrays",
     "evaluate_map",
+    "read_json_object",
 ]
 
 @dataclass(frozen=True)
@@ -99,8 +102,6 @@ class VideoDetectionSet:
         return [d for frame in self.frames for d in frame]
 
 
-_PROVENANCES = (None, PROVENANCE_DETECTED, PROVENANCE_TRACKED)
-
 # Largest frame index a detection record may carry. A loaded video holds one
 # entry per frame up to its largest index, so one hostile record could
 # otherwise exhaust memory; at this bound the frame table costs about 9 MB
@@ -116,7 +117,7 @@ _DETECTION_FIELDS = ('"frame": %d, "class": %d, "score": %r, "box": [%r, %r, %r,
 _DETECTION_LINE = '{"video": %s, ' + _DETECTION_FIELDS + '}\n'
 _PREDICTION_LINE = ('{"video": %s, "frame": %d, "det": %d, "box": [%r, %r, %r, %r], '
                     '"quality": %r, "source": {' + _DETECTION_FIELDS + '}}\n')
-_PROVENANCE_JSON = {p: json.dumps(p) for p in _PROVENANCES}
+_PROVENANCE_JSON = {p: json.dumps(p) for p in PROVENANCES}
 
 
 def _detection_values(det: Detection) -> tuple:
@@ -125,7 +126,7 @@ def _detection_values(det: Detection) -> tuple:
     return (det.frame, det.class_id, float(det.score),
             float(b.x1), float(b.y1), float(b.x2), float(b.y2),
             "null" if track is None else "%d" % track,
-            _PROVENANCE_JSON.get(det.provenance) or json.dumps(det.provenance))
+            _PROVENANCE_JSON[det.provenance])
 
 
 # Exact types as ``json.loads`` returns them; ``bool`` is no number here.
@@ -160,10 +161,7 @@ def _box(obj: dict) -> Box:
 
 
 def _parse_detection_fields(obj: dict) -> Detection:
-    """A detection from its record fields, checked in file order; a fault raises ``ValueError``."""
-    provenance = obj.get("provenance")
-    if provenance not in _PROVENANCES:
-        raise ValueError(f"unknown provenance {provenance!r}")
+    """A detection from its record fields; a fault raises ``ValueError``."""
     frame = _value(obj, "frame", "an integer")
     if frame > MAX_FRAME_INDEX:
         raise ValueError(f"frame {frame} is above the largest frame index {MAX_FRAME_INDEX}")
@@ -173,7 +171,38 @@ def _parse_detection_fields(obj: dict) -> Detection:
     track = obj.get("track")
     if track is not None and type(track) is not int:
         raise ValueError(f"'track' must be an integer, got {track!r}")
-    return Detection(frame, class_id, score, box, track, provenance)
+    return Detection(frame, class_id, score, box, track, obj.get("provenance"))
+
+
+def _parse_detection(obj: dict) -> tuple[str, Detection]:
+    """A detection record's video and detection."""
+    return _value(obj, "video", "a string"), _parse_detection_fields(obj)
+
+
+def _parse_prediction(obj: dict) -> tuple[str, int, int, TrackPrediction]:
+    """A prediction record's video, frame, detection index and prediction."""
+    pred = TrackPrediction(
+        source=_parse_detection_fields(_value(obj, "source", "an object")),
+        predicted_box=_box(obj),
+        quality=float(_value(obj, "quality", "a number")),
+    )
+    return (_value(obj, "video", "a string"), _value(obj, "frame", "an integer"),
+            _value(obj, "det", "an integer"), pred)
+
+
+def read_json_object(data: bytes, where, what: str) -> dict:
+    """UTF-8 ``data`` as one JSON object; a fault raises ``ValueError`` naming ``where``.
+
+    Bad UTF-8 or JSON, an integer past Python's digit limit and nesting too
+    deep for the decoder are ``malformed <what>``.
+    """
+    try:
+        obj = json.loads(data.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:
+        raise ValueError(f"{where}: malformed {what}: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where}: {what} is not a JSON object")
+    return obj
 
 
 # ``json.loads`` less its per-call wrapper, which costs about as much as the
@@ -181,25 +210,27 @@ def _parse_detection_fields(obj: dict) -> Detection:
 _scan_json = json.JSONDecoder().scan_once
 
 
-def _json_objects(path):
-    """Yield ``(lineno, object)`` for each non-blank line of a JSON-lines file."""
-    with open(path, "r", encoding="utf-8") as fh:
+def _records(path, kind: str, parse):
+    """Yield ``parse(obj)`` per non-blank line; what ``parse`` rejects is an invalid ``kind`` record."""
+    # Bad UTF-8 reads as lone surrogates, which valid UTF-8 never decodes
+    # to; a line that is not plain ASCII goes to the reader as its bytes.
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
                 obj, end = _scan_json(line, 0)
-            except (StopIteration, ValueError):
+            except (StopIteration, ValueError, RecursionError):
                 end = None
-            if end != len(line):  # not one whole value: json.loads raises json's own error
-                try:
-                    obj = json.loads(line)
-                except ValueError as exc:  # also integers past Python's digit limit
-                    raise ValueError(f"{path}:{lineno}: malformed JSON: {exc}") from exc
-            if not isinstance(obj, dict):
-                raise ValueError(f"{path}:{lineno}: expected a JSON object, got {obj!r}")
-            yield lineno, obj
+            if end != len(line) or type(obj) is not dict or not line.isascii():
+                obj = read_json_object(line.encode("utf-8", "surrogateescape"), f"{path}:{lineno}",
+                                       "JSON line")
+            try:
+                record = parse(obj)
+            except (ValueError, OverflowError) as exc:
+                raise ValueError(f"{path}:{lineno}: invalid {kind} record: {exc}") from exc
+            yield record
 
 
 def save_detections(sets: VideoDetectionSet | Sequence[VideoDetectionSet], path) -> None:
@@ -216,11 +247,7 @@ def save_detections(sets: VideoDetectionSet | Sequence[VideoDetectionSet], path)
 def load_detections(path) -> list[VideoDetectionSet]:
     """Read a detection file; videos are returned in order of first appearance."""
     per_video: dict[str, list[Detection]] = {}
-    for lineno, obj in _json_objects(path):
-        try:
-            video, det = _value(obj, "video", "a string"), _parse_detection_fields(obj)
-        except (ValueError, OverflowError) as exc:
-            raise ValueError(f"{path}:{lineno}: invalid detection record: {exc}") from exc
+    for video, det in _records(path, "detection", _parse_detection):
         per_video.setdefault(video, []).append(det)
     return [VideoDetectionSet.from_records(v, dets) for v, dets in per_video.items()]
 
@@ -251,20 +278,8 @@ def save_predictions(preds_per_frame, video: str, path) -> None:
 
 def load_predictions(path) -> dict[str, dict[int, list]]:
     """Read a prediction file into ``{video: {frame: [(det_index, TrackPrediction)]}}``."""
-    from .tracker import TrackPrediction
-
     out: dict[str, dict[int, list]] = {}
-    for lineno, obj in _json_objects(path):
-        try:
-            pred = TrackPrediction(
-                source=_parse_detection_fields(_value(obj, "source", "an object")),
-                predicted_box=_box(obj),
-                quality=float(_value(obj, "quality", "a number")),
-            )
-            video = _value(obj, "video", "a string")
-            frame, det = _value(obj, "frame", "an integer"), _value(obj, "det", "an integer")
-        except (ValueError, OverflowError) as exc:
-            raise ValueError(f"{path}:{lineno}: invalid prediction record: {exc}") from exc
+    for video, frame, det, pred in _records(path, "prediction", _parse_prediction):
         out.setdefault(video, {}).setdefault(frame, []).append((det, pred))
     for frames in out.values():
         for preds in frames.values():
@@ -311,14 +326,8 @@ def _write_container(path, header: dict, arrays: Sequence[np.ndarray]) -> None:
 def _read_header(path, fmt: str, what: str) -> tuple[dict, bytes]:
     """Split a binary container into its JSON header object and its payload."""
     with open(path, "rb") as fh:
-        header_line = fh.readline()
+        header = read_json_object(fh.readline(), path, f"{what} header")
         payload = fh.read()
-    try:
-        header = json.loads(header_line.decode("utf-8"))
-    except ValueError as exc:  # bad UTF-8, bad JSON, or an integer past the digit limit
-        raise ValueError(f"{path}: malformed {what} header: {exc}") from exc
-    if not isinstance(header, dict):
-        raise ValueError(f"{path}: {what} header is not a JSON object")
     if header.get("format") != fmt:
         raise ValueError(f"{path}: not a {what} file")
     return header, payload

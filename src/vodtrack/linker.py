@@ -20,9 +20,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .detections import Detection
+from .detections import Detection, TrackPrediction
 from .geometry import iou
-from .tracker import TrackPrediction
 
 __all__ = [
     "LinkGraph",

@@ -9,14 +9,13 @@ fresh detection ranked by class score alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .detections import PROVENANCE_DETECTED, PROVENANCE_TRACKED, Detection
+from .detections import PROVENANCE_DETECTED, PROVENANCE_TRACKED, Detection, TrackPrediction
 from .geometry import iou
-from .tracker import TrackPrediction
 
 __all__ = [
     "PipelineConfig",
@@ -54,24 +53,32 @@ class PipelineConfig:
 
     @classmethod
     def from_file(cls, path) -> "PipelineConfig":
-        """Parse a ``key = value`` config file; unknown keys are rejected."""
+        """Parse a ``key = value`` config file; unknown keys are rejected.
+
+        Every fault raises a ``ValueError`` naming ``path`` and the line.
+        """
         values = {}
         known = {f.name for f in fields(cls)}
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-                key, _, raw = line.partition("=")
-                key = key.strip()
-                if key not in known:
-                    raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-                try:
-                    values[key] = float(raw.strip())
-                except ValueError as exc:
-                    raise ValueError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
+        with open(path, "rb") as fh:
+            lines = fh.read().splitlines()  # at \n, \r\n and \r, as text mode splits
+        for lineno, line in enumerate(lines, start=1):
+            try:
+                line = line.decode("utf-8").split("#", 1)[0].strip()
+            except UnicodeDecodeError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+            if not line:
+                continue
+            if "=" not in line:
+                raise ValueError(f"{path}:{lineno}: expected 'key = value'")
+            key, _, raw = line.partition("=")
+            key = key.strip()
+            if key not in known:
+                raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+            try:
+                values[key] = float(raw.strip())
+                cls(**{key: values[key]})  # the value's own range check
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
         return cls(**values)
 
 
@@ -116,25 +123,9 @@ def filter_tracks(
     provenance. ``frame`` defaults to one past the source frame.
     """
     confident = [p for p in preds if p.quality >= cfg.track_quality_min]
-    kept = nms(
-        confident,
-        cfg.track_nms_iou,
-        key=lambda p: p.quality,
-        box=lambda p: p.predicted_box,
-    )
-    out = []
-    for p in kept:
-        out.append(
-            Detection(
-                frame=p.source.frame + 1 if frame is None else frame,
-                class_id=p.source.class_id,
-                score=p.source.score,
-                box=p.predicted_box,
-                track=p.source.track,
-                provenance=PROVENANCE_TRACKED,
-            )
-        )
-    return out
+    kept = nms(confident, cfg.track_nms_iou, key=lambda p: p.quality, box=lambda p: p.predicted_box)
+    return [Detection(p.source.frame + 1 if frame is None else frame, p.source.class_id, p.source.score,
+                      p.predicted_box, p.source.track, PROVENANCE_TRACKED) for p in kept]
 
 
 def tfd_merge(
@@ -156,7 +147,8 @@ def tfd_merge(
     clear = (iou([d.box for d in detected], [t.box for t in tracked]) < cfg.t_merge).all(axis=1)
     for det, admit in zip(detected, clear):
         if admit:
-            merged.append(replace(det, track=next_id, provenance=PROVENANCE_DETECTED))
+            merged.append(Detection(det.frame, det.class_id, det.score, det.box, next_id,
+                                    PROVENANCE_DETECTED))
             next_id += 1
     return merged
 
@@ -172,6 +164,12 @@ def run_video(
     emitted detections (score-gated) are tracked into frame ``t``, filtered,
     and merged with frame ``t``'s score-gated detector output; admitted
     detections take fresh track ids, counting up from 0 over the video.
+
+    ``track_fn`` is called once per frame, in frame order, with boxes of
+    exactly one frame (frame ``t - 1``; none for frame 0). It returns one
+    prediction per box in input order and keeps no state between calls.
+    The oracle and replay track functions raise ``ValueError`` for boxes
+    from two frames in one call.
 
     Returns the per-frame merged detections and, aligned with each merged
     frame, the track predictions made from it (empty for the last frame).

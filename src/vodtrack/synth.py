@@ -23,7 +23,7 @@ from dataclasses import MISSING, asdict, dataclass, fields
 import numpy as np
 
 from .detections import PROVENANCE_DETECTED, Detection
-from .evalio import MAX_FRAME_INDEX, VideoDetectionSet
+from .evalio import MAX_FRAME_INDEX, VideoDetectionSet, read_json_object
 from .geometry import MAX_COORDINATE, Box
 from .tensor_ops import FeaturePyramid
 
@@ -159,9 +159,6 @@ class ScenarioSpec:
                     f"{self.n_frames} frames"
                 )
 
-    def class_pool(self) -> list[int]:
-        return sorted({o.class_id for o in self.objects})
-
 
 def _repair_extent(lo: float, hi: float, min_size: float = 0.5) -> tuple[float, float]:
     if hi - lo >= min_size:
@@ -177,7 +174,7 @@ def generate(spec: ScenarioSpec) -> tuple[VideoDetectionSet, VideoDetectionSet]:
     exactly and is never altered by the noise model.
     """
     rng = np.random.default_rng(spec.seed)
-    pool = spec.class_pool()
+    pool = sorted({o.class_id for o in spec.objects})
 
     gt_records: list[Detection] = []
     det_records: list[Detection] = []
@@ -186,9 +183,7 @@ def generate(spec: ScenarioSpec) -> tuple[VideoDetectionSet, VideoDetectionSet]:
             if not obj.alive(frame):
                 continue
             box = obj.box_at(frame)
-            gt_records.append(
-                Detection(frame=frame, class_id=obj.class_id, score=1.0, box=box, track=track_id)
-            )
+            gt_records.append(Detection(frame, obj.class_id, 1.0, box, track_id))
 
             if rng.uniform() < spec.noise.miss_prob:
                 continue
@@ -200,15 +195,8 @@ def generate(spec: ScenarioSpec) -> tuple[VideoDetectionSet, VideoDetectionSet]:
                 others = [c for c in pool if c != obj.class_id]
                 if others:
                     class_id = others[rng.integers(len(others))]
-            det_records.append(
-                Detection(
-                    frame=frame,
-                    class_id=class_id,
-                    score=obj.score_factor(frame),
-                    box=Box(x1, y1, x2, y2),
-                    provenance=PROVENANCE_DETECTED,
-                )
-            )
+            det_records.append(Detection(frame, class_id, obj.score_factor(frame), Box(x1, y1, x2, y2),
+                                         provenance=PROVENANCE_DETECTED))
 
         if spec.noise.false_positive_rate > 0:
             for _ in range(rng.poisson(spec.noise.false_positive_rate)):
@@ -216,15 +204,10 @@ def generate(spec: ScenarioSpec) -> tuple[VideoDetectionSet, VideoDetectionSet]:
                 fh = rng.uniform(0.05, 0.15) * min(spec.width, spec.height)
                 fcx = rng.uniform(fw / 2, spec.width - fw / 2)
                 fcy = rng.uniform(fh / 2, spec.height - fh / 2)
-                det_records.append(
-                    Detection(
-                        frame=frame,
-                        class_id=pool[rng.integers(len(pool))] if pool else 0,
-                        score=rng.uniform(spec.noise.fp_score_low, spec.noise.fp_score_high),
-                        box=Box.from_center(fcx, fcy, fw, fh),
-                        provenance=PROVENANCE_DETECTED,
-                    )
-                )
+                class_id = pool[rng.integers(len(pool))] if pool else 0
+                score = rng.uniform(spec.noise.fp_score_low, spec.noise.fp_score_high)
+                det_records.append(Detection(frame, class_id, score, Box.from_center(fcx, fcy, fw, fh),
+                                             provenance=PROVENANCE_DETECTED))
 
     gt = VideoDetectionSet.from_records(spec.video, gt_records, n_frames=spec.n_frames)
     dets = VideoDetectionSet.from_records(spec.video, det_records, n_frames=spec.n_frames)
@@ -261,7 +244,7 @@ def render_features(spec: ScenarioSpec, frame: int) -> FeaturePyramid:
     return FeaturePyramid(tuple(levels), spec.height, spec.width)
 
 
-# The JSON types a field of each type takes, as ``json.load`` returns them
+# The JSON types a field of each type takes, as ``read_json_object`` returns them
 # (``bool`` is no number here). A number must also convert to a finite float.
 _JSON_TYPES = {int: ("an integer", (int,)), float: ("a number", (int, float)),
                str: ("a string", (str,))}
@@ -323,11 +306,8 @@ def load_scenario(path) -> ScenarioSpec:
 
     Any malformed spec raises a ``ValueError`` that names ``path``.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except ValueError as exc:  # bad UTF-8, bad JSON, or an integer past the digit limit
-        raise ValueError(f"{path}: malformed scenario JSON: {exc}") from exc
+    with open(path, "rb") as fh:
+        data = read_json_object(fh.read(), path, "scenario spec")
     try:
         return _from_json(data, ScenarioSpec)
     except ValueError as exc:

@@ -24,7 +24,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .detections import Detection
+from .detections import Detection, TrackPrediction, frame_of
+from .evalio import load_named_arrays, save_named_arrays
 from .geometry import Box, RegressionDelta, decode, expand, iou
 from .tensor_ops import (
     ConvBlockWeights,
@@ -83,19 +84,6 @@ class TrackerConfig:
     @property
     def corr_size(self) -> int:
         return self.search_pool - self.template_pool + 1
-
-
-@dataclass(frozen=True, slots=True)
-class TrackPrediction:
-    """A tracked box for the next frame with its predicted overlap quality."""
-
-    source: Detection
-    predicted_box: Box
-    quality: float
-
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.quality <= 1.0):  # also false for NaN
-            raise ValueError(f"quality must be in [0, 1], got {self.quality!r}")
 
 
 # The weights file layout, in file order: each conv block's arrays named
@@ -261,12 +249,6 @@ def head_forward(
     return results
 
 
-def default_fuse_stride(pyr: FeaturePyramid) -> int:
-    """Fusion target when none is configured: the second-finest level if present."""
-    strides = pyr.strides
-    return strides[1] if len(strides) > 1 else strides[0]
-
-
 def fuse_for_head(pyr: FeaturePyramid, cfg: TrackerConfig = TrackerConfig()) -> FeaturePyramid:
     """``pyr`` fused at the head's stride, as a one-level pyramid.
 
@@ -274,7 +256,8 @@ def fuse_for_head(pyr: FeaturePyramid, cfg: TrackerConfig = TrackerConfig()) -> 
     that tracks every frame twice (as frame t+1, then as frame t) fuses each
     frame once by passing this to :func:`track`.
     """
-    stride = cfg.fuse_stride if cfg.fuse_stride is not None else default_fuse_stride(pyr)
+    # Without a configured stride, the second-finest level if there is one.
+    stride = cfg.fuse_stride if cfg.fuse_stride is not None else pyr.strides[min(1, len(pyr.levels) - 1)]
     if pyr.strides == (stride,):
         return pyr
     return FeaturePyramid(((stride, fuse_pyramid(pyr, stride)),), pyr.image_height, pyr.image_width)
@@ -413,37 +396,36 @@ def oracle_track(
     objects absent from the next frame, and simulated failures return
     quality below 0.5.
 
-    ``gt`` is a :class:`~vodtrack.evalio.VideoDetectionSet` whose records
-    carry track ids. Deterministic for a fixed seed.
+    ``boxes`` are one frame's boxes; boxes from two frames raise
+    ``ValueError``. ``gt`` is a :class:`~vodtrack.evalio.VideoDetectionSet`
+    whose records carry track ids. Deterministic for a fixed seed.
     """
-    by_frame: dict[int, list[int]] = {}
-    for k, det in enumerate(boxes):
-        by_frame.setdefault(det.frame, []).append(k)
+    if not boxes:
+        return []
+    frame = frame_of(boxes)
+    here = gt.frames[frame] if frame < gt.n_frames else ()
+    after = gt.frames[frame + 1] if frame + 1 < gt.n_frames else ()
+    first_of_track = {g.track: j for j, g in reversed(list(enumerate(after)))}
+    matches = _best_match(iou([det.box for det in boxes], [g.box for g in here]), _MATCH_IOU)
     preds: list[TrackPrediction | None] = [None] * len(boxes)
-    for frame, ks in by_frame.items():
-        here = gt.frames[frame] if frame < gt.n_frames else ()
-        after = gt.frames[frame + 1] if frame + 1 < gt.n_frames else ()
-        first_of_track = {g.track: j for j, g in reversed(list(enumerate(after)))}
-        matches = _best_match(iou([boxes[k].box for k in ks], [g.box for g in here]), _MATCH_IOU)
-        # Boxes whose quality is the true overlap of their prediction: (k, predicted, next column).
-        scored = []
-        for k, m in zip(ks, matches.tolist()):
-            det = boxes[k]
-            rng = _det_rng(seed, det)
-            col = first_of_track.get(here[m].track) if m >= 0 else None
-            if col is None:
-                preds[k] = TrackPrediction(det, det.box, rng.uniform(0.0, 0.5))
-                continue
-            predicted = _perturb_box(after[col].box, noise, rng)
-            if rng.uniform() < noise.failure_prob:
-                preds[k] = TrackPrediction(det, predicted, rng.uniform(0.0, 0.5))
-            else:
-                scored.append((k, predicted, col))
-        if scored:
-            ks, predicted, cols = zip(*scored)
-            quality = iou(predicted, [g.box for g in after])[np.arange(len(ks)), cols]
-            for k, p, q in zip(ks, predicted, quality.tolist()):
-                preds[k] = TrackPrediction(boxes[k], p, q)
+    # Boxes whose quality is the true overlap of their prediction: (k, predicted, next column).
+    scored = []
+    for k, (det, m) in enumerate(zip(boxes, matches.tolist())):
+        rng = _det_rng(seed, det)
+        col = first_of_track.get(here[m].track) if m >= 0 else None
+        if col is None:
+            preds[k] = TrackPrediction(det, det.box, rng.uniform(0.0, 0.5))
+            continue
+        predicted = _perturb_box(after[col].box, noise, rng)
+        if rng.uniform() < noise.failure_prob:
+            preds[k] = TrackPrediction(det, predicted, rng.uniform(0.0, 0.5))
+        else:
+            scored.append((k, predicted, col))
+    if scored:
+        ks, predicted, cols = zip(*scored)
+        quality = iou(predicted, [g.box for g in after])[np.arange(len(ks)), cols]
+        for k, p, q in zip(ks, predicted, quality.tolist()):
+            preds[k] = TrackPrediction(boxes[k], p, q)
     return preds
 
 
@@ -458,8 +440,6 @@ def make_oracle_track_fn(gt, noise: NoiseParams, seed: int):
 
 def save_weights(w: TrackerWeights, path) -> None:
     """Write tracker weights as a named-tensor container (bit-exact round trip)."""
-    from .evalio import save_named_arrays
-
     blocks = {name: getattr(w, name) for name in _WEIGHT_BLOCKS if getattr(w, name) is not None}
     arrays = {f"{name}.{f}": np.atleast_1d(getattr(block, f)) for name, block in blocks.items()
               for f in _BLOCK_FIELDS if getattr(block, f) is not None}
@@ -469,8 +449,6 @@ def save_weights(w: TrackerWeights, path) -> None:
 
 def load_weights(path) -> TrackerWeights:
     """Read tracker weights written by :func:`save_weights`; any fault names ``path``."""
-    from .evalio import load_named_arrays
-
     arrays = load_named_arrays(path)
 
     def array(name: str, optional: bool):

@@ -662,3 +662,81 @@ class TestPlotAndReplay:
         dets.unlink()
         assert run_cli("replay", manifest) == 0
         assert (gt.read_bytes(), dets.read_bytes()) == before
+
+
+# Every JSON file the CLI reads, as an argv in which "X" is the one faulty
+# input. "DETS", "GT", "WEIGHTS" and "FEATS" are valid inputs; a feature
+# file is read from the directory "XDIR", whose frame_0.feat is the fault.
+JSON_READERS = {
+    "eval-preds": ["eval", "--preds", "X", "--gt", "GT"],
+    "eval-gt": ["eval", "--preds", "DETS", "--gt", "X"],
+    "link-dets": ["link", "--dets", "X", "--mode", "seqnms", "--out", "OUT"],
+    "link-preds": ["link", "--dets", "DETS", "--preds", "X", "--mode", "seqtrack", "--out", "OUT"],
+    "tfd-dets": ["tfd", "--dets", "X", "--oracle", "--gt", "GT", "--out", "OUT"],
+    "tfd-preds": ["tfd", "--dets", "DETS", "--preds", "X", "--out", "OUT"],
+    "tfd-gt": ["tfd", "--dets", "DETS", "--oracle", "--gt", "X", "--out", "OUT"],
+    "track-dets": ["track", "--dets", "X", "--oracle", "--gt", "GT", "--out", "OUT"],
+    "track-gt": ["track", "--dets", "DETS", "--oracle", "--gt", "X", "--out", "OUT"],
+    "track-weights": ["track", "--dets", "DETS", "--weights", "X", "--features-dir", "FEATS",
+                      "--out", "OUT"],
+    "track-features": ["track", "--dets", "DETS", "--weights", "WEIGHTS", "--features-dir", "XDIR",
+                       "--out", "OUT"],
+    "synth-gen-spec": ["synth-gen", "--spec", "X", "--out-gt", "OUT", "--out-dets", "OUT"],
+    "replay": ["replay", "X"],
+    "run-from-manifest": ["run", "--from-manifest", "X", "--out-dir", "OUT"],
+    "plot": ["plot", "--results", "X", "--out", "OUT"],
+}
+
+
+def fails_naming(capsys, argv, path) -> None:
+    """``argv`` exits 1 with one stderr line that names ``path`` first."""
+    assert run_cli(*argv) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1, err
+    assert err.startswith(f"error [{argv[0]}]: {path}"), err
+
+
+class TestInputBoundary:
+    @pytest.mark.parametrize("case", JSON_READERS)
+    def test_deep_nesting_fails_naming_the_file(self, learned_files, tmp_path, capsys, case):
+        dets, feat_dir, weights, _ = learned_files
+        bad_dir = tmp_path / "features"
+        bad_dir.mkdir()
+        bad = bad_dir / "frame_0.feat" if case == "track-features" else tmp_path / "deep.json"
+        bad.write_text("[" * 100_000 + "\n")
+        files = {"X": bad, "XDIR": bad_dir, "DETS": dets, "GT": dets.with_name("gt.jsonl"),
+                 "WEIGHTS": weights, "FEATS": feat_dir, "OUT": tmp_path / "out"}
+        fails_naming(capsys, [files.get(a, a) for a in JSON_READERS[case]], bad)
+
+    @pytest.mark.parametrize("content", ['[{"map": 0.5}]', '{"variant": "a"}', '{"map": "0.5"}'],
+                             ids=["non-object", "no-map", "string-map"])
+    def test_plot_rejects_a_bad_result(self, tmp_path, capsys, content):
+        good, bad, out = tmp_path / "good.json", tmp_path / "bad.json", tmp_path / "plot.csv"
+        good.write_text('{"variant": "a", "map": 0.5}')
+        bad.write_text(content)
+        fails_naming(capsys, ["plot", "--results", good, bad, "--out", out], bad)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("content, where", [
+        (b"t_merge = 0.5\nfinal_nms_iou = 2.0\n", ":2: bad value for final_nms_iou: "
+                                                 "final_nms_iou must be in [0, 1], got 2.0"),
+        (b"t_merge = 0.5\n# \xff\n", ":2: 'utf-8' codec can't decode byte 0xff"),
+    ], ids=["out-of-range", "bad-utf8"])
+    def test_config_faults_name_the_file_and_line(self, tmp_path, capsys, content, where):
+        config = tmp_path / "c.txt"
+        config.write_bytes(content)
+        fails_naming(capsys, ["run", "--preset", "clean", "--config", config,
+                              "--out-dir", tmp_path / "out"], f"{config}{where}")
+
+
+class TestReplayTrackFn:
+    def test_replay_gives_a_frame_the_same_predictions_twice(self):
+        src = Detection(0, 0, 0.9, Box(0, 0, 10, 10))
+        track_fn = cli.make_replay_track_fn({0: [(0, TrackPrediction(src, Box(1, 0, 11, 10), 0.7))]})
+        first, second = track_fn([src]), track_fn([src])
+        assert first == second == [TrackPrediction(src, Box(1, 0, 11, 10), 0.7)]
+
+    def test_replay_rejects_boxes_from_two_frames(self):
+        track_fn = cli.make_replay_track_fn({})
+        with pytest.raises(ValueError, match=r"one frame, got frames \[0, 1\]"):
+            track_fn([Detection(0, 0, 0.9, Box(0, 0, 10, 10)), Detection(1, 0, 0.9, Box(0, 0, 10, 10))])

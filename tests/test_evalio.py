@@ -1,8 +1,11 @@
+import ast
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import vodtrack
 from vodtrack.detections import Detection
 from vodtrack.evalio import (
     MAX_FRAME_INDEX,
@@ -220,6 +223,45 @@ class TestRecordValidation:
     def test_non_object_line(self, tmp_path, kind):
         message = self.reject_second_line(tmp_path, kind, "[1, 2]")
         assert "JSON object" in message
+
+    def test_bad_utf8_names_the_line(self, tmp_path, kind):
+        p = tmp_path / "bad.jsonl"
+        good = record_line(kind).encode()
+        p.write_bytes(good + b"\n" + good.replace(b'"v"', b'"\xff"') + b"\n")
+        with pytest.raises(ValueError, match=r"bad\.jsonl:2: malformed JSON line: 'utf-8' codec"):
+            RECORD_LOADERS[kind](p)
+
+    def test_non_ascii_line_loads(self, tmp_path, kind):
+        p = tmp_path / "ok.jsonl"
+        p.write_text(record_line(kind).replace('"v"', '"vid\u00e9o"') + "\n", encoding="utf-8")
+        loaded = RECORD_LOADERS[kind](p)
+        videos = [v.video for v in loaded] if kind == "detections" else list(loaded)
+        assert videos == ["vid\u00e9o"]
+
+
+class TestRecordRules:
+    def test_detection_rejects_an_unknown_provenance(self):
+        # Such a record could otherwise be saved to a file that no loader accepts.
+        with pytest.raises(ValueError, match="unknown provenance 'manual'"):
+            Detection(0, 0, 0.5, Box(0, 0, 1, 1), provenance="manual")
+
+    def test_json_is_decoded_only_by_the_reader(self):
+        # One decoder: json.load and json.loads appear in evalio.read_json_object only.
+        offenders = []
+        for path in sorted(Path(vodtrack.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            allowed = set()
+            for node in ast.walk(tree):
+                if isinstance(node, ast.FunctionDef) and node.name == "read_json_object":
+                    allowed.update(map(id, ast.walk(node)) if path.name == "evalio.py" else ())
+            for node in ast.walk(tree):
+                decodes = (isinstance(node, ast.Attribute) and node.attr in ("load", "loads")
+                           and isinstance(node.value, ast.Name) and node.value.id == "json")
+                imports = (isinstance(node, ast.ImportFrom) and node.module == "json"
+                           and any(a.name in ("load", "loads") for a in node.names))
+                if (decodes or imports) and id(node) not in allowed:
+                    offenders.append(f"{path.name}:{node.lineno}")
+        assert offenders == []
 
 
 def feature_file(tmp_path, header, payload=b""):

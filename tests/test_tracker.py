@@ -501,3 +501,11 @@ class TestPredictionType:
         det = Detection(0, 0, 0.9, Box(0, 0, 1, 1))
         with pytest.raises(ValueError, match="quality"):
             TrackPrediction(det, det.box, 1.5)
+
+
+class TestOneFramePerCall:
+    def test_oracle_rejects_boxes_from_two_frames(self):
+        gt = make_gt([({0: Box(0, 0, 10, 10), 1: Box(2, 1, 12, 11)}, 0)], n_frames=2)
+        boxes = [Detection(0, 0, 0.9, Box(0, 0, 10, 10)), Detection(1, 0, 0.9, Box(2, 1, 12, 11))]
+        with pytest.raises(ValueError, match=r"one frame, got frames \[0, 1\]"):
+            oracle_track(boxes, gt, NoiseParams(), seed=0)
