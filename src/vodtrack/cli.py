@@ -7,11 +7,13 @@
 from __future__ import annotations
 
 import argparse
-import json
+import csv
 import sys
 import time
 from dataclasses import fields, replace
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .detections import Detection, TrackPrediction, frame_of
@@ -27,14 +29,17 @@ from .evalio import (
     read_json_object,
     save_detections,
     save_predictions,
+    write_json_object,
 )
 from .geometry import iou
 from .linker import build_graph_seqnms, build_graph_seqtrack, rescore_and_suppress
 from .pipeline import PipelineConfig, final_detections, run_video
 from .synth import ScenarioSpec, generate, load_scenario, preset_scenario, save_scenario
 from .tracker import (
+    MATCH_IOU,
     NoiseParams,
     TrackerConfig,
+    best_match,
     fuse_for_head,
     load_weights,
     make_oracle_track_fn,
@@ -66,21 +71,16 @@ def _write_manifest(path, args, argv: list[str], outputs: dict, timings: dict, *
         "timings_ms": {k: round(v * 1000.0, 3) for k, v in timings.items()},
         **extra,
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
+    write_json_object(manifest, path)
 
 
 def _write_result(path, label: str | None, result) -> None:
-    payload = {
+    write_json_object({
         "variant": label,
         "map": result.mean_ap,
         "iou_thresh": result.iou_thresh,
         "per_class_ap": {str(c): ap for c, ap in sorted(result.per_class_ap.items())},
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    }, path)
 
 
 def _scenario_from_args(args) -> ScenarioSpec:
@@ -112,7 +112,7 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
 def _add_scenario_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--spec", help="scenario JSON file")
     p.add_argument("--preset", choices=("clean", "degraded", "fast"), default="degraded")
-    p.add_argument("--seed", type=int, default=0, help="preset seed (ignored with --spec)")
+    p.add_argument("--seed", type=_non_negative_int, default=0, help="preset seed (ignored with --spec)")
 
 
 def _non_negative_int(text: str) -> int:
@@ -122,6 +122,16 @@ def _non_negative_int(text: str) -> int:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
+    return value
+
+
+def _unit_interval(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = float("nan")
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must be a number in [0, 1], got {text}")
     return value
 
 
@@ -143,29 +153,24 @@ def _add_manifest_flag(p: argparse.ArgumentParser) -> None:
 
 
 def make_replay_track_fn(stored: dict[int, list]):
-    """Replay file predictions: candidates claim the stored prediction whose
-    source box they overlap most (at 0.5 IoU or better; the last such entry
-    on a tie), each at most once, in candidate order. Unclaimed candidates
-    come back with zero quality and are filtered out. Each call takes one
-    frame's boxes and leaves ``stored`` as it was."""
+    """Replay file predictions: in candidate order, each candidate claims the
+    unclaimed stored prediction whose source box it overlaps most, by
+    ``best_match``. Unclaimed candidates come back with zero quality and are
+    filtered out. Each call takes one frame's boxes and leaves ``stored`` as it was."""
 
     def track_fn(candidates: list[Detection]) -> list[TrackPrediction]:
         if not candidates:
             return []
         entries = stored.get(frame_of(candidates), [])
         overlaps = iou([det.box for det in candidates], [pred.source.box for _, pred in entries])
-        claimed = [False] * len(entries)
         out = []
-        for det, row in zip(candidates, overlaps.tolist()):
-            best_iou, best_pos = 0.5, None
-            for pos, v in enumerate(row):
-                if v >= best_iou and not claimed[pos]:
-                    best_iou, best_pos = v, pos
-            if best_pos is None:
+        for det, row in zip(candidates, overlaps):
+            pos = best_match(row[None], MATCH_IOU)[0]
+            if pos < 0:
                 out.append(TrackPrediction(det, det.box, 0.0))
             else:
-                claimed[best_pos] = True
-                pred = entries[best_pos][1]
+                overlaps[:, pos] = -np.inf  # claimed
+                pred = entries[pos][1]
                 out.append(TrackPrediction(det, pred.predicted_box, pred.quality))
         return out
 
@@ -263,6 +268,14 @@ def cmd_track(args, argv) -> int:
     return 0
 
 
+def _align_preds(args, vds: VideoDetectionSet, loaded: dict[int, list]) -> list[list]:
+    """``align_predictions`` on ``--preds`` for ``--dets``; a fault names both files and the video."""
+    try:
+        return align_predictions(vds, loaded)
+    except ValueError as exc:
+        raise ValueError(f"--dets {args.dets}, --preds {args.preds}: video {vds.video!r}: {exc}") from None
+
+
 def cmd_tfd(args, argv) -> int:
     timings = {}
     vds = _timed(timings, "load", load_single_video, args.dets)
@@ -272,6 +285,7 @@ def cmd_tfd(args, argv) -> int:
         track_fn = make_oracle_track_fn(gt, _noise_from_args(args), args.oracle_seed)
     elif args.preds:
         stored = _timed(timings, "load", load_predictions, args.preds).get(vds.video, {})
+        _align_preds(args, vds, stored)
         track_fn = make_replay_track_fn(stored)
     else:
         raise ValueError("provide --preds or --oracle")
@@ -295,12 +309,7 @@ def cmd_link(args, argv) -> int:
     preds_by_video = _timed(timings, "load", load_predictions, args.preds) if args.preds else {}
 
     def link_video(vds: VideoDetectionSet) -> VideoDetectionSet:
-        preds = None
-        if args.mode == "seqtrack":
-            try:
-                preds = align_predictions(vds, preds_by_video.get(vds.video, {}))
-            except ValueError as exc:
-                raise ValueError(f"--dets {args.dets}, --preds {args.preds}: video {vds.video!r}: {exc}") from None
+        preds = _align_preds(args, vds, preds_by_video.get(vds.video, {})) if args.mode == "seqtrack" else None
         frames = link_frames(vds.frames, preds, args.link_iou, args.nms_iou, args.score_min)
         return VideoDetectionSet(vds.video, frames)
 
@@ -397,13 +406,15 @@ def cmd_plot(args, argv) -> int:
             data = read_json_object(fh.read(), path, "result")
         try:
             value = _value(data, "map", "a number")
+            if not abs(value) <= sys.float_info.max:
+                raise ValueError(f"'map' must be a finite number, got {value!r}")
+            if not isinstance(data.get("variant"), (str, type(None))):
+                raise ValueError(f"'variant' must be a string or null, got {data['variant']!r}")
         except ValueError as exc:
             raise ValueError(f"{path}: invalid result: {exc}") from None
         rows.append((data.get("variant") or Path(path).stem, value))
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write("variant,map\n")
-        for variant, value in rows:
-            fh.write(f"{variant},{value}\n")
+    with open(args.out, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows([("variant", "map"), *rows])
     print(f"wrote {args.out} ({len(rows)} rows)")
     return 0
 
@@ -473,9 +484,9 @@ def build_parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParse
     p.add_argument("--dets", required=True)
     p.add_argument("--preds", help="predictions aligned with --dets (needed for seqtrack)")
     p.add_argument("--mode", choices=("seqnms", "seqtrack"), required=True)
-    p.add_argument("--link-iou", type=float, default=0.5)
-    p.add_argument("--nms-iou", type=float, default=0.45)
-    p.add_argument("--score-min", type=float, default=0.0,
+    p.add_argument("--link-iou", type=_unit_interval, default=0.5)
+    p.add_argument("--nms-iou", type=_unit_interval, default=0.45)
+    p.add_argument("--score-min", type=_unit_interval, default=0.0,
                    help="drop detections below this score before linking")
     p.add_argument("--out", required=True)
     _add_manifest_flag(p)
@@ -484,7 +495,7 @@ def build_parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParse
     p = sub.add_parser("eval", help="mean average precision of predictions against ground truth")
     p.add_argument("--preds", required=True)
     p.add_argument("--gt", required=True)
-    p.add_argument("--iou", type=float, default=0.5)
+    p.add_argument("--iou", type=_unit_interval, default=0.5)
     p.add_argument("--out", help="write the result as JSON")
     p.add_argument("--label", help="variant label stored in the result JSON")
     _add_manifest_flag(p)
@@ -494,8 +505,8 @@ def build_parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParse
     _add_scenario_flags(p)
     p.add_argument("--variant", choices=VARIANTS, default="tfd+seqnms")
     _add_config_flags(p)
-    p.add_argument("--link-iou", type=float, default=0.5)
-    p.add_argument("--iou", type=float, default=0.5, help="evaluation IoU threshold")
+    p.add_argument("--link-iou", type=_unit_interval, default=0.5)
+    p.add_argument("--iou", type=_unit_interval, default=0.5, help="evaluation IoU threshold")
     _add_noise_flags(p)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--from-manifest", help="re-run a recorded run manifest")

@@ -62,6 +62,7 @@ __all__ = [
     "save_named_arrays",
     "evaluate_map",
     "read_json_object",
+    "write_json_object",
 ]
 
 @dataclass(frozen=True)
@@ -205,6 +206,13 @@ def read_json_object(data: bytes, where, what: str) -> dict:
     return obj
 
 
+def write_json_object(obj: dict, path) -> None:
+    """Write ``obj`` to ``path`` as indent-2 JSON and a final newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=2)
+        fh.write("\n")
+
+
 # ``json.loads`` less its per-call wrapper, which costs about as much as the
 # scan of a record: the decoder's scanner returns a value and where it ends.
 _scan_json = json.JSONDecoder().scan_once
@@ -290,17 +298,14 @@ def load_predictions(path) -> dict[str, dict[int, list]]:
 def align_predictions(vds: VideoDetectionSet, loaded: dict[int, list]) -> list[list]:
     """Expand loaded predictions into per-frame lists aligned with ``vds``.
 
-    Every frame with detections must carry predictions for indices
-    ``0..len(frame)-1`` or none at all (missing frames get empty lists).
+    Each frame's predictions carry indices ``0..len(frame)-1``, one per
+    detection, as the linker needs; the last frame's may be absent.
     """
     aligned: list[list] = []
     for t, frame in enumerate(vds.frames):
         entries = loaded.get(t, [])
-        if not entries:
-            aligned.append([])
-            continue
         indices = [i for i, _ in entries]
-        if indices != list(range(len(frame))):
+        if indices != list(range(len(frame))) and (entries or t < vds.n_frames - 1):
             raise ValueError(
                 f"frame {t}: prediction indices {indices} do not cover the "
                 f"{len(frame)} detections"
@@ -435,23 +440,15 @@ class EvalResult:
     iou_thresh: float
 
 
-def _average_precision(matches: list[tuple[float, bool]], n_gt: int) -> float:
-    """All-point interpolated AP from (score, is_tp) pairs in ranked order."""
-    if n_gt == 0 or not matches:
+def _average_precision(hits: Sequence[bool], n_gt: int) -> float:
+    """All-point interpolated AP from the hits of ranked predictions."""
+    if n_gt == 0 or not hits:
         return 0.0
-    tp = np.cumsum([1.0 if m else 0.0 for _, m in matches])
-    fp = np.cumsum([0.0 if m else 1.0 for _, m in matches])
-    recall = tp / n_gt
-    precision = tp / (tp + fp)
-    # Precision envelope, then area under it over recall.
-    for i in range(len(precision) - 2, -1, -1):
-        precision[i] = max(precision[i], precision[i + 1])
-    ap = 0.0
-    prev_r = 0.0
-    for r, p in zip(recall, precision):
-        ap += (r - prev_r) * p
-        prev_r = r
-    return float(ap)
+    tp = np.cumsum(hits, dtype=np.float64)
+    # Area under the precision envelope over recall. ``cumsum`` adds the terms
+    # one at a time in rank order (``np.sum`` would pair them), as a loop would.
+    envelope = np.maximum.accumulate((tp / np.arange(1, len(tp) + 1))[::-1])[::-1]
+    return float(np.cumsum(np.diff(tp / n_gt, prepend=0.0) * envelope)[-1])
 
 
 def evaluate_map(
@@ -466,53 +463,47 @@ def evaluate_map(
     their class in the same video and frame (the first such box on a tie),
     at ``iou_thresh`` or better. AP uses all-point
     interpolation; the mean runs over classes with at least one ground-truth
-    instance.
+    instance. Predictions and ground truth each name a video once at most.
     """
     if isinstance(preds, VideoDetectionSet):
         preds = [preds]
     if isinstance(gt, VideoDetectionSet):
         gt = [gt]
+    for sets, what in ((gt, "ground truth"), (preds, "predictions")):
+        if len({v.video for v in sets}) != len(sets):
+            raise ValueError(f"duplicate video ids in {what}")
     gt_by_video = {v.video: v for v in gt}
-    if len(gt_by_video) != len(gt):
-        raise ValueError("duplicate video ids in ground truth")
+    gt_counts = Counter(det.class_id for v in gt for det in v.all_detections())
+    ranked: dict[int, list[tuple[float, bool]]] = {c: [] for c in gt_counts}
+    # Greedy matching per (video, frame, class): in descending score order (ties
+    # keep file order) each prediction takes the first unmatched box of largest
+    # positive overlap. Each frame is matched on its own overlap matrix.
     for p in preds:
         if p.video not in gt_by_video:
             raise ValueError(f"predictions reference unknown video {p.video!r}")
+        truth_frames = gt_by_video[p.video].frames
+        for t, frame in enumerate(p.frames):
+            dets = [det for det in frame if det.class_id in gt_counts]
+            if not dets:
+                continue
+            truth = truth_frames[t] if t < len(truth_frames) else ()
+            overlaps = iou([det.box for det in dets], [g.box for g in truth])
+            columns: dict[int, list[int]] = {}
+            for j, g in enumerate(truth):
+                columns.setdefault(g.class_id, []).append(j)
+            taken = [False] * len(truth)
+            for det, row in sorted(zip(dets, overlaps), key=lambda pair: -pair[0].score):
+                cols = columns.get(det.class_id, [])
+                best_iou, best_j = 0.0, None
+                for j, overlap in zip(cols, row[cols].tolist()):
+                    if overlap > best_iou and not taken[j]:
+                        best_iou, best_j = overlap, j
+                hit = best_j is not None and best_iou >= iou_thresh
+                if hit:
+                    taken[best_j] = True
+                ranked[det.class_id].append((det.score, hit))
 
-    gt_counts = Counter(det.class_id for v in gt for det in v.all_detections())
-    classes = sorted(gt_counts)
-
-    # Matching is greedy per (video, frame, class): predictions in descending
-    # score order (ties keep file order) each take the first unmatched box of
-    # largest positive overlap. Groups never share a box, so each (video,
-    # frame) is matched on its own overlap matrix.
-    gt_frames = {(v.video, t): frame for v in gt for t, frame in enumerate(v.frames)}
-    entries = [(v.video, det) for v in preds for det in v.all_detections() if det.class_id in gt_counts]
-    hits = [False] * len(entries)
-    groups: dict[tuple[str, int], list[int]] = {}
-    for k, (video, det) in enumerate(entries):
-        groups.setdefault((video, det.frame), []).append(k)
-    for key, ks in groups.items():
-        truth = gt_frames.get(key, ())
-        overlaps = iou([entries[k][1].box for k in ks], [g.box for g in truth])
-        columns: dict[int, list[int]] = {}
-        for j, g in enumerate(truth):
-            columns.setdefault(g.class_id, []).append(j)
-        taken = [False] * len(truth)
-        for r in sorted(range(len(ks)), key=lambda r: -entries[ks[r]][1].score):
-            cols = columns.get(entries[ks[r]][1].class_id, [])
-            best_iou, best_j = 0.0, None
-            for j, overlap in zip(cols, overlaps[r, cols].tolist()):
-                if overlap > best_iou and not taken[j]:
-                    best_iou, best_j = overlap, j
-            if best_j is not None and best_iou >= iou_thresh:
-                taken[best_j] = hits[ks[r]] = True
-
-    ranked: dict[int, list[tuple[float, bool]]] = {c: [] for c in classes}
-    for (_, det), hit in zip(entries, hits):
-        ranked[det.class_id].append((det.score, hit))
-    per_class_ap = {c: _average_precision(sorted(ranked[c], key=lambda m: -m[0]), gt_counts[c])
-                    for c in classes}
-
+    per_class_ap = {c: _average_precision([hit for _, hit in sorted(ranked[c], key=lambda m: -m[0])], gt_counts[c])
+                    for c in sorted(gt_counts)}
     mean_ap = float(np.mean(list(per_class_ap.values()))) if per_class_ap else 0.0
     return EvalResult(per_class_ap=per_class_ap, mean_ap=mean_ap, iou_thresh=iou_thresh)

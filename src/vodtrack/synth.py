@@ -14,7 +14,6 @@ boxes never overlap).
 from __future__ import annotations
 
 import functools
-import json
 import math
 import sys
 import typing
@@ -23,7 +22,7 @@ from dataclasses import MISSING, asdict, dataclass, fields
 import numpy as np
 
 from .detections import PROVENANCE_DETECTED, Detection
-from .evalio import MAX_FRAME_INDEX, VideoDetectionSet, read_json_object
+from .evalio import _JSON_TYPES, MAX_FRAME_INDEX, VideoDetectionSet, read_json_object, write_json_object
 from .geometry import MAX_COORDINATE, Box
 from .tensor_ops import FeaturePyramid
 
@@ -176,14 +175,14 @@ def generate(spec: ScenarioSpec) -> tuple[VideoDetectionSet, VideoDetectionSet]:
     rng = np.random.default_rng(spec.seed)
     pool = sorted({o.class_id for o in spec.objects})
 
-    gt_records: list[Detection] = []
-    det_records: list[Detection] = []
+    gt_frames: list[list[Detection]] = [[] for _ in range(spec.n_frames)]
+    det_frames: list[list[Detection]] = [[] for _ in range(spec.n_frames)]
     for frame in range(spec.n_frames):
         for track_id, obj in enumerate(spec.objects):
             if not obj.alive(frame):
                 continue
             box = obj.box_at(frame)
-            gt_records.append(Detection(frame, obj.class_id, 1.0, box, track_id))
+            gt_frames[frame].append(Detection(frame, obj.class_id, 1.0, box, track_id))
 
             if rng.uniform() < spec.noise.miss_prob:
                 continue
@@ -195,8 +194,8 @@ def generate(spec: ScenarioSpec) -> tuple[VideoDetectionSet, VideoDetectionSet]:
                 others = [c for c in pool if c != obj.class_id]
                 if others:
                     class_id = others[rng.integers(len(others))]
-            det_records.append(Detection(frame, class_id, obj.score_factor(frame), Box(x1, y1, x2, y2),
-                                         provenance=PROVENANCE_DETECTED))
+            det_frames[frame].append(Detection(frame, class_id, obj.score_factor(frame), Box(x1, y1, x2, y2),
+                                               provenance=PROVENANCE_DETECTED))
 
         if spec.noise.false_positive_rate > 0:
             for _ in range(rng.poisson(spec.noise.false_positive_rate)):
@@ -206,12 +205,10 @@ def generate(spec: ScenarioSpec) -> tuple[VideoDetectionSet, VideoDetectionSet]:
                 fcy = rng.uniform(fh / 2, spec.height - fh / 2)
                 class_id = pool[rng.integers(len(pool))] if pool else 0
                 score = rng.uniform(spec.noise.fp_score_low, spec.noise.fp_score_high)
-                det_records.append(Detection(frame, class_id, score, Box.from_center(fcx, fcy, fw, fh),
-                                             provenance=PROVENANCE_DETECTED))
+                det_frames[frame].append(Detection(frame, class_id, score, Box.from_center(fcx, fcy, fw, fh),
+                                                   provenance=PROVENANCE_DETECTED))
 
-    gt = VideoDetectionSet.from_records(spec.video, gt_records, n_frames=spec.n_frames)
-    dets = VideoDetectionSet.from_records(spec.video, det_records, n_frames=spec.n_frames)
-    return gt, dets
+    return VideoDetectionSet(spec.video, gt_frames), VideoDetectionSet(spec.video, det_frames)
 
 
 def render_features(spec: ScenarioSpec, frame: int) -> FeaturePyramid:
@@ -244,10 +241,9 @@ def render_features(spec: ScenarioSpec, frame: int) -> FeaturePyramid:
     return FeaturePyramid(tuple(levels), spec.height, spec.width)
 
 
-# The JSON types a field of each type takes, as ``read_json_object`` returns them
-# (``bool`` is no number here). A number must also convert to a finite float.
-_JSON_TYPES = {int: ("an integer", (int,)), float: ("a number", (int, float)),
-               str: ("a string", (str,))}
+# The JSON kind a field of each type takes; ``evalio._JSON_TYPES`` holds each
+# kind's exact types. A number must also convert to a finite float.
+_KINDS = {int: "an integer", float: "a number", str: "a string"}
 
 
 def _at(where: str, message: str) -> str:
@@ -266,9 +262,9 @@ def _from_json(value, hint, where: str = ""):
     """``value`` as a field of type ``hint``: a number or a string as it is, a tuple
     from a list, and a dataclass from an object holding its fields by name
     (omitted ones take their defaults, unknown keys are rejected)."""
-    if hint in _JSON_TYPES:
-        kind, types = _JSON_TYPES[hint]
-        if type(value) not in types or (hint is not str and not abs(value) <= sys.float_info.max):
+    if hint in _KINDS:
+        kind = _KINDS[hint]
+        if type(value) not in _JSON_TYPES[kind] or (hint is not str and not abs(value) <= sys.float_info.max):
             raise ValueError(_at(where, f"expected {kind}, got {value!r}"))
         return value
     if typing.get_origin(hint) is tuple:
@@ -296,9 +292,7 @@ def _from_json(value, hint, where: str = ""):
 
 def save_scenario(spec: ScenarioSpec, path) -> None:
     """Write a scenario spec as editable JSON: each dataclass's fields by name."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(asdict(spec), fh, indent=2)
-        fh.write("\n")
+    write_json_object(asdict(spec), path)
 
 
 def load_scenario(path) -> ScenarioSpec:

@@ -47,6 +47,8 @@ __all__ = [
     "head_forward",
     "smooth_l1",
     "smooth_l1_grad",
+    "MATCH_IOU",
+    "best_match",
     "oracle_track",
     "make_oracle_track_fn",
     "synthesize_weights",
@@ -326,8 +328,8 @@ class NoiseParams:
     failure_prob: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.center_sigma < 0 or self.size_sigma < 0:
-            raise ValueError("noise sigmas must be non-negative")
+        if not (0.0 <= self.center_sigma < math.inf and 0.0 <= self.size_sigma < math.inf):
+            raise ValueError("noise sigmas must be non-negative and finite")
         if not (0.0 <= self.failure_prob <= 1.0):
             raise ValueError("failure_prob must be in [0, 1]")
 
@@ -363,11 +365,11 @@ def _perturb_box(b: Box, noise: NoiseParams, rng: np.random.Generator) -> Box:
     return Box(b.x1 + tx + sx, b.y1 + ty + sy, b.x2 + tx - sx, b.y2 + ty - sy)
 
 
-# Smallest overlap at which the oracle matches a box to a ground-truth object.
-_MATCH_IOU = 0.5
+# Smallest overlap at which a tracked box claims an object (oracle and replay).
+MATCH_IOU = 0.5
 
 
-def _best_match(overlaps: np.ndarray, floor: float) -> np.ndarray:
+def best_match(overlaps: np.ndarray, floor: float) -> np.ndarray:
     """Per row of an overlap matrix, the column of its largest value at or above ``floor``.
 
     When several columns hold that value the last one wins. Rows with no
@@ -390,7 +392,7 @@ def oracle_track(
     """Ground-truth-backed stand-in for the learned head.
 
     Each input box is matched to the ground-truth object it overlaps most
-    (at ``_MATCH_IOU`` or better; the last such object on a tie); matched
+    (at ``MATCH_IOU`` or better; the last such object on a tie); matched
     boxes predict that object's next-frame box perturbed by ``noise``, with
     quality equal to the true overlap of the perturbed box. Unmatched boxes,
     objects absent from the next frame, and simulated failures return
@@ -406,7 +408,7 @@ def oracle_track(
     here = gt.frames[frame] if frame < gt.n_frames else ()
     after = gt.frames[frame + 1] if frame + 1 < gt.n_frames else ()
     first_of_track = {g.track: j for j, g in reversed(list(enumerate(after)))}
-    matches = _best_match(iou([det.box for det in boxes], [g.box for g in here]), _MATCH_IOU)
+    matches = best_match(iou([det.box for det in boxes], [g.box for g in here]), MATCH_IOU)
     preds: list[TrackPrediction | None] = [None] * len(boxes)
     # Boxes whose quality is the true overlap of their prediction: (k, predicted, next column).
     scored = []

@@ -1,3 +1,4 @@
+import csv
 import json
 import re
 from collections import Counter
@@ -406,6 +407,32 @@ class TestTfdAndLink:
                         err), err
         assert not (tmp_path / "x.jsonl").exists()
 
+    def test_seqtrack_preds_missing_a_frame_name_both_files(self, clean_files, tmp_path, capsys):
+        gt, dets = clean_files
+        preds, holey = tmp_path / "preds.jsonl", tmp_path / "holey.jsonl"
+        assert run_cli("track", "--dets", dets, "--oracle", "--gt", gt, "--out", preds) == 0
+        holey.write_text("".join(line + "\n" for line in preds.read_text().splitlines()
+                                 if json.loads(line)["frame"] != 3))
+        capsys.readouterr()
+        rc = run_cli("link", "--dets", dets, "--preds", holey, "--mode", "seqtrack",
+                     "--out", tmp_path / "x.jsonl")
+        assert rc == 1
+        assert capsys.readouterr().err == (f"error [link]: --dets {dets}, --preds {holey}: video 'clean-0': "
+                                           "frame 3: prediction indices [] do not cover the 2 detections\n")
+        assert not (tmp_path / "x.jsonl").exists()
+
+    def test_replay_of_another_videos_preds_names_both_files(self, clean_files, tmp_path, capsys):
+        # Replayed by overlap, these predictions were once merged as if nothing was tracked.
+        gt, dets = clean_files
+        preds, other = tmp_path / "preds.jsonl", tmp_path / "other.jsonl"
+        assert run_cli("track", "--dets", dets, "--oracle", "--gt", gt, "--out", preds) == 0
+        other.write_text(preds.read_text().replace('"video": "clean-0"', '"video": "other"'))
+        capsys.readouterr()
+        assert run_cli("tfd", "--dets", dets, "--preds", other, "--out", tmp_path / "m.jsonl") == 1
+        assert capsys.readouterr().err == (f"error [tfd]: --dets {dets}, --preds {other}: video 'clean-0': "
+                                           "frame 0: prediction indices [] do not cover the 2 detections\n")
+        assert not (tmp_path / "m.jsonl").exists()
+
     def test_seqtrack_requires_preds(self, clean_files, tmp_path, capsys):
         _, dets = clean_files
         rc = run_cli("link", "--dets", dets, "--mode", "seqtrack",
@@ -717,6 +744,22 @@ class TestInputBoundary:
         fails_naming(capsys, ["plot", "--results", good, bad, "--out", out], bad)
         assert not out.exists()
 
+    def test_plot_rejects_a_non_finite_map_or_a_non_string_variant(self, tmp_path, capsys):
+        # Written unchecked, these three gave 4 CSV rows of 2, 2, 3 and 2 columns.
+        out = tmp_path / "plot.csv"
+        for i, content in enumerate(['{"variant": "a,b\\nc", "map": NaN}', '{"variant": [1, 2], "map": 0.5}',
+                                     '{"variant": "x", "map": Infinity}']):
+            bad = tmp_path / f"bad{i}.json"
+            bad.write_text(content)
+            fails_naming(capsys, ["plot", "--results", bad, "--out", out], f"{bad}: invalid result: ")
+            assert not out.exists()
+        # A finite map with the same variant is quoted: one CSV row per result.
+        good = tmp_path / "good.json"
+        good.write_text('{"variant": "a,b\\nc", "map": 0.5}')
+        assert run_cli("plot", "--results", good, good, "--out", out) == 0
+        with open(out, newline="") as fh:
+            assert list(csv.reader(fh)) == [["variant", "map"], ["a,b\nc", "0.5"], ["a,b\nc", "0.5"]]
+
     @pytest.mark.parametrize("content, where", [
         (b"t_merge = 0.5\nfinal_nms_iou = 2.0\n", ":2: bad value for final_nms_iou: "
                                                  "final_nms_iou must be in [0, 1], got 2.0"),
@@ -727,6 +770,46 @@ class TestInputBoundary:
         config.write_bytes(content)
         fails_naming(capsys, ["run", "--preset", "clean", "--config", config,
                               "--out-dir", tmp_path / "out"], f"{config}{where}")
+
+
+# Out-of-range numbers, each rejected where it enters: a flag's argparse type
+# exits 2 naming the flag, and NoiseParams rejects a non-finite sigma.
+BAD_NUMBERS = {
+    "link-score-min": (["link", "--dets", "DETS", "--mode", "seqnms", "--out", "OUT", "--score-min", "nan"],
+                       2, "argument --score-min: must be a number in [0, 1], got nan"),
+    "link-nms-iou": (["link", "--dets", "DETS", "--mode", "seqnms", "--out", "OUT", "--nms-iou", "7"],
+                     2, "argument --nms-iou: must be a number in [0, 1], got 7"),
+    "link-link-iou": (["link", "--dets", "DETS", "--mode", "seqnms", "--out", "OUT", "--link-iou", "-0.1"],
+                      2, "argument --link-iou: must be a number in [0, 1], got -0.1"),
+    "eval-iou": (["eval", "--preds", "DETS", "--gt", "GT", "--out", "OUT", "--iou", "one"],
+                 2, "argument --iou: must be a number in [0, 1], got one"),
+    "run-link-iou": (["run", "--variant", "seqnms", "--out-dir", "OUT", "--link-iou", "nan"],
+                     2, "argument --link-iou: must be a number in [0, 1], got nan"),
+    "run-iou": (["run", "--variant", "seqnms", "--out-dir", "OUT", "--iou", "3"],
+                2, "argument --iou: must be a number in [0, 1], got 3"),
+    "synth-gen-seed": (["synth-gen", "--preset", "degraded", "--seed", "-1", "--out-gt", "OUT",
+                        "--out-dets", "OUT"], 2, "argument --seed: must be a non-negative integer, got -1"),
+    "tfd-noise-center": (["tfd", "--dets", "DETS", "--oracle", "--gt", "GT", "--out", "OUT",
+                          "--noise-center", "nan"], 1, "error [tfd]: noise sigmas must be non-negative and finite"),
+}
+
+
+class TestNumberFlags:
+    @pytest.mark.parametrize("case", BAD_NUMBERS)
+    def test_out_of_range_number_is_rejected_naming_it(self, clean_files, tmp_path, capsys, case):
+        gt, dets = clean_files
+        out = tmp_path / "out"
+        out.mkdir()
+        argv, code, complaint = BAD_NUMBERS[case]
+        argv = [{"DETS": dets, "GT": gt, "OUT": out / "x"}.get(a, a) for a in argv]
+        if code == 2:
+            with pytest.raises(SystemExit) as exc:
+                run_cli(*argv)
+            assert exc.value.code == 2
+        else:
+            assert run_cli(*argv) == code
+        assert complaint in capsys.readouterr().err
+        assert list(out.iterdir()) == []
 
 
 class TestReplayTrackFn:

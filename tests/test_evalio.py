@@ -263,6 +263,24 @@ class TestRecordRules:
                     offenders.append(f"{path.name}:{node.lineno}")
         assert offenders == []
 
+    def test_json_files_are_written_only_by_the_writer(self):
+        # One writer: json.dump appears in evalio.write_json_object only.
+        offenders = []
+        for path in sorted(Path(vodtrack.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            allowed = set()
+            for node in ast.walk(tree):
+                if isinstance(node, ast.FunctionDef) and node.name == "write_json_object":
+                    allowed.update(map(id, ast.walk(node)) if path.name == "evalio.py" else ())
+            for node in ast.walk(tree):
+                dumps = (isinstance(node, ast.Attribute) and node.attr == "dump"
+                         and isinstance(node.value, ast.Name) and node.value.id == "json")
+                imports = (isinstance(node, ast.ImportFrom) and node.module == "json"
+                           and any(a.name == "dump" for a in node.names))
+                if (dumps or imports) and id(node) not in allowed:
+                    offenders.append(f"{path.name}:{node.lineno}")
+        assert offenders == []
+
 
 def feature_file(tmp_path, header, payload=b""):
     p = tmp_path / "f.feat"
@@ -508,6 +526,12 @@ class TestEvaluateMap:
         assert result.mean_ap == pytest.approx(
             float(np.mean(list(result.per_class_ap.values()))), abs=1e-12
         )
+
+    def test_repeated_prediction_video_rejected(self):
+        # Matched set by set, a repeated video could match one ground-truth box twice.
+        gt = gt_two_boxes()
+        with pytest.raises(ValueError, match="duplicate video ids in predictions"):
+            evaluate_map([gt, gt], gt)
 
     def test_unknown_video_rejected(self):
         gt = gt_two_boxes()
