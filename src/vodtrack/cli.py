@@ -20,7 +20,6 @@ from .detections import Detection, TrackPrediction, frame_of
 from .evalio import (
     VideoDetectionSet,
     _value,
-    align_predictions,
     evaluate_map,
     load_detections,
     load_features,
@@ -152,17 +151,17 @@ def _add_manifest_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument("--manifest", help="write a run manifest JSON to this path")
 
 
-def make_replay_track_fn(stored: dict[int, list]):
-    """Replay file predictions: in candidate order, each candidate claims the
-    unclaimed stored prediction whose source box it overlaps most, by
-    ``best_match``. Unclaimed candidates come back with zero quality and are
+def make_replay_track_fn(stored: list[list[TrackPrediction]]):
+    """Replay per-frame file predictions: in candidate order, each candidate claims
+    the unclaimed stored prediction of its frame whose source box it overlaps most,
+    by ``best_match``. Unclaimed candidates come back with zero quality and are
     filtered out. Each call takes one frame's boxes and leaves ``stored`` as it was."""
 
     def track_fn(candidates: list[Detection]) -> list[TrackPrediction]:
         if not candidates:
             return []
-        entries = stored.get(frame_of(candidates), [])
-        overlaps = iou([det.box for det in candidates], [pred.source.box for _, pred in entries])
+        entries = stored[frame_of(candidates)]
+        overlaps = iou([det.box for det in candidates], [pred.source.box for pred in entries])
         out = []
         for det, row in zip(candidates, overlaps):
             pos = best_match(row[None], MATCH_IOU)[0]
@@ -170,7 +169,7 @@ def make_replay_track_fn(stored: dict[int, list]):
                 out.append(TrackPrediction(det, det.box, 0.0))
             else:
                 overlaps[:, pos] = -np.inf  # claimed
-                pred = entries[pos][1]
+                pred = entries[pos]
                 out.append(TrackPrediction(det, pred.predicted_box, pred.quality))
         return out
 
@@ -257,6 +256,8 @@ def _track_frames(vds: VideoDetectionSet, args, gt) -> list[list[TrackPrediction
 
 
 def cmd_track(args, argv) -> int:
+    if args.oracle and (args.weights or args.features_dir):
+        raise ValueError(f"{'--weights' if args.weights else '--features-dir'} is not read with --oracle")
     timings = {}
     vds = _timed(timings, "load", load_single_video, args.dets)
     gt = _oracle_gt(args, timings) if args.oracle else None
@@ -268,15 +269,17 @@ def cmd_track(args, argv) -> int:
     return 0
 
 
-def _align_preds(args, vds: VideoDetectionSet, loaded: dict[int, list]) -> list[list]:
-    """``align_predictions`` on ``--preds`` for ``--dets``; a fault names both files and the video."""
+def _load_preds(args, sets: list[VideoDetectionSet], timings: dict) -> dict[str, list[list]]:
+    """``--preds`` loaded against the ``--dets`` videos; a fault names both files."""
     try:
-        return align_predictions(vds, loaded)
+        return _timed(timings, "load", load_predictions, args.preds, sets)
     except ValueError as exc:
-        raise ValueError(f"--dets {args.dets}, --preds {args.preds}: video {vds.video!r}: {exc}") from None
+        raise ValueError(f"{exc} (--dets {args.dets})") from None
 
 
 def cmd_tfd(args, argv) -> int:
+    if args.oracle and args.preds:
+        raise ValueError("--preds is not read with --oracle")
     timings = {}
     vds = _timed(timings, "load", load_single_video, args.dets)
     cfg = _config_from_args(args)
@@ -284,9 +287,7 @@ def cmd_tfd(args, argv) -> int:
         gt = _oracle_gt(args, timings)
         track_fn = make_oracle_track_fn(gt, _noise_from_args(args), args.oracle_seed)
     elif args.preds:
-        stored = _timed(timings, "load", load_predictions, args.preds).get(vds.video, {})
-        _align_preds(args, vds, stored)
-        track_fn = make_replay_track_fn(stored)
+        track_fn = make_replay_track_fn(_load_preds(args, [vds], timings)[vds.video])
     else:
         raise ValueError("provide --preds or --oracle")
 
@@ -302,14 +303,16 @@ def cmd_tfd(args, argv) -> int:
 
 
 def cmd_link(args, argv) -> int:
-    timings = {}
-    sets = _timed(timings, "load", load_detections, args.dets)
     if args.mode == "seqtrack" and not args.preds:
         raise ValueError("--mode seqtrack requires --preds")
-    preds_by_video = _timed(timings, "load", load_predictions, args.preds) if args.preds else {}
+    if args.mode == "seqnms" and args.preds:
+        raise ValueError("--preds is not read with --mode seqnms")
+    timings = {}
+    sets = _timed(timings, "load", load_detections, args.dets)
+    preds_by_video = _load_preds(args, sets, timings) if args.preds else {}
 
     def link_video(vds: VideoDetectionSet) -> VideoDetectionSet:
-        preds = _align_preds(args, vds, preds_by_video.get(vds.video, {})) if args.mode == "seqtrack" else None
+        preds = preds_by_video.get(vds.video)
         frames = link_frames(vds.frames, preds, args.link_iou, args.nms_iou, args.score_min)
         return VideoDetectionSet(vds.video, frames)
 

@@ -43,7 +43,8 @@ class Detection:
 
 @dataclass(frozen=True, slots=True)
 class TrackPrediction:
-    """A tracked box for the next frame with its predicted overlap quality."""
+    """A tracked box for the next frame with its predicted overlap quality; a
+    loaded prediction's ``source`` is the loaded detection itself, not a copy."""
 
     source: Detection
     predicted_box: Box

@@ -20,7 +20,10 @@ Prediction files are JSON lines, one object per track prediction::
 
 ``det`` indexes the source detection within its frame. ``source`` is a
 detection record without ``video``: it is written and read by the same
-code as a detection file's lines. Every loader rejects a malformed line
+code as a detection file's lines. A prediction file is read against the
+detections it was computed from: each record's ``source`` must equal the
+detection at its ``(video, frame, det)``, and the loaded prediction holds
+that detection itself. Every loader rejects a malformed line
 with a ``ValueError`` naming ``path:line``; a detection frame index above
 ``MAX_FRAME_INDEX`` and a box corner beyond ``geometry.MAX_COORDINATE``
 count as malformed; the record types check the values they hold. Every
@@ -180,17 +183,6 @@ def _parse_detection(obj: dict) -> tuple[str, Detection]:
     return _value(obj, "video", "a string"), _parse_detection_fields(obj)
 
 
-def _parse_prediction(obj: dict) -> tuple[str, int, int, TrackPrediction]:
-    """A prediction record's video, frame, detection index and prediction."""
-    pred = TrackPrediction(
-        source=_parse_detection_fields(_value(obj, "source", "an object")),
-        predicted_box=_box(obj),
-        quality=float(_value(obj, "quality", "a number")),
-    )
-    return (_value(obj, "video", "a string"), _value(obj, "frame", "an integer"),
-            _value(obj, "det", "an integer"), pred)
-
-
 def read_json_object(data: bytes, where, what: str) -> dict:
     """UTF-8 ``data`` as one JSON object; a fault raises ``ValueError`` naming ``where``.
 
@@ -284,34 +276,43 @@ def save_predictions(preds_per_frame, video: str, path) -> None:
                                              *_detection_values(p.source)))
 
 
-def load_predictions(path) -> dict[str, dict[int, list]]:
-    """Read a prediction file into ``{video: {frame: [(det_index, TrackPrediction)]}}``."""
-    out: dict[str, dict[int, list]] = {}
-    for video, frame, det, pred in _records(path, "prediction", _parse_prediction):
-        out.setdefault(video, {}).setdefault(frame, []).append((det, pred))
-    for frames in out.values():
-        for preds in frames.values():
-            preds.sort(key=lambda item: item[0])
-    return out
+def load_predictions(path, sets: Sequence[VideoDetectionSet]) -> dict[str, list[list[TrackPrediction]]]:
+    """Read a prediction file into ``{video: per-frame lists}``, aligned with ``sets``' frames.
 
-
-def align_predictions(vds: VideoDetectionSet, loaded: dict[int, list]) -> list[list]:
-    """Expand loaded predictions into per-frame lists aligned with ``vds``.
-
-    Each frame's predictions carry indices ``0..len(frame)-1``, one per
-    detection, as the linker needs; the last frame's may be absent.
+    Each record's ``(video, frame, det)`` names a detection of ``sets`` at
+    most once, its ``source`` must equal that detection, and the prediction
+    is built on that detection. Every frame but a video's last holds one
+    prediction per detection; the last may hold none. A fault names ``path``.
     """
-    aligned: list[list] = []
-    for t, frame in enumerate(vds.frames):
-        entries = loaded.get(t, [])
-        indices = [i for i, _ in entries]
-        if indices != list(range(len(frame))) and (entries or t < vds.n_frames - 1):
-            raise ValueError(
-                f"frame {t}: prediction indices {indices} do not cover the "
-                f"{len(frame)} detections"
-            )
-        aligned.append([p for _, p in entries])
-    return aligned
+    frames = {vds.video: vds.frames for vds in sets}
+    out = {vds.video: [[None] * len(frame) for frame in vds.frames] for vds in sets}
+
+    def parse(obj: dict) -> None:
+        video, t, i = (_value(obj, "video", "a string"), _value(obj, "frame", "an integer"),
+                       _value(obj, "det", "an integer"))
+        box, quality = _box(obj), float(_value(obj, "quality", "a number"))
+        source = _parse_detection_fields(_value(obj, "source", "an object"))
+        if video not in frames:
+            raise ValueError(f"video {video!r} is not in the detections")
+        if not (0 <= t < len(frames[video]) and 0 <= i < len(frames[video][t])):
+            raise ValueError(f"video {video!r} has no detection {i} in frame {t}")
+        det, slots = frames[video][t][i], out[video][t]
+        if source != det:
+            raise ValueError(f"'source' differs from detection {i} of video {video!r} frame {t}")
+        if slots[i] is not None:
+            raise ValueError(f"detection {i} of video {video!r} frame {t} is predicted twice")
+        slots[i] = TrackPrediction(det, box, quality)
+
+    for _ in _records(path, "prediction", parse):
+        pass
+    for video, preds in out.items():
+        if preds and not any(preds[-1]):
+            preds[-1] = []
+        for t, slots in enumerate(preds):
+            if None in slots:
+                raise ValueError(f"{path}: video {video!r} frame {t}: no prediction for detection "
+                                 f"{slots.index(None)} of {len(slots)}")
+    return out
 
 
 _DTYPES = {"<f4": np.dtype("<f4"), "<f8": np.dtype("<f8")}

@@ -118,10 +118,10 @@ class TestTrack:
         out = tmp_path / "preds.jsonl"
         rc = run_cli("track", "--dets", dets, "--oracle", "--gt", gt, "--out", out)
         assert rc == 0
-        loaded = load_predictions(out)
+        loaded = load_predictions(out, load_detections(dets))
         assert len(loaded) == 1
         (frames,) = loaded.values()
-        qualities = [p.quality for t in frames for _, p in frames[t]]
+        qualities = [p.quality for frame in frames for p in frame]
         # zero noise: perfect predictions while alive, sub-threshold at death
         assert all(q == 1.0 or q < 0.5 for q in qualities)
         assert qualities.count(1.0) > len(qualities) * 0.8
@@ -132,7 +132,7 @@ class TestTrack:
         rc = run_cli("track", "--dets", dets, "--weights", weights_path,
                      "--features-dir", feat_dir, "--out", out)
         assert rc == 0
-        loaded = load_predictions(out)
+        loaded = load_predictions(out, load_detections(dets))
         assert loaded
 
     def test_learned_head_streams_pyramids(self, learned_files, tmp_path, monkeypatch):
@@ -315,13 +315,12 @@ class TestTfdAndLink:
         # claims the later one, the next candidate the one left, a third none.
         # A candidate with IoU exactly 0.5 against a source claims it.
         def stored(source, predicted, quality):
-            src = Detection(0, 0, 0.9, source)
-            return src, TrackPrediction(src, predicted, quality)
+            return TrackPrediction(Detection(0, 0, 0.9, source), predicted, quality)
 
         box = Box(0, 0, 10, 10)
         entries = [stored(box, Box(1, 0, 11, 10), 0.7), stored(box, Box(2, 0, 12, 10), 0.8),
                    stored(Box(40, 40, 50, 50), Box(41, 40, 51, 50), 0.9)]
-        track_fn = cli.make_replay_track_fn({0: entries})
+        track_fn = cli.make_replay_track_fn([entries])
         candidates = [Detection(0, 0, 0.9, box), Detection(0, 0, 0.8, box),
                       Detection(0, 0, 0.7, box), Detection(0, 0, 0.6, Box(40, 40, 50, 45))]
         got = [(p.predicted_box, p.quality) for p in track_fn(candidates)]
@@ -402,9 +401,8 @@ class TestTfdAndLink:
                      "--out", tmp_path / "x.jsonl")
         assert rc == 1
         err = capsys.readouterr().err
-        assert re.match(rf"error \[link\]: --dets {re.escape(str(dets))}, --preds {re.escape(str(preds))}: "
-                        r"video '\S+': frame \d+: prediction indices \[.*\] do not cover the \d+ detections\n$",
-                        err), err
+        assert re.match(rf"error \[link\]: {re.escape(str(preds))}:\d+: invalid prediction record: "
+                        rf".* of video '\S+' frame \d+ \(--dets {re.escape(str(dets))}\)\n$", err), err
         assert not (tmp_path / "x.jsonl").exists()
 
     def test_seqtrack_preds_missing_a_frame_name_both_files(self, clean_files, tmp_path, capsys):
@@ -417,8 +415,8 @@ class TestTfdAndLink:
         rc = run_cli("link", "--dets", dets, "--preds", holey, "--mode", "seqtrack",
                      "--out", tmp_path / "x.jsonl")
         assert rc == 1
-        assert capsys.readouterr().err == (f"error [link]: --dets {dets}, --preds {holey}: video 'clean-0': "
-                                           "frame 3: prediction indices [] do not cover the 2 detections\n")
+        assert capsys.readouterr().err == (f"error [link]: {holey}: video 'clean-0' frame 3: "
+                                           f"no prediction for detection 0 of 2 (--dets {dets})\n")
         assert not (tmp_path / "x.jsonl").exists()
 
     def test_replay_of_another_videos_preds_names_both_files(self, clean_files, tmp_path, capsys):
@@ -429,8 +427,8 @@ class TestTfdAndLink:
         other.write_text(preds.read_text().replace('"video": "clean-0"', '"video": "other"'))
         capsys.readouterr()
         assert run_cli("tfd", "--dets", dets, "--preds", other, "--out", tmp_path / "m.jsonl") == 1
-        assert capsys.readouterr().err == (f"error [tfd]: --dets {dets}, --preds {other}: video 'clean-0': "
-                                           "frame 0: prediction indices [] do not cover the 2 detections\n")
+        assert capsys.readouterr().err == (f"error [tfd]: {other}:1: invalid prediction record: "
+                                           f"video 'other' is not in the detections (--dets {dets})\n")
         assert not (tmp_path / "m.jsonl").exists()
 
     def test_seqtrack_requires_preds(self, clean_files, tmp_path, capsys):
@@ -439,6 +437,73 @@ class TestTfdAndLink:
                      "--out", tmp_path / "x.jsonl")
         assert rc != 0
         assert "link" in capsys.readouterr().err
+
+
+# Edits of a track --oracle output on the clean preset, seed 0 (two
+# detections in each of frames 0-7): each makes the first line it changes
+# name no detection, name one twice, or carry another detection's source.
+def _relabel(records, frames: dict) -> None:
+    """Give each record of a frame ``t`` in ``frames`` the frame ``frames[t]``."""
+    for r in records:
+        r["frame"] = frames.get(r["frame"], r["frame"])
+
+
+PREDICTION_FAULTS = {
+    "relabelled-frame": (lambda rs: _relabel(rs, {3: 4}), 7,
+                         "'source' differs from detection 0 of video 'clean-0' frame 4"),
+    "swapped-frames": (lambda rs: _relabel(rs, {1: 2, 2: 1}), 3,
+                       "'source' differs from detection 0 of video 'clean-0' frame 2"),
+    "source-class": (lambda rs: rs[4]["source"].update({"class": 5}), 5,
+                     "'source' differs from detection 0 of video 'clean-0' frame 2"),
+    "source-score": (lambda rs: rs[5]["source"].update(score=0.5), 6,
+                     "'source' differs from detection 1 of video 'clean-0' frame 2"),
+    "repeated-det": (lambda rs: rs.insert(3, dict(rs[2])), 4,
+                     "detection 0 of video 'clean-0' frame 1 is predicted twice"),
+    "unknown-video": (lambda rs: rs.append({**rs[0], "video": "other"}), 130,
+                      "video 'other' is not in the detections"),
+}
+
+
+class TestPredictionSources:
+    @pytest.mark.parametrize("command", ["tfd", "link"])
+    @pytest.mark.parametrize("edit, line, complaint", PREDICTION_FAULTS.values(), ids=PREDICTION_FAULTS.keys())
+    def test_fault_fails_at_its_line(self, clean_files, tmp_path, capsys, command, edit, line, complaint):
+        gt, dets = clean_files
+        preds, bad, out = tmp_path / "preds.jsonl", tmp_path / "bad.jsonl", tmp_path / "out.jsonl"
+        assert run_cli("track", "--dets", dets, "--oracle", "--gt", gt, "--out", preds) == 0
+        records = [json.loads(text) for text in preds.read_text().splitlines()]
+        edit(records)
+        bad.write_text("".join(json.dumps(r) + "\n" for r in records))
+        capsys.readouterr()
+        mode = ["--mode", "seqtrack"] if command == "link" else []
+        assert run_cli(command, "--dets", dets, "--preds", bad, *mode, "--out", out) == 1
+        assert capsys.readouterr().err == (f"error [{command}]: {bad}:{line}: invalid prediction record: "
+                                           f"{complaint} (--dets {dets})\n")
+        assert not out.exists()
+
+
+# A file flag the chosen mode never reads, with a --dets that does not
+# exist: the flag is rejected before any file is read.
+UNREAD_FLAGS = {
+    "link-seqnms-preds": (["link", "--mode", "seqnms", "--preds", "P"], "--preds is not read with --mode seqnms"),
+    "tfd-oracle-preds": (["tfd", "--oracle", "--gt", "P", "--preds", "P"], "--preds is not read with --oracle"),
+    "track-oracle-weights": (["track", "--oracle", "--gt", "P", "--weights", "P"],
+                             "--weights is not read with --oracle"),
+    "track-oracle-features-dir": (["track", "--oracle", "--gt", "P", "--features-dir", "P"],
+                                  "--features-dir is not read with --oracle"),
+}
+
+
+class TestUnreadFlags:
+    @pytest.mark.parametrize("argv, complaint", UNREAD_FLAGS.values(), ids=UNREAD_FLAGS.keys())
+    def test_flag_is_rejected_before_reading(self, tmp_path, capsys, argv, complaint):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("{\n")
+        out = tmp_path / "out.jsonl"
+        argv = [bad if a == "P" else a for a in argv]
+        assert run_cli(*argv, "--dets", tmp_path / "missing.jsonl", "--out", out) == 1
+        assert capsys.readouterr().err == f"error [{argv[0]}]: {complaint}\n"
+        assert not out.exists()
 
 
 class TestEval:
@@ -815,11 +880,11 @@ class TestNumberFlags:
 class TestReplayTrackFn:
     def test_replay_gives_a_frame_the_same_predictions_twice(self):
         src = Detection(0, 0, 0.9, Box(0, 0, 10, 10))
-        track_fn = cli.make_replay_track_fn({0: [(0, TrackPrediction(src, Box(1, 0, 11, 10), 0.7))]})
+        track_fn = cli.make_replay_track_fn([[TrackPrediction(src, Box(1, 0, 11, 10), 0.7)]])
         first, second = track_fn([src]), track_fn([src])
         assert first == second == [TrackPrediction(src, Box(1, 0, 11, 10), 0.7)]
 
     def test_replay_rejects_boxes_from_two_frames(self):
-        track_fn = cli.make_replay_track_fn({})
+        track_fn = cli.make_replay_track_fn([])
         with pytest.raises(ValueError, match=r"one frame, got frames \[0, 1\]"):
             track_fn([Detection(0, 0, 0.9, Box(0, 0, 10, 10)), Detection(1, 0, 0.9, Box(0, 0, 10, 10))])

@@ -10,7 +10,6 @@ from vodtrack.detections import Detection
 from vodtrack.evalio import (
     MAX_FRAME_INDEX,
     VideoDetectionSet,
-    align_predictions,
     evaluate_map,
     load_detections,
     load_features,
@@ -110,12 +109,12 @@ class TestPredictionFiles:
         ]
         p = tmp_path / "preds.jsonl"
         save_predictions(preds, "v0", p)
-        loaded = load_predictions(p)
-        assert set(loaded) == {"v0"}
         vds = VideoDetectionSet.from_records("v0", [src0, src1], n_frames=2)
-        aligned = align_predictions(vds, loaded["v0"])
+        loaded = load_predictions(p, [vds])
+        assert set(loaded) == {"v0"}
+        aligned = loaded["v0"]
         assert len(aligned[0]) == 2
-        assert aligned[0][0].source == src0
+        assert aligned[0][0].source is vds.frames[0][0]
         assert aligned[0][0].predicted_box.corners() == (1, 1, 11, 11)
         assert aligned[1] == []
 
@@ -127,8 +126,19 @@ class TestPredictionFiles:
         vds = VideoDetectionSet.from_records(
             "v0", [src0, det(0, 2, 0.8, (20, 20, 30, 30))], n_frames=1
         )
-        with pytest.raises(ValueError, match="do not cover"):
-            align_predictions(vds, load_predictions(p)["v0"])
+        with pytest.raises(ValueError, match=r"preds\.jsonl: video 'v0' frame 0: no prediction for detection 1 of 2$"):
+            load_predictions(p, [vds])
+
+    def test_video_without_records_loads_only_with_empty_earlier_frames(self, tmp_path):
+        # A video with no prediction records loads while only its last frame
+        # holds detections.
+        p = tmp_path / "preds.jsonl"
+        p.write_text("")
+        last_only = VideoDetectionSet.from_records("a", [det(1, 0, 0.5, (0, 0, 5, 5))])
+        assert load_predictions(p, [last_only]) == {"a": [[], []]}
+        first = VideoDetectionSet.from_records("b", [det(0, 0, 0.5, (0, 0, 5, 5))], n_frames=2)
+        with pytest.raises(ValueError, match=r"video 'b' frame 0: no prediction for detection 0 of 1"):
+            load_predictions(p, [last_only, first])
 
     def test_predicted_box_beyond_bound_rejected(self, tmp_path):
         record = json.loads(record_line("predictions"))
@@ -136,7 +146,7 @@ class TestPredictionFiles:
         p = tmp_path / "preds.jsonl"
         p.write_text(json.dumps(record) + "\n")
         with pytest.raises(ValueError, match=r"preds\.jsonl:1: invalid prediction record: 'box' corners"):
-            load_predictions(p)
+            load_predictions(p, record_sources(tmp_path))
 
     def test_source_is_a_detection_record_without_video(self, tmp_path):
         src = det(3, 1, 0.9, (0.5, 0, 10, 10.25), track=4, provenance="tracked")
@@ -147,21 +157,67 @@ class TestPredictionFiles:
         assert json.dumps({"video": "v0", **source}) + "\n" == dets.read_text()
 
 
+# A record that names no detection, names one twice, or whose source is
+# not the detection it names, field by field; each fails at its line. The
+# CLI tests cover an unknown video, a relabelled or swapped frame and a
+# source of another class or score.
+SOURCE_FAULTS = {
+    "frame-past-the-video": ({"frame": 1}, "video 'v' has no detection 0 in frame 1"),
+    "negative-frame": ({"frame": -1}, "video 'v' has no detection 0 in frame -1"),
+    "det-past-the-frame": ({"det": 1}, "video 'v' has no detection 1 in frame 0"),
+    "negative-det": ({"det": -1}, "video 'v' has no detection -1 in frame 0"),
+    "source-box": ({"box": [0, 0, 5, 6]}, "'source' differs from detection 0 of video 'v' frame 0"),
+    "source-track": ({"track": 3}, "'source' differs from detection 0 of video 'v' frame 0"),
+    "source-provenance": ({"provenance": "tracked"}, "'source' differs from detection 0 of video 'v' frame 0"),
+    "repeated-det": ({}, "detection 0 of video 'v' frame 0 is predicted twice"),
+}
+
+
+class TestPredictionSources:
+    @pytest.mark.parametrize("change, complaint", SOURCE_FAULTS.values(), ids=SOURCE_FAULTS.keys())
+    def test_fault_names_the_line(self, tmp_path, change, complaint):
+        record = json.loads(record_line("predictions"))
+        for key, value in change.items():
+            (record if key in ("frame", "det") else record["source"])[key] = value
+        p = tmp_path / "preds.jsonl"
+        p.write_text(record_line("predictions") + "\n" + json.dumps(record) + "\n")
+        with pytest.raises(ValueError) as info:
+            load_predictions(p, record_sources(tmp_path))
+        assert str(info.value) == f"{p}:2: invalid prediction record: {complaint}"
+
+    def test_equal_sources_load(self, tmp_path):
+        # A source equal in value to its detection loads: 5.0 and 5 are one coordinate.
+        p = tmp_path / "preds.jsonl"
+        p.write_text(record_line("predictions", box=[0.0, 0, 5.0, 5]) + "\n")
+        (pred,) = load_predictions(p, record_sources(tmp_path))["v"][0]
+        assert pred.source.box == Box(0, 0, 5, 5)
+
+
 def record_line(kind, drop=(), **changes):
-    """One valid detection or prediction line, with source fields changed or keys dropped."""
+    """One valid detection or prediction line, with source fields changed or keys dropped.
+
+    A prediction line's ``frame`` is its source's frame.
+    """
     fields = {"frame": 0, "class": 0, "score": 0.5, "box": [0, 0, 5, 5],
               "track": None, "provenance": None, **changes}
     if kind == "detections":
         record = {"video": "v", **fields}
     else:
-        record = {"video": "v", "frame": 0, "det": 0, "box": [0, 0, 5, 5],
+        record = {"video": "v", "frame": fields["frame"], "det": 0, "box": [0, 0, 5, 5],
                   "quality": 0.9, "source": fields}
     for key in drop:
         del record[key]
     return json.dumps(record)
 
 
-RECORD_LOADERS = {"detections": load_detections, "predictions": load_predictions}
+def record_sources(tmp_path, video="v", **changes):
+    """The detections a ``record_line("predictions", **changes)`` names, as loaded."""
+    p = tmp_path / "sources.jsonl"
+    p.write_text(record_line("detections", **changes).replace('"v"', json.dumps(video), 1) + "\n")
+    return load_detections(p)
+
+
+RECORD_LOADERS = {"detections": lambda p, sources: load_detections(p), "predictions": load_predictions}
 
 
 @pytest.mark.parametrize("kind", sorted(RECORD_LOADERS))
@@ -172,7 +228,7 @@ class TestRecordValidation:
         p = tmp_path / "bad.jsonl"
         p.write_text(record_line(kind) + "\n" + line + "\n")
         with pytest.raises(ValueError, match=r"bad\.jsonl:2") as info:
-            RECORD_LOADERS[kind](p)
+            RECORD_LOADERS[kind](p, record_sources(tmp_path))
         return str(info.value)
 
     def test_missing_video(self, tmp_path, kind):
@@ -195,7 +251,7 @@ class TestRecordValidation:
     def test_frame_at_bound_loads(self, tmp_path, kind):
         p = tmp_path / "ok.jsonl"
         p.write_text(record_line(kind, frame=MAX_FRAME_INDEX) + "\n")
-        RECORD_LOADERS[kind](p)
+        RECORD_LOADERS[kind](p, record_sources(tmp_path, frame=MAX_FRAME_INDEX))
 
     def test_box_corner_beyond_bound(self, tmp_path, kind):
         # The extent of this box overflows to inf, and its overlap with an
@@ -205,8 +261,9 @@ class TestRecordValidation:
 
     def test_box_corner_at_bound_loads(self, tmp_path, kind):
         p = tmp_path / "ok.jsonl"
-        p.write_text(record_line(kind, box=[-MAX_COORDINATE, 0, MAX_COORDINATE, 10]) + "\n")
-        RECORD_LOADERS[kind](p)
+        box = [-MAX_COORDINATE, 0, MAX_COORDINATE, 10]
+        p.write_text(record_line(kind, box=box) + "\n")
+        RECORD_LOADERS[kind](p, record_sources(tmp_path, box=box))
 
     def test_unknown_provenance(self, tmp_path, kind):
         message = self.reject_second_line(tmp_path, kind, record_line(kind, provenance="guessed"))
@@ -229,12 +286,12 @@ class TestRecordValidation:
         good = record_line(kind).encode()
         p.write_bytes(good + b"\n" + good.replace(b'"v"', b'"\xff"') + b"\n")
         with pytest.raises(ValueError, match=r"bad\.jsonl:2: malformed JSON line: 'utf-8' codec"):
-            RECORD_LOADERS[kind](p)
+            RECORD_LOADERS[kind](p, record_sources(tmp_path))
 
     def test_non_ascii_line_loads(self, tmp_path, kind):
         p = tmp_path / "ok.jsonl"
         p.write_text(record_line(kind).replace('"v"', '"vid\u00e9o"') + "\n", encoding="utf-8")
-        loaded = RECORD_LOADERS[kind](p)
+        loaded = RECORD_LOADERS[kind](p, record_sources(tmp_path, video="vid\u00e9o"))
         videos = [v.video for v in loaded] if kind == "detections" else list(loaded)
         assert videos == ["vid\u00e9o"]
 

@@ -7,6 +7,7 @@ header or spec replaced by a non-object, a line, the payload or the spec cut
 short or extended, a weights array given another shape of the same size, or
 an unknown key added to a spec. Each mutated file must either load or raise
 a ``ValueError`` that names the file; any other exception fails the test. A
+prediction file is loaded against the detections it was written from. A
 spec with an unknown key must not load.
 """
 
@@ -210,7 +211,7 @@ def test_mutated_detection_file(valid_files, tmp_path_factory, how, data):
 def test_mutated_prediction_file(valid_files, tmp_path_factory, how, data):
     path = tmp_path_factory.getbasetemp() / "mutated-preds.jsonl"
     path.write_text(mutated_lines(data.draw, how, valid_files["predictions"]))
-    loads_or_names_file(load_predictions, path)
+    loads_or_names_file(lambda p: load_predictions(p, sample_detections()), path)
 
 
 @pytest.mark.parametrize("how", CONTAINER_MUTATIONS)
