@@ -34,6 +34,7 @@ from .geometry import iou
 from .linker import build_graph_seqnms, build_graph_seqtrack, rescore_and_suppress
 from .pipeline import PipelineConfig, final_detections, run_video
 from .synth import ScenarioSpec, generate, load_scenario, preset_scenario, save_scenario
+from .tensor_ops import Workspace
 from .tracker import (
     MATCH_IOU,
     NoiseParams,
@@ -89,23 +90,57 @@ def _scenario_from_args(args) -> ScenarioSpec:
 
 
 def _config_from_args(args) -> PipelineConfig:
-    cfg = PipelineConfig.from_file(args.config) if args.config else PipelineConfig()
-    return replace(cfg, **{f.name: getattr(args, f.name) for f in fields(PipelineConfig)
-                           if getattr(args, f.name) is not None})
+    """The defaults with each threshold flag given; ``main`` has put a config file's values in them."""
+    return replace(PipelineConfig(), **{f.name: getattr(args, f.name) for f in fields(PipelineConfig)
+                                        if getattr(args, f.name) is not None})
 
 
 def _noise_from_args(args) -> NoiseParams:
     return NoiseParams(args.noise_center, args.noise_size, args.noise_failure)
 
 
+# The flag that sets each PipelineConfig field.
+_CONFIG_FLAGS = {
+    "detect_to_track_score": "--detect-score",
+    "track_quality_min": "--track-quality",
+    "track_nms_iou": "--track-nms",
+    "t_merge": "--t-merge",
+    "final_score_min": "--final-score",
+    "final_nms_iou": "--final-nms",
+}
+
+
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="key = value config file (PipelineConfig field names)")
-    p.add_argument("--detect-score", type=float, dest="detect_to_track_score")
-    p.add_argument("--track-quality", type=float, dest="track_quality_min")
-    p.add_argument("--track-nms", type=float, dest="track_nms_iou")
-    p.add_argument("--t-merge", type=float, dest="t_merge")
-    p.add_argument("--final-score", type=float, dest="final_score_min")
-    p.add_argument("--final-nms", type=float, dest="final_nms_iou")
+    for name, flag in _CONFIG_FLAGS.items():
+        p.add_argument(flag, type=float, dest=name)
+
+
+def _inline_config(args, argv: list[str]) -> list[str]:
+    """Resolve ``--config FILE`` into flags, so that a manifest's argv is the whole run.
+
+    Each value the file sets goes into ``args`` unless its flag was given
+    (the flag wins). The returned argv has every ``--config`` option (or
+    argparse's abbreviation of it) dropped and those values appended as
+    their flags, so a replay reads no config file.
+    """
+    if not getattr(args, "config", None):
+        return argv
+    inlined = []
+    for name, value in PipelineConfig.file_values(args.config).items():
+        if getattr(args, name) is None:
+            setattr(args, name, value)
+            inlined += [_CONFIG_FLAGS[name], repr(value)]
+    args.config = None
+    kept, tokens = [], iter(argv)
+    for token in tokens:
+        option = token.split("=", 1)[0]
+        if len(option) > 2 and "--config".startswith(option):
+            if "=" not in token:
+                next(tokens, None)
+            continue
+        kept.append(token)
+    return kept + inlined
 
 
 def _add_scenario_flags(p: argparse.ArgumentParser) -> None:
@@ -208,11 +243,19 @@ def cmd_synth_gen(args, argv) -> int:
     return 0
 
 
-def _oracle_gt(args, timings: dict) -> VideoDetectionSet:
-    """The ``--gt`` video the oracle tracker reads, timed as a load."""
-    if not args.gt:
+def _check_tracker_flags(args, learned: dict[str, object]) -> None:
+    """Reject a command's tracker flags that do not go together, before any file is read.
+
+    The command tracks by ``--oracle`` (which needs ``--gt``) or by every
+    flag of ``learned`` (flag to its value), and the two exclude each other.
+    """
+    given = [flag for flag, value in learned.items() if value]
+    if args.oracle and given:
+        raise ValueError(f"{given[0]} is not read with --oracle")
+    if args.oracle and not args.gt:
         raise ValueError("--oracle requires --gt")
-    return _timed(timings, "load", load_single_video, args.gt)
+    if not args.oracle and len(given) < len(learned):
+        raise ValueError(f"provide {' and '.join(learned)}{',' if len(learned) > 1 else ''} or --oracle")
 
 
 def _track_frames(vds: VideoDetectionSet, args, gt) -> list[list[TrackPrediction]]:
@@ -226,8 +269,6 @@ def _track_frames(vds: VideoDetectionSet, args, gt) -> list[list[TrackPrediction
     if args.oracle:
         noise = _noise_from_args(args)
         return [oracle_track(list(frame), gt, noise, args.oracle_seed) for frame in vds.frames]
-    if not (args.weights and args.features_dir):
-        raise ValueError("provide --weights and --features-dir, or --oracle")
     weights = load_weights(args.weights)
     cfg = TrackerConfig(
         template_pool=args.template_pool, search_pool=args.search_pool, fuse_stride=args.fuse_stride,
@@ -245,22 +286,22 @@ def _track_frames(vds: VideoDetectionSet, args, gt) -> list[list[TrackPrediction
         return fuse_for_head(load_features(fp), cfg)
 
     # Each frame is fused once, and two fused maps are held at a time:
-    # frame t and frame t+1.
+    # frame t and frame t+1. The head's scratch arrays serve every frame.
     current = pyramid(0)
+    work = Workspace()
     preds_per_frame = []
     for t in range(vds.n_frames - 1):
         following = pyramid(t + 1)
-        preds_per_frame.append(track(current, following, list(vds.frames[t]), weights, cfg))
+        preds_per_frame.append(track(current, following, list(vds.frames[t]), weights, cfg, work))
         current = following
     return preds_per_frame
 
 
 def cmd_track(args, argv) -> int:
-    if args.oracle and (args.weights or args.features_dir):
-        raise ValueError(f"{'--weights' if args.weights else '--features-dir'} is not read with --oracle")
+    _check_tracker_flags(args, {"--weights": args.weights, "--features-dir": args.features_dir})
     timings = {}
     vds = _timed(timings, "load", load_single_video, args.dets)
-    gt = _oracle_gt(args, timings) if args.oracle else None
+    gt = _timed(timings, "load", load_single_video, args.gt) if args.oracle else None
     preds_per_frame = _timed(timings, "track", _track_frames, vds, args, gt)
     _timed(timings, "save", save_predictions, preds_per_frame, vds.video, args.out)
     _write_manifest(args.manifest, args, argv, {"preds": args.out}, timings)
@@ -278,18 +319,15 @@ def _load_preds(args, sets: list[VideoDetectionSet], timings: dict) -> dict[str,
 
 
 def cmd_tfd(args, argv) -> int:
-    if args.oracle and args.preds:
-        raise ValueError("--preds is not read with --oracle")
+    _check_tracker_flags(args, {"--preds": args.preds})
     timings = {}
     vds = _timed(timings, "load", load_single_video, args.dets)
     cfg = _config_from_args(args)
     if args.oracle:
-        gt = _oracle_gt(args, timings)
+        gt = _timed(timings, "load", load_single_video, args.gt)
         track_fn = make_oracle_track_fn(gt, _noise_from_args(args), args.oracle_seed)
-    elif args.preds:
-        track_fn = make_replay_track_fn(_load_preds(args, [vds], timings)[vds.video])
     else:
-        raise ValueError("provide --preds or --oracle")
+        track_fn = make_replay_track_fn(_load_preds(args, [vds], timings)[vds.video])
 
     merged, preds = _timed(timings, "pipeline", run_video, vds.frames, track_fn, cfg)
     _timed(timings, "save", save_detections, VideoDetectionSet(vds.video, merged), args.out)
@@ -544,7 +582,7 @@ def main(argv: list[str] | None = None, manifest=None) -> int:
     try:
         if manifest is not None and (args.command == "replay" or getattr(args, "from_manifest", None)):
             raise ValueError(f"{manifest}: the recorded argv re-runs a manifest")
-        return args.func(args, argv)
+        return args.func(args, _inline_config(args, argv))
     except (ValueError, OSError) as exc:
         print(f"error [{args.command}]: {exc}", file=sys.stderr)
         return 1

@@ -41,6 +41,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import os
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -329,18 +330,25 @@ def _write_container(path, header: dict, arrays: Sequence[np.ndarray]) -> None:
             fh.write(a.tobytes())
 
 
-def _read_header(path, fmt: str, what: str) -> tuple[dict, bytes]:
-    """Split a binary container into its JSON header object and its payload."""
+def _read_header(path, fmt: str, what: str) -> tuple[dict, np.ndarray]:
+    """Split a binary container into its JSON header object and its payload.
+
+    The payload is read in one call straight into one byte array, which the
+    loaded arrays then view: its bytes are copied once, from the file.
+    """
     with open(path, "rb") as fh:
         header = read_json_object(fh.readline(), path, f"{what} header")
-        payload = fh.read()
-    if header.get("format") != fmt:
-        raise ValueError(f"{path}: not a {what} file")
-    return header, payload
+        if header.get("format") != fmt:
+            raise ValueError(f"{path}: not a {what} file")
+        payload = np.empty(max(os.fstat(fh.fileno()).st_size - fh.tell(), 0), dtype=np.uint8)
+        return header, payload[: fh.readinto(payload)]
 
 
-def _split_payload(path, payload: bytes, shapes: list, dtype: np.dtype) -> list[np.ndarray]:
-    """The payload, which must be exactly the declared size, as float64 arrays of ``shapes``."""
+def _split_payload(path, payload: np.ndarray, shapes: list, dtype: np.dtype) -> list[np.ndarray]:
+    """The payload, which must be exactly the declared size, as float64 arrays of ``shapes``.
+
+    Little-endian float64 arrays are views of the payload; float32 ones are widened copies.
+    """
     counts = [math.prod(shape) for shape in shapes]
     expected = sum(counts) * dtype.itemsize
     if len(payload) != expected:
@@ -349,10 +357,10 @@ def _split_payload(path, payload: bytes, shapes: list, dtype: np.dtype) -> list[
             f"{path}: payload size mismatch: header declares {expected} bytes, "
             f"file has {len(payload)} ({fault})"
         )
-    offsets = itertools.accumulate(counts, initial=0)
+    starts = itertools.accumulate([count * dtype.itemsize for count in counts], initial=0)
     return [
-        np.frombuffer(payload, dtype, count, offset * dtype.itemsize).reshape(shape).astype(np.float64)
-        for shape, count, offset in zip(shapes, counts, offsets)
+        payload[start : start + count * dtype.itemsize].view(dtype).reshape(shape).astype(np.float64, copy=False)
+        for shape, count, start in zip(shapes, counts, starts)
     ]
 
 

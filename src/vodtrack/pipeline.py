@@ -52,10 +52,11 @@ class PipelineConfig:
                 raise ValueError(f"{f.name} must be in [0, 1], got {v}")
 
     @classmethod
-    def from_file(cls, path) -> "PipelineConfig":
-        """Parse a ``key = value`` config file; unknown keys are rejected.
+    def file_values(cls, path) -> dict[str, float]:
+        """Parse a ``key = value`` config file into the values it sets, by field name.
 
-        Every fault raises a ``ValueError`` naming ``path`` and the line.
+        Unknown keys and values out of range are rejected; every fault raises
+        a ``ValueError`` naming ``path`` and the line.
         """
         values = {}
         known = {f.name for f in fields(cls)}
@@ -79,7 +80,7 @@ class PipelineConfig:
                 cls(**{key: values[key]})  # the value's own range check
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
-        return cls(**values)
+        return values
 
 
 def nms(dets: Sequence, iou_thresh: float, key: Callable | None = None, *, box: Callable | None = None) -> list:

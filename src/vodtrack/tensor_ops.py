@@ -7,24 +7,30 @@ interpolated field that decays linearly to zero over one cell beyond the
 border and is zero everywhere outside. RoIs are given in image pixel units
 and mapped to feature space by dividing by the level stride.
 
-The head kernels work on batches: :func:`roi_align_full_avg` pools N RoIs
-in one call and returns ``(N, C, H, W)``, and :func:`conv2d_same`,
-:func:`conv_block` and :func:`depthwise_correlate` accept any leading axes
-before ``(C, H, W)``. Each kernel sums in one fixed order that its docstring
-states, so an entry of a batch gets the same bits as it would alone, in any
-batch and in any order. Pooling, correlation and max-pool fusion never call
-a BLAS library. The correlation is shift-equivariant bit for bit, and so is
-pooling on bins that lie on whole cells. The convolutions contract channels
-through one BLAS matrix product per tap, so they are shift-equivariant only
-up to that product's rounding.
+The head kernels work channels-last, on batches: :func:`roi_align_full_avg`
+pools N RoIs of a ``(C, H, W)`` map in one call and returns ``(N, H, W, C)``,
+and :func:`conv2d_same`, :func:`conv_block` and :func:`depthwise_correlate`
+accept any leading axes before ``(H, W, C)``. Each kernel sums in one fixed
+order that its docstring states, so an entry of a batch gets the same bits as
+it would alone, in any batch and in any order. Pooling, correlation and
+max-pool fusion never call a BLAS library. The correlation is
+shift-equivariant bit for bit, and so is pooling on bins that lie on whole
+cells. The convolutions contract channels through one BLAS matrix product per
+tap, so they are shift-equivariant only up to that product's rounding.
+
+Pooling and correlation take an optional :class:`Workspace` whose scratch
+arrays they reuse from one call to the next; a caller that runs the head on
+many frames passes one, so each call does not allocate its large temporaries
+afresh. Results never share memory with a workspace.
 
 Everything here is deterministic and pure; callers may parallelize across
-RoIs and frames freely.
+RoIs and frames freely, with one workspace per thread.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -36,6 +42,7 @@ __all__ = [
     "Tensor3",
     "FeaturePyramid",
     "ConvBlockWeights",
+    "Workspace",
     "as_tensor3",
     "roi_align_full_avg",
     "depthwise_correlate",
@@ -54,20 +61,50 @@ def as_tensor3(data) -> Tensor3:
 
 
 def _as_maps(data, batched: bool = True) -> np.ndarray:
-    """Validate and coerce ``data`` into a float64 ``(..., C, H, W)`` array.
+    """Validate and coerce ``data`` into a float64 ``(..., H, W, C)`` array.
 
     Without ``batched`` the array must be exactly ``(C, H, W)``.
     """
     arr = np.asarray(data, dtype=np.float64)
     if arr.ndim < 3 or (arr.ndim > 3 and not batched):
         raise ValueError(
-            f"expected a {'(..., C, H, W)' if batched else '(C, H, W)'} array, got shape {arr.shape}"
+            f"expected a {'(..., H, W, C)' if batched else '(C, H, W)'} array, got shape {arr.shape}"
         )
     if min(arr.shape) < 1:
         raise ValueError(f"all tensor dimensions must be positive, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError("tensor contains non-finite values")
     return arr
+
+
+def _all_finite(**arrays) -> None:
+    """Raise ``ValueError`` naming the first of ``arrays`` that holds a NaN or an infinity."""
+    for name, value in arrays.items():
+        if value is not None and not np.all(np.isfinite(value)):
+            raise ValueError(f"{name} holds non-finite values")
+
+
+class Workspace:
+    """Scratch arrays that the head kernels reuse from one call to the next.
+
+    A kernel keeps its temporaries in numbered slots, from 0 up, and is done
+    with them when it returns, so the kernels share the slots. Each slot
+    keeps the largest size asked of it, and a request gets a view of its
+    first elements in the requested shape, holding stale values. A kernel
+    writes a slot before it reads it and returns no view of one, so a
+    workspace changes no result. One workspace serves one thread.
+    """
+
+    def __init__(self) -> None:
+        self._slots: dict[int, np.ndarray] = {}
+
+    def array(self, slot: int, shape: tuple[int, ...]) -> np.ndarray:
+        """An uninitialised float64 array of ``shape`` in slot ``slot``."""
+        size = math.prod(shape)
+        buf = self._slots.get(slot)
+        if buf is None or buf.size < size:
+            buf = self._slots[slot] = np.empty(size, dtype=np.float64)
+        return buf[:size].reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -117,6 +154,7 @@ class ConvBlockWeights:
 
     ``kernel`` has shape (C_out, C_in, kh, kw); the four batch-norm vectors
     have shape (C_out,). ``var`` holds running variances (non-negative).
+    Every value must be finite.
     """
 
     kernel: np.ndarray
@@ -138,13 +176,15 @@ class ConvBlockWeights:
             if vec.shape != (c_out,):
                 raise ValueError(f"{name} must have shape ({c_out},), got {vec.shape}")
             object.__setattr__(self, name, vec)
-        if np.any(self.var < 0):
-            raise ValueError("batch-norm variances must be non-negative")
         if self.bias is not None:
             bias = np.asarray(self.bias, dtype=np.float64)
             if bias.shape != (c_out,):
                 raise ValueError(f"bias must have shape ({c_out},), got {bias.shape}")
             object.__setattr__(self, "bias", bias)
+        _all_finite(kernel=kernel, gamma=self.gamma, beta=self.beta, mean=self.mean,
+                    var=self.var, bias=self.bias, eps=self.eps)
+        if np.any(self.var < 0):
+            raise ValueError("batch-norm variances must be non-negative")
 
 
 def _hat_band(lo: np.ndarray, hi: np.ndarray, n_bins: int, size: int):
@@ -158,8 +198,15 @@ def _hat_band(lo: np.ndarray, hi: np.ndarray, n_bins: int, size: int):
     past the map or past the bin weigh exactly zero. Returns ``first``
     (N, n_bins) and the weights (N, n_bins, taps). A zero-width extent gives
     all-zero weights.
+
+    Bin edge ``k`` of RoI ``n`` is ``k * step[n] + lo[n]``, the last edge
+    ``hi[n]``: each RoI's own arithmetic, whatever other extents share the
+    call. (``np.linspace`` switches every row to another formula when one
+    row has a zero step.)
     """
-    edges = np.linspace(lo, hi, n_bins + 1, axis=-1)
+    step = (hi - lo) / n_bins
+    edges = np.arange(n_bins + 1) * step[:, None] + lo[:, None]
+    edges[:, -1] = hi
     a, b = edges[:, :-1, None], edges[:, 1:, None]
     first = np.clip(np.floor(a[..., 0]), 0, size - 1).astype(np.int64)
     last = np.clip(np.ceil(b[..., 0]), 0, size - 1).astype(np.int64)
@@ -170,7 +217,7 @@ def _hat_band(lo: np.ndarray, hi: np.ndarray, n_bins: int, size: int):
     area = (q - p) * (1.0 + (p + q) / 2.0)
     p, q = np.clip(a - cells, 0.0, 1.0), np.clip(b - cells, 0.0, 1.0)
     area += (q - p) * (1.0 - (p + q) / 2.0)
-    width = ((hi - lo) / n_bins)[:, None, None]
+    width = step[:, None, None]
     keep = (cells < size) & (width > 0.0)
     return first, np.where(keep, area / np.where(width > 0.0, width, 1.0), 0.0)
 
@@ -181,8 +228,10 @@ def roi_align_full_avg(
     out_h: int,
     out_w: int,
     stride: float,
+    *,
+    work: Workspace | None = None,
 ) -> np.ndarray:
-    """Pool RoIs into ``out_h x out_w`` bins of exact field averages.
+    """Pool RoIs of a ``(C, H, W)`` map into ``out_h x out_w`` bins of exact field averages.
 
     Each bin value is the mean of the bilinearly interpolated field over the
     bin rectangle, with regions outside the feature extent contributing
@@ -191,13 +240,14 @@ def roi_align_full_avg(
     hat-function integrals (:func:`_hat_band`): exact up to rounding, with
     no sampling.
 
-    ``rois`` is one :class:`Box`, giving a ``(C, out_h, out_w)`` result, or
-    a sequence of N boxes, giving ``(N, C, out_h, out_w)``. All N are pooled
-    in one pass. Both products are summed over the band of each matrix row
-    in increasing cell order, one multiply and one add per tap, vectorised
-    over RoIs, channels and bins. Every value therefore depends only on its
-    own RoI: it is the same bit for bit whatever other RoIs share the call
-    and in whatever order, and it does not depend on a BLAS library.
+    ``rois`` is one :class:`Box`, giving an ``(out_h, out_w, C)`` result, or
+    a sequence of N boxes, giving ``(N, out_h, out_w, C)``: channels last.
+    All N are pooled in one pass. Both products are summed over the band of
+    each matrix row in increasing cell order, one multiply and one add per
+    tap, vectorised over RoIs, channels and bins. Every value therefore
+    depends only on its own RoI: it is the same bit for bit whatever other
+    RoIs share the call and in whatever order, and it does not depend on a
+    BLAS library. The temporaries live in ``work`` when one is given.
 
     A zero-area RoI yields all zeros.
     """
@@ -213,7 +263,8 @@ def roi_align_full_avg(
     c, h, w = feat.shape
     n = corners.shape[0]
     if n == 0:
-        return np.zeros((0, c, out_h, out_w), dtype=np.float64)
+        return np.zeros((0, out_h, out_w, c), dtype=np.float64)
+    work = Workspace() if work is None else work
     first_y, wy = _hat_band(corners[:, 1], corners[:, 3], out_h, h)
     first_x, wx = _hat_band(corners[:, 0], corners[:, 2], out_w, w)
 
@@ -225,11 +276,14 @@ def roi_align_full_avg(
     window = np.minimum(first_x[:, :1] + np.arange(span), w - 1)
     # Channels last, one row per map cell, so that each gather is one
     # ``np.take`` of whole channel vectors.
-    cells = feat.transpose(1, 2, 0).reshape(h * w, c)
+    cells = work.array(0, (h, w, c))
+    np.copyto(cells, feat.transpose(1, 2, 0))
+    cells = cells.reshape(h * w, c)
     # Wy @ F on the window: rows[n, y, k] sums map column window[n, k] over
     # the band of row bin y. Products go through one reused buffer per pass.
-    rows = np.zeros((n, out_h, span, c), dtype=np.float64)
-    taken = np.empty_like(rows)
+    rows = work.array(1, (n, out_h, span, c))
+    rows.fill(0.0)
+    taken = work.array(2, rows.shape)
     for t in range(wy.shape[-1]):
         at = np.minimum(first_y[..., None] + t, h - 1) * w + window[:, None, :]
         np.take(cells, at, axis=0, out=taken, mode="clip")
@@ -239,21 +293,22 @@ def roi_align_full_avg(
     rows = rows.reshape(n * out_h * span, c)
     row_start = (np.arange(n)[:, None, None] * out_h + np.arange(out_h)[:, None]) * span
     out = np.zeros((n, out_h, out_w, c), dtype=np.float64)
-    taken = np.empty_like(out)
+    taken = work.array(2, out.shape)
     for t in range(wx.shape[-1]):
         np.take(rows, row_start + cols[:, None, :, t], axis=0, out=taken, mode="clip")
         taken *= wx[:, None, :, t, None]
         out += taken
-    out = out.transpose(0, 3, 1, 2)
     return out[0] if single else out
 
 
-def depthwise_correlate(template: np.ndarray, search: np.ndarray) -> np.ndarray:
+def depthwise_correlate(
+    template: np.ndarray, search: np.ndarray, *, work: Workspace | None = None
+) -> np.ndarray:
     """Valid cross-correlation of each template channel over the same search channel.
 
-    Inputs are ``(..., C, Ht, Wt)`` and ``(..., C, Hs, Ws)`` with leading
-    axes that broadcast (a batch of N pairs is ``(N, C, ...)`` each). The
-    output is ``(..., C, Hs - Ht + 1, Ws - Wt + 1)``.
+    Inputs are channels-last, ``(..., Ht, Wt, C)`` and ``(..., Hs, Ws, C)``,
+    with leading axes that broadcast (a batch of N pairs is ``(N, ...)``
+    each). The output is ``(..., Hs - Ht + 1, Ws - Wt + 1, C)``.
 
     Every output cell sums its ``Ht * Wt`` products in one fixed order: the
     template taps in row-major order, starting from zero, one multiply and
@@ -263,78 +318,111 @@ def depthwise_correlate(template: np.ndarray, search: np.ndarray) -> np.ndarray:
     an output moved by the same cells, exactly), each pair's output is the
     same bit for bit alone or in any batch, it equals the dense per-cell
     loop in that same order bit for bit, and it does not depend on a BLAS
-    library, its thread count or an einsum path. The loop runs over taps
-    only; each step is vectorised over pairs, channels and output cells.
+    library, its thread count or an einsum path.
+
+    The loop runs over taps only. The pairs and channels are laid side by
+    side on the last axis, ``(H, W, N * C)``, and each template tap is
+    repeated along an output row, so each tap is one product of whole rows
+    of the search map. Those copies and the products live in ``work`` when
+    one is given.
     """
     template = _as_maps(template)
     search = _as_maps(search)
-    if template.shape[-3] != search.shape[-3]:
+    if template.shape[-1] != search.shape[-1]:
         raise ValueError(
-            f"channel mismatch: template {template.shape[-3]} vs search {search.shape[-3]}"
+            f"channel mismatch: template {template.shape[-1]} vs search {search.shape[-1]}"
         )
-    ht, wt = template.shape[-2:]
-    if ht > search.shape[-2] or wt > search.shape[-1]:
-        raise ValueError(
-            f"template {template.shape[-2:]} larger than search {search.shape[-2:]}"
-        )
-    oh, ow = search.shape[-2] - ht + 1, search.shape[-1] - wt + 1
-    lead = np.broadcast_shapes(template.shape[:-2], search.shape[:-2])
-    out = np.zeros(lead + (oh, ow), dtype=np.float64)
+    ht, wt = template.shape[-3:-1]
+    hs, ws = search.shape[-3:-1]
+    if ht > hs or wt > ws:
+        raise ValueError(f"template {(ht, wt)} larger than search {(hs, ws)}")
+    oh, ow = hs - ht + 1, ws - wt + 1
+    work = Workspace() if work is None else work
+    lead = np.broadcast_shapes(template.shape[:-3], search.shape[:-3])
+    c = template.shape[-1]
+    m = math.prod(lead) * c
+    side = len(lead)
+
+    def side_by_side(maps: np.ndarray) -> np.ndarray:
+        """``maps`` broadcast to the batch, with the batch axes moved after H and W."""
+        return np.moveaxis(np.broadcast_to(maps, lead + maps.shape[-3:]), range(side), range(2, 2 + side))
+
+    taps = work.array(0, (ht, wt, ow, m))
+    np.copyto(taps.reshape((ht, wt, ow) + lead + (c,)), side_by_side(template)[:, :, None])
+    rows = work.array(1, (hs, ws, m))
+    np.copyto(rows.reshape((hs, ws) + lead + (c,)), side_by_side(search))
+    out = np.zeros((oh, ow, m), dtype=np.float64)
+    product = work.array(2, out.shape)
     for i in range(ht):
         for j in range(wt):
-            out += template[..., i, j, None, None] * search[..., i : i + oh, j : j + ow]
-    return out
+            np.multiply(taps[i, j], rows[i : i + oh, j : j + ow], out=product)
+            out += product
+    return np.moveaxis(out.reshape((oh, ow) + lead + (c,)), range(2, 2 + side), range(side))
 
 
 def conv2d_same(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray | None = None) -> np.ndarray:
-    """Stride-1 2-D convolution with zero same-padding.
+    """Stride-1 2-D convolution with zero same-padding, channels last.
 
-    ``x`` is ``(..., C_in, H, W)`` with any leading axes; ``kernel`` has
-    shape (C_out, C_in, kh, kw). The output is ``(..., C_out, H, W)``.
+    ``x`` is ``(..., H, W, C_in)`` with any leading axes; ``kernel`` has
+    shape (C_out, C_in, kh, kw). The output is ``(..., H, W, C_out)``.
 
-    The taps are summed in one fixed order, row-major, starting from zero:
-    for each tap, one channel contraction (a ``(C_out, C_in)`` by
-    ``(C_in, H * W)`` matrix product per leading index) is added to the
-    running sum; the bias is added last. Each leading index runs the same
-    products as it would alone, so an entry's result does not depend on the
-    rest of the batch. Within one tap the channel sum is the BLAS library's,
-    which may round an output cell by where its column sits in the product:
-    a one-cell shift of the input moves the output by one cell only up to
-    that rounding (about 1e-15 here), and bit for bit when ``C_in`` is 1,
-    where each tap adds a single product.
+    The taps are summed in one fixed order, row-major: the first tap's
+    channel contraction (an ``(H * W, C_in)`` by ``(C_in, C_out)`` matrix
+    product per leading index), plus each later tap's in turn; the bias is
+    added last. Each leading index runs the same products as it would alone,
+    so an entry's result does not depend on the rest of the batch. Within
+    one tap the channel sum is the BLAS library's, which may round an output
+    cell by where its row sits in the product: a one-cell shift of the input
+    moves the output by one cell only up to that rounding (about 1e-15
+    here), and bit for bit when ``C_in`` is 1, where each tap adds a single
+    product.
     """
     x = _as_maps(x)
     kernel = np.asarray(kernel, dtype=np.float64)
     if kernel.ndim != 4:
         raise ValueError(f"kernel must be (C_out, C_in, kh, kw), got shape {kernel.shape}")
     c_out, c_in, kh, kw = kernel.shape
-    if x.shape[-3] != c_in:
-        raise ValueError(f"input has {x.shape[-3]} channels, kernel expects {c_in}")
+    if x.shape[-1] != c_in:
+        raise ValueError(f"input has {x.shape[-1]} channels, kernel expects {c_in}")
 
-    lead, (h, w) = x.shape[:-3], x.shape[-2:]
-    pad = [(0, 0)] * (x.ndim - 2) + [((kh - 1) // 2, kh // 2), ((kw - 1) // 2, kw // 2)]
-    padded = np.pad(x, pad)
-    out = np.zeros(lead + (c_out, h * w), dtype=np.float64)
+    lead, (h, w) = x.shape[:-3], x.shape[-3:-1]
+    # Each tap's (C_in, C_out) matrix, contiguous for the matrix product.
+    kernel_t = np.ascontiguousarray(kernel.transpose(2, 3, 1, 0))
+
+    def windows():
+        """Each tap's window rows, ``(..., H * W, C_in)``, in row-major tap order."""
+        if kh == kw == 1:  # the one tap's window is the input itself
+            yield x.reshape(lead + (h * w, c_in))
+            return
+        pad = [(0, 0)] * len(lead) + [((kh - 1) // 2, kh // 2), ((kw - 1) // 2, kw // 2), (0, 0)]
+        padded = np.pad(x, pad)
+        window = np.empty(lead + (h, w, c_in), dtype=np.float64)
+        for i in range(kh):
+            for j in range(kw):
+                np.copyto(window, padded[..., i : i + h, j : j + w, :])
+                yield window.reshape(lead + (h * w, c_in))
+
+    taps = zip(kernel_t.reshape(kh * kw, c_in, c_out), windows())
+    tap, rows = next(taps)
+    out = np.matmul(rows, tap)
     product = np.empty_like(out)
-    for i in range(kh):
-        for j in range(kw):
-            window = padded[..., i : i + h, j : j + w].reshape(lead + (c_in, h * w))
-            out += np.matmul(kernel[:, :, i, j], window, out=product)
+    for tap, rows in taps:
+        out += np.matmul(rows, tap, out=product)
     if bias is not None:
-        out += np.asarray(bias, dtype=np.float64)[:, None]
-    return out.reshape(lead + (c_out, h, w))
+        out += np.asarray(bias, dtype=np.float64)
+    return out.reshape(lead + (h, w, c_out))
 
 
 def conv_block(x: np.ndarray, w: ConvBlockWeights) -> np.ndarray:
     """Same-padded stride-1 convolution, inference batch-norm, then relu.
 
-    ``x`` is ``(..., C_in, H, W)``; the normalisation and relu act on each
+    ``x`` is ``(..., H, W, C_in)``; the normalisation and relu act on each
     value alone, so a batch gives each entry its result alone bit for bit.
     """
     out = conv2d_same(x, w.kernel, w.bias)
-    out -= w.mean[:, None, None]
-    out *= (w.gamma / np.sqrt(w.var + w.eps))[:, None, None]
-    out += w.beta[:, None, None]
+    out -= w.mean
+    out *= w.gamma / np.sqrt(w.var + w.eps)
+    out += w.beta
     return np.maximum(out, 0.0, out=out)
 
 
@@ -343,19 +431,27 @@ def _max_pool_to(arr: Tensor3, out_h: int, out_w: int, ratio: int) -> Tensor3:
 
     The map is cut or edge-padded to ``out * ratio`` cells per axis, so a
     block cut short by the map's edge, or lying wholly past it, takes its
-    max over the map's last row or column. The max is then taken over the
-    ``ratio`` strided row views and then the column views. A max is exact,
-    so the result equals the per-cell loop bit for bit.
+    max over the map's last row or column; a map that needs no padding is
+    read in place. The max is then taken over the ``ratio`` strided row views
+    and then the column views. A max is exact, so the result equals the
+    per-cell loop bit for bit.
     """
     _, h, w = arr.shape
     th, tw = out_h * ratio, out_w * ratio
-    padded = np.pad(arr[:, :th, :tw], ((0, 0), (0, max(th - h, 0)), (0, max(tw - w, 0))), mode="edge")
+    padded = arr[:, :th, :tw]
+    if th > h or tw > w:
+        padded = np.pad(padded, ((0, 0), (0, max(th - h, 0)), (0, max(tw - w, 0))), mode="edge")
     rows = functools.reduce(np.maximum, (padded[:, i::ratio] for i in range(ratio)))
     return functools.reduce(np.maximum, (rows[:, :, j::ratio] for j in range(ratio)))
 
 
 def _bilinear_resize(arr: Tensor3, out_h: int, out_w: int) -> Tensor3:
-    """Resize with edge-clamped bilinear interpolation (half-pixel centers)."""
+    """Resize with edge-clamped bilinear interpolation (half-pixel centers).
+
+    The two neighbour rows of each output row are gathered whole (one
+    ``take`` along the row axis each), then the two neighbour columns of
+    those; each blend ``a * (1 - f) + b * f`` runs in place in its gathers.
+    """
     _, h, w = arr.shape
     ys = np.clip((np.arange(out_h) + 0.5) * (h / out_h) - 0.5, 0.0, h - 1.0)
     xs = np.clip((np.arange(out_w) + 0.5) * (w / out_w) - 0.5, 0.0, w - 1.0)
@@ -365,13 +461,16 @@ def _bilinear_resize(arr: Tensor3, out_h: int, out_w: int) -> Tensor3:
     x1 = np.minimum(x0 + 1, w - 1)
     fy = (ys - y0)[:, None]
     fx = (xs - x0)[None, :]
-    tl = arr[:, y0[:, None], x0[None, :]]
-    tr = arr[:, y0[:, None], x1[None, :]]
-    bl = arr[:, y1[:, None], x0[None, :]]
-    br = arr[:, y1[:, None], x1[None, :]]
-    top = tl * (1 - fx) + tr * fx
-    bot = bl * (1 - fx) + br * fx
-    return top * (1 - fy) + bot * fy
+
+    def blend(a: np.ndarray, b: np.ndarray, f: np.ndarray) -> np.ndarray:
+        a *= 1 - f
+        b *= f
+        a += b
+        return a
+
+    top, bot = (blend(rows.take(x0, axis=2), rows.take(x1, axis=2), fx)
+                for rows in (arr.take(y0, axis=1), arr.take(y1, axis=1)))
+    return blend(top, bot, fy)
 
 
 def fuse_pyramid(pyr: FeaturePyramid, target_stride: int) -> Tensor3:

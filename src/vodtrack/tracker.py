@@ -5,7 +5,8 @@ box expanded ``k`` times, runs both through conv blocks, correlates them
 channel by channel, and regresses a box delta plus an overlap-quality score
 from the correlation map. Pool sizes scale with the expansion factor
 (7x7 template against 21x21 search for k=3), so correlation operates in
-object-relative coordinates regardless of object size.
+object-relative coordinates regardless of object size. From pooling to the
+post block the head works channels-last, ``(N, H, W, C)`` for N boxes.
 
 The shared head convolution feeds both fully connected heads with no
 nonlinearity in between, so the head runs the two as one folded linear map:
@@ -30,6 +31,8 @@ from .geometry import Box, RegressionDelta, decode, expand, iou
 from .tensor_ops import (
     ConvBlockWeights,
     FeaturePyramid,
+    Workspace,
+    _all_finite,
     conv2d_same,
     conv_block,
     depthwise_correlate,
@@ -107,7 +110,7 @@ class TrackerWeights:
     correlation map. ``head_kernel``/``head_bias`` form the shared
     convolution feeding both fully connected heads: ``box_weight`` maps the
     flattened shared output to the 4 regression components, ``score_weight``
-    to the single overlap logit.
+    to the single overlap logit. Every value must be finite.
 
     Nothing nonlinear sits between the shared convolution and the FC heads,
     so :meth:`folded_head` composes them, once per map size, and caches the
@@ -131,6 +134,7 @@ class TrackerWeights:
             array = np.asarray(getattr(self, name), dtype=np.float64).view()
             array.flags.writeable = False
             object.__setattr__(self, name, array)
+        _all_finite(**{name: getattr(self, name) for name in _HEAD_ARRAYS})
         if self.head_kernel.ndim != 4:
             raise ValueError("head_kernel must be (C_out, C_in, kh, kw)")
         n_shared = self.head_kernel.shape[0]
@@ -163,9 +167,11 @@ class TrackerWeights:
     def folded_head(self, h: int, w: int) -> tuple[np.ndarray, np.ndarray]:
         """The shared convolution and both FC heads folded, for an ``h x w`` post-block map.
 
-        Returns a ``(5, C * h * w)`` matrix and a 5-vector: a flattened map
-        ``x`` gives the 4 regression components and the logit as
-        ``matrix @ x + bias``.
+        Returns a ``(5, h * w * C)`` matrix and a 5-vector: a channels-last
+        ``(h, w, C)`` map ``x``, flattened, gives the 4 regression components
+        and the logit as ``matrix @ x.ravel() + bias``. The FC heads read the
+        shared output channel-first; the matrix columns are put in the
+        channels-last order here, once per fold.
         """
         if (h, w) not in self._folds:
             self._folds[h, w] = _fold_head(self, h, w)
@@ -192,7 +198,8 @@ def _fold_head(w: TrackerWeights, h: int, wd: int) -> tuple[np.ndarray, np.ndarr
             for out, fc in zip(full, rows):
                 out[:, i : i + h, j : j + wd] += (tap @ fc).reshape(c_in, h, wd)
     top, left = (kh - 1) // 2, (kw - 1) // 2
-    matrix = full[:, :, top : top + h, left : left + wd].reshape(len(rows), -1)
+    # Columns in the channels-last order of the post-block map.
+    matrix = full[:, :, top : top + h, left : left + wd].transpose(0, 2, 3, 1).reshape(len(rows), -1)
     bias = np.concatenate([w.box_bias, w.score_bias]) + [w.head_bias @ fc.sum(axis=1) for fc in rows]
     return matrix, bias
 
@@ -210,14 +217,16 @@ def head_forward(
     w: TrackerWeights,
     *,
     return_intermediates: bool = False,
+    work: Workspace | None = None,
 ):
     """Run the correlation head on pooled template/search pairs.
 
-    ``templates`` and ``searches`` are ``(N, C, H, W)`` batches of N pairs;
-    the result is a list of N ``(delta, quality)``. One ``(C, H, W)`` pair
-    gives one ``(delta, quality)``. The pre blocks, the correlation and the
-    post block run on the whole batch. The shared head convolution and the
-    FC heads run as their fold (:meth:`TrackerWeights.folded_head`), which
+    ``templates`` and ``searches`` are channels-last ``(N, H, W, C)``
+    batches of N pairs; the result is a list of N ``(delta, quality)``. One
+    ``(H, W, C)`` pair gives one ``(delta, quality)``. The pre blocks, the
+    correlation (with its scratch arrays in ``work``, if given) and the post
+    block run on the whole batch. The shared head convolution and the FC
+    heads run as their fold (:meth:`TrackerWeights.folded_head`), which
     holds while nothing nonlinear sits between them: one matrix-vector
     product per pair, so each pair's result is the same bit for bit in any
     batch. With ``return_intermediates=True`` a dict of the intermediate
@@ -229,9 +238,9 @@ def head_forward(
         templates, searches = templates[None], searches[None]
     t = conv_block(templates, w.pre_template)
     s = conv_block(searches, w.pre_for_search)
-    corr = depthwise_correlate(t, s)
+    corr = depthwise_correlate(t, s, work=work)
     adjusted = conv_block(corr, w.post)
-    matrix, bias = w.folded_head(*adjusted.shape[-2:])
+    matrix, bias = w.folded_head(*adjusted.shape[-3:-1])
     results = []
     for pair in adjusted:
         out = matrix @ pair.ravel() + bias
@@ -271,30 +280,34 @@ def track(
     boxes: list[Detection],
     w: TrackerWeights,
     cfg: TrackerConfig = TrackerConfig(),
+    work: Workspace | None = None,
 ) -> list[TrackPrediction]:
     """Predict each box's next-frame location from two frames' feature pyramids.
 
     Output is order-preserving, one prediction per input detection. All
     boxes are pooled and run through the head in one batch; each box's
     prediction is the same bit for bit whatever other boxes it is tracked
-    with. Pass pyramids from :func:`fuse_for_head` to fuse each frame once.
+    with. Pass pyramids from :func:`fuse_for_head` to fuse each frame once,
+    and one :class:`Workspace` for every frame of a video so the pooling and
+    the correlation reuse their scratch arrays.
     """
     if (feat_t.image_height, feat_t.image_width) != (feat_t1.image_height, feat_t1.image_width):
         raise ValueError("feature pyramids must come from frames of equal image size")
     if not boxes:
         return []
+    work = Workspace() if work is None else work
     (stride, fused_t), = fuse_for_head(feat_t, cfg).levels
     (_, fused_t1), = fuse_for_head(feat_t1, replace(cfg, fuse_stride=stride)).levels
     templates = roi_align_full_avg(
-        fused_t, [det.box for det in boxes], cfg.template_pool, cfg.template_pool, stride
+        fused_t, [det.box for det in boxes], cfg.template_pool, cfg.template_pool, stride, work=work
     )
     searches = roi_align_full_avg(
         fused_t1, [expand(det.box, cfg.k) for det in boxes], cfg.search_pool, cfg.search_pool,
-        stride,
+        stride, work=work,
     )
     return [
         TrackPrediction(det, decode(det.box, delta), quality)
-        for det, (delta, quality) in zip(boxes, head_forward(templates, searches, w))
+        for det, (delta, quality) in zip(boxes, head_forward(templates, searches, w, work=work))
     ]
 
 
@@ -466,7 +479,10 @@ def load_weights(path) -> TrackerWeights:
         if eps.size != 1:
             raise ValueError(f"{name}.eps must hold exactly one value, got shape {eps.shape}")
         values["eps"] = eps.item()
-        return ConvBlockWeights(**values)
+        try:
+            return ConvBlockWeights(**values)
+        except ValueError as exc:
+            raise ValueError(f"{name}: {exc}") from None
 
     try:
         return TrackerWeights(**{name: block(name) for name in _WEIGHT_BLOCKS},

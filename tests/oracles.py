@@ -12,6 +12,19 @@ import math
 import numpy as np
 
 
+def channels_last(a) -> np.ndarray:
+    """A channel-first ``(..., C, H, W)`` array as the head kernels take it, ``(..., H, W, C)``.
+
+    The oracles here work channel-first; tests move axes at the boundary.
+    """
+    return np.moveaxis(np.asarray(a), -3, -1)
+
+
+def channels_first(a) -> np.ndarray:
+    """A channels-last ``(..., H, W, C)`` kernel result as the oracles give it, ``(..., C, H, W)``."""
+    return np.moveaxis(np.asarray(a), -1, -3)
+
+
 def bilinear_at(feat: np.ndarray, c: int, x: float, y: float) -> float:
     """Scalar bilinear sample of the zero-extended field at (x, y)."""
     _, h, w = feat.shape

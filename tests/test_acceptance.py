@@ -11,7 +11,14 @@ import time
 
 import numpy as np
 
-from oracles import box_iou, brute_force_best_path, naive_depthwise_correlate, reference_rescore
+from oracles import (
+    box_iou,
+    brute_force_best_path,
+    channels_first,
+    channels_last,
+    naive_depthwise_correlate,
+    reference_rescore,
+)
 from vodtrack.cli import main, run_variant
 from vodtrack.detections import Detection
 from vodtrack.evalio import load_detections, save_detections
@@ -155,7 +162,7 @@ def test_criterion_2_kernel_oracle_equivalence():
         hs, ws = ht + int(rng.integers(0, 8)), wt + int(rng.integers(0, 8))
         template = rng.standard_normal((c, ht, wt))
         search = rng.standard_normal((c, hs, ws))
-        got = depthwise_correlate(template, search)
+        got = channels_first(depthwise_correlate(channels_last(template), channels_last(search)))
         ref = naive_depthwise_correlate(template, search)
         assert np.max(np.abs(got - ref)) <= 1e-9
 
@@ -177,7 +184,7 @@ def test_criterion_2_kernel_oracle_equivalence():
             cy = rng.uniform(-2, fh + 2)
             roi = Box.from_center(cx, cy, w, h)
         out_h, out_w = (int(v) for v in rng.integers(1, 8, 2))
-        got = roi_align_full_avg(feat, roi, out_h, out_w, 1.0)
+        got = channels_first(roi_align_full_avg(feat, roi, out_h, out_w, 1.0))
         ref = dense_roi_align_oracle(feat, roi.corners(), out_h, out_w, 1.0)
         assert np.allclose(got, ref, rtol=1e-6, atol=1e-12)
     assert checked_outside == 20
@@ -234,13 +241,13 @@ def test_criterion_4_head_contract():
         assert pred.predicted_box.corners() == det.box.corners()
         assert pred.quality == 0.5
 
-    template = rng.random((3, 7, 7))
-    search = rng.random((3, 21, 21))
+    template = channels_last(rng.random((3, 7, 7)))
+    search = channels_last(rng.random((3, 21, 21)))
     _, _, inter = head_forward(template, search, w, return_intermediates=True)
-    assert inter["template"].shape == (3, 7, 7)
-    assert inter["search"].shape == (3, 21, 21)
-    assert inter["correlation"].shape == (3, 15, 15)
-    assert inter["shared"].shape == (256, 15, 15)
+    assert inter["template"].shape == (7, 7, 3)
+    assert inter["search"].shape == (21, 21, 3)
+    assert inter["correlation"].shape == (15, 15, 3)
+    assert inter["shared"].shape == (15, 15, 256)
 
     h = 1e-6
     xs = np.random.default_rng(47).uniform(-3, 3, 1000)
@@ -249,7 +256,7 @@ def test_criterion_4_head_contract():
     for x in xs:
         fd = (smooth_l1(x + h) - smooth_l1(x - h)) / (2 * h)
         assert abs(smooth_l1_grad(x) - fd) <= 1e-4
-    report("criterion 4: zero-FC identity + sigmoid(0); 7/21/15/256x15x15 shapes; smooth-L1 gradient")
+    report("criterion 4: zero-FC identity + sigmoid(0); 7/21/15/15x15x256 shapes; smooth-L1 gradient")
 
 
 ORACLE_NOISE = NoiseParams(center_sigma=1.0, size_sigma=0.02, failure_prob=0.25)

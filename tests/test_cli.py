@@ -224,6 +224,24 @@ class TestTrack:
         assert rc == 1
         assert capsys.readouterr().err.startswith(f"error [track]: {weights}: ")
 
+    @pytest.mark.parametrize("name, complaint", [
+        ("post.kernel", "post: kernel holds non-finite values"),
+        ("pre_template.var", "pre_template: var holds non-finite values"),
+        ("head_bias", "head_bias holds non-finite values"),
+    ])
+    def test_non_finite_weights_fail_named(self, learned_files, tmp_path, capsys, name, complaint):
+        # One NaN is rejected when the file loads, not on the first prediction.
+        dets, feat_dir, weights_path, _ = learned_files
+        arrays = load_named_arrays(weights_path)
+        arrays[name] = arrays[name].copy()
+        arrays[name].flat[0] = np.nan
+        weights = tmp_path / "bad.tensors"
+        save_named_arrays(arrays, weights)
+        rc = run_cli("track", "--dets", dets, "--weights", weights,
+                     "--features-dir", feat_dir, "--out", tmp_path / "p.jsonl")
+        assert rc == 1
+        assert capsys.readouterr().err == f"error [track]: {weights}: invalid weights: {complaint}\n"
+
     def test_channel_chain_mismatch_fails_named(self, learned_files, tmp_path, capsys):
         dets, feat_dir, weights_path, _ = learned_files
         arrays = load_named_arrays(weights_path)
@@ -506,6 +524,28 @@ class TestUnreadFlags:
         assert not out.exists()
 
 
+# A flag the chosen combination needs, left out, with a --dets that does not
+# parse: the missing flag is reported before any file is read.
+MISSING_FLAGS = {
+    "tfd-no-tracker": (["tfd"], "provide --preds or --oracle"),
+    "tfd-oracle-no-gt": (["tfd", "--oracle"], "--oracle requires --gt"),
+    "track-no-weights": (["track", "--features-dir", "P"], "provide --weights and --features-dir, or --oracle"),
+    "track-oracle-no-gt": (["track", "--oracle"], "--oracle requires --gt"),
+}
+
+
+class TestMissingFlags:
+    @pytest.mark.parametrize("argv, complaint", MISSING_FLAGS.values(), ids=MISSING_FLAGS.keys())
+    def test_missing_flag_is_reported_before_reading(self, tmp_path, capsys, argv, complaint):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("{\n")
+        out = tmp_path / "out.jsonl"
+        argv = [tmp_path if a == "P" else a for a in argv]
+        assert run_cli(*argv, "--dets", bad, "--out", out) == 1
+        assert capsys.readouterr().err == f"error [{argv[0]}]: {complaint}\n"
+        assert not out.exists()
+
+
 class TestEval:
     def test_perfect_predictions(self, clean_files, tmp_path, capsys):
         gt, _ = clean_files
@@ -625,6 +665,28 @@ class TestRun:
         for name in ("gt.jsonl", "dets.jsonl", "merged.jsonl", "preds.jsonl",
                      "final.jsonl", "result.json", "scenario.json"):
             assert (first / name).read_bytes() == (second / name).read_bytes(), name
+
+
+    def test_manifest_holds_the_config_file_values(self, tmp_path):
+        # The thresholds a --config file set are recorded as their flags, so
+        # editing or deleting the file after the run changes no replay.
+        config = tmp_path / "c.txt"
+        config.write_text("t_merge = 0.3\ntrack_quality_min = 0.6\n")
+        first, second, third = (tmp_path / name for name in ("r1", "r2", "r3"))
+        rc = run_cli("run", "--preset", "degraded", "--seed", "4", "--variant", "tfd+seqnms",
+                     "--noise-center", "1.0", "--noise-failure", "0.25", "--config", config,
+                     "--track-quality", "0.55", "--out-dir", first)
+        assert rc == 0
+        argv = json.loads((first / "manifest.json").read_text())["argv"]
+        assert "--config" not in argv and str(config) not in argv
+        # The flag given on the command line wins over the file.
+        assert argv[-2:] == ["--t-merge", "0.3"] and "0.6" not in argv
+        config.write_text("t_merge = 0.9\n")
+        assert run_cli("run", "--from-manifest", first / "manifest.json", "--out-dir", second) == 0
+        config.unlink()
+        assert run_cli("run", "--from-manifest", first / "manifest.json", "--out-dir", third) == 0
+        for name in ("merged.jsonl", "final.jsonl", "result.json"):
+            assert (first / name).read_bytes() == (second / name).read_bytes() == (third / name).read_bytes()
 
 
 class TestManifest:

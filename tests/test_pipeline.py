@@ -51,16 +51,13 @@ class TestConfig:
     def test_from_file(self, tmp_path):
         p = tmp_path / "pipeline.cfg"
         p.write_text("t_merge = 0.3\nfinal_nms_iou = 0.5  # comment\n\n")
-        cfg = PipelineConfig.from_file(p)
-        assert cfg.t_merge == 0.3
-        assert cfg.final_nms_iou == 0.5
-        assert cfg.track_nms_iou == 0.7
+        assert PipelineConfig.file_values(p) == {"t_merge": 0.3, "final_nms_iou": 0.5}
 
     def test_from_file_unknown_key(self, tmp_path):
         p = tmp_path / "pipeline.cfg"
         p.write_text("tmerge = 0.3\n")
         with pytest.raises(ValueError, match="unknown config key"):
-            PipelineConfig.from_file(p)
+            PipelineConfig.file_values(p)
 
 
 class TestNms:

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from oracles import (
+    channels_first,
+    channels_last,
     naive_conv2d,
     naive_conv_block,
     naive_depthwise_correlate,
@@ -12,6 +14,7 @@ from vodtrack.geometry import Box, expand
 from vodtrack.tensor_ops import (
     ConvBlockWeights,
     FeaturePyramid,
+    Workspace,
     _max_pool_to,
     as_tensor3,
     conv2d_same,
@@ -85,7 +88,7 @@ class TestRoiAlignFullAvg:
             roi = random_roi(rng)
             out = roi_align_full_avg(feat, roi, 3, 3, 1.0)
             ref = oversampled_roi_align(feat, roi.corners(), 3, 3, 1.0, samples=8)
-            assert np.allclose(out, ref, atol=1e-10)
+            assert np.allclose(channels_first(out), ref, atol=1e-10)
 
     def test_expanded_roi_keeps_bin_scale(self):
         # 3x-expanded RoI pooled at 21x21 and the original at 7x7 cover the
@@ -105,14 +108,26 @@ class TestRoiAlignFullAvg:
             rois = [random_roi(rng, span=18.0, max_size=14.0) for _ in range(int(rng.integers(2, 7)))]
             out_h, out_w = (int(v) for v in rng.integers(1, 9, 2))
             batch = roi_align_full_avg(feat, rois, out_h, out_w, 1.0)
-            assert batch.shape == (len(rois), c, out_h, out_w)
+            assert batch.shape == (len(rois), out_h, out_w, c)
             order = rng.permutation(len(rois))
             permuted = roi_align_full_avg(feat, [rois[i] for i in order], out_h, out_w, 1.0)
             for i, roi in enumerate(rois):
                 alone = roi_align_full_avg(feat, roi, out_h, out_w, 1.0)
                 assert np.array_equal(batch[i], alone)
                 assert np.array_equal(permuted[list(order).index(i)], alone)
-        assert roi_align_full_avg(feat, [], 3, 2, 1.0).shape == (0, feat.shape[0], 3, 2)
+        assert roi_align_full_avg(feat, [], 3, 2, 1.0).shape == (0, 3, 2, feat.shape[0])
+
+    def test_zero_width_roi_leaves_the_others_bits(self):
+        # The bin edges of each RoI are its own arithmetic: a zero-width RoI
+        # in the batch does not switch the others to another edge formula.
+        rng = np.random.default_rng(97)
+        feat = rng.standard_normal((3, 20, 20))
+        for _ in range(20):
+            rois = [random_roi(rng, span=18.0) for _ in range(3)]
+            batch = roi_align_full_avg(feat, rois + [Box(5.0, 5.0, 5.0, 9.0)], 7, 7, 1.0)
+            assert np.all(batch[-1] == 0.0)
+            for i, roi in enumerate(rois):
+                assert np.array_equal(batch[i], roi_align_full_avg(feat, roi, 7, 7, 1.0))
 
     def test_one_bin_shift_is_bit_exact(self):
         # Bins m cells wide on whole cells: a map moved by m cells under a
@@ -130,7 +145,7 @@ class TestRoiAlignFullAvg:
             out_h = int(rng.integers(1, 6))
             base = roi_align_full_avg(feat, roi, out_h, out_w, 1.0)
             shifted = roi_align_full_avg(moved, roi, out_h, out_w, 1.0)
-            assert np.array_equal(shifted[:, :, 1:], base[:, :, :-1])
+            assert np.array_equal(shifted[:, 1:], base[:, :-1])
 
     def test_deterministic(self):
         rng = np.random.default_rng(13)
@@ -141,24 +156,45 @@ class TestRoiAlignFullAvg:
         assert np.array_equal(a, b)
 
 
+class TestWorkspace:
+    def test_reused_workspace_changes_no_result(self):
+        # One workspace through batches that grow and shrink: each result is
+        # the result without a workspace, and no later call changes it.
+        rng = np.random.default_rng(101)
+        feat = rng.standard_normal((4, 12, 15))
+        work = Workspace()
+        results = []
+        for n in (3, 6, 2, 5):
+            rois = [random_roi(rng, span=14.0, max_size=10.0) for _ in range(n)]
+            searches = roi_align_full_avg(feat, rois, 9, 9, 1.0, work=work)
+            templates = roi_align_full_avg(feat, rois, 3, 3, 1.0, work=work)
+            corr = depthwise_correlate(templates, searches, work=work)
+            assert np.array_equal(searches, roi_align_full_avg(feat, rois, 9, 9, 1.0))
+            assert np.array_equal(corr, depthwise_correlate(templates, searches))
+            results.append([(a, a.copy()) for a in (searches, templates, corr)])
+        for arrays in results:
+            for array, copy in arrays:
+                assert np.array_equal(array, copy)
+
+
 class TestDepthwiseCorrelate:
     def test_ones_counting(self):
-        out = depthwise_correlate(np.ones((1, 2, 2)), np.ones((1, 3, 3)))
-        assert out.shape == (1, 2, 2)
+        out = depthwise_correlate(np.ones((2, 2, 1)), np.ones((3, 3, 1)))
+        assert out.shape == (2, 2, 1)
         assert np.all(out == 4.0)
 
     def test_one_hot_sifting(self):
         rng = np.random.default_rng(17)
-        search = rng.random((1, 6, 6))
+        search = rng.random((6, 6, 1))
         for i, j in ((0, 0), (1, 2), (2, 1)):
-            template = np.zeros((1, 3, 3))
-            template[0, i, j] = 1.0
+            template = np.zeros((3, 3, 1))
+            template[i, j, 0] = 1.0
             out = depthwise_correlate(template, search)
-            assert np.allclose(out[0], search[0, i : i + 4, j : j + 4], atol=0)
+            assert np.allclose(out[..., 0], search[i : i + 4, j : j + 4, 0], atol=0)
 
     def test_default_shape(self):
-        out = depthwise_correlate(np.zeros((4, 7, 7)), np.zeros((4, 21, 21)))
-        assert out.shape == (4, 15, 15)
+        out = depthwise_correlate(np.zeros((7, 7, 4)), np.zeros((21, 21, 4)))
+        assert out.shape == (15, 15, 4)
 
     def test_matches_naive_oracle(self):
         rng = np.random.default_rng(19)
@@ -166,7 +202,7 @@ class TestDepthwiseCorrelate:
             c = int(rng.integers(1, 4))
             template = rng.standard_normal((c, 3, 4))
             search = rng.standard_normal((c, 7, 9))
-            out = depthwise_correlate(template, search)
+            out = channels_first(depthwise_correlate(channels_last(template), channels_last(search)))
             ref = naive_depthwise_correlate(template, search)
             assert np.allclose(out, ref, atol=1e-9)
 
@@ -179,29 +215,30 @@ class TestDepthwiseCorrelate:
             c = int(rng.integers(1, 9))
             ht, wt = (int(v) for v in rng.integers(2, 8, 2))
             hs, ws = ht + int(rng.integers(1, 15)), wt + int(rng.integers(1, 15))
-            template = rng.standard_normal((c, ht, wt))
-            search = rng.standard_normal((c, hs, ws))
+            template = channels_last(rng.standard_normal((c, ht, wt)))
+            search = channels_last(rng.standard_normal((c, hs, ws)))
             base = depthwise_correlate(template, search)
-            down = depthwise_correlate(template, np.roll(search, 1, axis=1))
-            right = depthwise_correlate(template, np.roll(search, 1, axis=2))
-            assert np.array_equal(down[:, 1:, :], base[:, :-1, :])
-            assert np.array_equal(right[:, :, 1:], base[:, :, :-1])
+            down = depthwise_correlate(template, np.roll(search, 1, axis=0))
+            right = depthwise_correlate(template, np.roll(search, 1, axis=1))
+            assert np.array_equal(down[1:], base[:-1])
+            assert np.array_equal(right[:, 1:], base[:, :-1])
 
     def test_batch_is_each_pair_alone_bit_for_bit(self):
         rng = np.random.default_rng(61)
         template = rng.standard_normal((5, 3, 4, 4))
         search = rng.standard_normal((5, 3, 11, 9))
-        batch = depthwise_correlate(template, search)
-        assert batch.shape == (5, 3, 8, 6)
+        batch = depthwise_correlate(channels_last(template), channels_last(search))
+        assert batch.shape == (5, 8, 6, 3)
         for i in range(5):
-            assert np.array_equal(batch[i], depthwise_correlate(template[i], search[i]))
-            assert np.array_equal(batch[i], naive_depthwise_correlate(template[i], search[i]))
+            alone = depthwise_correlate(channels_last(template[i]), channels_last(search[i]))
+            assert np.array_equal(batch[i], alone)
+            assert np.array_equal(batch[i], channels_last(naive_depthwise_correlate(template[i], search[i])))
 
     def test_linear_in_search(self):
         rng = np.random.default_rng(23)
-        t = rng.standard_normal((2, 3, 3))
-        s1 = rng.standard_normal((2, 8, 8))
-        s2 = rng.standard_normal((2, 8, 8))
+        t = channels_last(rng.standard_normal((2, 3, 3)))
+        s1 = channels_last(rng.standard_normal((2, 8, 8)))
+        s2 = channels_last(rng.standard_normal((2, 8, 8)))
         a, b = 1.7, -0.4
         lhs = depthwise_correlate(t, a * s1 + b * s2)
         rhs = a * depthwise_correlate(t, s1) + b * depthwise_correlate(t, s2)
@@ -209,9 +246,9 @@ class TestDepthwiseCorrelate:
 
     def test_shape_errors(self):
         with pytest.raises(ValueError, match="channel mismatch"):
-            depthwise_correlate(np.zeros((2, 3, 3)), np.zeros((3, 5, 5)))
+            depthwise_correlate(np.zeros((3, 3, 2)), np.zeros((5, 5, 3)))
         with pytest.raises(ValueError, match="larger than search"):
-            depthwise_correlate(np.zeros((2, 6, 6)), np.zeros((2, 5, 5)))
+            depthwise_correlate(np.zeros((6, 6, 2)), np.zeros((5, 5, 2)))
 
 
 class TestConvBlock:
@@ -230,13 +267,13 @@ class TestConvBlock:
 
     def test_identity_composition(self):
         rng = np.random.default_rng(29)
-        x = rng.random((3, 5, 5))  # non-negative input
+        x = rng.random((5, 5, 3))  # non-negative input
         out = conv_block(x, self.identity_block(3))
         assert np.allclose(out, x, atol=1e-9)
 
     def test_relu_saturation(self):
         rng = np.random.default_rng(31)
-        x = rng.random((2, 4, 4))
+        x = rng.random((4, 4, 2))
         w = ConvBlockWeights(
             kernel=rng.standard_normal((2, 2, 3, 3)),
             gamma=np.ones(2),
@@ -256,7 +293,7 @@ class TestConvBlock:
         var = rng.uniform(0.5, 1.5, 3)
         bias = rng.uniform(-0.2, 0.2, 3)
         w = ConvBlockWeights(kernel=kernel, gamma=gamma, beta=beta, mean=mean, var=var, bias=bias)
-        out = conv_block(x, w)
+        out = channels_first(conv_block(channels_last(x), w))
         ref = naive_conv_block(x, kernel, gamma, beta, mean, var, bias=bias)
         assert np.allclose(out, ref, atol=1e-9)
         # frozen spot values from the loop oracle (seed 37 fixture)
@@ -268,7 +305,7 @@ class TestConvBlock:
     def test_shape_mismatch(self):
         w = self.identity_block(3)
         with pytest.raises(ValueError, match="channels"):
-            conv_block(np.zeros((2, 4, 4)), w)
+            conv_block(np.zeros((4, 4, 2)), w)
 
 
 class TestConv2dSame:
@@ -278,7 +315,7 @@ class TestConv2dSame:
             x = rng.standard_normal((3, 6, 5))
             kernel = rng.standard_normal((4, 3, ksize, ksize))
             bias = rng.standard_normal(4)
-            out = conv2d_same(x, kernel, bias)
+            out = channels_first(conv2d_same(channels_last(x), kernel, bias))
             assert np.allclose(out, naive_conv2d(x, kernel, bias), atol=1e-12)
 
     @staticmethod
@@ -288,14 +325,14 @@ class TestConv2dSame:
         c_out = int(rng.integers(1, 9))
         k = int(rng.choice([1, 3]))
         h, w = (int(v) for v in rng.integers(k + 2, 16, 2))
-        x = rng.standard_normal((c_in, h, w))
+        x = channels_last(rng.standard_normal((c_in, h, w)))
         kernel = rng.standard_normal((c_out, c_in, k, k))
         p = k // 2
         base = conv2d_same(x, kernel)
-        down = conv2d_same(np.roll(x, 1, axis=1), kernel)
-        right = conv2d_same(np.roll(x, 1, axis=2), kernel)
-        return [(down[:, p + 1 : h - p, :], base[:, p : h - p - 1, :]),
-                (right[:, :, p + 1 : w - p], base[:, :, p : w - p - 1])]
+        down = conv2d_same(np.roll(x, 1, axis=0), kernel)
+        right = conv2d_same(np.roll(x, 1, axis=1), kernel)
+        return [(down[p + 1 : h - p], base[p : h - p - 1]),
+                (right[:, p + 1 : w - p], base[:, p : w - p - 1])]
 
     def test_one_cell_shift_is_bit_exact_on_one_channel(self):
         # With one input channel each tap adds one product per cell, and the
@@ -307,7 +344,7 @@ class TestConv2dSame:
 
     def test_one_cell_shift_within_rounding(self):
         # Past one input channel, each tap's channel sum is a BLAS matrix
-        # product, which may round a column by where it sits in the product.
+        # product, which may round a row by where it sits in the product.
         rng = np.random.default_rng(73)
         for _ in range(200):
             for moved, base in self.shifted_pairs(rng, c_in=int(rng.integers(1, 9))):
@@ -322,11 +359,11 @@ class TestConv2dSame:
             c_in, c_out = (int(v) for v in rng.integers(1, 25, 2))
             k = int(rng.choice([1, 3]))
             h, w = (int(v) for v in rng.integers(3, 16, 2))
-            x = rng.standard_normal((n, c_in, h, w))
+            x = channels_last(rng.standard_normal((n, c_in, h, w)))
             kernel = rng.standard_normal((c_out, c_in, k, k))
             bias = rng.standard_normal(c_out)
             batch = conv2d_same(x, kernel, bias)
-            assert batch.shape == (n, c_out, h, w)
+            assert batch.shape == (n, h, w, c_out)
             for i in range(n):
                 assert np.array_equal(batch[i], conv2d_same(x[i], kernel, bias))
 

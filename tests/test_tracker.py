@@ -6,6 +6,8 @@ import pytest
 
 from oracles import (
     box_iou,
+    channels_first,
+    channels_last,
     naive_conv2d,
     naive_conv_block,
     naive_depthwise_correlate,
@@ -145,13 +147,13 @@ class TestTrack:
         cfg = TrackerConfig()
         w = synthesize_weights(3, cfg, seed=7, shared_head_channels=256)
         rng = np.random.default_rng(1)
-        template = rng.random((3, 7, 7))
-        search = rng.random((3, 21, 21))
+        template = channels_last(rng.random((3, 7, 7)))
+        search = channels_last(rng.random((3, 21, 21)))
         _, _, inter = head_forward(template, search, w, return_intermediates=True)
-        assert inter["template"].shape == (3, 7, 7)
-        assert inter["search"].shape == (3, 21, 21)
-        assert inter["correlation"].shape == (3, 15, 15)
-        assert inter["shared"].shape == (256, 15, 15)
+        assert inter["template"].shape == (7, 7, 3)
+        assert inter["search"].shape == (21, 21, 3)
+        assert inter["correlation"].shape == (15, 15, 3)
+        assert inter["shared"].shape == (15, 15, 256)
 
     def test_quality_strictly_inside_unit_interval(self):
         w = small_weights()
@@ -197,7 +199,7 @@ class TestTrack:
 
         c0 = corr_map(base)
         c1 = corr_map(shifted)
-        assert np.array_equal(c1[:, :, 1:], c0[:, :, :-1])
+        assert np.array_equal(c1[:, 1:], c0[:, :-1])
 
     def test_batch_invariance(self):
         # Each box's prediction has the same bits tracked alone, with the
@@ -250,8 +252,8 @@ class TestTrack:
     def test_head_forward_batch_matches_single_pairs(self):
         w = small_weights(channels=3)
         rng = np.random.default_rng(29)
-        templates = rng.random((4, 3, 3, 3))
-        searches = rng.random((4, 3, 9, 9))
+        templates = channels_last(rng.random((4, 3, 3, 3)))
+        searches = channels_last(rng.random((4, 3, 9, 9)))
         batch = head_forward(templates, searches, w)
         assert len(batch) == 4
         for i, (delta, quality) in enumerate(batch):
@@ -297,16 +299,17 @@ class TestFoldedHead:
         w = head_weights(kernel, h * wd, seed=kernel[0] * 100 + sh * 10 + sw)
         rng = np.random.default_rng(sh * sw)
         templates, searches = rng.random((3, 3, th, tw)), rng.random((3, 3, sh, sw))
-        results, inter = head_forward(templates, searches, w, return_intermediates=True)
-        assert inter["adjusted"].shape == (3, 3, h, wd)
+        results, inter = head_forward(channels_last(templates), channels_last(searches), w,
+                                      return_intermediates=True)
+        assert inter["adjusted"].shape == (3, h, wd, 3)
         matrix, bias = w.folded_head(h, wd)
         for pair, (delta, quality) in zip(inter["adjusted"], results):
-            want = naive_head(pair, w)
+            want = naive_head(channels_first(pair), w)
             assert np.max(np.abs(matrix @ pair.ravel() + bias - want)) <= 1e-12
             assert np.max(np.abs(np.array(dataclasses.astuple(delta)) - want[:4])) <= 1e-12
             assert abs(quality - 1.0 / (1.0 + math.exp(-want[4]))) <= 1e-12
-        shared = naive_conv2d(inter["adjusted"][-1], w.head_kernel, w.head_bias)
-        assert np.max(np.abs(inter["shared"] - shared)) <= 1e-12
+        shared = naive_conv2d(channels_first(inter["adjusted"][-1]), w.head_kernel, w.head_bias)
+        assert np.max(np.abs(channels_first(inter["shared"]) - shared)) <= 1e-12
 
     def test_map_size_mismatch_rejected(self):
         w = head_weights((3, 3), 7 * 7)
@@ -314,7 +317,7 @@ class TestFoldedHead:
             w.folded_head(8, 8)
         rng = np.random.default_rng(3)
         with pytest.raises(ValueError, match="FC heads expect 245"):
-            head_forward(rng.random((3, 3, 3)), rng.random((3, 10, 10)), w)
+            head_forward(rng.random((3, 3, 3)), rng.random((10, 10, 3)), w)
         assert w.folded_head(7, 7)[0].shape == (5, 3 * 7 * 7)
 
     def test_folds_once_per_weights_and_map_size(self, monkeypatch):
@@ -346,7 +349,7 @@ class TestFoldedHead:
         rng = np.random.default_rng(5)
         for _ in range(2):
             for sh, sw in ((8, 8), (6, 11)):
-                head_forward(rng.random((2, 3, 3, 3)), rng.random((2, 3, sh, sw)), w36)
+                head_forward(rng.random((2, 3, 3, 3)), rng.random((2, sh, sw, 3)), w36)
         assert calls == [(6, 6), (4, 9)]
 
     def test_head_arrays_are_read_only(self):
