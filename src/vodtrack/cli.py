@@ -34,7 +34,6 @@ from .geometry import iou
 from .linker import build_graph_seqnms, build_graph_seqtrack, rescore_and_suppress
 from .pipeline import PipelineConfig, final_detections, run_video
 from .synth import ScenarioSpec, generate, load_scenario, preset_scenario, save_scenario
-from .tensor_ops import Workspace
 from .tracker import (
     MATCH_IOU,
     NoiseParams,
@@ -273,26 +272,32 @@ def _track_frames(vds: VideoDetectionSet, args, gt) -> list[list[TrackPrediction
     cfg = TrackerConfig(
         template_pool=args.template_pool, search_pool=args.search_pool, fuse_stride=args.fuse_stride,
     )
-    n_flat = weights.head_kernel.shape[0] * cfg.corr_size ** 2
-    if weights.box_weight.shape[1] != n_flat:
-        raise ValueError(f"{args.weights}: FC heads take {weights.box_weight.shape[1]} values, but --template-pool "
-                         f"{cfg.template_pool} and --search-pool {cfg.search_pool} give {n_flat}")
+    try:
+        weights.folded_head(cfg.corr_size, cfg.corr_size)
+    except ValueError as exc:
+        raise ValueError(f"{args.weights}: --template-pool {cfg.template_pool} and "
+                         f"--search-pool {cfg.search_pool}: {exc}") from None
     feat_dir = Path(args.features_dir)
 
+    def feature_file(t: int) -> Path:
+        return feat_dir / f"frame_{t}.feat"
+
     def pyramid(t: int):
-        fp = feat_dir / f"frame_{t}.feat"
-        if not fp.exists():
-            raise ValueError(f"missing feature file {fp}")
-        return fuse_for_head(load_features(fp), cfg)
+        if not feature_file(t).exists():
+            raise ValueError(f"missing feature file {feature_file(t)}")
+        return fuse_for_head(load_features(feature_file(t)), cfg)
 
     # Each frame is fused once, and two fused maps are held at a time:
-    # frame t and frame t+1. The head's scratch arrays serve every frame.
+    # frame t and frame t+1.
     current = pyramid(0)
-    work = Workspace()
     preds_per_frame = []
     for t in range(vds.n_frames - 1):
         following = pyramid(t + 1)
-        preds_per_frame.append(track(current, following, list(vds.frames[t]), weights, cfg, work))
+        try:
+            preds_per_frame.append(track(current, following, list(vds.frames[t]), weights, cfg))
+        except ValueError as exc:
+            raise ValueError(f"--weights {args.weights} on {feature_file(t)} and "
+                             f"{feature_file(t + 1)}: {exc}") from None
         current = following
     return preds_per_frame
 

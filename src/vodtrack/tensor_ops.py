@@ -9,22 +9,18 @@ and mapped to feature space by dividing by the level stride.
 
 The head kernels work channels-last, on batches: :func:`roi_align_full_avg`
 pools N RoIs of a ``(C, H, W)`` map in one call and returns ``(N, H, W, C)``,
-and :func:`conv2d_same`, :func:`conv_block` and :func:`depthwise_correlate`
-accept any leading axes before ``(H, W, C)``. Each kernel sums in one fixed
-order that its docstring states, so an entry of a batch gets the same bits as
-it would alone, in any batch and in any order. Pooling, correlation and
-max-pool fusion never call a BLAS library. The correlation is
-shift-equivariant bit for bit, and so is pooling on bins that lie on whole
-cells. The convolutions contract channels through one BLAS matrix product per
-tap, so they are shift-equivariant only up to that product's rounding.
+and :func:`conv2d_same` and :func:`conv_block` accept any leading axes
+before ``(H, W, C)``, as does :func:`depthwise_correlate` when template and
+search share them. Each kernel sums in one fixed order that its docstring
+states, so an entry of a batch gets the same bits as it would alone, in any
+batch and in any order. Pooling, correlation and max-pool fusion never call
+a BLAS library. The correlation is shift-equivariant bit for bit, and so is
+pooling on bins that lie on whole cells. The convolutions contract channels
+through one BLAS matrix product per tap, so they are shift-equivariant only
+up to that product's rounding.
 
-Pooling and correlation take an optional :class:`Workspace` whose scratch
-arrays they reuse from one call to the next; a caller that runs the head on
-many frames passes one, so each call does not allocate its large temporaries
-afresh. Results never share memory with a workspace.
-
-Everything here is deterministic and pure; callers may parallelize across
-RoIs and frames freely, with one workspace per thread.
+Everything here is deterministic and pure, and no kernel keeps state from
+one call to the next; callers may parallelize across RoIs and frames freely.
 """
 
 from __future__ import annotations
@@ -42,7 +38,6 @@ __all__ = [
     "Tensor3",
     "FeaturePyramid",
     "ConvBlockWeights",
-    "Workspace",
     "as_tensor3",
     "roi_align_full_avg",
     "depthwise_correlate",
@@ -82,29 +77,6 @@ def _all_finite(**arrays) -> None:
     for name, value in arrays.items():
         if value is not None and not np.all(np.isfinite(value)):
             raise ValueError(f"{name} holds non-finite values")
-
-
-class Workspace:
-    """Scratch arrays that the head kernels reuse from one call to the next.
-
-    A kernel keeps its temporaries in numbered slots, from 0 up, and is done
-    with them when it returns, so the kernels share the slots. Each slot
-    keeps the largest size asked of it, and a request gets a view of its
-    first elements in the requested shape, holding stale values. A kernel
-    writes a slot before it reads it and returns no view of one, so a
-    workspace changes no result. One workspace serves one thread.
-    """
-
-    def __init__(self) -> None:
-        self._slots: dict[int, np.ndarray] = {}
-
-    def array(self, slot: int, shape: tuple[int, ...]) -> np.ndarray:
-        """An uninitialised float64 array of ``shape`` in slot ``slot``."""
-        size = math.prod(shape)
-        buf = self._slots.get(slot)
-        if buf is None or buf.size < size:
-            buf = self._slots[slot] = np.empty(size, dtype=np.float64)
-        return buf[:size].reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -228,8 +200,6 @@ def roi_align_full_avg(
     out_h: int,
     out_w: int,
     stride: float,
-    *,
-    work: Workspace | None = None,
 ) -> np.ndarray:
     """Pool RoIs of a ``(C, H, W)`` map into ``out_h x out_w`` bins of exact field averages.
 
@@ -247,7 +217,7 @@ def roi_align_full_avg(
     tap, vectorised over RoIs, channels and bins. Every value therefore
     depends only on its own RoI: it is the same bit for bit whatever other
     RoIs share the call and in whatever order, and it does not depend on a
-    BLAS library. The temporaries live in ``work`` when one is given.
+    BLAS library.
 
     A zero-area RoI yields all zeros.
     """
@@ -264,7 +234,6 @@ def roi_align_full_avg(
     n = corners.shape[0]
     if n == 0:
         return np.zeros((0, out_h, out_w, c), dtype=np.float64)
-    work = Workspace() if work is None else work
     first_y, wy = _hat_band(corners[:, 1], corners[:, 3], out_h, h)
     first_x, wx = _hat_band(corners[:, 0], corners[:, 2], out_w, w)
 
@@ -276,14 +245,11 @@ def roi_align_full_avg(
     window = np.minimum(first_x[:, :1] + np.arange(span), w - 1)
     # Channels last, one row per map cell, so that each gather is one
     # ``np.take`` of whole channel vectors.
-    cells = work.array(0, (h, w, c))
-    np.copyto(cells, feat.transpose(1, 2, 0))
-    cells = cells.reshape(h * w, c)
+    cells = np.ascontiguousarray(feat.transpose(1, 2, 0)).reshape(h * w, c)
     # Wy @ F on the window: rows[n, y, k] sums map column window[n, k] over
     # the band of row bin y. Products go through one reused buffer per pass.
-    rows = work.array(1, (n, out_h, span, c))
-    rows.fill(0.0)
-    taken = work.array(2, rows.shape)
+    rows = np.zeros((n, out_h, span, c), dtype=np.float64)
+    taken = np.empty_like(rows)
     for t in range(wy.shape[-1]):
         at = np.minimum(first_y[..., None] + t, h - 1) * w + window[:, None, :]
         np.take(cells, at, axis=0, out=taken, mode="clip")
@@ -293,7 +259,7 @@ def roi_align_full_avg(
     rows = rows.reshape(n * out_h * span, c)
     row_start = (np.arange(n)[:, None, None] * out_h + np.arange(out_h)[:, None]) * span
     out = np.zeros((n, out_h, out_w, c), dtype=np.float64)
-    taken = work.array(2, out.shape)
+    taken = np.empty_like(out)
     for t in range(wx.shape[-1]):
         np.take(rows, row_start + cols[:, None, :, t], axis=0, out=taken, mode="clip")
         taken *= wx[:, None, :, t, None]
@@ -301,14 +267,13 @@ def roi_align_full_avg(
     return out[0] if single else out
 
 
-def depthwise_correlate(
-    template: np.ndarray, search: np.ndarray, *, work: Workspace | None = None
-) -> np.ndarray:
+def depthwise_correlate(template: np.ndarray, search: np.ndarray) -> np.ndarray:
     """Valid cross-correlation of each template channel over the same search channel.
 
     Inputs are channels-last, ``(..., Ht, Wt, C)`` and ``(..., Hs, Ws, C)``,
-    with leading axes that broadcast (a batch of N pairs is ``(N, ...)``
-    each). The output is ``(..., Hs - Ht + 1, Ws - Wt + 1, C)``.
+    with the same leading axes (a batch of N pairs is ``(N, ...)`` each);
+    leading axes that differ raise ``ValueError``. The output is
+    ``(..., Hs - Ht + 1, Ws - Wt + 1, C)``.
 
     Every output cell sums its ``Ht * Wt`` products in one fixed order: the
     template taps in row-major order, starting from zero, one multiply and
@@ -323,11 +288,13 @@ def depthwise_correlate(
     The loop runs over taps only. The pairs and channels are laid side by
     side on the last axis, ``(H, W, N * C)``, and each template tap is
     repeated along an output row, so each tap is one product of whole rows
-    of the search map. Those copies and the products live in ``work`` when
-    one is given.
+    of the search map.
     """
     template = _as_maps(template)
     search = _as_maps(search)
+    lead = template.shape[:-3]
+    if search.shape[:-3] != lead:
+        raise ValueError(f"leading axes differ: template {lead} vs search {search.shape[:-3]}")
     if template.shape[-1] != search.shape[-1]:
         raise ValueError(
             f"channel mismatch: template {template.shape[-1]} vs search {search.shape[-1]}"
@@ -337,22 +304,18 @@ def depthwise_correlate(
     if ht > hs or wt > ws:
         raise ValueError(f"template {(ht, wt)} larger than search {(hs, ws)}")
     oh, ow = hs - ht + 1, ws - wt + 1
-    work = Workspace() if work is None else work
-    lead = np.broadcast_shapes(template.shape[:-3], search.shape[:-3])
     c = template.shape[-1]
     m = math.prod(lead) * c
     side = len(lead)
 
     def side_by_side(maps: np.ndarray) -> np.ndarray:
-        """``maps`` broadcast to the batch, with the batch axes moved after H and W."""
-        return np.moveaxis(np.broadcast_to(maps, lead + maps.shape[-3:]), range(side), range(2, 2 + side))
+        """``maps`` as ``(H, W, N * C)``: the batch axes moved after H and W."""
+        return np.moveaxis(maps, range(side), range(2, 2 + side)).reshape(maps.shape[-3:-1] + (m,))
 
-    taps = work.array(0, (ht, wt, ow, m))
-    np.copyto(taps.reshape((ht, wt, ow) + lead + (c,)), side_by_side(template)[:, :, None])
-    rows = work.array(1, (hs, ws, m))
-    np.copyto(rows.reshape((hs, ws) + lead + (c,)), side_by_side(search))
+    taps = np.repeat(side_by_side(template)[:, :, None], ow, axis=2)
+    rows = side_by_side(search)
     out = np.zeros((oh, ow, m), dtype=np.float64)
-    product = work.array(2, out.shape)
+    product = np.empty_like(out)
     for i in range(ht):
         for j in range(wt):
             np.multiply(taps[i, j], rows[i : i + oh, j : j + ow], out=product)

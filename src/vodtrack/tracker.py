@@ -31,7 +31,6 @@ from .geometry import Box, RegressionDelta, decode, expand, iou
 from .tensor_ops import (
     ConvBlockWeights,
     FeaturePyramid,
-    Workspace,
     _all_finite,
     conv2d_same,
     conv_block,
@@ -217,19 +216,17 @@ def head_forward(
     w: TrackerWeights,
     *,
     return_intermediates: bool = False,
-    work: Workspace | None = None,
 ):
     """Run the correlation head on pooled template/search pairs.
 
     ``templates`` and ``searches`` are channels-last ``(N, H, W, C)``
     batches of N pairs; the result is a list of N ``(delta, quality)``. One
     ``(H, W, C)`` pair gives one ``(delta, quality)``. The pre blocks, the
-    correlation (with its scratch arrays in ``work``, if given) and the post
-    block run on the whole batch. The shared head convolution and the FC
-    heads run as their fold (:meth:`TrackerWeights.folded_head`), which
-    holds while nothing nonlinear sits between them: one matrix-vector
-    product per pair, so each pair's result is the same bit for bit in any
-    batch. With ``return_intermediates=True`` a dict of the intermediate
+    correlation and the post block run on the whole batch. The shared head
+    convolution and the FC heads run as their fold
+    (:meth:`TrackerWeights.folded_head`), which holds while nothing
+    nonlinear sits between them: one matrix-vector product per pair, so
+    each pair's result is the same bit for bit in any batch. With ``return_intermediates=True`` a dict of the intermediate
     tensors is appended for shape inspection; only then is ``shared`` (of
     the last pair) computed, by the convolution.
     """
@@ -238,7 +235,7 @@ def head_forward(
         templates, searches = templates[None], searches[None]
     t = conv_block(templates, w.pre_template)
     s = conv_block(searches, w.pre_for_search)
-    corr = depthwise_correlate(t, s, work=work)
+    corr = depthwise_correlate(t, s)
     adjusted = conv_block(corr, w.post)
     matrix, bias = w.folded_head(*adjusted.shape[-3:-1])
     results = []
@@ -280,34 +277,32 @@ def track(
     boxes: list[Detection],
     w: TrackerWeights,
     cfg: TrackerConfig = TrackerConfig(),
-    work: Workspace | None = None,
 ) -> list[TrackPrediction]:
     """Predict each box's next-frame location from two frames' feature pyramids.
 
     Output is order-preserving, one prediction per input detection. All
     boxes are pooled and run through the head in one batch; each box's
     prediction is the same bit for bit whatever other boxes it is tracked
-    with. Pass pyramids from :func:`fuse_for_head` to fuse each frame once,
-    and one :class:`Workspace` for every frame of a video so the pooling and
-    the correlation reuse their scratch arrays.
+    with. A box of zero width or height has no scale to regress against, so
+    it comes back as its own box at quality 0.0. Pass pyramids from
+    :func:`fuse_for_head` to fuse each frame once.
     """
     if (feat_t.image_height, feat_t.image_width) != (feat_t1.image_height, feat_t1.image_width):
         raise ValueError("feature pyramids must come from frames of equal image size")
     if not boxes:
         return []
-    work = Workspace() if work is None else work
     (stride, fused_t), = fuse_for_head(feat_t, cfg).levels
     (_, fused_t1), = fuse_for_head(feat_t1, replace(cfg, fuse_stride=stride)).levels
     templates = roi_align_full_avg(
-        fused_t, [det.box for det in boxes], cfg.template_pool, cfg.template_pool, stride, work=work
+        fused_t, [det.box for det in boxes], cfg.template_pool, cfg.template_pool, stride
     )
     searches = roi_align_full_avg(
-        fused_t1, [expand(det.box, cfg.k) for det in boxes], cfg.search_pool, cfg.search_pool,
-        stride, work=work,
+        fused_t1, [expand(det.box, cfg.k) for det in boxes], cfg.search_pool, cfg.search_pool, stride
     )
     return [
-        TrackPrediction(det, decode(det.box, delta), quality)
-        for det, (delta, quality) in zip(boxes, head_forward(templates, searches, w, work=work))
+        TrackPrediction(det, decode(det.box, delta), quality) if det.box.w > 0.0 and det.box.h > 0.0
+        else TrackPrediction(det, det.box, 0.0)
+        for det, (delta, quality) in zip(boxes, head_forward(templates, searches, w))
     ]
 
 

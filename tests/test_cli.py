@@ -268,10 +268,48 @@ class TestTrack:
                      "--search-pool", search_pool, "--out", out)
         assert rc == 1
         assert capsys.readouterr().err == (
-            f"error [track]: {weights_path}: FC heads take 1800 values, but --template-pool 7 "
-            f"and --search-pool {search_pool} give {n_flat}\n"
+            f"error [track]: {weights_path}: --template-pool 7 and --search-pool {search_pool}: "
+            f"flattened head input has {n_flat} values, FC heads expect 1800\n"
         )
         assert loaded == [] and not out.exists()
+
+    def test_feature_channels_checked_against_weights(self, learned_files, tmp_path, capsys):
+        # Weights for 5 input channels on 8-channel features: the fault names
+        # the weights and both feature files the head read.
+        dets, feat_dir, _, _ = learned_files
+        weights = tmp_path / "five.tensors"
+        save_weights(synthesize_weights(5, TrackerConfig(), seed=3, shared_head_channels=8), weights)
+        out = tmp_path / "p.jsonl"
+        rc = run_cli("track", "--dets", dets, "--weights", weights, "--features-dir", feat_dir,
+                     "--out", out)
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error [track]: --weights {weights} on {feat_dir / 'frame_0.feat'} and "
+            f"{feat_dir / 'frame_1.feat'}: input has 8 channels, kernel expects 5\n"
+        )
+        assert not out.exists()
+
+    def test_flat_boxes_tracked_as_themselves(self, learned_files, tmp_path):
+        # A detection of zero width or height has no scale to regress; it
+        # comes back as its own box at quality 0.0, and every other box's
+        # prediction is the one it gets without the flat boxes.
+        dets, feat_dir, weights_path, _ = learned_files
+        records = [json.loads(line) for line in dets.read_text().splitlines()]
+        flat = [[40, 40, 40, 60], [12.5, 30, 20, 30], [7, 7, 7, 7]]
+        with_flat = tmp_path / "dets_flat.jsonl"
+        added = [{**records[0], "box": box} for box in flat]
+        with_flat.write_text("".join(json.dumps(r) + "\n" for r in records[:1] + added + records[1:]))
+        base_out, flat_out = tmp_path / "base.jsonl", tmp_path / "flat.jsonl"
+        for path, out in ((dets, base_out), (with_flat, flat_out)):
+            assert run_cli("track", "--dets", path, "--weights", weights_path,
+                           "--features-dir", feat_dir, "--out", out) == 0
+        (base,) = load_predictions(base_out, load_detections(dets)).values()
+        (got,) = load_predictions(flat_out, load_detections(with_flat)).values()
+        flat_boxes = {Box(*box) for box in flat}
+        tracked_flat = [p for p in got[0] if p.source.box in flat_boxes]
+        assert {p.source.box for p in tracked_flat} == flat_boxes
+        assert all(p.predicted_box == p.source.box and p.quality == 0.0 for p in tracked_flat)
+        assert [[p for p in frame if p.source.box not in flat_boxes] for frame in got] == base
 
     def test_oracle_requires_gt(self, tmp_path, clean_files, capsys):
         _, dets = clean_files

@@ -14,7 +14,6 @@ from vodtrack.geometry import Box, expand
 from vodtrack.tensor_ops import (
     ConvBlockWeights,
     FeaturePyramid,
-    Workspace,
     _max_pool_to,
     as_tensor3,
     conv2d_same,
@@ -156,27 +155,6 @@ class TestRoiAlignFullAvg:
         assert np.array_equal(a, b)
 
 
-class TestWorkspace:
-    def test_reused_workspace_changes_no_result(self):
-        # One workspace through batches that grow and shrink: each result is
-        # the result without a workspace, and no later call changes it.
-        rng = np.random.default_rng(101)
-        feat = rng.standard_normal((4, 12, 15))
-        work = Workspace()
-        results = []
-        for n in (3, 6, 2, 5):
-            rois = [random_roi(rng, span=14.0, max_size=10.0) for _ in range(n)]
-            searches = roi_align_full_avg(feat, rois, 9, 9, 1.0, work=work)
-            templates = roi_align_full_avg(feat, rois, 3, 3, 1.0, work=work)
-            corr = depthwise_correlate(templates, searches, work=work)
-            assert np.array_equal(searches, roi_align_full_avg(feat, rois, 9, 9, 1.0))
-            assert np.array_equal(corr, depthwise_correlate(templates, searches))
-            results.append([(a, a.copy()) for a in (searches, templates, corr)])
-        for arrays in results:
-            for array, copy in arrays:
-                assert np.array_equal(array, copy)
-
-
 class TestDepthwiseCorrelate:
     def test_ones_counting(self):
         out = depthwise_correlate(np.ones((2, 2, 1)), np.ones((3, 3, 1)))
@@ -249,6 +227,10 @@ class TestDepthwiseCorrelate:
             depthwise_correlate(np.zeros((3, 3, 2)), np.zeros((5, 5, 3)))
         with pytest.raises(ValueError, match="larger than search"):
             depthwise_correlate(np.zeros((6, 6, 2)), np.zeros((5, 5, 2)))
+        # Leading axes must be equal; none broadcast.
+        for t_lead, s_lead in (((2,), ()), ((), (2,)), ((1,), (3,)), ((2, 3), (3,))):
+            with pytest.raises(ValueError, match="leading axes differ"):
+                depthwise_correlate(np.zeros(t_lead + (3, 3, 2)), np.zeros(s_lead + (5, 5, 2)))
 
 
 class TestConvBlock:
