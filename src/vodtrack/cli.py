@@ -302,11 +302,20 @@ def _track_frames(vds: VideoDetectionSet, args, gt) -> list[list[TrackPrediction
     return preds_per_frame
 
 
+def _load_gt(args, vds: VideoDetectionSet, timings: dict) -> VideoDetectionSet:
+    """``--gt`` for the oracle, which must hold the video of ``--dets``; a fault names both files."""
+    gt = _timed(timings, "load", load_single_video, args.gt)
+    if gt.video != vds.video:
+        raise ValueError(f"{args.gt}: ground truth of video {gt.video!r}, "
+                         f"but --dets {args.dets} holds video {vds.video!r}")
+    return gt
+
+
 def cmd_track(args, argv) -> int:
     _check_tracker_flags(args, {"--weights": args.weights, "--features-dir": args.features_dir})
     timings = {}
     vds = _timed(timings, "load", load_single_video, args.dets)
-    gt = _timed(timings, "load", load_single_video, args.gt) if args.oracle else None
+    gt = _load_gt(args, vds, timings) if args.oracle else None
     preds_per_frame = _timed(timings, "track", _track_frames, vds, args, gt)
     _timed(timings, "save", save_predictions, preds_per_frame, vds.video, args.out)
     _write_manifest(args.manifest, args, argv, {"preds": args.out}, timings)
@@ -329,8 +338,7 @@ def cmd_tfd(args, argv) -> int:
     vds = _timed(timings, "load", load_single_video, args.dets)
     cfg = _config_from_args(args)
     if args.oracle:
-        gt = _timed(timings, "load", load_single_video, args.gt)
-        track_fn = make_oracle_track_fn(gt, _noise_from_args(args), args.oracle_seed)
+        track_fn = make_oracle_track_fn(_load_gt(args, vds, timings), _noise_from_args(args), args.oracle_seed)
     else:
         track_fn = make_replay_track_fn(_load_preds(args, [vds], timings)[vds.video])
 

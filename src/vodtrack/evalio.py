@@ -365,13 +365,14 @@ def _split_payload(path, payload: np.ndarray, shapes: list, dtype: np.dtype) -> 
 
 
 def save_features(pyr: FeaturePyramid, path, dtype: str = "<f8") -> None:
-    """Write a feature pyramid: JSON header line, then raw level payloads."""
+    """Write a feature pyramid: JSON header line, then each ``(H, W, C)`` map as a ``(C, H, W)`` payload."""
     if dtype not in _DTYPES:
         raise ValueError(f"dtype must be one of {sorted(_DTYPES)}, got {dtype!r}")
+    payloads = [np.ascontiguousarray(m.transpose(2, 0, 1), dtype=_DTYPES[dtype]) for _, m in pyr.levels]
     header = {"format": "feature-pyramid", "version": 1,
               **dict(zip(_IMAGE_KEYS, (pyr.image_height, pyr.image_width))), "dtype": dtype,
-              "levels": [dict(zip(_LEVEL_KEYS, (s, *m.shape))) for s, m in pyr.levels]}
-    _write_container(path, header, [np.ascontiguousarray(m, dtype=_DTYPES[dtype]) for _, m in pyr.levels])
+              "levels": [dict(zip(_LEVEL_KEYS, (s, *p.shape))) for (s, _), p in zip(pyr.levels, payloads)]}
+    _write_container(path, header, payloads)
 
 
 def _is_count(value, minimum: int) -> bool:
@@ -391,7 +392,7 @@ def _header_counts(entry, keys: tuple[str, ...], path) -> list[int]:
 
 
 def load_features(path) -> FeaturePyramid:
-    """Read a feature pyramid file, verifying the header and the payload size."""
+    """Read a feature pyramid file of ``(C, H, W)`` payloads as ``(H, W, C)`` maps, checking its sizes."""
     header, payload = _read_header(path, "feature-pyramid", "feature pyramid")
     if not header.get("levels"):
         raise ValueError(f"{path}: empty pyramid (no levels declared)")
@@ -403,7 +404,7 @@ def load_features(path) -> FeaturePyramid:
         raise ValueError(f"{path}: unsupported element dtype {header.get('dtype')!r}")
     image_size = _header_counts(header, _IMAGE_KEYS, path)
     levels = [_header_counts(lv, _LEVEL_KEYS, path) for lv in header["levels"]]
-    maps = _split_payload(path, payload, [shape for _, *shape in levels], dtype)
+    maps = [m.transpose(1, 2, 0) for m in _split_payload(path, payload, [shape for _, *shape in levels], dtype)]
     try:
         return FeaturePyramid(tuple(zip([s for s, *_ in levels], maps)), *image_size)
     except ValueError as exc:

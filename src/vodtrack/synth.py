@@ -216,7 +216,8 @@ def render_features(spec: ScenarioSpec, frame: int) -> FeaturePyramid:
 
     Object ``i`` writes channel ``i % feature_channels``; the blob peak sits
     at the object center divided by the level stride, so motion translates
-    the pattern by exactly ``v / stride`` cells per frame.
+    the pattern by exactly ``v / stride`` cells per frame. Noise is drawn
+    channel-major, ``(C, H, W)``; each map is returned as its ``(H, W, C)`` view.
     """
     if not (0 <= frame < spec.n_frames):
         raise ValueError(f"frame {frame} out of range [0, {spec.n_frames})")
@@ -237,7 +238,7 @@ def render_features(spec: ScenarioSpec, frame: int) -> FeaturePyramid:
             sy = max(box.h / stride / 3.0, 0.5)
             blob = np.exp(-(((xs - cx) / sx) ** 2 + ((ys - cy) / sy) ** 2) / 2.0)
             fmap[i % spec.feature_channels] += blob
-        levels.append((stride, fmap))
+        levels.append((stride, fmap.transpose(1, 2, 0)))
     return FeaturePyramid(tuple(levels), spec.height, spec.width)
 
 

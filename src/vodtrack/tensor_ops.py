@@ -1,23 +1,22 @@
 """Dense numerical kernels: RoI pooling, depth-wise correlation, conv blocks, pyramid fusion.
 
-Feature maps are channel-major float64 arrays of shape ``(C, H, W)``. A grid
-value ``feat[c, iy, ix]`` sits at continuous feature-space coordinate
-``(ix, iy)``; between grid points the map is interpreted as a bilinearly
-interpolated field that decays linearly to zero over one cell beyond the
-border and is zero everywhere outside. RoIs are given in image pixel units
-and mapped to feature space by dividing by the level stride.
+Feature maps are float64 arrays, channels last: ``(H, W, C)``. A grid value
+``feat[iy, ix, c]`` sits at continuous feature-space coordinate ``(ix, iy)``;
+between grid points the map is interpreted as a bilinearly interpolated
+field that decays linearly to zero over one cell beyond the border and is
+zero everywhere outside. RoIs are given in image pixel units and mapped to
+feature space by dividing by the level stride.
 
-The head kernels work channels-last, on batches: :func:`roi_align_full_avg`
-pools N RoIs of a ``(C, H, W)`` map in one call and returns ``(N, H, W, C)``,
-and :func:`conv2d_same` and :func:`conv_block` accept any leading axes
-before ``(H, W, C)``, as does :func:`depthwise_correlate` when template and
-search share them. Each kernel sums in one fixed order that its docstring
-states, so an entry of a batch gets the same bits as it would alone, in any
-batch and in any order. Pooling, correlation and max-pool fusion never call
-a BLAS library. The correlation is shift-equivariant bit for bit, and so is
-pooling on bins that lie on whole cells. The convolutions contract channels
-through one BLAS matrix product per tap, so they are shift-equivariant only
-up to that product's rounding.
+The kernels work on batches: :func:`conv2d_same` and :func:`conv_block`
+accept any leading axes before ``(H, W, C)``, as does
+:func:`depthwise_correlate` when template and search share them, and
+:func:`roi_align_full_avg` pools N RoIs in one call. Each kernel sums in one
+fixed order that its docstring states, so an entry of a batch gets the same
+bits as it would alone, in any batch and in any order. Pooling, correlation
+and max-pool fusion never call a BLAS library. The correlation is
+shift-equivariant bit for bit, and so is pooling on bins that lie on whole
+cells. The convolutions contract channels through one BLAS matrix product
+per tap, so they are shift-equivariant only up to that product's rounding.
 
 Everything here is deterministic and pure, and no kernel keeps state from
 one call to the next; callers may parallelize across RoIs and frames freely.
@@ -35,10 +34,8 @@ import numpy as np
 from .geometry import Box
 
 __all__ = [
-    "Tensor3",
     "FeaturePyramid",
     "ConvBlockWeights",
-    "as_tensor3",
     "roi_align_full_avg",
     "depthwise_correlate",
     "conv2d_same",
@@ -46,24 +43,16 @@ __all__ = [
     "fuse_pyramid",
 ]
 
-# Channel-major (C, H, W) float64 feature block.
-Tensor3 = np.ndarray
-
-
-def as_tensor3(data) -> Tensor3:
-    """Validate and coerce ``data`` into a (C, H, W) float64 array."""
-    return _as_maps(data, batched=False)
-
 
 def _as_maps(data, batched: bool = True) -> np.ndarray:
     """Validate and coerce ``data`` into a float64 ``(..., H, W, C)`` array.
 
-    Without ``batched`` the array must be exactly ``(C, H, W)``.
+    Without ``batched`` the array must be exactly one map, ``(H, W, C)``.
     """
     arr = np.asarray(data, dtype=np.float64)
     if arr.ndim < 3 or (arr.ndim > 3 and not batched):
         raise ValueError(
-            f"expected a {'(..., H, W, C)' if batched else '(C, H, W)'} array, got shape {arr.shape}"
+            f"expected a channels-last {'(..., H, W, C)' if batched else '(H, W, C)'} array, got {arr.shape}"
         )
     if min(arr.shape) < 1:
         raise ValueError(f"all tensor dimensions must be positive, got shape {arr.shape}")
@@ -81,9 +70,9 @@ def _all_finite(**arrays) -> None:
 
 @dataclass(frozen=True)
 class FeaturePyramid:
-    """Multi-stride feature maps for one image, ordered by increasing stride."""
+    """Multi-stride ``(H, W, C)`` feature maps for one image, ordered by increasing stride."""
 
-    levels: tuple[tuple[int, Tensor3], ...]
+    levels: tuple[tuple[int, np.ndarray], ...]
     image_height: int
     image_width: int
 
@@ -98,8 +87,8 @@ class FeaturePyramid:
             if stride <= prev:
                 raise ValueError("pyramid strides must be positive and strictly increasing")
             prev = stride
-            arr = as_tensor3(fmap)
-            for size, dim in ((self.image_height, arr.shape[1]), (self.image_width, arr.shape[2])):
+            arr = _as_maps(fmap, batched=False)
+            for size, dim in zip((self.image_height, self.image_width), arr.shape):
                 expected = -(-size // stride)
                 if abs(dim - expected) > 1:
                     raise ValueError(
@@ -113,7 +102,7 @@ class FeaturePyramid:
     def strides(self) -> tuple[int, ...]:
         return tuple(s for s, _ in self.levels)
 
-    def level(self, stride: int) -> Tensor3:
+    def level(self, stride: int) -> np.ndarray:
         for s, fmap in self.levels:
             if s == stride:
                 return fmap
@@ -195,13 +184,13 @@ def _hat_band(lo: np.ndarray, hi: np.ndarray, n_bins: int, size: int):
 
 
 def roi_align_full_avg(
-    feat: Tensor3,
+    feat: np.ndarray,
     rois: Box | Sequence[Box],
     out_h: int,
     out_w: int,
     stride: float,
 ) -> np.ndarray:
-    """Pool RoIs of a ``(C, H, W)`` map into ``out_h x out_w`` bins of exact field averages.
+    """Pool RoIs of an ``(H, W, C)`` map into ``out_h x out_w`` bins of exact field averages.
 
     Each bin value is the mean of the bilinearly interpolated field over the
     bin rectangle, with regions outside the feature extent contributing
@@ -211,8 +200,8 @@ def roi_align_full_avg(
     no sampling.
 
     ``rois`` is one :class:`Box`, giving an ``(out_h, out_w, C)`` result, or
-    a sequence of N boxes, giving ``(N, out_h, out_w, C)``: channels last.
-    All N are pooled in one pass. Both products are summed over the band of
+    a sequence of N boxes, giving ``(N, out_h, out_w, C)``. All N are
+    pooled in one pass. Both products are summed over the band of
     each matrix row in increasing cell order, one multiply and one add per
     tap, vectorised over RoIs, channels and bins. Every value therefore
     depends only on its own RoI: it is the same bit for bit whatever other
@@ -221,7 +210,7 @@ def roi_align_full_avg(
 
     A zero-area RoI yields all zeros.
     """
-    feat = as_tensor3(feat)
+    feat = _as_maps(feat, batched=False)
     if out_h < 1 or out_w < 1:
         raise ValueError("output size must be positive")
     if stride <= 0:
@@ -230,7 +219,7 @@ def roi_align_full_avg(
     single = isinstance(rois, Box)
     boxes = [rois] if single else list(rois)
     corners = np.array([r.corners() for r in boxes], dtype=np.float64).reshape(-1, 4) / stride
-    c, h, w = feat.shape
+    h, w, c = feat.shape
     n = corners.shape[0]
     if n == 0:
         return np.zeros((0, out_h, out_w, c), dtype=np.float64)
@@ -243,9 +232,9 @@ def roi_align_full_avg(
     cols -= first_x[:, :1, None]
     span = int(cols.max()) + 1
     window = np.minimum(first_x[:, :1] + np.arange(span), w - 1)
-    # Channels last, one row per map cell, so that each gather is one
-    # ``np.take`` of whole channel vectors.
-    cells = np.ascontiguousarray(feat.transpose(1, 2, 0)).reshape(h * w, c)
+    # One row per map cell, so that each gather is one ``np.take`` of whole
+    # channel vectors.
+    cells = feat.reshape(h * w, c)
     # Wy @ F on the window: rows[n, y, k] sums map column window[n, k] over
     # the band of row bin y. Products go through one reused buffer per pass.
     rows = np.zeros((n, out_h, span, c), dtype=np.float64)
@@ -389,7 +378,7 @@ def conv_block(x: np.ndarray, w: ConvBlockWeights) -> np.ndarray:
     return np.maximum(out, 0.0, out=out)
 
 
-def _max_pool_to(arr: Tensor3, out_h: int, out_w: int, ratio: int) -> Tensor3:
+def _max_pool_to(arr: np.ndarray, out_h: int, out_w: int, ratio: int) -> np.ndarray:
     """Max over each ``ratio x ratio`` block, one output cell per block.
 
     The map is cut or edge-padded to ``out * ratio`` cells per axis, so a
@@ -399,31 +388,31 @@ def _max_pool_to(arr: Tensor3, out_h: int, out_w: int, ratio: int) -> Tensor3:
     and then the column views. A max is exact, so the result equals the
     per-cell loop bit for bit.
     """
-    _, h, w = arr.shape
+    h, w, _ = arr.shape
     th, tw = out_h * ratio, out_w * ratio
-    padded = arr[:, :th, :tw]
+    padded = arr[:th, :tw]
     if th > h or tw > w:
-        padded = np.pad(padded, ((0, 0), (0, max(th - h, 0)), (0, max(tw - w, 0))), mode="edge")
-    rows = functools.reduce(np.maximum, (padded[:, i::ratio] for i in range(ratio)))
-    return functools.reduce(np.maximum, (rows[:, :, j::ratio] for j in range(ratio)))
+        padded = np.pad(padded, ((0, max(th - h, 0)), (0, max(tw - w, 0)), (0, 0)), mode="edge")
+    rows = functools.reduce(np.maximum, (padded[i::ratio] for i in range(ratio)))
+    return functools.reduce(np.maximum, (rows[:, j::ratio] for j in range(ratio)))
 
 
-def _bilinear_resize(arr: Tensor3, out_h: int, out_w: int) -> Tensor3:
+def _bilinear_resize(arr: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     """Resize with edge-clamped bilinear interpolation (half-pixel centers).
 
     The two neighbour rows of each output row are gathered whole (one
     ``take`` along the row axis each), then the two neighbour columns of
     those; each blend ``a * (1 - f) + b * f`` runs in place in its gathers.
     """
-    _, h, w = arr.shape
+    h, w, _ = arr.shape
     ys = np.clip((np.arange(out_h) + 0.5) * (h / out_h) - 0.5, 0.0, h - 1.0)
     xs = np.clip((np.arange(out_w) + 0.5) * (w / out_w) - 0.5, 0.0, w - 1.0)
     y0 = np.floor(ys).astype(np.int64)
     x0 = np.floor(xs).astype(np.int64)
     y1 = np.minimum(y0 + 1, h - 1)
     x1 = np.minimum(x0 + 1, w - 1)
-    fy = (ys - y0)[:, None]
-    fx = (xs - x0)[None, :]
+    fy = (ys - y0)[:, None, None]
+    fx = (xs - x0)[:, None]
 
     def blend(a: np.ndarray, b: np.ndarray, f: np.ndarray) -> np.ndarray:
         a *= 1 - f
@@ -431,19 +420,19 @@ def _bilinear_resize(arr: Tensor3, out_h: int, out_w: int) -> Tensor3:
         a += b
         return a
 
-    top, bot = (blend(rows.take(x0, axis=2), rows.take(x1, axis=2), fx)
-                for rows in (arr.take(y0, axis=1), arr.take(y1, axis=1)))
+    top, bot = (blend(rows.take(x0, axis=1), rows.take(x1, axis=1), fx)
+                for rows in (arr.take(y0, axis=0), arr.take(y1, axis=0)))
     return blend(top, bot, fy)
 
 
-def fuse_pyramid(pyr: FeaturePyramid, target_stride: int) -> Tensor3:
+def fuse_pyramid(pyr: FeaturePyramid, target_stride: int) -> np.ndarray:
     """Resize every pyramid level to the target level's size and concatenate channels.
 
     Finer levels are max-pooled down; coarser levels are bilinearly
     interpolated up. Levels are concatenated in increasing stride order.
     """
     target = pyr.level(target_stride)
-    _, th, tw = target.shape
+    th, tw, _ = target.shape
     parts = []
     for stride, fmap in pyr.levels:
         if stride == target_stride:
@@ -457,4 +446,4 @@ def fuse_pyramid(pyr: FeaturePyramid, target_stride: int) -> Tensor3:
             parts.append(_max_pool_to(fmap, th, tw, ratio))
         else:
             parts.append(_bilinear_resize(fmap, th, tw))
-    return np.concatenate(parts, axis=0)
+    return np.concatenate(parts, axis=-1)

@@ -5,8 +5,8 @@ box expanded ``k`` times, runs both through conv blocks, correlates them
 channel by channel, and regresses a box delta plus an overlap-quality score
 from the correlation map. Pool sizes scale with the expansion factor
 (7x7 template against 21x21 search for k=3), so correlation operates in
-object-relative coordinates regardless of object size. From pooling to the
-post block the head works channels-last, ``(N, H, W, C)`` for N boxes.
+object-relative coordinates regardless of object size. Feature maps are
+channels-last, ``(H, W, C)``; the head takes N boxes as ``(N, H, W, C)``.
 
 The shared head convolution feeds both fully connected heads with no
 nonlinearity in between, so the head runs the two as one folded linear map:

@@ -207,6 +207,25 @@ def naive_max_pool_to(arr: np.ndarray, out_h: int, out_w: int, ratio: int) -> np
     return out
 
 
+def naive_bilinear_resize(arr: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
+    """Per-cell edge-clamped bilinear resize with half-pixel centres."""
+    c, h, w = arr.shape
+    out = np.empty((c, out_h, out_w))
+    for y in range(out_h):
+        sy = min(max((y + 0.5) * h / out_h - 0.5, 0.0), h - 1.0)
+        y0 = int(math.floor(sy))
+        y1, fy = min(y0 + 1, h - 1), sy - y0
+        for x in range(out_w):
+            sx = min(max((x + 0.5) * w / out_w - 0.5, 0.0), w - 1.0)
+            x0 = int(math.floor(sx))
+            x1, fx = min(x0 + 1, w - 1), sx - x0
+            for ch in range(c):
+                top = arr[ch, y0, x0] * (1 - fx) + arr[ch, y0, x1] * fx
+                bot = arr[ch, y1, x0] * (1 - fx) + arr[ch, y1, x1] * fx
+                out[ch, y, x] = top * (1 - fy) + bot * fy
+    return out
+
+
 def box_iou(a, b) -> float:
     """The pairwise IoU formula on one pair: the reference for ``geometry.iou``.
 

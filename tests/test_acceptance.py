@@ -184,7 +184,7 @@ def test_criterion_2_kernel_oracle_equivalence():
             cy = rng.uniform(-2, fh + 2)
             roi = Box.from_center(cx, cy, w, h)
         out_h, out_w = (int(v) for v in rng.integers(1, 8, 2))
-        got = channels_first(roi_align_full_avg(feat, roi, out_h, out_w, 1.0))
+        got = channels_first(roi_align_full_avg(channels_last(feat), roi, out_h, out_w, 1.0))
         ref = dense_roi_align_oracle(feat, roi.corners(), out_h, out_w, 1.0)
         assert np.allclose(got, ref, rtol=1e-6, atol=1e-12)
     assert checked_outside == 20
@@ -230,8 +230,8 @@ def test_criterion_4_head_contract():
         score_bias=np.zeros(1),
     )
     rng = np.random.default_rng(43)
-    pyr_t = FeaturePyramid(((8, rng.random((3, 28, 28))),), 224, 224)
-    pyr_t1 = FeaturePyramid(((8, rng.random((3, 28, 28))),), 224, 224)
+    pyr_t = FeaturePyramid(((8, channels_last(rng.random((3, 28, 28)))),), 224, 224)
+    pyr_t1 = FeaturePyramid(((8, channels_last(rng.random((3, 28, 28)))),), 224, 224)
     dets = [
         Detection(0, 0, 0.9, Box(30.5, 41.25, 95.25, 103.0)),
         Detection(0, 1, 0.7, Box(120.0, 60.0, 180.0, 140.0)),

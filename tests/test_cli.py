@@ -170,7 +170,7 @@ class TestTrack:
         def two_level(path):
             pyr = load_features(path)
             (stride, fmap), = pyr.levels
-            fine = fmap.repeat(2, axis=1).repeat(2, axis=2)
+            fine = fmap.repeat(2, axis=0).repeat(2, axis=1)
             return FeaturePyramid(((stride // 2, fine), (stride, fmap)),
                                   pyr.image_height, pyr.image_width)
 
@@ -345,6 +345,32 @@ class TestOracleSeed:
         assert sorted(p.name for p in out.iterdir()) == ["empty.jsonl"]
         # Seed 0 parses; tfd then fails on reading the empty file.
         assert run_cli(*argv, "--oracle-seed", "0") == (1 if command == "tfd" else 0)
+
+
+class TestOracleGroundTruth:
+    # The oracle reads --gt as the ground truth of the --dets video; the
+    # ground truth of another video would track the wrong scene.
+    ARGV = {
+        "track": lambda dets, gt, out: ["track", "--dets", dets, "--oracle", "--gt", gt,
+                                        "--out", out / "p.jsonl", "--manifest", out / "m.json"],
+        "tfd": lambda dets, gt, out: ["tfd", "--dets", dets, "--oracle", "--gt", gt,
+                                      "--out", out / "m.jsonl", "--out-preds", out / "p.jsonl",
+                                      "--manifest", out / "m.json"],
+    }
+
+    @pytest.mark.parametrize("command", ARGV)
+    def test_ground_truth_of_another_video_rejected(self, tmp_path, capsys, command):
+        dets, gt = tmp_path / "dets0.jsonl", tmp_path / "gt3.jsonl"
+        assert run_cli("synth-gen", "--preset", "degraded", "--seed", "0",
+                       "--out-gt", tmp_path / "gt0.jsonl", "--out-dets", dets) == 0
+        assert run_cli("synth-gen", "--preset", "fast", "--seed", "3",
+                       "--out-gt", gt, "--out-dets", tmp_path / "dets3.jsonl") == 0
+        out = tmp_path / "out"
+        out.mkdir()
+        capsys.readouterr()
+        fails_naming(capsys, self.ARGV[command](dets, gt, out),
+                     f"{gt}: ground truth of video 'fast-3', but --dets {dets} holds video 'degraded-0'")
+        assert list(out.iterdir()) == []
 
 
 class TestTfdAndLink:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import vodtrack
+from oracles import channels_last
 from vodtrack.detections import Detection
 from vodtrack.evalio import (
     MAX_FRAME_INDEX,
@@ -354,7 +355,7 @@ class TestFeatureFiles:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(87)
         pyr = FeaturePyramid(
-            ((4, rng.random((4, 8, 8))), (8, rng.random((2, 4, 4)))), 32, 32
+            ((4, channels_last(rng.random((4, 8, 8)))), (8, channels_last(rng.random((2, 4, 4))))), 32, 32
         )
         p = tmp_path / "f.feat"
         save_features(pyr, p)
@@ -366,7 +367,7 @@ class TestFeatureFiles:
             assert np.array_equal(ma, mb)
 
     def test_single_level_size(self, tmp_path):
-        pyr = FeaturePyramid(((4, np.arange(256.0).reshape(4, 8, 8)),), 32, 32)
+        pyr = FeaturePyramid(((4, channels_last(np.arange(256.0).reshape(4, 8, 8))),), 32, 32)
         p = tmp_path / "f.feat"
         save_features(pyr, p)
         loaded = load_features(p)
@@ -374,7 +375,7 @@ class TestFeatureFiles:
 
     def test_float32_widened(self, tmp_path):
         rng = np.random.default_rng(89)
-        pyr = FeaturePyramid(((4, rng.random((2, 8, 8))),), 32, 32)
+        pyr = FeaturePyramid(((4, channels_last(rng.random((2, 8, 8)))),), 32, 32)
         p = tmp_path / "f.feat"
         save_features(pyr, p, dtype="<f4")
         loaded = load_features(p)
@@ -391,7 +392,7 @@ class TestFeatureFiles:
 
     def test_truncated_payload_rejected(self, tmp_path):
         rng = np.random.default_rng(91)
-        pyr = FeaturePyramid(((4, rng.random((2, 8, 8))),), 32, 32)
+        pyr = FeaturePyramid(((4, channels_last(rng.random((2, 8, 8)))),), 32, 32)
         p = tmp_path / "f.feat"
         save_features(pyr, p)
         data = p.read_bytes()
@@ -414,7 +415,32 @@ class TestFeatureFiles:
 
     def test_valid_header_loads(self, tmp_path):
         p = feature_file(tmp_path, FEATURE_HEADER, bytes(32))
-        assert load_features(p).levels[0][1].shape == (1, 2, 2)
+        assert load_features(p).levels[0][1].shape == (2, 2, 1)
+
+    def test_payload_is_channel_major(self, tmp_path):
+        # A file written by hand, not by save_features: each level's payload
+        # is (C, H, W) on disk and loads as an (H, W, C) view of one buffer.
+        levels = [(4, 3, 4, 4), (8, 2, 2, 2)]
+        payloads = [np.arange(c * h * w, dtype="<f8").reshape(c, h, w) + 1000.0 * i
+                    for i, (_, c, h, w) in enumerate(levels)]
+        header = {**FEATURE_HEADER, "image_height": 16, "image_width": 16,
+                  "levels": [dict(stride=s, channels=c, height=h, width=w) for s, c, h, w in levels]}
+        data = b"".join(a.tobytes() for a in payloads)
+        p = feature_file(tmp_path, header, data)
+        loaded = load_features(p)
+        assert loaded.strides == (4, 8)
+        buffers = set()
+        for (_, fmap), chw in zip(loaded.levels, payloads):
+            assert fmap.shape == chw.shape[1:] + chw.shape[:1]
+            for y, x, c in np.ndindex(*fmap.shape):
+                assert fmap[y, x, c] == chw[c, y, x]
+            while fmap.base is not None:
+                fmap = fmap.base
+            buffers.add(id(fmap))
+        assert len(buffers) == 1
+        out = tmp_path / "again.feat"
+        save_features(loaded, out)
+        assert out.read_bytes() == p.read_bytes()
 
 
 class TestNamedArrays:

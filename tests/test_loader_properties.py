@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import channels_last
 from vodtrack.detections import Detection
 from vodtrack.evalio import (
     MAX_FRAME_INDEX,
@@ -83,7 +84,7 @@ def valid_files(tmp_path_factory):
     preds = [[TrackPrediction(d, Box(d.box.x1 + 1.0, d.box.y1 - 0.5, d.box.x2 + 1.0, d.box.y2 - 0.5), 0.8) for d in frame] for frame in sets[0].frames]
     save_predictions(preds, "v0", tmp / "preds.jsonl")
     rng = np.random.default_rng(5)
-    pyr = FeaturePyramid(((4, rng.random((2, 4, 4))), (8, rng.random((3, 2, 2)))), 16, 16)
+    pyr = FeaturePyramid(((4, channels_last(rng.random((2, 4, 4)))), (8, channels_last(rng.random((3, 2, 2))))), 16, 16)
     save_features(pyr, tmp / "f.feat")
     save_named_arrays({"a": rng.random((2, 3)), "b": rng.random(4), "c": np.array(1.5)}, tmp / "w.tensors")
     # Separate search branch and a post-block bias, so every optional array is stored.

@@ -160,7 +160,7 @@ class TestRenderFeatures:
         stride = spec.feature_strides[0]
         for frame in (0, 4):
             pyr = render_features(spec, frame)
-            fmap = pyr.levels[0][1][0]
+            fmap = pyr.levels[0][1][..., 0]
             peak = np.unravel_index(np.argmax(fmap), fmap.shape)
             box = obj.box_at(frame)
             assert peak[1] == pytest.approx(box.cx / stride, abs=0.51)
@@ -171,7 +171,7 @@ class TestRenderFeatures:
         pyr = render_features(spec, 4)
         stride = spec.feature_strides[0]
         for i, obj in enumerate(spec.objects):
-            fmap = pyr.levels[0][1][i % spec.feature_channels]
+            fmap = pyr.levels[0][1][..., i % spec.feature_channels]
             box = obj.box_at(4)
             cy, cx = int(round(box.cy / stride)), int(round(box.cx / stride))
             h, w = fmap.shape

@@ -7,6 +7,7 @@ from oracles import (
     naive_conv2d,
     naive_conv_block,
     naive_depthwise_correlate,
+    naive_bilinear_resize,
     naive_max_pool_to,
     oversampled_roi_align,
 )
@@ -15,7 +16,6 @@ from vodtrack.tensor_ops import (
     ConvBlockWeights,
     FeaturePyramid,
     _max_pool_to,
-    as_tensor3,
     conv2d_same,
     conv_block,
     depthwise_correlate,
@@ -32,49 +32,57 @@ def random_roi(rng, span=12.0, max_size=9.0) -> Box:
     return Box.from_center(cx, cy, w, h)
 
 
-class TestTensor3:
+class TestFeatureMaps:
     def test_rejects_bad_shapes(self):
-        with pytest.raises(ValueError, match="expected a"):
-            as_tensor3(np.zeros((3, 3)))
+        # A pyramid level and a pooled map are each exactly one (H, W, C) map.
+        for bad in (np.zeros((3, 3)), np.zeros((1, 4, 4, 2))):
+            with pytest.raises(ValueError, match=r"expected a channels-last \(H, W, C\)"):
+                FeaturePyramid(((4, bad),), 16, 16)
+            with pytest.raises(ValueError, match=r"expected a channels-last \(H, W, C\)"):
+                roi_align_full_avg(bad, Box(0, 0, 1, 1), 1, 1, 1.0)
         with pytest.raises(ValueError, match="non-finite"):
-            as_tensor3(np.full((1, 2, 2), np.nan))
+            FeaturePyramid(((4, np.full((1, 1, 2), np.nan)),), 4, 4)
+        with pytest.raises(ValueError, match="non-finite"):
+            roi_align_full_avg(np.full((2, 2, 1), np.nan), Box(0, 0, 1, 1), 1, 1, 1.0)
 
     def test_pyramid_validates_strides_and_sizes(self):
-        good = FeaturePyramid(((4, np.zeros((2, 16, 16))), (8, np.zeros((2, 8, 8)))), 64, 64)
+        good = FeaturePyramid(((4, np.zeros((16, 16, 2))), (8, np.zeros((8, 8, 2)))), 64, 64)
         assert good.strides == (4, 8)
         with pytest.raises(ValueError, match="strictly increasing"):
-            FeaturePyramid(((8, np.zeros((2, 8, 8))), (4, np.zeros((2, 16, 16)))), 64, 64)
+            FeaturePyramid(((8, np.zeros((8, 8, 2))), (4, np.zeros((16, 16, 2)))), 64, 64)
         with pytest.raises(ValueError, match="inconsistent"):
-            FeaturePyramid(((4, np.zeros((2, 5, 16))),), 64, 64)
+            FeaturePyramid(((4, np.zeros((5, 16, 2))),), 64, 64)
+        with pytest.raises(ValueError, match="inconsistent"):  # a channel-first map
+            FeaturePyramid(((4, np.zeros((2, 16, 16))),), 64, 64)
         with pytest.raises(ValueError, match="at least one level"):
             FeaturePyramid((), 64, 64)
 
 
 class TestRoiAlignFullAvg:
     def test_whole_map_example(self):
-        feat = np.array([[[1.0, 2.0], [3.0, 4.0]]])
+        feat = channels_last(np.array([[[1.0, 2.0], [3.0, 4.0]]]))
         out = roi_align_full_avg(feat, Box(0, 0, 1, 1), 1, 1, 1.0)
         assert out.shape == (1, 1, 1)
         assert out[0, 0, 0] == pytest.approx(2.5, abs=1e-12)
 
     def test_constant_field(self):
-        feat = np.full((3, 6, 6), 7.25)
+        feat = channels_last(np.full((3, 6, 6), 7.25))
         out = roi_align_full_avg(feat, Box(0.7, 1.1, 4.3, 4.9), 5, 4, 1.0)
         assert np.allclose(out, 7.25, atol=1e-12)
 
     def test_fully_outside_is_zero(self):
-        feat = np.ones((2, 4, 4))
+        feat = channels_last(np.ones((2, 4, 4)))
         out = roi_align_full_avg(feat, Box(50, 50, 60, 60), 3, 3, 1.0)
         assert np.all(out == 0.0)
 
     def test_zero_area_roi_is_zero(self):
-        feat = np.ones((1, 4, 4))
+        feat = channels_last(np.ones((1, 4, 4)))
         out = roi_align_full_avg(feat, Box(2, 2, 2, 2), 2, 2, 1.0)
         assert np.all(out == 0.0)
 
     def test_stride_scaling(self):
         rng = np.random.default_rng(3)
-        feat = rng.random((2, 8, 8))
+        feat = channels_last(rng.random((2, 8, 8)))
         a = roi_align_full_avg(feat, Box(8, 8, 40, 40), 4, 4, 8.0)
         b = roi_align_full_avg(feat, Box(1, 1, 5, 5), 4, 4, 1.0)
         assert np.allclose(a, b, atol=1e-12)
@@ -85,7 +93,7 @@ class TestRoiAlignFullAvg:
             c = rng.integers(1, 4)
             feat = rng.random((c, 7, 7))
             roi = random_roi(rng)
-            out = roi_align_full_avg(feat, roi, 3, 3, 1.0)
+            out = roi_align_full_avg(channels_last(feat), roi, 3, 3, 1.0)
             ref = oversampled_roi_align(feat, roi.corners(), 3, 3, 1.0, samples=8)
             assert np.allclose(channels_first(out), ref, atol=1e-10)
 
@@ -103,7 +111,7 @@ class TestRoiAlignFullAvg:
         rng = np.random.default_rng(53)
         for _ in range(20):
             c = int(rng.integers(1, 5))
-            feat = rng.standard_normal((c, 12, 15))
+            feat = channels_last(rng.standard_normal((c, 12, 15)))
             rois = [random_roi(rng, span=18.0, max_size=14.0) for _ in range(int(rng.integers(2, 7)))]
             out_h, out_w = (int(v) for v in rng.integers(1, 9, 2))
             batch = roi_align_full_avg(feat, rois, out_h, out_w, 1.0)
@@ -114,13 +122,13 @@ class TestRoiAlignFullAvg:
                 alone = roi_align_full_avg(feat, roi, out_h, out_w, 1.0)
                 assert np.array_equal(batch[i], alone)
                 assert np.array_equal(permuted[list(order).index(i)], alone)
-        assert roi_align_full_avg(feat, [], 3, 2, 1.0).shape == (0, 3, 2, feat.shape[0])
+        assert roi_align_full_avg(feat, [], 3, 2, 1.0).shape == (0, 3, 2, feat.shape[-1])
 
     def test_zero_width_roi_leaves_the_others_bits(self):
         # The bin edges of each RoI are its own arithmetic: a zero-width RoI
         # in the batch does not switch the others to another edge formula.
         rng = np.random.default_rng(97)
-        feat = rng.standard_normal((3, 20, 20))
+        feat = channels_last(rng.standard_normal((3, 20, 20)))
         for _ in range(20):
             rois = [random_roi(rng, span=18.0) for _ in range(3)]
             batch = roi_align_full_avg(feat, rois + [Box(5.0, 5.0, 5.0, 9.0)], 7, 7, 1.0)
@@ -134,13 +142,13 @@ class TestRoiAlignFullAvg:
         # bin sums the same taps in the same order wherever it sits.
         rng = np.random.default_rng(59)
         for _ in range(50):
-            feat = rng.standard_normal((int(rng.integers(1, 5)), 9, 14))
+            feat = channels_last(rng.standard_normal((int(rng.integers(1, 5)), 9, 14)))
             m, out_w = int(rng.integers(1, 3)), int(rng.integers(2, 6))
             x1 = float(rng.integers(-2, 4))
             y1, y2 = sorted(rng.uniform(-2.0, 11.0, 2))
             roi = Box(x1, y1, x1 + m * out_w, y2)
-            moved = np.zeros(feat.shape[:2] + (14 + m,))
-            moved[:, :, m:] = feat
+            moved = np.zeros((9, 14 + m, feat.shape[-1]))
+            moved[:, m:] = feat
             out_h = int(rng.integers(1, 6))
             base = roi_align_full_avg(feat, roi, out_h, out_w, 1.0)
             shifted = roi_align_full_avg(moved, roi, out_h, out_w, 1.0)
@@ -148,7 +156,7 @@ class TestRoiAlignFullAvg:
 
     def test_deterministic(self):
         rng = np.random.default_rng(13)
-        feat = rng.random((2, 9, 9))
+        feat = channels_last(rng.random((2, 9, 9)))
         roi = random_roi(rng)
         a = roi_align_full_avg(feat, roi, 7, 7, 2.0)
         b = roi_align_full_avg(feat, roi, 7, 7, 2.0)
@@ -365,9 +373,9 @@ class TestMaxPool:
         # Includes outputs past h / ratio (blocks clamped onto the last cell)
         # and short of it (cells past the last block left out).
         arr = np.random.default_rng(79).standard_normal(shape)
-        got = _max_pool_to(arr, *out, ratio)
-        assert got.shape == (shape[0],) + out
-        assert np.array_equal(got, naive_max_pool_to(arr, *out, ratio))
+        got = _max_pool_to(channels_last(arr), *out, ratio)
+        assert got.shape == out + (shape[0],)
+        assert np.array_equal(got, channels_last(naive_max_pool_to(arr, *out, ratio)))
 
     def test_random_shapes_match_per_cell_loop(self):
         rng = np.random.default_rng(83)
@@ -376,43 +384,52 @@ class TestMaxPool:
             ratio = int(rng.integers(1, 6))
             out_h, out_w = (int(v) for v in rng.integers(1, 2 + 30 // ratio, 2))
             arr = rng.standard_normal((int(rng.integers(1, 4)), h, w))
-            assert np.array_equal(_max_pool_to(arr, out_h, out_w, ratio),
-                                  naive_max_pool_to(arr, out_h, out_w, ratio))
+            assert np.array_equal(_max_pool_to(channels_last(arr), out_h, out_w, ratio),
+                                  channels_last(naive_max_pool_to(arr, out_h, out_w, ratio)))
 
 
 class TestFusePyramid:
     def test_single_level_identity(self):
         rng = np.random.default_rng(41)
-        fmap = rng.random((3, 8, 8))
+        fmap = channels_last(rng.random((3, 8, 8)))
         pyr = FeaturePyramid(((4, fmap),), 32, 32)
         assert np.array_equal(fuse_pyramid(pyr, 4), fmap)
 
     def test_channel_concatenation(self):
         pyr = FeaturePyramid(
-            ((4, np.zeros((8, 16, 16))), (8, np.zeros((8, 8, 8)))), 64, 64
+            ((4, np.zeros((16, 16, 8))), (8, np.zeros((8, 8, 8)))), 64, 64
         )
         out = fuse_pyramid(pyr, 8)
-        assert out.shape == (16, 8, 8)
+        assert out.shape == (8, 8, 16)
 
     def test_constant_levels_stay_constant(self):
         pyr = FeaturePyramid(
-            ((4, np.full((2, 16, 16), 3.0)), (8, np.full((2, 8, 8), 5.0)),
-             (16, np.full((2, 4, 4), 7.0))),
+            ((4, np.full((16, 16, 2), 3.0)), (8, np.full((8, 8, 2), 5.0)),
+             (16, np.full((4, 4, 2), 7.0))),
             64, 64,
         )
         out = fuse_pyramid(pyr, 8)
-        assert np.allclose(out[:2], 3.0, atol=1e-12)   # max-pooled down
-        assert np.allclose(out[2:4], 5.0, atol=1e-12)  # target level
-        assert np.allclose(out[4:], 7.0, atol=1e-12)   # interpolated up
+        assert np.allclose(out[..., :2], 3.0, atol=1e-12)   # max-pooled down
+        assert np.allclose(out[..., 2:4], 5.0, atol=1e-12)  # target level
+        assert np.allclose(out[..., 4:], 7.0, atol=1e-12)   # interpolated up
 
     def test_max_pool_semantics(self):
         fine = np.zeros((1, 8, 8))
         fine[0, 3, 5] = 9.0
-        pyr = FeaturePyramid(((4, fine), (8, np.zeros((1, 4, 4)))), 32, 32)
+        pyr = FeaturePyramid(((4, channels_last(fine)), (8, np.zeros((4, 4, 1)))), 32, 32)
         out = fuse_pyramid(pyr, 8)
-        assert out[0, 1, 2] == 9.0
+        assert out[1, 2, 0] == 9.0
+
+    def test_matches_per_cell_oracles(self):
+        # Non-square levels, so that a swapped row and column axis shows.
+        rng = np.random.default_rng(43)
+        fine, mid, coarse = rng.random((2, 12, 20)), rng.random((3, 6, 10)), rng.random((2, 3, 5))
+        pyr = FeaturePyramid(((4, channels_last(fine)), (8, channels_last(mid)),
+                              (16, channels_last(coarse))), 48, 80)
+        want = np.concatenate([naive_max_pool_to(fine, 6, 10, 2), mid, naive_bilinear_resize(coarse, 6, 10)])
+        assert np.allclose(channels_first(fuse_pyramid(pyr, 8)), want, rtol=0.0, atol=1e-12)
 
     def test_missing_target_stride(self):
-        pyr = FeaturePyramid(((4, np.zeros((1, 8, 8))),), 32, 32)
+        pyr = FeaturePyramid(((4, np.zeros((8, 8, 1))),), 32, 32)
         with pytest.raises(ValueError, match="not present"):
             fuse_pyramid(pyr, 16)

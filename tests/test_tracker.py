@@ -55,7 +55,7 @@ def zeroed_fc(w):
 def pyramid(seed, channels=2, size=16, stride=4):
     rng = np.random.default_rng(seed)
     return FeaturePyramid(
-        ((stride, rng.random((channels, size, size))),), size * stride, size * stride
+        ((stride, channels_last(rng.random((channels, size, size)))),), size * stride, size * stride
     )
 
 
@@ -96,8 +96,8 @@ class TestTrack:
             Detection(0, 0, 0.9, Box(12.3, 8.7, 30.1, 26.6)),
             Detection(0, 1, 0.8, Box(30.0, 34.0, 50.0, 52.0)),
         ]
-        pyr_t = FeaturePyramid(((4, map_t),), 64, 64)
-        pyr_t1 = FeaturePyramid(((4, map_t1),), 64, 64)
+        pyr_t = FeaturePyramid(((4, channels_last(map_t)),), 64, 64)
+        pyr_t1 = FeaturePyramid(((4, channels_last(map_t1)),), 64, 64)
         preds = track(pyr_t, pyr_t1, dets, w, SMALL_CFG)
 
         def run_block(x, blk):
@@ -168,8 +168,8 @@ class TestTrack:
         base_t1 = np.random.default_rng(102).random((2, 16, 16))
         perturbed = base_t1.copy()
         perturbed[:, :4, :4] += 5.0  # inside far's search region only
-        pyr = FeaturePyramid(((4, base_t1),), 64, 64)
-        pyr_p = FeaturePyramid(((4, perturbed),), 64, 64)
+        pyr = FeaturePyramid(((4, channels_last(base_t1)),), 64, 64)
+        pyr_p = FeaturePyramid(((4, channels_last(perturbed)),), 64, 64)
         a = track(pyramid(101), pyr, [far, near], w, SMALL_CFG)
         b = track(pyramid(101), pyr_p, [far, near], w, SMALL_CFG)
         assert a[0].predicted_box.corners() != b[0].predicted_box.corners()
@@ -192,8 +192,8 @@ class TestTrack:
             from vodtrack.geometry import expand
             from vodtrack.tensor_ops import roi_align_full_avg
 
-            tpl = roi_align_full_avg(template, box.box, 7, 7, 1.0)
-            srch = roi_align_full_avg(search_map, expand(box.box, 3.0), 21, 21, 1.0)
+            tpl = roi_align_full_avg(channels_last(template), box.box, 7, 7, 1.0)
+            srch = roi_align_full_avg(channels_last(search_map), expand(box.box, 3.0), 21, 21, 1.0)
             _, _, inter = head_forward(tpl, srch, w, return_intermediates=True)
             return inter["correlation"]
 
@@ -208,8 +208,8 @@ class TestTrack:
         cfg = TrackerConfig()
         w = synthesize_weights(16, cfg, seed=13, shared_head_channels=8)
         rng = np.random.default_rng(17)
-        pyr_t = FeaturePyramid(((8, rng.standard_normal((16, 20, 24))),), 160, 192)
-        pyr_t1 = FeaturePyramid(((8, rng.standard_normal((16, 20, 24))),), 160, 192)
+        pyr_t = FeaturePyramid(((8, channels_last(rng.standard_normal((16, 20, 24)))),), 160, 192)
+        pyr_t1 = FeaturePyramid(((8, channels_last(rng.standard_normal((16, 20, 24)))),), 160, 192)
         dets = [
             Detection(0, 0, 0.9, Box(40.0, 30.0, 70.0, 62.0)),
             Detection(0, 1, 0.8, Box(3.5, 100.25, 20.0, 150.0)),
@@ -235,7 +235,8 @@ class TestTrack:
 
         def two_level():
             return FeaturePyramid(
-                ((4, rng.random((2, 16, 16))), (8, rng.random((2, 8, 8)))), 64, 64
+                ((4, channels_last(rng.random((2, 16, 16)))), (8, channels_last(rng.random((2, 8, 8))))),
+                64, 64,
             )
 
         pyr_t, pyr_t1 = two_level(), two_level()
@@ -262,7 +263,7 @@ class TestTrack:
     def test_pyramid_size_mismatch_rejected(self):
         w = small_weights()
         a = pyramid(1, size=16)
-        b = FeaturePyramid(((4, np.zeros((2, 8, 8))),), 32, 32)
+        b = FeaturePyramid(((4, np.zeros((8, 8, 2))),), 32, 32)
         with pytest.raises(ValueError, match="equal image size"):
             track(a, b, [], w, SMALL_CFG)
 
