@@ -19,6 +19,7 @@ from . import __version__
 from .detections import Detection, TrackPrediction, frame_of
 from .evalio import (
     VideoDetectionSet,
+    VideoPredictions,
     _value,
     evaluate_map,
     load_detections,
@@ -210,19 +211,23 @@ def make_replay_track_fn(stored: list[list[TrackPrediction]]):
     return track_fn
 
 
-def link_frames(frames, preds, link_iou: float, nms_iou: float, score_min: float = 0.0):
-    """The link stage on one video: score gate, tubelet graph, re-scoring.
+def link_frames(vds: VideoDetectionSet, preds, link_iou: float, nms_iou: float,
+                score_min: float = 0.0) -> VideoDetectionSet:
+    """The link stage on one video's columns: score gate, tubelet graph, re-scoring.
 
-    Boxes below ``score_min`` are dropped, each with its prediction. With
-    ``preds`` (per-frame predictions aligned with ``frames``; a frame's list
-    may be empty) the graph is Seq-Track-NMS's, without it Seq-NMS's.
+    Rows below ``score_min`` are dropped, each with its prediction. With
+    ``preds`` (a ``VideoPredictions`` on ``vds``' rows, or per-frame
+    ``TrackPrediction`` lists aligned with its frames) the graph is
+    Seq-Track-NMS's, without it Seq-NMS's.
     """
-    keep = [[i for i, d in enumerate(f) if d.score >= score_min] for f in frames]
-    video = [[f[i] for i in k] for f, k in zip(frames, keep)]
+    keep = vds.score >= score_min
+    video = vds.select(keep)
     if preds is None:
         graph = build_graph_seqnms(video, link_iou)
     else:
-        preds = [[p[i] for i in k] if p else p for p, k in zip(preds, keep)]
+        if not isinstance(preds, VideoPredictions):
+            preds = VideoPredictions.aligned(vds, preds)
+        preds = VideoPredictions(video, preds.boxes[keep], preds.quality[keep], preds.n_predicted)
         graph = build_graph_seqtrack(video, preds, link_iou)
     return rescore_and_suppress(video, graph, nms_iou)
 
@@ -237,8 +242,7 @@ def cmd_synth_gen(args, argv) -> int:
         save_scenario(spec, args.out_spec)
     outputs = {"gt": args.out_gt, "dets": args.out_dets}
     _write_manifest(args.manifest, args, argv, outputs, timings, seed=spec.seed)
-    print(f"wrote {args.out_gt} ({sum(len(f) for f in gt.frames)} gt boxes), "
-          f"{args.out_dets} ({sum(len(f) for f in dets.frames)} detections)")
+    print(f"wrote {args.out_gt} ({len(gt.score)} gt boxes), {args.out_dets} ({len(dets.score)} detections)")
     return 0
 
 
@@ -288,8 +292,13 @@ def _track_frames(vds: VideoDetectionSet, args, gt) -> list[list[TrackPrediction
         return fuse_for_head(load_features(feature_file(t)), cfg)
 
     # Each frame is fused once, and two fused maps are held at a time:
-    # frame t and frame t+1.
+    # frame t and frame t+1. The weights must take frame 0's channels
+    # before a second file is read.
     current = pyramid(0)
+    channels, expected = current.levels[0][1].shape[-1], weights.pre_template.kernel.shape[1]
+    if channels != expected:
+        raise ValueError(f"--weights {args.weights} on {feature_file(0)}: "
+                         f"input has {channels} channels, kernel expects {expected}")
     preds_per_frame = []
     for t in range(vds.n_frames - 1):
         following = pyramid(t + 1)
@@ -303,11 +312,27 @@ def _track_frames(vds: VideoDetectionSet, args, gt) -> list[list[TrackPrediction
 
 
 def _load_gt(args, vds: VideoDetectionSet, timings: dict) -> VideoDetectionSet:
-    """``--gt`` for the oracle, which must hold the video of ``--dets``; a fault names both files."""
+    """``--gt`` for the oracle, which follows objects by track id.
+
+    It must hold the video of ``--dets`` (a fault names both files), and
+    each record a track id that no other record of its frame holds (a
+    fault names the line).
+    """
     gt = _timed(timings, "load", load_single_video, args.gt)
     if gt.video != vds.video:
         raise ValueError(f"{args.gt}: ground truth of video {gt.video!r}, "
                          f"but --dets {args.dets} holds video {vds.video!r}")
+    if not gt.has_track.all():
+        raise ValueError(f"{args.gt}:{gt.lines[~gt.has_track].min()}: ground truth without a track id; "
+                         f"the oracle follows objects by track")
+    frame = gt.frame_index()
+    order = np.lexsort((gt.lines, gt.track, frame))  # by frame, then track, then line
+    frame_track = frame[order], gt.track[order]
+    repeated = order[1:][np.logical_and(*(c[1:] == c[:-1] for c in frame_track))]
+    if len(repeated):
+        row = repeated[np.argmin(gt.lines[repeated])]
+        raise ValueError(f"{args.gt}:{gt.lines[row]}: track {gt.track[row]} is held by another record "
+                         f"of frame {frame[row]}; the oracle follows objects by track")
     return gt
 
 
@@ -362,15 +387,14 @@ def cmd_link(args, argv) -> int:
     sets = _timed(timings, "load", load_detections, args.dets)
     preds_by_video = _load_preds(args, sets, timings) if args.preds else {}
 
-    def link_video(vds: VideoDetectionSet) -> VideoDetectionSet:
-        preds = preds_by_video.get(vds.video)
-        frames = link_frames(vds.frames, preds, args.link_iou, args.nms_iou, args.score_min)
-        return VideoDetectionSet(vds.video, frames)
+    def link_videos() -> list[VideoDetectionSet]:
+        return [link_frames(vds, preds_by_video.get(vds.video), args.link_iou, args.nms_iou, args.score_min)
+                for vds in sets]
 
-    out_sets = _timed(timings, "link", lambda: [link_video(vds) for vds in sets])
+    out_sets = _timed(timings, "link", link_videos)
     _timed(timings, "save", save_detections, out_sets, args.out)
     _write_manifest(args.manifest, args, argv, {"linked": args.out}, timings)
-    total = sum(len(f) for v in out_sets for f in v.frames)
+    total = sum(len(v.score) for v in out_sets)
     print(f"wrote {args.out} ({total} re-scored detections, mode {args.mode})")
     return 0
 
@@ -406,19 +430,18 @@ def run_variant(spec, variant: str, cfg: PipelineConfig, noise: NoiseParams,
     gt, dets = _timed(timings, "generate", generate, spec)
     artifacts = {"gt": gt, "dets": dets, "timings": timings}
 
-    def final_frames():
-        frames = dets.frames
+    def final_set() -> VideoDetectionSet:
         if variant == "detector":
-            return final_detections(frames, cfg)
+            return VideoDetectionSet(spec.video, final_detections(dets.frames, cfg))
         if variant == "seqnms":
-            return link_frames(frames, None, link_iou, cfg.final_nms_iou, cfg.final_score_min)
-        merged, preds = run_video(frames, make_oracle_track_fn(gt, noise, oracle_seed), cfg)
+            return link_frames(dets, None, link_iou, cfg.final_nms_iou, cfg.final_score_min)
+        merged, preds = run_video(dets.frames, make_oracle_track_fn(gt, noise, oracle_seed), cfg)
         artifacts["merged"] = VideoDetectionSet(spec.video, merged)
         artifacts["preds"] = preds
-        return link_frames(merged, preds if variant == "tfd+seqtracknms" else None,
+        return link_frames(artifacts["merged"], preds if variant == "tfd+seqtracknms" else None,
                            link_iou, cfg.final_nms_iou)
 
-    artifacts["final"] = VideoDetectionSet(spec.video, _timed(timings, "variant", final_frames))
+    artifacts["final"] = _timed(timings, "variant", final_set)
     result = _timed(timings, "eval", evaluate_map, artifacts["final"], gt, eval_iou)
     return result, artifacts
 

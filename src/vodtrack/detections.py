@@ -8,7 +8,7 @@ from typing import Sequence
 from .geometry import Box
 
 __all__ = ["Detection", "TrackPrediction", "PROVENANCES", "PROVENANCE_DETECTED",
-           "PROVENANCE_TRACKED", "frame_of"]
+           "PROVENANCE_TRACKED", "check_detection", "check_quality", "frame_of"]
 
 PROVENANCE_DETECTED = "detected"
 PROVENANCE_TRACKED = "tracked"
@@ -28,14 +28,7 @@ class Detection:
     provenance: str | None = None
 
     def __post_init__(self) -> None:
-        if self.frame < 0:
-            raise ValueError(f"frame index must be non-negative, got {self.frame}")
-        if self.class_id < 0:
-            raise ValueError(f"class id must be non-negative, got {self.class_id}")
-        if not (0.0 <= self.score <= 1.0):  # also false for NaN
-            raise ValueError(f"detection score must be in [0, 1], got {self.score!r}")
-        if self.provenance not in PROVENANCES:
-            raise ValueError(f"unknown provenance {self.provenance!r}")
+        check_detection(self.frame, self.class_id, self.score, self.provenance)
 
     def with_score(self, score: float) -> "Detection":
         return Detection(self.frame, self.class_id, score, self.box, self.track, self.provenance)
@@ -51,8 +44,25 @@ class TrackPrediction:
     quality: float
 
     def __post_init__(self) -> None:
-        if not (0.0 <= self.quality <= 1.0):  # also false for NaN
-            raise ValueError(f"quality must be in [0, 1], got {self.quality!r}")
+        check_quality(self.quality)
+
+
+def check_detection(frame: int, class_id: int, score: float, provenance) -> None:
+    """Raise ``ValueError`` for values a :class:`Detection` may not hold (loaded columns obey the same rules)."""
+    if frame < 0:
+        raise ValueError(f"frame index must be non-negative, got {frame}")
+    if class_id < 0:
+        raise ValueError(f"class id must be non-negative, got {class_id}")
+    if not (0.0 <= score <= 1.0):  # also false for NaN
+        raise ValueError(f"detection score must be in [0, 1], got {score!r}")
+    if provenance not in PROVENANCES:
+        raise ValueError(f"unknown provenance {provenance!r}")
+
+
+def check_quality(quality: float) -> None:
+    """Raise ``ValueError`` for a quality a :class:`TrackPrediction` may not hold."""
+    if not (0.0 <= quality <= 1.0):  # also false for NaN
+        raise ValueError(f"quality must be in [0, 1], got {quality!r}")
 
 
 def frame_of(boxes: Sequence[Detection]) -> int:

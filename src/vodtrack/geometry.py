@@ -9,7 +9,7 @@ log-space scale ratios.
 All types are immutable and all operations are pure functions.
 
 Box overlap has one kernel, :func:`iou`: it takes two sequences of boxes
-and returns their whole ``(len(a), len(b))`` IoU matrix, each entry equal
+(or ``(n, 4)`` corner arrays) and returns their whole ``(len(a), len(b))`` IoU matrix, each entry equal
 bit for bit to the pairwise formula. Callers compute one matrix per frame
 (or frame pair) and apply their own threshold and tie rule to it.
 """
@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-__all__ = ["MAX_COORDINATE", "Box", "RegressionDelta", "iou", "encode", "decode", "expand"]
+__all__ = ["MAX_COORDINATE", "Box", "RegressionDelta", "check_extent", "iou", "encode", "decode", "expand"]
 
 # Largest box coordinate magnitude, in pixels, that loaded and generated boxes
 # may reach. Past 2**53 a float64 no longer resolves one pixel; inside it the
@@ -52,10 +52,7 @@ class Box:
                 v = getattr(self, name)
                 if not isfinite(v):
                     raise ValueError(f"box coordinate {name} is not finite: {v!r}")
-        if self.x2 < self.x1 or self.y2 < self.y1:
-            raise ValueError(
-                f"negative box extent: ({self.x1}, {self.y1}, {self.x2}, {self.y2})"
-            )
+        check_extent(self.x1, self.y1, self.x2, self.y2)
 
     @classmethod
     def from_center(cls, cx: float, cy: float, w: float, h: float) -> "Box":
@@ -86,6 +83,12 @@ class Box:
         return (self.x1, self.y1, self.x2, self.y2)
 
 
+def check_extent(x1: float, y1: float, x2: float, y2: float) -> None:
+    """Raise ``ValueError`` for corners of negative extent, as a :class:`Box` does."""
+    if x2 < x1 or y2 < y1:
+        raise ValueError(f"negative box extent: ({x1}, {y1}, {x2}, {y2})")
+
+
 @dataclass(frozen=True, slots=True)
 class RegressionDelta:
     """Dimensionless box regression target/prediction.
@@ -106,8 +109,10 @@ class RegressionDelta:
                 raise ValueError(f"regression delta {name} is not finite: {v!r}")
 
 
-def iou(a: Sequence[Box], b: Sequence[Box]) -> np.ndarray:
+def iou(a: Sequence[Box] | np.ndarray, b: Sequence[Box] | np.ndarray) -> np.ndarray:
     """IoU matrix of two box sequences: entry ``(i, j)`` is the overlap of ``a[i]`` and ``b[j]``.
+
+    Either sequence may be an ``(n, 4)`` float64 array of corners.
 
     Returns float64 of shape ``(len(a), len(b))``. The kernel is exact: each
     entry takes the pairwise formula's float operations in its order
@@ -121,23 +126,26 @@ def iou(a: Sequence[Box], b: Sequence[Box]) -> np.ndarray:
     if len(a) == 0 or len(b) == 0:
         return np.zeros((len(a), len(b)))
     (ax1, ay1, ax2, ay2), (bx1, by1, bx2, by2) = _corner_array(a)[:, :, None], _corner_array(b)
-    # In-place steps keep three (len(a), len(b)) float arrays alive at most.
+    # In-place steps on two reused (len(a), len(b)) float arrays and one mask.
     with np.errstate(over="ignore", invalid="ignore"):
         iw = np.minimum(ax2, bx2)
-        iw -= np.maximum(ax1, bx1)
-        ih = np.minimum(ay2, by2)
+        spare = np.maximum(ax1, bx1)
+        iw -= spare
+        ih = np.minimum(ay2, by2, out=spare)
         ih -= np.maximum(ay1, by1)
-        nonzero = (iw > 0.0) & (ih > 0.0)
+        nonzero = iw > 0.0
+        nonzero &= ih > 0.0
         inter = np.multiply(iw, ih, out=iw)
-        del ih
-        union = (ax2 - ax1) * (ay2 - ay1) + (bx2 - bx1) * (by2 - by1)
+        union = np.add((ax2 - ax1) * (ay2 - ay1), (bx2 - bx1) * (by2 - by1), out=ih)
         union -= inter
         nonzero &= ~(union <= 0.0)
         return np.divide(inter, union, out=np.zeros(inter.shape), where=nonzero)
 
 
-def _corner_array(boxes: Sequence[Box]) -> np.ndarray:
+def _corner_array(boxes: Sequence[Box] | np.ndarray) -> np.ndarray:
     """Corners as a ``(4, n)`` array: rows x1, y1, x2, y2."""
+    if isinstance(boxes, np.ndarray):
+        return boxes.T
     return np.array([(b.x1, b.y1, b.x2, b.y2) for b in boxes], dtype=np.float64).T
 
 

@@ -10,17 +10,22 @@ not change the output. The two graph constraints differ in which box
 represents frame ``t`` when testing overlap against frame ``t+1``: the raw
 detection itself, or the tracker's predicted next-frame box (which keeps
 links alive under large motion).
+
+Each stage reads a video as a :class:`~vodtrack.evalio.VideoDetectionSet`,
+one frame's column slices at a time, and returns one. Per-frame lists of
+``Detection`` objects (and of ``TrackPrediction``) are read as their columns,
+and re-scoring returns such lists for them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .detections import Detection, TrackPrediction
+from .evalio import VideoDetectionSet, VideoPredictions
 from .geometry import iou
 
 __all__ = [
@@ -51,11 +56,12 @@ class LinkGraph:
         if len(self.edges) != max(len(self.nodes) - 1, 0):
             raise ValueError("edge table must cover exactly the consecutive frame pairs")
         for t, table in enumerate(self.edges):
+            here, there = set(self.nodes[t]), set(self.nodes[t + 1])
             for i, succs in table.items():
-                if i not in self.nodes[t]:
+                if i not in here:
                     raise ValueError(f"edge from unknown node {i} in frame {t}")
                 for j in succs:
-                    if j not in self.nodes[t + 1]:
+                    if j not in there:
                         raise ValueError(f"edge to unknown node {j} in frame {t + 1}")
 
     @property
@@ -82,10 +88,15 @@ class Tubelet:
         return self.path_score / len(self.members)
 
 
-def _overlaps_above(a: Sequence[Detection], boxes_a, b: Sequence[Detection], boxes_b, thresh: float) -> np.ndarray:
-    """Boolean matrix: ``a[i]`` and ``b[j]`` share a class and overlap above ``thresh``."""
-    classes_a = np.array([d.class_id for d in a])
-    classes_b = np.array([d.class_id for d in b])
+Video = VideoDetectionSet | Sequence[Sequence[Detection]]
+
+
+def _as_set(video: Video) -> VideoDetectionSet:
+    return video if isinstance(video, VideoDetectionSet) else VideoDetectionSet("", video)
+
+
+def _overlaps_above(classes_a, boxes_a, classes_b, boxes_b, thresh: float) -> np.ndarray:
+    """Boolean matrix: box ``a[i]`` and ``b[j]`` share a class and overlap above ``thresh``."""
     return (iou(boxes_a, boxes_b) > thresh) & (classes_a[:, None] == classes_b)
 
 
@@ -98,47 +109,47 @@ def _row_table(hits: np.ndarray) -> dict[int, tuple[int, ...]]:
     return {i: tuple(js) for i, js in table.items()}
 
 
-def _build_graph(video: Sequence[Sequence[Detection]], probes, link_iou: float) -> LinkGraph:
-    """``probes[t]`` holds, aligned with ``video[t]``, the boxes tested against frame ``t+1``."""
-    nodes = tuple(tuple(range(len(frame))) for frame in video)
+def _build_graph(video: VideoDetectionSet, probes: np.ndarray, link_iou: float) -> LinkGraph:
+    """``probes`` holds, row for row with ``video``, the boxes tested against the next frame."""
+    b = video.offsets.tolist()
     edges = tuple(
-        _row_table(_overlaps_above(video[t], probes[t], video[t + 1], [d.box for d in video[t + 1]], link_iou))
-        for t in range(len(video) - 1)
+        _row_table(_overlaps_above(video.class_id[b[t] : b[t + 1]], probes[b[t] : b[t + 1]],
+                                   video.class_id[b[t + 1] : b[t + 2]], video.boxes[b[t + 1] : b[t + 2]],
+                                   link_iou))
+        for t in range(video.n_frames - 1)
     )
-    return LinkGraph(nodes=nodes, edges=edges)
+    return LinkGraph(nodes=tuple(tuple(range(len(frame))) for frame in video), edges=edges)
 
 
-def build_graph_seqnms(
-    video: Sequence[Sequence[Detection]], link_iou: float = LINK_IOU_DEFAULT
-) -> LinkGraph:
+def build_graph_seqnms(video: Video, link_iou: float = LINK_IOU_DEFAULT) -> LinkGraph:
     """Link detections whose own boxes overlap across consecutive frames.
 
     An edge requires the same class and strictly more than ``link_iou``
     overlap between the frame-``t`` box and the frame-``t+1`` box.
     """
-    return _build_graph(video, [[d.box for d in frame] for frame in video], link_iou)
+    video = _as_set(video)
+    return _build_graph(video, video.boxes, link_iou)
 
 
 def build_graph_seqtrack(
-    video: Sequence[Sequence[Detection]],
-    preds: Sequence[Sequence[TrackPrediction]],
+    video: Video,
+    preds: VideoPredictions | Sequence[Sequence[TrackPrediction]],
     link_iou: float = LINK_IOU_DEFAULT,
 ) -> LinkGraph:
     """Link using each detection's tracker-predicted next-frame box.
 
-    ``preds[t]`` must align index for index with ``video[t]``; the final
-    frame's predictions are unused and may be absent.
+    ``preds`` predicts from ``video``'s rows: a ``VideoPredictions`` on
+    them, or per-frame lists aligned index for index with ``video``'s frames
+    (see :meth:`VideoPredictions.aligned`). The final frame's predictions
+    are unused and may be absent.
     """
-    n = len(video)
-    if len(preds) not in (n, n - 1) and not (n == 0 and not preds):
-        raise ValueError(f"predictions cover {len(preds)} frames, video has {n}")
-    for t in range(n - 1):
-        if len(preds[t]) != len(video[t]):
-            raise ValueError(
-                f"frame {t}: {len(preds[t])} predictions for {len(video[t])} detections"
-            )
-    probes = [[p.predicted_box for p in frame] for frame in preds[: max(n - 1, 0)]]
-    return _build_graph(video, probes, link_iou)
+    video = _as_set(video)
+    if not isinstance(preds, VideoPredictions):
+        preds = VideoPredictions.aligned(video, preds)
+    if len(preds.boxes) != len(video.score) or preds.n_predicted < video.n_frames - 1:
+        raise ValueError(f"predictions on {len(preds.boxes)} rows over {preds.n_predicted} frames "
+                         f"do not cover a video of {len(video.score)} rows over {video.n_frames} frames")
+    return _build_graph(video, preds.boxes, link_iou)
 
 
 def best_path(
@@ -205,11 +216,7 @@ def best_path(
     return Tubelet(members=members, path_score=total)
 
 
-def rescore_and_suppress(
-    video: Sequence[Sequence[Detection]],
-    graph: LinkGraph,
-    nms_iou: float = 0.45,
-) -> list[list[Detection]]:
+def rescore_and_suppress(video: Video, graph: LinkGraph, nms_iou: float = 0.45):
     """Extract tubelets best-first, average their scores, suppress around members.
 
     Repeats until every detection is either re-scored as a tubelet member or
@@ -218,22 +225,26 @@ def rescore_and_suppress(
     their re-scored values; geometry is never modified. Extraction runs
     within each component of nodes joined by link edges or clashes; one
     changes only its own component, so the result is the whole-video one.
+
+    A ``VideoDetectionSet`` gives the set of its surviving rows; per-frame
+    ``Detection`` lists give per-frame lists of re-scored copies.
     """
-    if len(video) != graph.n_frames:
+    frames = _as_set(video)
+    if frames.n_frames != graph.n_frames:
         raise ValueError("video and graph frame counts differ")
 
-    scores = [[d.score for d in frame] for frame in video]
+    bounds = frames.offsets.tolist()
+    scores = [frames.score[a:b].tolist() for a, b in zip(bounds, bounds[1:])]
     # clashes[t][i]: the other nodes of frame t that a member (t, i) suppresses.
     clashes = []
-    for frame in video:
-        boxes = [d.box for d in frame]
-        hits = _overlaps_above(frame, boxes, frame, boxes, nms_iou)
+    for a, b in zip(bounds, bounds[1:]):
+        classes, boxes = frames.class_id[a:b], frames.boxes[a:b]
+        hits = _overlaps_above(classes, boxes, classes, boxes, nms_iou)
         np.fill_diagonal(hits, False)
         clashes.append(_row_table(hits))
 
-    # Node (t, i) has the flat id offsets[t] + i; parent is a union-find forest.
-    offsets = [0, *accumulate(len(frame) for frame in video)]
-    parent = list(range(offsets[-1]))
+    # Node (t, i) has the flat id bounds[t] + i, its row; parent is a union-find forest.
+    parent = list(range(bounds[-1]))
 
     def find(a: int) -> int:
         while parent[a] != a:
@@ -245,26 +256,29 @@ def rescore_and_suppress(
     for t, u, table in links:
         for i, js in table.items():
             for j in js:
-                parent[find(offsets[t] + i)] = find(offsets[u] + j)
+                parent[find(bounds[t] + i)] = find(bounds[u] + j)
 
     # components[root] = {frame: alive nodes}, frames in ascending order.
     components: dict[int, dict[int, set[int]]] = {}
     for t, frame_nodes in enumerate(graph.nodes):
         for i in frame_nodes:
-            components.setdefault(find(offsets[t] + i), {}).setdefault(t, set()).add(i)
+            components.setdefault(find(bounds[t] + i), {}).setdefault(t, set()).add(i)
 
-    rescored: list[float | None] = [None] * offsets[-1]
+    rescored: list[float | None] = [None] * bounds[-1]
     for alive in components.values():
         while alive:
             tube = best_path(graph, scores, alive)
             mean = tube.rescored
             for t, i in tube.members:
-                rescored[offsets[t] + i] = mean
+                rescored[bounds[t] + i] = mean
                 alive[t].discard(i)
             for t, i in tube.members:
                 alive[t].difference_update(clashes[t].get(i, ()))
                 if not alive[t]:
                     del alive[t]
 
-    return [[d.with_score(rescored[offsets[t] + i]) for i, d in enumerate(frame) if rescored[offsets[t] + i] is not None]
+    if isinstance(video, VideoDetectionSet):
+        kept = np.array([score is not None for score in rescored], bool)
+        return video.select(kept, [score for score in rescored if score is not None])
+    return [[d.with_score(rescored[bounds[t] + i]) for i, d in enumerate(frame) if rescored[bounds[t] + i] is not None]
             for t, frame in enumerate(video)]

@@ -21,7 +21,7 @@ from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
 
-from .detections import PROVENANCE_DETECTED, Detection
+from .detections import PROVENANCE_DETECTED, PROVENANCES
 from .evalio import _JSON_TYPES, MAX_FRAME_INDEX, VideoDetectionSet, read_json_object, write_json_object
 from .geometry import MAX_COORDINATE, Box
 from .tensor_ops import FeaturePyramid
@@ -174,15 +174,17 @@ def generate(spec: ScenarioSpec) -> tuple[VideoDetectionSet, VideoDetectionSet]:
     """
     rng = np.random.default_rng(spec.seed)
     pool = sorted({o.class_id for o in spec.objects})
+    detected = PROVENANCES.index(PROVENANCE_DETECTED)
 
-    gt_frames: list[list[Detection]] = [[] for _ in range(spec.n_frames)]
-    det_frames: list[list[Detection]] = [[] for _ in range(spec.n_frames)]
+    # Rows of the two sets' columns, as ``VideoDetectionSet.from_rows`` takes them.
+    gt_rows: list[tuple] = []
+    det_rows: list[tuple] = []
     for frame in range(spec.n_frames):
         for track_id, obj in enumerate(spec.objects):
             if not obj.alive(frame):
                 continue
             box = obj.box_at(frame)
-            gt_frames[frame].append(Detection(frame, obj.class_id, 1.0, box, track_id))
+            gt_rows.append((frame, obj.class_id, 1.0, *box.corners(), track_id, 0))
 
             if rng.uniform() < spec.noise.miss_prob:
                 continue
@@ -194,8 +196,8 @@ def generate(spec: ScenarioSpec) -> tuple[VideoDetectionSet, VideoDetectionSet]:
                 others = [c for c in pool if c != obj.class_id]
                 if others:
                     class_id = others[rng.integers(len(others))]
-            det_frames[frame].append(Detection(frame, class_id, obj.score_factor(frame), Box(x1, y1, x2, y2),
-                                               provenance=PROVENANCE_DETECTED))
+            det_rows.append((frame, class_id, obj.score_factor(frame), *Box(x1, y1, x2, y2).corners(), None,
+                             detected))
 
         if spec.noise.false_positive_rate > 0:
             for _ in range(rng.poisson(spec.noise.false_positive_rate)):
@@ -205,10 +207,11 @@ def generate(spec: ScenarioSpec) -> tuple[VideoDetectionSet, VideoDetectionSet]:
                 fcy = rng.uniform(fh / 2, spec.height - fh / 2)
                 class_id = pool[rng.integers(len(pool))] if pool else 0
                 score = rng.uniform(spec.noise.fp_score_low, spec.noise.fp_score_high)
-                det_frames[frame].append(Detection(frame, class_id, score, Box.from_center(fcx, fcy, fw, fh),
-                                                   provenance=PROVENANCE_DETECTED))
+                det_rows.append((frame, class_id, score, *Box.from_center(fcx, fcy, fw, fh).corners(), None,
+                                 detected))
 
-    return VideoDetectionSet(spec.video, gt_frames), VideoDetectionSet(spec.video, det_frames)
+    return (VideoDetectionSet.from_rows(spec.video, gt_rows, spec.n_frames),
+            VideoDetectionSet.from_rows(spec.video, det_rows, spec.n_frames))
 
 
 def render_features(spec: ScenarioSpec, frame: int) -> FeaturePyramid:

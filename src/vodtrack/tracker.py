@@ -19,8 +19,8 @@ pipeline can run and be tested without trained weights.
 
 from __future__ import annotations
 
+import functools
 import math
-import struct
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -342,35 +342,149 @@ class NoiseParams:
             raise ValueError("failure_prob must be in [0, 1]")
 
 
+# The oracle seeds one PCG64 stream per box, keyed on the box's own identity
+# so that results do not depend on how calls are batched. The entropy is the
+# int list [seed, frame, class_id, *bits of each float64 corner], as
+# ``SeedSequence`` takes it: numpy splits each int into its little-endian
+# 32-bit words without high zero words (at least one word, so 0 and a 0.0
+# corner give [0]). ``_frame_states`` runs numpy's ``SeedSequence`` hash
+# (a pool of 4 words) and PCG64's seeding for every box of a frame at once,
+# on uint32 lanes: the hash constants depend only on the call count, so each
+# step is one operation on all boxes. Constants are numpy's
+# (``numpy/random/bit_generator.pyx``, ``pcg64.h``).
 _WORD = 0xFFFFFFFF
+_POOL = 4
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+
+def _hash_constants(init: int, mult: int, n_calls: int) -> tuple[np.ndarray, np.ndarray]:
+    """What call ``k`` of a hash xors in and multiplies by: ``h_k`` and ``h_(k+1)``,
+    where ``h_0 = init`` and ``h_(k+1) = h_k * mult`` mod 2**32."""
+    h = [init]
+    for _ in range(n_calls):
+        h.append(h[-1] * mult & _WORD)
+    h = np.array(h, np.uint32)
+    return h[:-1], h[1:]
+
+
+@functools.cache
+def _pool_constants(n_words: int):
+    """The mixing constants of ``n_words`` entropy words, shaped per step: filling
+    the pool ``(4, 1)``, mixing it (one ``(4, 1)`` per source word, a zero row at
+    the source) and adding each further word ``(n_words - 4, 4, 1)``."""
+    xor, mult = _hash_constants(_INIT_A, _MULT_A, _POOL * _POOL + _POOL * (n_words - _POOL))
+    mixing = np.zeros((2, _POOL, _POOL, 1), np.uint32)
+    k = _POOL
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if dst != src:
+                mixing[:, src, dst, 0] = xor[k], mult[k]
+                k += 1
+    fill = xor[:_POOL, None], mult[:_POOL, None]
+    rest = xor[k:].reshape(-1, _POOL, 1), mult[k:].reshape(-1, _POOL, 1)
+    return fill, mixing, rest
+
+
+# generate_state(4, uint64) reads the pool twice over, 8 uint32 words.
+_OUT_XOR, _OUT_MULT = (c.reshape(2, _POOL, 1) for c in _hash_constants(_INIT_B, _MULT_B, 2 * _POOL))
+
+
+def _hashmix(values: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    out = values ^ xor
+    out *= mult
+    out ^= out >> 16
+    return out
+
+
+def _words(n: int) -> list[int]:
+    """``n``'s little-endian 32-bit words without high zero words, as SeedSequence splits it."""
+    if n < 0:  # a negative int has no words: n >>= 32 never reaches 0
+        raise ValueError(f"expected non-negative integer, got {n}")
+    words = [n & _WORD]
+    while n := n >> 32:
+        words.append(n & _WORD)
+    return words
+
+
+def _frame_states(seed: int, frame: int, class_ids, corners) -> list[dict]:
+    """The PCG64 state of the stream of each box of one frame.
+
+    ``class_ids`` holds the boxes' non-negative class ids and ``corners``
+    their ``(n, 4)`` float64 corners. Entry ``i`` equals
+    ``PCG64(SeedSequence([seed, frame, class_ids[i], *corner bits])).state``.
+    """
+    prefix = _words(seed) + _words(frame)
+    n = len(class_ids)
+    # Each box's fields as (low, high) word pairs. A zero high word is
+    # dropped: the words after it move up one row, and it goes to a spare
+    # last row that is never read.
+    fields = np.empty((5, n), np.uint64)
+    fields[0] = class_ids
+    fields[1:] = np.asarray(corners, np.float64).reshape(n, 4).view(np.uint64).T
+    pairs = np.empty((10, n), np.uint32)
+    pairs[0::2] = fields
+    pairs[1::2] = fields >> np.uint64(32)
+    kept = np.ones((10, n), bool)
+    kept[1::2] = pairs[1::2] != 0
+    rows = np.cumsum(kept, axis=0)
+    rows += len(prefix) - 1
+    length = rows[-1] + 1
+    words = np.zeros((len(prefix) + 11, n), np.uint32)  # rows past an entropy's end stay 0
+    words[: len(prefix)] = np.array(prefix, np.uint32)[:, None]
+    words[np.where(kept, rows, len(words) - 1), np.arange(n)] = pairs
+    shortest, longest = (int(length.min()), int(length.max())) if n else (0, 0)
+
+    (fill_xor, fill_mult), mixing, (rest_xor, rest_mult) = _pool_constants(len(words) - 1)
+    pool = _hashmix(words[:_POOL], fill_xor, fill_mult)
+    for src in range(_POOL):
+        h = _hashmix(pool[src], mixing[0, src], mixing[1, src])
+        h *= _MIX_R
+        mixed = pool * _MIX_L
+        mixed -= h
+        mixed ^= mixed >> 16
+        mixed[src] = pool[src]
+        pool = mixed
+    rest = words[_POOL:longest, None]
+    h = _hashmix(rest, rest_xor[: len(rest)], rest_mult[: len(rest)])
+    h *= _MIX_R
+    for row, h_row in enumerate(h, start=_POOL):
+        mixed = pool * _MIX_L
+        mixed -= h_row
+        mixed ^= mixed >> 16
+        pool = mixed if row < shortest else np.where(row < length, mixed, pool)
+
+    out = _hashmix(pool, _OUT_XOR, _OUT_MULT).reshape(2 * _POOL, n).astype(np.uint64)
+    seed_hi, seed_lo, inc_hi, inc_lo = (out[0::2] | out[1::2] << np.uint64(32)).tolist()
+    states = []
+    for s_hi, s_lo, i_hi, i_lo in zip(seed_hi, seed_lo, inc_hi, inc_lo):
+        # pcg64_set_seed: inc = 2 * initseq + 1, then two LCG steps from 0
+        # with the initial state added in between.
+        inc = (i_hi << 65 | i_lo << 1 | 1) & _MASK128
+        state = ((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc & _MASK128
+        states.append({"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                       "has_uint32": 0, "uinteger": 0})
+    return states
 
 
 def _det_rng(seed: int, det: Detection) -> np.random.Generator:
-    # Keyed on the detection's own identity so results do not depend on how
-    # calls are batched. The entropy is the int list [seed, frame, class_id,
-    # *bits of each float64 corner], handed to SeedSequence as the uint32
-    # words numpy itself splits such a list into: each int gives its
-    # little-endian 32-bit words without high zero words, and at least one
-    # word, so 0 (and a 0.0 corner) gives [0] and any int below 2**32 one
-    # word. The generator state is the list form's; building the words here
-    # halves the cost of seeding.
-    bits = struct.unpack("<4Q", struct.pack("<4d", *det.box.corners()))
-    words = []
-    for n in (seed, det.frame, det.class_id, *bits):
-        if n < 0:  # a negative int has no words: n >>= 32 never reaches 0
-            raise ValueError(f"expected non-negative integer, got {n}")
-        words.append(n & _WORD)
-        while n := n >> 32:
-            words.append(n & _WORD)
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(np.array(words, np.uint32))))
+    """The oracle's generator for ``det``, at the start of its stream."""
+    rng = np.random.Generator(np.random.PCG64())
+    rng.bit_generator.state = _frame_states(seed, det.frame, [det.class_id], [det.box.corners()])[0]
+    return rng
 
 
-def _perturb_box(b: Box, noise: NoiseParams, rng: np.random.Generator) -> Box:
-    tx = noise.center_sigma * rng.standard_normal()
-    ty = noise.center_sigma * rng.standard_normal()
-    sx = b.w * (1.0 - math.exp(noise.size_sigma * rng.standard_normal())) / 2.0
-    sy = b.h * (1.0 - math.exp(noise.size_sigma * rng.standard_normal())) / 2.0
-    return Box(b.x1 + tx + sx, b.y1 + ty + sy, b.x2 + tx - sx, b.y2 + ty - sy)
+def _perturb_box(corners: tuple[float, float, float, float], noise: NoiseParams,
+                 rng: np.random.Generator) -> Box:
+    x1, y1, x2, y2 = corners
+    dx, dy, dw, dh = rng.standard_normal(4).tolist()
+    tx = noise.center_sigma * dx
+    ty = noise.center_sigma * dy
+    sx = (x2 - x1) * (1.0 - math.exp(noise.size_sigma * dw)) / 2.0
+    sy = (y2 - y1) * (1.0 - math.exp(noise.size_sigma * dh)) / 2.0
+    return Box(x1 + tx + sx, y1 + ty + sy, x2 + tx - sx, y2 + ty - sy)
 
 
 # Smallest overlap at which a tracked box claims an object (oracle and replay).
@@ -391,6 +505,13 @@ def best_match(overlaps: np.ndarray, floor: float) -> np.ndarray:
     return np.where(eligible[np.arange(n), last] >= floor, last, -1)
 
 
+@functools.cache
+def _oracle_rng() -> np.random.Generator:
+    """The oracle's one generator, made on first use; each box sets the state of
+    its own stream before it draws."""
+    return np.random.Generator(np.random.PCG64(0))
+
+
 def oracle_track(
     boxes: list[Detection],
     gt,
@@ -408,32 +529,41 @@ def oracle_track(
 
     ``boxes`` are one frame's boxes; boxes from two frames raise
     ``ValueError``. ``gt`` is a :class:`~vodtrack.evalio.VideoDetectionSet`
-    whose records carry track ids. Deterministic for a fixed seed.
+    whose records carry track ids; it is read as columns. Each box draws
+    from its own stream, seeded from ``seed`` and the box's frame, class and
+    corners (see ``_frame_states``), so the result is deterministic and
+    does not depend on the other boxes of the call. An unmatched box draws
+    one uniform in ``[0, 0.5)``; a matched one draws 4 normals and a
+    uniform, and on failure one more uniform in ``[0, 0.5)``.
     """
     if not boxes:
         return []
     frame = frame_of(boxes)
-    here = gt.frames[frame] if frame < gt.n_frames else ()
-    after = gt.frames[frame + 1] if frame + 1 < gt.n_frames else ()
-    first_of_track = {g.track: j for j, g in reversed(list(enumerate(after)))}
-    matches = best_match(iou([det.box for det in boxes], [g.box for g in here]), MATCH_IOU)
+    here, after = gt.rows(frame), gt.rows(frame + 1)
+    here_tracks, after_boxes = gt.track_ids(here), gt.boxes[after]
+    after_corners = after_boxes.tolist()
+    first_of_track = {g: j for j, g in reversed(list(enumerate(gt.track_ids(after))))}
+    corners = np.array([det.box.corners() for det in boxes])
+    matches = best_match(iou(corners, gt.boxes[here]), MATCH_IOU)
+    states = _frame_states(seed, frame, [det.class_id for det in boxes], corners)
+    rng = _oracle_rng()
     preds: list[TrackPrediction | None] = [None] * len(boxes)
     # Boxes whose quality is the true overlap of their prediction: (k, predicted, next column).
     scored = []
-    for k, (det, m) in enumerate(zip(boxes, matches.tolist())):
-        rng = _det_rng(seed, det)
-        col = first_of_track.get(here[m].track) if m >= 0 else None
+    for k, (det, m, state) in enumerate(zip(boxes, matches.tolist(), states)):
+        rng.bit_generator.state = state
+        col = first_of_track.get(here_tracks[m]) if m >= 0 else None
         if col is None:
-            preds[k] = TrackPrediction(det, det.box, rng.uniform(0.0, 0.5))
+            preds[k] = TrackPrediction(det, det.box, 0.5 * rng.random())
             continue
-        predicted = _perturb_box(after[col].box, noise, rng)
-        if rng.uniform() < noise.failure_prob:
-            preds[k] = TrackPrediction(det, predicted, rng.uniform(0.0, 0.5))
+        predicted = _perturb_box(after_corners[col], noise, rng)
+        if rng.random() < noise.failure_prob:
+            preds[k] = TrackPrediction(det, predicted, 0.5 * rng.random())
         else:
             scored.append((k, predicted, col))
     if scored:
         ks, predicted, cols = zip(*scored)
-        quality = iou(predicted, [g.box for g in after])[np.arange(len(ks)), cols]
+        quality = iou(predicted, after_boxes)[np.arange(len(ks)), cols]
         for k, p, q in zip(ks, predicted, quality.tolist()):
             preds[k] = TrackPrediction(boxes[k], p, q)
     return preds

@@ -284,8 +284,26 @@ class TestTrack:
                      "--out", out)
         assert rc == 1
         assert capsys.readouterr().err == (
-            f"error [track]: --weights {weights} on {feat_dir / 'frame_0.feat'} and "
-            f"{feat_dir / 'frame_1.feat'}: input has 8 channels, kernel expects 5\n"
+            f"error [track]: --weights {weights} on {feat_dir / 'frame_0.feat'}: "
+            f"input has 8 channels, kernel expects 5\n"
+        )
+        assert not out.exists()
+
+    def test_one_frame_video_checks_feature_channels(self, learned_files, tmp_path, capsys):
+        # A one-frame video has no frame pair to track, but its weights must
+        # still take frame 0's channels.
+        dets, feat_dir, _, _ = learned_files
+        first = tmp_path / "first.jsonl"
+        first.write_text("".join(line + "\n" for line in dets.read_text().splitlines()
+                                 if json.loads(line)["frame"] == 0))
+        weights = tmp_path / "five.tensors"
+        save_weights(synthesize_weights(5, TrackerConfig(), seed=3, shared_head_channels=8), weights)
+        out = tmp_path / "p.jsonl"
+        rc = run_cli("track", "--dets", first, "--weights", weights, "--features-dir", feat_dir, "--out", out)
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error [track]: --weights {weights} on {feat_dir / 'frame_0.feat'}: "
+            f"input has 8 channels, kernel expects 5\n"
         )
         assert not out.exists()
 
@@ -370,6 +388,40 @@ class TestOracleGroundTruth:
         capsys.readouterr()
         fails_naming(capsys, self.ARGV[command](dets, gt, out),
                      f"{gt}: ground truth of video 'fast-3', but --dets {dets} holds video 'degraded-0'")
+        assert list(out.iterdir()) == []
+
+    # Each edit of the degraded preset's ground truth (seed 0: tracks 0-2
+    # in frames 0 and 1, one line each) leaves a frame in which the oracle
+    # cannot tell objects apart by track id.
+    TRACK_FAULTS = {
+        "every-track-null": (lambda r, i: r.update(track=None), 1,
+                             "ground truth without a track id; the oracle follows objects by track"),
+        "one-track-null": (lambda r, i: r.update(track=None) if i == 5 else None, 6,
+                           "ground truth without a track id; the oracle follows objects by track"),
+        "every-track-0": (lambda r, i: r.update(track=0), 2,
+                          "track 0 is held by another record of frame 0; the oracle follows objects by track"),
+        "repeated-in-frame-1": (lambda r, i: r.update(track=0) if r["frame"] == 1 and r["track"] == 2 else None,
+                                6, "track 0 is held by another record of frame 1; "
+                                   "the oracle follows objects by track"),
+    }
+
+    @pytest.mark.parametrize("command", ARGV)
+    @pytest.mark.parametrize("edit, line, complaint", TRACK_FAULTS.values(), ids=TRACK_FAULTS.keys())
+    def test_ground_truth_without_unique_track_ids_rejected(self, tmp_path, capsys, command, edit, line,
+                                                            complaint):
+        dets, gt = tmp_path / "dets.jsonl", tmp_path / "gt.jsonl"
+        assert run_cli("synth-gen", "--preset", "degraded", "--seed", "0",
+                       "--out-gt", gt, "--out-dets", dets) == 0
+        records = [json.loads(text) for text in gt.read_text().splitlines()]
+        assert [(r["frame"], r["track"]) for r in records[:6]] == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)]
+        for i, record in enumerate(records):
+            edit(record, i)
+        gt.write_text("".join(json.dumps(r) + "\n" for r in records))
+        out = tmp_path / "out"
+        out.mkdir()
+        capsys.readouterr()
+        assert run_cli(*self.ARGV[command](dets, gt, out)) == 1
+        assert capsys.readouterr().err == f"error [{command}]: {gt}:{line}: {complaint}\n"
         assert list(out.iterdir()) == []
 
 

@@ -4,7 +4,8 @@
 ``manifest.json`` (it holds timings and paths), for every preset × variant
 at seed 0 with oracle noise. It also pins every file of three staged chains
 (``synth-gen``, then ``tfd``, ``track``, ``link`` and ``eval``) on the
-``degraded`` and ``fast`` presets at seed 0. A change that claims the same
+``degraded`` and ``fast`` presets at seed 0, and one ``tfd-oracle`` chain on a dense spec of
+about 100 objects a frame (``dense_spec``). A change that claims the same
 outputs must leave these digests alone. After an intended output change,
 regenerate the file with ``PYTHONPATH=src python tests/test_golden_digests.py``.
 """
@@ -17,9 +18,11 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from vodtrack.cli import VARIANTS, main
+from vodtrack.synth import DetectorNoise, ObjectSpec, ScenarioSpec, save_scenario
 
 DIGESTS = Path(__file__).with_name("run_digests.json")
 PRESETS = ("clean", "degraded", "fast")
@@ -28,6 +31,25 @@ CHAIN_PRESETS = ("degraded", "fast")
 # tfd-oracle: tfd --oracle -> link seqtrack; seqnms: link seqnms on the raw
 # detections; track-replay: track --oracle -> tfd --preds -> link seqtrack.
 CHAINS = ("tfd-oracle", "seqnms", "track-replay")
+# Not a preset: the chains read ``dense_spec`` from a file.
+DENSE = "dense"
+
+
+def dense_spec() -> ScenarioSpec:
+    """About 100 objects in every frame of a 12-frame 1280x720 video, some born or
+    gone mid-video, with the benchmark's detector noise and 5 false positives a frame."""
+    rng = np.random.default_rng(2026)
+    objects = []
+    for _ in range(120):
+        w, h = (float(v) for v in rng.uniform(30.0, 80.0, 2))
+        objects.append(ObjectSpec(
+            class_id=int(rng.integers(5)), first_frame=int(rng.integers(0, 3)),
+            last_frame=int(rng.integers(9, 12)), cx=float(rng.uniform(60.0, 1220.0)),
+            cy=float(rng.uniform(60.0, 660.0)), w=w, h=h,
+            vx=float(rng.uniform(-2.0, 2.0)), vy=float(rng.uniform(-2.0, 2.0))))
+    noise = DetectorNoise(box_sigma=1.6, miss_prob=0.08, false_positive_rate=5.0)
+    return ScenarioSpec(width=1280, height=720, n_frames=12, objects=tuple(objects), noise=noise,
+                        seed=0, video="dense-0")
 
 
 def _digests(out: Path) -> dict[str, str]:
@@ -57,7 +79,11 @@ def chain_digests(preset: str, chain: str, work: Path) -> dict[str, str]:
 
     gt, dets = out / "gt.jsonl", out / "dets.jsonl"
     merged, preds, final = out / "merged.jsonl", out / "preds.jsonl", out / "final.jsonl"
-    cli("synth-gen", "--preset", preset, "--seed", "0", "--out-gt", gt, "--out-dets", dets)
+    scene = ["--preset", preset, "--seed", "0"]
+    if preset == DENSE:
+        scene = ["--spec", work / f"{preset}_spec.json"]
+        save_scenario(dense_spec(), scene[1])
+    cli("synth-gen", *scene, "--out-gt", gt, "--out-dets", dets)
     if chain == "seqnms":
         cli("link", "--dets", dets, "--mode", "seqnms", "--score-min", "0.03", "--out", final)
     else:
@@ -87,11 +113,17 @@ def test_staged_chain_outputs_match_golden_digests(preset, chain, tmp_path):
     assert chain_digests(preset, chain, tmp_path) == expected
 
 
+def test_dense_chain_outputs_match_golden_digests(tmp_path):
+    expected = json.loads(DIGESTS.read_text())[f"staged/{DENSE}/tfd-oracle"]
+    assert chain_digests(DENSE, "tfd-oracle", tmp_path) == expected
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         table = {f"{p}/{v}": run_digests(p, v, Path(tmp)) for p in PRESETS for v in VARIANTS}
         table.update(
             (f"staged/{p}/{c}", chain_digests(p, c, Path(tmp))) for p in CHAIN_PRESETS for c in CHAINS
         )
+        table[f"staged/{DENSE}/tfd-oracle"] = chain_digests(DENSE, "tfd-oracle", Path(tmp))
     DIGESTS.write_text(json.dumps(table, indent=2, sort_keys=True) + "\n")
     print(f"wrote {len(table)} entries to {DIGESTS}", file=sys.stderr)
