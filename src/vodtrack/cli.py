@@ -31,7 +31,7 @@ from .evalio import (
     save_predictions,
     write_json_object,
 )
-from .geometry import iou
+from .geometry import Box, iou
 from .linker import build_graph_seqnms, build_graph_seqtrack, rescore_and_suppress
 from .pipeline import PipelineConfig, final_detections, run_video
 from .synth import ScenarioSpec, generate, load_scenario, preset_scenario, save_scenario
@@ -186,17 +186,20 @@ def _add_manifest_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument("--manifest", help="write a run manifest JSON to this path")
 
 
-def make_replay_track_fn(stored: list[list[TrackPrediction]]):
-    """Replay per-frame file predictions: in candidate order, each candidate claims
-    the unclaimed stored prediction of its frame whose source box it overlaps most,
+def make_replay_track_fn(stored: VideoPredictions):
+    """Replay file predictions: in candidate order, each candidate claims the
+    unclaimed stored prediction of its frame whose source box it overlaps most,
     by ``best_match``. Unclaimed candidates come back with zero quality and are
-    filtered out. Each call takes one frame's boxes and leaves ``stored`` as it was."""
+    filtered out. Each call takes one frame's boxes, reads that frame's column
+    slices, and leaves ``stored`` as it was."""
 
     def track_fn(candidates: list[Detection]) -> list[TrackPrediction]:
         if not candidates:
             return []
-        entries = stored[frame_of(candidates)]
-        overlaps = iou([det.box for det in candidates], [pred.source.box for pred in entries])
+        t = frame_of(candidates)
+        rows = stored.dets.rows(t) if t < stored.n_predicted else slice(0)
+        overlaps = iou([det.box for det in candidates], stored.dets.boxes[rows])
+        boxes, quality = stored.boxes[rows].tolist(), stored.quality[rows].tolist()
         out = []
         for det, row in zip(candidates, overlaps):
             pos = best_match(row[None], MATCH_IOU)[0]
@@ -204,29 +207,25 @@ def make_replay_track_fn(stored: list[list[TrackPrediction]]):
                 out.append(TrackPrediction(det, det.box, 0.0))
             else:
                 overlaps[:, pos] = -np.inf  # claimed
-                pred = entries[pos]
-                out.append(TrackPrediction(det, pred.predicted_box, pred.quality))
+                out.append(TrackPrediction(det, Box(*boxes[pos]), quality[pos]))
         return out
 
     return track_fn
 
 
-def link_frames(vds: VideoDetectionSet, preds, link_iou: float, nms_iou: float,
+def link_frames(vds: VideoDetectionSet, preds: VideoPredictions | None, link_iou: float, nms_iou: float,
                 score_min: float = 0.0) -> VideoDetectionSet:
     """The link stage on one video's columns: score gate, tubelet graph, re-scoring.
 
     Rows below ``score_min`` are dropped, each with its prediction. With
-    ``preds`` (a ``VideoPredictions`` on ``vds``' rows, or per-frame
-    ``TrackPrediction`` lists aligned with its frames) the graph is
-    Seq-Track-NMS's, without it Seq-NMS's.
+    ``preds`` (on ``vds``' rows) the graph is Seq-Track-NMS's, without it
+    Seq-NMS's.
     """
     keep = vds.score >= score_min
     video = vds.select(keep)
     if preds is None:
         graph = build_graph_seqnms(video, link_iou)
     else:
-        if not isinstance(preds, VideoPredictions):
-            preds = VideoPredictions.aligned(vds, preds)
         preds = VideoPredictions(video, preds.boxes[keep], preds.quality[keep], preds.n_predicted)
         graph = build_graph_seqtrack(video, preds, link_iou)
     return rescore_and_suppress(video, graph, nms_iou)
@@ -261,8 +260,8 @@ def _check_tracker_flags(args, learned: dict[str, object]) -> None:
         raise ValueError(f"provide {' and '.join(learned)}{',' if len(learned) > 1 else ''} or --oracle")
 
 
-def _track_frames(vds: VideoDetectionSet, args, gt) -> list[list[TrackPrediction]]:
-    """Per-frame predictions from the oracle (given ``gt``) or the learned head.
+def _track_frames(vds: VideoDetectionSet, args, gt, cfg: TrackerConfig) -> VideoPredictions:
+    """Predictions on ``vds``' rows from the oracle (given ``gt``) or the learned head.
 
     The oracle predicts every frame, the last included (its boxes have no
     next ground-truth frame, so each comes back below quality 0.5); the
@@ -271,11 +270,9 @@ def _track_frames(vds: VideoDetectionSet, args, gt) -> list[list[TrackPrediction
     """
     if args.oracle:
         noise = _noise_from_args(args)
-        return [oracle_track(list(frame), gt, noise, args.oracle_seed) for frame in vds.frames]
+        return VideoPredictions.aligned(
+            vds, [oracle_track(list(frame), gt, noise, args.oracle_seed) for frame in vds.frames])
     weights = load_weights(args.weights)
-    cfg = TrackerConfig(
-        template_pool=args.template_pool, search_pool=args.search_pool, fuse_stride=args.fuse_stride,
-    )
     try:
         weights.folded_head(cfg.corr_size, cfg.corr_size)
     except ValueError as exc:
@@ -308,7 +305,7 @@ def _track_frames(vds: VideoDetectionSet, args, gt) -> list[list[TrackPrediction
             raise ValueError(f"--weights {args.weights} on {feature_file(t)} and "
                              f"{feature_file(t + 1)}: {exc}") from None
         current = following
-    return preds_per_frame
+    return VideoPredictions.aligned(vds, preds_per_frame)
 
 
 def _load_gt(args, vds: VideoDetectionSet, timings: dict) -> VideoDetectionSet:
@@ -338,18 +335,21 @@ def _load_gt(args, vds: VideoDetectionSet, timings: dict) -> VideoDetectionSet:
 
 def cmd_track(args, argv) -> int:
     _check_tracker_flags(args, {"--weights": args.weights, "--features-dir": args.features_dir})
+    try:
+        cfg = TrackerConfig(args.template_pool, args.search_pool, args.fuse_stride)
+    except ValueError as exc:
+        raise ValueError(f"--template-pool, --search-pool, --fuse-stride: {exc}") from None
     timings = {}
     vds = _timed(timings, "load", load_single_video, args.dets)
     gt = _load_gt(args, vds, timings) if args.oracle else None
-    preds_per_frame = _timed(timings, "track", _track_frames, vds, args, gt)
-    _timed(timings, "save", save_predictions, preds_per_frame, vds.video, args.out)
+    preds = _timed(timings, "track", _track_frames, vds, args, gt, cfg)
+    _timed(timings, "save", save_predictions, preds, args.out)
     _write_manifest(args.manifest, args, argv, {"preds": args.out}, timings)
-    n = sum(len(p) for p in preds_per_frame)
-    print(f"wrote {args.out} ({n} predictions over {len(preds_per_frame)} frames)")
+    print(f"wrote {args.out} ({vds.offsets[preds.n_predicted]} predictions over {preds.n_predicted} frames)")
     return 0
 
 
-def _load_preds(args, sets: list[VideoDetectionSet], timings: dict) -> dict[str, list[list]]:
+def _load_preds(args, sets: list[VideoDetectionSet], timings: dict) -> dict[str, VideoPredictions]:
     """``--preds`` loaded against the ``--dets`` videos; a fault names both files."""
     try:
         return _timed(timings, "load", load_predictions, args.preds, sets)
@@ -367,14 +367,14 @@ def cmd_tfd(args, argv) -> int:
     else:
         track_fn = make_replay_track_fn(_load_preds(args, [vds], timings)[vds.video])
 
-    merged, preds = _timed(timings, "pipeline", run_video, vds.frames, track_fn, cfg)
-    _timed(timings, "save", save_detections, VideoDetectionSet(vds.video, merged), args.out)
+    merged, preds = _timed(timings, "pipeline", run_video, vds, track_fn, cfg)
+    _timed(timings, "save", save_detections, merged, args.out)
     outputs = {"merged": args.out}
     if args.out_preds:
-        _timed(timings, "save", save_predictions, preds, vds.video, args.out_preds)
+        _timed(timings, "save", save_predictions, preds, args.out_preds)
         outputs["preds"] = args.out_preds
     _write_manifest(args.manifest, args, argv, outputs, timings)
-    print(f"wrote {args.out} ({sum(len(f) for f in merged)} merged detections)")
+    print(f"wrote {args.out} ({len(merged.score)} merged detections)")
     return 0
 
 
@@ -403,7 +403,10 @@ def cmd_eval(args, argv) -> int:
     timings = {}
     preds = _timed(timings, "load", load_detections, args.preds)
     gt = _timed(timings, "load", load_detections, args.gt)
-    result = _timed(timings, "eval", evaluate_map, preds, gt, args.iou)
+    try:
+        result = _timed(timings, "eval", evaluate_map, preds, gt, args.iou)
+    except ValueError as exc:
+        raise ValueError(f"{exc} (--preds {args.preds}, --gt {args.gt})") from None
 
     print(f"{'class':>8}  {'AP':>8}")
     for c in sorted(result.per_class_ap):
@@ -421,7 +424,7 @@ def run_variant(spec, variant: str, cfg: PipelineConfig, noise: NoiseParams,
 
     Returns ``(EvalResult, artifacts)``. ``artifacts`` holds the scene's
     ``gt`` and ``dets``, the evaluated ``final`` set, for the tfd variants
-    the ``merged`` set and per-frame ``preds``, and ``timings`` of the
+    the ``merged`` set and its ``preds``, and ``timings`` of the
     generate, variant and eval stages in seconds.
     """
     if variant not in VARIANTS:
@@ -432,14 +435,12 @@ def run_variant(spec, variant: str, cfg: PipelineConfig, noise: NoiseParams,
 
     def final_set() -> VideoDetectionSet:
         if variant == "detector":
-            return VideoDetectionSet(spec.video, final_detections(dets.frames, cfg))
+            return final_detections(dets, cfg)
         if variant == "seqnms":
             return link_frames(dets, None, link_iou, cfg.final_nms_iou, cfg.final_score_min)
-        merged, preds = run_video(dets.frames, make_oracle_track_fn(gt, noise, oracle_seed), cfg)
-        artifacts["merged"] = VideoDetectionSet(spec.video, merged)
-        artifacts["preds"] = preds
-        return link_frames(artifacts["merged"], preds if variant == "tfd+seqtracknms" else None,
-                           link_iou, cfg.final_nms_iou)
+        merged, preds = run_video(dets, make_oracle_track_fn(gt, noise, oracle_seed), cfg)
+        artifacts["merged"], artifacts["preds"] = merged, preds
+        return link_frames(merged, preds if variant == "tfd+seqtracknms" else None, link_iou, cfg.final_nms_iou)
 
     artifacts["final"] = _timed(timings, "variant", final_set)
     result = _timed(timings, "eval", evaluate_map, artifacts["final"], gt, eval_iou)
@@ -467,7 +468,7 @@ def cmd_run(args, argv) -> int:
     _write_result(out_dir / "result.json", args.variant, result)
     if "merged" in artifacts:
         _timed(timings, "save", save_detections, artifacts["merged"], out_dir / "merged.jsonl")
-        _timed(timings, "save", save_predictions, artifacts["preds"], spec.video, out_dir / "preds.jsonl")
+        _timed(timings, "save", save_predictions, artifacts["preds"], out_dir / "preds.jsonl")
         names += ["merged.jsonl", "preds.jsonl"]
     outputs = {Path(name).stem: str(out_dir / name) for name in names}
     _write_manifest(out_dir / "manifest.json", args, argv, outputs, timings,

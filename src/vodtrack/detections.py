@@ -30,9 +30,6 @@ class Detection:
     def __post_init__(self) -> None:
         check_detection(self.frame, self.class_id, self.score, self.provenance)
 
-    def with_score(self, score: float) -> "Detection":
-        return Detection(self.frame, self.class_id, score, self.box, self.track, self.provenance)
-
 
 @dataclass(frozen=True, slots=True)
 class TrackPrediction:

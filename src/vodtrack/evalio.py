@@ -18,7 +18,10 @@ filled in one pass over the lines; no object is built per record. A line
 as the writers write it passes one combined test, and any other line goes
 through the field checks one at a time, so a fault names its first bad
 field. Class and track ids are int64 columns, so a record's ids must fit
-int64. The writers format each line from columns.
+int64. The writers format each line from columns. Sets are the one form in
+which detections pass between whole-video stages; per-frame
+:class:`Detection` objects become columns only in ``VideoDetectionSet``'s
+constructor and :meth:`VideoPredictions.aligned`.
 
 Prediction files are JSON lines, one object per track prediction::
 
@@ -26,8 +29,10 @@ Prediction files are JSON lines, one object per track prediction::
      "quality": 0.87, "source": {"frame": 3, "class": 7, ...}}
 
 ``det`` indexes the source detection within its frame. ``source`` is a
-detection record without ``video``: it is written and read by the same
-code as a detection file's lines. A prediction file is read against the
+detection record without ``video``: it is written from the detection
+columns and read by the same code as a detection file's lines. The writer
+takes one video's :class:`VideoPredictions` and writes the rows of its
+predicted frames. A prediction file is read against the
 detections it was computed from: each record's ``source`` must equal the
 column values of the detection at its ``(video, frame, det)``, and the
 loaded :class:`VideoPredictions` are columns on those detections' rows.
@@ -58,7 +63,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .detections import PROVENANCES, Detection, TrackPrediction, check_detection, check_quality
+from .detections import PROVENANCES, Detection, check_detection, check_quality
 from .geometry import MAX_COORDINATE, Box, check_extent, iou
 from .tensor_ops import FeaturePyramid
 
@@ -110,8 +115,9 @@ class VideoDetectionSet:
 
     ``frames`` holds the same records as per-frame tuples of
     :class:`Detection`: the objects the set was built from, or objects built
-    from the columns on first use. The linker and the evaluator read the
-    columns only; the merge and the trackers work on the objects.
+    from the columns on first use. Only the per-frame merge and the
+    trackers work on the objects; every whole-video stage takes and returns
+    sets.
     """
 
     def __init__(self, video: str, frames: Iterable[Iterable[Detection]]) -> None:
@@ -121,7 +127,16 @@ class VideoDetectionSet:
                 if det.frame != t:
                     raise ValueError(f"detection with frame {det.frame} stored under frame {t}")
         offsets = np.cumsum([0, *map(len, frames)], dtype=np.int64)
-        self._set(video, offsets, *_record_columns([d for f in frames for d in f])[1:])
+        records, n = [d for f in frames for d in f], int(offsets[-1])
+        try:
+            self._set(video, offsets, np.fromiter((d.class_id for d in records), np.int64, n),
+                      np.fromiter((d.score for d in records), np.float64, n),
+                      np.fromiter((d.box.corners() for d in records), np.dtype((np.float64, 4)), n),
+                      np.fromiter((0 if d.track is None else d.track for d in records), np.int64, n),
+                      np.fromiter((d.track is not None for d in records), bool, n),
+                      np.fromiter((_PROVENANCE_CODE[d.provenance] for d in records), np.int8, n))
+        except OverflowError:
+            raise ValueError("a class id or track id lies outside int64") from None
         self._frames = frames
 
     def _set(self, video, offsets, class_id, score, boxes, track, has_track, provenance, lines=None):
@@ -206,9 +221,6 @@ class VideoDetectionSet:
             self._frames = tuple(tuple(dets[a:b]) for a, b in zip(bounds, bounds[1:]))
         return self._frames
 
-    def all_detections(self) -> list[Detection]:
-        return [d for frame in self.frames for d in frame]
-
     def select(self, keep: np.ndarray, score: np.ndarray | None = None) -> "VideoDetectionSet":
         """The rows where ``keep`` is true, in order; scored ``score`` (one per kept row) if given."""
         kept = np.concatenate([[0], np.cumsum(keep)])
@@ -225,10 +237,6 @@ class VideoPredictions:
     ``boxes[i]`` (predicted corners) and ``quality[i]`` are predicted from
     row ``i`` of ``dets``. The first ``n_predicted`` frames are predicted:
     every frame, or every frame but the last, whose rows then hold NaN.
-
-    As a sequence it is the per-frame lists of :class:`TrackPrediction`,
-    built on each access on ``dets.frames`` (an unpredicted last frame is
-    empty), and it compares equal to such lists.
     """
 
     def __init__(self, dets: VideoDetectionSet, boxes: np.ndarray, quality: np.ndarray,
@@ -239,56 +247,21 @@ class VideoPredictions:
     def aligned(cls, dets: VideoDetectionSet, preds_per_frame) -> "VideoPredictions":
         """Columns of per-frame predictions aligned index for index with ``dets``' frames.
 
-        The last frame's predictions are unread and may be absent.
+        The lists cover every frame, or every frame but the last.
         """
         n, preds = dets.n_frames, preds_per_frame
-        if len(preds) not in (n, n - 1) and not (n == 0 and not preds):
+        if len(preds) not in (n, n - 1):
             raise ValueError(f"predictions cover {len(preds)} frames, video has {n}")
         sizes = np.diff(dets.offsets).tolist()
-        for t in range(n - 1):
-            if len(preds[t]) != sizes[t]:
-                raise ValueError(f"frame {t}: {len(preds[t])} predictions for {sizes[t]} detections")
-        predicted = [p for frame in preds[: max(n - 1, 0)] for p in frame]
+        for t, frame in enumerate(preds):
+            if len(frame) != sizes[t]:
+                raise ValueError(f"frame {t}: {len(frame)} predictions for {sizes[t]} detections")
+        predicted = [p for frame in preds for p in frame]
         boxes = np.full((len(dets.score), 4), np.nan)
         quality = np.full(len(dets.score), np.nan)
         boxes[: len(predicted)] = np.reshape([p.predicted_box.corners() for p in predicted], (-1, 4))
         quality[: len(predicted)] = [p.quality for p in predicted]
-        return cls(dets, boxes, quality, max(n - 1, 0))
-
-    def __len__(self) -> int:
-        return self.dets.n_frames
-
-    def __getitem__(self, t: int) -> list[TrackPrediction]:
-        t = range(len(self))[t]
-        if t >= self.n_predicted:
-            return []
-        rows = self.dets.rows(t)
-        return list(map(TrackPrediction, self.dets.frames[t], map(Box, *self.boxes[rows].T.tolist()),
-                        self.quality[rows].tolist()))
-
-    def __iter__(self):
-        return map(self.__getitem__, range(len(self)))
-
-    def __eq__(self, other) -> bool:
-        try:
-            return list(self) == list(other)
-        except TypeError:
-            return NotImplemented
-
-
-def _record_columns(records: Sequence[Detection]) -> tuple[np.ndarray, ...]:
-    """The frame of each record, then its values in ``_COLUMNS`` order; an id past int64 raises ``ValueError``."""
-    n = len(records)
-    try:
-        return (np.fromiter((d.frame for d in records), np.int64, n),
-                np.fromiter((d.class_id for d in records), np.int64, n),
-                np.fromiter((d.score for d in records), np.float64, n),
-                np.fromiter((d.box.corners() for d in records), np.dtype((np.float64, 4)), n),
-                np.fromiter((0 if d.track is None else d.track for d in records), np.int64, n),
-                np.fromiter((d.track is not None for d in records), bool, n),
-                np.fromiter((_PROVENANCE_CODE[d.provenance] for d in records), np.int8, n))
-    except OverflowError:
-        raise ValueError("a frame index, class id or track id lies outside int64") from None
+        return cls(dets, boxes, quality, len(preds))
 
 
 # A detection record's fields after ``video``, in file order, and the two
@@ -477,24 +450,19 @@ def load_single_video(path) -> VideoDetectionSet:
     return sets[0]
 
 
-def save_predictions(preds_per_frame, video: str, path) -> None:
-    """Write per-frame track predictions as JSON lines.
-
-    ``preds_per_frame`` is a sequence over frames of prediction lists, each
-    aligned by index with the detections they were computed from.
-    """
-    preds = [p for frame in preds_per_frame for p in frame]
-    frames = [t for t, frame in enumerate(preds_per_frame) for _ in frame]
-    indices = [i for frame in preds_per_frame for i in range(len(frame))]
-    video = repeat(json.dumps(video))
+def save_predictions(preds: VideoPredictions, path) -> None:
+    """Write one video's track predictions as JSON lines, row by row over its predicted frames."""
+    dets, n = preds.dets, int(preds.dets.offsets[preds.n_predicted])
+    frame = dets.frame_index()[:n]
+    index = np.arange(n) - dets.offsets[frame]
+    video = repeat(json.dumps(dets.video))
     with open(path, "w", encoding="utf-8") as fh:
-        for start in range(0, len(preds), _BLOCK):
-            rows = slice(start, start + _BLOCK)
-            boxes = np.array([p.predicted_box.corners() for p in preds[rows]], np.float64).reshape(-1, 4)
-            quality = np.array([p.quality for p in preds[rows]], np.float64)
-            sources = _field_values(*_record_columns([p.source for p in preds[rows]]))
+        for start in range(0, n, _BLOCK):
+            rows = slice(start, min(start + _BLOCK, n))
+            sources = _field_values(frame[rows], *(column[rows] for column in dets.columns))
             fh.writelines(map(_PREDICTION_LINE.__mod__, zip(
-                video, frames[rows], indices[rows], *boxes.T.tolist(), quality.tolist(), *sources)))
+                video, frame[rows].tolist(), index[rows].tolist(), *preds.boxes[rows].T.tolist(),
+                preds.quality[rows].tolist(), *sources)))
 
 
 def load_predictions(path, sets: Sequence[VideoDetectionSet]) -> dict[str, VideoPredictions]:

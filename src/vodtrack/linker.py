@@ -11,10 +11,9 @@ represents frame ``t`` when testing overlap against frame ``t+1``: the raw
 detection itself, or the tracker's predicted next-frame box (which keeps
 links alive under large motion).
 
-Each stage reads a video as a :class:`~vodtrack.evalio.VideoDetectionSet`,
-one frame's column slices at a time, and returns one. Per-frame lists of
-``Detection`` objects (and of ``TrackPrediction``) are read as their columns,
-and re-scoring returns such lists for them.
+Each stage takes a video as a :class:`~vodtrack.evalio.VideoDetectionSet`
+(and its predictions as a :class:`~vodtrack.evalio.VideoPredictions`) and
+reads them one frame's column slices at a time; re-scoring returns a set.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .detections import Detection, TrackPrediction
 from .evalio import VideoDetectionSet, VideoPredictions
 from .geometry import iou
 
@@ -88,13 +86,6 @@ class Tubelet:
         return self.path_score / len(self.members)
 
 
-Video = VideoDetectionSet | Sequence[Sequence[Detection]]
-
-
-def _as_set(video: Video) -> VideoDetectionSet:
-    return video if isinstance(video, VideoDetectionSet) else VideoDetectionSet("", video)
-
-
 def _overlaps_above(classes_a, boxes_a, classes_b, boxes_b, thresh: float) -> np.ndarray:
     """Boolean matrix: box ``a[i]`` and ``b[j]`` share a class and overlap above ``thresh``."""
     return (iou(boxes_a, boxes_b) > thresh) & (classes_a[:, None] == classes_b)
@@ -121,31 +112,25 @@ def _build_graph(video: VideoDetectionSet, probes: np.ndarray, link_iou: float) 
     return LinkGraph(nodes=tuple(tuple(range(len(frame))) for frame in video), edges=edges)
 
 
-def build_graph_seqnms(video: Video, link_iou: float = LINK_IOU_DEFAULT) -> LinkGraph:
+def build_graph_seqnms(video: VideoDetectionSet, link_iou: float = LINK_IOU_DEFAULT) -> LinkGraph:
     """Link detections whose own boxes overlap across consecutive frames.
 
     An edge requires the same class and strictly more than ``link_iou``
     overlap between the frame-``t`` box and the frame-``t+1`` box.
     """
-    video = _as_set(video)
     return _build_graph(video, video.boxes, link_iou)
 
 
 def build_graph_seqtrack(
-    video: Video,
-    preds: VideoPredictions | Sequence[Sequence[TrackPrediction]],
+    video: VideoDetectionSet,
+    preds: VideoPredictions,
     link_iou: float = LINK_IOU_DEFAULT,
 ) -> LinkGraph:
     """Link using each detection's tracker-predicted next-frame box.
 
-    ``preds`` predicts from ``video``'s rows: a ``VideoPredictions`` on
-    them, or per-frame lists aligned index for index with ``video``'s frames
-    (see :meth:`VideoPredictions.aligned`). The final frame's predictions
+    ``preds`` predicts from ``video``'s rows. The final frame's predictions
     are unused and may be absent.
     """
-    video = _as_set(video)
-    if not isinstance(preds, VideoPredictions):
-        preds = VideoPredictions.aligned(video, preds)
     if len(preds.boxes) != len(video.score) or preds.n_predicted < video.n_frames - 1:
         raise ValueError(f"predictions on {len(preds.boxes)} rows over {preds.n_predicted} frames "
                          f"do not cover a video of {len(video.score)} rows over {video.n_frames} frames")
@@ -216,7 +201,7 @@ def best_path(
     return Tubelet(members=members, path_score=total)
 
 
-def rescore_and_suppress(video: Video, graph: LinkGraph, nms_iou: float = 0.45):
+def rescore_and_suppress(video: VideoDetectionSet, graph: LinkGraph, nms_iou: float = 0.45) -> VideoDetectionSet:
     """Extract tubelets best-first, average their scores, suppress around members.
 
     Repeats until every detection is either re-scored as a tubelet member or
@@ -225,20 +210,17 @@ def rescore_and_suppress(video: Video, graph: LinkGraph, nms_iou: float = 0.45):
     their re-scored values; geometry is never modified. Extraction runs
     within each component of nodes joined by link edges or clashes; one
     changes only its own component, so the result is the whole-video one.
-
-    A ``VideoDetectionSet`` gives the set of its surviving rows; per-frame
-    ``Detection`` lists give per-frame lists of re-scored copies.
+    Returns the set of surviving rows.
     """
-    frames = _as_set(video)
-    if frames.n_frames != graph.n_frames:
+    if video.n_frames != graph.n_frames:
         raise ValueError("video and graph frame counts differ")
 
-    bounds = frames.offsets.tolist()
-    scores = [frames.score[a:b].tolist() for a, b in zip(bounds, bounds[1:])]
+    bounds = video.offsets.tolist()
+    scores = [video.score[a:b].tolist() for a, b in zip(bounds, bounds[1:])]
     # clashes[t][i]: the other nodes of frame t that a member (t, i) suppresses.
     clashes = []
     for a, b in zip(bounds, bounds[1:]):
-        classes, boxes = frames.class_id[a:b], frames.boxes[a:b]
+        classes, boxes = video.class_id[a:b], video.boxes[a:b]
         hits = _overlaps_above(classes, boxes, classes, boxes, nms_iou)
         np.fill_diagonal(hits, False)
         clashes.append(_row_table(hits))
@@ -277,8 +259,5 @@ def rescore_and_suppress(video: Video, graph: LinkGraph, nms_iou: float = 0.45):
                 if not alive[t]:
                     del alive[t]
 
-    if isinstance(video, VideoDetectionSet):
-        kept = np.array([score is not None for score in rescored], bool)
-        return video.select(kept, [score for score in rescored if score is not None])
-    return [[d.with_score(rescored[bounds[t] + i]) for i, d in enumerate(frame) if rescored[bounds[t] + i] is not None]
-            for t, frame in enumerate(video)]
+    kept = np.array([score is not None for score in rescored], bool)
+    return video.select(kept, [score for score in rescored if score is not None])

@@ -5,6 +5,10 @@ objects into the frame, keeps the confident tracks, and admits a new
 detection only where it does not collide with a tracked box. Tracked boxes
 win collisions because the tracker localizes a known object better than a
 fresh detection ranked by class score alone.
+
+:func:`run_video` and :func:`final_detections` take and return whole videos
+as :mod:`~vodtrack.evalio` columns; ``Detection`` and ``TrackPrediction``
+objects exist only inside the per-frame merge and the track functions.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .detections import PROVENANCE_DETECTED, PROVENANCE_TRACKED, Detection, TrackPrediction
+from .evalio import VideoDetectionSet, VideoPredictions
 from .geometry import iou
 
 __all__ = [
@@ -155,16 +160,16 @@ def tfd_merge(
 
 
 def run_video(
-    frames: Sequence[Sequence[Detection]],
+    video: VideoDetectionSet,
     track_fn: Callable[[list[Detection]], list[TrackPrediction]],
     cfg: PipelineConfig,
-) -> tuple[list[list[Detection]], list[list[TrackPrediction]]]:
+) -> tuple[VideoDetectionSet, VideoPredictions]:
     """Run the tracking-first merge over a whole video, frame by frame.
 
-    ``frames[t]`` holds frame ``t``'s detections. The previous frame's
-    emitted detections (score-gated) are tracked into frame ``t``, filtered,
-    and merged with frame ``t``'s score-gated detector output; admitted
-    detections take fresh track ids, counting up from 0 over the video.
+    The previous frame's emitted detections (score-gated) are tracked into
+    frame ``t``, filtered, and merged with frame ``t``'s score-gated
+    detector output; admitted detections take fresh track ids, counting up
+    from 0 over the video.
 
     ``track_fn`` is called once per frame, in frame order, with boxes of
     exactly one frame (frame ``t - 1``; none for frame 0). It returns one
@@ -172,16 +177,16 @@ def run_video(
     The oracle and replay track functions raise ``ValueError`` for boxes
     from two frames in one call.
 
-    Returns the per-frame merged detections and, aligned with each merged
-    frame, the track predictions made from it (empty for the last frame).
-    Predictions align index for index with the merged lists because every
-    emitted detection passes the tracking score gate by construction.
+    Returns the merged set and the track predictions made from its rows
+    (every frame but the last is predicted). Predictions align row for row
+    with the merged set because every emitted detection passes the
+    tracking score gate by construction.
     """
     emitted: list[Detection] = []
     next_id = 0
     merged: list[list[Detection]] = []
     preds: list[list[TrackPrediction]] = []
-    for t, dets in enumerate(frames):
+    for t, dets in enumerate(video.frames):
         candidates = [d for d in emitted if d.score >= cfg.detect_to_track_score]
         frame_preds = track_fn(candidates)
         if len(frame_preds) != len(candidates):
@@ -198,19 +203,19 @@ def run_video(
         if t > 0:
             preds.append(frame_preds)
         merged.append(emitted)
-    preds.append([])
-    return merged, preds
+    merged_set = VideoDetectionSet(video.video, merged)
+    return merged_set, VideoPredictions.aligned(merged_set, preds)
 
 
-def final_detections(frames: Sequence[Sequence[Detection]], cfg: PipelineConfig) -> list[list[Detection]]:
+def final_detections(video: VideoDetectionSet, cfg: PipelineConfig) -> VideoDetectionSet:
     """Detector-only output: score threshold then per-class suppression."""
-    out: list[list[Detection]] = []
-    for dets in frames:
-        strong = [d for d in dets if d.score >= cfg.final_score_min]
-        boxes = [d.box for d in strong]
-        classes = np.array([d.class_id for d in strong])
+    keep = np.zeros(len(video.score), bool)
+    bounds = video.offsets.tolist()
+    for a, b in zip(bounds, bounds[1:]):
+        strong = np.flatnonzero(video.score[a:b] >= cfg.final_score_min) + a
+        boxes, classes = video.boxes[strong], video.class_id[strong]
         # Suppression runs per class: boxes of different classes never clash.
         clash = ~(iou(boxes, boxes) <= cfg.final_nms_iou) & (classes[:, None] == classes)
-        order = sorted(range(len(strong)), key=lambda i: -strong[i].score)
-        out.append([strong[i] for i in sorted(_greedy_keep(order, clash))])
-    return out
+        order = np.argsort(-video.score[strong], kind="stable")
+        keep[strong[_greedy_keep(order.tolist(), clash)]] = True
+    return video.select(keep)

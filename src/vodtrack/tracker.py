@@ -74,7 +74,9 @@ class TrackerConfig:
 
     def __post_init__(self) -> None:
         if self.template_pool < 1 or self.search_pool < 1:
-            raise ValueError("pool sizes must be positive")
+            raise ValueError(f"pool sizes must be positive, got {self.template_pool} and {self.search_pool}")
+        if self.fuse_stride is not None and self.fuse_stride < 1:
+            raise ValueError(f"fuse_stride must be positive, got {self.fuse_stride}")
         if self.search_pool < self.template_pool:
             raise ValueError(
                 f"search_pool ({self.search_pool}) must be at least template_pool ({self.template_pool})"

@@ -327,6 +327,23 @@ def json_prediction_lines(preds_per_frame, video: str) -> str:
         for t, preds in enumerate(preds_per_frame) for i, p in enumerate(preds))
 
 
+def prediction_lists(preds) -> list[list]:
+    """A ``VideoPredictions`` read back as per-frame ``TrackPrediction`` lists on its
+    detections' ``frames``, for assertions made per prediction; a frame it does
+    not predict is empty."""
+    from vodtrack.detections import TrackPrediction
+    from vodtrack.geometry import Box
+
+    frames, out, row = preds.dets.frames, [], 0
+    for t, frame in enumerate(frames):
+        out.append([])
+        for det in frame:
+            if t < preds.n_predicted:
+                out[t].append(TrackPrediction(det, Box(*preds.boxes[row].tolist()), float(preds.quality[row])))
+            row += 1
+    return out
+
+
 def list_seeded_rng(seed: int, det) -> np.random.Generator:
     """The oracle tracker's per-box generator, seeded from a list of Python ints."""
     bits = np.array(det.box.corners(), dtype=np.float64).view(np.uint64)

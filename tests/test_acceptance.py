@@ -21,7 +21,7 @@ from oracles import (
 )
 from vodtrack.cli import main, run_variant
 from vodtrack.detections import Detection
-from vodtrack.evalio import load_detections, save_detections
+from vodtrack.evalio import VideoDetectionSet, load_detections, save_detections
 from vodtrack.geometry import Box, decode, encode
 from vodtrack.linker import best_path, build_graph_seqnms, rescore_and_suppress
 from vodtrack.pipeline import PipelineConfig
@@ -71,7 +71,7 @@ def test_criterion_1_linker_oracle_equivalence():
     rng = np.random.default_rng(2024)
     for _ in range(500):
         video = random_instance(rng)
-        graph = build_graph_seqnms(video)
+        graph = build_graph_seqnms(VideoDetectionSet("v", video))
         scores = [[d.score for d in f] for f in video]
         edges = {
             (t, i): list(succ)
@@ -87,7 +87,7 @@ def test_criterion_1_linker_oracle_equivalence():
             assert got.path_score == want_score
             assert list(got.members) == want_path
 
-        rescored = rescore_and_suppress(video, graph, 0.45)
+        rescored = rescore_and_suppress(VideoDetectionSet("v", video), graph, 0.45).frames
         ref = reference_rescore(
             [[(d.class_id, d.score, d.box.corners()) for d in f] for f in video],
             edges,

@@ -9,15 +9,19 @@ import pytest
 
 import vodtrack.cli as cli
 import vodtrack.tracker as tracker
+from oracles import prediction_lists
 from vodtrack.cli import main
 from vodtrack.detections import Detection
 from vodtrack.evalio import (
     MAX_FRAME_INDEX,
+    VideoDetectionSet,
+    VideoPredictions,
     load_detections,
     load_named_arrays,
     load_predictions,
     save_features,
     save_named_arrays,
+    save_predictions,
 )
 from vodtrack.synth import preset_scenario, render_features, save_scenario
 from vodtrack.geometry import Box
@@ -28,6 +32,12 @@ from vodtrack.tracker import TrackerConfig, TrackPrediction, save_weights, synth
 
 def run_cli(*args) -> int:
     return main([str(a) for a in args])
+
+
+def as_predictions(preds_per_frame) -> VideoPredictions:
+    """Per-frame predictions as columns on a set of their sources."""
+    sources = VideoDetectionSet("v", [[p.source for p in frame] for frame in preds_per_frame])
+    return VideoPredictions.aligned(sources, preds_per_frame)
 
 
 @pytest.fixture
@@ -120,7 +130,7 @@ class TestTrack:
         assert rc == 0
         loaded = load_predictions(out, load_detections(dets))
         assert len(loaded) == 1
-        (frames,) = loaded.values()
+        (frames,) = map(prediction_lists, loaded.values())
         qualities = [p.quality for frame in frames for p in frame]
         # zero noise: perfect predictions while alive, sub-threshold at death
         assert all(q == 1.0 or q < 0.5 for q in qualities)
@@ -321,8 +331,8 @@ class TestTrack:
         for path, out in ((dets, base_out), (with_flat, flat_out)):
             assert run_cli("track", "--dets", path, "--weights", weights_path,
                            "--features-dir", feat_dir, "--out", out) == 0
-        (base,) = load_predictions(base_out, load_detections(dets)).values()
-        (got,) = load_predictions(flat_out, load_detections(with_flat)).values()
+        (base,) = map(prediction_lists, load_predictions(base_out, load_detections(dets)).values())
+        (got,) = map(prediction_lists, load_predictions(flat_out, load_detections(with_flat)).values())
         flat_boxes = {Box(*box) for box in flat}
         tracked_flat = [p for p in got[0] if p.source.box in flat_boxes]
         assert {p.source.box for p in tracked_flat} == flat_boxes
@@ -454,12 +464,31 @@ class TestTfdAndLink:
         box = Box(0, 0, 10, 10)
         entries = [stored(box, Box(1, 0, 11, 10), 0.7), stored(box, Box(2, 0, 12, 10), 0.8),
                    stored(Box(40, 40, 50, 50), Box(41, 40, 51, 50), 0.9)]
-        track_fn = cli.make_replay_track_fn([entries])
+        track_fn = cli.make_replay_track_fn(as_predictions([entries]))
         candidates = [Detection(0, 0, 0.9, box), Detection(0, 0, 0.8, box),
                       Detection(0, 0, 0.7, box), Detection(0, 0, 0.6, Box(40, 40, 50, 45))]
         got = [(p.predicted_box, p.quality) for p in track_fn(candidates)]
         assert got == [(Box(2, 0, 12, 10), 0.8), (Box(1, 0, 11, 10), 0.7),
                        (box, 0.0), (Box(41, 40, 51, 50), 0.9)]
+
+    @pytest.mark.parametrize("command", ["track", "tfd"])
+    def test_prediction_file_round_trips(self, clean_files, tmp_path, command):
+        # track --oracle predicts every frame, tfd every frame but the last;
+        # saving either file as loaded writes it again byte for byte.
+        gt, dets = clean_files
+        preds, merged = tmp_path / "preds.jsonl", tmp_path / "merged.jsonl"
+        oracle = ["--oracle", "--gt", gt, "--noise-center", "1.5"]
+        if command == "track":
+            assert run_cli("track", "--dets", dets, *oracle, "--out", preds) == 0
+        else:
+            assert run_cli("tfd", "--dets", dets, *oracle, "--out", merged, "--out-preds", preds) == 0
+            dets = merged
+        (vds,) = load_detections(dets)
+        (loaded,) = load_predictions(preds, [vds]).values()
+        assert loaded.n_predicted == (vds.n_frames if command == "track" else vds.n_frames - 1)
+        again = tmp_path / "again.jsonl"
+        save_predictions(loaded, again)
+        assert again.read_bytes() == preds.read_bytes()
 
     def test_replay_preds_path(self, clean_files, tmp_path):
         gt, dets = clean_files
@@ -662,6 +691,37 @@ class TestMissingFlags:
         assert not out.exists()
 
 
+# Pool and stride flags that TrackerConfig rejects, in either tracking mode:
+# they are reported before any file is read.
+BAD_TRACKER_FLAGS = {
+    "pools": (["--template-pool", "0", "--search-pool", "-3", "--fuse-stride", "0"],
+              "pool sizes must be positive, got 0 and -3"),
+    "stride": (["--fuse-stride", "0"], "fuse_stride must be positive, got 0"),
+}
+
+
+class TestTrackerFlags:
+    @pytest.mark.parametrize("flags, complaint", BAD_TRACKER_FLAGS.values(), ids=BAD_TRACKER_FLAGS.keys())
+    def test_oracle_checks_pool_and_stride_flags(self, clean_files, tmp_path, capsys, flags, complaint):
+        gt, dets = clean_files
+        out = tmp_path / "out.jsonl"
+        assert run_cli("track", "--dets", dets, "--oracle", "--gt", gt, *flags, "--out", out) == 1
+        assert capsys.readouterr().err == (
+            f"error [track]: --template-pool, --search-pool, --fuse-stride: {complaint}\n")
+        assert not out.exists()
+
+    def test_learned_pool_flag_checked_before_dets_are_read(self, tmp_path, capsys):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("{\n")
+        out = tmp_path / "out.jsonl"
+        assert run_cli("track", "--dets", bad, "--weights", tmp_path / "w.bin", "--features-dir", tmp_path,
+                       "--template-pool", "0", "--out", out) == 1
+        assert capsys.readouterr().err == (
+            "error [track]: --template-pool, --search-pool, --fuse-stride: "
+            "pool sizes must be positive, got 0 and 21\n")
+        assert not out.exists()
+
+
 class TestEval:
     def test_perfect_predictions(self, clean_files, tmp_path, capsys):
         gt, _ = clean_files
@@ -682,6 +742,18 @@ class TestEval:
         rc = run_cli("eval", "--preds", preds, "--gt", gt)
         assert rc != 0
         assert "preds.jsonl:1" in capsys.readouterr().err
+
+    def test_unknown_video_names_both_files(self, clean_files, tmp_path, capsys):
+        gt, _ = clean_files
+        fast_gt, fast_dets = tmp_path / "fast_gt.jsonl", tmp_path / "fast_dets.jsonl"
+        assert run_cli("synth-gen", "--preset", "fast", "--seed", "0",
+                       "--out-gt", fast_gt, "--out-dets", fast_dets) == 0
+        capsys.readouterr()
+        result = tmp_path / "result.json"
+        assert run_cli("eval", "--preds", fast_dets, "--gt", gt, "--out", result) == 1
+        assert capsys.readouterr().err == (f"error [eval]: predictions reference unknown video 'fast-0' "
+                                           f"(--preds {fast_dets}, --gt {gt})\n")
+        assert not result.exists()
 
 
 class TestRun:
@@ -1058,11 +1130,11 @@ class TestNumberFlags:
 class TestReplayTrackFn:
     def test_replay_gives_a_frame_the_same_predictions_twice(self):
         src = Detection(0, 0, 0.9, Box(0, 0, 10, 10))
-        track_fn = cli.make_replay_track_fn([[TrackPrediction(src, Box(1, 0, 11, 10), 0.7)]])
+        track_fn = cli.make_replay_track_fn(as_predictions([[TrackPrediction(src, Box(1, 0, 11, 10), 0.7)]]))
         first, second = track_fn([src]), track_fn([src])
         assert first == second == [TrackPrediction(src, Box(1, 0, 11, 10), 0.7)]
 
     def test_replay_rejects_boxes_from_two_frames(self):
-        track_fn = cli.make_replay_track_fn([])
+        track_fn = cli.make_replay_track_fn(as_predictions([]))
         with pytest.raises(ValueError, match=r"one frame, got frames \[0, 1\]"):
             track_fn([Detection(0, 0, 0.9, Box(0, 0, 10, 10)), Detection(1, 0, 0.9, Box(0, 0, 10, 10))])

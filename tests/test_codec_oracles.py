@@ -26,6 +26,7 @@ from vodtrack.evalio import (
     INT64_MIN,
     MAX_FRAME_INDEX,
     VideoDetectionSet,
+    VideoPredictions,
     load_detections,
     save_detections,
     save_predictions,
@@ -79,9 +80,10 @@ def detection_sets(draw):
 
 @st.composite
 def prediction_frames(draw):
-    return draw(st.lists(st.lists(
-        st.builds(TrackPrediction, source=detections(), predicted_box=boxes(), quality=unit_values),
-        max_size=3), max_size=3))
+    """Up to 3 frames of up to 3 predictions, each from a detection of its frame."""
+    return [draw(st.lists(
+        st.builds(TrackPrediction, source=detections(frame=t), predicted_box=boxes(), quality=unit_values),
+        max_size=3)) for t in range(draw(st.integers(0, 3)))]
 
 
 @pytest.fixture(scope="module")
@@ -101,7 +103,8 @@ class TestWriters:
     @given(video=video_ids, preds=prediction_frames())
     def test_save_predictions_is_json_dumps(self, out_dir, video, preds):
         path = out_dir / "preds.jsonl"
-        save_predictions(preds, video, path)
+        sources = VideoDetectionSet(video, [[p.source for p in frame] for frame in preds])
+        save_predictions(VideoPredictions.aligned(sources, preds), path)
         assert path.read_bytes() == json_prediction_lines(preds, video).encode("utf-8")
 
 

@@ -1,16 +1,18 @@
 import ast
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import vodtrack
-from oracles import channels_last
+from oracles import channels_last, prediction_lists
 from vodtrack.detections import Detection
 from vodtrack.evalio import (
     MAX_FRAME_INDEX,
     VideoDetectionSet,
+    VideoPredictions,
     evaluate_map,
     load_detections,
     load_features,
@@ -62,7 +64,7 @@ class TestDetectionFiles:
         save_detections(vds, p)
         (loaded,) = load_detections(p)
         assert loaded.video == vds.video
-        assert loaded.all_detections() == vds.all_detections()
+        assert loaded.frames == vds.frames
 
     def test_save_load_save_byte_identical(self, tmp_path):
         rng = np.random.default_rng(83)
@@ -109,11 +111,11 @@ class TestPredictionFiles:
             [],
         ]
         p = tmp_path / "preds.jsonl"
-        save_predictions(preds, "v0", p)
         vds = VideoDetectionSet.from_records("v0", [src0, src1], n_frames=2)
+        save_predictions(VideoPredictions.aligned(vds, preds), p)
         loaded = load_predictions(p, [vds])
         assert set(loaded) == {"v0"}
-        aligned = loaded["v0"]
+        aligned = prediction_lists(loaded["v0"])
         assert len(aligned[0]) == 2
         assert aligned[0][0].source is vds.frames[0][0]
         assert aligned[0][0].predicted_box.corners() == (1, 1, 11, 11)
@@ -123,7 +125,7 @@ class TestPredictionFiles:
         src0 = det(0, 1, 0.9, (0, 0, 10, 10))
         preds = [[TrackPrediction(src0, Box(1, 1, 11, 11), 0.95)]]
         p = tmp_path / "preds.jsonl"
-        save_predictions(preds, "v0", p)
+        save_predictions(VideoPredictions.aligned(VideoDetectionSet.from_records("v0", [src0]), preds), p)
         vds = VideoDetectionSet.from_records(
             "v0", [src0, det(0, 2, 0.8, (20, 20, 30, 30))], n_frames=1
         )
@@ -136,7 +138,7 @@ class TestPredictionFiles:
         p = tmp_path / "preds.jsonl"
         p.write_text("")
         last_only = VideoDetectionSet.from_records("a", [det(1, 0, 0.5, (0, 0, 5, 5))])
-        assert load_predictions(p, [last_only]) == {"a": [[], []]}
+        assert {v: prediction_lists(x) for v, x in load_predictions(p, [last_only]).items()} == {"a": [[], []]}
         first = VideoDetectionSet.from_records("b", [det(0, 0, 0.5, (0, 0, 5, 5))], n_frames=2)
         with pytest.raises(ValueError, match=r"video 'b' frame 0: no prediction for detection 0 of 1"):
             load_predictions(p, [last_only, first])
@@ -152,8 +154,9 @@ class TestPredictionFiles:
     def test_source_is_a_detection_record_without_video(self, tmp_path):
         src = det(3, 1, 0.9, (0.5, 0, 10, 10.25), track=4, provenance="tracked")
         dets, preds = tmp_path / "dets.jsonl", tmp_path / "preds.jsonl"
-        save_detections(VideoDetectionSet.from_records("v0", [src]), dets)
-        save_predictions([[], [], [], [TrackPrediction(src, Box(1, 1, 11, 11), 0.5)]], "v0", preds)
+        vds = VideoDetectionSet.from_records("v0", [src])
+        save_detections(vds, dets)
+        save_predictions(VideoPredictions.aligned(vds, [[], [], [], [TrackPrediction(src, Box(1, 1, 11, 11), 0.5)]]), preds)
         source = json.loads(preds.read_text())["source"]
         assert json.dumps({"video": "v0", **source}) + "\n" == dets.read_text()
 
@@ -190,7 +193,7 @@ class TestPredictionSources:
         # A source equal in value to its detection loads: 5.0 and 5 are one coordinate.
         p = tmp_path / "preds.jsonl"
         p.write_text(record_line("predictions", box=[0.0, 0, 5.0, 5]) + "\n")
-        (pred,) = load_predictions(p, record_sources(tmp_path))["v"][0]
+        (pred,) = prediction_lists(load_predictions(p, record_sources(tmp_path))["v"])[0]
         assert pred.source.box == Box(0, 0, 5, 5)
 
 
@@ -542,7 +545,7 @@ class TestEvaluateMap:
         base = evaluate_map(preds, gt).mean_ap
         squeezed = VideoDetectionSet.from_records(
             "v0",
-            [d.with_score(0.25 + d.score / 2) for d in preds.all_detections()],
+            [replace(d, score=0.25 + d.score / 2) for frame in preds.frames for d in frame],
             n_frames=4,
         )
         assert evaluate_map(squeezed, gt).mean_ap == pytest.approx(base, abs=1e-12)

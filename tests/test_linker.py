@@ -10,6 +10,7 @@ import oracles
 import vodtrack.linker as linker
 from oracles import box_iou, brute_force_best_path, reference_rescore
 from vodtrack.detections import Detection
+from vodtrack.evalio import VideoDetectionSet, VideoPredictions
 from vodtrack.geometry import Box
 from vodtrack.linker import (
     LinkGraph,
@@ -28,6 +29,16 @@ def shifted(b: Box, dx: float, dy: float) -> Box:
 
 def det(frame, cls, score, corners):
     return Detection(frame, cls, score, Box(*corners))
+
+
+def as_set(video):
+    """Per-frame detection lists as the set the linker takes."""
+    return VideoDetectionSet("v", video)
+
+
+def rescored_frames(video, graph, nms_iou):
+    """``rescore_and_suppress`` on per-frame lists, its result as per-frame lists."""
+    return [list(f) for f in rescore_and_suppress(as_set(video), graph, nms_iou).frames]
 
 
 def random_video(rng, max_frames=6, max_boxes=5, clustered=True):
@@ -101,25 +112,25 @@ SPEC_VIDEO = [
 class TestBuildGraphSeqnms:
     def test_overlap_edge(self):
         video = [[det(0, 0, 0.9, (0, 0, 10, 10))], [det(1, 0, 0.8, (1, 1, 11, 11))]]
-        g = build_graph_seqnms(video)
+        g = build_graph_seqnms(as_set(video))
         assert box_iou(video[0][0].box, video[1][0].box) == pytest.approx(0.680672, abs=1e-5)
         assert g.edges[0] == {0: (0,)}
 
     def test_class_gate(self):
         video = [[det(0, 0, 0.9, (0, 0, 10, 10))], [det(1, 1, 0.8, (1, 1, 11, 11))]]
-        assert build_graph_seqnms(video).edges[0] == {}
+        assert build_graph_seqnms(as_set(video)).edges[0] == {}
 
     def test_boundary_strict(self):
         # IoU exactly 0.5: [0,0,10,10] vs [0,0,10,5] has inter 50, union 100
         video = [[det(0, 0, 0.9, (0, 0, 10, 10))], [det(1, 0, 0.8, (0, 0, 10, 5))]]
         assert box_iou(video[0][0].box, video[1][0].box) == 0.5
-        assert build_graph_seqnms(video).edges[0] == {}
+        assert build_graph_seqnms(as_set(video)).edges[0] == {}
 
     def test_rebuild_identical(self):
         rng = np.random.default_rng(61)
         video = random_video(rng)
-        a = build_graph_seqnms(video)
-        b = build_graph_seqnms(video)
+        a = build_graph_seqnms(as_set(video))
+        b = build_graph_seqnms(as_set(video))
         assert graph_edge_dict(a) == graph_edge_dict(b)
 
 
@@ -129,17 +140,17 @@ class TestBuildGraphSeqtrack:
         b_t = det(0, 0, 0.9, (0, 0, 10, 10))
         b_t1 = det(1, 0, 0.8, (50, 0, 60, 10))
         video = [[b_t], [b_t1]]
-        assert build_graph_seqnms(video).edges[0] == {}
-        preds = [[TrackPrediction(b_t, b_t1.box, 0.9)], []]
-        g = build_graph_seqtrack(video, preds)
+        assert build_graph_seqnms(as_set(video)).edges[0] == {}
+        preds = [[TrackPrediction(b_t, b_t1.box, 0.9)]]
+        g = build_graph_seqtrack(as_set(video), VideoPredictions.aligned(as_set(video), preds))
         assert g.edges[0] == {0: (0,)}
 
     def test_identity_predictions_reduce_to_seqnms(self):
         rng = np.random.default_rng(63)
         video = random_video(rng)
         preds = [[TrackPrediction(d, d.box, 0.9) for d in frame] for frame in video]
-        a = build_graph_seqnms(video)
-        b = build_graph_seqtrack(video, preds)
+        a = build_graph_seqnms(as_set(video))
+        b = build_graph_seqtrack(as_set(video), VideoPredictions.aligned(as_set(video), preds))
         assert graph_edge_dict(a) == graph_edge_dict(b)
 
     def test_predicate_recheck_oracle(self):
@@ -153,7 +164,7 @@ class TestBuildGraphSeqtrack:
                     dx, dy = rng.uniform(-4, 4, 2)
                     frame_preds.append(TrackPrediction(d, shifted(d.box, dx, dy), 0.8))
                 preds.append(frame_preds)
-            g = build_graph_seqtrack(video, preds)
+            g = build_graph_seqtrack(as_set(video), VideoPredictions.aligned(as_set(video), preds))
             got = graph_edge_dict(g)
             want = {}
             for t in range(len(video) - 1):
@@ -171,12 +182,18 @@ class TestBuildGraphSeqtrack:
     def test_misaligned_preds_rejected(self):
         video = [[det(0, 0, 0.9, (0, 0, 10, 10))], [det(1, 0, 0.8, (1, 1, 11, 11))]]
         with pytest.raises(ValueError, match="predictions"):
-            build_graph_seqtrack(video, [[], []])
+            build_graph_seqtrack(as_set(video), VideoPredictions.aligned(as_set(video), [[], []]))
+
+    def test_predictions_on_other_rows_rejected(self):
+        video = [[det(0, 0, 0.9, (0, 0, 10, 10))], [det(1, 0, 0.8, (1, 1, 11, 11))]]
+        first_frame = VideoPredictions.aligned(as_set(video[:1]), [])
+        with pytest.raises(ValueError, match="predictions on 1 rows over 0 frames do not cover"):
+            build_graph_seqtrack(as_set(video), first_frame)
 
 
 class TestBestPath:
     def test_spec_instance(self):
-        g = build_graph_seqnms(SPEC_VIDEO)
+        g = build_graph_seqnms(as_set(SPEC_VIDEO))
         tube = best_path(g, [[d.score for d in f] for f in SPEC_VIDEO])
         assert tube.members == ((0, 0), (1, 0), (2, 0))
         assert tube.path_score == pytest.approx(2.0, abs=1e-12)
@@ -184,7 +201,7 @@ class TestBestPath:
 
     def test_singleton(self):
         video = [[det(0, 0, 0.4, (0, 0, 10, 10))]]
-        g = build_graph_seqnms(video)
+        g = build_graph_seqnms(as_set(video))
         tube = best_path(g, [[0.4]])
         assert tube.members == ((0, 0),)
         assert tube.path_score == 0.4
@@ -194,19 +211,19 @@ class TestBestPath:
             [det(0, 0, 0.5, (0, 0, 10, 10)), det(0, 0, 0.5, (40, 40, 50, 50))],
             [det(1, 0, 0.5, (1, 1, 11, 11))],
         ]
-        g = build_graph_seqnms(video)
+        g = build_graph_seqnms(as_set(video))
         tube = best_path(g, [[0.5, 0.5], [0.5]])
         assert tube.members == ((0, 0), (1, 0))
 
     def test_empty_graph_returns_none(self):
-        g = build_graph_seqnms([[], []])
+        g = build_graph_seqnms(as_set([[], []]))
         assert best_path(g, [[], []]) is None
 
     def test_matches_brute_force_randomized(self):
         rng = np.random.default_rng(67)
         for _ in range(60):
             video = random_video(rng)
-            g = build_graph_seqnms(video)
+            g = build_graph_seqnms(as_set(video))
             scores = [[d.score for d in f] for f in video]
             got = best_path(g, scores)
             want_path, want_score = brute_force_best_path(scores, graph_edge_dict(g))
@@ -222,15 +239,15 @@ class TestBestPath:
             [det(0, 0, 0.5, (0, 0, 10, 10)), det(0, 0, 0.5, (40, 40, 50, 50))],
             [det(1, 0, 0.5, (80, 80, 90, 90))],
         ]
-        g = build_graph_seqnms(video)
+        g = build_graph_seqnms(as_set(video))
         tube = best_path(g, [[0.5, 0.5], [0.5]])
         assert tube.members == ((0, 0),)
 
 
 class TestRescoreAndSuppress:
     def test_spec_worked_example(self):
-        g = build_graph_seqnms(SPEC_VIDEO)
-        out = rescore_and_suppress(SPEC_VIDEO, g, 0.45)
+        g = build_graph_seqnms(as_set(SPEC_VIDEO))
+        out = rescored_frames(SPEC_VIDEO, g, 0.45)
         flat = {
             (t, d.box.corners()): d.score for t, frame in enumerate(out) for d in frame
         }
@@ -243,22 +260,22 @@ class TestRescoreAndSuppress:
 
     def test_single_frame_scores_unchanged(self):
         video = [[det(0, 0, 0.3, (0, 0, 10, 10)), det(0, 1, 0.9, (40, 40, 50, 50))]]
-        g = build_graph_seqnms(video)
-        out = rescore_and_suppress(video, g, 0.45)
+        g = build_graph_seqnms(as_set(video))
+        out = rescored_frames(video, g, 0.45)
         assert sorted(d.score for d in out[0]) == [0.3, 0.9]
 
     def test_overlap_at_nms_iou_is_not_suppressed(self):
         video = [[det(0, 0, 0.9, (0, 0, 10, 10)), det(0, 0, 0.8, (0, 0, 10, 5))]]  # IoU exactly 0.5
-        g = build_graph_seqnms(video)
-        assert len(rescore_and_suppress(video, g, 0.5)[0]) == 2
-        assert len(rescore_and_suppress(video, g, 0.4999)[0]) == 1
+        g = build_graph_seqnms(as_set(video))
+        assert len(rescored_frames(video, g, 0.5)[0]) == 2
+        assert len(rescored_frames(video, g, 0.4999)[0]) == 1
 
     def test_matches_reference_loop(self):
         rng = np.random.default_rng(71)
         for _ in range(30):
             video = random_video(rng, max_frames=4, max_boxes=4)
-            g = build_graph_seqnms(video)
-            got = rescore_and_suppress(video, g, 0.45)
+            g = build_graph_seqnms(as_set(video))
+            got = rescored_frames(video, g, 0.45)
             ref = reference_rescore(records(video), graph_edge_dict(g), 0.45)
             got_map = {}
             for t, frame in enumerate(got):
@@ -280,8 +297,8 @@ class TestRescoreAndSuppress:
         rng = np.random.default_rng(73)
         for _ in range(20):
             video = random_video(rng)
-            g = build_graph_seqnms(video)
-            out = rescore_and_suppress(video, g, 0.45)
+            g = build_graph_seqnms(as_set(video))
+            out = rescored_frames(video, g, 0.45)
             all_scores = [d.score for f in video for d in f]
             if not all_scores:
                 continue
@@ -293,8 +310,8 @@ class TestRescoreAndSuppress:
     def test_count_never_increases_and_geometry_preserved(self):
         rng = np.random.default_rng(79)
         video = random_video(rng, max_frames=5, max_boxes=5)
-        g = build_graph_seqnms(video)
-        out = rescore_and_suppress(video, g, 0.45)
+        g = build_graph_seqnms(as_set(video))
+        out = rescored_frames(video, g, 0.45)
         assert sum(len(f) for f in out) <= sum(len(f) for f in video)
         originals = {(t, d.box.corners()) for t, f in enumerate(video) for d in f}
         for t, frame in enumerate(out):
@@ -322,8 +339,8 @@ class TestExactTies:
     def test_rescore_matches_reference(self, instance):
         video, g = instance
         ref = reference_rescore(records(video), graph_edge_dict(g), 0.45)
-        want = [[d.with_score(ref[(t, i)]) for i, d in enumerate(f) if (t, i) in ref] for t, f in enumerate(video)]
-        assert rescore_and_suppress(video, g, 0.45) == want
+        want = [[replace(d, score=ref[(t, i)]) for i, d in enumerate(f) if (t, i) in ref] for t, f in enumerate(video)]
+        assert rescored_frames(video, g, 0.45) == want
 
 
 class TestComponents:
@@ -335,7 +352,7 @@ class TestComponents:
             return replace(d, box=shifted(d.box, 1000, 0)) if apart == "far" else replace(d, class_id=d.class_id + 2)
 
         def rescored(video):
-            return rescore_and_suppress(video, build_graph_seqnms(video), 0.45)
+            return rescored_frames(video, build_graph_seqnms(as_set(video)), 0.45)
 
         def frame(video, t):
             return list(video[t]) if t < len(video) else []
@@ -364,9 +381,9 @@ class TestComponents:
         total = 0
         for _ in range(30):
             video = random_video(rng, max_frames=5, max_boxes=5)
-            g = build_graph_seqnms(video)
+            g = build_graph_seqnms(as_set(video))
             calls.clear()
-            rescore_and_suppress(video, g, 0.45)
+            rescore_and_suppress(as_set(video), g, 0.45)
             reference_rescore(records(video), graph_edge_dict(g), 0.45)
             assert calls["linker"] == calls["reference"]
             total += calls["linker"]

@@ -25,6 +25,7 @@ from vodtrack.detections import Detection
 from vodtrack.evalio import (
     MAX_FRAME_INDEX,
     VideoDetectionSet,
+    VideoPredictions,
     load_detections,
     load_features,
     load_named_arrays,
@@ -82,7 +83,7 @@ def valid_files(tmp_path_factory):
     sets = sample_detections()
     save_detections(sets, tmp / "dets.jsonl")
     preds = [[TrackPrediction(d, Box(d.box.x1 + 1.0, d.box.y1 - 0.5, d.box.x2 + 1.0, d.box.y2 - 0.5), 0.8) for d in frame] for frame in sets[0].frames]
-    save_predictions(preds, "v0", tmp / "preds.jsonl")
+    save_predictions(VideoPredictions.aligned(sets[0], preds), tmp / "preds.jsonl")
     rng = np.random.default_rng(5)
     pyr = FeaturePyramid(((4, channels_last(rng.random((2, 4, 4)))), (8, channels_last(rng.random((3, 2, 2))))), 16, 16)
     save_features(pyr, tmp / "f.feat")

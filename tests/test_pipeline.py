@@ -3,6 +3,7 @@ import pytest
 
 from oracles import box_iou
 from vodtrack.detections import PROVENANCE_DETECTED, PROVENANCE_TRACKED, Detection
+from vodtrack.evalio import VideoDetectionSet
 from vodtrack.geometry import Box
 from vodtrack.pipeline import (
     PipelineConfig,
@@ -18,6 +19,11 @@ from vodtrack.tracker import NoiseParams, TrackPrediction, make_oracle_track_fn
 
 def det(frame, cls, score, corners, track=None, provenance=None):
     return Detection(frame, cls, score, Box(*corners), track=track, provenance=provenance)
+
+
+def merged_frames(video, track_fn, cfg):
+    """``run_video``'s merged set as per-frame tuples of detections."""
+    return run_video(video, track_fn, cfg)[0].frames
 
 
 def nms_reference(dets, thresh, key):
@@ -215,7 +221,7 @@ class TestStep:
         def dead_tracker(boxes):
             return [TrackPrediction(b, b.box, 0.0) for b in boxes]
 
-        merged, _ = run_video([dets, later], dead_tracker, cfg)
+        merged = merged_frames(VideoDetectionSet("v", [dets, later]), dead_tracker, cfg)
         assert len(merged[0]) == 1
         assert merged[0][0].track == 0
         assert merged[0][0].provenance == PROVENANCE_DETECTED
@@ -232,7 +238,7 @@ class TestStep:
             [det(0, 0, 0.9, (0, 0, 10, 10))],
             [det(1, 0, 0.8, (1, 1, 11, 11))],
         ]
-        merged, _ = run_video(frames, dead_tracker, cfg)
+        merged = merged_frames(VideoDetectionSet("v", frames), dead_tracker, cfg)
         assert all(d.provenance == PROVENANCE_DETECTED for f in merged for d in f)
         # identities restart every frame without tracking
         assert merged[1][0].track != merged[0][0].track
@@ -241,7 +247,7 @@ class TestStep:
         spec = preset_scenario("clean", 0)
         gt, dets = generate(spec)
         track_fn = make_oracle_track_fn(gt, NoiseParams(), seed=0)
-        merged, _ = run_video([list(f) for f in dets.frames], track_fn, PipelineConfig())
+        merged = merged_frames(dets, track_fn, PipelineConfig())
 
         # map each emitted box to its gt object; every object must keep one id
         ids_per_object: dict[int, set] = {}
@@ -265,7 +271,7 @@ class TestStep:
         runs = []
         for _ in range(2):
             track_fn = make_oracle_track_fn(gt, noise, seed=9)
-            merged, _ = run_video([list(f) for f in dets.frames], track_fn, PipelineConfig())
+            merged = merged_frames(dets, track_fn, PipelineConfig())
             runs.append([(d.box.corners(), d.score, d.track) for f in merged for d in f])
         assert runs[0] == runs[1]
 
@@ -273,7 +279,7 @@ class TestStep:
         spec = preset_scenario("degraded", 1)
         gt, dets = generate(spec)
         track_fn = make_oracle_track_fn(gt, NoiseParams(center_sigma=1.0), seed=2)
-        merged, _ = run_video([list(f) for f in dets.frames], track_fn, PipelineConfig())
+        merged = merged_frames(dets, track_fn, PipelineConfig())
         for frame in merged:
             ids = [d.track for d in frame]
             assert len(ids) == len(set(ids))
@@ -283,7 +289,7 @@ class TestStep:
     def test_tracker_length_mismatch_rejected(self):
         frames = [[det(0, 0, 0.9, (0, 0, 10, 10))], [det(1, 0, 0.9, (0, 0, 10, 10))]]
         with pytest.raises(ValueError, match="tracker returned"):
-            run_video(frames, lambda b: [], PipelineConfig())
+            run_video(VideoDetectionSet("v", frames), lambda b: [], PipelineConfig())
 
     def test_duplicate_ids_rejected(self):
         frames = [[det(0, 0, 0.9, (0, 0, 10, 10)), det(0, 0, 0.8, (20, 20, 30, 30))], []]
@@ -297,7 +303,7 @@ class TestStep:
                     TrackPrediction(boxes[0], Box(50, 50, 60, 60), 1.0)]
 
         with pytest.raises(ValueError, match="duplicate track ids in frame 1"):
-            run_video(frames, twin_tracker, PipelineConfig())
+            run_video(VideoDetectionSet("v", frames), twin_tracker, PipelineConfig())
 
 
 class TestFinalDetections:
@@ -309,5 +315,5 @@ class TestFinalDetections:
             det(0, 1, 0.7, (1, 1, 11, 11)),     # other class, kept
             det(0, 0, 0.01, (40, 40, 50, 50)),  # below threshold
         ]]
-        out = final_detections(frames, cfg)
+        out = final_detections(VideoDetectionSet("v", frames), cfg).frames
         assert [(d.class_id, d.score) for d in out[0]] == [(0, 0.9), (1, 0.7)]

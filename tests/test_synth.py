@@ -106,7 +106,7 @@ class TestGenerate:
         clean_gt, _ = generate(simple_spec())
         noisy_gt, _ = generate(simple_spec(noise=DetectorNoise(box_sigma=4.0, miss_prob=0.5,
                                                                false_positive_rate=1.0)))
-        assert clean_gt.all_detections() == noisy_gt.all_detections()
+        assert clean_gt.frames == noisy_gt.frames
 
     def test_degradation_attenuates_scores_in_window(self):
         obj = ObjectSpec(class_id=0, first_frame=0, last_frame=11, cx=30, cy=30, w=20, h=16,
