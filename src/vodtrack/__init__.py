@@ -8,7 +8,6 @@ and linking the result into tubelets that are re-scored by path averaging.
 
 __version__ = "0.1.0"
 
-from .detections import Detection
 from .geometry import Box, RegressionDelta
 from .tensor_ops import ConvBlockWeights, FeaturePyramid
 
@@ -16,7 +15,6 @@ __all__ = [
     "__version__",
     "Box",
     "RegressionDelta",
-    "Detection",
     "FeaturePyramid",
     "ConvBlockWeights",
 ]

@@ -10,13 +10,11 @@ import argparse
 import csv
 import sys
 import time
-from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .detections import Detection, TrackPrediction, frame_of
 from .evalio import (
     VideoDetectionSet,
     VideoPredictions,
@@ -31,7 +29,7 @@ from .evalio import (
     save_predictions,
     write_json_object,
 )
-from .geometry import Box, iou
+from .geometry import iou
 from .linker import build_graph_seqnms, build_graph_seqtrack, rescore_and_suppress
 from .pipeline import PipelineConfig, final_detections, run_video
 from .synth import ScenarioSpec, generate, load_scenario, preset_scenario, save_scenario
@@ -89,17 +87,7 @@ def _scenario_from_args(args) -> ScenarioSpec:
     return preset_scenario(args.preset, args.seed)
 
 
-def _config_from_args(args) -> PipelineConfig:
-    """The defaults with each threshold flag given; ``main`` has put a config file's values in them."""
-    return replace(PipelineConfig(), **{f.name: getattr(args, f.name) for f in fields(PipelineConfig)
-                                        if getattr(args, f.name) is not None})
-
-
-def _noise_from_args(args) -> NoiseParams:
-    return NoiseParams(args.noise_center, args.noise_size, args.noise_failure)
-
-
-# The flag that sets each PipelineConfig field.
+# The flag that sets each PipelineConfig and NoiseParams field.
 _CONFIG_FLAGS = {
     "detect_to_track_score": "--detect-score",
     "track_quality_min": "--track-quality",
@@ -108,6 +96,28 @@ _CONFIG_FLAGS = {
     "final_score_min": "--final-score",
     "final_nms_iou": "--final-nms",
 }
+_NOISE_FLAGS = {"center_sigma": "--noise-center", "size_sigma": "--noise-size", "failure_prob": "--noise-failure"}
+
+
+def _from_flags(cls, flags: dict[str, str], args):
+    """``cls`` with each field of ``flags`` (field to flag) that ``args`` sets; a value
+    that ``cls`` rejects raises a ``ValueError`` naming its flag."""
+    values = {name: getattr(args, name) for name in flags if getattr(args, name) is not None}
+    for name, value in values.items():
+        try:
+            cls(**{name: value})
+        except ValueError as exc:
+            raise ValueError(f"{flags[name]}: {exc}") from None
+    return cls(**values)
+
+
+def _config_from_args(args) -> PipelineConfig:
+    """The defaults with each threshold flag given; ``main`` has put a config file's values in them."""
+    return _from_flags(PipelineConfig, _CONFIG_FLAGS, args)
+
+
+def _noise_from_args(args) -> NoiseParams:
+    return _from_flags(NoiseParams, _NOISE_FLAGS, args)
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
@@ -170,9 +180,9 @@ def _unit_interval(text: str) -> float:
 
 
 def _add_noise_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--noise-center", type=float, default=0.0, help="oracle center jitter sigma, px")
-    p.add_argument("--noise-size", type=float, default=0.0, help="oracle log-size jitter sigma")
-    p.add_argument("--noise-failure", type=float, default=0.0, help="oracle track-failure probability")
+    p.add_argument("--noise-center", type=float, dest="center_sigma", help="oracle center jitter sigma, px")
+    p.add_argument("--noise-size", type=float, dest="size_sigma", help="oracle log-size jitter sigma")
+    p.add_argument("--noise-failure", type=float, dest="failure_prob", help="oracle track-failure probability")
     p.add_argument("--oracle-seed", type=_non_negative_int, default=0)
 
 
@@ -189,26 +199,23 @@ def _add_manifest_flag(p: argparse.ArgumentParser) -> None:
 def make_replay_track_fn(stored: VideoPredictions):
     """Replay file predictions: in candidate order, each candidate claims the
     unclaimed stored prediction of its frame whose source box it overlaps most,
-    by ``best_match``. Unclaimed candidates come back with zero quality and are
-    filtered out. Each call takes one frame's boxes, reads that frame's column
-    slices, and leaves ``stored`` as it was."""
+    by ``best_match``. Unclaimed candidates come back as themselves with zero
+    quality and are filtered out. Each call takes one frame's boxes, reads that
+    frame's column slices, and leaves ``stored`` as it was."""
 
-    def track_fn(candidates: list[Detection]) -> list[TrackPrediction]:
-        if not candidates:
-            return []
-        t = frame_of(candidates)
-        rows = stored.dets.rows(t) if t < stored.n_predicted else slice(0)
-        overlaps = iou([det.box for det in candidates], stored.dets.boxes[rows])
-        boxes, quality = stored.boxes[rows].tolist(), stored.quality[rows].tolist()
-        out = []
-        for det, row in zip(candidates, overlaps):
+    def track_fn(boxes: np.ndarray, frame: int, class_id: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        if not len(boxes):
+            return np.zeros((0, 4)), np.zeros(0)
+        rows = stored.dets.rows(frame) if frame < stored.n_predicted else slice(0)
+        overlaps = iou(boxes, stored.dets.boxes[rows])
+        stored_boxes, stored_quality = stored.boxes[rows], stored.quality[rows]
+        predicted, quality = np.array(boxes, np.float64), np.zeros(len(boxes))
+        for k, row in enumerate(overlaps):
             pos = best_match(row[None], MATCH_IOU)[0]
-            if pos < 0:
-                out.append(TrackPrediction(det, det.box, 0.0))
-            else:
+            if pos >= 0:
                 overlaps[:, pos] = -np.inf  # claimed
-                out.append(TrackPrediction(det, Box(*boxes[pos]), quality[pos]))
-        return out
+                predicted[k], quality[k] = stored_boxes[pos], stored_quality[pos]
+        return predicted, quality
 
     return track_fn
 
@@ -260,7 +267,7 @@ def _check_tracker_flags(args, learned: dict[str, object]) -> None:
         raise ValueError(f"provide {' and '.join(learned)}{',' if len(learned) > 1 else ''} or --oracle")
 
 
-def _track_frames(vds: VideoDetectionSet, args, gt, cfg: TrackerConfig) -> VideoPredictions:
+def _track_frames(vds: VideoDetectionSet, args, gt, cfg: TrackerConfig, noise: NoiseParams) -> VideoPredictions:
     """Predictions on ``vds``' rows from the oracle (given ``gt``) or the learned head.
 
     The oracle predicts every frame, the last included (its boxes have no
@@ -268,10 +275,13 @@ def _track_frames(vds: VideoDetectionSet, args, gt, cfg: TrackerConfig) -> Video
     learned head needs frame ``t + 1``'s features and stops one frame
     short. The ``track-replay`` golden digest pins the oracle's output.
     """
+    boxes, quality = np.full((len(vds.score), 4), np.nan), np.full(len(vds.score), np.nan)
     if args.oracle:
-        noise = _noise_from_args(args)
-        return VideoPredictions.aligned(
-            vds, [oracle_track(list(frame), gt, noise, args.oracle_seed) for frame in vds.frames])
+        for t in range(vds.n_frames):
+            rows = vds.rows(t)
+            boxes[rows], quality[rows] = oracle_track(vds.boxes[rows], t, vds.class_id[rows], gt, noise,
+                                                      args.oracle_seed)
+        return VideoPredictions(vds, boxes, quality, vds.n_frames)
     weights = load_weights(args.weights)
     try:
         weights.folded_head(cfg.corr_size, cfg.corr_size)
@@ -296,16 +306,16 @@ def _track_frames(vds: VideoDetectionSet, args, gt, cfg: TrackerConfig) -> Video
     if channels != expected:
         raise ValueError(f"--weights {args.weights} on {feature_file(0)}: "
                          f"input has {channels} channels, kernel expects {expected}")
-    preds_per_frame = []
     for t in range(vds.n_frames - 1):
         following = pyramid(t + 1)
+        rows = vds.rows(t)
         try:
-            preds_per_frame.append(track(current, following, list(vds.frames[t]), weights, cfg))
+            boxes[rows], quality[rows] = track(current, following, vds.boxes[rows], weights, cfg)
         except ValueError as exc:
             raise ValueError(f"--weights {args.weights} on {feature_file(t)} and "
                              f"{feature_file(t + 1)}: {exc}") from None
         current = following
-    return VideoPredictions.aligned(vds, preds_per_frame)
+    return VideoPredictions(vds, boxes, quality, vds.n_frames - 1)
 
 
 def _load_gt(args, vds: VideoDetectionSet, timings: dict) -> VideoDetectionSet:
@@ -339,10 +349,11 @@ def cmd_track(args, argv) -> int:
         cfg = TrackerConfig(args.template_pool, args.search_pool, args.fuse_stride)
     except ValueError as exc:
         raise ValueError(f"--template-pool, --search-pool, --fuse-stride: {exc}") from None
+    noise = _noise_from_args(args)
     timings = {}
     vds = _timed(timings, "load", load_single_video, args.dets)
     gt = _load_gt(args, vds, timings) if args.oracle else None
-    preds = _timed(timings, "track", _track_frames, vds, args, gt, cfg)
+    preds = _timed(timings, "track", _track_frames, vds, args, gt, cfg, noise)
     _timed(timings, "save", save_predictions, preds, args.out)
     _write_manifest(args.manifest, args, argv, {"preds": args.out}, timings)
     print(f"wrote {args.out} ({vds.offsets[preds.n_predicted]} predictions over {preds.n_predicted} frames)")
@@ -359,11 +370,11 @@ def _load_preds(args, sets: list[VideoDetectionSet], timings: dict) -> dict[str,
 
 def cmd_tfd(args, argv) -> int:
     _check_tracker_flags(args, {"--preds": args.preds})
+    cfg, noise = _config_from_args(args), _noise_from_args(args)
     timings = {}
     vds = _timed(timings, "load", load_single_video, args.dets)
-    cfg = _config_from_args(args)
     if args.oracle:
-        track_fn = make_oracle_track_fn(_load_gt(args, vds, timings), _noise_from_args(args), args.oracle_seed)
+        track_fn = make_oracle_track_fn(_load_gt(args, vds, timings), noise, args.oracle_seed)
     else:
         track_fn = make_replay_track_fn(_load_preds(args, [vds], timings)[vds.video])
 
@@ -400,6 +411,8 @@ def cmd_link(args, argv) -> int:
 
 
 def cmd_eval(args, argv) -> int:
+    if args.label is not None and not args.out:
+        raise ValueError("--label is not read without --out")
     timings = {}
     preds = _timed(timings, "load", load_detections, args.preds)
     gt = _timed(timings, "load", load_detections, args.gt)
@@ -449,17 +462,20 @@ def run_variant(spec, variant: str, cfg: PipelineConfig, noise: NoiseParams,
 
 def cmd_run(args, argv) -> int:
     if args.from_manifest:
-        # A repeated --out-dir is last-wins, so the recorded one is overridden.
+        # The manifest holds every flag but --out-dir; a repeated --out-dir is
+        # last-wins, so the recorded one is overridden.
+        options = [token.split("=", 1)[0] for token in argv[1:] if token.startswith("--")]
+        given = [o for o in options if not ("--from-manifest".startswith(o) or "--out-dir".startswith(o))]
+        if given:
+            raise ValueError(f"{given[0]} is not read with --from-manifest")
         recorded = _read_manifest(args.from_manifest, "run")
         return main(recorded + ["--out-dir", args.out_dir], manifest=args.from_manifest)
 
+    cfg, noise = _config_from_args(args), _noise_from_args(args)
+    spec = _scenario_from_args(args)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    spec = _scenario_from_args(args)
-    result, artifacts = run_variant(
-        spec, args.variant, _config_from_args(args), _noise_from_args(args),
-        args.oracle_seed, args.link_iou, args.iou,
-    )
+    result, artifacts = run_variant(spec, args.variant, cfg, noise, args.oracle_seed, args.link_iou, args.iou)
     names = ["scenario.json", "gt.jsonl", "dets.jsonl", "final.jsonl", "result.json"]
     timings = artifacts["timings"]
     save_scenario(spec, out_dir / "scenario.json")
@@ -560,7 +576,7 @@ def build_parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParse
 
     p = sub.add_parser("link", help="tubelet linking and averaging re-scoring")
     p.add_argument("--dets", required=True)
-    p.add_argument("--preds", help="predictions aligned with --dets (needed for seqtrack)")
+    p.add_argument("--preds", help="predictions on the rows of --dets (needed for seqtrack)")
     p.add_argument("--mode", choices=("seqnms", "seqtrack"), required=True)
     p.add_argument("--link-iou", type=_unit_interval, default=0.5)
     p.add_argument("--nms-iou", type=_unit_interval, default=0.45)

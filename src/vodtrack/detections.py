@@ -1,14 +1,12 @@
-"""Per-frame records shared by the pipeline, linker, and evaluator; each checks its own values."""
+"""The rules of a detection record's values, shared by the loaders and the merge.
+
+Records live only as columns (:class:`~vodtrack.evalio.VideoDetectionSet`);
+a record's provenance is held there as an index into ``PROVENANCES``.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
-
-from .geometry import Box
-
-__all__ = ["Detection", "TrackPrediction", "PROVENANCES", "PROVENANCE_DETECTED",
-           "PROVENANCE_TRACKED", "check_detection", "check_quality", "frame_of"]
+__all__ = ["PROVENANCES", "PROVENANCE_DETECTED", "PROVENANCE_TRACKED", "check_detection", "check_quality"]
 
 PROVENANCE_DETECTED = "detected"
 PROVENANCE_TRACKED = "tracked"
@@ -16,36 +14,8 @@ PROVENANCE_TRACKED = "tracked"
 PROVENANCES = (None, PROVENANCE_DETECTED, PROVENANCE_TRACKED)
 
 
-@dataclass(frozen=True, slots=True)
-class Detection:
-    """One scored box in one frame, with optional identity and origin tag."""
-
-    frame: int
-    class_id: int
-    score: float
-    box: Box
-    track: int | None = None
-    provenance: str | None = None
-
-    def __post_init__(self) -> None:
-        check_detection(self.frame, self.class_id, self.score, self.provenance)
-
-
-@dataclass(frozen=True, slots=True)
-class TrackPrediction:
-    """A tracked box for the next frame with its predicted overlap quality; a
-    loaded prediction's ``source`` is the loaded detection itself, not a copy."""
-
-    source: Detection
-    predicted_box: Box
-    quality: float
-
-    def __post_init__(self) -> None:
-        check_quality(self.quality)
-
-
 def check_detection(frame: int, class_id: int, score: float, provenance) -> None:
-    """Raise ``ValueError`` for values a :class:`Detection` may not hold (loaded columns obey the same rules)."""
+    """Raise ``ValueError`` for values a detection record may not hold."""
     if frame < 0:
         raise ValueError(f"frame index must be non-negative, got {frame}")
     if class_id < 0:
@@ -57,14 +27,6 @@ def check_detection(frame: int, class_id: int, score: float, provenance) -> None
 
 
 def check_quality(quality: float) -> None:
-    """Raise ``ValueError`` for a quality a :class:`TrackPrediction` may not hold."""
+    """Raise ``ValueError`` for a quality a track prediction may not hold."""
     if not (0.0 <= quality <= 1.0):  # also false for NaN
         raise ValueError(f"quality must be in [0, 1], got {quality!r}")
-
-
-def frame_of(boxes: Sequence[Detection]) -> int:
-    """The one frame of a tracker call's boxes (at least one); two frames raise ``ValueError``."""
-    frames = {det.frame for det in boxes}
-    if len(frames) != 1:
-        raise ValueError(f"a tracker call takes the boxes of one frame, got frames {sorted(frames)}")
-    return frames.pop()

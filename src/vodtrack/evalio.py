@@ -18,10 +18,9 @@ filled in one pass over the lines; no object is built per record. A line
 as the writers write it passes one combined test, and any other line goes
 through the field checks one at a time, so a fault names its first bad
 field. Class and track ids are int64 columns, so a record's ids must fit
-int64. The writers format each line from columns. Sets are the one form in
-which detections pass between whole-video stages; per-frame
-:class:`Detection` objects become columns only in ``VideoDetectionSet``'s
-constructor and :meth:`VideoPredictions.aligned`.
+int64. The writers format each line from columns. Columns are the one form
+of a record in the package: every stage, the per-frame merge and the track
+functions included, reads and writes set columns or their frame slices.
 
 Prediction files are JSON lines, one object per track prediction::
 
@@ -59,12 +58,12 @@ import math
 import os
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .detections import PROVENANCES, Detection, check_detection, check_quality
-from .geometry import MAX_COORDINATE, Box, check_extent, iou
+from .detections import PROVENANCES, check_detection, check_quality
+from .geometry import MAX_COORDINATE, check_extent, iou
 from .tensor_ops import FeaturePyramid
 
 __all__ = [
@@ -97,7 +96,7 @@ MAX_FRAME_INDEX = 100_000
 # int64's range.
 INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
 
-# A set's columns after the frame offsets, in the order ``from_columns`` takes them.
+# A set's columns after the frame offsets, in the order its constructor takes them.
 _COLUMNS = ("class_id", "score", "boxes", "track", "has_track", "provenance")
 _PROVENANCE_CODE = {p: code for code, p in enumerate(PROVENANCES)}
 
@@ -111,45 +110,15 @@ class VideoDetectionSet:
     index into ``PROVENANCES``. Frame ``t`` is rows ``offsets[t]`` to
     ``offsets[t + 1]``, and iterating a set gives each frame's rows as a
     ``range``. A set read from a file also holds each row's ``lines``
-    number; otherwise ``lines`` is ``None``.
-
-    ``frames`` holds the same records as per-frame tuples of
-    :class:`Detection`: the objects the set was built from, or objects built
-    from the columns on first use. Only the per-frame merge and the
-    trackers work on the objects; every whole-video stage takes and returns
-    sets.
+    number; otherwise ``lines`` is ``None``. The constructor takes the
+    columns as they are; :meth:`from_rows` builds them from records.
     """
 
-    def __init__(self, video: str, frames: Iterable[Iterable[Detection]]) -> None:
-        frames = tuple(tuple(f) for f in frames)
-        for t, frame in enumerate(frames):
-            for det in frame:
-                if det.frame != t:
-                    raise ValueError(f"detection with frame {det.frame} stored under frame {t}")
-        offsets = np.cumsum([0, *map(len, frames)], dtype=np.int64)
-        records, n = [d for f in frames for d in f], int(offsets[-1])
-        try:
-            self._set(video, offsets, np.fromiter((d.class_id for d in records), np.int64, n),
-                      np.fromiter((d.score for d in records), np.float64, n),
-                      np.fromiter((d.box.corners() for d in records), np.dtype((np.float64, 4)), n),
-                      np.fromiter((0 if d.track is None else d.track for d in records), np.int64, n),
-                      np.fromiter((d.track is not None for d in records), bool, n),
-                      np.fromiter((_PROVENANCE_CODE[d.provenance] for d in records), np.int8, n))
-        except OverflowError:
-            raise ValueError("a class id or track id lies outside int64") from None
-        self._frames = frames
-
-    def _set(self, video, offsets, class_id, score, boxes, track, has_track, provenance, lines=None):
-        self.video, self.offsets, self.lines, self._frames = video, offsets, lines, None
+    def __init__(self, video: str, offsets, class_id, score, boxes, track, has_track, provenance,
+                 lines=None) -> None:
+        self.video, self.offsets, self.lines = video, offsets, lines
         self.class_id, self.score, self.boxes = class_id, score, boxes
         self.track, self.has_track, self.provenance = track, has_track, provenance
-
-    @classmethod
-    def from_columns(cls, video: str, offsets, class_id, score, boxes, track, has_track, provenance,
-                     lines=None) -> "VideoDetectionSet":
-        vds = cls.__new__(cls)
-        vds._set(video, offsets, class_id, score, boxes, track, has_track, provenance, lines)
-        return vds
 
     @classmethod
     def from_rows(cls, video: str, rows: Sequence[tuple], n_frames: int | None = None,
@@ -169,21 +138,7 @@ class VideoDetectionSet:
                    np.array([t is not None for t in track], bool), np.array(provenance, np.int8)]
         if lines is not None:
             columns.append(np.array(lines, np.int64))
-        return cls.from_columns(video, np.concatenate([[0], np.cumsum(counts)]), *(c[order] for c in columns))
-
-    @classmethod
-    def from_records(
-        cls, video: str, records: Iterable[Detection], n_frames: int | None = None
-    ) -> "VideoDetectionSet":
-        records = list(records)
-        if n_frames is None:
-            n_frames = max((d.frame for d in records), default=-1) + 1
-        frames: list[list[Detection]] = [[] for _ in range(n_frames)]
-        for det in records:
-            if det.frame >= n_frames:
-                raise ValueError(f"frame {det.frame} out of range (n_frames={n_frames})")
-            frames[det.frame].append(det)
-        return cls(video, frames)
+        return cls(video, np.concatenate([[0], np.cumsum(counts)]), *(c[order] for c in columns))
 
     @property
     def n_frames(self) -> int:
@@ -211,28 +166,18 @@ class VideoDetectionSet:
     def track_ids(self, rows: slice) -> list[int | None]:
         return [t if h else None for t, h in zip(self.track[rows].tolist(), self.has_track[rows].tolist())]
 
-    @property
-    def frames(self) -> tuple[tuple[Detection, ...], ...]:
-        if self._frames is None:
-            bounds = self.offsets.tolist()
-            dets = list(map(Detection, self.frame_index().tolist(), self.class_id.tolist(),
-                            self.score.tolist(), map(Box, *self.boxes.T.tolist()),
-                            self.track_ids(slice(None)), [PROVENANCES[c] for c in self.provenance.tolist()]))
-            self._frames = tuple(tuple(dets[a:b]) for a, b in zip(bounds, bounds[1:]))
-        return self._frames
-
     def select(self, keep: np.ndarray, score: np.ndarray | None = None) -> "VideoDetectionSet":
         """The rows where ``keep`` is true, in order; scored ``score`` (one per kept row) if given."""
         kept = np.concatenate([[0], np.cumsum(keep)])
         columns = [column[keep] for column in self.columns]
         if score is not None:
             columns[1] = np.asarray(score, np.float64)
-        return VideoDetectionSet.from_columns(self.video, kept[self.offsets], *columns,
-                                              None if self.lines is None else self.lines[keep])
+        return VideoDetectionSet(self.video, kept[self.offsets], *columns,
+                                 None if self.lines is None else self.lines[keep])
 
 
 class VideoPredictions:
-    """One video's track predictions as columns aligned with its detections' rows.
+    """One video's track predictions as columns on its detections' rows.
 
     ``boxes[i]`` (predicted corners) and ``quality[i]`` are predicted from
     row ``i`` of ``dets``. The first ``n_predicted`` frames are predicted:
@@ -242,26 +187,6 @@ class VideoPredictions:
     def __init__(self, dets: VideoDetectionSet, boxes: np.ndarray, quality: np.ndarray,
                  n_predicted: int) -> None:
         self.dets, self.boxes, self.quality, self.n_predicted = dets, boxes, quality, n_predicted
-
-    @classmethod
-    def aligned(cls, dets: VideoDetectionSet, preds_per_frame) -> "VideoPredictions":
-        """Columns of per-frame predictions aligned index for index with ``dets``' frames.
-
-        The lists cover every frame, or every frame but the last.
-        """
-        n, preds = dets.n_frames, preds_per_frame
-        if len(preds) not in (n, n - 1):
-            raise ValueError(f"predictions cover {len(preds)} frames, video has {n}")
-        sizes = np.diff(dets.offsets).tolist()
-        for t, frame in enumerate(preds):
-            if len(frame) != sizes[t]:
-                raise ValueError(f"frame {t}: {len(frame)} predictions for {sizes[t]} detections")
-        predicted = [p for frame in preds for p in frame]
-        boxes = np.full((len(dets.score), 4), np.nan)
-        quality = np.full(len(dets.score), np.nan)
-        boxes[: len(predicted)] = np.reshape([p.predicted_box.corners() for p in predicted], (-1, 4))
-        quality[: len(predicted)] = [p.quality for p in predicted]
-        return cls(dets, boxes, quality, len(preds))
 
 
 # A detection record's fields after ``video``, in file order, and the two

@@ -6,9 +6,9 @@ detection only where it does not collide with a tracked box. Tracked boxes
 win collisions because the tracker localizes a known object better than a
 fresh detection ranked by class score alone.
 
-:func:`run_video` and :func:`final_detections` take and return whole videos
-as :mod:`~vodtrack.evalio` columns; ``Detection`` and ``TrackPrediction``
-objects exist only inside the per-frame merge and the track functions.
+Every function here works on :mod:`~vodtrack.evalio` columns: whole videos
+as sets, one frame as its row slices, and the track functions on one
+frame's ``(n, 4)`` corners.
 """
 
 from __future__ import annotations
@@ -18,13 +18,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .detections import PROVENANCE_DETECTED, PROVENANCE_TRACKED, Detection, TrackPrediction
+from .detections import PROVENANCE_DETECTED, PROVENANCE_TRACKED, PROVENANCES, check_quality
 from .evalio import VideoDetectionSet, VideoPredictions
 from .geometry import iou
 
 __all__ = [
     "PipelineConfig",
-    "nms",
     "filter_tracks",
     "tfd_merge",
     "run_video",
@@ -88,20 +87,6 @@ class PipelineConfig:
         return values
 
 
-def nms(dets: Sequence, iou_thresh: float, key: Callable | None = None, *, box: Callable | None = None) -> list:
-    """Greedy non-maximum suppression, highest key first.
-
-    Ties keep the earlier input item. A box survives only if its overlap
-    with every already-kept box is at or below ``iou_thresh``; kept order is
-    by descending key.
-    """
-    key = key if key is not None else (lambda d: d.score)
-    box = box if box is not None else (lambda d: d.box)
-    order = sorted(range(len(dets)), key=lambda i: -key(dets[i]))
-    boxes = [box(d) for d in dets]
-    return [dets[i] for i in _greedy_keep(order, ~(iou(boxes, boxes) <= iou_thresh))]
-
-
 def _greedy_keep(order: Sequence[int], clash: np.ndarray) -> list[int]:
     """Walk ``order`` and keep each index that clashes with no index kept before it.
 
@@ -117,94 +102,99 @@ def _greedy_keep(order: Sequence[int], clash: np.ndarray) -> list[int]:
     return kept
 
 
-def filter_tracks(
-    preds: Sequence[TrackPrediction],
-    cfg: PipelineConfig,
-    *,
-    frame: int | None = None,
-) -> list[Detection]:
-    """Quality-gate and suppress track predictions, then emit them as detections.
+def filter_tracks(boxes: np.ndarray, quality: np.ndarray, cfg: PipelineConfig) -> np.ndarray:
+    """The rows of one frame's track predictions that survive, highest quality first.
 
-    Survivors carry the source's class, score, and track id with tracked
-    provenance. ``frame`` defaults to one past the source frame.
+    ``boxes`` are the ``(n, 4)`` predicted corners and ``quality`` their
+    qualities. A row survives the gate at ``track_quality_min``, then greedy
+    suppression by descending quality (ties keep the earlier row): it is
+    kept only if its overlap with every row kept before it is at or below
+    ``track_nms_iou``.
     """
-    confident = [p for p in preds if p.quality >= cfg.track_quality_min]
-    kept = nms(confident, cfg.track_nms_iou, key=lambda p: p.quality, box=lambda p: p.predicted_box)
-    return [Detection(p.source.frame + 1 if frame is None else frame, p.source.class_id, p.source.score,
-                      p.predicted_box, p.source.track, PROVENANCE_TRACKED) for p in kept]
+    confident = np.flatnonzero(quality >= cfg.track_quality_min)
+    order = np.argsort(-quality[confident], kind="stable")
+    candidates = boxes[confident]
+    return confident[_greedy_keep(order.tolist(), ~(iou(candidates, candidates) <= cfg.track_nms_iou))]
 
 
-def tfd_merge(
-    tracked: Sequence[Detection],
-    detected: Sequence[Detection],
-    cfg: PipelineConfig,
-    *,
-    id_start: int = 0,
-) -> list[Detection]:
-    """Keep every tracked box; admit detections clear of all of them.
+def tfd_merge(tracked: np.ndarray, detected: np.ndarray, cfg: PipelineConfig) -> np.ndarray:
+    """Keep every tracked box; admit detected boxes clear of all of them.
 
-    A detected box survives only if its overlap with every tracked box is
-    below ``t_merge`` (the tracked one wins when both see the same object).
-    Surviving detections are new objects and get fresh track ids from
-    ``id_start``.
+    ``tracked`` and ``detected`` are one frame's ``(k, 4)`` and ``(m, 4)``
+    corners. A detected box is admitted only if its overlap with every
+    tracked box is below ``t_merge`` (the tracked one wins when both see the
+    same object). Returns the merged frame as rows of ``tracked`` followed by
+    ``detected``, counted over the two stacked: ``0`` to ``k - 1``, then
+    ``k + j`` for each admitted row ``j`` of ``detected``, in order.
     """
-    merged = list(tracked)
-    next_id = id_start
-    clear = (iou([d.box for d in detected], [t.box for t in tracked]) < cfg.t_merge).all(axis=1)
-    for det, admit in zip(detected, clear):
-        if admit:
-            merged.append(Detection(det.frame, det.class_id, det.score, det.box, next_id,
-                                    PROVENANCE_DETECTED))
-            next_id += 1
-    return merged
+    clear = (iou(detected, tracked) < cfg.t_merge).all(axis=1)
+    return np.concatenate([np.arange(len(tracked)), len(tracked) + np.flatnonzero(clear)])
+
+
+# Each merged frame's provenance codes: its tracked rows, then its admitted detections.
+_MERGED_CODES = np.array([PROVENANCES.index(PROVENANCE_TRACKED), PROVENANCES.index(PROVENANCE_DETECTED)],
+                         np.int8)
 
 
 def run_video(
     video: VideoDetectionSet,
-    track_fn: Callable[[list[Detection]], list[TrackPrediction]],
+    track_fn: Callable[[np.ndarray, int, np.ndarray], tuple[np.ndarray, np.ndarray]],
     cfg: PipelineConfig,
 ) -> tuple[VideoDetectionSet, VideoPredictions]:
     """Run the tracking-first merge over a whole video, frame by frame.
 
-    The previous frame's emitted detections (score-gated) are tracked into
-    frame ``t``, filtered, and merged with frame ``t``'s score-gated
-    detector output; admitted detections take fresh track ids, counting up
-    from 0 over the video.
+    The previous frame's emitted rows are tracked into frame ``t``,
+    filtered, and merged with frame ``t``'s detector output at or above
+    ``detect_to_track_score``. A tracked row keeps its source's class,
+    score and track id; admitted detections take fresh track ids, counting
+    up from 0 over the video. Every emitted row has passed the score gate
+    (a tracked one through its source), so all of them are tracked.
 
-    ``track_fn`` is called once per frame, in frame order, with boxes of
-    exactly one frame (frame ``t - 1``; none for frame 0). It returns one
-    prediction per box in input order and keeps no state between calls.
-    The oracle and replay track functions raise ``ValueError`` for boxes
-    from two frames in one call.
+    ``track_fn(boxes, frame, class_id)`` is called once per frame, in frame
+    order, with frame ``t - 1``'s emitted ``(n, 4)`` corners, ``t - 1`` and
+    their class ids (no rows, and frame -1, for frame 0). It returns the
+    ``(n, 4)`` predicted corners and the ``n`` qualities in input order, and
+    keeps no state between calls. A result of another length, or a quality
+    outside [0, 1], raises ``ValueError``.
 
     Returns the merged set and the track predictions made from its rows
-    (every frame but the last is predicted). Predictions align row for row
-    with the merged set because every emitted detection passes the
-    tracking score gate by construction.
+    (every frame but the last is predicted).
     """
-    emitted: list[Detection] = []
+    boxes, class_id, score, track = np.zeros((0, 4)), np.zeros(0, np.int64), np.zeros(0), np.zeros(0, np.int64)
+    # Per merged frame: its class, score, corner, track and provenance columns.
+    frames = [(class_id, score, boxes, track, np.zeros(0, np.int8))]
+    predicted_frames = [(boxes, score)]
     next_id = 0
-    merged: list[list[Detection]] = []
-    preds: list[list[TrackPrediction]] = []
-    for t, dets in enumerate(video.frames):
-        candidates = [d for d in emitted if d.score >= cfg.detect_to_track_score]
-        frame_preds = track_fn(candidates)
-        if len(frame_preds) != len(candidates):
-            raise ValueError(
-                f"tracker returned {len(frame_preds)} predictions for {len(candidates)} boxes"
-            )
-        tracked = filter_tracks(frame_preds, cfg, frame=t)
-        detected = [d for d in dets if d.score >= cfg.detect_to_track_score]
-        emitted = tfd_merge(tracked, detected, cfg, id_start=next_id)
-        next_id += len(emitted) - len(tracked)
-        ids = [d.track for d in emitted if d.track is not None]
-        if len(ids) != len(set(ids)):
-            raise ValueError(f"duplicate track ids in frame {t}: {sorted(ids)}")
+    bounds = video.offsets.tolist()
+    for t, (a, b) in enumerate(zip(bounds, bounds[1:])):
+        predicted, quality = (np.asarray(out, np.float64) for out in track_fn(boxes, t - 1, class_id))
+        if predicted.shape != boxes.shape or quality.shape != (len(boxes),):
+            raise ValueError(f"tracker returned {len(quality)} predictions for {len(boxes)} boxes")
+        outside = ~((quality >= 0.0) & (quality <= 1.0))  # also true for NaN
+        if outside.any():
+            check_quality(quality[outside][0].item())
         if t > 0:
-            preds.append(frame_preds)
-        merged.append(emitted)
-    merged_set = VideoDetectionSet(video.video, merged)
-    return merged_set, VideoPredictions.aligned(merged_set, preds)
+            predicted_frames.append((predicted, quality))
+        kept = filter_tracks(predicted, quality, cfg)
+        gated = np.flatnonzero(video.score[a:b] >= cfg.detect_to_track_score) + a
+        merged = tfd_merge(predicted[kept], video.boxes[gated], cfg)
+        admitted = gated[merged[len(kept):] - len(kept)]
+        class_id = np.concatenate([class_id[kept], video.class_id[admitted]])
+        score = np.concatenate([score[kept], video.score[admitted]])
+        boxes = np.concatenate([predicted[kept], video.boxes[admitted]])
+        track = np.concatenate([track[kept], np.arange(next_id, next_id + len(admitted))])
+        next_id += len(admitted)
+        frames.append((class_id, score, boxes, track, _MERGED_CODES.repeat([len(kept), len(admitted)])))
+
+    class_id, score, boxes, track, provenance = (np.concatenate(column) for column in zip(*frames))
+    offsets = np.cumsum([0, *(len(f[0]) for f in frames[1:])], dtype=np.int64)
+    merged_set = VideoDetectionSet(video.video, offsets, class_id, score, boxes, track,
+                                   np.ones(len(score), bool), provenance)
+    n_predicted = max(video.n_frames - 1, 0)
+    predicted, quality = np.full((len(score), 4), np.nan), np.full(len(score), np.nan)
+    predicted[: offsets[n_predicted]], quality[: offsets[n_predicted]] = (
+        np.concatenate(column) for column in zip(*predicted_frames))
+    return merged_set, VideoPredictions(merged_set, predicted, quality, n_predicted)
 
 
 def final_detections(video: VideoDetectionSet, cfg: PipelineConfig) -> VideoDetectionSet:

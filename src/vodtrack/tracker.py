@@ -7,6 +7,8 @@ from the correlation map. Pool sizes scale with the expansion factor
 (7x7 template against 21x21 search for k=3), so correlation operates in
 object-relative coordinates regardless of object size. Feature maps are
 channels-last, ``(H, W, C)``; the head takes N boxes as ``(N, H, W, C)``.
+A track call takes one frame's boxes as ``(n, 4)`` corners and returns the
+predicted corners and qualities as arrays in input order.
 
 The shared head convolution feeds both fully connected heads with no
 nonlinearity in between, so the head runs the two as one folded linear map:
@@ -25,7 +27,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .detections import Detection, TrackPrediction, frame_of
 from .evalio import load_named_arrays, save_named_arrays
 from .geometry import Box, RegressionDelta, decode, expand, iou
 from .tensor_ops import (
@@ -42,7 +43,6 @@ from .tensor_ops import (
 __all__ = [
     "TrackerConfig",
     "TrackerWeights",
-    "TrackPrediction",
     "NoiseParams",
     "track",
     "fuse_for_head",
@@ -276,14 +276,15 @@ def fuse_for_head(pyr: FeaturePyramid, cfg: TrackerConfig = TrackerConfig()) -> 
 def track(
     feat_t: FeaturePyramid,
     feat_t1: FeaturePyramid,
-    boxes: list[Detection],
+    boxes: np.ndarray,
     w: TrackerWeights,
     cfg: TrackerConfig = TrackerConfig(),
-) -> list[TrackPrediction]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Predict each box's next-frame location from two frames' feature pyramids.
 
-    Output is order-preserving, one prediction per input detection. All
-    boxes are pooled and run through the head in one batch; each box's
+    ``boxes`` are one frame's ``(n, 4)`` corners. Returns the ``(n, 4)``
+    predicted corners and the ``n`` qualities, in input order. All boxes
+    are pooled and run through the head in one batch; each box's
     prediction is the same bit for bit whatever other boxes it is tracked
     with. A box of zero width or height has no scale to regress against, so
     it comes back as its own box at quality 0.0. Pass pyramids from
@@ -291,21 +292,21 @@ def track(
     """
     if (feat_t.image_height, feat_t.image_width) != (feat_t1.image_height, feat_t1.image_width):
         raise ValueError("feature pyramids must come from frames of equal image size")
-    if not boxes:
-        return []
+    if not len(boxes):
+        return np.zeros((0, 4)), np.zeros(0)
     (stride, fused_t), = fuse_for_head(feat_t, cfg).levels
     (_, fused_t1), = fuse_for_head(feat_t1, replace(cfg, fuse_stride=stride)).levels
-    templates = roi_align_full_avg(
-        fused_t, [det.box for det in boxes], cfg.template_pool, cfg.template_pool, stride
-    )
+    rois = [Box(*corners) for corners in np.asarray(boxes, np.float64).tolist()]
+    templates = roi_align_full_avg(fused_t, rois, cfg.template_pool, cfg.template_pool, stride)
     searches = roi_align_full_avg(
-        fused_t1, [expand(det.box, cfg.k) for det in boxes], cfg.search_pool, cfg.search_pool, stride
+        fused_t1, [expand(box, cfg.k) for box in rois], cfg.search_pool, cfg.search_pool, stride
     )
-    return [
-        TrackPrediction(det, decode(det.box, delta), quality) if det.box.w > 0.0 and det.box.h > 0.0
-        else TrackPrediction(det, det.box, 0.0)
-        for det, (delta, quality) in zip(boxes, head_forward(templates, searches, w))
-    ]
+    predicted, quality = [], []
+    for box, (delta, q) in zip(rois, head_forward(templates, searches, w)):
+        flat = not (box.w > 0.0 and box.h > 0.0)
+        predicted.append(box.corners() if flat else decode(box, delta).corners())
+        quality.append(0.0 if flat else q)
+    return np.array(predicted), np.array(quality)
 
 
 def smooth_l1(x: float) -> float:
@@ -471,13 +472,6 @@ def _frame_states(seed: int, frame: int, class_ids, corners) -> list[dict]:
     return states
 
 
-def _det_rng(seed: int, det: Detection) -> np.random.Generator:
-    """The oracle's generator for ``det``, at the start of its stream."""
-    rng = np.random.Generator(np.random.PCG64())
-    rng.bit_generator.state = _frame_states(seed, det.frame, [det.class_id], [det.box.corners()])[0]
-    return rng
-
-
 def _perturb_box(corners: tuple[float, float, float, float], noise: NoiseParams,
                  rng: np.random.Generator) -> Box:
     x1, y1, x2, y2 = corners
@@ -515,67 +509,66 @@ def _oracle_rng() -> np.random.Generator:
 
 
 def oracle_track(
-    boxes: list[Detection],
+    boxes: np.ndarray,
+    frame: int,
+    class_id: np.ndarray,
     gt,
     noise: NoiseParams,
     seed: int,
-) -> list[TrackPrediction]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Ground-truth-backed stand-in for the learned head.
 
-    Each input box is matched to the ground-truth object it overlaps most
-    (at ``MATCH_IOU`` or better; the last such object on a tie); matched
-    boxes predict that object's next-frame box perturbed by ``noise``, with
-    quality equal to the true overlap of the perturbed box. Unmatched boxes,
-    objects absent from the next frame, and simulated failures return
-    quality below 0.5.
+    ``boxes`` are frame ``frame``'s ``(n, 4)`` corners and ``class_id``
+    their class ids. Returns the ``(n, 4)`` predicted corners and the ``n``
+    qualities, in input order. Each box is matched to the ground-truth
+    object it overlaps most (at ``MATCH_IOU`` or better; the last such
+    object on a tie); a matched box predicts that object's next-frame box
+    perturbed by ``noise``, with quality equal to the true overlap of the
+    perturbed box. Unmatched boxes, objects absent from the next frame, and
+    simulated failures return quality below 0.5.
 
-    ``boxes`` are one frame's boxes; boxes from two frames raise
-    ``ValueError``. ``gt`` is a :class:`~vodtrack.evalio.VideoDetectionSet`
-    whose records carry track ids; it is read as columns. Each box draws
-    from its own stream, seeded from ``seed`` and the box's frame, class and
-    corners (see ``_frame_states``), so the result is deterministic and
-    does not depend on the other boxes of the call. An unmatched box draws
-    one uniform in ``[0, 0.5)``; a matched one draws 4 normals and a
-    uniform, and on failure one more uniform in ``[0, 0.5)``.
+    ``gt`` is a :class:`~vodtrack.evalio.VideoDetectionSet` whose records
+    carry track ids. Each box draws from its own stream, seeded from
+    ``seed`` and the box's frame, class and corners (see ``_frame_states``),
+    so the result is deterministic and does not depend on the other boxes
+    of the call. An unmatched box draws one uniform in ``[0, 0.5)``; a
+    matched one draws 4 normals and a uniform, and on failure one more
+    uniform in ``[0, 0.5)``.
     """
-    if not boxes:
-        return []
-    frame = frame_of(boxes)
+    if not len(boxes):
+        return np.zeros((0, 4)), np.zeros(0)
     here, after = gt.rows(frame), gt.rows(frame + 1)
     here_tracks, after_boxes = gt.track_ids(here), gt.boxes[after]
     after_corners = after_boxes.tolist()
     first_of_track = {g: j for j, g in reversed(list(enumerate(gt.track_ids(after))))}
-    corners = np.array([det.box.corners() for det in boxes])
-    matches = best_match(iou(corners, gt.boxes[here]), MATCH_IOU)
-    states = _frame_states(seed, frame, [det.class_id for det in boxes], corners)
+    predicted = np.array(boxes, np.float64)
+    quality = np.empty(len(predicted))
+    matches = best_match(iou(predicted, gt.boxes[here]), MATCH_IOU)
     rng = _oracle_rng()
-    preds: list[TrackPrediction | None] = [None] * len(boxes)
-    # Boxes whose quality is the true overlap of their prediction: (k, predicted, next column).
-    scored = []
-    for k, (det, m, state) in enumerate(zip(boxes, matches.tolist(), states)):
+    # Boxes whose quality is the true overlap of their prediction, and their next-frame columns.
+    scored, cols = [], []
+    for k, (m, state) in enumerate(zip(matches.tolist(), _frame_states(seed, frame, class_id, predicted))):
         rng.bit_generator.state = state
         col = first_of_track.get(here_tracks[m]) if m >= 0 else None
         if col is None:
-            preds[k] = TrackPrediction(det, det.box, 0.5 * rng.random())
+            quality[k] = 0.5 * rng.random()
             continue
-        predicted = _perturb_box(after_corners[col], noise, rng)
+        predicted[k] = _perturb_box(after_corners[col], noise, rng).corners()
         if rng.random() < noise.failure_prob:
-            preds[k] = TrackPrediction(det, predicted, 0.5 * rng.random())
+            quality[k] = 0.5 * rng.random()
         else:
-            scored.append((k, predicted, col))
+            scored.append(k)
+            cols.append(col)
     if scored:
-        ks, predicted, cols = zip(*scored)
-        quality = iou(predicted, after_boxes)[np.arange(len(ks)), cols]
-        for k, p, q in zip(ks, predicted, quality.tolist()):
-            preds[k] = TrackPrediction(boxes[k], p, q)
-    return preds
+        quality[scored] = iou(predicted[scored], after_boxes)[np.arange(len(scored)), cols]
+    return predicted, quality
 
 
 def make_oracle_track_fn(gt, noise: NoiseParams, seed: int):
-    """Bind the oracle tracker into the single-argument interface the pipeline calls."""
+    """Bind the oracle tracker into the ``track_fn(boxes, frame, class_id)`` the pipeline calls."""
 
-    def track_fn(boxes: list[Detection]) -> list[TrackPrediction]:
-        return oracle_track(boxes, gt, noise, seed)
+    def track_fn(boxes: np.ndarray, frame: int, class_id: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return oracle_track(boxes, frame, class_id, gt, noise, seed)
 
     return track_fn
 

@@ -1,15 +1,25 @@
 """Independent brute-force oracles used to cross-check the library kernels.
 
 Everything here is deliberately written as plain loops over scalars, sharing
-no code with the implementations under test.
+no code with the implementations under test. Near the end, test-side record
+types state a set or its predictions one record at a time (they build and
+read the package's columns only through ``VideoDetectionSet.from_rows`` and
+the column attributes), and ``reference_merge`` runs the tracking-first
+merge on them as per-object loops.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import weakref
+from dataclasses import dataclass
 
 import numpy as np
+
+from vodtrack.detections import PROVENANCES, check_detection
+from vodtrack.evalio import VideoDetectionSet, VideoPredictions
+from vodtrack.geometry import Box
 
 
 def channels_last(a) -> np.ndarray:
@@ -315,7 +325,7 @@ def json_detection_fields(det) -> dict:
 def json_detection_lines(sets) -> str:
     """A detection file as ``json.dumps`` writes each record."""
     return "".join(json.dumps({"video": vds.video, **json_detection_fields(det)}) + "\n"
-                   for vds in sets for frame in vds.frames for det in frame)
+                   for vds in sets for frame in frames_of(vds) for det in frame)
 
 
 def json_prediction_lines(preds_per_frame, video: str) -> str:
@@ -327,15 +337,98 @@ def json_prediction_lines(preds_per_frame, video: str) -> str:
         for t, preds in enumerate(preds_per_frame) for i, p in enumerate(preds))
 
 
-def prediction_lists(preds) -> list[list]:
-    """A ``VideoPredictions`` read back as per-frame ``TrackPrediction`` lists on its
-    detections' ``frames``, for assertions made per prediction; a frame it does
-    not predict is empty."""
-    from vodtrack.detections import TrackPrediction
-    from vodtrack.geometry import Box
+def list_seeded_rng(seed: int, det) -> np.random.Generator:
+    """The oracle tracker's per-box generator, seeded from a list of Python ints."""
+    bits = np.array(det.box.corners(), dtype=np.float64).view(np.uint64)
+    entropy = [seed, det.frame, det.class_id] + [int(c) for c in bits]
+    return np.random.default_rng(np.random.SeedSequence(entropy))
 
-    frames, out, row = preds.dets.frames, [], 0
+
+# -- Test-side records -------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Detection:
+    """One detection record, held to the loaders' rules (``check_detection``)."""
+
+    frame: int
+    class_id: int
+    score: float
+    box: Box
+    track: int | None = None
+    provenance: str | None = None
+
+    def __post_init__(self) -> None:
+        check_detection(self.frame, self.class_id, self.score, self.provenance)
+
+
+@dataclass(frozen=True)
+class TrackPrediction:
+    """One track prediction: the detection it was made from, its box and its quality."""
+
+    source: Detection
+    predicted_box: Box
+    quality: float
+
+
+def records_set(video: str, records, n_frames: int | None = None) -> VideoDetectionSet:
+    """A set of ``records`` in any frame order; ``n_frames`` defaults to one past the last frame."""
+    return VideoDetectionSet.from_rows(video, [
+        (d.frame, d.class_id, d.score, *d.box.corners(), d.track, PROVENANCES.index(d.provenance))
+        for d in records], n_frames)
+
+
+def video_set(video: str, frames) -> VideoDetectionSet:
+    """A set of per-frame record lists; each record must lie in its frame."""
+    frames = [list(frame) for frame in frames]
     for t, frame in enumerate(frames):
+        for det in frame:
+            if det.frame != t:
+                raise ValueError(f"detection with frame {det.frame} stored under frame {t}")
+    return records_set(video, [det for frame in frames for det in frame], len(frames))
+
+
+# Each set's records, read once, so a set gives the same record objects on every read.
+_RECORDS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def frames_of(vds: VideoDetectionSet) -> tuple[tuple[Detection, ...], ...]:
+    """A set's records as per-frame tuples."""
+    if vds not in _RECORDS:
+        bounds = vds.offsets.tolist()
+        dets = [Detection(t, c, s, Box(*b), k if h else None, PROVENANCES[p])
+                for t, c, s, b, k, h, p in zip(
+                    vds.frame_index().tolist(), vds.class_id.tolist(), vds.score.tolist(), vds.boxes.tolist(),
+                    vds.track.tolist(), vds.has_track.tolist(), vds.provenance.tolist())]
+        _RECORDS[vds] = tuple(tuple(dets[a:b]) for a, b in zip(bounds, bounds[1:]))
+    return _RECORDS[vds]
+
+
+def predictions(dets: VideoDetectionSet, preds_per_frame) -> VideoPredictions:
+    """Per-frame prediction lists as columns on ``dets``' rows.
+
+    The lists cover every frame, or every frame but the last, and each
+    holds one prediction per detection of its frame, in row order.
+    """
+    n, sizes = dets.n_frames, np.diff(dets.offsets).tolist()
+    if len(preds_per_frame) not in (n, n - 1):
+        raise ValueError(f"predictions cover {len(preds_per_frame)} frames, video has {n}")
+    for t, frame in enumerate(preds_per_frame):
+        if len(frame) != sizes[t]:
+            raise ValueError(f"frame {t}: {len(frame)} predictions for {sizes[t]} detections")
+    predicted = [p for frame in preds_per_frame for p in frame]
+    boxes, quality = np.full((len(dets.score), 4), np.nan), np.full(len(dets.score), np.nan)
+    boxes[: len(predicted)] = np.reshape([p.predicted_box.corners() for p in predicted], (-1, 4))
+    quality[: len(predicted)] = [p.quality for p in predicted]
+    return VideoPredictions(dets, boxes, quality, len(preds_per_frame))
+
+
+def prediction_lists(preds: VideoPredictions) -> list[list[TrackPrediction]]:
+    """A ``VideoPredictions`` read back as per-frame ``TrackPrediction`` lists on its
+    detections' records, for assertions made per prediction; a frame it does
+    not predict is empty."""
+    out, row = [], 0
+    for t, frame in enumerate(frames_of(preds.dets)):
         out.append([])
         for det in frame:
             if t < preds.n_predicted:
@@ -344,8 +437,58 @@ def prediction_lists(preds) -> list[list]:
     return out
 
 
-def list_seeded_rng(seed: int, det) -> np.random.Generator:
-    """The oracle tracker's per-box generator, seeded from a list of Python ints."""
-    bits = np.array(det.box.corners(), dtype=np.float64).view(np.uint64)
-    entropy = [seed, det.frame, det.class_id] + [int(c) for c in bits]
-    return np.random.default_rng(np.random.SeedSequence(entropy))
+def track_records(track_fn, dets) -> list[TrackPrediction]:
+    """``track_fn(boxes, frame, class_id)`` on one frame's records, its result read back
+    as one prediction per record; no records are called as frame -1, as ``run_video``
+    calls for frame 0."""
+    dets = list(dets)
+    boxes = np.array([d.box.corners() for d in dets], np.float64).reshape(-1, 4)
+    predicted, quality = track_fn(boxes, dets[0].frame if dets else -1, np.array([d.class_id for d in dets], np.int64))
+    assert np.shape(predicted) == (len(dets), 4) and np.shape(quality) == (len(dets),)
+    return [TrackPrediction(d, Box(*b), q) for d, b, q in zip(dets, np.asarray(predicted).tolist(),
+                                                             np.asarray(quality).tolist())]
+
+
+# -- The per-object merge ----------------------------------------------------
+
+
+def nms_reference(items, thresh, key, box=lambda item: item.box):
+    """Classic removal-loop NMS: take the highest key left (the earlier item on a tie),
+    drop every item overlapping it above ``thresh``, repeat."""
+    remaining = list(range(len(items)))
+    kept = []
+    while remaining:
+        best = max(remaining, key=lambda i: (key(items[i]), -i))
+        kept.append(items[best])
+        remaining = [i for i in remaining if i != best and box_iou(box(items[i]), box(items[best])) <= thresh]
+    return kept
+
+
+def reference_merge(frames, track, cfg):
+    """The tracking-first merge as plain loops over records: per-frame merged
+    :class:`Detection` lists and the prediction lists of every frame but the last.
+
+    ``frames`` are per-frame record lists; ``track(records)`` returns one
+    :class:`TrackPrediction` per record of one frame. Each frame tracks the
+    last frame's score-gated output, keeps predictions at or above
+    ``track_quality_min`` that survive ``nms_reference`` on quality, and
+    admits each gated detection whose overlap with every kept box is below
+    ``t_merge``, under the next fresh track id.
+    """
+    emitted, next_id, merged, preds = [], 0, [], []
+    for t, dets in enumerate(frames):
+        candidates = [d for d in emitted if d.score >= cfg.detect_to_track_score]
+        frame_preds = track(candidates)
+        confident = [p for p in frame_preds if p.quality >= cfg.track_quality_min]
+        kept = nms_reference(confident, cfg.track_nms_iou, key=lambda p: p.quality, box=lambda p: p.predicted_box)
+        emitted = [Detection(t, p.source.class_id, p.source.score, p.predicted_box, p.source.track, "tracked")
+                   for p in kept]
+        for d in dets:
+            if d.score >= cfg.detect_to_track_score and all(
+                    box_iou(d.box, x.predicted_box) < cfg.t_merge for x in kept):
+                emitted.append(Detection(t, d.class_id, d.score, d.box, next_id, "detected"))
+                next_id += 1
+        if t > 0:
+            preds.append(frame_preds)
+        merged.append(emitted)
+    return merged, preds

@@ -12,16 +12,19 @@ import time
 import numpy as np
 
 from oracles import (
+    Detection,
     box_iou,
     brute_force_best_path,
     channels_first,
     channels_last,
+    frames_of,
     naive_depthwise_correlate,
     reference_rescore,
+    track_records,
+    video_set,
 )
 from vodtrack.cli import main, run_variant
-from vodtrack.detections import Detection
-from vodtrack.evalio import VideoDetectionSet, load_detections, save_detections
+from vodtrack.evalio import load_detections, save_detections
 from vodtrack.geometry import Box, decode, encode
 from vodtrack.linker import best_path, build_graph_seqnms, rescore_and_suppress
 from vodtrack.pipeline import PipelineConfig
@@ -71,7 +74,7 @@ def test_criterion_1_linker_oracle_equivalence():
     rng = np.random.default_rng(2024)
     for _ in range(500):
         video = random_instance(rng)
-        graph = build_graph_seqnms(VideoDetectionSet("v", video))
+        graph = build_graph_seqnms(video_set("v", video))
         scores = [[d.score for d in f] for f in video]
         edges = {
             (t, i): list(succ)
@@ -87,7 +90,7 @@ def test_criterion_1_linker_oracle_equivalence():
             assert got.path_score == want_score
             assert list(got.members) == want_path
 
-        rescored = rescore_and_suppress(VideoDetectionSet("v", video), graph, 0.45).frames
+        rescored = frames_of(rescore_and_suppress(video_set("v", video), graph, 0.45))
         ref = reference_rescore(
             [[(d.class_id, d.score, d.box.corners()) for d in f] for f in video],
             edges,
@@ -236,7 +239,7 @@ def test_criterion_4_head_contract():
         Detection(0, 0, 0.9, Box(30.5, 41.25, 95.25, 103.0)),
         Detection(0, 1, 0.7, Box(120.0, 60.0, 180.0, 140.0)),
     ]
-    preds = track(pyr_t, pyr_t1, dets, wz, cfg)
+    preds = track_records(lambda boxes, frame, class_id: track(pyr_t, pyr_t1, boxes, wz, cfg), dets)
     for det, pred in zip(dets, preds):
         assert pred.predicted_box.corners() == det.box.corners()
         assert pred.quality == 0.5
@@ -294,7 +297,7 @@ def test_criterion_6_fast_motion_separation():
         gt, _ = generate(spec)
         has_zero_iou_object = False
         for obj_id in range(len(spec.objects)):
-            boxes = {d.frame: d.box for f in gt.frames for d in f if d.track == obj_id}
+            boxes = {d.frame: d.box for f in frames_of(gt) for d in f if d.track == obj_id}
             pairs = [(boxes[t], boxes[t + 1]) for t in boxes if t + 1 in boxes]
             if pairs and all(box_iou(a, b) == 0.0 for a, b in pairs):
                 has_zero_iou_object = True

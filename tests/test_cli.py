@@ -9,12 +9,10 @@ import pytest
 
 import vodtrack.cli as cli
 import vodtrack.tracker as tracker
-from oracles import prediction_lists
+from oracles import Detection, TrackPrediction, frames_of, prediction_lists, predictions, track_records, video_set
 from vodtrack.cli import main
-from vodtrack.detections import Detection
 from vodtrack.evalio import (
     MAX_FRAME_INDEX,
-    VideoDetectionSet,
     VideoPredictions,
     load_detections,
     load_named_arrays,
@@ -27,7 +25,7 @@ from vodtrack.synth import preset_scenario, render_features, save_scenario
 from vodtrack.geometry import Box
 from vodtrack.pipeline import PipelineConfig
 from vodtrack.tensor_ops import FeaturePyramid
-from vodtrack.tracker import TrackerConfig, TrackPrediction, save_weights, synthesize_weights
+from vodtrack.tracker import TrackerConfig, save_weights, synthesize_weights
 
 
 def run_cli(*args) -> int:
@@ -36,8 +34,8 @@ def run_cli(*args) -> int:
 
 def as_predictions(preds_per_frame) -> VideoPredictions:
     """Per-frame predictions as columns on a set of their sources."""
-    sources = VideoDetectionSet("v", [[p.source for p in frame] for frame in preds_per_frame])
-    return VideoPredictions.aligned(sources, preds_per_frame)
+    sources = video_set("v", [[p.source for p in frame] for frame in preds_per_frame])
+    return predictions(sources, preds_per_frame)
 
 
 @pytest.fixture
@@ -56,7 +54,7 @@ class TestSynthGen:
         (gt_set,) = load_detections(gt)
         (det_set,) = load_detections(dets)
         assert gt_set.n_frames == det_set.n_frames
-        assert all(d.track is not None for f in gt_set.frames for d in f)
+        assert all(d.track is not None for f in frames_of(gt_set) for d in f)
 
     def test_spec_file_input(self, tmp_path):
         spec_path = tmp_path / "scenario.json"
@@ -157,7 +155,7 @@ class TestTrack:
             return load_features(path)
 
         def logged_track(feat_t, feat_t1, boxes, *args):
-            events.append(("track", boxes[0].frame if boxes else None))
+            events.append(("track", len(boxes)))
             return track(feat_t, feat_t1, boxes, *args)
 
         monkeypatch.setattr(cli, "load_features", logged_load)
@@ -444,8 +442,8 @@ class TestTfdAndLink:
                      "--out", merged, "--out-preds", preds)
         assert rc == 0
         (merged_set,) = load_detections(merged)
-        assert all(d.provenance in ("detected", "tracked") for f in merged_set.frames for d in f)
-        assert any(d.provenance == "tracked" for f in merged_set.frames for d in f)
+        assert all(d.provenance in ("detected", "tracked") for f in frames_of(merged_set) for d in f)
+        assert any(d.provenance == "tracked" for f in frames_of(merged_set) for d in f)
 
         linked = tmp_path / "linked.jsonl"
         assert run_cli("link", "--dets", merged, "--mode", "seqnms", "--out", linked) == 0
@@ -467,7 +465,7 @@ class TestTfdAndLink:
         track_fn = cli.make_replay_track_fn(as_predictions([entries]))
         candidates = [Detection(0, 0, 0.9, box), Detection(0, 0, 0.8, box),
                       Detection(0, 0, 0.7, box), Detection(0, 0, 0.6, Box(40, 40, 50, 45))]
-        got = [(p.predicted_box, p.quality) for p in track_fn(candidates)]
+        got = [(p.predicted_box, p.quality) for p in track_records(track_fn, candidates)]
         assert got == [(Box(2, 0, 12, 10), 0.8), (Box(1, 0, 11, 10), 0.7),
                        (box, 0.0), (Box(41, 40, 51, 50), 0.9)]
 
@@ -498,7 +496,7 @@ class TestTfdAndLink:
         rc = run_cli("tfd", "--dets", dets, "--preds", preds, "--out", merged)
         assert rc == 0
         (merged_set,) = load_detections(merged)
-        assert any(d.provenance == "tracked" for f in merged_set.frames for d in f)
+        assert any(d.provenance == "tracked" for f in frames_of(merged_set) for d in f)
 
     def test_link_rejects_overflowing_box_naming_the_file(self, tmp_path, capsys):
         # Two identical boxes whose width overflows: loaded, their overlap
@@ -668,6 +666,24 @@ class TestUnreadFlags:
         assert capsys.readouterr().err == f"error [{argv[0]}]: {complaint}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags", [["--preset", "fast", "--variant", "seqnms", "--t-merge", "0.2"],
+                                       ["--t-merge=0.2"], ["--noise-c", "1"]])
+    def test_from_manifest_takes_only_out_dir(self, tmp_path, capsys, flags):
+        # The manifest is not read: it need not exist.
+        out_dir = tmp_path / "run"
+        assert run_cli("run", "--from-manifest", tmp_path / "missing.json", *flags, "--out-dir", out_dir) == 1
+        option = flags[0].split("=")[0]
+        assert capsys.readouterr().err == f"error [run]: {option} is not read with --from-manifest\n"
+        assert not out_dir.exists()
+
+    def test_eval_label_needs_out(self, tmp_path, capsys):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("{\n")
+        manifest = tmp_path / "manifest.json"
+        assert run_cli("eval", "--preds", bad, "--gt", bad, "--label", "x", "--manifest", manifest) == 1
+        assert capsys.readouterr().err == "error [eval]: --label is not read without --out\n"
+        assert not manifest.exists()
+
 
 # A flag the chosen combination needs, left out, with a --dets that does not
 # parse: the missing flag is reported before any file is read.
@@ -720,6 +736,42 @@ class TestTrackerFlags:
             "error [track]: --template-pool, --search-pool, --fuse-stride: "
             "pool sizes must be positive, got 0 and 21\n")
         assert not out.exists()
+
+
+# A threshold or oracle noise flag out of range, with a --dets that does not
+# parse: the flag is named before any file is read.
+BAD_RANGE_FLAGS = {
+    "tfd-t-merge": (["tfd", "--oracle", "--gt", "P", "--t-merge", "1.5"],
+                    "--t-merge: t_merge must be in [0, 1], got 1.5"),
+    "tfd-detect-score": (["tfd", "--preds", "P", "--detect-score", "-0.5"],
+                         "--detect-score: detect_to_track_score must be in [0, 1], got -0.5"),
+    "tfd-noise-failure": (["tfd", "--oracle", "--gt", "P", "--noise-failure", "2"],
+                          "--noise-failure: failure_prob must be in [0, 1]"),
+    "track-noise-size": (["track", "--oracle", "--gt", "P", "--noise-size", "-1"],
+                         "--noise-size: noise sigmas must be non-negative and finite"),
+}
+
+
+class TestRangeFlags:
+    @pytest.mark.parametrize("argv, complaint", BAD_RANGE_FLAGS.values(), ids=BAD_RANGE_FLAGS.keys())
+    def test_flag_is_named_before_reading(self, tmp_path, capsys, argv, complaint):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("{\n")
+        out = tmp_path / "out.jsonl"
+        argv = [bad if a == "P" else a for a in argv]
+        assert run_cli(*argv, "--dets", bad, "--out", out) == 1
+        assert capsys.readouterr().err == f"error [{argv[0]}]: {complaint}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags, complaint", [
+        (["--t-merge", "3"], "--t-merge: t_merge must be in [0, 1], got 3.0"),
+        (["--noise-failure", "2"], "--noise-failure: failure_prob must be in [0, 1]"),
+    ], ids=["t-merge", "noise-failure"])
+    def test_run_makes_no_out_dir(self, tmp_path, capsys, flags, complaint):
+        out_dir = tmp_path / "run"
+        assert run_cli("run", "--preset", "clean", *flags, "--out-dir", out_dir) == 1
+        assert capsys.readouterr().err == f"error [run]: {complaint}\n"
+        assert not out_dir.exists()
 
 
 class TestEval:
@@ -1105,7 +1157,8 @@ BAD_NUMBERS = {
     "synth-gen-seed": (["synth-gen", "--preset", "degraded", "--seed", "-1", "--out-gt", "OUT",
                         "--out-dets", "OUT"], 2, "argument --seed: must be a non-negative integer, got -1"),
     "tfd-noise-center": (["tfd", "--dets", "DETS", "--oracle", "--gt", "GT", "--out", "OUT",
-                          "--noise-center", "nan"], 1, "error [tfd]: noise sigmas must be non-negative and finite"),
+                          "--noise-center", "nan"], 1,
+                         "error [tfd]: --noise-center: noise sigmas must be non-negative and finite"),
 }
 
 
@@ -1131,10 +1184,5 @@ class TestReplayTrackFn:
     def test_replay_gives_a_frame_the_same_predictions_twice(self):
         src = Detection(0, 0, 0.9, Box(0, 0, 10, 10))
         track_fn = cli.make_replay_track_fn(as_predictions([[TrackPrediction(src, Box(1, 0, 11, 10), 0.7)]]))
-        first, second = track_fn([src]), track_fn([src])
+        first, second = track_records(track_fn, [src]), track_records(track_fn, [src])
         assert first == second == [TrackPrediction(src, Box(1, 0, 11, 10), 0.7)]
-
-    def test_replay_rejects_boxes_from_two_frames(self):
-        track_fn = cli.make_replay_track_fn(as_predictions([]))
-        with pytest.raises(ValueError, match=r"one frame, got frames \[0, 1\]"):
-            track_fn([Detection(0, 0, 0.9, Box(0, 0, 10, 10)), Detection(1, 0, 0.9, Box(0, 0, 10, 10))])

@@ -4,9 +4,9 @@
 they must write the bytes ``json.dumps`` writes for each record
 (``oracles.json_detection_lines`` / ``json_prediction_lines``). The loader
 fills columns; each numeric value must be ``float()`` or ``int()`` of its
-JSON text. ``_frame_states`` seeds a whole frame's boxes in one pass, and
-``_det_rng`` one box through it; each box must get the generator that the
-list of Python ints gives (``oracles.list_seeded_rng``).
+JSON text. ``_frame_states`` seeds a whole frame's boxes in one pass, or
+one box; each box must get the generator that the list of Python ints gives
+(``oracles.list_seeded_rng``).
 """
 
 import itertools
@@ -18,22 +18,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import json_detection_lines, json_prediction_lines, list_seeded_rng
-from vodtrack.detections import PROVENANCE_DETECTED, PROVENANCE_TRACKED, Detection
+from oracles import (
+    Detection,
+    TrackPrediction,
+    json_detection_lines,
+    json_prediction_lines,
+    list_seeded_rng,
+    predictions,
+    video_set,
+)
+from vodtrack.detections import PROVENANCE_DETECTED, PROVENANCE_TRACKED
 from vodtrack.cli import main
 from vodtrack.evalio import (
     INT64_MAX,
     INT64_MIN,
     MAX_FRAME_INDEX,
-    VideoDetectionSet,
-    VideoPredictions,
     load_detections,
     save_detections,
     save_predictions,
 )
 from vodtrack.geometry import MAX_COORDINATE, Box
 from vodtrack.synth import PRESETS
-from vodtrack.tracker import TrackPrediction, _det_rng, _frame_states
+from vodtrack.tracker import _frame_states
 
 PROPERTY = settings(max_examples=60, deadline=None, database=None, derandomize=True)
 
@@ -74,7 +80,7 @@ def detection_sets(draw):
     for video in draw(st.lists(video_ids, min_size=1, max_size=3)):
         n_frames = draw(st.integers(0, 3))
         frames = [draw(st.lists(detections(frame=t), max_size=3)) for t in range(n_frames)]
-        sets.append(VideoDetectionSet(video, frames))
+        sets.append(video_set(video, frames))
     return sets
 
 
@@ -103,8 +109,8 @@ class TestWriters:
     @given(video=video_ids, preds=prediction_frames())
     def test_save_predictions_is_json_dumps(self, out_dir, video, preds):
         path = out_dir / "preds.jsonl"
-        sources = VideoDetectionSet(video, [[p.source for p in frame] for frame in preds])
-        save_predictions(VideoPredictions.aligned(sources, preds), path)
+        sources = video_set(video, [[p.source for p in frame] for frame in preds])
+        save_predictions(predictions(sources, preds), path)
         assert path.read_bytes() == json_prediction_lines(preds, video).encode("utf-8")
 
 
@@ -119,11 +125,11 @@ class TestDetRng:
             for x1, x2 in itertools.combinations_with_replacement(sorted(EDGE_CORNERS), 2):
                 det = Detection(frame, class_id, 0.5, Box(x1, x2, x2, x2 + 1.0))
                 want = list_seeded_rng(seed, det).bit_generator.state
-                assert _det_rng(seed, det).bit_generator.state == want, (seed, det)
+                assert _frame_states(seed, frame, [class_id], [det.box.corners()])[0] == want, (seed, det)
 
     def test_negative_seed_raises(self):
         with pytest.raises(ValueError):
-            _det_rng(-1, Detection(0, 0, 0.5, Box(0, 0, 1, 1)))
+            _frame_states(-1, 0, [0], [(0.0, 0.0, 1.0, 1.0)])
 
     @pytest.mark.parametrize("n_boxes", [1, 5, 21, 150])
     def test_frame_pass_equals_list_seeding(self, n_boxes):

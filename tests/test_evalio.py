@@ -7,12 +7,11 @@ import numpy as np
 import pytest
 
 import vodtrack
-from oracles import channels_last, prediction_lists
-from vodtrack.detections import Detection
+from oracles import Detection, TrackPrediction, channels_last, frames_of, prediction_lists, predictions, records_set
+from vodtrack.detections import check_detection
 from vodtrack.evalio import (
     MAX_FRAME_INDEX,
     VideoDetectionSet,
-    VideoPredictions,
     evaluate_map,
     load_detections,
     load_features,
@@ -25,7 +24,6 @@ from vodtrack.evalio import (
 )
 from vodtrack.geometry import MAX_COORDINATE, Box
 from vodtrack.tensor_ops import FeaturePyramid
-from vodtrack.tracker import TrackPrediction
 
 
 def det(frame, cls, score, corners, track=None, provenance=None):
@@ -48,7 +46,7 @@ def random_set(rng, video="v0", n_frames=5) -> VideoDetectionSet:
                     provenance="detected" if rng.uniform() < 0.5 else None,
                 )
             )
-    return VideoDetectionSet.from_records(video, records, n_frames=n_frames)
+    return records_set(video, records, n_frames=n_frames)
 
 
 class TestDetectionFiles:
@@ -64,7 +62,7 @@ class TestDetectionFiles:
         save_detections(vds, p)
         (loaded,) = load_detections(p)
         assert loaded.video == vds.video
-        assert loaded.frames == vds.frames
+        assert frames_of(loaded) == frames_of(vds)
 
     def test_save_load_save_byte_identical(self, tmp_path):
         rng = np.random.default_rng(83)
@@ -111,13 +109,13 @@ class TestPredictionFiles:
             [],
         ]
         p = tmp_path / "preds.jsonl"
-        vds = VideoDetectionSet.from_records("v0", [src0, src1], n_frames=2)
-        save_predictions(VideoPredictions.aligned(vds, preds), p)
+        vds = records_set("v0", [src0, src1], n_frames=2)
+        save_predictions(predictions(vds, preds), p)
         loaded = load_predictions(p, [vds])
         assert set(loaded) == {"v0"}
         aligned = prediction_lists(loaded["v0"])
         assert len(aligned[0]) == 2
-        assert aligned[0][0].source is vds.frames[0][0]
+        assert aligned[0][0].source is frames_of(vds)[0][0]
         assert aligned[0][0].predicted_box.corners() == (1, 1, 11, 11)
         assert aligned[1] == []
 
@@ -125,8 +123,8 @@ class TestPredictionFiles:
         src0 = det(0, 1, 0.9, (0, 0, 10, 10))
         preds = [[TrackPrediction(src0, Box(1, 1, 11, 11), 0.95)]]
         p = tmp_path / "preds.jsonl"
-        save_predictions(VideoPredictions.aligned(VideoDetectionSet.from_records("v0", [src0]), preds), p)
-        vds = VideoDetectionSet.from_records(
+        save_predictions(predictions(records_set("v0", [src0]), preds), p)
+        vds = records_set(
             "v0", [src0, det(0, 2, 0.8, (20, 20, 30, 30))], n_frames=1
         )
         with pytest.raises(ValueError, match=r"preds\.jsonl: video 'v0' frame 0: no prediction for detection 1 of 2$"):
@@ -137,9 +135,9 @@ class TestPredictionFiles:
         # holds detections.
         p = tmp_path / "preds.jsonl"
         p.write_text("")
-        last_only = VideoDetectionSet.from_records("a", [det(1, 0, 0.5, (0, 0, 5, 5))])
+        last_only = records_set("a", [det(1, 0, 0.5, (0, 0, 5, 5))])
         assert {v: prediction_lists(x) for v, x in load_predictions(p, [last_only]).items()} == {"a": [[], []]}
-        first = VideoDetectionSet.from_records("b", [det(0, 0, 0.5, (0, 0, 5, 5))], n_frames=2)
+        first = records_set("b", [det(0, 0, 0.5, (0, 0, 5, 5))], n_frames=2)
         with pytest.raises(ValueError, match=r"video 'b' frame 0: no prediction for detection 0 of 1"):
             load_predictions(p, [last_only, first])
 
@@ -154,9 +152,9 @@ class TestPredictionFiles:
     def test_source_is_a_detection_record_without_video(self, tmp_path):
         src = det(3, 1, 0.9, (0.5, 0, 10, 10.25), track=4, provenance="tracked")
         dets, preds = tmp_path / "dets.jsonl", tmp_path / "preds.jsonl"
-        vds = VideoDetectionSet.from_records("v0", [src])
+        vds = records_set("v0", [src])
         save_detections(vds, dets)
-        save_predictions(VideoPredictions.aligned(vds, [[], [], [], [TrackPrediction(src, Box(1, 1, 11, 11), 0.5)]]), preds)
+        save_predictions(predictions(vds, [[], [], [], [TrackPrediction(src, Box(1, 1, 11, 11), 0.5)]]), preds)
         source = json.loads(preds.read_text())["source"]
         assert json.dumps({"video": "v0", **source}) + "\n" == dets.read_text()
 
@@ -304,7 +302,7 @@ class TestRecordRules:
     def test_detection_rejects_an_unknown_provenance(self):
         # Such a record could otherwise be saved to a file that no loader accepts.
         with pytest.raises(ValueError, match="unknown provenance 'manual'"):
-            Detection(0, 0, 0.5, Box(0, 0, 1, 1), provenance="manual")
+            check_detection(0, 0, 0.5, "manual")
 
     def test_json_is_decoded_only_by_the_reader(self):
         # One decoder: json.load and json.loads appear in evalio.read_json_object only.
@@ -486,7 +484,7 @@ class TestNamedArrays:
 
 
 def gt_two_boxes():
-    return VideoDetectionSet.from_records(
+    return records_set(
         "v",
         [det(0, 0, 1.0, (0, 0, 10, 10), track=0), det(1, 0, 1.0, (30, 30, 40, 40), track=1)],
         n_frames=2,
@@ -500,7 +498,7 @@ class TestEvaluateMap:
 
     def test_no_predictions(self):
         gt = gt_two_boxes()
-        empty = VideoDetectionSet.from_records("v", [], n_frames=2)
+        empty = records_set("v", [], n_frames=2)
         result = evaluate_map(empty, gt)
         assert result.per_class_ap == {0: 0.0}
         assert result.mean_ap == 0.0
@@ -508,7 +506,7 @@ class TestEvaluateMap:
     def test_hand_pr_example(self):
         # ranked TP, FP, TP over 2 ground truths: AP = 0.5 * 1.0 + 0.5 * (2/3)
         gt = gt_two_boxes()
-        preds = VideoDetectionSet.from_records(
+        preds = records_set(
             "v",
             [
                 det(0, 0, 0.9, (0, 0, 10, 10)),
@@ -523,18 +521,18 @@ class TestEvaluateMap:
     def test_equal_overlap_matches_first_slot(self):
         # The first prediction overlaps both objects with IoU exactly 0.6 and
         # takes the first; the second then overlaps only the taken one.
-        gt = VideoDetectionSet.from_records(
+        gt = records_set(
             "v", [det(0, 0, 1.0, (0, 0, 10, 10), track=0), det(0, 0, 1.0, (5, 0, 15, 10), track=1)],
             n_frames=1,
         )
-        preds = VideoDetectionSet.from_records(
+        preds = records_set(
             "v", [det(0, 0, 0.9, (2.5, 0, 12.5, 10)), det(0, 0, 0.8, (0, 0, 10, 10))], n_frames=1
         )
         assert evaluate_map(preds, gt).per_class_ap[0] == 0.5
 
     def test_overlap_at_threshold_matches(self):
-        gt = VideoDetectionSet.from_records("v", [det(0, 0, 1.0, (0, 0, 10, 10), track=0)], n_frames=1)
-        preds = VideoDetectionSet.from_records("v", [det(0, 0, 0.9, (0, 0, 10, 5))], n_frames=1)
+        gt = records_set("v", [det(0, 0, 1.0, (0, 0, 10, 10), track=0)], n_frames=1)
+        preds = records_set("v", [det(0, 0, 0.9, (0, 0, 10, 5))], n_frames=1)
         assert evaluate_map(preds, gt, 0.5).mean_ap == 1.0
         assert evaluate_map(preds, gt, 0.5001).mean_ap == 0.0
 
@@ -543,9 +541,9 @@ class TestEvaluateMap:
         gt = random_set(rng, n_frames=4)
         preds = random_set(rng, n_frames=4)
         base = evaluate_map(preds, gt).mean_ap
-        squeezed = VideoDetectionSet.from_records(
+        squeezed = records_set(
             "v0",
-            [replace(d, score=0.25 + d.score / 2) for frame in preds.frames for d in frame],
+            [replace(d, score=0.25 + d.score / 2) for frame in frames_of(preds) for d in frame],
             n_frames=4,
         )
         assert evaluate_map(squeezed, gt).mean_ap == pytest.approx(base, abs=1e-12)
@@ -554,11 +552,11 @@ class TestEvaluateMap:
         gt = gt_two_boxes()
         preds = [det(0, 0, 0.9, (0, 0, 10, 10))]
         base = evaluate_map(
-            VideoDetectionSet.from_records("v", preds, n_frames=2), gt
+            records_set("v", preds, n_frames=2), gt
         ).per_class_ap[0]
         worse = preds + [det(1, 0, 0.1, (70, 70, 80, 80))]
         with_fp = evaluate_map(
-            VideoDetectionSet.from_records("v", worse, n_frames=2), gt
+            records_set("v", worse, n_frames=2), gt
         ).per_class_ap[0]
         assert with_fp <= base
 
@@ -566,23 +564,23 @@ class TestEvaluateMap:
         gt = gt_two_boxes()
         preds = [det(0, 0, 0.9, (0, 0, 10, 10))]
         base = evaluate_map(
-            VideoDetectionSet.from_records("v", preds, n_frames=2), gt
+            records_set("v", preds, n_frames=2), gt
         ).per_class_ap[0]
         better = preds + [det(1, 0, 0.1, (30, 30, 40, 40))]
         with_tp = evaluate_map(
-            VideoDetectionSet.from_records("v", better, n_frames=2), gt
+            records_set("v", better, n_frames=2), gt
         ).per_class_ap[0]
         assert with_tp >= base
 
     def test_greedy_takes_highest_iou(self):
         # one prediction overlapping two gts: must match the higher-IoU one,
         # leaving the other for the later prediction
-        gt = VideoDetectionSet.from_records(
+        gt = records_set(
             "v",
             [det(0, 0, 1.0, (0, 0, 10, 10), track=0), det(0, 0, 1.0, (4, 0, 14, 10), track=1)],
             n_frames=1,
         )
-        preds = VideoDetectionSet.from_records(
+        preds = records_set(
             "v",
             [det(0, 0, 0.9, (3.6, 0, 13.6, 10)), det(0, 0, 0.8, (0.5, 0, 10.5, 10))],
             n_frames=1,
@@ -591,10 +589,10 @@ class TestEvaluateMap:
         assert result.per_class_ap[0] == 1.0
 
     def test_double_match_forbidden(self):
-        gt = VideoDetectionSet.from_records(
+        gt = records_set(
             "v", [det(0, 0, 1.0, (0, 0, 10, 10), track=0)], n_frames=1
         )
-        preds = VideoDetectionSet.from_records(
+        preds = records_set(
             "v",
             [det(0, 0, 0.9, (0, 0, 10, 10)), det(0, 0, 0.8, (0.2, 0, 10.2, 10))],
             n_frames=1,
@@ -621,6 +619,6 @@ class TestEvaluateMap:
 
     def test_unknown_video_rejected(self):
         gt = gt_two_boxes()
-        other = VideoDetectionSet.from_records("other", [], n_frames=1)
+        other = records_set("other", [], n_frames=1)
         with pytest.raises(ValueError, match="unknown video"):
             evaluate_map(other, gt)

@@ -8,9 +8,17 @@ from hypothesis import strategies as st
 
 import oracles
 import vodtrack.linker as linker
-from oracles import box_iou, brute_force_best_path, reference_rescore
-from vodtrack.detections import Detection
-from vodtrack.evalio import VideoDetectionSet, VideoPredictions
+from oracles import (
+    Detection,
+    TrackPrediction,
+    box_iou,
+    brute_force_best_path,
+    frames_of,
+    predictions,
+    reference_rescore,
+    video_set,
+)
+from vodtrack.evalio import VideoPredictions
 from vodtrack.geometry import Box
 from vodtrack.linker import (
     LinkGraph,
@@ -20,7 +28,6 @@ from vodtrack.linker import (
     build_graph_seqtrack,
     rescore_and_suppress,
 )
-from vodtrack.tracker import TrackPrediction
 
 
 def shifted(b: Box, dx: float, dy: float) -> Box:
@@ -33,12 +40,12 @@ def det(frame, cls, score, corners):
 
 def as_set(video):
     """Per-frame detection lists as the set the linker takes."""
-    return VideoDetectionSet("v", video)
+    return video_set("v", video)
 
 
 def rescored_frames(video, graph, nms_iou):
     """``rescore_and_suppress`` on per-frame lists, its result as per-frame lists."""
-    return [list(f) for f in rescore_and_suppress(as_set(video), graph, nms_iou).frames]
+    return [list(f) for f in frames_of(rescore_and_suppress(as_set(video), graph, nms_iou))]
 
 
 def random_video(rng, max_frames=6, max_boxes=5, clustered=True):
@@ -142,7 +149,7 @@ class TestBuildGraphSeqtrack:
         video = [[b_t], [b_t1]]
         assert build_graph_seqnms(as_set(video)).edges[0] == {}
         preds = [[TrackPrediction(b_t, b_t1.box, 0.9)]]
-        g = build_graph_seqtrack(as_set(video), VideoPredictions.aligned(as_set(video), preds))
+        g = build_graph_seqtrack(as_set(video), predictions(as_set(video), preds))
         assert g.edges[0] == {0: (0,)}
 
     def test_identity_predictions_reduce_to_seqnms(self):
@@ -150,7 +157,7 @@ class TestBuildGraphSeqtrack:
         video = random_video(rng)
         preds = [[TrackPrediction(d, d.box, 0.9) for d in frame] for frame in video]
         a = build_graph_seqnms(as_set(video))
-        b = build_graph_seqtrack(as_set(video), VideoPredictions.aligned(as_set(video), preds))
+        b = build_graph_seqtrack(as_set(video), predictions(as_set(video), preds))
         assert graph_edge_dict(a) == graph_edge_dict(b)
 
     def test_predicate_recheck_oracle(self):
@@ -164,7 +171,7 @@ class TestBuildGraphSeqtrack:
                     dx, dy = rng.uniform(-4, 4, 2)
                     frame_preds.append(TrackPrediction(d, shifted(d.box, dx, dy), 0.8))
                 preds.append(frame_preds)
-            g = build_graph_seqtrack(as_set(video), VideoPredictions.aligned(as_set(video), preds))
+            g = build_graph_seqtrack(as_set(video), predictions(as_set(video), preds))
             got = graph_edge_dict(g)
             want = {}
             for t in range(len(video) - 1):
@@ -182,11 +189,12 @@ class TestBuildGraphSeqtrack:
     def test_misaligned_preds_rejected(self):
         video = [[det(0, 0, 0.9, (0, 0, 10, 10))], [det(1, 0, 0.8, (1, 1, 11, 11))]]
         with pytest.raises(ValueError, match="predictions"):
-            build_graph_seqtrack(as_set(video), VideoPredictions.aligned(as_set(video), [[], []]))
+            build_graph_seqtrack(as_set(video), VideoPredictions(as_set(video), np.full((2, 4), np.nan),
+                                                                 np.full(2, np.nan), 0))
 
     def test_predictions_on_other_rows_rejected(self):
         video = [[det(0, 0, 0.9, (0, 0, 10, 10))], [det(1, 0, 0.8, (1, 1, 11, 11))]]
-        first_frame = VideoPredictions.aligned(as_set(video[:1]), [])
+        first_frame = predictions(as_set(video[:1]), [])
         with pytest.raises(ValueError, match="predictions on 1 rows over 0 frames do not cover"):
             build_graph_seqtrack(as_set(video), first_frame)
 

@@ -20,12 +20,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import channels_last
-from vodtrack.detections import Detection
+from oracles import Detection, TrackPrediction, channels_last, frames_of, predictions, records_set
 from vodtrack.evalio import (
     MAX_FRAME_INDEX,
-    VideoDetectionSet,
-    VideoPredictions,
     load_detections,
     load_features,
     load_named_arrays,
@@ -40,7 +37,6 @@ from vodtrack.synth import load_scenario, preset_scenario, save_scenario
 from vodtrack.tensor_ops import FeaturePyramid
 from vodtrack.tracker import (
     TrackerConfig,
-    TrackPrediction,
     load_weights,
     save_weights,
     synthesize_weights,
@@ -72,7 +68,7 @@ def sample_detections():
          Detection(1, 2, 0.4, Box(2.5, 3, 9, 12.25), provenance="tracked"),
          Detection(2, 1, 0.7, Box(5, 5, 6, 7))]
     b = [Detection(0, 0, 0.3, Box(1, 1, 4, 4), track=0)]
-    return [VideoDetectionSet.from_records("v0", a), VideoDetectionSet.from_records("v1", b)]
+    return [records_set("v0", a), records_set("v1", b)]
 
 
 @pytest.fixture(scope="module")
@@ -82,8 +78,8 @@ def valid_files(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("valid")
     sets = sample_detections()
     save_detections(sets, tmp / "dets.jsonl")
-    preds = [[TrackPrediction(d, Box(d.box.x1 + 1.0, d.box.y1 - 0.5, d.box.x2 + 1.0, d.box.y2 - 0.5), 0.8) for d in frame] for frame in sets[0].frames]
-    save_predictions(VideoPredictions.aligned(sets[0], preds), tmp / "preds.jsonl")
+    preds = [[TrackPrediction(d, Box(d.box.x1 + 1.0, d.box.y1 - 0.5, d.box.x2 + 1.0, d.box.y2 - 0.5), 0.8) for d in frame] for frame in frames_of(sets[0])]
+    save_predictions(predictions(sets[0], preds), tmp / "preds.jsonl")
     rng = np.random.default_rng(5)
     pyr = FeaturePyramid(((4, channels_last(rng.random((2, 4, 4)))), (8, channels_last(rng.random((3, 2, 2))))), 16, 16)
     save_features(pyr, tmp / "f.feat")

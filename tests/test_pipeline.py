@@ -1,20 +1,31 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import box_iou
-from vodtrack.detections import PROVENANCE_DETECTED, PROVENANCE_TRACKED, Detection
-from vodtrack.evalio import VideoDetectionSet
+from oracles import (
+    Detection,
+    box_iou,
+    frames_of,
+    nms_reference,
+    predictions,
+    reference_merge,
+    track_records,
+    video_set,
+)
+from vodtrack.detections import PROVENANCE_DETECTED, PROVENANCE_TRACKED
 from vodtrack.geometry import Box
 from vodtrack.pipeline import (
     PipelineConfig,
     filter_tracks,
     final_detections,
-    nms,
     run_video,
     tfd_merge,
 )
 from vodtrack.synth import generate, preset_scenario
-from vodtrack.tracker import NoiseParams, TrackPrediction, make_oracle_track_fn
+from vodtrack.tracker import NoiseParams, make_oracle_track_fn
 
 
 def det(frame, cls, score, corners, track=None, provenance=None):
@@ -23,21 +34,23 @@ def det(frame, cls, score, corners, track=None, provenance=None):
 
 def merged_frames(video, track_fn, cfg):
     """``run_video``'s merged set as per-frame tuples of detections."""
-    return run_video(video, track_fn, cfg)[0].frames
+    return frames_of(run_video(video, track_fn, cfg)[0])
 
 
-def nms_reference(dets, thresh, key):
-    """Classic removal-loop NMS, independent of the implementation."""
-    remaining = list(range(len(dets)))
-    kept = []
-    while remaining:
-        best = max(remaining, key=lambda i: (key(dets[i]), -i))
-        kept.append(dets[best])
-        remaining = [
-            i for i in remaining
-            if i != best and box_iou(dets[i].box, dets[best].box) <= thresh
-        ]
-    return kept
+def corners(dets):
+    return np.array([d.box.corners() for d in dets], np.float64).reshape(-1, 4)
+
+
+def nms(dets, thresh):
+    """Suppression by ``filter_tracks`` with no quality gate, keyed on score: the kept detections."""
+    quality = np.array([d.score for d in dets], np.float64)
+    cfg = PipelineConfig(track_quality_min=0.0, track_nms_iou=thresh)
+    return [dets[i] for i in filter_tracks(corners(dets), quality, cfg).tolist()]
+
+
+def dead_tracker(boxes, frame, class_id):
+    """Every box tracked to itself at quality 0."""
+    return boxes, np.zeros(len(boxes))
 
 
 class TestConfig:
@@ -67,6 +80,8 @@ class TestConfig:
 
 
 class TestNms:
+    """The greedy suppression of ``filter_tracks``, keyed on score through ``nms``."""
+
     def test_identical_boxes(self):
         a = det(0, 0, 0.9, (0, 0, 10, 10))
         b = det(0, 0, 0.8, (0, 0, 10, 10))
@@ -125,67 +140,59 @@ class TestNms:
         assert top in kept
 
 
-def pred(source, corners, quality):
-    return TrackPrediction(source, Box(*corners), quality)
-
-
 class TestFilterTracks:
     def test_low_quality_dropped(self):
-        src = det(0, 2, 0.9, (0, 0, 10, 10), track=3)
-        preds = [pred(src, (0, 0, 10, 10), 0.4)]
-        assert filter_tracks(preds, PipelineConfig()) == []
+        assert filter_tracks(np.array([[0.0, 0, 10, 10]]), np.array([0.4]), PipelineConfig()).tolist() == []
 
     def test_overlapping_tracks_nms_on_quality(self):
-        s1 = det(0, 0, 0.5, (0, 0, 10, 10), track=1)
-        s2 = det(0, 0, 0.9, (0, 0, 10, 10), track=2)
-        preds = [pred(s1, (0, 0, 10, 10), 0.9), pred(s2, (0.5, 0.5, 10.5, 10.5), 0.8)]
-        out = filter_tracks(preds, PipelineConfig(), frame=1)
-        assert len(out) == 1
-        assert out[0].track == 1  # higher quality wins despite lower class score
+        # Row 0 (quality 0.9) and row 1 (0.8) overlap: the higher quality wins,
+        # whatever the scores of the detections they were tracked from.
+        boxes = np.array([[0.0, 0, 10, 10], [0.5, 0.5, 10.5, 10.5]])
+        assert filter_tracks(boxes, np.array([0.9, 0.8]), PipelineConfig()).tolist() == [0]
+        assert filter_tracks(boxes, np.array([0.8, 0.9]), PipelineConfig()).tolist() == [1]
 
     def test_empty(self):
-        assert filter_tracks([], PipelineConfig()) == []
+        assert filter_tracks(np.zeros((0, 4)), np.zeros(0), PipelineConfig()).tolist() == []
 
     def test_survivors_inherit_source_fields(self):
-        src = det(4, 7, 0.61, (0, 0, 10, 10), track=9)
-        out = filter_tracks([pred(src, (1, 1, 11, 11), 0.95)], PipelineConfig())
-        (d,) = out
-        assert d.frame == 5
+        # Frame 0's detection is admitted as track 0; the tracker moves it to
+        # (1, 1, 11, 11) at quality 0.95, so frame 1 holds it as tracked.
+        def mover(boxes, frame, class_id):
+            return boxes + 1.0, np.full(len(boxes), 0.95)
+
+        video = video_set("v", [[det(0, 7, 0.61, (0, 0, 10, 10))], []])
+        (d,) = merged_frames(video, mover, PipelineConfig())[1]
+        assert d.frame == 1
         assert d.class_id == 7
         assert d.score == 0.61
-        assert d.track == 9
+        assert d.track == 0
         assert d.provenance == PROVENANCE_TRACKED
         assert d.box.corners() == (1, 1, 11, 11)
 
 
 class TestTfdMerge:
     def test_overlap_at_t_merge_is_dropped(self):
-        tracked = [det(1, 0, 0.9, (0, 0, 10, 10), track=0, provenance=PROVENANCE_TRACKED)]
-        detected = [det(1, 0, 0.95, (0, 0, 10, 5))]  # IoU exactly 0.5
-        assert tfd_merge(tracked, detected, PipelineConfig(t_merge=0.5)) == tracked
+        tracked, detected = corners([det(1, 0, 0.9, (0, 0, 10, 10))]), corners([det(1, 0, 0.95, (0, 0, 10, 5))])
+        # IoU exactly 0.5
+        assert tfd_merge(tracked, detected, PipelineConfig(t_merge=0.5)).tolist() == [0]
         assert len(tfd_merge(tracked, detected, PipelineConfig(t_merge=0.5001))) == 2
 
     def test_overlapping_detection_discarded(self):
-        tracked = [det(1, 0, 0.9, (0, 0, 10, 10), track=0, provenance=PROVENANCE_TRACKED)]
+        tracked = [det(1, 0, 0.9, (0, 0, 10, 10))]
         detected = [det(1, 0, 0.95, (1, 1, 10.5, 10.5))]
         assert box_iou(tracked[0].box, detected[0].box) > 0.7
-        merged = tfd_merge(tracked, detected, PipelineConfig())
-        assert merged == tracked
+        assert tfd_merge(corners(tracked), corners(detected), PipelineConfig()).tolist() == [0]
 
     def test_moderate_overlap_keeps_both(self):
-        tracked = [det(1, 0, 0.9, (0, 0, 10, 10), track=0, provenance=PROVENANCE_TRACKED)]
+        tracked = [det(1, 0, 0.9, (0, 0, 10, 10))]
         detected = [det(1, 1, 0.95, (4, 0, 14, 10))]
         assert 0.3 < box_iou(tracked[0].box, detected[0].box) < 0.7
-        merged = tfd_merge(tracked, detected, PipelineConfig(), id_start=5)
-        assert len(merged) == 2
-        assert merged[1].track == 5
-        assert merged[1].provenance == PROVENANCE_DETECTED
+        # Rows of the two stacked: the tracked row, then detected row 0.
+        assert tfd_merge(corners(tracked), corners(detected), PipelineConfig()).tolist() == [0, 1]
 
     def test_no_tracked_passes_all(self):
         detected = [det(0, 0, 0.5, (0, 0, 10, 10)), det(0, 1, 0.4, (20, 20, 30, 30))]
-        merged = tfd_merge([], detected, PipelineConfig())
-        assert [d.box.corners() for d in merged] == [d.box.corners() for d in detected]
-        assert [d.track for d in merged] == [0, 1]
+        assert tfd_merge(np.zeros((0, 4)), corners(detected), PipelineConfig()).tolist() == [0, 1]
 
     def test_kept_set_is_exact_formula(self):
         rng = np.random.default_rng(57)
@@ -199,9 +206,9 @@ class TestTfdMerge:
             det(0, 0, 0.5, Box.from_center(*rng.uniform(0, 40, 2), *rng.uniform(6, 14, 2)).corners())
             for _ in range(10)
         ]
-        merged = tfd_merge(tracked, detected, cfg)
-        assert merged[: len(tracked)] == tracked
-        kept_boxes = {d.box.corners() for d in merged[len(tracked) :]}
+        merged = tfd_merge(corners(tracked), corners(detected), cfg).tolist()
+        assert merged[: len(tracked)] == list(range(len(tracked)))
+        kept_boxes = {detected[i - len(tracked)].box.corners() for i in merged[len(tracked) :]}
         want = {
             d.box.corners()
             for d in detected
@@ -217,11 +224,7 @@ class TestStep:
         cfg = PipelineConfig()
         dets = [det(0, 0, 0.5, (0, 0, 10, 10)), det(0, 1, 0.01, (20, 20, 30, 30))]
         later = [det(1, 0, 0.5, (40, 40, 50, 50))]
-
-        def dead_tracker(boxes):
-            return [TrackPrediction(b, b.box, 0.0) for b in boxes]
-
-        merged = merged_frames(VideoDetectionSet("v", [dets, later]), dead_tracker, cfg)
+        merged = merged_frames(video_set("v", [dets, later]), dead_tracker, cfg)
         assert len(merged[0]) == 1
         assert merged[0][0].track == 0
         assert merged[0][0].provenance == PROVENANCE_DETECTED
@@ -230,15 +233,11 @@ class TestStep:
 
     def test_zero_quality_tracker_degenerates_to_detection(self):
         cfg = PipelineConfig()
-
-        def dead_tracker(boxes):
-            return [TrackPrediction(b, b.box, 0.0) for b in boxes]
-
         frames = [
             [det(0, 0, 0.9, (0, 0, 10, 10))],
             [det(1, 0, 0.8, (1, 1, 11, 11))],
         ]
-        merged = merged_frames(VideoDetectionSet("v", frames), dead_tracker, cfg)
+        merged = merged_frames(video_set("v", frames), dead_tracker, cfg)
         assert all(d.provenance == PROVENANCE_DETECTED for f in merged for d in f)
         # identities restart every frame without tracking
         assert merged[1][0].track != merged[0][0].track
@@ -254,7 +253,7 @@ class TestStep:
         for t, frame in enumerate(merged):
             for d in frame:
                 best, best_iou = None, 0.5
-                for g in gt.frames[t]:
+                for g in frames_of(gt)[t]:
                     v = box_iou(d.box, g.box)
                     if v >= best_iou:
                         best, best_iou = g, v
@@ -289,21 +288,17 @@ class TestStep:
     def test_tracker_length_mismatch_rejected(self):
         frames = [[det(0, 0, 0.9, (0, 0, 10, 10))], [det(1, 0, 0.9, (0, 0, 10, 10))]]
         with pytest.raises(ValueError, match="tracker returned"):
-            run_video(VideoDetectionSet("v", frames), lambda b: [], PipelineConfig())
+            run_video(video_set("v", frames), lambda b, f, c: (b[:0], np.zeros(0)), PipelineConfig())
 
-    def test_duplicate_ids_rejected(self):
+    @pytest.mark.parametrize("bad", [1.5, -0.25, float("nan")])
+    def test_track_quality_out_of_range_rejected(self, bad):
         frames = [[det(0, 0, 0.9, (0, 0, 10, 10)), det(0, 0, 0.8, (20, 20, 30, 30))], []]
 
-        def twin_tracker(boxes):
-            # Both predictions come from the first source, at boxes that do
-            # not overlap, so both survive suppression with one track id.
-            if not boxes:
-                return []
-            return [TrackPrediction(boxes[0], Box(0, 0, 10, 10), 1.0),
-                    TrackPrediction(boxes[0], Box(50, 50, 60, 60), 1.0)]
+        def tracker(boxes, frame, class_id):
+            return boxes, np.array([0.5, bad][: len(boxes)])
 
-        with pytest.raises(ValueError, match="duplicate track ids in frame 1"):
-            run_video(VideoDetectionSet("v", frames), twin_tracker, PipelineConfig())
+        with pytest.raises(ValueError, match=r"quality must be in \[0, 1\], got " + re.escape(repr(bad))):
+            run_video(video_set("v", frames), tracker, PipelineConfig())
 
 
 class TestFinalDetections:
@@ -315,5 +310,71 @@ class TestFinalDetections:
             det(0, 1, 0.7, (1, 1, 11, 11)),     # other class, kept
             det(0, 0, 0.01, (40, 40, 50, 50)),  # below threshold
         ]]
-        out = final_detections(VideoDetectionSet("v", frames), cfg).frames
+        out = frames_of(final_detections(video_set("v", frames), cfg))
         assert [(d.class_id, d.score) for d in out[0]] == [(0, 0.9), (1, 0.7)]
+
+
+# Grid corners make overlaps land exactly on the thresholds (IoU 1/2 and
+# 7/10 are one division away), and the score and quality sets hold ties and
+# each gate's own value.
+SCORES = (0.02, 0.03, 0.5, 0.9, 1.0)
+QUALITIES = (0.0, 0.3, 0.5, 0.7, 0.9, 1.0)
+GRID = settings(max_examples=300, deadline=None, database=None, derandomize=True)
+
+
+@st.composite
+def grid_detections(draw, frame):
+    x1, y1 = draw(st.integers(0, 4)), draw(st.integers(0, 1))
+    w, h = draw(st.sampled_from([1, 2, 5, 7, 10])), draw(st.integers(1, 2))
+    return det(frame, draw(st.integers(0, 1)), draw(st.sampled_from(SCORES)), (x1, y1, x1 + w, y1 + h))
+
+
+@st.composite
+def grid_videos(draw):
+    return [draw(st.lists(grid_detections(t), max_size=5)) for t in range(draw(st.integers(0, 5)))]
+
+
+grid_configs = st.builds(
+    PipelineConfig,
+    detect_to_track_score=st.sampled_from([0.03, 0.5]),
+    track_quality_min=st.sampled_from([0.5, 0.7]),
+    track_nms_iou=st.sampled_from([0.5, 0.7]),
+    t_merge=st.sampled_from([0.5, 0.7]),
+)
+
+
+# The moves of a tracked box: none (so overlaps on the grid persist), one
+# step either way, or one step wider.
+MOVES = ((0, 0, 0, 0), (0, 0, 0, 0), (-1, 0, -1, 0), (1, 0, 1, 0), (0, 0, 1, 0))
+
+
+def seeded_tracker(seed):
+    """A track function whose prediction for a box depends only on the seed, the
+    frame, the class and the box: a move from ``MOVES`` and a quality from ``QUALITIES``."""
+
+    def track_fn(boxes, frame, class_id):
+        predicted, quality = np.array(boxes, np.float64), np.zeros(len(boxes))
+        for k, (box, c) in enumerate(zip(boxes.tolist(), class_id.tolist())):
+            rng = np.random.default_rng([seed, frame, c, *(int(v) + 100 for v in box)])
+            predicted[k] += MOVES[rng.integers(len(MOVES))]
+            quality[k] = QUALITIES[rng.integers(len(QUALITIES))]
+        return predicted, quality
+
+    return track_fn
+
+
+class TestMergeAgainstReference:
+    @GRID
+    @given(frames=grid_videos(), cfg=grid_configs, seed=st.integers(0, 2**16))
+    def test_columns_equal_per_object_merge(self, frames, cfg, seed):
+        track_fn = seeded_tracker(seed)
+        merged, preds = run_video(video_set("v", frames), track_fn, cfg)
+        want_frames, want_preds = reference_merge(frames, lambda dets: track_records(track_fn, dets), cfg)
+        want = video_set("v", want_frames)
+        for name in ("offsets", "class_id", "score", "boxes", "track", "has_track", "provenance"):
+            got, expected = getattr(merged, name), getattr(want, name)
+            assert (got.dtype, got.shape, got.tobytes()) == (expected.dtype, expected.shape, expected.tobytes()), name
+        expected = predictions(merged, want_preds)
+        assert preds.dets is merged and preds.n_predicted == expected.n_predicted
+        assert preds.boxes.tobytes() == expected.boxes.tobytes()
+        assert preds.quality.tobytes() == expected.quality.tobytes()

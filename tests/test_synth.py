@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import box_iou
+from oracles import box_iou, frames_of
 from vodtrack.evalio import save_detections
 from vodtrack.synth import (
     DetectorNoise,
@@ -67,7 +67,7 @@ class TestGenerate:
     def test_zero_noise_dets_equal_gt(self):
         gt, dets = generate(simple_spec())
         assert gt.n_frames == dets.n_frames == 12
-        for gf, df in zip(gt.frames, dets.frames):
+        for gf, df in zip(frames_of(gt), frames_of(dets)):
             assert len(gf) == len(df)
             for g, d in zip(gf, df):
                 assert g.box.corners() == d.box.corners()
@@ -79,7 +79,7 @@ class TestGenerate:
         gt, _ = generate(spec)
         for obj_id, obj in enumerate(spec.objects):
             frames_seen = []
-            for frame in gt.frames:
+            for frame in frames_of(gt):
                 for d in frame:
                     if d.track == obj_id:
                         frames_seen.append(d.frame)
@@ -100,20 +100,20 @@ class TestGenerate:
     def test_miss_prob_one_empty(self):
         spec = simple_spec(noise=DetectorNoise(miss_prob=1.0))
         _, dets = generate(spec)
-        assert sum(len(f) for f in dets.frames) == 0
+        assert sum(len(f) for f in frames_of(dets)) == 0
 
     def test_noise_never_alters_gt(self):
         clean_gt, _ = generate(simple_spec())
         noisy_gt, _ = generate(simple_spec(noise=DetectorNoise(box_sigma=4.0, miss_prob=0.5,
                                                                false_positive_rate=1.0)))
-        assert clean_gt.frames == noisy_gt.frames
+        assert frames_of(clean_gt) == frames_of(noisy_gt)
 
     def test_degradation_attenuates_scores_in_window(self):
         obj = ObjectSpec(class_id=0, first_frame=0, last_frame=11, cx=30, cy=30, w=20, h=16,
                          degradations=((3, 7, 0.2),))
         spec = simple_spec(objects=(obj,))
         _, dets = generate(spec)
-        for frame in dets.frames:
+        for frame in frames_of(dets):
             for d in frame:
                 if 3 <= d.frame < 7:
                     assert d.score == pytest.approx(0.2, abs=1e-12)
@@ -128,7 +128,7 @@ class TestGenerate:
             for seed in range(32):
                 spec = simple_spec(seed=seed, noise=DetectorNoise(box_sigma=sigma))
                 gt, dets = generate(spec)
-                for gf, df in zip(gt.frames, dets.frames):
+                for gf, df in zip(frames_of(gt), frames_of(dets)):
                     for g, d in zip(gf, df):
                         vals.append(box_iou(g.box, d.box))
             means.append(np.mean(vals))
@@ -138,10 +138,10 @@ class TestGenerate:
     def test_false_positives_within_image(self):
         spec = simple_spec(noise=DetectorNoise(false_positive_rate=2.0))
         gt, dets = generate(spec)
-        n_gt = sum(len(f) for f in gt.frames)
-        n_det = sum(len(f) for f in dets.frames)
+        n_gt = sum(len(f) for f in frames_of(gt))
+        n_det = sum(len(f) for f in frames_of(dets))
         assert n_det > n_gt
-        for frame in dets.frames:
+        for frame in frames_of(dets):
             for d in frame:
                 assert 0 <= d.box.x1 and d.box.x2 <= spec.width
                 assert 0 <= d.box.y1 and d.box.y2 <= spec.height
@@ -217,14 +217,14 @@ class TestPresets:
         spec = preset_scenario("clean", 0)
         assert spec.noise == DetectorNoise()
         gt, dets = generate(spec)
-        assert all(d.score == 1.0 for f in dets.frames for d in f)
+        assert all(d.score == 1.0 for f in frames_of(dets) for d in f)
 
     def test_fast_preset_has_zero_iou_object(self):
         spec = preset_scenario("fast", 0)
         gt, _ = generate(spec)
         found = False
         for obj_id in range(len(spec.objects)):
-            boxes = {d.frame: d.box for f in gt.frames for d in f if d.track == obj_id}
+            boxes = {d.frame: d.box for f in frames_of(gt) for d in f if d.track == obj_id}
             pairs = [(boxes[t], boxes[t + 1]) for t in boxes if t + 1 in boxes]
             if pairs and all(box_iou(a, b) == 0.0 for a, b in pairs):
                 found = True

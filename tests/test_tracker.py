@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from oracles import (
+    Detection,
     box_iou,
     channels_first,
     channels_last,
@@ -13,29 +14,37 @@ from oracles import (
     naive_depthwise_correlate,
     naive_head,
     oversampled_roi_align,
+    records_set,
+    track_records,
 )
-from vodtrack.detections import Detection
 from vodtrack.geometry import Box
-from vodtrack.evalio import VideoDetectionSet
 import vodtrack.tracker as tracker
 from vodtrack.tensor_ops import FeaturePyramid
 from vodtrack.tracker import (
     NoiseParams,
     TrackerConfig,
-    TrackPrediction,
     fuse_for_head,
     head_forward,
     load_weights,
     make_oracle_track_fn,
-    oracle_track,
     save_weights,
     smooth_l1,
     smooth_l1_grad,
     synthesize_weights,
-    track,
 )
 
 SMALL_CFG = TrackerConfig(template_pool=3, search_pool=9)
+
+
+def track(feat_t, feat_t1, dets, w, cfg=TrackerConfig()):
+    """``tracker.track`` on detection records, read back as one prediction per record."""
+    return track_records(lambda boxes, frame, class_id: tracker.track(feat_t, feat_t1, boxes, w, cfg), dets)
+
+
+def oracle_track(dets, gt, noise, seed):
+    """``tracker.oracle_track`` on detection records, read back as one prediction per record."""
+    return track_records(
+        lambda boxes, frame, class_id: tracker.oracle_track(boxes, frame, class_id, gt, noise, seed), dets)
 
 
 def small_weights(seed=11, channels=2):
@@ -381,7 +390,7 @@ def make_gt(tracks, n_frames, video="v"):
     for tid, (boxes, cls) in enumerate(tracks):
         for frame, box in boxes.items():
             records.append(Detection(frame, cls, 1.0, box, track=tid))
-    return VideoDetectionSet.from_records(video, records, n_frames=n_frames)
+    return records_set(video, records, n_frames=n_frames)
 
 
 class TestOracleTrack:
@@ -463,7 +472,7 @@ class TestOracleTrack:
     def test_track_fn_factory(self):
         fn = make_oracle_track_fn(self.gt, NoiseParams(), seed=0)
         dets = [Detection(0, 0, 0.9, Box(0, 0, 10, 10))]
-        assert fn(dets)[0].quality == 1.0
+        assert track_records(fn, dets)[0].quality == 1.0
 
 
 class TestWeightsIO:
@@ -498,18 +507,3 @@ class TestWeightsIO:
         save_named_arrays(arrays, p)
         with pytest.raises(ValueError, match="missing weight array"):
             load_weights(p)
-
-
-class TestPredictionType:
-    def test_quality_range_validated(self):
-        det = Detection(0, 0, 0.9, Box(0, 0, 1, 1))
-        with pytest.raises(ValueError, match="quality"):
-            TrackPrediction(det, det.box, 1.5)
-
-
-class TestOneFramePerCall:
-    def test_oracle_rejects_boxes_from_two_frames(self):
-        gt = make_gt([({0: Box(0, 0, 10, 10), 1: Box(2, 1, 12, 11)}, 0)], n_frames=2)
-        boxes = [Detection(0, 0, 0.9, Box(0, 0, 10, 10)), Detection(1, 0, 0.9, Box(2, 1, 12, 11))]
-        with pytest.raises(ValueError, match=r"one frame, got frames \[0, 1\]"):
-            oracle_track(boxes, gt, NoiseParams(), seed=0)
