@@ -8,13 +8,10 @@ and linking the result into tubelets that are re-scored by path averaging.
 
 __version__ = "0.1.0"
 
-from .geometry import Box, RegressionDelta
 from .tensor_ops import ConvBlockWeights, FeaturePyramid
 
 __all__ = [
     "__version__",
-    "Box",
-    "RegressionDelta",
     "FeaturePyramid",
     "ConvBlockWeights",
 ]

@@ -116,7 +116,12 @@ def _config_from_args(args) -> PipelineConfig:
     return _from_flags(PipelineConfig, _CONFIG_FLAGS, args)
 
 
-def _noise_from_args(args) -> NoiseParams:
+def _noise_from_args(args, unread: str | None = None) -> NoiseParams:
+    """The oracle's noise; with ``unread`` (why no oracle runs) a given oracle flag raises."""
+    flags = [*_NOISE_FLAGS.items(), ("oracle_seed", "--oracle-seed")]
+    given = [flag for name, flag in flags if getattr(args, name) is not None]
+    if unread and given:
+        raise ValueError(f"{given[0]} is not read {unread}")
     return _from_flags(NoiseParams, _NOISE_FLAGS, args)
 
 
@@ -183,7 +188,7 @@ def _add_noise_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--noise-center", type=float, dest="center_sigma", help="oracle center jitter sigma, px")
     p.add_argument("--noise-size", type=float, dest="size_sigma", help="oracle log-size jitter sigma")
     p.add_argument("--noise-failure", type=float, dest="failure_prob", help="oracle track-failure probability")
-    p.add_argument("--oracle-seed", type=_non_negative_int, default=0)
+    p.add_argument("--oracle-seed", type=_non_negative_int, help="oracle noise seed (default 0)")
 
 
 def _add_oracle_flags(p: argparse.ArgumentParser) -> None:
@@ -280,7 +285,7 @@ def _track_frames(vds: VideoDetectionSet, args, gt, cfg: TrackerConfig, noise: N
         for t in range(vds.n_frames):
             rows = vds.rows(t)
             boxes[rows], quality[rows] = oracle_track(vds.boxes[rows], t, vds.class_id[rows], gt, noise,
-                                                      args.oracle_seed)
+                                                      args.oracle_seed or 0)
         return VideoPredictions(vds, boxes, quality, vds.n_frames)
     weights = load_weights(args.weights)
     try:
@@ -349,7 +354,7 @@ def cmd_track(args, argv) -> int:
         cfg = TrackerConfig(args.template_pool, args.search_pool, args.fuse_stride)
     except ValueError as exc:
         raise ValueError(f"--template-pool, --search-pool, --fuse-stride: {exc}") from None
-    noise = _noise_from_args(args)
+    noise = _noise_from_args(args, None if args.oracle else "without --oracle")
     timings = {}
     vds = _timed(timings, "load", load_single_video, args.dets)
     gt = _load_gt(args, vds, timings) if args.oracle else None
@@ -370,11 +375,11 @@ def _load_preds(args, sets: list[VideoDetectionSet], timings: dict) -> dict[str,
 
 def cmd_tfd(args, argv) -> int:
     _check_tracker_flags(args, {"--preds": args.preds})
-    cfg, noise = _config_from_args(args), _noise_from_args(args)
+    cfg, noise = _config_from_args(args), _noise_from_args(args, None if args.oracle else "without --oracle")
     timings = {}
     vds = _timed(timings, "load", load_single_video, args.dets)
     if args.oracle:
-        track_fn = make_oracle_track_fn(_load_gt(args, vds, timings), noise, args.oracle_seed)
+        track_fn = make_oracle_track_fn(_load_gt(args, vds, timings), noise, args.oracle_seed or 0)
     else:
         track_fn = make_replay_track_fn(_load_preds(args, [vds], timings)[vds.video])
 
@@ -471,11 +476,12 @@ def cmd_run(args, argv) -> int:
         recorded = _read_manifest(args.from_manifest, "run")
         return main(recorded + ["--out-dir", args.out_dir], manifest=args.from_manifest)
 
-    cfg, noise = _config_from_args(args), _noise_from_args(args)
+    untracked = None if args.variant.startswith("tfd") else f"with --variant {args.variant}"
+    cfg, noise, seed = _config_from_args(args), _noise_from_args(args, untracked), args.oracle_seed or 0
     spec = _scenario_from_args(args)
+    result, artifacts = run_variant(spec, args.variant, cfg, noise, seed, args.link_iou, args.iou)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    result, artifacts = run_variant(spec, args.variant, cfg, noise, args.oracle_seed, args.link_iou, args.iou)
     names = ["scenario.json", "gt.jsonl", "dets.jsonl", "final.jsonl", "result.json"]
     timings = artifacts["timings"]
     save_scenario(spec, out_dir / "scenario.json")

@@ -39,7 +39,7 @@ Every loader rejects a malformed line
 with a ``ValueError`` naming ``path:line``; a detection frame index above
 ``MAX_FRAME_INDEX``, a box corner beyond ``geometry.MAX_COORDINATE`` and a
 class or track id outside int64 count as malformed; the rules of the record
-types (``check_detection``, ``check_quality``, ``check_extent``) hold for
+types (``check_detection``, ``check_quality``, ``check_corners``) hold for
 the columns too. Every
 JSON text the package reads, these lines and the headers below included,
 is decoded by :func:`read_json_object`, which names the file (and line).
@@ -63,7 +63,7 @@ from typing import Sequence
 import numpy as np
 
 from .detections import PROVENANCES, check_detection, check_quality
-from .geometry import MAX_COORDINATE, check_extent, iou
+from .geometry import MAX_COORDINATE, check_corners, iou
 from .tensor_ops import FeaturePyramid
 
 __all__ = [
@@ -238,9 +238,7 @@ def _corners(obj: dict) -> tuple[float, float, float, float]:
     if not (abs(x1) <= MAX_COORDINATE and abs(y1) <= MAX_COORDINATE
             and abs(x2) <= MAX_COORDINATE and abs(y2) <= MAX_COORDINATE):
         raise ValueError(f"'box' corners must lie within ±2**53, got {corners!r}")
-    x1, y1, x2, y2 = float(x1), float(y1), float(x2), float(y2)
-    check_extent(x1, y1, x2, y2)
-    return x1, y1, x2, y2
+    return tuple(check_corners(np.array([corners], np.float64))[0].tolist())
 
 
 def _written_box(box) -> bool:

@@ -1,29 +1,28 @@
 """Axis-aligned box algebra for tracking-by-regression.
 
-Boxes are stored in corner form ``(x1, y1, x2, y2)`` in continuous pixel
-units; the regression math works on the derived center form
-``(cx, cy, w, h)``. Regression deltas follow the standard R-CNN
-parameterization: center offsets normalized by the reference box size,
-log-space scale ratios.
+A box is a row of an ``(n, 4)`` float64 array of corners ``(x1, y1, x2, y2)``
+in continuous pixel units; every function here takes and returns such
+arrays. The regression math works on the derived center form ``(cx, cy, w,
+h)``. Regression deltas are ``(n, 4)`` rows ``(dx, dy, dw, dh)`` in the
+standard R-CNN parameterization: center offsets normalized by the reference
+box size, log-space scale ratios. All operations are pure functions.
 
-All types are immutable and all operations are pure functions.
+Box overlap has one kernel, :func:`iou`: it takes two corner arrays and
+returns their whole ``(len(a), len(b))`` IoU matrix, each entry equal bit
+for bit to the pairwise formula. Callers compute one matrix per frame (or
+frame pair) and apply their own threshold and tie rule to it.
 
-Box overlap has one kernel, :func:`iou`: it takes two sequences of boxes
-(or ``(n, 4)`` corner arrays) and returns their whole ``(len(a), len(b))`` IoU matrix, each entry equal
-bit for bit to the pairwise formula. Callers compute one matrix per frame
-(or frame pair) and apply their own threshold and tie rule to it.
+Every box the package makes passes :func:`check_corners`, the rule the
+record loaders apply, where it is made.
 """
 
 from __future__ import annotations
 
 import math
-from math import isfinite
-from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-__all__ = ["MAX_COORDINATE", "Box", "RegressionDelta", "check_extent", "iou", "encode", "decode", "expand"]
+__all__ = ["MAX_COORDINATE", "check_corners", "iou", "encode", "decode", "expand"]
 
 # Largest box coordinate magnitude, in pixels, that loaded and generated boxes
 # may reach. Past 2**53 a float64 no longer resolves one pixel; inside it the
@@ -32,87 +31,26 @@ __all__ = ["MAX_COORDINATE", "Box", "RegressionDelta", "check_extent", "iou", "e
 MAX_COORDINATE = 2.0**53
 
 
-@dataclass(frozen=True, slots=True)
-class Box:
-    """Axis-aligned rectangle with corner storage and center-form accessors.
+def check_corners(boxes: np.ndarray) -> np.ndarray:
+    """``boxes``, an ``(n, 4)`` corner array, if every row is a box the loaders accept.
 
-    Zero-area boxes are representable (they occur in detection files);
-    negative extent is rejected at construction.
+    A row must be finite, lie within ``±MAX_COORDINATE`` and have
+    non-negative extent; the first row that does not raises ``ValueError``.
     """
-
-    x1: float
-    y1: float
-    x2: float
-    y2: float
-
-    def __post_init__(self) -> None:
-        # One chain on the common path; only a failure looks up which corner.
-        if not (isfinite(self.x1) and isfinite(self.y1) and isfinite(self.x2) and isfinite(self.y2)):
-            for name in ("x1", "y1", "x2", "y2"):
-                v = getattr(self, name)
-                if not isfinite(v):
-                    raise ValueError(f"box coordinate {name} is not finite: {v!r}")
-        check_extent(self.x1, self.y1, self.x2, self.y2)
-
-    @classmethod
-    def from_center(cls, cx: float, cy: float, w: float, h: float) -> "Box":
-        """Build a box from center coordinates and width/height."""
-        return cls(cx - w / 2.0, cy - h / 2.0, cx + w / 2.0, cy + h / 2.0)
-
-    @property
-    def cx(self) -> float:
-        return (self.x1 + self.x2) / 2.0
-
-    @property
-    def cy(self) -> float:
-        return (self.y1 + self.y2) / 2.0
-
-    @property
-    def w(self) -> float:
-        return self.x2 - self.x1
-
-    @property
-    def h(self) -> float:
-        return self.y2 - self.y1
-
-    @property
-    def area(self) -> float:
-        return self.w * self.h
-
-    def corners(self) -> tuple[float, float, float, float]:
-        return (self.x1, self.y1, self.x2, self.y2)
+    x1, y1, x2, y2 = boxes.T
+    with np.errstate(invalid="ignore"):
+        inside = (np.abs(boxes) <= MAX_COORDINATE).all(axis=1)  # false for NaN
+        good = inside & (x1 <= x2) & (y1 <= y2)
+    if not good.all():
+        i = int(np.argmin(good))
+        if not inside[i]:
+            raise ValueError(f"box corners must be finite and lie within ±2**53, got {boxes[i].tolist()}")
+        raise ValueError(f"negative box extent: {boxes[i].tolist()}")
+    return boxes
 
 
-def check_extent(x1: float, y1: float, x2: float, y2: float) -> None:
-    """Raise ``ValueError`` for corners of negative extent, as a :class:`Box` does."""
-    if x2 < x1 or y2 < y1:
-        raise ValueError(f"negative box extent: ({x1}, {y1}, {x2}, {y2})")
-
-
-@dataclass(frozen=True, slots=True)
-class RegressionDelta:
-    """Dimensionless box regression target/prediction.
-
-    ``dx``/``dy`` are center offsets normalized by the reference box
-    width/height; ``dw``/``dh`` are log-space size ratios.
-    """
-
-    dx: float
-    dy: float
-    dw: float
-    dh: float
-
-    def __post_init__(self) -> None:
-        for name in ("dx", "dy", "dw", "dh"):
-            v = getattr(self, name)
-            if not math.isfinite(v):
-                raise ValueError(f"regression delta {name} is not finite: {v!r}")
-
-
-def iou(a: Sequence[Box] | np.ndarray, b: Sequence[Box] | np.ndarray) -> np.ndarray:
-    """IoU matrix of two box sequences: entry ``(i, j)`` is the overlap of ``a[i]`` and ``b[j]``.
-
-    Either sequence may be an ``(n, 4)`` float64 array of corners.
+def iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """IoU matrix of two corner arrays: entry ``(i, j)`` is the overlap of ``a[i]`` and ``b[j]``.
 
     Returns float64 of shape ``(len(a), len(b))``. The kernel is exact: each
     entry takes the pairwise formula's float operations in its order
@@ -125,7 +63,7 @@ def iou(a: Sequence[Box] | np.ndarray, b: Sequence[Box] | np.ndarray) -> np.ndar
     """
     if len(a) == 0 or len(b) == 0:
         return np.zeros((len(a), len(b)))
-    (ax1, ay1, ax2, ay2), (bx1, by1, bx2, by2) = _corner_array(a)[:, :, None], _corner_array(b)
+    (ax1, ay1, ax2, ay2), (bx1, by1, bx2, by2) = a.T[:, :, None], b.T
     # In-place steps on two reused (len(a), len(b)) float arrays and one mask.
     with np.errstate(over="ignore", invalid="ignore"):
         iw = np.minimum(ax2, bx2)
@@ -142,61 +80,72 @@ def iou(a: Sequence[Box] | np.ndarray, b: Sequence[Box] | np.ndarray) -> np.ndar
         return np.divide(inter, union, out=np.zeros(inter.shape), where=nonzero)
 
 
-def _corner_array(boxes: Sequence[Box] | np.ndarray) -> np.ndarray:
-    """Corners as a ``(4, n)`` array: rows x1, y1, x2, y2."""
-    if isinstance(boxes, np.ndarray):
-        return boxes.T
-    return np.array([(b.x1, b.y1, b.x2, b.y2) for b in boxes], dtype=np.float64).T
+def _sizes(boxes: np.ndarray, role: str) -> tuple[np.ndarray, np.ndarray]:
+    """The widths and heights of ``boxes``, all of which must be positive."""
+    w, h = boxes[:, 2] - boxes[:, 0], boxes[:, 3] - boxes[:, 1]
+    if not ((w > 0.0) & (h > 0.0)).all():
+        raise ValueError(f"{role} boxes must have positive width and height")
+    return w, h
 
 
-def _require_positive_extent(b: Box, role: str) -> None:
-    if b.w <= 0.0 or b.h <= 0.0:
-        raise ValueError(f"{role} box must have positive width and height: {b}")
+def _each(fn, values: np.ndarray) -> np.ndarray:
+    """``fn`` (``math.exp`` or ``math.log``) of each value, which ``np.exp`` does not match
+    bit for bit on every machine; an overflow raises ``ValueError``."""
+    try:
+        return np.array([fn(v) for v in values.tolist()], dtype=np.float64)
+    except OverflowError:
+        raise ValueError(f"{fn.__name__} of box scale {max(values.tolist())!r} overflows") from None
 
 
-def encode(b: Box, g: Box) -> RegressionDelta:
-    """Regression target taking reference box ``b`` onto target box ``g``.
+def encode(boxes: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Regression targets taking each reference box onto the target box of its row.
 
-    Returns ``((g.cx - b.cx) / b.w, (g.cy - b.cy) / b.h,
-    ln(g.w / b.w), ln(g.h / b.h))``. Both boxes must have positive extent.
+    Row ``i`` is ``((g.cx - b.cx) / b.w, (g.cy - b.cy) / b.h, ln(g.w / b.w),
+    ln(g.h / b.h))`` for ``b = boxes[i]`` and ``g = targets[i]``. Every box
+    must have positive extent.
     """
-    _require_positive_extent(b, "reference")
-    _require_positive_extent(g, "target")
-    return RegressionDelta(
-        dx=(g.cx - b.cx) / b.w,
-        dy=(g.cy - b.cy) / b.h,
-        dw=math.log(g.w / b.w),
-        dh=math.log(g.h / b.h),
-    )
+    bw, bh = _sizes(boxes, "reference")
+    gw, gh = _sizes(targets, "target")
+    dx = ((targets[:, 0] + targets[:, 2]) / 2.0 - (boxes[:, 0] + boxes[:, 2]) / 2.0) / bw
+    dy = ((targets[:, 1] + targets[:, 3]) / 2.0 - (boxes[:, 1] + boxes[:, 3]) / 2.0) / bh
+    return np.stack([dx, dy, _each(math.log, gw / bw), _each(math.log, gh / bh)], axis=1)
 
 
-def decode(b: Box, d: RegressionDelta) -> Box:
-    """Apply a regression delta to reference box ``b``.
+def _move_and_scale(boxes: np.ndarray, tx: np.ndarray, ty: np.ndarray, dw: np.ndarray,
+                    dh: np.ndarray) -> np.ndarray:
+    """Each box moved by ``(tx, ty)`` and its width and height scaled by ``exp(dw)`` and
+    ``exp(dh)`` about its center, as checked corners (:func:`check_corners`).
 
-    Inverse of :func:`encode`: the decoded box has center
-    ``(d.dx * b.w + b.cx, d.dy * b.h + b.cy)`` and size
-    ``(exp(d.dw) * b.w, exp(d.dh) * b.h)``.
+    The corner-form evaluation (algebraically the center form) keeps a zero
+    move and scale bit-exact.
     """
-    _require_positive_extent(b, "reference")
-    # Corner-form evaluation (algebraically identical to the center form)
-    # keeps the zero-delta decode bit-exact: decode(b, 0) == b.
-    sx = b.w * (1.0 - math.exp(d.dw)) / 2.0
-    sy = b.h * (1.0 - math.exp(d.dh)) / 2.0
-    tx = d.dx * b.w
-    ty = d.dy * b.h
-    return Box(
-        b.x1 + tx + sx,
-        b.y1 + ty + sy,
-        b.x2 + tx - sx,
-        b.y2 + ty - sy,
-    )
+    x1, y1, x2, y2 = boxes.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        sx = (x2 - x1) * (1.0 - _each(math.exp, dw)) / 2.0
+        sy = (y2 - y1) * (1.0 - _each(math.exp, dh)) / 2.0
+        moved = np.stack([x1 + tx + sx, y1 + ty + sy, x2 + tx - sx, y2 + ty - sy], axis=1)
+    return check_corners(moved)
 
 
-def expand(b: Box, k: float) -> Box:
-    """Scale a box about its center by factor ``k`` >= 1, keeping the aspect ratio."""
+def decode(boxes: np.ndarray, deltas: np.ndarray) -> np.ndarray:
+    """Apply each row's regression delta to its reference box.
+
+    Inverse of :func:`encode`: the decoded box has center ``(dx * w + cx,
+    dy * h + cy)`` and size ``(exp(dw) * w, exp(dh) * h)``. Every reference
+    box must have positive extent, and every decoded box must pass
+    :func:`check_corners`.
+    """
+    w, h = _sizes(boxes, "reference")
+    dx, dy, dw, dh = deltas.T
+    with np.errstate(over="ignore"):  # an overflowing move fails the corner check
+        return _move_and_scale(boxes, dx * w, dy * h, dw, dh)
+
+
+def expand(boxes: np.ndarray, k: float) -> np.ndarray:
+    """Scale each box about its center by factor ``k`` >= 1, keeping the aspect ratio."""
     if not (k >= 1.0):
         raise ValueError(f"expansion factor must be >= 1, got {k!r}")
-    mx = (k - 1.0) * b.w / 2.0
-    my = (k - 1.0) * b.h / 2.0
-    return Box(b.x1 - mx, b.y1 - my, b.x2 + mx, b.y2 + my)
-
+    x1, y1, x2, y2 = boxes.T
+    mx = (k - 1.0) * (x2 - x1) / 2.0
+    my = (k - 1.0) * (y2 - y1) / 2.0
+    return np.stack([x1 - mx, y1 - my, x2 + mx, y2 + my], axis=1)

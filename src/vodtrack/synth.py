@@ -23,7 +23,7 @@ import numpy as np
 
 from .detections import PROVENANCE_DETECTED, PROVENANCES
 from .evalio import _JSON_TYPES, MAX_FRAME_INDEX, VideoDetectionSet, read_json_object, write_json_object
-from .geometry import MAX_COORDINATE, Box
+from .geometry import MAX_COORDINATE, check_corners
 from .tensor_ops import FeaturePyramid
 
 __all__ = [
@@ -91,8 +91,10 @@ class ObjectSpec:
         scale = self.scale_rate**dt
         return self.cx + self.vx * dt, self.cy + self.vy * dt, self.w * scale, self.h * scale
 
-    def box_at(self, frame: int) -> Box:
-        return Box.from_center(*self._center_size(frame - self.first_frame))
+    def box_at(self, frame: int) -> tuple[float, float, float, float]:
+        """The object's corners ``(x1, y1, x2, y2)`` at ``frame``."""
+        cx, cy, w, h = self._center_size(frame - self.first_frame)
+        return cx - w / 2.0, cy - h / 2.0, cx + w / 2.0, cy + h / 2.0
 
     def score_factor(self, frame: int) -> float:
         factor = 1.0
@@ -170,7 +172,9 @@ def generate(spec: ScenarioSpec) -> tuple[VideoDetectionSet, VideoDetectionSet]:
     """Produce (ground truth with track ids, degraded detector output).
 
     Deterministic for a fixed spec; ground truth follows the motion model
-    exactly and is never altered by the noise model.
+    exactly and is never altered by the noise model. A scene whose boxes the
+    loaders would reject (:func:`~vodtrack.geometry.check_corners`), say
+    under a huge ``box_sigma``, raises ``ValueError``.
     """
     rng = np.random.default_rng(spec.seed)
     pool = sorted({o.class_id for o in spec.objects})
@@ -183,21 +187,21 @@ def generate(spec: ScenarioSpec) -> tuple[VideoDetectionSet, VideoDetectionSet]:
         for track_id, obj in enumerate(spec.objects):
             if not obj.alive(frame):
                 continue
-            box = obj.box_at(frame)
-            gt_rows.append((frame, obj.class_id, 1.0, *box.corners(), track_id, 0))
+            x1, y1, x2, y2 = obj.box_at(frame)
+            gt_rows.append((frame, obj.class_id, 1.0, x1, y1, x2, y2, track_id, 0))
 
             if rng.uniform() < spec.noise.miss_prob:
                 continue
-            jitter = rng.normal(0.0, spec.noise.box_sigma, size=4) if spec.noise.box_sigma > 0 else np.zeros(4)
-            x1, x2 = _repair_extent(box.x1 + jitter[0], box.x2 + jitter[2])
-            y1, y2 = _repair_extent(box.y1 + jitter[1], box.y2 + jitter[3])
+            sigma = spec.noise.box_sigma
+            jitter = rng.normal(0.0, sigma, size=4).tolist() if sigma > 0 else [0.0] * 4
+            x1, x2 = _repair_extent(x1 + jitter[0], x2 + jitter[2])
+            y1, y2 = _repair_extent(y1 + jitter[1], y2 + jitter[3])
             class_id = obj.class_id
             if spec.noise.misclass_prob > 0 and rng.uniform() < spec.noise.misclass_prob:
                 others = [c for c in pool if c != obj.class_id]
                 if others:
                     class_id = others[rng.integers(len(others))]
-            det_rows.append((frame, class_id, obj.score_factor(frame), *Box(x1, y1, x2, y2).corners(), None,
-                             detected))
+            det_rows.append((frame, class_id, obj.score_factor(frame), x1, y1, x2, y2, None, detected))
 
         if spec.noise.false_positive_rate > 0:
             for _ in range(rng.poisson(spec.noise.false_positive_rate)):
@@ -207,11 +211,13 @@ def generate(spec: ScenarioSpec) -> tuple[VideoDetectionSet, VideoDetectionSet]:
                 fcy = rng.uniform(fh / 2, spec.height - fh / 2)
                 class_id = pool[rng.integers(len(pool))] if pool else 0
                 score = rng.uniform(spec.noise.fp_score_low, spec.noise.fp_score_high)
-                det_rows.append((frame, class_id, score, *Box.from_center(fcx, fcy, fw, fh).corners(), None,
-                                 detected))
+                det_rows.append((frame, class_id, score, fcx - fw / 2.0, fcy - fh / 2.0, fcx + fw / 2.0,
+                                 fcy + fh / 2.0, None, detected))
 
-    return (VideoDetectionSet.from_rows(spec.video, gt_rows, spec.n_frames),
-            VideoDetectionSet.from_rows(spec.video, det_rows, spec.n_frames))
+    sets = tuple(VideoDetectionSet.from_rows(spec.video, rows, spec.n_frames) for rows in (gt_rows, det_rows))
+    for vds in sets:
+        check_corners(vds.boxes)
+    return sets
 
 
 def render_features(spec: ScenarioSpec, frame: int) -> FeaturePyramid:
@@ -235,10 +241,10 @@ def render_features(spec: ScenarioSpec, frame: int) -> FeaturePyramid:
         for i, obj in enumerate(spec.objects):
             if not obj.alive(frame):
                 continue
-            box = obj.box_at(frame)
-            cx, cy = box.cx / stride, box.cy / stride
-            sx = max(box.w / stride / 3.0, 0.5)
-            sy = max(box.h / stride / 3.0, 0.5)
+            x1, y1, x2, y2 = obj.box_at(frame)
+            cx, cy = (x1 + x2) / 2.0 / stride, (y1 + y2) / 2.0 / stride
+            sx = max((x2 - x1) / stride / 3.0, 0.5)
+            sy = max((y2 - y1) / stride / 3.0, 0.5)
             blob = np.exp(-(((xs - cx) / sx) ** 2 + ((ys - cy) / sy) ** 2) / 2.0)
             fmap[i % spec.feature_channels] += blob
         levels.append((stride, fmap.transpose(1, 2, 0)))
@@ -337,11 +343,11 @@ def _degraded_scenario(seed: int) -> ScenarioSpec:
     # Born overlapping the first object's path (different class), drifting away;
     # a low merge threshold suppresses its early detections.
     birth = 28
-    bb = base.box_at(birth)
+    x1, y1, x2, y2 = base.box_at(birth)
     neighbor = ObjectSpec(
         class_id=3, first_frame=birth, last_frame=63,
-        cx=bb.cx + 0.28 * bb.w + j(-1.5, 1.5), cy=bb.cy + j(-2, 2),
-        w=bb.w * 0.95, h=bb.h * 0.95,
+        cx=(x1 + x2) / 2.0 + 0.28 * (x2 - x1) + j(-1.5, 1.5), cy=(y1 + y2) / 2.0 + j(-2, 2),
+        w=(x2 - x1) * 0.95, h=(y2 - y1) * 0.95,
         vx=base.vx + 2.4, vy=base.vy - 2.0,
     )
     objects = (

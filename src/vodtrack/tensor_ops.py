@@ -10,13 +10,14 @@ feature space by dividing by the level stride.
 The kernels work on batches: :func:`conv2d_same` and :func:`conv_block`
 accept any leading axes before ``(H, W, C)``, as does
 :func:`depthwise_correlate` when template and search share them, and
-:func:`roi_align_full_avg` pools N RoIs in one call. Each kernel sums in one
-fixed order that its docstring states, so an entry of a batch gets the same
-bits as it would alone, in any batch and in any order. Pooling, correlation
-and max-pool fusion never call a BLAS library. The correlation is
-shift-equivariant bit for bit, and so is pooling on bins that lie on whole
-cells. The convolutions contract channels through one BLAS matrix product
-per tap, so they are shift-equivariant only up to that product's rounding.
+:func:`roi_align_full_avg` pools N RoIs, given as ``(N, 4)`` corners, in
+one call. Each kernel sums in one fixed order that its docstring states, so
+an entry of a batch gets the same bits as it would alone, in any batch and
+in any order. Pooling, correlation and max-pool fusion never call a BLAS
+library. The correlation is shift-equivariant bit for bit, and so is
+pooling on bins that lie on whole cells. The convolutions contract channels
+through one BLAS matrix product per tap, so they are shift-equivariant only
+up to that product's rounding.
 
 Everything here is deterministic and pure, and no kernel keeps state from
 one call to the next; callers may parallelize across RoIs and frames freely.
@@ -27,11 +28,8 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
-
-from .geometry import Box
 
 __all__ = [
     "FeaturePyramid",
@@ -183,13 +181,7 @@ def _hat_band(lo: np.ndarray, hi: np.ndarray, n_bins: int, size: int):
     return first, np.where(keep, area / np.where(width > 0.0, width, 1.0), 0.0)
 
 
-def roi_align_full_avg(
-    feat: np.ndarray,
-    rois: Box | Sequence[Box],
-    out_h: int,
-    out_w: int,
-    stride: float,
-) -> np.ndarray:
+def roi_align_full_avg(feat: np.ndarray, rois: np.ndarray, out_h: int, out_w: int, stride: float) -> np.ndarray:
     """Pool RoIs of an ``(H, W, C)`` map into ``out_h x out_w`` bins of exact field averages.
 
     Each bin value is the mean of the bilinearly interpolated field over the
@@ -199,14 +191,13 @@ def roi_align_full_avg(
     hat-function integrals (:func:`_hat_band`): exact up to rounding, with
     no sampling.
 
-    ``rois`` is one :class:`Box`, giving an ``(out_h, out_w, C)`` result, or
-    a sequence of N boxes, giving ``(N, out_h, out_w, C)``. All N are
-    pooled in one pass. Both products are summed over the band of
-    each matrix row in increasing cell order, one multiply and one add per
-    tap, vectorised over RoIs, channels and bins. Every value therefore
-    depends only on its own RoI: it is the same bit for bit whatever other
-    RoIs share the call and in whatever order, and it does not depend on a
-    BLAS library.
+    ``rois`` holds N boxes as ``(N, 4)`` image-pixel corners, and the result
+    is ``(N, out_h, out_w, C)``. All N are pooled in one pass. Both products
+    are summed over the band of each matrix row in increasing cell order,
+    one multiply and one add per tap, vectorised over RoIs, channels and
+    bins. Every value therefore depends only on its own RoI: it is the same
+    bit for bit whatever other RoIs share the call and in whatever order,
+    and it does not depend on a BLAS library.
 
     A zero-area RoI yields all zeros.
     """
@@ -216,9 +207,7 @@ def roi_align_full_avg(
     if stride <= 0:
         raise ValueError("stride must be positive")
 
-    single = isinstance(rois, Box)
-    boxes = [rois] if single else list(rois)
-    corners = np.array([r.corners() for r in boxes], dtype=np.float64).reshape(-1, 4) / stride
+    corners = np.asarray(rois, dtype=np.float64).reshape(-1, 4) / stride
     h, w, c = feat.shape
     n = corners.shape[0]
     if n == 0:
@@ -253,7 +242,7 @@ def roi_align_full_avg(
         np.take(rows, row_start + cols[:, None, :, t], axis=0, out=taken, mode="clip")
         taken *= wx[:, None, :, t, None]
         out += taken
-    return out[0] if single else out
+    return out
 
 
 def depthwise_correlate(template: np.ndarray, search: np.ndarray) -> np.ndarray:

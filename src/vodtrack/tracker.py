@@ -7,8 +7,9 @@ from the correlation map. Pool sizes scale with the expansion factor
 (7x7 template against 21x21 search for k=3), so correlation operates in
 object-relative coordinates regardless of object size. Feature maps are
 channels-last, ``(H, W, C)``; the head takes N boxes as ``(N, H, W, C)``.
-A track call takes one frame's boxes as ``(n, 4)`` corners and returns the
-predicted corners and qualities as arrays in input order.
+Boxes and regression deltas are ``(n, 4)`` arrays: a track call takes one
+frame's corners and returns the predicted corners, each passing the
+loaders' corner rule, and the qualities, in input order.
 
 The shared head convolution feeds both fully connected heads with no
 nonlinearity in between, so the head runs the two as one folded linear map:
@@ -28,7 +29,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .evalio import load_named_arrays, save_named_arrays
-from .geometry import Box, RegressionDelta, decode, expand, iou
+from .geometry import _move_and_scale, decode, expand, iou
 from .tensor_ops import (
     ConvBlockWeights,
     FeaturePyramid,
@@ -222,13 +223,14 @@ def head_forward(
     """Run the correlation head on pooled template/search pairs.
 
     ``templates`` and ``searches`` are channels-last ``(N, H, W, C)``
-    batches of N pairs; the result is a list of N ``(delta, quality)``. One
-    ``(H, W, C)`` pair gives one ``(delta, quality)``. The pre blocks, the
-    correlation and the post block run on the whole batch. The shared head
-    convolution and the FC heads run as their fold
-    (:meth:`TrackerWeights.folded_head`), which holds while nothing
-    nonlinear sits between them: one matrix-vector product per pair, so
-    each pair's result is the same bit for bit in any batch. With ``return_intermediates=True`` a dict of the intermediate
+    batches of N pairs; the result is the ``(N, 4)`` regression deltas
+    ``(dx, dy, dw, dh)`` and the N qualities. One ``(H, W, C)`` pair gives
+    one delta row and one quality. The pre blocks, the correlation and the
+    post block run on the whole batch. The shared head convolution and the
+    FC heads run as their fold (:meth:`TrackerWeights.folded_head`), which
+    holds while nothing nonlinear sits between them: one matrix-vector
+    product per pair, so each pair's result is the same bit for bit in any
+    batch. With ``return_intermediates=True`` a dict of the intermediate
     tensors is appended for shape inspection; only then is ``shared`` (of
     the last pair) computed, by the convolution.
     """
@@ -240,13 +242,11 @@ def head_forward(
     corr = depthwise_correlate(t, s)
     adjusted = conv_block(corr, w.post)
     matrix, bias = w.folded_head(*adjusted.shape[-3:-1])
-    results = []
-    for pair in adjusted:
-        out = matrix @ pair.ravel() + bias
-        results.append((RegressionDelta(*out[:4]), _sigmoid(float(out[4]))))
+    out = np.array([matrix @ pair.ravel() + bias for pair in adjusted])
+    deltas, quality = out[:, :4], np.array([_sigmoid(v) for v in out[:, 4].tolist()])
     if single:
         templates, searches, corr, adjusted = templates[0], searches[0], corr[0], adjusted[0]
-        results = results[0]
+        deltas, quality = deltas[0], quality[0]
     if return_intermediates:
         inter = {
             "template": templates,
@@ -255,8 +255,8 @@ def head_forward(
             "adjusted": adjusted,
             "shared": conv2d_same(adjusted if single else adjusted[-1], w.head_kernel, w.head_bias),
         }
-        return (*results, inter) if single else (results, inter)
-    return results
+        return deltas, quality, inter
+    return deltas, quality
 
 
 def fuse_for_head(pyr: FeaturePyramid, cfg: TrackerConfig = TrackerConfig()) -> FeaturePyramid:
@@ -286,8 +286,10 @@ def track(
     predicted corners and the ``n`` qualities, in input order. All boxes
     are pooled and run through the head in one batch; each box's
     prediction is the same bit for bit whatever other boxes it is tracked
-    with. A box of zero width or height has no scale to regress against, so
-    it comes back as its own box at quality 0.0. Pass pyramids from
+    with. Only boxes of positive width and height are decoded: a flat box
+    has no scale to regress against, so it comes back as itself at quality
+    0.0. A decoded box that :func:`~vodtrack.geometry.check_corners` rejects
+    raises ``ValueError``. Pass pyramids from
     :func:`fuse_for_head` to fuse each frame once.
     """
     if (feat_t.image_height, feat_t.image_width) != (feat_t1.image_height, feat_t1.image_width):
@@ -296,17 +298,14 @@ def track(
         return np.zeros((0, 4)), np.zeros(0)
     (stride, fused_t), = fuse_for_head(feat_t, cfg).levels
     (_, fused_t1), = fuse_for_head(feat_t1, replace(cfg, fuse_stride=stride)).levels
-    rois = [Box(*corners) for corners in np.asarray(boxes, np.float64).tolist()]
-    templates = roi_align_full_avg(fused_t, rois, cfg.template_pool, cfg.template_pool, stride)
-    searches = roi_align_full_avg(
-        fused_t1, [expand(box, cfg.k) for box in rois], cfg.search_pool, cfg.search_pool, stride
-    )
-    predicted, quality = [], []
-    for box, (delta, q) in zip(rois, head_forward(templates, searches, w)):
-        flat = not (box.w > 0.0 and box.h > 0.0)
-        predicted.append(box.corners() if flat else decode(box, delta).corners())
-        quality.append(0.0 if flat else q)
-    return np.array(predicted), np.array(quality)
+    boxes = np.asarray(boxes, np.float64)
+    templates = roi_align_full_avg(fused_t, boxes, cfg.template_pool, cfg.template_pool, stride)
+    searches = roi_align_full_avg(fused_t1, expand(boxes, cfg.k), cfg.search_pool, cfg.search_pool, stride)
+    deltas, quality = head_forward(templates, searches, w)
+    sized = ((boxes[:, 2:] - boxes[:, :2]) > 0.0).all(axis=1)
+    predicted = boxes.copy()
+    predicted[sized] = decode(boxes[sized], deltas[sized])
+    return predicted, np.where(sized, quality, 0.0)
 
 
 def smooth_l1(x: float) -> float:
@@ -472,17 +471,6 @@ def _frame_states(seed: int, frame: int, class_ids, corners) -> list[dict]:
     return states
 
 
-def _perturb_box(corners: tuple[float, float, float, float], noise: NoiseParams,
-                 rng: np.random.Generator) -> Box:
-    x1, y1, x2, y2 = corners
-    dx, dy, dw, dh = rng.standard_normal(4).tolist()
-    tx = noise.center_sigma * dx
-    ty = noise.center_sigma * dy
-    sx = (x2 - x1) * (1.0 - math.exp(noise.size_sigma * dw)) / 2.0
-    sy = (y2 - y1) * (1.0 - math.exp(noise.size_sigma * dh)) / 2.0
-    return Box(x1 + tx + sx, y1 + ty + sy, x2 + tx - sx, y2 + ty - sy)
-
-
 # Smallest overlap at which a tracked box claims an object (oracle and replay).
 MATCH_IOU = 0.5
 
@@ -533,34 +521,39 @@ def oracle_track(
     so the result is deterministic and does not depend on the other boxes
     of the call. An unmatched box draws one uniform in ``[0, 0.5)``; a
     matched one draws 4 normals and a uniform, and on failure one more
-    uniform in ``[0, 0.5)``.
+    uniform in ``[0, 0.5)``. Then ``decode``'s corner transform perturbs the
+    matched boxes at once; one that the corner rule rejects raises ``ValueError``.
     """
     if not len(boxes):
         return np.zeros((0, 4)), np.zeros(0)
     here, after = gt.rows(frame), gt.rows(frame + 1)
     here_tracks, after_boxes = gt.track_ids(here), gt.boxes[after]
-    after_corners = after_boxes.tolist()
     first_of_track = {g: j for j, g in reversed(list(enumerate(gt.track_ids(after))))}
     predicted = np.array(boxes, np.float64)
     quality = np.empty(len(predicted))
     matches = best_match(iou(predicted, gt.boxes[here]), MATCH_IOU)
     rng = _oracle_rng()
-    # Boxes whose quality is the true overlap of their prediction, and their next-frame columns.
-    scored, cols = [], []
+    # Each box's next-frame column (-1 if unmatched), noise draws and whether its
+    # quality is the true overlap of its prediction, in arrays: small objects held
+    # across the loop in lists fragmented the heap (0.9 MB more peak RSS later).
+    cols, draws, scored = np.full(len(boxes), -1), np.empty((len(boxes), 4)), np.zeros(len(boxes), bool)
     for k, (m, state) in enumerate(zip(matches.tolist(), _frame_states(seed, frame, class_id, predicted))):
         rng.bit_generator.state = state
         col = first_of_track.get(here_tracks[m]) if m >= 0 else None
         if col is None:
             quality[k] = 0.5 * rng.random()
             continue
-        predicted[k] = _perturb_box(after_corners[col], noise, rng).corners()
-        if rng.random() < noise.failure_prob:
+        cols[k], draws[k] = col, rng.standard_normal(4)
+        scored[k] = rng.random() >= noise.failure_prob
+        if not scored[k]:
             quality[k] = 0.5 * rng.random()
-        else:
-            scored.append(k)
-            cols.append(col)
-    if scored:
-        quality[scored] = iou(predicted[scored], after_boxes)[np.arange(len(scored)), cols]
+    rows = np.flatnonzero(cols >= 0)
+    (dx, dy, dw, dh), center, size = draws[rows].T, noise.center_sigma, noise.size_sigma
+    with np.errstate(over="ignore"):  # an overflowing move fails the corner check
+        moves = center * dx, center * dy, size * dw, size * dh
+    predicted[rows] = _move_and_scale(after_boxes[cols[rows]], *moves)
+    rows = np.flatnonzero(scored)
+    quality[rows] = iou(predicted[rows], after_boxes)[np.arange(len(rows)), cols[rows]]
     return predicted, quality
 
 

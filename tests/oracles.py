@@ -1,11 +1,14 @@
 """Independent brute-force oracles used to cross-check the library kernels.
 
 Everything here is deliberately written as plain loops over scalars, sharing
-no code with the implementations under test. Near the end, test-side record
-types state a set or its predictions one record at a time (they build and
-read the package's columns only through ``VideoDetectionSet.from_rows`` and
-the column attributes), and ``reference_merge`` runs the tracking-first
-merge on them as per-object loops.
+no code with the implementations under test. ``decode_reference``,
+``expand_reference`` and ``perturb_reference`` are the per-box box algebra
+that the package's ``(n, 4)`` array forms must equal bit for bit. Near the
+end, a test-side ``Box`` and record types state a set or its predictions
+one record at a time (they build and read the package's columns only
+through ``VideoDetectionSet.from_rows`` and the column attributes), and
+``reference_merge`` runs the tracking-first merge on them as per-object
+loops.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ import numpy as np
 
 from vodtrack.detections import PROVENANCES, check_detection
 from vodtrack.evalio import VideoDetectionSet, VideoPredictions
-from vodtrack.geometry import Box
 
 
 def channels_last(a) -> np.ndarray:
@@ -257,6 +259,41 @@ def box_iou(a, b) -> float:
     return inter / union
 
 
+def decode_reference(box, delta) -> tuple[float, float, float, float]:
+    """One box's regression decode in corner form, as the per-box ``geometry.decode`` computed it.
+
+    ``box`` has positive width and height; ``delta`` is ``(dx, dy, dw, dh)``.
+    """
+    x1, y1, x2, y2 = box
+    dx, dy, dw, dh = delta
+    w, h = x2 - x1, y2 - y1
+    sx = w * (1.0 - math.exp(dw)) / 2.0
+    sy = h * (1.0 - math.exp(dh)) / 2.0
+    tx = dx * w
+    ty = dy * h
+    return (x1 + tx + sx, y1 + ty + sy, x2 + tx - sx, y2 + ty - sy)
+
+
+def expand_reference(box, k: float) -> tuple[float, float, float, float]:
+    """One box scaled ``k`` times about its center, as the per-box ``geometry.expand`` computed it."""
+    x1, y1, x2, y2 = box
+    mx = (k - 1.0) * (x2 - x1) / 2.0
+    my = (k - 1.0) * (y2 - y1) / 2.0
+    return (x1 - mx, y1 - my, x2 + mx, y2 + my)
+
+
+def perturb_reference(box, center_sigma: float, size_sigma: float, normals) -> tuple[float, float, float, float]:
+    """One box perturbed by the oracle tracker's noise from its four standard normals
+    ``(dx, dy, dw, dh)``, as the oracle's per-box perturbation computed it."""
+    x1, y1, x2, y2 = box
+    dx, dy, dw, dh = normals
+    tx = center_sigma * dx
+    ty = center_sigma * dy
+    sx = (x2 - x1) * (1.0 - math.exp(size_sigma * dw)) / 2.0
+    sy = (y2 - y1) * (1.0 - math.exp(size_sigma * dh)) / 2.0
+    return (x1 + tx + sx, y1 + ty + sy, x2 + tx - sx, y2 + ty - sy)
+
+
 def reference_rescore(video, edges, nms_iou: float):
     """Brute-force extract/average/suppress loop over (class, score, corners) records.
 
@@ -345,6 +382,50 @@ def list_seeded_rng(seed: int, det) -> np.random.Generator:
 
 
 # -- Test-side records -------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Box:
+    """One box's corners with center-form accessors; finite, of non-negative extent."""
+
+    x1: float
+    y1: float
+    x2: float
+    y2: float
+
+    def __post_init__(self) -> None:
+        if not all(math.isfinite(v) for v in self.corners()):
+            raise ValueError(f"box corners are not finite: {self.corners()}")
+        if self.x2 < self.x1 or self.y2 < self.y1:
+            raise ValueError(f"negative box extent: {self.corners()}")
+
+    @classmethod
+    def from_center(cls, cx: float, cy: float, w: float, h: float) -> "Box":
+        return cls(cx - w / 2.0, cy - h / 2.0, cx + w / 2.0, cy + h / 2.0)
+
+    @property
+    def cx(self) -> float:
+        return (self.x1 + self.x2) / 2.0
+
+    @property
+    def cy(self) -> float:
+        return (self.y1 + self.y2) / 2.0
+
+    @property
+    def w(self) -> float:
+        return self.x2 - self.x1
+
+    @property
+    def h(self) -> float:
+        return self.y2 - self.y1
+
+    def corners(self) -> tuple[float, float, float, float]:
+        return (self.x1, self.y1, self.x2, self.y2)
+
+
+def corner_array(boxes) -> np.ndarray:
+    """Boxes (test-side ``Box`` objects or 4-tuples) as the package's ``(n, 4)`` corner array."""
+    return np.array([b.corners() if isinstance(b, Box) else b for b in boxes], np.float64).reshape(-1, 4)
 
 
 @dataclass(frozen=True)

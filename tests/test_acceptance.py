@@ -12,6 +12,7 @@ import time
 import numpy as np
 
 from oracles import (
+    Box,
     Detection,
     box_iou,
     brute_force_best_path,
@@ -25,7 +26,7 @@ from oracles import (
 )
 from vodtrack.cli import main, run_variant
 from vodtrack.evalio import load_detections, save_detections
-from vodtrack.geometry import Box, decode, encode
+from vodtrack.geometry import decode, encode
 from vodtrack.linker import best_path, build_graph_seqnms, rescore_and_suppress
 from vodtrack.pipeline import PipelineConfig
 from vodtrack.synth import generate, preset_scenario
@@ -187,7 +188,7 @@ def test_criterion_2_kernel_oracle_equivalence():
             cy = rng.uniform(-2, fh + 2)
             roi = Box.from_center(cx, cy, w, h)
         out_h, out_w = (int(v) for v in rng.integers(1, 8, 2))
-        got = channels_first(roi_align_full_avg(channels_last(feat), roi, out_h, out_w, 1.0))
+        got = channels_first(roi_align_full_avg(channels_last(feat), [roi.corners()], out_h, out_w, 1.0)[0])
         ref = dense_roi_align_oracle(feat, roi.corners(), out_h, out_w, 1.0)
         assert np.allclose(got, ref, rtol=1e-6, atol=1e-12)
     assert checked_outside == 20
@@ -201,8 +202,9 @@ def test_criterion_3_round_trip_laws(tmp_path):
         bw, bh, gw, gh = rng.uniform(0.5, 40, 4)
         b = Box.from_center(rng.uniform(-50, 50), rng.uniform(-50, 50), bw, bh)
         g = Box.from_center(rng.uniform(-50, 50), rng.uniform(-50, 50), gw, gh)
+        b, g = np.array([b.corners()]), np.array([g.corners()])
         back = decode(b, encode(b, g))
-        for got, want in zip(back.corners(), g.corners()):
+        for got, want in zip(back[0], g[0]):
             assert abs(got - want) <= 1e-9
 
     gt0, dets0 = generate(preset_scenario("degraded", 0))

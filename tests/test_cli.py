@@ -9,7 +9,7 @@ import pytest
 
 import vodtrack.cli as cli
 import vodtrack.tracker as tracker
-from oracles import Detection, TrackPrediction, frames_of, prediction_lists, predictions, track_records, video_set
+from oracles import Box, Detection, TrackPrediction, frames_of, prediction_lists, predictions, track_records, video_set
 from vodtrack.cli import main
 from vodtrack.evalio import (
     MAX_FRAME_INDEX,
@@ -22,7 +22,6 @@ from vodtrack.evalio import (
     save_predictions,
 )
 from vodtrack.synth import preset_scenario, render_features, save_scenario
-from vodtrack.geometry import Box
 from vodtrack.pipeline import PipelineConfig
 from vodtrack.tensor_ops import FeaturePyramid
 from vodtrack.tracker import TrackerConfig, save_weights, synthesize_weights
@@ -347,14 +346,13 @@ class TestTrack:
 class TestOracleSeed:
     # Each command that takes --oracle-seed, with a negative seed: track on
     # real files, tfd on an empty detection file (nothing to track, and a
-    # file that would fail to load), run on the detector variant (which
-    # tracks nothing).
+    # file that would fail to load), run on a variant that runs the oracle.
     ARGV = {
         "track": lambda gt, dets, out: ["track", "--dets", dets, "--oracle", "--gt", gt,
                                         "--out", out / "p.jsonl"],
         "tfd": lambda gt, dets, out: ["tfd", "--dets", out / "empty.jsonl", "--oracle", "--gt", gt,
                                       "--out", out / "m.jsonl"],
-        "run": lambda gt, dets, out: ["run", "--preset", "clean", "--variant", "detector",
+        "run": lambda gt, dets, out: ["run", "--preset", "clean", "--variant", "tfd+seqnms",
                                       "--out-dir", out / "run"],
     }
 
@@ -652,6 +650,13 @@ UNREAD_FLAGS = {
                              "--weights is not read with --oracle"),
     "track-oracle-features-dir": (["track", "--oracle", "--gt", "P", "--features-dir", "P"],
                                   "--features-dir is not read with --oracle"),
+    # The oracle's noise flags and seed are read only with --oracle; an explicit seed 0 counts.
+    "tfd-preds-noise-center": (["tfd", "--preds", "P", "--noise-center", "5", "--oracle-seed", "3"],
+                               "--noise-center is not read without --oracle"),
+    "tfd-preds-oracle-seed": (["tfd", "--preds", "P", "--oracle-seed", "0"],
+                              "--oracle-seed is not read without --oracle"),
+    "track-learned-noise-size": (["track", "--weights", "P", "--features-dir", "P", "--noise-size", "0.3"],
+                                 "--noise-size is not read without --oracle"),
 }
 
 
@@ -676,6 +681,16 @@ class TestUnreadFlags:
         assert capsys.readouterr().err == f"error [run]: {option} is not read with --from-manifest\n"
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("variant, flags", [("detector", ["--noise-failure", "0.9"]),
+                                                ("seqnms", ["--oracle-seed", "0"])])
+    def test_run_without_oracle_rejects_its_flags(self, tmp_path, capsys, variant, flags):
+        # The spec is not read: it need not exist.
+        out_dir = tmp_path / "run"
+        assert run_cli("run", "--spec", tmp_path / "missing.json", "--variant", variant, *flags,
+                       "--out-dir", out_dir) == 1
+        assert capsys.readouterr().err == f"error [run]: {flags[0]} is not read with --variant {variant}\n"
+        assert not out_dir.exists()
+
     def test_eval_label_needs_out(self, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"
         bad.write_text("{\n")
@@ -683,6 +698,54 @@ class TestUnreadFlags:
         assert run_cli("eval", "--preds", bad, "--gt", bad, "--label", "x", "--manifest", manifest) == 1
         assert capsys.readouterr().err == "error [eval]: --label is not read without --out\n"
         assert not manifest.exists()
+
+
+class TestMadeBoxesAreLoadable:
+    # Every box a command makes must pass the loaders' corner rule (finite,
+    # within ±2**53, non-negative extent) where it is made: a box that would
+    # not is an input error, and nothing is written.
+
+    def fails_writing_nothing(self, capsys, argv, outputs, complaint) -> None:
+        assert run_cli(*argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error [{argv[0]}]: ") and complaint in err and "Traceback" not in err
+        assert not any(path.exists() for path in outputs)
+
+    def test_synth_gen_with_huge_box_jitter(self, tmp_path, capsys):
+        spec_path, gt, dets = tmp_path / "scenario.json", tmp_path / "g.jsonl", tmp_path / "d.jsonl"
+        save_scenario(preset_scenario("clean", 0), spec_path)
+        spec = json.loads(spec_path.read_text())
+        spec["noise"]["box_sigma"] = 1e20
+        spec_path.write_text(json.dumps(spec))
+        self.fails_writing_nothing(capsys, ["synth-gen", "--spec", spec_path, "--out-gt", gt, "--out-dets", dets],
+                                   [gt, dets], "lie within ±2**53")
+
+    @pytest.mark.parametrize("flags, complaint", [
+        (["--noise-center", "1e300"], "lie within ±2**53"),
+        (["--noise-center", "1e308"], "must be finite"),
+        (["--noise-size", "1000"], "overflows"),
+    ], ids=["center", "overflowing-center", "size"])
+    def test_oracle_noise_past_the_bound(self, clean_files, tmp_path, capsys, flags, complaint):
+        gt, dets = clean_files
+        merged, preds = tmp_path / "m.jsonl", tmp_path / "p.jsonl"
+        self.fails_writing_nothing(capsys, ["tfd", "--dets", dets, "--oracle", "--gt", gt, *flags, "--out", merged,
+                                            "--out-preds", preds], [merged, preds], complaint)
+        track_out = tmp_path / "t.jsonl"
+        self.fails_writing_nothing(capsys, ["track", "--dets", dets, "--oracle", "--gt", gt, *flags,
+                                            "--out", track_out], [track_out], complaint)
+        out_dir = tmp_path / "run"
+        self.fails_writing_nothing(capsys, ["run", "--preset", "clean", "--variant", "tfd+seqnms", *flags,
+                                            "--out-dir", out_dir], [out_dir], complaint)
+
+    @pytest.mark.parametrize("dw, complaint", [(300.0, "lie within ±2**53"), (1000.0, "overflows")], ids=["300", "1000"])
+    def test_learned_scale_past_the_bound(self, learned_files, tmp_path, capsys, dw, complaint):
+        dets, feat_dir, weights_path, _ = learned_files
+        arrays = load_named_arrays(weights_path)
+        arrays["box_bias"] = np.array([0.0, 0.0, dw, 0.0])
+        weights, out = tmp_path / "big.tensors", tmp_path / "p.jsonl"
+        save_named_arrays(arrays, weights)
+        self.fails_writing_nothing(capsys, ["track", "--dets", dets, "--weights", weights,
+                                            "--features-dir", feat_dir, "--out", out], [out], complaint)
 
 
 # A flag the chosen combination needs, left out, with a --dets that does not

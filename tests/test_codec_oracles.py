@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    Box,
     Detection,
     TrackPrediction,
     json_detection_lines,
@@ -37,7 +38,7 @@ from vodtrack.evalio import (
     save_detections,
     save_predictions,
 )
-from vodtrack.geometry import MAX_COORDINATE, Box
+from vodtrack.geometry import MAX_COORDINATE
 from vodtrack.synth import PRESETS
 from vodtrack.tracker import _frame_states
 

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 import vodtrack
-from oracles import Detection, TrackPrediction, channels_last, frames_of, prediction_lists, predictions, records_set
+from oracles import (Box, Detection, TrackPrediction, channels_last, frames_of, prediction_lists, predictions,
+                     records_set)
 from vodtrack.detections import check_detection
 from vodtrack.evalio import (
     MAX_FRAME_INDEX,
@@ -22,7 +23,7 @@ from vodtrack.evalio import (
     save_named_arrays,
     save_predictions,
 )
-from vodtrack.geometry import MAX_COORDINATE, Box
+from vodtrack.geometry import MAX_COORDINATE
 from vodtrack.tensor_ops import FeaturePyramid
 
 

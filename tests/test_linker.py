@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import oracles
 import vodtrack.linker as linker
 from oracles import (
+    Box,
     Detection,
     TrackPrediction,
     box_iou,
@@ -19,7 +20,6 @@ from oracles import (
     video_set,
 )
 from vodtrack.evalio import VideoPredictions
-from vodtrack.geometry import Box
 from vodtrack.linker import (
     LinkGraph,
     Tubelet,

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import Detection, TrackPrediction, channels_last, frames_of, predictions, records_set
+from oracles import Box, Detection, TrackPrediction, channels_last, frames_of, predictions, records_set
 from vodtrack.evalio import (
     MAX_FRAME_INDEX,
     load_detections,
@@ -32,7 +32,6 @@ from vodtrack.evalio import (
     save_named_arrays,
     save_predictions,
 )
-from vodtrack.geometry import Box
 from vodtrack.synth import load_scenario, preset_scenario, save_scenario
 from vodtrack.tensor_ops import FeaturePyramid
 from vodtrack.tracker import (

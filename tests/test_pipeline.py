@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    Box,
     Detection,
     box_iou,
     frames_of,
@@ -16,7 +17,6 @@ from oracles import (
     video_set,
 )
 from vodtrack.detections import PROVENANCE_DETECTED, PROVENANCE_TRACKED
-from vodtrack.geometry import Box
 from vodtrack.pipeline import (
     PipelineConfig,
     filter_tracks,

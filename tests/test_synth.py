@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import box_iou, frames_of
+from oracles import Box, box_iou, frames_of
 from vodtrack.evalio import save_detections
 from vodtrack.synth import (
     DetectorNoise,
@@ -57,7 +57,7 @@ class TestSpecValidation:
     def test_motion_model(self):
         obj = ObjectSpec(class_id=0, first_frame=2, last_frame=10, cx=10, cy=20, w=8, h=6,
                          vx=3, vy=-1, scale_rate=1.1)
-        b = obj.box_at(4)
+        b = Box(*obj.box_at(4))
         assert b.cx == pytest.approx(16, abs=1e-12)
         assert b.cy == pytest.approx(18, abs=1e-12)
         assert b.w == pytest.approx(8 * 1.21, abs=1e-12)
@@ -162,7 +162,7 @@ class TestRenderFeatures:
             pyr = render_features(spec, frame)
             fmap = pyr.levels[0][1][..., 0]
             peak = np.unravel_index(np.argmax(fmap), fmap.shape)
-            box = obj.box_at(frame)
+            box = Box(*obj.box_at(frame))
             assert peak[1] == pytest.approx(box.cx / stride, abs=0.51)
             assert peak[0] == pytest.approx(box.cy / stride, abs=0.51)
 
@@ -172,7 +172,7 @@ class TestRenderFeatures:
         stride = spec.feature_strides[0]
         for i, obj in enumerate(spec.objects):
             fmap = pyr.levels[0][1][..., i % spec.feature_channels]
-            box = obj.box_at(4)
+            box = Box(*obj.box_at(4))
             cy, cx = int(round(box.cy / stride)), int(round(box.cx / stride))
             h, w = fmap.shape
             y0, y1 = max(cy - 2, 0), min(cy + 3, h)

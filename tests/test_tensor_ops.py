@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from oracles import (
+    Box,
     channels_first,
     channels_last,
     naive_conv2d,
@@ -9,9 +10,10 @@ from oracles import (
     naive_depthwise_correlate,
     naive_bilinear_resize,
     naive_max_pool_to,
+    corner_array,
     oversampled_roi_align,
 )
-from vodtrack.geometry import Box, expand
+from vodtrack.geometry import expand
 from vodtrack.tensor_ops import (
     ConvBlockWeights,
     FeaturePyramid,
@@ -32,6 +34,11 @@ def random_roi(rng, span=12.0, max_size=9.0) -> Box:
     return Box.from_center(cx, cy, w, h)
 
 
+def pool_one(feat, roi: Box, out_h: int, out_w: int, stride: float) -> np.ndarray:
+    """One RoI pooled alone: ``(out_h, out_w, C)``."""
+    return roi_align_full_avg(feat, corner_array([roi]), out_h, out_w, stride)[0]
+
+
 class TestFeatureMaps:
     def test_rejects_bad_shapes(self):
         # A pyramid level and a pooled map are each exactly one (H, W, C) map.
@@ -39,11 +46,11 @@ class TestFeatureMaps:
             with pytest.raises(ValueError, match=r"expected a channels-last \(H, W, C\)"):
                 FeaturePyramid(((4, bad),), 16, 16)
             with pytest.raises(ValueError, match=r"expected a channels-last \(H, W, C\)"):
-                roi_align_full_avg(bad, Box(0, 0, 1, 1), 1, 1, 1.0)
+                roi_align_full_avg(bad, [(0, 0, 1, 1)], 1, 1, 1.0)
         with pytest.raises(ValueError, match="non-finite"):
             FeaturePyramid(((4, np.full((1, 1, 2), np.nan)),), 4, 4)
         with pytest.raises(ValueError, match="non-finite"):
-            roi_align_full_avg(np.full((2, 2, 1), np.nan), Box(0, 0, 1, 1), 1, 1, 1.0)
+            roi_align_full_avg(np.full((2, 2, 1), np.nan), [(0, 0, 1, 1)], 1, 1, 1.0)
 
     def test_pyramid_validates_strides_and_sizes(self):
         good = FeaturePyramid(((4, np.zeros((16, 16, 2))), (8, np.zeros((8, 8, 2)))), 64, 64)
@@ -61,30 +68,30 @@ class TestFeatureMaps:
 class TestRoiAlignFullAvg:
     def test_whole_map_example(self):
         feat = channels_last(np.array([[[1.0, 2.0], [3.0, 4.0]]]))
-        out = roi_align_full_avg(feat, Box(0, 0, 1, 1), 1, 1, 1.0)
+        out = pool_one(feat, Box(0, 0, 1, 1), 1, 1, 1.0)
         assert out.shape == (1, 1, 1)
         assert out[0, 0, 0] == pytest.approx(2.5, abs=1e-12)
 
     def test_constant_field(self):
         feat = channels_last(np.full((3, 6, 6), 7.25))
-        out = roi_align_full_avg(feat, Box(0.7, 1.1, 4.3, 4.9), 5, 4, 1.0)
+        out = pool_one(feat, Box(0.7, 1.1, 4.3, 4.9), 5, 4, 1.0)
         assert np.allclose(out, 7.25, atol=1e-12)
 
     def test_fully_outside_is_zero(self):
         feat = channels_last(np.ones((2, 4, 4)))
-        out = roi_align_full_avg(feat, Box(50, 50, 60, 60), 3, 3, 1.0)
+        out = pool_one(feat, Box(50, 50, 60, 60), 3, 3, 1.0)
         assert np.all(out == 0.0)
 
     def test_zero_area_roi_is_zero(self):
         feat = channels_last(np.ones((1, 4, 4)))
-        out = roi_align_full_avg(feat, Box(2, 2, 2, 2), 2, 2, 1.0)
+        out = pool_one(feat, Box(2, 2, 2, 2), 2, 2, 1.0)
         assert np.all(out == 0.0)
 
     def test_stride_scaling(self):
         rng = np.random.default_rng(3)
         feat = channels_last(rng.random((2, 8, 8)))
-        a = roi_align_full_avg(feat, Box(8, 8, 40, 40), 4, 4, 8.0)
-        b = roi_align_full_avg(feat, Box(1, 1, 5, 5), 4, 4, 1.0)
+        a = pool_one(feat, Box(8, 8, 40, 40), 4, 4, 8.0)
+        b = pool_one(feat, Box(1, 1, 5, 5), 4, 4, 1.0)
         assert np.allclose(a, b, atol=1e-12)
 
     def test_matches_oversampled_oracle(self):
@@ -93,7 +100,7 @@ class TestRoiAlignFullAvg:
             c = rng.integers(1, 4)
             feat = rng.random((c, 7, 7))
             roi = random_roi(rng)
-            out = roi_align_full_avg(channels_last(feat), roi, 3, 3, 1.0)
+            out = pool_one(channels_last(feat), roi, 3, 3, 1.0)
             ref = oversampled_roi_align(feat, roi.corners(), 3, 3, 1.0, samples=8)
             assert np.allclose(channels_first(out), ref, atol=1e-10)
 
@@ -101,7 +108,7 @@ class TestRoiAlignFullAvg:
         # 3x-expanded RoI pooled at 21x21 and the original at 7x7 cover the
         # same feature area per bin.
         b = Box.from_center(10.0, 9.0, 6.4, 4.2)
-        e = expand(b, 3.0)
+        e = Box(*expand(corner_array([b]), 3.0)[0])
         assert abs(b.w / 7 - e.w / 21) <= 1e-12
         assert abs(b.h / 7 - e.h / 21) <= 1e-12
 
@@ -114,12 +121,12 @@ class TestRoiAlignFullAvg:
             feat = channels_last(rng.standard_normal((c, 12, 15)))
             rois = [random_roi(rng, span=18.0, max_size=14.0) for _ in range(int(rng.integers(2, 7)))]
             out_h, out_w = (int(v) for v in rng.integers(1, 9, 2))
-            batch = roi_align_full_avg(feat, rois, out_h, out_w, 1.0)
+            batch = roi_align_full_avg(feat, corner_array(rois), out_h, out_w, 1.0)
             assert batch.shape == (len(rois), out_h, out_w, c)
             order = rng.permutation(len(rois))
-            permuted = roi_align_full_avg(feat, [rois[i] for i in order], out_h, out_w, 1.0)
+            permuted = roi_align_full_avg(feat, corner_array([rois[i] for i in order]), out_h, out_w, 1.0)
             for i, roi in enumerate(rois):
-                alone = roi_align_full_avg(feat, roi, out_h, out_w, 1.0)
+                alone = pool_one(feat, roi, out_h, out_w, 1.0)
                 assert np.array_equal(batch[i], alone)
                 assert np.array_equal(permuted[list(order).index(i)], alone)
         assert roi_align_full_avg(feat, [], 3, 2, 1.0).shape == (0, 3, 2, feat.shape[-1])
@@ -131,10 +138,10 @@ class TestRoiAlignFullAvg:
         feat = channels_last(rng.standard_normal((3, 20, 20)))
         for _ in range(20):
             rois = [random_roi(rng, span=18.0) for _ in range(3)]
-            batch = roi_align_full_avg(feat, rois + [Box(5.0, 5.0, 5.0, 9.0)], 7, 7, 1.0)
+            batch = roi_align_full_avg(feat, corner_array(rois + [Box(5.0, 5.0, 5.0, 9.0)]), 7, 7, 1.0)
             assert np.all(batch[-1] == 0.0)
             for i, roi in enumerate(rois):
-                assert np.array_equal(batch[i], roi_align_full_avg(feat, roi, 7, 7, 1.0))
+                assert np.array_equal(batch[i], pool_one(feat, roi, 7, 7, 1.0))
 
     def test_one_bin_shift_is_bit_exact(self):
         # Bins m cells wide on whole cells: a map moved by m cells under a
@@ -150,16 +157,16 @@ class TestRoiAlignFullAvg:
             moved = np.zeros((9, 14 + m, feat.shape[-1]))
             moved[:, m:] = feat
             out_h = int(rng.integers(1, 6))
-            base = roi_align_full_avg(feat, roi, out_h, out_w, 1.0)
-            shifted = roi_align_full_avg(moved, roi, out_h, out_w, 1.0)
+            base = pool_one(feat, roi, out_h, out_w, 1.0)
+            shifted = pool_one(moved, roi, out_h, out_w, 1.0)
             assert np.array_equal(shifted[:, 1:], base[:, :-1])
 
     def test_deterministic(self):
         rng = np.random.default_rng(13)
         feat = channels_last(rng.random((2, 9, 9)))
         roi = random_roi(rng)
-        a = roi_align_full_avg(feat, roi, 7, 7, 2.0)
-        b = roi_align_full_avg(feat, roi, 7, 7, 2.0)
+        a = pool_one(feat, roi, 7, 7, 2.0)
+        b = pool_one(feat, roi, 7, 7, 2.0)
         assert np.array_equal(a, b)
 
 

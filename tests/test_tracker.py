@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from oracles import (
+    Box,
     Detection,
     box_iou,
     channels_first,
@@ -17,7 +18,6 @@ from oracles import (
     records_set,
     track_records,
 )
-from vodtrack.geometry import Box
 import vodtrack.tracker as tracker
 from vodtrack.tensor_ops import FeaturePyramid
 from vodtrack.tracker import (
@@ -201,8 +201,9 @@ class TestTrack:
             from vodtrack.geometry import expand
             from vodtrack.tensor_ops import roi_align_full_avg
 
-            tpl = roi_align_full_avg(channels_last(template), box.box, 7, 7, 1.0)
-            srch = roi_align_full_avg(channels_last(search_map), expand(box.box, 3.0), 21, 21, 1.0)
+            rois = np.array([box.box.corners()])
+            tpl = roi_align_full_avg(channels_last(template), rois, 7, 7, 1.0)[0]
+            srch = roi_align_full_avg(channels_last(search_map), expand(rois, 3.0), 21, 21, 1.0)[0]
             _, _, inter = head_forward(tpl, srch, w, return_intermediates=True)
             return inter["correlation"]
 
@@ -264,10 +265,11 @@ class TestTrack:
         rng = np.random.default_rng(29)
         templates = channels_last(rng.random((4, 3, 3, 3)))
         searches = channels_last(rng.random((4, 3, 9, 9)))
-        batch = head_forward(templates, searches, w)
-        assert len(batch) == 4
-        for i, (delta, quality) in enumerate(batch):
-            assert head_forward(templates[i], searches[i], w) == (delta, quality)
+        deltas, qualities = head_forward(templates, searches, w)
+        assert deltas.shape == (4, 4) and qualities.shape == (4,)
+        for i, (delta, quality) in enumerate(zip(deltas, qualities)):
+            alone_delta, alone_quality = head_forward(templates[i], searches[i], w)
+            assert np.array_equal(alone_delta, delta) and alone_quality == quality
 
     def test_pyramid_size_mismatch_rejected(self):
         w = small_weights()
@@ -309,14 +311,14 @@ class TestFoldedHead:
         w = head_weights(kernel, h * wd, seed=kernel[0] * 100 + sh * 10 + sw)
         rng = np.random.default_rng(sh * sw)
         templates, searches = rng.random((3, 3, th, tw)), rng.random((3, 3, sh, sw))
-        results, inter = head_forward(channels_last(templates), channels_last(searches), w,
-                                      return_intermediates=True)
+        deltas, qualities, inter = head_forward(channels_last(templates), channels_last(searches), w,
+                                                return_intermediates=True)
         assert inter["adjusted"].shape == (3, h, wd, 3)
         matrix, bias = w.folded_head(h, wd)
-        for pair, (delta, quality) in zip(inter["adjusted"], results):
+        for pair, delta, quality in zip(inter["adjusted"], deltas, qualities):
             want = naive_head(channels_first(pair), w)
             assert np.max(np.abs(matrix @ pair.ravel() + bias - want)) <= 1e-12
-            assert np.max(np.abs(np.array(dataclasses.astuple(delta)) - want[:4])) <= 1e-12
+            assert np.max(np.abs(delta - want[:4])) <= 1e-12
             assert abs(quality - 1.0 / (1.0 + math.exp(-want[4]))) <= 1e-12
         shared = naive_conv2d(channels_first(inter["adjusted"][-1]), w.head_kernel, w.head_bias)
         assert np.max(np.abs(channels_first(inter["shared"]) - shared)) <= 1e-12
