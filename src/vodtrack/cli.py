@@ -41,7 +41,6 @@ from .tracker import (
     fuse_for_head,
     load_weights,
     make_oracle_track_fn,
-    oracle_track,
     track,
 )
 
@@ -97,6 +96,26 @@ _CONFIG_FLAGS = {
     "final_nms_iou": "--final-nms",
 }
 _NOISE_FLAGS = {"center_sigma": "--noise-center", "size_sigma": "--noise-size", "failure_prob": "--noise-failure"}
+_ORACLE_FLAGS = (*_NOISE_FLAGS.values(), "--oracle-seed")
+
+# Each subcommand's modes, with the flags each does not read and those it needs. "with X [V]" holds
+# when flag X is set (to V), "without X" when it is not. A flag is given if argv holds it or an
+# abbreviation of it, and is named as typed. The threshold flags are named only with --from-manifest:
+# elsewhere a --config file or an inlined manifest argv may set any of them.
+_MODES = {
+    "synth-gen": {"with --spec": (("--preset", "--seed"), ())},
+    "track": {"with --oracle": (("--weights", "--features-dir", "--template-pool", "--search-pool", "--fuse-stride"),
+                                ("--gt",)),
+              "without --oracle": (("--gt", *_ORACLE_FLAGS), ("--weights", "--features-dir"))},
+    "tfd": {"with --oracle": (("--preds",), ("--gt",)), "without --oracle": (("--gt", *_ORACLE_FLAGS), ("--preds",))},
+    "link": {"with --mode seqnms": (("--preds",), ()), "with --mode seqtrack": ((), ("--preds",))},
+    "eval": {"without --out": (("--label",), ())},
+    "run": {"with --from-manifest": (("--spec", "--preset", "--seed", "--variant", "--config", *_CONFIG_FLAGS.values(),
+                                      "--link-iou", "--iou", *_ORACLE_FLAGS), ()),
+            "with --spec": (("--preset", "--seed"), ()),
+            "with --variant detector": (("--link-iou", *_ORACLE_FLAGS), ()),
+            "with --variant seqnms": (_ORACLE_FLAGS, ())},
+}
 
 
 def _from_flags(cls, flags: dict[str, str], args):
@@ -112,17 +131,52 @@ def _from_flags(cls, flags: dict[str, str], args):
 
 
 def _config_from_args(args) -> PipelineConfig:
-    """The defaults with each threshold flag given; ``main`` has put a config file's values in them."""
+    """The defaults with each threshold flag given; ``_check_args`` has put a config file's values in them."""
     return _from_flags(PipelineConfig, _CONFIG_FLAGS, args)
 
 
-def _noise_from_args(args, unread: str | None = None) -> NoiseParams:
-    """The oracle's noise; with ``unread`` (why no oracle runs) a given oracle flag raises."""
-    flags = [*_NOISE_FLAGS.items(), ("oracle_seed", "--oracle-seed")]
-    given = [flag for name, flag in flags if getattr(args, name) is not None]
-    if unread and given:
-        raise ValueError(f"{given[0]} is not read {unread}")
-    return _from_flags(NoiseParams, _NOISE_FLAGS, args)
+def _check_args(args, argv: list[str]) -> list[str]:
+    """Check the flags before any data file is read or directory made; return the argv to record.
+
+    In order: a ``--config`` file fills the threshold flags not given (recorded in its place), the
+    values ``args.pipeline``, ``.noise`` and ``.tracker`` are built, and ``_MODES`` is applied.
+    """
+    options, typed, kept, tokens = args.parser._option_string_actions, {}, [], iter(argv)
+    for token in tokens:
+        text, option = token.split("=", 1)[0], None
+        if text.startswith("--") and len(text) > 2:
+            option = min((o for o in options if o.startswith(text)), key=len, default=text)
+            typed.setdefault(option, text)
+        if option != "--config":
+            kept.append(token)
+        elif "=" not in token:
+            next(tokens, None)  # the file, dropped with its flag
+    if "config" in args:
+        for name, value in (PipelineConfig.file_values(args.config) if args.config else {}).items():
+            if getattr(args, name) is None:
+                setattr(args, name, value)
+                kept += [_CONFIG_FLAGS[name], repr(value)]
+        args.pipeline = _config_from_args(args)
+    if "center_sigma" in args:
+        args.noise = _from_flags(NoiseParams, _NOISE_FLAGS, args)
+    if "template_pool" in args:
+        try:
+            args.tracker = TrackerConfig(args.template_pool, args.search_pool, args.fuse_stride)
+        except ValueError as exc:
+            raise ValueError(f"--template-pool, --search-pool, --fuse-stride: {exc}") from None
+    for mode, (unread, needed) in _MODES.get(args.command, {}).items():
+        flag, *value = mode.split()[1:]
+        setting = getattr(args, options[flag].dest)
+        if (setting == value[0] if value else bool(setting)) != mode.startswith("with "):
+            continue
+        given = [text for option, text in typed.items() if option in unread]
+        if given:
+            raise ValueError(f"{given[0]} is not read {mode}")
+        missing = [option for option in needed if option not in typed]
+        if missing:
+            raise ValueError(f"{mode[5:]} requires {missing[0]}" if mode.startswith("with ") else
+                             f"provide {' and '.join(needed)}{',' if len(needed) > 1 else ''} or {flag}")
+    return kept
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
@@ -131,37 +185,10 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument(flag, type=float, dest=name)
 
 
-def _inline_config(args, argv: list[str]) -> list[str]:
-    """Resolve ``--config FILE`` into flags, so that a manifest's argv is the whole run.
-
-    Each value the file sets goes into ``args`` unless its flag was given
-    (the flag wins). The returned argv has every ``--config`` option (or
-    argparse's abbreviation of it) dropped and those values appended as
-    their flags, so a replay reads no config file.
-    """
-    if not getattr(args, "config", None):
-        return argv
-    inlined = []
-    for name, value in PipelineConfig.file_values(args.config).items():
-        if getattr(args, name) is None:
-            setattr(args, name, value)
-            inlined += [_CONFIG_FLAGS[name], repr(value)]
-    args.config = None
-    kept, tokens = [], iter(argv)
-    for token in tokens:
-        option = token.split("=", 1)[0]
-        if len(option) > 2 and "--config".startswith(option):
-            if "=" not in token:
-                next(tokens, None)
-            continue
-        kept.append(token)
-    return kept + inlined
-
-
 def _add_scenario_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--spec", help="scenario JSON file")
     p.add_argument("--preset", choices=("clean", "degraded", "fast"), default="degraded")
-    p.add_argument("--seed", type=_non_negative_int, default=0, help="preset seed (ignored with --spec)")
+    p.add_argument("--seed", type=_non_negative_int, default=0, help="preset seed (not read with --spec)")
 
 
 def _non_negative_int(text: str) -> int:
@@ -195,10 +222,6 @@ def _add_oracle_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--oracle", action="store_true", help="use the ground-truth oracle tracker")
     p.add_argument("--gt", help="ground-truth detections (required with --oracle)")
     _add_noise_flags(p)
-
-
-def _add_manifest_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--manifest", help="write a run manifest JSON to this path")
 
 
 def make_replay_track_fn(stored: VideoPredictions):
@@ -257,23 +280,22 @@ def cmd_synth_gen(args, argv) -> int:
     return 0
 
 
-def _check_tracker_flags(args, learned: dict[str, object]) -> None:
-    """Reject a command's tracker flags that do not go together, before any file is read.
+def _oracle_track_fn(gt, noise: NoiseParams, seed: int):
+    """``make_oracle_track_fn``'s ``track_fn``; a fault names the frame tracked and the noise flags."""
+    oracle = make_oracle_track_fn(gt, noise, seed)
 
-    The command tracks by ``--oracle`` (which needs ``--gt``) or by every
-    flag of ``learned`` (flag to its value), and the two exclude each other.
-    """
-    given = [flag for flag, value in learned.items() if value]
-    if args.oracle and given:
-        raise ValueError(f"{given[0]} is not read with --oracle")
-    if args.oracle and not args.gt:
-        raise ValueError("--oracle requires --gt")
-    if not args.oracle and len(given) < len(learned):
-        raise ValueError(f"provide {' and '.join(learned)}{',' if len(learned) > 1 else ''} or --oracle")
+    def track_fn(boxes: np.ndarray, frame: int, class_id: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        try:
+            return oracle(boxes, frame, class_id)
+        except ValueError as exc:
+            flags = ", ".join(f"{flag} {getattr(noise, name)!r}" for name, flag in _NOISE_FLAGS.items())
+            raise ValueError(f"oracle on frame {frame} with {flags}: {exc}") from None
+
+    return track_fn
 
 
-def _track_frames(vds: VideoDetectionSet, args, gt, cfg: TrackerConfig, noise: NoiseParams) -> VideoPredictions:
-    """Predictions on ``vds``' rows from the oracle (given ``gt``) or the learned head.
+def _track_frames(vds: VideoDetectionSet, args, oracle) -> VideoPredictions:
+    """Predictions on ``vds``' rows from ``oracle`` (a ``track_fn``), if given, or the learned head.
 
     The oracle predicts every frame, the last included (its boxes have no
     next ground-truth frame, so each comes back below quality 0.5); the
@@ -281,13 +303,15 @@ def _track_frames(vds: VideoDetectionSet, args, gt, cfg: TrackerConfig, noise: N
     short. The ``track-replay`` golden digest pins the oracle's output.
     """
     boxes, quality = np.full((len(vds.score), 4), np.nan), np.full(len(vds.score), np.nan)
-    if args.oracle:
+    if oracle:
         for t in range(vds.n_frames):
             rows = vds.rows(t)
-            boxes[rows], quality[rows] = oracle_track(vds.boxes[rows], t, vds.class_id[rows], gt, noise,
-                                                      args.oracle_seed or 0)
+            try:
+                boxes[rows], quality[rows] = oracle(vds.boxes[rows], t, vds.class_id[rows])
+            except ValueError as exc:
+                raise ValueError(f"--dets {args.dets}:{vds.lines[rows][0]}: {exc}") from None
         return VideoPredictions(vds, boxes, quality, vds.n_frames)
-    weights = load_weights(args.weights)
+    weights, cfg = load_weights(args.weights), args.tracker
     try:
         weights.folded_head(cfg.corr_size, cfg.corr_size)
     except ValueError as exc:
@@ -349,16 +373,10 @@ def _load_gt(args, vds: VideoDetectionSet, timings: dict) -> VideoDetectionSet:
 
 
 def cmd_track(args, argv) -> int:
-    _check_tracker_flags(args, {"--weights": args.weights, "--features-dir": args.features_dir})
-    try:
-        cfg = TrackerConfig(args.template_pool, args.search_pool, args.fuse_stride)
-    except ValueError as exc:
-        raise ValueError(f"--template-pool, --search-pool, --fuse-stride: {exc}") from None
-    noise = _noise_from_args(args, None if args.oracle else "without --oracle")
     timings = {}
     vds = _timed(timings, "load", load_single_video, args.dets)
-    gt = _load_gt(args, vds, timings) if args.oracle else None
-    preds = _timed(timings, "track", _track_frames, vds, args, gt, cfg, noise)
+    oracle = _oracle_track_fn(_load_gt(args, vds, timings), args.noise, args.oracle_seed or 0) if args.oracle else None
+    preds = _timed(timings, "track", _track_frames, vds, args, oracle)
     _timed(timings, "save", save_predictions, preds, args.out)
     _write_manifest(args.manifest, args, argv, {"preds": args.out}, timings)
     print(f"wrote {args.out} ({vds.offsets[preds.n_predicted]} predictions over {preds.n_predicted} frames)")
@@ -374,16 +392,14 @@ def _load_preds(args, sets: list[VideoDetectionSet], timings: dict) -> dict[str,
 
 
 def cmd_tfd(args, argv) -> int:
-    _check_tracker_flags(args, {"--preds": args.preds})
-    cfg, noise = _config_from_args(args), _noise_from_args(args, None if args.oracle else "without --oracle")
     timings = {}
     vds = _timed(timings, "load", load_single_video, args.dets)
     if args.oracle:
-        track_fn = make_oracle_track_fn(_load_gt(args, vds, timings), noise, args.oracle_seed or 0)
+        track_fn = _oracle_track_fn(_load_gt(args, vds, timings), args.noise, args.oracle_seed or 0)
     else:
         track_fn = make_replay_track_fn(_load_preds(args, [vds], timings)[vds.video])
 
-    merged, preds = _timed(timings, "pipeline", run_video, vds, track_fn, cfg)
+    merged, preds = _timed(timings, "pipeline", run_video, vds, track_fn, args.pipeline)
     _timed(timings, "save", save_detections, merged, args.out)
     outputs = {"merged": args.out}
     if args.out_preds:
@@ -395,10 +411,6 @@ def cmd_tfd(args, argv) -> int:
 
 
 def cmd_link(args, argv) -> int:
-    if args.mode == "seqtrack" and not args.preds:
-        raise ValueError("--mode seqtrack requires --preds")
-    if args.mode == "seqnms" and args.preds:
-        raise ValueError("--preds is not read with --mode seqnms")
     timings = {}
     sets = _timed(timings, "load", load_detections, args.dets)
     preds_by_video = _load_preds(args, sets, timings) if args.preds else {}
@@ -416,8 +428,6 @@ def cmd_link(args, argv) -> int:
 
 
 def cmd_eval(args, argv) -> int:
-    if args.label is not None and not args.out:
-        raise ValueError("--label is not read without --out")
     timings = {}
     preds = _timed(timings, "load", load_detections, args.preds)
     gt = _timed(timings, "load", load_detections, args.gt)
@@ -456,7 +466,7 @@ def run_variant(spec, variant: str, cfg: PipelineConfig, noise: NoiseParams,
             return final_detections(dets, cfg)
         if variant == "seqnms":
             return link_frames(dets, None, link_iou, cfg.final_nms_iou, cfg.final_score_min)
-        merged, preds = run_video(dets, make_oracle_track_fn(gt, noise, oracle_seed), cfg)
+        merged, preds = run_video(dets, _oracle_track_fn(gt, noise, oracle_seed), cfg)
         artifacts["merged"], artifacts["preds"] = merged, preds
         return link_frames(merged, preds if variant == "tfd+seqtracknms" else None, link_iou, cfg.final_nms_iou)
 
@@ -467,19 +477,13 @@ def run_variant(spec, variant: str, cfg: PipelineConfig, noise: NoiseParams,
 
 def cmd_run(args, argv) -> int:
     if args.from_manifest:
-        # The manifest holds every flag but --out-dir; a repeated --out-dir is
-        # last-wins, so the recorded one is overridden.
-        options = [token.split("=", 1)[0] for token in argv[1:] if token.startswith("--")]
-        given = [o for o in options if not ("--from-manifest".startswith(o) or "--out-dir".startswith(o))]
-        if given:
-            raise ValueError(f"{given[0]} is not read with --from-manifest")
+        # A repeated --out-dir is last-wins, so the recorded one is overridden.
         recorded = _read_manifest(args.from_manifest, "run")
         return main(recorded + ["--out-dir", args.out_dir], manifest=args.from_manifest)
 
-    untracked = None if args.variant.startswith("tfd") else f"with --variant {args.variant}"
-    cfg, noise, seed = _config_from_args(args), _noise_from_args(args, untracked), args.oracle_seed or 0
     spec = _scenario_from_args(args)
-    result, artifacts = run_variant(spec, args.variant, cfg, noise, seed, args.link_iou, args.iou)
+    result, artifacts = run_variant(spec, args.variant, args.pipeline, args.noise, args.oracle_seed or 0,
+                                    args.link_iou, args.iou)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     names = ["scenario.json", "gt.jsonl", "dets.jsonl", "final.jsonl", "result.json"]
@@ -555,7 +559,6 @@ def build_parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParse
     p.add_argument("--out-gt", required=True)
     p.add_argument("--out-dets", required=True)
     p.add_argument("--out-spec", help="also write the resolved scenario JSON")
-    _add_manifest_flag(p)
     p.set_defaults(func=cmd_synth_gen)
 
     p = sub.add_parser("track", help="predict next-frame boxes for every detection")
@@ -567,7 +570,6 @@ def build_parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParse
     p.add_argument("--fuse-stride", type=int)
     _add_oracle_flags(p)
     p.add_argument("--out", required=True)
-    _add_manifest_flag(p)
     p.set_defaults(func=cmd_track)
 
     p = sub.add_parser("tfd", help="tracking-first merge of detections and tracks over a video")
@@ -577,7 +579,6 @@ def build_parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParse
     _add_config_flags(p)
     p.add_argument("--out", required=True, help="merged detections output")
     p.add_argument("--out-preds", help="also write the pipeline's track predictions")
-    _add_manifest_flag(p)
     p.set_defaults(func=cmd_tfd)
 
     p = sub.add_parser("link", help="tubelet linking and averaging re-scoring")
@@ -589,7 +590,6 @@ def build_parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParse
     p.add_argument("--score-min", type=_unit_interval, default=0.0,
                    help="drop detections below this score before linking")
     p.add_argument("--out", required=True)
-    _add_manifest_flag(p)
     p.set_defaults(func=cmd_link)
 
     p = sub.add_parser("eval", help="mean average precision of predictions against ground truth")
@@ -598,7 +598,6 @@ def build_parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParse
     p.add_argument("--iou", type=_unit_interval, default=0.5)
     p.add_argument("--out", help="write the result as JSON")
     p.add_argument("--label", help="variant label stored in the result JSON")
-    _add_manifest_flag(p)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("run", help="full pipeline for one ablation variant")
@@ -620,6 +619,10 @@ def build_parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParse
     p = sub.add_parser("replay", help="re-run any subcommand from its manifest")
     p.add_argument("manifest_path")
     p.set_defaults(func=cmd_replay)
+    for name, p in sub.choices.items():
+        if name not in ("run", "plot", "replay"):
+            p.add_argument("--manifest", help="write a run manifest JSON to this path")
+        p.set_defaults(parser=p)
 
     return parser
 
@@ -631,17 +634,14 @@ def main(argv: list[str] | None = None, manifest=None) -> int:
     naming ``manifest`` when it was read from one.
     """
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    if manifest is None:
-        args = build_parser().parse_args(argv)
-    else:
-        try:
-            args = build_parser(_RecordedArgvParser).parse_args(argv)
-        except ValueError as exc:
-            raise ValueError(f"{manifest}: recorded argv: {exc}") from None
+    try:
+        args = build_parser(argparse.ArgumentParser if manifest is None else _RecordedArgvParser).parse_args(argv)
+    except ValueError as exc:  # only a recorded argv's parser raises
+        raise ValueError(f"{manifest}: recorded argv: {exc}") from None
     try:
         if manifest is not None and (args.command == "replay" or getattr(args, "from_manifest", None)):
             raise ValueError(f"{manifest}: the recorded argv re-runs a manifest")
-        return args.func(args, _inline_config(args, argv))
+        return args.func(args, _check_args(args, argv))
     except (ValueError, OSError) as exc:
         print(f"error [{args.command}]: {exc}", file=sys.stderr)
         return 1

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import re
@@ -657,6 +658,19 @@ UNREAD_FLAGS = {
                               "--oracle-seed is not read without --oracle"),
     "track-learned-noise-size": (["track", "--weights", "P", "--features-dir", "P", "--noise-size", "0.3"],
                                  "--noise-size is not read without --oracle"),
+    # The pool and stride flags only shape the learned head; explicit defaults count.
+    "track-oracle-pools": (["track", "--oracle", "--gt", "P", "--template-pool", "5", "--search-pool", "15",
+                            "--fuse-stride", "4"], "--template-pool is not read with --oracle"),
+    "track-oracle-default-pool": (["track", "--oracle", "--gt", "P", "--search-pool", "21"],
+                                  "--search-pool is not read with --oracle"),
+    # --gt is read only by the oracle.
+    "tfd-preds-gt": (["tfd", "--preds", "P", "--gt", "P"], "--gt is not read without --oracle"),
+    "track-learned-gt": (["track", "--weights", "P", "--features-dir", "P", "--gt", "P"],
+                         "--gt is not read without --oracle"),
+    # An abbreviation argparse takes is rejected by the name typed.
+    "track-oracle-abbreviated-pool": (["track", "--oracle", "--gt", "P", "--sea", "15"],
+                                      "--sea is not read with --oracle"),
+    "tfd-preds-abbreviated-noise": (["tfd", "--preds", "P", "--noise-c=1"], "--noise-c is not read without --oracle"),
 }
 
 
@@ -682,7 +696,8 @@ class TestUnreadFlags:
         assert not out_dir.exists()
 
     @pytest.mark.parametrize("variant, flags", [("detector", ["--noise-failure", "0.9"]),
-                                                ("seqnms", ["--oracle-seed", "0"])])
+                                                ("seqnms", ["--oracle-seed", "0"]),
+                                                ("detector", ["--link-iou", "0.3"])])
     def test_run_without_oracle_rejects_its_flags(self, tmp_path, capsys, variant, flags):
         # The spec is not read: it need not exist.
         out_dir = tmp_path / "run"
@@ -690,6 +705,29 @@ class TestUnreadFlags:
                        "--out-dir", out_dir) == 1
         assert capsys.readouterr().err == f"error [run]: {flags[0]} is not read with --variant {variant}\n"
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("command", ["synth-gen", "run"])
+    @pytest.mark.parametrize("flags", [["--seed", "3"], ["--preset", "fast"], ["--preset", "clean", "--seed", "0"]],
+                             ids=["seed", "preset", "preset-and-seed"])
+    def test_spec_rejects_the_preset_flags(self, tmp_path, capsys, command, flags):
+        # The spec is not read: it need not exist.
+        outputs = [tmp_path / "run"] if command == "run" else [tmp_path / "g.jsonl", tmp_path / "d.jsonl"]
+        out_flags = ["--out-dir", *outputs] if command == "run" else ["--out-gt", outputs[0], "--out-dets", outputs[1]]
+        assert run_cli(command, "--spec", tmp_path / "missing.json", *flags, *out_flags) == 1
+        assert capsys.readouterr().err == f"error [{command}]: {flags[0]} is not read with --spec\n"
+        assert not any(path.exists() for path in outputs)
+
+    def test_mode_table_names_only_flags_of_its_command(self):
+        # A renamed flag or command must fail here rather than drop out of the check.
+        (commands,) = [a.choices for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        for command, modes in cli._MODES.items():
+            options = commands[command]._option_string_actions
+            for mode, (unread, needed) in modes.items():
+                assert mode.split()[0] in ("with", "without"), mode
+                assert {mode.split()[1], *unread, *needed} <= options.keys(), (command, mode)
+        # --from-manifest reads no flag but --out-dir: the manifest holds the rest.
+        run_options = commands["run"]._option_string_actions.keys() - {"-h", "--help", "--from-manifest", "--out-dir"}
+        assert set(cli._MODES["run"]["with --from-manifest"][0]) == run_options
 
     def test_eval_label_needs_out(self, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"
@@ -736,6 +774,21 @@ class TestMadeBoxesAreLoadable:
         out_dir = tmp_path / "run"
         self.fails_writing_nothing(capsys, ["run", "--preset", "clean", "--variant", "tfd+seqnms", *flags,
                                             "--out-dir", out_dir], [out_dir], complaint)
+
+    @pytest.mark.parametrize("command", ["tfd", "track", "run"])
+    def test_oracle_fault_names_the_frame_and_the_noise_flags(self, clean_files, tmp_path, capsys, command):
+        gt, dets = clean_files
+        out = tmp_path / "out"
+        argv = {"tfd": ["tfd", "--dets", dets, "--oracle", "--gt", gt, "--out", out],
+                "track": ["track", "--dets", dets, "--oracle", "--gt", gt, "--out", out],
+                "run": ["run", "--preset", "clean", "--out-dir", out]}[command]
+        # The track command also names the line of the frame's first record.
+        where = f"--dets {dets}:1: " if command == "track" else ""
+        assert run_cli(*argv, "--noise-center", "1e300") == 1
+        assert capsys.readouterr().err.startswith(
+            f"error [{command}]: {where}oracle on frame 0 with --noise-center 1e+300, --noise-size 0.0, "
+            "--noise-failure 0.0: box corners must be finite and lie within ±2**53, got [")
+        assert not out.exists()
 
     @pytest.mark.parametrize("dw, complaint", [(300.0, "lie within ±2**53"), (1000.0, "overflows")], ids=["300", "1000"])
     def test_learned_scale_past_the_bound(self, learned_files, tmp_path, capsys, dw, complaint):
