@@ -86,22 +86,21 @@ def _scenario_from_args(args) -> ScenarioSpec:
     return preset_scenario(args.preset, args.seed)
 
 
-# The flag that sets each PipelineConfig and NoiseParams field.
-_CONFIG_FLAGS = {
+# The flag that sets each PipelineConfig and NoiseParams field. The merge reads the first four
+# thresholds, the detector filter and the link stage the last two.
+_MERGE_FLAGS = {
     "detect_to_track_score": "--detect-score",
     "track_quality_min": "--track-quality",
     "track_nms_iou": "--track-nms",
     "t_merge": "--t-merge",
-    "final_score_min": "--final-score",
-    "final_nms_iou": "--final-nms",
 }
+_CONFIG_FLAGS = {**_MERGE_FLAGS, "final_score_min": "--final-score", "final_nms_iou": "--final-nms"}
 _NOISE_FLAGS = {"center_sigma": "--noise-center", "size_sigma": "--noise-size", "failure_prob": "--noise-failure"}
 _ORACLE_FLAGS = (*_NOISE_FLAGS.values(), "--oracle-seed")
 
 # Each subcommand's modes, with the flags each does not read and those it needs. "with X [V]" holds
 # when flag X is set (to V), "without X" when it is not. A flag is given if argv holds it or an
-# abbreviation of it, and is named as typed. The threshold flags are named only with --from-manifest:
-# elsewhere a --config file or an inlined manifest argv may set any of them.
+# abbreviation of it, and is named as typed.
 _MODES = {
     "synth-gen": {"with --spec": (("--preset", "--seed"), ())},
     "track": {"with --oracle": (("--weights", "--features-dir", "--template-pool", "--search-pool", "--fuse-stride"),
@@ -110,18 +109,20 @@ _MODES = {
     "tfd": {"with --oracle": (("--preds",), ("--gt",)), "without --oracle": (("--gt", *_ORACLE_FLAGS), ("--preds",))},
     "link": {"with --mode seqnms": (("--preds",), ()), "with --mode seqtrack": ((), ("--preds",))},
     "eval": {"without --out": (("--label",), ())},
-    "run": {"with --from-manifest": (("--spec", "--preset", "--seed", "--variant", "--config", *_CONFIG_FLAGS.values(),
+    "run": {"with --from-manifest": (("--spec", "--preset", "--seed", "--variant", *_CONFIG_FLAGS.values(),
                                       "--link-iou", "--iou", *_ORACLE_FLAGS), ()),
             "with --spec": (("--preset", "--seed"), ()),
-            "with --variant detector": (("--link-iou", *_ORACLE_FLAGS), ()),
-            "with --variant seqnms": (_ORACLE_FLAGS, ())},
+            "with --variant detector": ((*_MERGE_FLAGS.values(), "--link-iou", *_ORACLE_FLAGS), ()),
+            "with --variant seqnms": ((*_MERGE_FLAGS.values(), *_ORACLE_FLAGS), ()),
+            "with --variant tfd+seqnms": (("--final-score",), ()),
+            "with --variant tfd+seqtracknms": (("--final-score",), ())},
 }
 
 
 def _from_flags(cls, flags: dict[str, str], args):
-    """``cls`` with each field of ``flags`` (field to flag) that ``args`` sets; a value
-    that ``cls`` rejects raises a ``ValueError`` naming its flag."""
-    values = {name: getattr(args, name) for name in flags if getattr(args, name) is not None}
+    """``cls`` with each field of ``flags`` (field to flag) that ``args`` sets, the rest at their
+    defaults; a value that ``cls`` rejects raises a ``ValueError`` naming its flag."""
+    values = {name: getattr(args, name) for name in flags if getattr(args, name, None) is not None}
     for name, value in values.items():
         try:
             cls(**{name: value})
@@ -130,33 +131,19 @@ def _from_flags(cls, flags: dict[str, str], args):
     return cls(**values)
 
 
-def _config_from_args(args) -> PipelineConfig:
-    """The defaults with each threshold flag given; ``_check_args`` has put a config file's values in them."""
-    return _from_flags(PipelineConfig, _CONFIG_FLAGS, args)
+def _check_args(args, argv: list[str]) -> None:
+    """Check the flags before any data file is read or directory made.
 
-
-def _check_args(args, argv: list[str]) -> list[str]:
-    """Check the flags before any data file is read or directory made; return the argv to record.
-
-    In order: a ``--config`` file fills the threshold flags not given (recorded in its place), the
-    values ``args.pipeline``, ``.noise`` and ``.tracker`` are built, and ``_MODES`` is applied.
+    In order: the values ``args.pipeline``, ``.noise`` and ``.tracker`` are built, then ``_MODES``
+    is applied.
     """
-    options, typed, kept, tokens = args.parser._option_string_actions, {}, [], iter(argv)
-    for token in tokens:
-        text, option = token.split("=", 1)[0], None
+    options, typed = args.parser._option_string_actions, {}
+    for token in argv:
+        text = token.split("=", 1)[0]
         if text.startswith("--") and len(text) > 2:
-            option = min((o for o in options if o.startswith(text)), key=len, default=text)
-            typed.setdefault(option, text)
-        if option != "--config":
-            kept.append(token)
-        elif "=" not in token:
-            next(tokens, None)  # the file, dropped with its flag
-    if "config" in args:
-        for name, value in (PipelineConfig.file_values(args.config) if args.config else {}).items():
-            if getattr(args, name) is None:
-                setattr(args, name, value)
-                kept += [_CONFIG_FLAGS[name], repr(value)]
-        args.pipeline = _config_from_args(args)
+            typed.setdefault(min((o for o in options if o.startswith(text)), key=len, default=text), text)
+    if "t_merge" in args:
+        args.pipeline = _from_flags(PipelineConfig, _CONFIG_FLAGS, args)
     if "center_sigma" in args:
         args.noise = _from_flags(NoiseParams, _NOISE_FLAGS, args)
     if "template_pool" in args:
@@ -176,12 +163,10 @@ def _check_args(args, argv: list[str]) -> list[str]:
         if missing:
             raise ValueError(f"{mode[5:]} requires {missing[0]}" if mode.startswith("with ") else
                              f"provide {' and '.join(needed)}{',' if len(needed) > 1 else ''} or {flag}")
-    return kept
 
 
-def _add_config_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="key = value config file (PipelineConfig field names)")
-    for name, flag in _CONFIG_FLAGS.items():
+def _add_threshold_flags(p: argparse.ArgumentParser, flags: dict[str, str]) -> None:
+    for name, flag in flags.items():
         p.add_argument(flag, type=float, dest=name)
 
 
@@ -215,7 +200,7 @@ def _add_noise_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--noise-center", type=float, dest="center_sigma", help="oracle center jitter sigma, px")
     p.add_argument("--noise-size", type=float, dest="size_sigma", help="oracle log-size jitter sigma")
     p.add_argument("--noise-failure", type=float, dest="failure_prob", help="oracle track-failure probability")
-    p.add_argument("--oracle-seed", type=_non_negative_int, help="oracle noise seed (default 0)")
+    p.add_argument("--oracle-seed", type=_non_negative_int, default=0, help="oracle noise seed")
 
 
 def _add_oracle_flags(p: argparse.ArgumentParser) -> None:
@@ -325,7 +310,12 @@ def _track_frames(vds: VideoDetectionSet, args, oracle) -> VideoPredictions:
     def pyramid(t: int):
         if not feature_file(t).exists():
             raise ValueError(f"missing feature file {feature_file(t)}")
-        return fuse_for_head(load_features(feature_file(t)), cfg)
+        features = load_features(feature_file(t))
+        try:
+            return fuse_for_head(features, cfg)
+        except ValueError as exc:
+            stride = "" if cfg.fuse_stride is None else f"--fuse-stride {cfg.fuse_stride} on "
+            raise ValueError(f"{stride}{feature_file(t)}: {exc}") from None
 
     # Each frame is fused once, and two fused maps are held at a time:
     # frame t and frame t+1. The weights must take frame 0's channels
@@ -375,7 +365,7 @@ def _load_gt(args, vds: VideoDetectionSet, timings: dict) -> VideoDetectionSet:
 def cmd_track(args, argv) -> int:
     timings = {}
     vds = _timed(timings, "load", load_single_video, args.dets)
-    oracle = _oracle_track_fn(_load_gt(args, vds, timings), args.noise, args.oracle_seed or 0) if args.oracle else None
+    oracle = _oracle_track_fn(_load_gt(args, vds, timings), args.noise, args.oracle_seed) if args.oracle else None
     preds = _timed(timings, "track", _track_frames, vds, args, oracle)
     _timed(timings, "save", save_predictions, preds, args.out)
     _write_manifest(args.manifest, args, argv, {"preds": args.out}, timings)
@@ -395,7 +385,7 @@ def cmd_tfd(args, argv) -> int:
     timings = {}
     vds = _timed(timings, "load", load_single_video, args.dets)
     if args.oracle:
-        track_fn = _oracle_track_fn(_load_gt(args, vds, timings), args.noise, args.oracle_seed or 0)
+        track_fn = _oracle_track_fn(_load_gt(args, vds, timings), args.noise, args.oracle_seed)
     else:
         track_fn = make_replay_track_fn(_load_preds(args, [vds], timings)[vds.video])
 
@@ -482,7 +472,7 @@ def cmd_run(args, argv) -> int:
         return main(recorded + ["--out-dir", args.out_dir], manifest=args.from_manifest)
 
     spec = _scenario_from_args(args)
-    result, artifacts = run_variant(spec, args.variant, args.pipeline, args.noise, args.oracle_seed or 0,
+    result, artifacts = run_variant(spec, args.variant, args.pipeline, args.noise, args.oracle_seed,
                                     args.link_iou, args.iou)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -576,7 +566,7 @@ def build_parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParse
     p.add_argument("--dets", required=True)
     p.add_argument("--preds", help="replay predictions from a track output file")
     _add_oracle_flags(p)
-    _add_config_flags(p)
+    _add_threshold_flags(p, _MERGE_FLAGS)
     p.add_argument("--out", required=True, help="merged detections output")
     p.add_argument("--out-preds", help="also write the pipeline's track predictions")
     p.set_defaults(func=cmd_tfd)
@@ -603,7 +593,7 @@ def build_parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParse
     p = sub.add_parser("run", help="full pipeline for one ablation variant")
     _add_scenario_flags(p)
     p.add_argument("--variant", choices=VARIANTS, default="tfd+seqnms")
-    _add_config_flags(p)
+    _add_threshold_flags(p, _CONFIG_FLAGS)
     p.add_argument("--link-iou", type=_unit_interval, default=0.5)
     p.add_argument("--iou", type=_unit_interval, default=0.5, help="evaluation IoU threshold")
     _add_noise_flags(p)
@@ -641,7 +631,8 @@ def main(argv: list[str] | None = None, manifest=None) -> int:
     try:
         if manifest is not None and (args.command == "replay" or getattr(args, "from_manifest", None)):
             raise ValueError(f"{manifest}: the recorded argv re-runs a manifest")
-        return args.func(args, _check_args(args, argv))
+        _check_args(args, argv)
+        return args.func(args, argv)
     except (ValueError, OSError) as exc:
         print(f"error [{args.command}]: {exc}", file=sys.stderr)
         return 1

@@ -39,7 +39,8 @@ class PipelineConfig:
     track_quality_min: minimum predicted overlap quality for a track to survive.
     track_nms_iou: overlap suppression among tracked boxes, keyed on quality.
     t_merge: a detection overlapping any tracked box at or above this is dropped.
-    final_score_min / final_nms_iou: detector-only output filtering.
+    final_score_min / final_nms_iou: the output's score gate and suppression, read by the
+    detector filter and the link stage (which gates scores only without the merge).
     """
 
     detect_to_track_score: float = 0.03
@@ -54,37 +55,6 @@ class PipelineConfig:
             v = getattr(self, f.name)
             if not (0.0 <= v <= 1.0):
                 raise ValueError(f"{f.name} must be in [0, 1], got {v}")
-
-    @classmethod
-    def file_values(cls, path) -> dict[str, float]:
-        """Parse a ``key = value`` config file into the values it sets, by field name.
-
-        Unknown keys and values out of range are rejected; every fault raises
-        a ``ValueError`` naming ``path`` and the line.
-        """
-        values = {}
-        known = {f.name for f in fields(cls)}
-        with open(path, "rb") as fh:
-            lines = fh.read().splitlines()  # at \n, \r\n and \r, as text mode splits
-        for lineno, line in enumerate(lines, start=1):
-            try:
-                line = line.decode("utf-8").split("#", 1)[0].strip()
-            except UnicodeDecodeError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, raw = line.partition("=")
-            key = key.strip()
-            if key not in known:
-                raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-            try:
-                values[key] = float(raw.strip())
-                cls(**{key: values[key]})  # the value's own range check
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
-        return values
 
 
 def _greedy_keep(order: Sequence[int], clash: np.ndarray) -> list[int]:

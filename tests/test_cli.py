@@ -3,7 +3,7 @@ import csv
 import json
 import re
 from collections import Counter
-from dataclasses import fields, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,7 +23,6 @@ from vodtrack.evalio import (
     save_predictions,
 )
 from vodtrack.synth import preset_scenario, render_features, save_scenario
-from vodtrack.pipeline import PipelineConfig
 from vodtrack.tensor_ops import FeaturePyramid
 from vodtrack.tracker import TrackerConfig, save_weights, synthesize_weights
 
@@ -295,6 +294,24 @@ class TestTrack:
             f"error [track]: --weights {weights} on {feat_dir / 'frame_0.feat'}: "
             f"input has 8 channels, kernel expects 5\n"
         )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("strides, flags, complaint", [
+        ((4, 8), ["--fuse-stride", "5"], "--fuse-stride 5 on {}: stride 5 not present in pyramid (has (4, 8))"),
+        ((3, 8), ["--fuse-stride", "8"], "--fuse-stride 8 on {}: stride 3 does not divide target stride 8"),
+        ((3, 8), [], "{}: stride 3 does not divide target stride 8"),
+    ], ids=["absent-stride", "non-dividing-stride", "default-stride"])
+    def test_fusion_fault_names_the_stride_and_the_file(self, learned_files, tmp_path, capsys, strides, flags,
+                                                         complaint):
+        dets, _, weights, _ = learned_files
+        feat_dir = tmp_path / "features"
+        feat_dir.mkdir()
+        spec = replace(preset_scenario("clean", 1), feature_strides=strides)
+        save_features(render_features(spec, 0), feat_dir / "frame_0.feat")
+        out = tmp_path / "p.jsonl"
+        rc = run_cli("track", "--dets", dets, "--weights", weights, "--features-dir", feat_dir, *flags, "--out", out)
+        assert rc == 1
+        assert capsys.readouterr().err == f"error [track]: {complaint.format(feat_dir / 'frame_0.feat')}\n"
         assert not out.exists()
 
     def test_one_frame_video_checks_feature_channels(self, learned_files, tmp_path, capsys):
@@ -671,6 +688,11 @@ UNREAD_FLAGS = {
     "track-oracle-abbreviated-pool": (["track", "--oracle", "--gt", "P", "--sea", "15"],
                                       "--sea is not read with --oracle"),
     "tfd-preds-abbreviated-noise": (["tfd", "--preds", "P", "--noise-c=1"], "--noise-c is not read without --oracle"),
+    # tfd takes only the merge's thresholds and no config file: argparse rejects the rest.
+    "tfd-final-score": (["tfd", "--oracle", "--gt", "P", "--final-score", "0.5"],
+                        "unrecognized arguments: --final-score 0.5"),
+    "tfd-final-nms": (["tfd", "--preds", "P", "--final-nms=0.5"], "unrecognized arguments: --final-nms=0.5"),
+    "tfd-config": (["tfd", "--oracle", "--gt", "P", "--config", "c.txt"], "unrecognized arguments: --config c.txt"),
 }
 
 
@@ -680,9 +702,15 @@ class TestUnreadFlags:
         bad = tmp_path / "bad.jsonl"
         bad.write_text("{\n")
         out = tmp_path / "out.jsonl"
-        argv = [bad if a == "P" else a for a in argv]
-        assert run_cli(*argv, "--dets", tmp_path / "missing.jsonl", "--out", out) == 1
-        assert capsys.readouterr().err == f"error [{argv[0]}]: {complaint}\n"
+        argv = [bad if a == "P" else a for a in argv] + ["--dets", tmp_path / "missing.jsonl", "--out", out]
+        if complaint.startswith("unrecognized arguments: "):  # a flag the command does not take
+            with pytest.raises(SystemExit) as exc:
+                run_cli(*argv)
+            assert exc.value.code == 2
+            assert capsys.readouterr().err.endswith(f"vodtrack: error: {complaint}\n")
+        else:
+            assert run_cli(*argv) == 1
+            assert capsys.readouterr().err == f"error [{argv[0]}]: {complaint}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("flags", [["--preset", "fast", "--variant", "seqnms", "--t-merge", "0.2"],
@@ -695,15 +723,21 @@ class TestUnreadFlags:
         assert capsys.readouterr().err == f"error [run]: {option} is not read with --from-manifest\n"
         assert not out_dir.exists()
 
+    # A variant and a flag it does not read; None is the default variant, tfd+seqnms.
     @pytest.mark.parametrize("variant, flags", [("detector", ["--noise-failure", "0.9"]),
                                                 ("seqnms", ["--oracle-seed", "0"]),
-                                                ("detector", ["--link-iou", "0.3"])])
+                                                ("detector", ["--link-iou", "0.3"]),
+                                                ("detector", ["--t-merge", "0.2"]),
+                                                ("seqnms", ["--track-q", "0.6"]),
+                                                (None, ["--final-score", "0.2"]),
+                                                ("tfd+seqtracknms", ["--final-score", "0.2"])])
     def test_run_without_oracle_rejects_its_flags(self, tmp_path, capsys, variant, flags):
         # The spec is not read: it need not exist.
         out_dir = tmp_path / "run"
-        assert run_cli("run", "--spec", tmp_path / "missing.json", "--variant", variant, *flags,
-                       "--out-dir", out_dir) == 1
-        assert capsys.readouterr().err == f"error [run]: {flags[0]} is not read with --variant {variant}\n"
+        chosen = ["--variant", variant] if variant else []
+        assert run_cli("run", "--spec", tmp_path / "missing.json", *chosen, *flags, "--out-dir", out_dir) == 1
+        assert capsys.readouterr().err == (f"error [run]: {flags[0]} is not read with "
+                                           f"--variant {variant or 'tfd+seqnms'}\n")
         assert not out_dir.exists()
 
     @pytest.mark.parametrize("command", ["synth-gen", "run"])
@@ -985,29 +1019,41 @@ class TestRun:
                        "--score-min", "0.03", "--out", linked_sn) == 0
         assert (out_sn / "final.jsonl").read_bytes() == linked_sn.read_bytes()
 
-    CONFIG_FLAGS = {
-        "detect_to_track_score": "--detect-score",
-        "track_quality_min": "--track-quality",
-        "track_nms_iou": "--track-nms",
-        "t_merge": "--t-merge",
-        "final_score_min": "--final-score",
-        "final_nms_iou": "--final-nms",
-    }
+    # Each command, or run variant, with the thresholds it reads ("run" is its default variant).
+    MERGE_FIELDS = ("detect_to_track_score", "track_quality_min", "track_nms_iou", "t_merge")
+    FINAL_FIELDS = ("final_score_min", "final_nms_iou")
+    READS = {"tfd": MERGE_FIELDS, "run": (*MERGE_FIELDS, "final_nms_iou"),
+             "run-tfd+seqtracknms": (*MERGE_FIELDS, "final_nms_iou"), "run-detector": FINAL_FIELDS,
+             "run-seqnms": FINAL_FIELDS}
+    CASES = {f"{field}-{where}": (where, field) for where, fields in READS.items() for field in fields}
 
-    @pytest.mark.parametrize("command", ["tfd", "run"])
-    @pytest.mark.parametrize("field", [f.name for f in fields(PipelineConfig)])
-    def test_config_flag_reaches_config(self, clean_files, tmp_path, monkeypatch, command, field):
+    @pytest.mark.parametrize("where, field", CASES.values(), ids=CASES.keys())
+    def test_config_flag_reaches_config(self, clean_files, tmp_path, monkeypatch, where, field):
+        # A flag's value reaches the stage that reads its field, and no other.
         gt, dets = clean_files
-        configs = []
-        config_from_args = cli._config_from_args
-        monkeypatch.setattr(cli, "_config_from_args",
-                            lambda args: configs.append(config_from_args(args)) or configs[-1])
+        seen = []  # (stage, field, value) of each threshold a stage was called with
+        for name, names in (("run_video", self.MERGE_FIELDS), ("final_detections", self.FINAL_FIELDS)):
+            def stage(*args, name=name, names=names, run=getattr(cli, name)):
+                seen.extend((name, f, getattr(args[-1], f)) for f in names)  # args[-1] is the PipelineConfig
+                return run(*args)
+            monkeypatch.setattr(cli, name, stage)
+        link_frames = cli.link_frames
+
+        def link(vds, preds, link_iou, nms_iou, score_min=0.0):
+            seen.extend([("link_frames", "final_nms_iou", nms_iou), ("link_frames", "final_score_min", score_min)])
+            return link_frames(vds, preds, link_iou, nms_iou, score_min)
+
+        monkeypatch.setattr(cli, "link_frames", link)
+        command, _, variant = where.partition("-")
         if command == "tfd":
             argv = ["tfd", "--dets", dets, "--oracle", "--gt", gt, "--out", tmp_path / "m.jsonl"]
         else:
-            argv = ["run", "--preset", "clean", "--variant", "detector", "--out-dir", tmp_path / "run"]
-        assert run_cli(*argv, self.CONFIG_FLAGS[field], "0.25") == 0
-        assert configs == [replace(PipelineConfig(), **{field: 0.25})]
+            argv = ["run", "--preset", "clean", *(["--variant", variant] if variant else []),
+                    "--out-dir", tmp_path / "run"]
+        assert run_cli(*argv, cli._CONFIG_FLAGS[field], "0.25") == 0
+        reader = ("run_video" if field in self.MERGE_FIELDS else
+                  "final_detections" if variant == "detector" else "link_frames")
+        assert [entry for entry in seen if entry[2] == 0.25] == [(reader, field, 0.25)]
 
     def test_from_manifest_reproduces_outputs(self, tmp_path):
         first = tmp_path / "r1"
@@ -1023,28 +1069,6 @@ class TestRun:
             assert (first / name).read_bytes() == (second / name).read_bytes(), name
 
 
-    def test_manifest_holds_the_config_file_values(self, tmp_path):
-        # The thresholds a --config file set are recorded as their flags, so
-        # editing or deleting the file after the run changes no replay.
-        config = tmp_path / "c.txt"
-        config.write_text("t_merge = 0.3\ntrack_quality_min = 0.6\n")
-        first, second, third = (tmp_path / name for name in ("r1", "r2", "r3"))
-        rc = run_cli("run", "--preset", "degraded", "--seed", "4", "--variant", "tfd+seqnms",
-                     "--noise-center", "1.0", "--noise-failure", "0.25", "--config", config,
-                     "--track-quality", "0.55", "--out-dir", first)
-        assert rc == 0
-        argv = json.loads((first / "manifest.json").read_text())["argv"]
-        assert "--config" not in argv and str(config) not in argv
-        # The flag given on the command line wins over the file.
-        assert argv[-2:] == ["--t-merge", "0.3"] and "0.6" not in argv
-        config.write_text("t_merge = 0.9\n")
-        assert run_cli("run", "--from-manifest", first / "manifest.json", "--out-dir", second) == 0
-        config.unlink()
-        assert run_cli("run", "--from-manifest", first / "manifest.json", "--out-dir", third) == 0
-        for name in ("merged.jsonl", "final.jsonl", "result.json"):
-            assert (first / name).read_bytes() == (second / name).read_bytes() == (third / name).read_bytes()
-
-
 class TestManifest:
     # Per subcommand: its argv (with --manifest where the command takes one),
     # the manifest's output keys and its timing keys.
@@ -1055,8 +1079,8 @@ class TestManifest:
         "track": (lambda d: ["track", "--dets", d / "dets.jsonl", "--oracle", "--gt", d / "gt.jsonl",
                              "--out", d / "p.jsonl"],
                   {"preds"}, {"load", "track", "save"}),
-        "tfd": (lambda d: ["tfd", "--dets", d / "dets.jsonl", "--oracle", "--gt", d / "gt.jsonl",
-                           "--out", d / "m.jsonl", "--out-preds", d / "p.jsonl"],
+        "tfd": (lambda d: ["tfd", "--dets", d / "dets.jsonl", "--oracle", "--gt", d / "gt.jsonl", "--t-merge=0.5",
+                           "--track-q", "0.6", "--out", d / "m.jsonl", "--out-preds", d / "p.jsonl"],
                 {"merged", "preds"}, {"load", "pipeline", "save"}),
         "link": (lambda d: ["link", "--dets", d / "dets.jsonl", "--mode", "seqnms", "--out", d / "l.jsonl"],
                  {"linked"}, {"load", "link", "save"}),
@@ -1242,17 +1266,6 @@ class TestInputBoundary:
         assert run_cli("plot", "--results", good, good, "--out", out) == 0
         with open(out, newline="") as fh:
             assert list(csv.reader(fh)) == [["variant", "map"], ["a,b\nc", "0.5"], ["a,b\nc", "0.5"]]
-
-    @pytest.mark.parametrize("content, where", [
-        (b"t_merge = 0.5\nfinal_nms_iou = 2.0\n", ":2: bad value for final_nms_iou: "
-                                                 "final_nms_iou must be in [0, 1], got 2.0"),
-        (b"t_merge = 0.5\n# \xff\n", ":2: 'utf-8' codec can't decode byte 0xff"),
-    ], ids=["out-of-range", "bad-utf8"])
-    def test_config_faults_name_the_file_and_line(self, tmp_path, capsys, content, where):
-        config = tmp_path / "c.txt"
-        config.write_bytes(content)
-        fails_naming(capsys, ["run", "--preset", "clean", "--config", config,
-                              "--out-dir", tmp_path / "out"], f"{config}{where}")
 
 
 # Out-of-range numbers, each rejected where it enters: a flag's argparse type

@@ -67,17 +67,6 @@ class TestConfig:
         with pytest.raises(ValueError, match="t_merge"):
             PipelineConfig(t_merge=1.2)
 
-    def test_from_file(self, tmp_path):
-        p = tmp_path / "pipeline.cfg"
-        p.write_text("t_merge = 0.3\nfinal_nms_iou = 0.5  # comment\n\n")
-        assert PipelineConfig.file_values(p) == {"t_merge": 0.3, "final_nms_iou": 0.5}
-
-    def test_from_file_unknown_key(self, tmp_path):
-        p = tmp_path / "pipeline.cfg"
-        p.write_text("tmerge = 0.3\n")
-        with pytest.raises(ValueError, match="unknown config key"):
-            PipelineConfig.file_values(p)
-
 
 class TestNms:
     """The greedy suppression of ``filter_tracks``, keyed on score through ``nms``."""
