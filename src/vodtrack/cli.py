@@ -621,17 +621,22 @@ def main(argv: list[str] | None = None, manifest=None) -> int:
     """Run one subcommand; an argv read from ``manifest`` may not re-run a manifest.
 
     An argv that argparse rejects exits 2, or raises a ``ValueError``
-    naming ``manifest`` when it was read from one.
+    naming ``manifest`` when it was read from one. Flags that
+    ``_check_args`` rejects fail the command, naming ``manifest`` likewise.
     """
     argv = list(sys.argv[1:]) if argv is None else list(argv)
+    recorded = "" if manifest is None else f"{manifest}: recorded argv: "
     try:
         args = build_parser(argparse.ArgumentParser if manifest is None else _RecordedArgvParser).parse_args(argv)
     except ValueError as exc:  # only a recorded argv's parser raises
-        raise ValueError(f"{manifest}: recorded argv: {exc}") from None
+        raise ValueError(f"{recorded}{exc}") from None
     try:
         if manifest is not None and (args.command == "replay" or getattr(args, "from_manifest", None)):
             raise ValueError(f"{manifest}: the recorded argv re-runs a manifest")
-        _check_args(args, argv)
+        try:
+            _check_args(args, argv)
+        except ValueError as exc:
+            raise ValueError(f"{recorded}{exc}") from None
         return args.func(args, argv)
     except (ValueError, OSError) as exc:
         print(f"error [{args.command}]: {exc}", file=sys.stderr)

@@ -144,9 +144,6 @@ class VideoDetectionSet:
     def n_frames(self) -> int:
         return len(self.offsets) - 1
 
-    def __len__(self) -> int:
-        return self.n_frames
-
     def __iter__(self):
         bounds = self.offsets.tolist()
         return map(range, bounds[:-1], bounds[1:])

@@ -1,15 +1,18 @@
 """Whole-video tubelet linking and re-scoring (Seq-NMS and Seq-Track-NMS).
 
-Detections in consecutive frames are linked into a graph under an overlap
-constraint; maximum-score paths (tubelets) are extracted one by one, each
-member is re-scored to the tubelet's mean score, and overlapping same-class
-detections are suppressed around every member. Extraction runs within each
-independent component (nodes joined by links or suppressing overlaps): one
-extraction changes no other component, so the order across components does
-not change the output. The two graph constraints differ in which box
-represents frame ``t`` when testing overlap against frame ``t+1``: the raw
-detection itself, or the tracker's predicted next-frame box (which keeps
-links alive under large motion).
+Detections in consecutive frames are linked under an overlap constraint. A
+link graph is its edge tables, one per pair of consecutive frames, from a
+detection's index in frame ``t`` to its successors' indices in frame
+``t+1``; the video says how many detections each frame holds. Maximum-score
+paths (tubelets) are extracted one by one, each member is re-scored to the
+tubelet's mean score, and overlapping same-class detections are suppressed
+around every member. Extraction runs within each independent component
+(nodes joined by links or suppressing overlaps): one extraction changes no
+other component, so the order across components does not change the output.
+The two graph constraints differ in which box represents frame ``t`` when
+testing overlap against frame ``t+1``: the raw detection itself, or the
+tracker's predicted next-frame box (which keeps links alive under large
+motion).
 
 Each stage takes a video as a :class:`~vodtrack.evalio.VideoDetectionSet`
 (and its predictions as a :class:`~vodtrack.evalio.VideoPredictions`) and
@@ -18,8 +21,7 @@ reads them one frame's column slices at a time; re-scoring returns a set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -39,47 +41,17 @@ __all__ = [
 LINK_IOU_DEFAULT = 0.5
 
 
-@dataclass(frozen=True)
-class LinkGraph:
-    """Per-frame node lists with directed edges between consecutive frames only.
+class LinkGraph(NamedTuple):
+    """``edges[t]`` maps a detection index in frame ``t`` to its successor indices in frame ``t+1``."""
 
-    ``edges[t]`` maps a node index in frame ``t`` to its successor indices
-    in frame ``t+1``.
-    """
-
-    nodes: tuple[tuple[int, ...], ...]
     edges: tuple[dict[int, tuple[int, ...]], ...]
 
-    def __post_init__(self) -> None:
-        if len(self.edges) != max(len(self.nodes) - 1, 0):
-            raise ValueError("edge table must cover exactly the consecutive frame pairs")
-        for t, table in enumerate(self.edges):
-            here, there = set(self.nodes[t]), set(self.nodes[t + 1])
-            for i, succs in table.items():
-                if i not in here:
-                    raise ValueError(f"edge from unknown node {i} in frame {t}")
-                for j in succs:
-                    if j not in there:
-                        raise ValueError(f"edge to unknown node {j} in frame {t + 1}")
 
-    @property
-    def n_frames(self) -> int:
-        return len(self.nodes)
-
-
-@dataclass(frozen=True)
-class Tubelet:
+class Tubelet(NamedTuple):
     """A chain of (frame, detection index) members over strictly consecutive frames."""
 
     members: tuple[tuple[int, int], ...]
     path_score: float
-
-    def __post_init__(self) -> None:
-        if not self.members:
-            raise ValueError("tubelet must have at least one member")
-        for (t0, _), (t1, _) in zip(self.members, self.members[1:]):
-            if t1 != t0 + 1:
-                raise ValueError("tubelet frames must be strictly consecutive")
 
     @property
     def rescored(self) -> float:
@@ -103,13 +75,12 @@ def _row_table(hits: np.ndarray) -> dict[int, tuple[int, ...]]:
 def _build_graph(video: VideoDetectionSet, probes: np.ndarray, link_iou: float) -> LinkGraph:
     """``probes`` holds, row for row with ``video``, the boxes tested against the next frame."""
     b = video.offsets.tolist()
-    edges = tuple(
+    return LinkGraph(tuple(
         _row_table(_overlaps_above(video.class_id[b[t] : b[t + 1]], probes[b[t] : b[t + 1]],
                                    video.class_id[b[t + 1] : b[t + 2]], video.boxes[b[t + 1] : b[t + 2]],
                                    link_iou))
         for t in range(video.n_frames - 1)
-    )
-    return LinkGraph(nodes=tuple(tuple(range(len(frame))) for frame in video), edges=edges)
+    ))
 
 
 def build_graph_seqnms(video: VideoDetectionSet, link_iou: float = LINK_IOU_DEFAULT) -> LinkGraph:
@@ -145,16 +116,16 @@ def best_path(
     """Maximum-total-score path over the alive nodes, by dynamic programming.
 
     ``alive`` maps a frame to its alive node indices and may omit frames
-    (``None``: every node); the DP visits only the frames it names. Paths may
-    start and end at any frame but step through consecutive frames along
-    edges. Score ties prefer the earliest start frame, then the
+    (``None``: every scored node); the DP visits only the frames it names.
+    Paths may start and end at any frame but step through consecutive frames
+    along edges. Score ties prefer the earliest start frame, then the
     lexicographically smallest index sequence. Returns ``None`` when no alive
     node exists.
     """
-    if len(scores) != graph.n_frames:
+    if len(graph.edges) != max(len(scores) - 1, 0):
         raise ValueError("scores must align with the graph's frames")
     if alive is None:
-        alive = {t: set(frame) for t, frame in enumerate(graph.nodes)}
+        alive = {t: set(range(len(frame))) for t, frame in enumerate(scores)}
 
     # chains[t][j] = (total, start_frame, back) of the best chain ending at
     # node j of frame t, where back is its node in frame t-1 (-1 if none).
@@ -212,7 +183,7 @@ def rescore_and_suppress(video: VideoDetectionSet, graph: LinkGraph, nms_iou: fl
     changes only its own component, so the result is the whole-video one.
     Returns the set of surviving rows.
     """
-    if video.n_frames != graph.n_frames:
+    if len(graph.edges) != max(video.n_frames - 1, 0):
         raise ValueError("video and graph frame counts differ")
 
     bounds = video.offsets.tolist()
@@ -242,9 +213,9 @@ def rescore_and_suppress(video: VideoDetectionSet, graph: LinkGraph, nms_iou: fl
 
     # components[root] = {frame: alive nodes}, frames in ascending order.
     components: dict[int, dict[int, set[int]]] = {}
-    for t, frame_nodes in enumerate(graph.nodes):
-        for i in frame_nodes:
-            components.setdefault(find(bounds[t] + i), {}).setdefault(t, set()).add(i)
+    for t, rows in enumerate(video):
+        for i, row in enumerate(rows):
+            components.setdefault(find(row), {}).setdefault(t, set()).add(i)
 
     rescored: list[float | None] = [None] * bounds[-1]
     for alive in components.values():

@@ -62,24 +62,47 @@ class TestSynthGen:
                      "--out-gt", tmp_path / "g.jsonl", "--out-dets", tmp_path / "d.jsonl")
         assert rc == 0
 
-    # Edits that make a valid spec invalid; each must fail naming the file.
+    # Edits that make a valid spec invalid, and the fault each must name after the file.
     SPEC_FAULTS = {
-        "fractional-n-frames": lambda s: s.update(n_frames=2.5),
-        "string-cx": lambda s: s["objects"][0].update(cx="5"),
-        "fractional-seed": lambda s: s.update(seed=1.5),
-        "fractional-first-frame": lambda s: s["objects"][0].update(first_frame=0.5),
-        "unknown-key": lambda s: s.update(colour="red"),
-        "unknown-object-key": lambda s: s["objects"][0].update(colour="red"),
-        "two-value-degradation": lambda s: s["objects"][0].update(degradations=[[0, 1]]),
-        "negative-seed": lambda s: s.update(seed=-1),
-        "reversed-lifetime": lambda s: s["objects"][0].update(first_frame=9, last_frame=3),
-        "too-many-frames": lambda s: s.update(n_frames=MAX_FRAME_INDEX + 2),
-        "overflowing-scale-rate": lambda s: s["objects"][0].update(scale_rate=1e10),
-        "overflowing-vx": lambda s: s["objects"][0].update(vx=1e308),
+        "fractional-n-frames": (lambda s: s.update(n_frames=2.5), "n_frames: expected an integer, got 2.5"),
+        "string-cx": (lambda s: s["objects"][0].update(cx="5"), "objects[0].cx: expected a number, got '5'"),
+        "fractional-seed": (lambda s: s.update(seed=1.5), "seed: expected an integer, got 1.5"),
+        "fractional-first-frame": (lambda s: s["objects"][0].update(first_frame=0.5),
+                                   "objects[0].first_frame: expected an integer, got 0.5"),
+        "unknown-key": (lambda s: s.update(colour="red"), "unknown keys ['colour']"),
+        "unknown-object-key": (lambda s: s["objects"][0].update(colour="red"),
+                               "objects[0]: unknown keys ['colour']"),
+        "two-value-degradation": (lambda s: s["objects"][0].update(degradations=[[0, 1]]),
+                                  "objects[0].degradations[0]: expected a list for tuple[int, int, float], "
+                                  "got [0, 1]"),
+        "negative-seed": (lambda s: s.update(seed=-1), "seed must be non-negative"),
+        "reversed-lifetime": (lambda s: s["objects"][0].update(first_frame=9, last_frame=3),
+                              "objects[0]: object lifetime must be a non-empty frame range"),
+        "too-many-frames": (lambda s: s.update(n_frames=MAX_FRAME_INDEX + 2),
+                            f"n_frames must be at most {MAX_FRAME_INDEX + 1}, got {MAX_FRAME_INDEX + 2}"),
+        "overflowing-scale-rate": (lambda s: s["objects"][0].update(scale_rate=1e10),
+                                   "objects[0]: object motion leaves the coordinate range ±2**53 by frame 47"),
+        "overflowing-vx": (lambda s: s["objects"][0].update(vx=1e308),
+                           "objects[0]: object motion leaves the coordinate range ±2**53 by frame 47"),
+        "zero-width": (lambda s: s["objects"][0].update(w=0),
+                       "objects[0]: object size and scale rate must be positive"),
+        "negative-scale-rate": (lambda s: s["objects"][0].update(scale_rate=-1.0),
+                                "objects[0]: object size and scale rate must be positive"),
+        "empty-degradation-window": (lambda s: s["objects"][0].update(degradations=[[5, 5, 0.5]]),
+                                     "objects[0]: degradation window must be non-empty"),
+        "negative-box-sigma": (lambda s: s["noise"].update(box_sigma=-1.0),
+                               "noise: box_sigma must be non-negative"),
+        "negative-false-positive-rate": (lambda s: s["noise"].update(false_positive_rate=-0.5),
+                                         "noise: false_positive_rate must be non-negative"),
+        "unordered-false-positive-scores": (lambda s: s["noise"].update(fp_score_low=0.6, fp_score_high=0.4),
+                                            "noise: false-positive score range must be ordered within [0, 1]"),
+        "zero-feature-channels": (lambda s: s.update(feature_channels=0),
+                                  "feature settings must be positive/non-empty"),
+        "number-for-noise": (lambda s: s.update(noise=3), "noise: expected an object, got 3"),
     }
 
-    @pytest.mark.parametrize("fault", SPEC_FAULTS.values(), ids=SPEC_FAULTS.keys())
-    def test_invalid_spec_fails_named(self, tmp_path, capsys, fault):
+    @pytest.mark.parametrize("fault, complaint", SPEC_FAULTS.values(), ids=SPEC_FAULTS.keys())
+    def test_invalid_spec_fails_named(self, tmp_path, capsys, fault, complaint):
         spec_path = tmp_path / "scenario.json"
         save_scenario(preset_scenario("clean", 0), spec_path)
         spec = json.loads(spec_path.read_text())
@@ -88,7 +111,39 @@ class TestSynthGen:
         rc = run_cli("synth-gen", "--spec", spec_path,
                      "--out-gt", tmp_path / "g.jsonl", "--out-dets", tmp_path / "d.jsonl")
         assert rc == 1
-        assert capsys.readouterr().err.startswith(f"error [synth-gen]: {spec_path}: invalid scenario spec: ")
+        assert capsys.readouterr().err == f"error [synth-gen]: {spec_path}: invalid scenario spec: {complaint}\n"
+
+    def test_out_spec_regenerates_the_same_files(self, tmp_path):
+        spec = tmp_path / "scenario.json"
+        for name, source in (("preset", ["--preset", "fast", "--seed", "2", "--out-spec", spec]),
+                             ("spec", ["--spec", spec])):
+            assert run_cli("synth-gen", *source, "--out-gt", tmp_path / f"{name}-gt.jsonl",
+                           "--out-dets", tmp_path / f"{name}-dets.jsonl") == 0
+        for kind in ("gt", "dets"):
+            assert (tmp_path / f"spec-{kind}.jsonl").read_bytes() == (tmp_path / f"preset-{kind}.jsonl").read_bytes()
+
+    @pytest.mark.parametrize("n_classes", [4, 1])
+    def test_misclassification_takes_another_class(self, tmp_path, n_classes):
+        # Every detected object is misclassified, to another of the scene's
+        # classes if it has one. Without box noise or false positives, each
+        # detection's box is its object's.
+        spec_path, gt, dets = tmp_path / "scenario.json", tmp_path / "gt.jsonl", tmp_path / "dets.jsonl"
+        save_scenario(preset_scenario("degraded", 0), spec_path)
+        spec = json.loads(spec_path.read_text())
+        spec["noise"].update(misclass_prob=1.0, false_positive_rate=0.0, box_sigma=0.0)
+        for i, obj in enumerate(spec["objects"]):
+            obj["class_id"] = i % n_classes
+        spec_path.write_text(json.dumps(spec))
+        assert run_cli("synth-gen", "--spec", spec_path, "--out-gt", gt, "--out-dets", dets) == 0
+        (truth,), (found,) = load_detections(gt), load_detections(dets)
+        same = []
+        for t in range(truth.n_frames):
+            here, there = found.rows(t), truth.rows(t)
+            hits = (found.boxes[here, None] == truth.boxes[None, there]).all(axis=2)
+            assert (hits.sum(axis=1) == 1).all()
+            same += (found.class_id[here] == truth.class_id[there][hits.argmax(axis=1)]).tolist()
+        assert len(same) > 150
+        assert all(same) if n_classes == 1 else not any(same)
 
     def test_missing_spec_fails_named(self, tmp_path, capsys):
         rc = run_cli("synth-gen", "--spec", tmp_path / "nope.json",
@@ -447,6 +502,21 @@ class TestOracleGroundTruth:
         assert run_cli(*self.ARGV[command](dets, gt, out)) == 1
         assert capsys.readouterr().err == f"error [{command}]: {gt}:{line}: {complaint}\n"
         assert list(out.iterdir()) == []
+
+
+    def test_frame_without_ground_truth_tracks_nothing(self, tmp_path):
+        # Frame 5 keeps its detections but loses its ground truth: no box
+        # there matches an object, so each prediction is a failed track.
+        dets, gt, out = tmp_path / "dets.jsonl", tmp_path / "gt.jsonl", tmp_path / "p.jsonl"
+        assert run_cli("synth-gen", "--preset", "clean", "--seed", "0", "--out-gt", gt, "--out-dets", dets) == 0
+        gt.write_text("".join(line + "\n" for line in gt.read_text().splitlines()
+                              if json.loads(line)["frame"] != 5))
+        assert run_cli("track", "--dets", dets, "--oracle", "--gt", gt, "--out", out) == 0
+        (found,) = load_detections(dets)
+        quality = load_predictions(out, [found])[found.video].quality
+        assert found.rows(5).stop > found.rows(5).start
+        assert (quality[found.rows(5)] < 0.5).all()
+        assert (quality[found.rows(6)] >= 0.5).any()
 
 
 class TestTfdAndLink:
@@ -1128,6 +1198,8 @@ BAD_MANIFESTS = {
     "not-run": {"command": "eval", "argv": ["eval", "--preds", "M", "--gt", "M"]},
     "unknown-command": {"argv": ["bogus"]},
     "bad-variant": {"command": "run", "argv": ["run", "--variant", "nope", "--out-dir", "D"]},
+    "unread-flag": {"command": "run", "argv": ["run", "--preset", "clean", "--variant", "detector",
+                                               "--t-merge", "0.3", "--out-dir", "D"]},
 }
 
 
@@ -1285,6 +1357,8 @@ BAD_NUMBERS = {
                 2, "argument --iou: must be a number in [0, 1], got 3"),
     "synth-gen-seed": (["synth-gen", "--preset", "degraded", "--seed", "-1", "--out-gt", "OUT",
                         "--out-dets", "OUT"], 2, "argument --seed: must be a non-negative integer, got -1"),
+    "synth-gen-seed-text": (["synth-gen", "--preset", "degraded", "--seed", "abc", "--out-gt", "OUT",
+                             "--out-dets", "OUT"], 2, "argument --seed: invalid int value: 'abc'"),
     "tfd-noise-center": (["tfd", "--dets", "DETS", "--oracle", "--gt", "GT", "--out", "OUT",
                           "--noise-center", "nan"], 1,
                          "error [tfd]: --noise-center: noise sigmas must be non-negative and finite"),

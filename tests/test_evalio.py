@@ -280,6 +280,28 @@ class TestRecordValidation:
         message = self.reject_second_line(tmp_path, kind, record_line(kind, **{"class": -1}))
         assert message.endswith(f"invalid {kind[:-1]} record: class id must be non-negative, got -1")
 
+    @pytest.mark.parametrize("field, value, complaint", [
+        ("class", 2**63, f"class id {2**63} is above the largest id {2**63 - 1}"),
+        ("track", 2**63, f"track id {2**63} lies outside [{-2**63}, {2**63 - 1}]"),
+        ("track", -2**63 - 1, f"track id {-2**63 - 1} lies outside [{-2**63}, {2**63 - 1}]"),
+    ], ids=["class-above", "track-above", "track-below"])
+    def test_id_outside_int64(self, tmp_path, kind, field, value, complaint):
+        # A prediction's source must equal its detection, whose ids fit int64.
+        message = self.reject_second_line(tmp_path, kind, record_line(kind, **{field: value}))
+        if kind == "predictions":
+            complaint = "'source' differs from detection 0 of video 'v' frame 0"
+        assert message.endswith(f"invalid {kind[:-1]} record: {complaint}")
+
+    def test_non_number_corner(self, tmp_path, kind):
+        message = self.reject_second_line(tmp_path, kind, record_line(kind, box=[0.0, "a", 1.0, 1.0]))
+        assert message.endswith(f"invalid {kind[:-1]} record: 'box' must be a list of 4 numbers, "
+                                "got [0.0, 'a', 1.0, 1.0]")
+
+    def test_integer_score_outside_unit_interval(self, tmp_path, kind):
+        # An integer score is not as the writers write one, so each field is checked on its own.
+        message = self.reject_second_line(tmp_path, kind, record_line(kind, score=2))
+        assert message.endswith(f"invalid {kind[:-1]} record: detection score must be in [0, 1], got 2.0")
+
     def test_non_object_line(self, tmp_path, kind):
         message = self.reject_second_line(tmp_path, kind, "[1, 2]")
         assert "JSON object" in message
@@ -414,6 +436,18 @@ class TestFeatureFiles:
         p = feature_file(tmp_path, {**FEATURE_HEADER, "levels": [level]}, bytes(32))
         with pytest.raises(ValueError, match=rf"f\.feat: .*'{key}'"):
             load_features(p)
+
+    @pytest.mark.parametrize("levels, payload, complaint", [
+        ([3], 0, "header entry is not a JSON object: 3"),
+        (FEATURE_HEADER["levels"][0], 32, "'levels' must be a list"),
+        ([{"stride": 4, "channels": 1, "height": 5, "width": 2}], 80,
+         "level stride 4: map dim 5 inconsistent with image size 8 (expected ~2)"),
+    ], ids=["non-object-level", "non-list-levels", "level-off-image-size"])
+    def test_bad_levels_rejected(self, tmp_path, levels, payload, complaint):
+        p = feature_file(tmp_path, {**FEATURE_HEADER, "levels": levels}, bytes(payload))
+        with pytest.raises(ValueError) as info:
+            load_features(p)
+        assert str(info.value) == f"{p}: {complaint}"
 
     def test_valid_header_loads(self, tmp_path):
         p = feature_file(tmp_path, FEATURE_HEADER, bytes(32))

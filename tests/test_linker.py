@@ -22,7 +22,6 @@ from oracles import (
 from vodtrack.evalio import VideoPredictions
 from vodtrack.linker import (
     LinkGraph,
-    Tubelet,
     best_path,
     build_graph_seqnms,
     build_graph_seqtrack,
@@ -103,7 +102,7 @@ def dyadic_instances(draw):
     for here, there in zip(video, video[1:]):
         succs = {i: tuple(j for j in range(len(there)) if draw(st.booleans())) for i in range(len(here))}
         edges.append({i: js for i, js in succs.items() if js})
-    return video, LinkGraph(nodes=tuple(tuple(range(len(f))) for f in video), edges=tuple(edges))
+    return video, LinkGraph(tuple(edges))
 
 
 DYADIC = settings(max_examples=300, deadline=None, database=None, derandomize=True)
@@ -251,6 +250,12 @@ class TestBestPath:
         tube = best_path(g, [[0.5, 0.5], [0.5]])
         assert tube.members == ((0, 0),)
 
+    @pytest.mark.parametrize("n_frames", [1, 3])
+    def test_scores_over_other_frames_rejected(self, n_frames):
+        g = build_graph_seqnms(as_set(SPEC_VIDEO))
+        with pytest.raises(ValueError, match="scores must align with the graph's frames"):
+            best_path(g, [[0.5]] * n_frames + [[]])
+
 
 class TestRescoreAndSuppress:
     def test_spec_worked_example(self):
@@ -265,6 +270,11 @@ class TestRescoreAndSuppress:
         assert flat[(2, (2, 2, 12, 12))] == pytest.approx(third, abs=1e-12)
         assert flat[(0, (20, 20, 30, 30))] == pytest.approx(0.65, abs=1e-12)
         assert flat[(1, (21, 21, 31, 31))] == pytest.approx(0.65, abs=1e-12)
+
+    def test_graph_of_other_video_rejected(self):
+        g = build_graph_seqnms(as_set(SPEC_VIDEO[:2]))
+        with pytest.raises(ValueError, match="video and graph frame counts differ"):
+            rescore_and_suppress(as_set(SPEC_VIDEO), g)
 
     def test_single_frame_scores_unchanged(self):
         video = [[det(0, 0, 0.3, (0, 0, 10, 10)), det(0, 1, 0.9, (40, 40, 50, 50))]]
@@ -397,14 +407,3 @@ class TestComponents:
             total += calls["linker"]
         assert total > 30
 
-
-class TestTypes:
-    def test_tubelet_invariants(self):
-        with pytest.raises(ValueError, match="consecutive"):
-            Tubelet(members=((0, 0), (2, 0)), path_score=1.0)
-        t = Tubelet(members=((3, 1), (4, 0)), path_score=1.2)
-        assert t.rescored == pytest.approx(0.6, abs=1e-12)
-
-    def test_graph_validates_edges(self):
-        with pytest.raises(ValueError, match="unknown node"):
-            LinkGraph(nodes=((0,), (0,)), edges=({5: (0,)},))

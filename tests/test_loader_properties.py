@@ -8,7 +8,8 @@ short or extended, a weights array given another shape of the same size, or
 an unknown key added to a spec. Each mutated file must either load or raise
 a ``ValueError`` that names the file; any other exception fails the test. A
 prediction file is loaded against the detections it was written from. A
-spec with an unknown key must not load.
+spec with an unknown key must not load. A table of hand-made weights faults
+checks each message in full.
 """
 
 import json
@@ -255,6 +256,30 @@ def test_weights_with_broken_channel_chain(tmp_path_factory, block, data):
     path = tmp / "broken-chain.tensors"
     save_named_arrays(arrays, path)
     loads_or_names_file(load_weights, path, must_fail=True)
+
+
+# One array of the valid weights file changed, and how its load is refused.
+WEIGHTS_FAULTS = {
+    "score-weight-shape": ("score_weight", lambda a: np.vstack([a, a]),
+                           "score_weight must have shape (1, n_flat)"),
+    "head-widths": ("score_weight", lambda a: a[:, :-1],
+                    "box and score heads must consume the same flattened input"),
+    "bias-shape": ("post.bias", lambda a: a[:-1], "post: bias must have shape (2,), got (1,)"),
+    "negative-variance": ("pre_template.var", lambda a: -1.0 - a,
+                          "pre_template: batch-norm variances must be non-negative"),
+}
+
+
+@pytest.mark.parametrize("name, change, complaint", WEIGHTS_FAULTS.values(), ids=WEIGHTS_FAULTS.keys())
+def test_weights_with_one_faulty_array(valid_files, tmp_path, name, change, complaint):
+    (tmp_path / "head.tensors").write_bytes(valid_files["weights"])
+    arrays = load_named_arrays(tmp_path / "head.tensors")
+    arrays[name] = change(arrays[name])
+    path = tmp_path / "faulty.tensors"
+    save_named_arrays(arrays, path)
+    with pytest.raises(ValueError) as info:
+        load_weights(path)
+    assert str(info.value) == f"{path}: invalid weights: {complaint}"
 
 
 @pytest.mark.parametrize("how", SPEC_MUTATIONS)
