@@ -298,10 +298,11 @@ def _track_frames(vds: VideoDetectionSet, args, oracle) -> VideoPredictions:
         return VideoPredictions(vds, boxes, quality, vds.n_frames)
     weights, cfg = load_weights(args.weights), args.tracker
     try:
-        weights.folded_head(cfg.corr_size, cfg.corr_size)
+        head = weights.fold(cfg.corr_size, cfg.corr_size)
     except ValueError as exc:
         raise ValueError(f"{args.weights}: --template-pool {cfg.template_pool} and "
                          f"--search-pool {cfg.search_pool}: {exc}") from None
+    del weights  # the fold holds its own copies: the file's arrays are freed before frame 0
     feat_dir = Path(args.features_dir)
 
     def feature_file(t: int) -> Path:
@@ -321,7 +322,7 @@ def _track_frames(vds: VideoDetectionSet, args, oracle) -> VideoPredictions:
     # frame t and frame t+1. The weights must take frame 0's channels
     # before a second file is read.
     current = pyramid(0)
-    channels, expected = current.levels[0][1].shape[-1], weights.pre_template.kernel.shape[1]
+    channels, expected = current.levels[0][1].shape[-1], head.pre_template.kernel.shape[1]
     if channels != expected:
         raise ValueError(f"--weights {args.weights} on {feature_file(0)}: "
                          f"input has {channels} channels, kernel expects {expected}")
@@ -329,7 +330,7 @@ def _track_frames(vds: VideoDetectionSet, args, oracle) -> VideoPredictions:
         following = pyramid(t + 1)
         rows = vds.rows(t)
         try:
-            boxes[rows], quality[rows] = track(current, following, vds.boxes[rows], weights, cfg)
+            boxes[rows], quality[rows] = track(current, following, vds.boxes[rows], head, cfg)
         except ValueError as exc:
             raise ValueError(f"--weights {args.weights} on {feature_file(t)} and "
                              f"{feature_file(t + 1)}: {exc}") from None

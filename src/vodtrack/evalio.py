@@ -458,18 +458,19 @@ _LEVEL_KEYS = ("stride", "channels", "height", "width")
 
 
 def _write_container(path, header: dict, arrays: Sequence[np.ndarray]) -> None:
-    """Write a binary container: the JSON header line, then each array's raw bytes."""
+    """Write a binary container: the JSON header line, then each C-contiguous array's buffer, uncopied."""
     with open(path, "wb") as fh:
         fh.write((json.dumps(header) + "\n").encode("utf-8"))
         for a in arrays:
-            fh.write(a.tobytes())
+            fh.write(a.data)
 
 
 def _read_header(path, fmt: str, what: str) -> tuple[dict, np.ndarray]:
     """Split a binary container into its JSON header object and its payload.
 
     The payload is read in one call straight into one byte array, which the
-    loaded arrays then view: its bytes are copied once, from the file.
+    loaded arrays then view: its bytes are copied once, from the file, and
+    keeping any one loaded array keeps the whole payload in memory.
     """
     with open(path, "rb") as fh:
         header = read_json_object(fh.readline(), path, f"{what} header")

@@ -265,8 +265,8 @@ def depthwise_correlate(template: np.ndarray, search: np.ndarray) -> np.ndarray:
 
     The loop runs over taps only. The pairs and channels are laid side by
     side on the last axis, ``(H, W, N * C)``, and each template tap is
-    repeated along an output row, so each tap is one product of whole rows
-    of the search map.
+    repeated along an output row, one template row at a time, so each tap
+    is one product of whole rows of the search map.
     """
     template = _as_maps(template)
     search = _as_maps(search)
@@ -290,13 +290,13 @@ def depthwise_correlate(template: np.ndarray, search: np.ndarray) -> np.ndarray:
         """``maps`` as ``(H, W, N * C)``: the batch axes moved after H and W."""
         return np.moveaxis(maps, range(side), range(2, 2 + side)).reshape(maps.shape[-3:-1] + (m,))
 
-    taps = np.repeat(side_by_side(template)[:, :, None], ow, axis=2)
-    rows = side_by_side(search)
+    template, rows = side_by_side(template), side_by_side(search)
     out = np.zeros((oh, ow, m), dtype=np.float64)
     product = np.empty_like(out)
     for i in range(ht):
+        taps = np.repeat(template[i, :, None], ow, axis=1)
         for j in range(wt):
-            np.multiply(taps[i, j], rows[i : i + oh, j : j + ow], out=product)
+            np.multiply(taps[j], rows[i : i + oh, j : j + ow], out=product)
             out += product
     return np.moveaxis(out.reshape((oh, ow) + lead + (c,)), range(2, 2 + side), range(side))
 

@@ -12,9 +12,9 @@ frame's corners and returns the predicted corners, each passing the
 loaders' corner rule, and the qualities, in input order.
 
 The shared head convolution feeds both fully connected heads with no
-nonlinearity in between, so the head runs the two as one folded linear map:
-one matrix-vector product per box instead of a 256-channel convolution. A
-nonlinearity added after the shared convolution would end the fold.
+nonlinearity in between, so the head runs the two as one folded linear map (a
+:class:`FoldedHead`, which holds its own copies): one matrix-vector product per
+box instead of a 256-channel convolution. A nonlinearity between them would end the fold.
 
 An oracle tracker backed by ground truth is included so the detection-merge
 pipeline can run and be tested without trained weights.
@@ -22,9 +22,10 @@ pipeline can run and be tested without trained weights.
 
 from __future__ import annotations
 
+import copy
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -44,6 +45,7 @@ from .tensor_ops import (
 __all__ = [
     "TrackerConfig",
     "TrackerWeights",
+    "FoldedHead",
     "NoiseParams",
     "track",
     "fuse_for_head",
@@ -105,7 +107,7 @@ _OPTIONAL = ("pre_search", "bias")
 
 @dataclass(frozen=True)
 class TrackerWeights:
-    """All learnable parameters of the head, with explicit shapes.
+    """All learnable parameters of the head, with explicit shapes, as the weights file stores them.
 
     ``pre_template`` (and ``pre_search`` when the branches are not shared)
     adjust the pooled features before correlation; ``post`` adjusts the
@@ -115,9 +117,8 @@ class TrackerWeights:
     to the single overlap logit. Every value must be finite.
 
     Nothing nonlinear sits between the shared convolution and the FC heads,
-    so :meth:`folded_head` composes them, once per map size, and caches the
-    fold on this object; the head arrays are read-only so it cannot go
-    stale.
+    so :meth:`fold` composes them into the :class:`FoldedHead` that the head
+    runs on. Loaded arrays view the whole file's payload.
     """
 
     pre_template: ConvBlockWeights
@@ -129,13 +130,10 @@ class TrackerWeights:
     score_weight: np.ndarray
     score_bias: np.ndarray
     pre_search: ConvBlockWeights | None = None
-    _folds: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for name in _HEAD_ARRAYS:
-            array = np.asarray(getattr(self, name), dtype=np.float64).view()
-            array.flags.writeable = False
-            object.__setattr__(self, name, array)
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.float64))
         _all_finite(**{name: getattr(self, name) for name in _HEAD_ARRAYS})
         if self.head_kernel.ndim != 4:
             raise ValueError("head_kernel must be (C_out, C_in, kh, kw)")
@@ -166,44 +164,51 @@ class TrackerWeights:
     def pre_for_search(self) -> ConvBlockWeights:
         return self.pre_search if self.pre_search is not None else self.pre_template
 
-    def folded_head(self, h: int, w: int) -> tuple[np.ndarray, np.ndarray]:
-        """The shared convolution and both FC heads folded, for an ``h x w`` post-block map.
+    def fold(self, h: int, w: int, *, keep_conv: bool = False) -> FoldedHead:
+        """The head for an ``h x w`` post-block map, viewing none of this object's arrays.
 
-        Returns a ``(5, h * w * C)`` matrix and a 5-vector: a channels-last
-        ``(h, w, C)`` map ``x``, flattened, gives the 4 regression components
-        and the logit as ``matrix @ x.ravel() + bias``. The FC heads read the
-        shared output channel-first; the matrix columns are put in the
-        channels-last order here, once per fold.
+        Each FC row, read as a ``(C_shared, h, w)`` map, is pulled back
+        through the same-padded convolution: each tap adds its transposed
+        channel matrix times the row at the tap's offset, and the window the
+        padding keeps is the folded row, in the map's channels-last order.
+        ``keep_conv`` copies the shared convolution too.
         """
-        if (h, w) not in self._folds:
-            self._folds[h, w] = _fold_head(self, h, w)
-        return self._folds[h, w]
+        c_shared, c_in, kh, kw = self.head_kernel.shape
+        n_flat = c_shared * h * w
+        if n_flat != self.box_weight.shape[1]:
+            raise ValueError(f"flattened head input has {n_flat} values, FC heads expect {self.box_weight.shape[1]}")
+        rows = [row.reshape(c_shared, h * w) for row in (*self.box_weight, *self.score_weight)]
+        full = np.zeros((len(rows), c_in, h + kh - 1, w + kw - 1))
+        for i in range(kh):
+            for j in range(kw):
+                tap = np.ascontiguousarray(self.head_kernel[:, :, i, j].T)
+                for out, fc in zip(full, rows):
+                    out[:, i : i + h, j : j + w] += (tap @ fc).reshape(c_in, h, w)
+        top, left = (kh - 1) // 2, (kw - 1) // 2
+        matrix = full[:, :, top : top + h, left : left + w].transpose(0, 2, 3, 1).reshape(len(rows), -1)
+        bias = np.concatenate([self.box_bias, self.score_bias]) + [self.head_bias @ fc.sum(axis=1) for fc in rows]
+        blocks = copy.deepcopy((self.pre_template, self.pre_for_search, self.post))
+        conv = (self.head_kernel.copy(), self.head_bias.copy()) if keep_conv else (None, None)
+        return FoldedHead(*blocks, (h, w), matrix, bias, *conv)
 
 
-def _fold_head(w: TrackerWeights, h: int, wd: int) -> tuple[np.ndarray, np.ndarray]:
-    """Compose ``head_kernel``/``head_bias`` with the FC heads for an ``h x wd`` map.
+@dataclass(frozen=True)
+class FoldedHead:
+    """The head as :func:`head_forward` runs it on ``size = (h, w)`` post-block maps; all arrays its own.
 
-    Each FC row, read as a ``(C_shared, h, wd)`` map, is pulled back through
-    the same-padded convolution: each tap adds its transposed channel matrix
-    times the row at the tap's offset, and the window the padding keeps is
-    the folded row. The FC weights are read in place, never copied.
+    A channels-last ``(h, w, C)`` map ``x`` gives the 4 regression components
+    and the logit as ``matrix @ x.ravel() + bias``. ``head_kernel`` and
+    ``head_bias`` are kept only for the ``shared`` intermediate.
     """
-    c_shared, c_in, kh, kw = w.head_kernel.shape
-    n_flat = c_shared * h * wd
-    if n_flat != w.box_weight.shape[1]:
-        raise ValueError(f"flattened head input has {n_flat} values, FC heads expect {w.box_weight.shape[1]}")
-    rows = [row.reshape(c_shared, h * wd) for row in (*w.box_weight, *w.score_weight)]
-    full = np.zeros((len(rows), c_in, h + kh - 1, wd + kw - 1))
-    for i in range(kh):
-        for j in range(kw):
-            tap = np.ascontiguousarray(w.head_kernel[:, :, i, j].T)
-            for out, fc in zip(full, rows):
-                out[:, i : i + h, j : j + wd] += (tap @ fc).reshape(c_in, h, wd)
-    top, left = (kh - 1) // 2, (kw - 1) // 2
-    # Columns in the channels-last order of the post-block map.
-    matrix = full[:, :, top : top + h, left : left + wd].transpose(0, 2, 3, 1).reshape(len(rows), -1)
-    bias = np.concatenate([w.box_bias, w.score_bias]) + [w.head_bias @ fc.sum(axis=1) for fc in rows]
-    return matrix, bias
+
+    pre_template: ConvBlockWeights
+    pre_search: ConvBlockWeights
+    post: ConvBlockWeights
+    size: tuple[int, int]
+    matrix: np.ndarray
+    bias: np.ndarray
+    head_kernel: np.ndarray | None = None
+    head_bias: np.ndarray | None = None
 
 
 def _sigmoid(x: float) -> float:
@@ -216,7 +221,7 @@ def _sigmoid(x: float) -> float:
 def head_forward(
     templates: np.ndarray,
     searches: np.ndarray,
-    w: TrackerWeights,
+    head: FoldedHead,
     *,
     return_intermediates: bool = False,
 ):
@@ -227,34 +232,30 @@ def head_forward(
     ``(dx, dy, dw, dh)`` and the N qualities. One ``(H, W, C)`` pair gives
     one delta row and one quality. The pre blocks, the correlation and the
     post block run on the whole batch. The shared head convolution and the
-    FC heads run as their fold (:meth:`TrackerWeights.folded_head`), which
-    holds while nothing nonlinear sits between them: one matrix-vector
-    product per pair, so each pair's result is the same bit for bit in any
-    batch. With ``return_intermediates=True`` a dict of the intermediate
-    tensors is appended for shape inspection; only then is ``shared`` (of
-    the last pair) computed, by the convolution.
+    FC heads run as ``head``'s fold, for its map size only: one
+    matrix-vector product per pair, so each pair's result is the same bit
+    for bit in any batch. With ``return_intermediates=True`` a dict of the
+    intermediate tensors is appended for shape inspection, with ``shared``
+    (of the last pair, by the convolution) if ``head`` kept its kernel.
     """
     single = np.ndim(templates) == 3
     if single:
         templates, searches = templates[None], searches[None]
-    t = conv_block(templates, w.pre_template)
-    s = conv_block(searches, w.pre_for_search)
+    t = conv_block(templates, head.pre_template)
+    s = conv_block(searches, head.pre_search)
     corr = depthwise_correlate(t, s)
-    adjusted = conv_block(corr, w.post)
-    matrix, bias = w.folded_head(*adjusted.shape[-3:-1])
-    out = np.array([matrix @ pair.ravel() + bias for pair in adjusted])
+    adjusted = conv_block(corr, head.post)
+    if adjusted.shape[-3:-1] != head.size:
+        raise ValueError(f"post-block map of size {adjusted.shape[-3:-1]}, but the head is folded for {head.size}")
+    out = np.array([head.matrix @ pair.ravel() + head.bias for pair in adjusted])
     deltas, quality = out[:, :4], np.array([_sigmoid(v) for v in out[:, 4].tolist()])
     if single:
         templates, searches, corr, adjusted = templates[0], searches[0], corr[0], adjusted[0]
         deltas, quality = deltas[0], quality[0]
     if return_intermediates:
-        inter = {
-            "template": templates,
-            "search": searches,
-            "correlation": corr,
-            "adjusted": adjusted,
-            "shared": conv2d_same(adjusted if single else adjusted[-1], w.head_kernel, w.head_bias),
-        }
+        inter = {"template": templates, "search": searches, "correlation": corr, "adjusted": adjusted}
+        if head.head_kernel is not None:
+            inter["shared"] = conv2d_same(adjusted if single else adjusted[-1], head.head_kernel, head.head_bias)
         return deltas, quality, inter
     return deltas, quality
 
@@ -277,12 +278,13 @@ def track(
     feat_t: FeaturePyramid,
     feat_t1: FeaturePyramid,
     boxes: np.ndarray,
-    w: TrackerWeights,
+    head: FoldedHead,
     cfg: TrackerConfig = TrackerConfig(),
 ) -> tuple[np.ndarray, np.ndarray]:
     """Predict each box's next-frame location from two frames' feature pyramids.
 
-    ``boxes`` are one frame's ``(n, 4)`` corners. Returns the ``(n, 4)``
+    ``boxes`` are one frame's ``(n, 4)`` corners and ``head`` the weights
+    folded for ``cfg``'s correlation size. Returns the ``(n, 4)``
     predicted corners and the ``n`` qualities, in input order. All boxes
     are pooled and run through the head in one batch; each box's
     prediction is the same bit for bit whatever other boxes it is tracked
@@ -301,7 +303,7 @@ def track(
     boxes = np.asarray(boxes, np.float64)
     templates = roi_align_full_avg(fused_t, boxes, cfg.template_pool, cfg.template_pool, stride)
     searches = roi_align_full_avg(fused_t1, expand(boxes, cfg.k), cfg.search_pool, cfg.search_pool, stride)
-    deltas, quality = head_forward(templates, searches, w)
+    deltas, quality = head_forward(templates, searches, head)
     sized = ((boxes[:, 2:] - boxes[:, :2]) > 0.0).all(axis=1)
     predicted = boxes.copy()
     predicted[sized] = decode(boxes[sized], deltas[sized])

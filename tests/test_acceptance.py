@@ -241,14 +241,15 @@ def test_criterion_4_head_contract():
         Detection(0, 0, 0.9, Box(30.5, 41.25, 95.25, 103.0)),
         Detection(0, 1, 0.7, Box(120.0, 60.0, 180.0, 140.0)),
     ]
-    preds = track_records(lambda boxes, frame, class_id: track(pyr_t, pyr_t1, boxes, wz, cfg), dets)
+    head = wz.fold(cfg.corr_size, cfg.corr_size)
+    preds = track_records(lambda boxes, frame, class_id: track(pyr_t, pyr_t1, boxes, head, cfg), dets)
     for det, pred in zip(dets, preds):
         assert pred.predicted_box.corners() == det.box.corners()
         assert pred.quality == 0.5
 
     template = channels_last(rng.random((3, 7, 7)))
     search = channels_last(rng.random((3, 21, 21)))
-    _, _, inter = head_forward(template, search, w, return_intermediates=True)
+    _, _, inter = head_forward(template, search, w.fold(15, 15, keep_conv=True), return_intermediates=True)
     assert inter["template"].shape == (7, 7, 3)
     assert inter["search"].shape == (21, 21, 3)
     assert inter["correlation"].shape == (15, 15, 3)

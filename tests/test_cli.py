@@ -1,7 +1,9 @@
 import argparse
 import csv
+import gc
 import json
 import re
+import weakref
 from collections import Counter
 from dataclasses import replace
 
@@ -222,6 +224,31 @@ class TestTrack:
             assert events[1 + 2 * t] == ("load", f"frame_{t + 1}.feat")
             assert events[2 + 2 * t][0] == "track"
         assert len(events) == 2 * n_frames - 1
+
+    def test_learned_head_drops_unfolded_weights(self, learned_files, tmp_path, monkeypatch):
+        # track runs on the fold alone: the loaded weights, and with them the
+        # file payload their arrays view, are freed before frame 0 is tracked.
+        dets, feat_dir, weights_path, _ = learned_files
+        loaded, freed = [], []
+        load_weights, track = cli.load_weights, cli.track
+
+        def kept_load(path):
+            weights = load_weights(path)
+            loaded.append(weakref.ref(weights))
+            return weights
+
+        def checked_track(*args):
+            if not freed:
+                gc.collect()
+                freed.append(loaded[0]() is None)
+            return track(*args)
+
+        monkeypatch.setattr(cli, "load_weights", kept_load)
+        monkeypatch.setattr(cli, "track", checked_track)
+        rc = run_cli("track", "--dets", dets, "--weights", weights_path,
+                     "--features-dir", feat_dir, "--out", tmp_path / "preds.jsonl")
+        assert rc == 0
+        assert len(loaded) == 1 and freed == [True]
 
     def test_learned_head_fuses_each_frame_once(self, learned_files, tmp_path, monkeypatch):
         # Every frame is tracked twice (as frame t+1, then as frame t) but

@@ -406,6 +406,18 @@ class TestFeatureFiles:
         assert loaded.levels[0][1].dtype == np.float64
         assert np.allclose(loaded.levels[0][1], pyr.levels[0][1], atol=1e-6)
 
+    @pytest.mark.parametrize("dtype", ["<f8", "<f4"])
+    def test_file_is_header_then_payload_bytes(self, tmp_path, dtype):
+        rng = np.random.default_rng(95)
+        maps = [channels_last(rng.random((3, 8, 8))), channels_last(rng.random((2, 4, 4)))]
+        p = tmp_path / "f.feat"
+        save_features(FeaturePyramid(((4, maps[0]), (8, maps[1])), 32, 32), p, dtype=dtype)
+        header = {"format": "feature-pyramid", "version": 1, "image_height": 32, "image_width": 32,
+                  "dtype": dtype, "levels": [{"stride": 4, "channels": 3, "height": 8, "width": 8},
+                                             {"stride": 8, "channels": 2, "height": 4, "width": 4}]}
+        payload = b"".join(m.transpose(2, 0, 1).astype(dtype).tobytes() for m in maps)
+        assert p.read_bytes() == (json.dumps(header) + "\n").encode() + payload
+
     def test_empty_pyramid_header_rejected(self, tmp_path):
         p = tmp_path / "f.feat"
         header = {"format": "feature-pyramid", "version": 1, "image_height": 8,
@@ -488,6 +500,17 @@ class TestNamedArrays:
         save_named_arrays(arrays, p1)
         save_named_arrays(load_named_arrays(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_file_is_header_then_payload_bytes(self, tmp_path):
+        # Inputs that are not C-contiguous float64 are written in C order as '<f8'.
+        base = np.random.default_rng(97).random((4, 6))
+        arrays = {"strided": base[:, ::2], "transposed": base.T, "ints": np.arange(5)}
+        p = tmp_path / "x.tensors"
+        save_named_arrays(arrays, p)
+        header = {"format": "named-tensors", "version": 1,
+                  "arrays": [{"name": n, "shape": list(a.shape), "dtype": "<f8"} for n, a in arrays.items()]}
+        payload = b"".join(a.astype("<f8").tobytes() for a in arrays.values())
+        assert p.read_bytes() == (json.dumps(header) + "\n").encode() + payload
 
     def test_truncation_detected(self, tmp_path):
         p = tmp_path / "x.tensors"

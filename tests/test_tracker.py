@@ -19,6 +19,7 @@ from oracles import (
     track_records,
 )
 import vodtrack.tracker as tracker
+from vodtrack.evalio import load_named_arrays
 from vodtrack.tensor_ops import FeaturePyramid
 from vodtrack.tracker import (
     NoiseParams,
@@ -37,8 +38,9 @@ SMALL_CFG = TrackerConfig(template_pool=3, search_pool=9)
 
 
 def track(feat_t, feat_t1, dets, w, cfg=TrackerConfig()):
-    """``tracker.track`` on detection records, read back as one prediction per record."""
-    return track_records(lambda boxes, frame, class_id: tracker.track(feat_t, feat_t1, boxes, w, cfg), dets)
+    """``tracker.track`` with ``w`` folded for ``cfg``, on detection records, read back as one prediction per record."""
+    head = w.fold(cfg.corr_size, cfg.corr_size)
+    return track_records(lambda boxes, frame, class_id: tracker.track(feat_t, feat_t1, boxes, head, cfg), dets)
 
 
 def oracle_track(dets, gt, noise, seed):
@@ -158,7 +160,7 @@ class TestTrack:
         rng = np.random.default_rng(1)
         template = channels_last(rng.random((3, 7, 7)))
         search = channels_last(rng.random((3, 21, 21)))
-        _, _, inter = head_forward(template, search, w, return_intermediates=True)
+        _, _, inter = head_forward(template, search, w.fold(15, 15, keep_conv=True), return_intermediates=True)
         assert inter["template"].shape == (7, 7, 3)
         assert inter["search"].shape == (21, 21, 3)
         assert inter["correlation"].shape == (15, 15, 3)
@@ -204,7 +206,7 @@ class TestTrack:
             rois = np.array([box.box.corners()])
             tpl = roi_align_full_avg(channels_last(template), rois, 7, 7, 1.0)[0]
             srch = roi_align_full_avg(channels_last(search_map), expand(rois, 3.0), 21, 21, 1.0)[0]
-            _, _, inter = head_forward(tpl, srch, w, return_intermediates=True)
+            _, _, inter = head_forward(tpl, srch, w.fold(15, 15), return_intermediates=True)
             return inter["correlation"]
 
         c0 = corr_map(base)
@@ -261,7 +263,7 @@ class TestTrack:
         ]
 
     def test_head_forward_batch_matches_single_pairs(self):
-        w = small_weights(channels=3)
+        w = small_weights(channels=3).fold(7, 7)
         rng = np.random.default_rng(29)
         templates = channels_last(rng.random((4, 3, 3, 3)))
         searches = channels_last(rng.random((4, 3, 9, 9)))
@@ -311,13 +313,13 @@ class TestFoldedHead:
         w = head_weights(kernel, h * wd, seed=kernel[0] * 100 + sh * 10 + sw)
         rng = np.random.default_rng(sh * sw)
         templates, searches = rng.random((3, 3, th, tw)), rng.random((3, 3, sh, sw))
-        deltas, qualities, inter = head_forward(channels_last(templates), channels_last(searches), w,
+        head = w.fold(h, wd, keep_conv=True)
+        deltas, qualities, inter = head_forward(channels_last(templates), channels_last(searches), head,
                                                 return_intermediates=True)
         assert inter["adjusted"].shape == (3, h, wd, 3)
-        matrix, bias = w.folded_head(h, wd)
         for pair, delta, quality in zip(inter["adjusted"], deltas, qualities):
             want = naive_head(channels_first(pair), w)
-            assert np.max(np.abs(matrix @ pair.ravel() + bias - want)) <= 1e-12
+            assert np.max(np.abs(head.matrix @ pair.ravel() + head.bias - want)) <= 1e-12
             assert np.max(np.abs(delta - want[:4])) <= 1e-12
             assert abs(quality - 1.0 / (1.0 + math.exp(-want[4]))) <= 1e-12
         shared = naive_conv2d(channels_first(inter["adjusted"][-1]), w.head_kernel, w.head_bias)
@@ -326,49 +328,37 @@ class TestFoldedHead:
     def test_map_size_mismatch_rejected(self):
         w = head_weights((3, 3), 7 * 7)
         with pytest.raises(ValueError, match="flattened head input has 320 values, FC heads expect 245"):
-            w.folded_head(8, 8)
+            w.fold(8, 8)
         rng = np.random.default_rng(3)
-        with pytest.raises(ValueError, match="FC heads expect 245"):
-            head_forward(rng.random((3, 3, 3)), rng.random((10, 10, 3)), w)
-        assert w.folded_head(7, 7)[0].shape == (5, 3 * 7 * 7)
-
-    def test_folds_once_per_weights_and_map_size(self, monkeypatch):
-        calls = []
-        fold = tracker._fold_head
-
-        def counted(w, h, wd):
-            calls.append((h, wd))
-            return fold(w, h, wd)
-
-        monkeypatch.setattr(tracker, "_fold_head", counted)
-        w = small_weights()
-        dets = [Detection(0, 0, 0.9, Box(12.3, 8.7, 30.1, 26.6)),
-                Detection(0, 1, 0.8, Box(30.0, 34.0, 50.0, 52.0))]
-        frames = [pyramid(seed) for seed in range(101, 106)]
-        for feat_t, feat_t1 in zip(frames, frames[1:]):
-            track(feat_t, feat_t1, dets, w, SMALL_CFG)
-        assert calls == [(7, 7)]
-        matrix = w.folded_head(7, 7)[0]
-        track(frames[0], frames[1], dets, w, SMALL_CFG)
-        assert w.folded_head(7, 7)[0] is matrix and calls == [(7, 7)]
-        # Another weights object folds afresh, even one derived by replace.
-        track(frames[0], frames[1], dets, dataclasses.replace(w), SMALL_CFG)
-        assert calls == [(7, 7), (7, 7)]
-
-        # Two map sizes of one flattened length: one fold each.
-        calls.clear()
+        with pytest.raises(ValueError, match=r"map of size \(8, 8\), but the head is folded for \(7, 7\)"):
+            head_forward(rng.random((3, 3, 3)), rng.random((10, 10, 3)), w.fold(7, 7))
+        assert w.fold(7, 7).matrix.shape == (5, 3 * 7 * 7)
+        # Two map sizes of one flattened length: a fold serves only its own.
         w36 = head_weights((3, 3), 36)
-        rng = np.random.default_rng(5)
-        for _ in range(2):
-            for sh, sw in ((8, 8), (6, 11)):
-                head_forward(rng.random((2, 3, 3, 3)), rng.random((2, sh, sw, 3)), w36)
-        assert calls == [(6, 6), (4, 9)]
+        with pytest.raises(ValueError, match=r"map of size \(4, 9\), but the head is folded for \(6, 6\)"):
+            head_forward(rng.random((2, 3, 3, 3)), rng.random((2, 6, 11, 3)), w36.fold(6, 6))
+        assert head_forward(rng.random((2, 3, 3, 3)), rng.random((2, 6, 11, 3)), w36.fold(4, 9))[0].shape == (2, 4)
 
-    def test_head_arrays_are_read_only(self):
-        w = small_weights()
-        for name in ("head_kernel", "head_bias", "box_weight", "box_bias", "score_weight", "score_bias"):
-            with pytest.raises(ValueError, match="read-only"):
-                getattr(w, name).flat[0] = 1.0
+    @pytest.mark.parametrize("keep_conv", [False, True])
+    def test_fold_views_no_loaded_array(self, tmp_path, monkeypatch, keep_conv):
+        path = tmp_path / "head.tensors"
+        save_weights(synthesize_weights(2, SMALL_CFG, seed=5, shared_head_channels=5, share_pre=False), path)
+        loaded = []
+
+        def recorded(p):
+            arrays = load_named_arrays(p)
+            loaded.extend(arrays.values())
+            return arrays
+
+        monkeypatch.setattr(tracker, "load_named_arrays", recorded)
+        w = load_weights(path)
+        assert any(np.shares_memory(w.post.kernel, b) for b in loaded)  # the weights view the payload
+        head = w.fold(7, 7, keep_conv=keep_conv)
+        arrays = [head.matrix, head.bias, head.head_kernel, head.head_bias]
+        arrays += [getattr(block, f.name) for block in (head.pre_template, head.pre_search, head.post)
+                   for f in dataclasses.fields(block) if f.name != "eps"]
+        assert (head.head_kernel is not None) == keep_conv
+        assert not any(np.shares_memory(a, b) for a in arrays if a is not None for b in loaded)
 
 
 class TestTargetsAndLoss:
