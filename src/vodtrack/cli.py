@@ -30,7 +30,7 @@ from .evalio import (
     write_json_object,
 )
 from .geometry import iou
-from .linker import build_graph_seqnms, build_graph_seqtrack, rescore_and_suppress
+from .linker import LINK_IOU_DEFAULT, build_graph_seqnms, build_graph_seqtrack, rescore_and_suppress
 from .pipeline import PipelineConfig, final_detections, run_video
 from .synth import ScenarioSpec, generate, load_scenario, preset_scenario, save_scenario
 from .tracker import (
@@ -219,7 +219,7 @@ def make_replay_track_fn(stored: VideoPredictions):
     def track_fn(boxes: np.ndarray, frame: int, class_id: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if not len(boxes):
             return np.zeros((0, 4)), np.zeros(0)
-        rows = stored.dets.rows(frame) if frame < stored.n_predicted else slice(0)
+        rows = stored.dets.rows(frame)
         overlaps = iou(boxes, stored.dets.boxes[rows])
         stored_boxes, stored_quality = stored.boxes[rows], stored.quality[rows]
         predicted, quality = np.array(boxes, np.float64), np.zeros(len(boxes))
@@ -246,7 +246,7 @@ def link_frames(vds: VideoDetectionSet, preds: VideoPredictions | None, link_iou
     if preds is None:
         graph = build_graph_seqnms(video, link_iou)
     else:
-        preds = VideoPredictions(video, preds.boxes[keep], preds.quality[keep], preds.n_predicted)
+        preds = VideoPredictions(video, preds.boxes[keep], preds.quality[keep])
         graph = build_graph_seqtrack(video, preds, link_iou)
     return rescore_and_suppress(video, graph, nms_iou)
 
@@ -280,22 +280,17 @@ def _oracle_track_fn(gt, noise: NoiseParams, seed: int):
 
 
 def _track_frames(vds: VideoDetectionSet, args, oracle) -> VideoPredictions:
-    """Predictions on ``vds``' rows from ``oracle`` (a ``track_fn``), if given, or the learned head.
-
-    The oracle predicts every frame, the last included (its boxes have no
-    next ground-truth frame, so each comes back below quality 0.5); the
-    learned head needs frame ``t + 1``'s features and stops one frame
-    short. The ``track-replay`` golden digest pins the oracle's output.
-    """
+    """Predictions on ``vds``' rows from ``oracle`` (a ``track_fn``), if given, or the learned head,
+    of every frame but the last."""
     boxes, quality = np.full((len(vds.score), 4), np.nan), np.full(len(vds.score), np.nan)
     if oracle:
-        for t in range(vds.n_frames):
+        for t in range(vds.n_frames - 1):
             rows = vds.rows(t)
             try:
                 boxes[rows], quality[rows] = oracle(vds.boxes[rows], t, vds.class_id[rows])
             except ValueError as exc:
                 raise ValueError(f"--dets {args.dets}:{vds.lines[rows][0]}: {exc}") from None
-        return VideoPredictions(vds, boxes, quality, vds.n_frames)
+        return VideoPredictions(vds, boxes, quality)
     weights, cfg = load_weights(args.weights), args.tracker
     try:
         head = weights.fold(cfg.corr_size, cfg.corr_size)
@@ -335,7 +330,7 @@ def _track_frames(vds: VideoDetectionSet, args, oracle) -> VideoPredictions:
             raise ValueError(f"--weights {args.weights} on {feature_file(t)} and "
                              f"{feature_file(t + 1)}: {exc}") from None
         current = following
-    return VideoPredictions(vds, boxes, quality, vds.n_frames - 1)
+    return VideoPredictions(vds, boxes, quality)
 
 
 def _load_gt(args, vds: VideoDetectionSet, timings: dict) -> VideoDetectionSet:
@@ -370,7 +365,7 @@ def cmd_track(args, argv) -> int:
     preds = _timed(timings, "track", _track_frames, vds, args, oracle)
     _timed(timings, "save", save_predictions, preds, args.out)
     _write_manifest(args.manifest, args, argv, {"preds": args.out}, timings)
-    print(f"wrote {args.out} ({vds.offsets[preds.n_predicted]} predictions over {preds.n_predicted} frames)")
+    print(f"wrote {args.out} ({vds.offsets[-2]} predictions over {vds.n_frames - 1} frames)")
     return 0
 
 
@@ -438,7 +433,7 @@ def cmd_eval(args, argv) -> int:
 
 
 def run_variant(spec, variant: str, cfg: PipelineConfig, noise: NoiseParams,
-                oracle_seed: int = 0, link_iou: float = 0.5, eval_iou: float = 0.5):
+                oracle_seed: int = 0, link_iou: float = LINK_IOU_DEFAULT, eval_iou: float = 0.5):
     """Generate a scene, run one ablation variant on it and evaluate the result.
 
     Returns ``(EvalResult, artifacts)``. ``artifacts`` holds the scene's
@@ -576,7 +571,7 @@ def build_parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParse
     p.add_argument("--dets", required=True)
     p.add_argument("--preds", help="predictions on the rows of --dets (needed for seqtrack)")
     p.add_argument("--mode", choices=("seqnms", "seqtrack"), required=True)
-    p.add_argument("--link-iou", type=_unit_interval, default=0.5)
+    p.add_argument("--link-iou", type=_unit_interval, default=LINK_IOU_DEFAULT)
     p.add_argument("--nms-iou", type=_unit_interval, default=0.45)
     p.add_argument("--score-min", type=_unit_interval, default=0.0,
                    help="drop detections below this score before linking")
@@ -595,7 +590,7 @@ def build_parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParse
     _add_scenario_flags(p)
     p.add_argument("--variant", choices=VARIANTS, default="tfd+seqnms")
     _add_threshold_flags(p, _CONFIG_FLAGS)
-    p.add_argument("--link-iou", type=_unit_interval, default=0.5)
+    p.add_argument("--link-iou", type=_unit_interval, default=LINK_IOU_DEFAULT)
     p.add_argument("--iou", type=_unit_interval, default=0.5, help="evaluation IoU threshold")
     _add_noise_flags(p)
     p.add_argument("--out-dir", required=True)

@@ -1,4 +1,4 @@
-"""Detection, prediction, feature, and weight file formats plus the mAP evaluator.
+"""Detection and prediction records (their value rules and files), feature and weight files, and mAP.
 
 Detection files are JSON lines, one object per detection::
 
@@ -29,13 +29,15 @@ Prediction files are JSON lines, one object per track prediction::
 
 ``det`` indexes the source detection within its frame. ``source`` is a
 detection record without ``video``: it is written from the detection
-columns and read by the same code as a detection file's lines. The writer
-takes one video's :class:`VideoPredictions` and writes the rows of its
-predicted frames. A prediction file is read against the
-detections it was computed from: each record's ``source`` must equal the
-column values of the detection at its ``(video, frame, det)``, and the
-loaded :class:`VideoPredictions` are columns on those detections' rows.
-Every loader rejects a malformed line
+columns and read by the same code as a detection file's lines. A
+prediction tracks its detection into the next frame, so every frame but a
+video's last is predicted, and only those: the writer takes one video's
+:class:`VideoPredictions` and writes the rows of every frame but the last,
+and the loader rejects a record on the last frame. A prediction file is
+read against the detections it was computed from: each record's
+``source`` must equal the column values of the detection at its ``(video,
+frame, det)``, and the loaded :class:`VideoPredictions` are columns on
+those detections' rows. Every loader rejects a malformed line
 with a ``ValueError`` naming ``path:line``; a detection frame index above
 ``MAX_FRAME_INDEX``, a box corner beyond ``geometry.MAX_COORDINATE`` and a
 class or track id outside int64 count as malformed; the rules of the record
@@ -62,11 +64,17 @@ from typing import Sequence
 
 import numpy as np
 
-from .detections import PROVENANCES, check_detection, check_quality
 from .geometry import MAX_COORDINATE, check_corners, iou
 from .tensor_ops import FeaturePyramid
 
 __all__ = [
+    "PROVENANCES",
+    "PROVENANCE_DETECTED",
+    "PROVENANCE_TRACKED",
+    "DETECTED_CODE",
+    "TRACKED_CODE",
+    "check_detection",
+    "check_quality",
     "VideoDetectionSet",
     "VideoPredictions",
     "EvalResult",
@@ -96,9 +104,34 @@ MAX_FRAME_INDEX = 100_000
 # int64's range.
 INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
 
+PROVENANCE_DETECTED = "detected"
+PROVENANCE_TRACKED = "tracked"
+# Every provenance a detection may carry; None means unknown. A set holds a
+# row's provenance as its index here, its code.
+PROVENANCES = (None, PROVENANCE_DETECTED, PROVENANCE_TRACKED)
+_PROVENANCE_CODE = {p: code for code, p in enumerate(PROVENANCES)}
+DETECTED_CODE, TRACKED_CODE = _PROVENANCE_CODE[PROVENANCE_DETECTED], _PROVENANCE_CODE[PROVENANCE_TRACKED]
+
 # A set's columns after the frame offsets, in the order its constructor takes them.
 _COLUMNS = ("class_id", "score", "boxes", "track", "has_track", "provenance")
-_PROVENANCE_CODE = {p: code for code, p in enumerate(PROVENANCES)}
+
+
+def check_detection(frame: int, class_id: int, score: float, provenance) -> None:
+    """Raise ``ValueError`` for values a detection record may not hold."""
+    if frame < 0:
+        raise ValueError(f"frame index must be non-negative, got {frame}")
+    if class_id < 0:
+        raise ValueError(f"class id must be non-negative, got {class_id}")
+    if not (0.0 <= score <= 1.0):  # also false for NaN
+        raise ValueError(f"detection score must be in [0, 1], got {score!r}")
+    if provenance not in PROVENANCES:
+        raise ValueError(f"unknown provenance {provenance!r}")
+
+
+def check_quality(quality: float) -> None:
+    """Raise ``ValueError`` for a quality a track prediction may not hold."""
+    if not (0.0 <= quality <= 1.0):  # also false for NaN
+        raise ValueError(f"quality must be in [0, 1], got {quality!r}")
 
 
 class VideoDetectionSet:
@@ -177,13 +210,13 @@ class VideoPredictions:
     """One video's track predictions as columns on its detections' rows.
 
     ``boxes[i]`` (predicted corners) and ``quality[i]`` are predicted from
-    row ``i`` of ``dets``. The first ``n_predicted`` frames are predicted:
-    every frame, or every frame but the last, whose rows then hold NaN.
+    row ``i`` of ``dets``. Every frame but the last is predicted: a frame's
+    boxes are tracked into the next frame, and the last has none, so its
+    rows hold NaN.
     """
 
-    def __init__(self, dets: VideoDetectionSet, boxes: np.ndarray, quality: np.ndarray,
-                 n_predicted: int) -> None:
-        self.dets, self.boxes, self.quality, self.n_predicted = dets, boxes, quality, n_predicted
+    def __init__(self, dets: VideoDetectionSet, boxes: np.ndarray, quality: np.ndarray) -> None:
+        self.dets, self.boxes, self.quality = dets, boxes, quality
 
 
 # A detection record's fields after ``video``, in file order, and the two
@@ -370,9 +403,14 @@ def load_single_video(path) -> VideoDetectionSet:
     return sets[0]
 
 
+def _predicted_rows(vds: VideoDetectionSet) -> int:
+    """How many of ``vds``' rows are predicted: those of every frame but the last."""
+    return int(vds.offsets[max(vds.n_frames - 1, 0)])
+
+
 def save_predictions(preds: VideoPredictions, path) -> None:
-    """Write one video's track predictions as JSON lines, row by row over its predicted frames."""
-    dets, n = preds.dets, int(preds.dets.offsets[preds.n_predicted])
+    """Write one video's track predictions as JSON lines, row by row over every frame but the last."""
+    dets, n = preds.dets, _predicted_rows(preds.dets)
     frame = dets.frame_index()[:n]
     index = np.arange(n) - dets.offsets[frame]
     video = repeat(json.dumps(dets.video))
@@ -389,9 +427,10 @@ def load_predictions(path, sets: Sequence[VideoDetectionSet]) -> dict[str, Video
     """Read a prediction file into ``{video: VideoPredictions}`` on ``sets``' rows.
 
     Each record's ``(video, frame, det)`` names a detection of ``sets`` at
-    most once and its ``source`` must equal that detection's columns. Every
-    frame but a video's last holds one prediction per detection; the last
-    may hold none. A fault names ``path``.
+    most once, on a frame that is not its video's last, and its ``source``
+    must equal that detection's columns. Every frame but a video's last
+    holds one prediction per detection; the last holds none, as it has no
+    next frame. A fault names ``path``.
     """
     by_video = {vds.video: vds for vds in sets}
     seen = {vds.video: bytearray(len(vds.score)) for vds in sets}
@@ -422,6 +461,8 @@ def load_predictions(path, sets: Sequence[VideoDetectionSet]) -> dict[str, Video
         bounds, rows = detection_fields(video)
         if not (0 <= t < len(bounds) - 1 and 0 <= i < bounds[t + 1] - bounds[t]):
             raise ValueError(f"video {video!r} has no detection {i} in frame {t}")
+        if t == len(bounds) - 2:
+            raise ValueError(f"frame {t} is the last of video {video!r}; it has no next frame to predict")
         row = bounds[t] + i
         if source != rows[row]:
             raise ValueError(f"'source' differs from detection {i} of video {video!r} frame {t}")
@@ -435,10 +476,8 @@ def load_predictions(path, sets: Sequence[VideoDetectionSet]) -> dict[str, Video
         pass
     out = {}
     for video, vds in by_video.items():
-        offsets, n = vds.offsets, vds.n_frames
-        predicted = np.frombuffer(seen[video], np.uint8).astype(bool)
-        n_predicted = n - 1 if n and not predicted[offsets[-2]:].any() else n
-        missing = np.flatnonzero(~predicted[: offsets[n_predicted]])
+        offsets, predicted = vds.offsets, np.frombuffer(seen[video], np.uint8).astype(bool)
+        missing = np.flatnonzero(~predicted[: _predicted_rows(vds)])
         if len(missing):
             t = int(np.searchsorted(offsets, missing[0], "right")) - 1
             raise ValueError(f"{path}: video {video!r} frame {t}: no prediction for detection "
@@ -447,7 +486,7 @@ def load_predictions(path, sets: Sequence[VideoDetectionSet]) -> dict[str, Video
         boxes, quality = np.full((len(vds.score), 4), np.nan), np.full(len(vds.score), np.nan)
         rows = values[:, 0].astype(np.intp)
         boxes[rows], quality[rows] = values[:, 1:5], values[:, 5]
-        out[video] = VideoPredictions(vds, boxes, quality, n_predicted)
+        out[video] = VideoPredictions(vds, boxes, quality)
     return out
 
 

@@ -99,12 +99,10 @@ def build_graph_seqtrack(
 ) -> LinkGraph:
     """Link using each detection's tracker-predicted next-frame box.
 
-    ``preds`` predicts from ``video``'s rows. The final frame's predictions
-    are unused and may be absent.
+    ``preds`` predicts from ``video``'s rows.
     """
-    if len(preds.boxes) != len(video.score) or preds.n_predicted < video.n_frames - 1:
-        raise ValueError(f"predictions on {len(preds.boxes)} rows over {preds.n_predicted} frames "
-                         f"do not cover a video of {len(video.score)} rows over {video.n_frames} frames")
+    if len(preds.boxes) != len(video.score):
+        raise ValueError(f"predictions on {len(preds.boxes)} rows do not cover a video of {len(video.score)} rows")
     return _build_graph(video, preds.boxes, link_iou)
 
 

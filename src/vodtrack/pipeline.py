@@ -18,8 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .detections import PROVENANCE_DETECTED, PROVENANCE_TRACKED, PROVENANCES, check_quality
-from .evalio import VideoDetectionSet, VideoPredictions
+from .evalio import DETECTED_CODE, TRACKED_CODE, VideoDetectionSet, VideoPredictions, check_quality
 from .geometry import iou
 
 __all__ = [
@@ -102,8 +101,7 @@ def tfd_merge(tracked: np.ndarray, detected: np.ndarray, cfg: PipelineConfig) ->
 
 
 # Each merged frame's provenance codes: its tracked rows, then its admitted detections.
-_MERGED_CODES = np.array([PROVENANCES.index(PROVENANCE_TRACKED), PROVENANCES.index(PROVENANCE_DETECTED)],
-                         np.int8)
+_MERGED_CODES = np.array([TRACKED_CODE, DETECTED_CODE], np.int8)
 
 
 def run_video(
@@ -155,16 +153,15 @@ def run_video(
         track = np.concatenate([track[kept], np.arange(next_id, next_id + len(admitted))])
         next_id += len(admitted)
         frames.append((class_id, score, boxes, track, _MERGED_CODES.repeat([len(kept), len(admitted)])))
+    # The last frame has no next frame to predict: its rows hold NaN.
+    predicted_frames.append((np.full(boxes.shape, np.nan), np.full(len(boxes), np.nan)))
 
     class_id, score, boxes, track, provenance = (np.concatenate(column) for column in zip(*frames))
     offsets = np.cumsum([0, *(len(f[0]) for f in frames[1:])], dtype=np.int64)
     merged_set = VideoDetectionSet(video.video, offsets, class_id, score, boxes, track,
                                    np.ones(len(score), bool), provenance)
-    n_predicted = max(video.n_frames - 1, 0)
-    predicted, quality = np.full((len(score), 4), np.nan), np.full(len(score), np.nan)
-    predicted[: offsets[n_predicted]], quality[: offsets[n_predicted]] = (
-        np.concatenate(column) for column in zip(*predicted_frames))
-    return merged_set, VideoPredictions(merged_set, predicted, quality, n_predicted)
+    predicted, quality = (np.concatenate(column) for column in zip(*predicted_frames))
+    return merged_set, VideoPredictions(merged_set, predicted, quality)
 
 
 def final_detections(video: VideoDetectionSet, cfg: PipelineConfig) -> VideoDetectionSet:

@@ -21,8 +21,7 @@ from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
 
-from .detections import PROVENANCE_DETECTED, PROVENANCES
-from .evalio import _JSON_TYPES, MAX_FRAME_INDEX, VideoDetectionSet, read_json_object, write_json_object
+from .evalio import _JSON_TYPES, DETECTED_CODE, MAX_FRAME_INDEX, VideoDetectionSet, read_json_object, write_json_object
 from .geometry import MAX_COORDINATE, check_corners
 from .tensor_ops import FeaturePyramid
 
@@ -178,7 +177,6 @@ def generate(spec: ScenarioSpec) -> tuple[VideoDetectionSet, VideoDetectionSet]:
     """
     rng = np.random.default_rng(spec.seed)
     pool = sorted({o.class_id for o in spec.objects})
-    detected = PROVENANCES.index(PROVENANCE_DETECTED)
 
     # Rows of the two sets' columns, as ``VideoDetectionSet.from_rows`` takes them.
     gt_rows: list[tuple] = []
@@ -201,7 +199,7 @@ def generate(spec: ScenarioSpec) -> tuple[VideoDetectionSet, VideoDetectionSet]:
                 others = [c for c in pool if c != obj.class_id]
                 if others:
                     class_id = others[rng.integers(len(others))]
-            det_rows.append((frame, class_id, obj.score_factor(frame), x1, y1, x2, y2, None, detected))
+            det_rows.append((frame, class_id, obj.score_factor(frame), x1, y1, x2, y2, None, DETECTED_CODE))
 
         if spec.noise.false_positive_rate > 0:
             for _ in range(rng.poisson(spec.noise.false_positive_rate)):
@@ -212,7 +210,7 @@ def generate(spec: ScenarioSpec) -> tuple[VideoDetectionSet, VideoDetectionSet]:
                 class_id = pool[rng.integers(len(pool))] if pool else 0
                 score = rng.uniform(spec.noise.fp_score_low, spec.noise.fp_score_high)
                 det_rows.append((frame, class_id, score, fcx - fw / 2.0, fcy - fh / 2.0, fcx + fw / 2.0,
-                                 fcy + fh / 2.0, None, detected))
+                                 fcy + fh / 2.0, None, DETECTED_CODE))
 
     sets = tuple(VideoDetectionSet.from_rows(spec.video, rows, spec.n_frames) for rows in (gt_rows, det_rows))
     for vds in sets:

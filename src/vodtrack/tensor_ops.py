@@ -334,14 +334,14 @@ def conv2d_same(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray | None = Non
         """Each tap's window rows, ``(..., H * W, C_in)``, in row-major tap order."""
         if kh == kw == 1:  # the one tap's window is the input itself
             yield x.reshape(lead + (h * w, c_in))
-            return
-        pad = [(0, 0)] * len(lead) + [((kh - 1) // 2, kh // 2), ((kw - 1) // 2, kw // 2), (0, 0)]
-        padded = np.pad(x, pad)
-        window = np.empty(lead + (h, w, c_in), dtype=np.float64)
-        for i in range(kh):
-            for j in range(kw):
-                np.copyto(window, padded[..., i : i + h, j : j + w, :])
-                yield window.reshape(lead + (h * w, c_in))
+        else:
+            pad = [(0, 0)] * len(lead) + [((kh - 1) // 2, kh // 2), ((kw - 1) // 2, kw // 2), (0, 0)]
+            padded = np.pad(x, pad)
+            window = np.empty(lead + (h, w, c_in), dtype=np.float64)
+            for i in range(kh):
+                for j in range(kw):
+                    np.copyto(window, padded[..., i : i + h, j : j + w, :])
+                    yield window.reshape(lead + (h * w, c_in))
 
     taps = zip(kernel_t.reshape(kh * kw, c_in, c_out), windows())
     tap, rows = next(taps)

@@ -20,8 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from vodtrack.detections import PROVENANCES, check_detection
-from vodtrack.evalio import VideoDetectionSet, VideoPredictions
+from vodtrack.evalio import PROVENANCES, VideoDetectionSet, VideoPredictions, check_detection
 
 
 def channels_last(a) -> np.ndarray:
@@ -366,12 +365,12 @@ def json_detection_lines(sets) -> str:
 
 
 def json_prediction_lines(preds_per_frame, video: str) -> str:
-    """A prediction file as ``json.dumps`` writes each record."""
+    """A prediction file as ``json.dumps`` writes each record of every frame but the last."""
     return "".join(
         json.dumps({"video": video, "frame": t, "det": i,
                     "box": [float(v) for v in p.predicted_box.corners()],
                     "quality": float(p.quality), "source": json_detection_fields(p.source)}) + "\n"
-        for t, preds in enumerate(preds_per_frame) for i, p in enumerate(preds))
+        for t, preds in enumerate(preds_per_frame[:-1]) for i, p in enumerate(preds))
 
 
 def list_seeded_rng(seed: int, det) -> np.random.Generator:
@@ -488,31 +487,33 @@ def frames_of(vds: VideoDetectionSet) -> tuple[tuple[Detection, ...], ...]:
 def predictions(dets: VideoDetectionSet, preds_per_frame) -> VideoPredictions:
     """Per-frame prediction lists as columns on ``dets``' rows.
 
-    The lists cover every frame, or every frame but the last, and each
-    holds one prediction per detection of its frame, in row order.
+    The lists cover every frame but the last, and each holds one prediction
+    per detection of its frame, in row order. A list may follow for the
+    last frame; it is dropped, as that frame has no next frame to predict,
+    and its rows hold NaN.
     """
     n, sizes = dets.n_frames, np.diff(dets.offsets).tolist()
-    if len(preds_per_frame) not in (n, n - 1):
+    if len(preds_per_frame) not in (n, max(n - 1, 0)):
         raise ValueError(f"predictions cover {len(preds_per_frame)} frames, video has {n}")
     for t, frame in enumerate(preds_per_frame):
         if len(frame) != sizes[t]:
             raise ValueError(f"frame {t}: {len(frame)} predictions for {sizes[t]} detections")
-    predicted = [p for frame in preds_per_frame for p in frame]
+    predicted = [p for frame in preds_per_frame[: max(n - 1, 0)] for p in frame]
     boxes, quality = np.full((len(dets.score), 4), np.nan), np.full(len(dets.score), np.nan)
     boxes[: len(predicted)] = np.reshape([p.predicted_box.corners() for p in predicted], (-1, 4))
     quality[: len(predicted)] = [p.quality for p in predicted]
-    return VideoPredictions(dets, boxes, quality, len(preds_per_frame))
+    return VideoPredictions(dets, boxes, quality)
 
 
 def prediction_lists(preds: VideoPredictions) -> list[list[TrackPrediction]]:
     """A ``VideoPredictions`` read back as per-frame ``TrackPrediction`` lists on its
-    detections' records, for assertions made per prediction; a frame it does
-    not predict is empty."""
+    detections' records, for assertions made per prediction; the last frame,
+    which is not predicted, is empty."""
     out, row = [], 0
     for t, frame in enumerate(frames_of(preds.dets)):
         out.append([])
         for det in frame:
-            if t < preds.n_predicted:
+            if t < preds.dets.n_frames - 1:
                 out[t].append(TrackPrediction(det, Box(*preds.boxes[row].tolist()), float(preds.quality[row])))
             row += 1
     return out

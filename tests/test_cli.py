@@ -34,8 +34,8 @@ def run_cli(*args) -> int:
 
 
 def as_predictions(preds_per_frame) -> VideoPredictions:
-    """Per-frame predictions as columns on a set of their sources."""
-    sources = video_set("v", [[p.source for p in frame] for frame in preds_per_frame])
+    """Per-frame predictions as columns on a set of their sources, then a last frame that holds none."""
+    sources = video_set("v", [[p.source for p in frame] for frame in preds_per_frame] + [[]])
     return predictions(sources, preds_per_frame)
 
 
@@ -584,8 +584,8 @@ class TestTfdAndLink:
 
     @pytest.mark.parametrize("command", ["track", "tfd"])
     def test_prediction_file_round_trips(self, clean_files, tmp_path, command):
-        # track --oracle predicts every frame, tfd every frame but the last;
-        # saving either file as loaded writes it again byte for byte.
+        # Both commands predict every frame but the last, whose rows load as
+        # NaN; saving either file as loaded writes it again byte for byte.
         gt, dets = clean_files
         preds, merged = tmp_path / "preds.jsonl", tmp_path / "merged.jsonl"
         oracle = ["--oracle", "--gt", gt, "--noise-center", "1.5"]
@@ -596,7 +596,9 @@ class TestTfdAndLink:
             dets = merged
         (vds,) = load_detections(dets)
         (loaded,) = load_predictions(preds, [vds]).values()
-        assert loaded.n_predicted == (vds.n_frames if command == "track" else vds.n_frames - 1)
+        n = vds.offsets[-2]
+        assert len(preds.read_text().splitlines()) == n
+        assert not np.isnan(loaded.quality[:n]).any() and np.isnan(loaded.quality[n:]).all()
         again = tmp_path / "again.jsonl"
         save_predictions(loaded, again)
         assert again.read_bytes() == preds.read_bytes()
@@ -733,7 +735,7 @@ PREDICTION_FAULTS = {
                      "'source' differs from detection 1 of video 'clean-0' frame 2"),
     "repeated-det": (lambda rs: rs.insert(3, dict(rs[2])), 4,
                      "detection 0 of video 'clean-0' frame 1 is predicted twice"),
-    "unknown-video": (lambda rs: rs.append({**rs[0], "video": "other"}), 130,
+    "unknown-video": (lambda rs: rs.append({**rs[0], "video": "other"}), 128,
                       "video 'other' is not in the detections"),
 }
 
@@ -753,6 +755,29 @@ class TestPredictionSources:
         assert run_cli(command, "--dets", dets, "--preds", bad, *mode, "--out", out) == 1
         assert capsys.readouterr().err == (f"error [{command}]: {bad}:{line}: invalid prediction record: "
                                            f"{complaint} (--dets {dets})\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["tfd", "link"])
+    def test_last_frame_record_fails_at_its_line(self, clean_files, tmp_path, capsys, command):
+        # A file as an older track --oracle wrote it, with a record for each
+        # detection of the last frame, which has no next frame to predict.
+        gt, dets = clean_files
+        preds, out = tmp_path / "preds.jsonl", tmp_path / "out.jsonl"
+        assert run_cli("track", "--dets", dets, "--oracle", "--gt", gt, "--out", preds) == 0
+        n_records = len(preds.read_text().splitlines())
+        last = [json.loads(text) for text in dets.read_text().splitlines()]
+        last = [r for r in last if r["frame"] == last[-1]["frame"]]
+        with preds.open("a") as fh:
+            for i, r in enumerate(last):
+                source = {k: v for k, v in r.items() if k != "video"}
+                fh.write(json.dumps({"video": r["video"], "frame": r["frame"], "det": i, "box": r["box"],
+                                     "quality": 0.0, "source": source}) + "\n")
+        capsys.readouterr()
+        mode = ["--mode", "seqtrack"] if command == "link" else []
+        assert run_cli(command, "--dets", dets, "--preds", preds, *mode, "--out", out) == 1
+        assert capsys.readouterr().err == (
+            f"error [{command}]: {preds}:{n_records + 1}: invalid prediction record: frame {last[0]['frame']} is "
+            f"the last of video 'clean-0'; it has no next frame to predict (--dets {dets})\n")
         assert not out.exists()
 
 
@@ -1056,6 +1081,12 @@ class TestEval:
 
 
 class TestRun:
+    def test_run_variant_rejects_an_unknown_variant(self):
+        # argparse's choices stop it on the command line; run_variant checks its own caller.
+        with pytest.raises(ValueError) as info:
+            cli.run_variant(preset_scenario("clean", 0), "tfd", cli.PipelineConfig(), cli.NoiseParams())
+        assert str(info.value) == "unknown variant 'tfd'"
+
     def test_detector_on_clean_is_perfect(self, tmp_path):
         out = tmp_path / "run"
         rc = run_cli("run", "--preset", "clean", "--seed", "0",

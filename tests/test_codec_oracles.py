@@ -28,12 +28,13 @@ from oracles import (
     predictions,
     video_set,
 )
-from vodtrack.detections import PROVENANCE_DETECTED, PROVENANCE_TRACKED
 from vodtrack.cli import main
 from vodtrack.evalio import (
     INT64_MAX,
     INT64_MIN,
     MAX_FRAME_INDEX,
+    PROVENANCE_DETECTED,
+    PROVENANCE_TRACKED,
     load_detections,
     save_detections,
     save_predictions,

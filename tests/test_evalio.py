@@ -9,10 +9,10 @@ import pytest
 import vodtrack
 from oracles import (Box, Detection, TrackPrediction, channels_last, frames_of, prediction_lists, predictions,
                      records_set)
-from vodtrack.detections import check_detection
 from vodtrack.evalio import (
     MAX_FRAME_INDEX,
     VideoDetectionSet,
+    check_detection,
     evaluate_map,
     load_detections,
     load_features,
@@ -124,9 +124,9 @@ class TestPredictionFiles:
         src0 = det(0, 1, 0.9, (0, 0, 10, 10))
         preds = [[TrackPrediction(src0, Box(1, 1, 11, 11), 0.95)]]
         p = tmp_path / "preds.jsonl"
-        save_predictions(predictions(records_set("v0", [src0]), preds), p)
+        save_predictions(predictions(records_set("v0", [src0], n_frames=2), preds), p)
         vds = records_set(
-            "v0", [src0, det(0, 2, 0.8, (20, 20, 30, 30))], n_frames=1
+            "v0", [src0, det(0, 2, 0.8, (20, 20, 30, 30))], n_frames=2
         )
         with pytest.raises(ValueError, match=r"preds\.jsonl: video 'v0' frame 0: no prediction for detection 1 of 2$"):
             load_predictions(p, [vds])
@@ -153,7 +153,7 @@ class TestPredictionFiles:
     def test_source_is_a_detection_record_without_video(self, tmp_path):
         src = det(3, 1, 0.9, (0.5, 0, 10, 10.25), track=4, provenance="tracked")
         dets, preds = tmp_path / "dets.jsonl", tmp_path / "preds.jsonl"
-        vds = records_set("v0", [src])
+        vds = records_set("v0", [src], n_frames=5)
         save_detections(vds, dets)
         save_predictions(predictions(vds, [[], [], [], [TrackPrediction(src, Box(1, 1, 11, 11), 0.5)]]), preds)
         source = json.loads(preds.read_text())["source"]
@@ -214,10 +214,13 @@ def record_line(kind, drop=(), **changes):
 
 
 def record_sources(tmp_path, video="v", **changes):
-    """The detections a ``record_line("predictions", **changes)`` names, as loaded."""
+    """The detections a ``record_line("predictions", **changes)`` names, as loaded, then one
+    more frame, which holds none: the line's frame is not its video's last."""
     p = tmp_path / "sources.jsonl"
     p.write_text(record_line("detections", **changes).replace('"v"', json.dumps(video), 1) + "\n")
-    return load_detections(p)
+    (vds,) = load_detections(p)
+    vds.offsets = np.append(vds.offsets, vds.offsets[-1])
+    return [vds]
 
 
 RECORD_LOADERS = {"detections": lambda p, sources: load_detections(p), "predictions": load_predictions}
@@ -417,6 +420,14 @@ class TestFeatureFiles:
                                              {"stride": 8, "channels": 2, "height": 4, "width": 4}]}
         payload = b"".join(m.transpose(2, 0, 1).astype(dtype).tobytes() for m in maps)
         assert p.read_bytes() == (json.dumps(header) + "\n").encode() + payload
+
+    def test_unknown_dtype_rejected(self, tmp_path):
+        pyr = FeaturePyramid(((4, np.zeros((8, 8, 2))),), 32, 32)
+        p = tmp_path / "f.feat"
+        with pytest.raises(ValueError) as info:
+            save_features(pyr, p, dtype="<f2")
+        assert str(info.value) == "dtype must be one of ['<f4', '<f8'], got '<f2'"
+        assert not p.exists()
 
     def test_empty_pyramid_header_rejected(self, tmp_path):
         p = tmp_path / "f.feat"

@@ -187,14 +187,14 @@ class TestBuildGraphSeqtrack:
 
     def test_misaligned_preds_rejected(self):
         video = [[det(0, 0, 0.9, (0, 0, 10, 10))], [det(1, 0, 0.8, (1, 1, 11, 11))]]
-        with pytest.raises(ValueError, match="predictions"):
-            build_graph_seqtrack(as_set(video), VideoPredictions(as_set(video), np.full((2, 4), np.nan),
-                                                                 np.full(2, np.nan), 0))
+        with pytest.raises(ValueError, match="predictions on 3 rows do not cover a video of 2 rows"):
+            build_graph_seqtrack(as_set(video), VideoPredictions(as_set(video), np.full((3, 4), np.nan),
+                                                                 np.full(3, np.nan)))
 
     def test_predictions_on_other_rows_rejected(self):
         video = [[det(0, 0, 0.9, (0, 0, 10, 10))], [det(1, 0, 0.8, (1, 1, 11, 11))]]
         first_frame = predictions(as_set(video[:1]), [])
-        with pytest.raises(ValueError, match="predictions on 1 rows over 0 frames do not cover"):
+        with pytest.raises(ValueError, match="predictions on 1 rows do not cover a video of 2 rows"):
             build_graph_seqtrack(as_set(video), first_frame)
 
 

@@ -39,6 +39,27 @@ def pool_one(feat, roi: Box, out_h: int, out_w: int, stride: float) -> np.ndarra
     return roi_align_full_avg(feat, corner_array([roi]), out_h, out_w, stride)[0]
 
 
+# A caller's argument that a kernel or the pyramid rejects before any work, and the message.
+ARGUMENT_FAULTS = {
+    "empty-map": (lambda: roi_align_full_avg(np.zeros((0, 4, 2)), [(0, 0, 1, 1)], 1, 1, 1.0),
+                  "all tensor dimensions must be positive, got shape (0, 4, 2)"),
+    "zero-image-size": (lambda: FeaturePyramid(((4, np.zeros((4, 4, 2))),), 0, 16), "image size must be positive"),
+    "zero-output-size": (lambda: roi_align_full_avg(np.zeros((4, 4, 2)), [(0, 0, 1, 1)], 1, 0, 1.0),
+                         "output size must be positive"),
+    "zero-stride": (lambda: roi_align_full_avg(np.zeros((4, 4, 2)), [(0, 0, 1, 1)], 1, 1, 0.0),
+                    "stride must be positive"),
+    "three-axis-kernel": (lambda: conv2d_same(np.zeros((4, 4, 2)), np.zeros((3, 2, 3))),
+                          "kernel must be (C_out, C_in, kh, kw), got shape (3, 2, 3)"),
+}
+
+
+@pytest.mark.parametrize("call, complaint", ARGUMENT_FAULTS.values(), ids=ARGUMENT_FAULTS.keys())
+def test_argument_fault_rejected(call, complaint):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == complaint
+
+
 class TestFeatureMaps:
     def test_rejects_bad_shapes(self):
         # A pyramid level and a pooled map are each exactly one (H, W, C) map.
