@@ -363,9 +363,9 @@ def cmd_track(args, argv) -> int:
     vds = _timed(timings, "load", load_single_video, args.dets)
     oracle = _oracle_track_fn(_load_gt(args, vds, timings), args.noise, args.oracle_seed) if args.oracle else None
     preds = _timed(timings, "track", _track_frames, vds, args, oracle)
-    _timed(timings, "save", save_predictions, preds, args.out)
+    written = _timed(timings, "save", save_predictions, preds, args.out)
     _write_manifest(args.manifest, args, argv, {"preds": args.out}, timings)
-    print(f"wrote {args.out} ({vds.offsets[-2]} predictions over {vds.n_frames - 1} frames)")
+    print(f"wrote {args.out} ({written} predictions)")
     return 0
 
 

@@ -31,9 +31,9 @@ Prediction files are JSON lines, one object per track prediction::
 detection record without ``video``: it is written from the detection
 columns and read by the same code as a detection file's lines. A
 prediction tracks its detection into the next frame, so every frame but a
-video's last is predicted, and only those: the writer takes one video's
-:class:`VideoPredictions` and writes the rows of every frame but the last,
-and the loader rejects a record on the last frame. A prediction file is
+video's last (where its detection file ends: its last frame with detections) is
+predicted, and only those: the writer writes a :class:`VideoPredictions`' rows of
+every frame before it, and the loader rejects a record on it. A prediction file is
 read against the detections it was computed from: each record's
 ``source`` must equal the column values of the detection at its ``(video,
 frame, det)``, and the loaded :class:`VideoPredictions` are columns on
@@ -212,7 +212,8 @@ class VideoPredictions:
     ``boxes[i]`` (predicted corners) and ``quality[i]`` are predicted from
     row ``i`` of ``dets``. Every frame but the last is predicted: a frame's
     boxes are tracked into the next frame, and the last has none, so its
-    rows hold NaN.
+    rows hold NaN. A file keeps the rows before the last frame with
+    detections, where a detection file ends (see :func:`save_predictions`).
     """
 
     def __init__(self, dets: VideoDetectionSet, boxes: np.ndarray, quality: np.ndarray) -> None:
@@ -404,12 +405,13 @@ def load_single_video(path) -> VideoDetectionSet:
 
 
 def _predicted_rows(vds: VideoDetectionSet) -> int:
-    """How many of ``vds``' rows are predicted: those of every frame but the last."""
-    return int(vds.offsets[max(vds.n_frames - 1, 0)])
+    """How many of ``vds``' rows a prediction file holds: those before its last frame with rows."""
+    return int(vds.offsets[max(np.searchsorted(vds.offsets, vds.offsets[-1]) - 1, 0)])
 
 
-def save_predictions(preds: VideoPredictions, path) -> None:
-    """Write one video's track predictions as JSON lines, row by row over every frame but the last."""
+def save_predictions(preds: VideoPredictions, path) -> int:
+    """Write one video's track predictions as JSON lines, row by row over every frame before the
+    last with detections (a later one has nothing to link to); returns the number written."""
     dets, n = preds.dets, _predicted_rows(preds.dets)
     frame = dets.frame_index()[:n]
     index = np.arange(n) - dets.offsets[frame]
@@ -421,20 +423,21 @@ def save_predictions(preds: VideoPredictions, path) -> None:
             fh.writelines(map(_PREDICTION_LINE.__mod__, zip(
                 video, frame[rows].tolist(), index[rows].tolist(), *preds.boxes[rows].T.tolist(),
                 preds.quality[rows].tolist(), *sources)))
+    return n
 
 
 def load_predictions(path, sets: Sequence[VideoDetectionSet]) -> dict[str, VideoPredictions]:
     """Read a prediction file into ``{video: VideoPredictions}`` on ``sets``' rows.
 
     Each record's ``(video, frame, det)`` names a detection of ``sets`` at
-    most once, on a frame that is not its video's last, and its ``source``
-    must equal that detection's columns. Every frame but a video's last
-    holds one prediction per detection; the last holds none, as it has no
-    next frame. A fault names ``path``.
+    most once, on a frame that is not its video's last with detections, and
+    its ``source`` must equal that detection's columns. Every frame before
+    that one holds one prediction per detection. A fault names ``path``.
     """
     by_video = {vds.video: vds for vds in sets}
     seen = {vds.video: bytearray(len(vds.score)) for vds in sets}
     loaded: dict[str, list] = {video: [] for video in by_video}
+    predicted_rows = {vds.video: _predicted_rows(vds) for vds in sets}
     # Per video: its frame offsets and each row's _detection_fields, made on first use.
     fields: dict[str, tuple[list, list]] = {}
 
@@ -461,7 +464,7 @@ def load_predictions(path, sets: Sequence[VideoDetectionSet]) -> dict[str, Video
         bounds, rows = detection_fields(video)
         if not (0 <= t < len(bounds) - 1 and 0 <= i < bounds[t + 1] - bounds[t]):
             raise ValueError(f"video {video!r} has no detection {i} in frame {t}")
-        if t == len(bounds) - 2:
+        if bounds[t] >= predicted_rows[video]:
             raise ValueError(f"frame {t} is the last of video {video!r}; it has no next frame to predict")
         row = bounds[t] + i
         if source != rows[row]:
@@ -477,7 +480,7 @@ def load_predictions(path, sets: Sequence[VideoDetectionSet]) -> dict[str, Video
     out = {}
     for video, vds in by_video.items():
         offsets, predicted = vds.offsets, np.frombuffer(seen[video], np.uint8).astype(bool)
-        missing = np.flatnonzero(~predicted[: _predicted_rows(vds)])
+        missing = np.flatnonzero(~predicted[: predicted_rows[video]])
         if len(missing):
             t = int(np.searchsorted(offsets, missing[0], "right")) - 1
             raise ValueError(f"{path}: video {video!r} frame {t}: no prediction for detection "

@@ -365,12 +365,15 @@ def json_detection_lines(sets) -> str:
 
 
 def json_prediction_lines(preds_per_frame, video: str) -> str:
-    """A prediction file as ``json.dumps`` writes each record of every frame but the last."""
+    """A prediction file as ``json.dumps`` writes it, from one list per frame of a video whose
+    detections are the lists' sources: each record of every frame before the last that holds one,
+    where a detection file of the video ends."""
+    last = max((t for t, preds in enumerate(preds_per_frame) if preds), default=0)
     return "".join(
         json.dumps({"video": video, "frame": t, "det": i,
                     "box": [float(v) for v in p.predicted_box.corners()],
                     "quality": float(p.quality), "source": json_detection_fields(p.source)}) + "\n"
-        for t, preds in enumerate(preds_per_frame[:-1]) for i, p in enumerate(preds))
+        for t, preds in enumerate(preds_per_frame[:last]) for i, p in enumerate(preds))
 
 
 def list_seeded_rng(seed: int, det) -> np.random.Generator:
@@ -489,8 +492,9 @@ def predictions(dets: VideoDetectionSet, preds_per_frame) -> VideoPredictions:
 
     The lists cover every frame but the last, and each holds one prediction
     per detection of its frame, in row order. A list may follow for the
-    last frame; it is dropped, as that frame has no next frame to predict,
-    and its rows hold NaN.
+    last frame, as the property tests draw one list per frame and give it to
+    ``json_prediction_lines`` too; it is dropped, as that frame has no next
+    frame to predict, and its rows hold NaN, as the producers leave them.
     """
     n, sizes = dets.n_frames, np.diff(dets.offsets).tolist()
     if len(preds_per_frame) not in (n, max(n - 1, 0)):

@@ -565,6 +565,26 @@ class TestTfdAndLink:
                        "--mode", "seqtrack", "--out", linked2) == 0
         assert load_detections(linked) and load_detections(linked2)
 
+    def test_empty_last_merged_frame_links(self, tmp_path):
+        # The object's ground truth ends a frame before its last detection,
+        # which is below --detect-score: the last merged frame is empty, so
+        # the merged file ends a frame early. The prediction file holds no
+        # record on the frame that file ends with, and the pair links.
+        def line(frame, score, track=None):
+            return json.dumps({"video": "v", "frame": frame, "class": 0, "score": score,
+                               "box": [0, 0, 10, 10], "track": track, "provenance": None}) + "\n"
+
+        dets, gt = tmp_path / "dets.jsonl", tmp_path / "gt.jsonl"
+        merged, preds, linked = (tmp_path / name for name in ("merged.jsonl", "preds.jsonl", "linked.jsonl"))
+        dets.write_text("".join(line(t, 0.9) for t in range(3)) + line(3, 0.01))
+        gt.write_text("".join(line(t, 1.0, track=0) for t in range(3)))
+        assert run_cli("tfd", "--dets", dets, "--oracle", "--gt", gt, "--out", merged, "--out-preds", preds) == 0
+        (merged_set,) = load_detections(merged)
+        assert merged_set.n_frames == 3
+        assert [json.loads(text)["frame"] for text in preds.read_text().splitlines()] == [0, 1]
+        assert run_cli("link", "--dets", merged, "--preds", preds, "--mode", "seqtrack", "--out", linked) == 0
+        assert len(load_detections(linked)[0].score) == 3
+
     def test_replay_matcher_ties_and_claims(self):
         # Two stored predictions share one source box: a candidate on that box
         # claims the later one, the next candidate the one left, a third none.
@@ -596,11 +616,10 @@ class TestTfdAndLink:
             dets = merged
         (vds,) = load_detections(dets)
         (loaded,) = load_predictions(preds, [vds]).values()
-        n = vds.offsets[-2]
-        assert len(preds.read_text().splitlines()) == n
-        assert not np.isnan(loaded.quality[:n]).any() and np.isnan(loaded.quality[n:]).all()
+        last = vds.rows(vds.n_frames - 1)
+        assert not np.isnan(loaded.quality[: last.start]).any() and np.isnan(loaded.quality[last]).all()
         again = tmp_path / "again.jsonl"
-        save_predictions(loaded, again)
+        assert save_predictions(loaded, again) == last.start
         assert again.read_bytes() == preds.read_bytes()
 
     def test_replay_preds_path(self, clean_files, tmp_path):

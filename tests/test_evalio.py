@@ -107,10 +107,9 @@ class TestPredictionFiles:
         preds = [
             [TrackPrediction(src0, Box(1, 1, 11, 11), 0.95),
              TrackPrediction(src1, Box(21, 21, 31, 31), 0.7)],
-            [],
         ]
         p = tmp_path / "preds.jsonl"
-        vds = records_set("v0", [src0, src1], n_frames=2)
+        vds = records_set("v0", [src0, src1, det(1, 1, 0.9, (1, 1, 11, 11))])
         save_predictions(predictions(vds, preds), p)
         loaded = load_predictions(p, [vds])
         assert set(loaded) == {"v0"}
@@ -121,12 +120,12 @@ class TestPredictionFiles:
         assert aligned[1] == []
 
     def test_misaligned_indices_rejected(self, tmp_path):
-        src0 = det(0, 1, 0.9, (0, 0, 10, 10))
+        src0, last = det(0, 1, 0.9, (0, 0, 10, 10)), det(1, 1, 0.9, (1, 1, 11, 11))
         preds = [[TrackPrediction(src0, Box(1, 1, 11, 11), 0.95)]]
         p = tmp_path / "preds.jsonl"
-        save_predictions(predictions(records_set("v0", [src0], n_frames=2), preds), p)
+        save_predictions(predictions(records_set("v0", [src0, last]), preds), p)
         vds = records_set(
-            "v0", [src0, det(0, 2, 0.8, (20, 20, 30, 30))], n_frames=2
+            "v0", [src0, det(0, 2, 0.8, (20, 20, 30, 30)), last]
         )
         with pytest.raises(ValueError, match=r"preds\.jsonl: video 'v0' frame 0: no prediction for detection 1 of 2$"):
             load_predictions(p, [vds])
@@ -138,7 +137,7 @@ class TestPredictionFiles:
         p.write_text("")
         last_only = records_set("a", [det(1, 0, 0.5, (0, 0, 5, 5))])
         assert {v: prediction_lists(x) for v, x in load_predictions(p, [last_only]).items()} == {"a": [[], []]}
-        first = records_set("b", [det(0, 0, 0.5, (0, 0, 5, 5))], n_frames=2)
+        first = records_set("b", [det(0, 0, 0.5, (0, 0, 5, 5)), det(1, 0, 0.5, (0, 0, 5, 5))])
         with pytest.raises(ValueError, match=r"video 'b' frame 0: no prediction for detection 0 of 1"):
             load_predictions(p, [last_only, first])
 
@@ -153,11 +152,11 @@ class TestPredictionFiles:
     def test_source_is_a_detection_record_without_video(self, tmp_path):
         src = det(3, 1, 0.9, (0.5, 0, 10, 10.25), track=4, provenance="tracked")
         dets, preds = tmp_path / "dets.jsonl", tmp_path / "preds.jsonl"
-        vds = records_set("v0", [src], n_frames=5)
+        vds = records_set("v0", [src, det(4, 1, 0.9, (1, 1, 11, 11))])
         save_detections(vds, dets)
         save_predictions(predictions(vds, [[], [], [], [TrackPrediction(src, Box(1, 1, 11, 11), 0.5)]]), preds)
         source = json.loads(preds.read_text())["source"]
-        assert json.dumps({"video": "v0", **source}) + "\n" == dets.read_text()
+        assert json.dumps({"video": "v0", **source}) + "\n" == dets.read_text().splitlines(keepends=True)[0]
 
 
 # A record that names no detection, names one twice, or whose source is
@@ -214,12 +213,15 @@ def record_line(kind, drop=(), **changes):
 
 
 def record_sources(tmp_path, video="v", **changes):
-    """The detections a ``record_line("predictions", **changes)`` names, as loaded, then one
-    more frame, which holds none: the line's frame is not its video's last."""
+    """The detections a ``record_line("predictions", **changes)`` names, as loaded, then an
+    empty frame and a frame holding a copy of that detection: the line's frame, even the
+    largest index a file may hold, is not its video's last with detections."""
     p = tmp_path / "sources.jsonl"
     p.write_text(record_line("detections", **changes).replace('"v"', json.dumps(video), 1) + "\n")
     (vds,) = load_detections(p)
-    vds.offsets = np.append(vds.offsets, vds.offsets[-1])
+    vds.offsets = np.append(vds.offsets, [1, 2])
+    for name in ("class_id", "score", "boxes", "track", "has_track", "provenance", "lines"):
+        setattr(vds, name, np.repeat(getattr(vds, name), 2, axis=0))
     return [vds]
 
 
