@@ -16,6 +16,7 @@ import numpy as np
 
 from . import __version__
 from .evalio import (
+    EVAL_IOU_DEFAULT,
     VideoDetectionSet,
     VideoPredictions,
     _value,
@@ -32,7 +33,7 @@ from .evalio import (
 from .geometry import iou
 from .linker import LINK_IOU_DEFAULT, build_graph_seqnms, build_graph_seqtrack, rescore_and_suppress
 from .pipeline import PipelineConfig, final_detections, run_video
-from .synth import ScenarioSpec, generate, load_scenario, preset_scenario, save_scenario
+from .synth import PRESETS, ScenarioSpec, generate, load_scenario, preset_scenario, save_scenario
 from .tracker import (
     MATCH_IOU,
     NoiseParams,
@@ -172,7 +173,7 @@ def _add_threshold_flags(p: argparse.ArgumentParser, flags: dict[str, str]) -> N
 
 def _add_scenario_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--spec", help="scenario JSON file")
-    p.add_argument("--preset", choices=("clean", "degraded", "fast"), default="degraded")
+    p.add_argument("--preset", choices=tuple(PRESETS), default="degraded")
     p.add_argument("--seed", type=_non_negative_int, default=0, help="preset seed (not read with --spec)")
 
 
@@ -381,7 +382,10 @@ def cmd_tfd(args, argv) -> int:
     timings = {}
     vds = _timed(timings, "load", load_single_video, args.dets)
     if args.oracle:
-        track_fn = _oracle_track_fn(_load_gt(args, vds, timings), args.noise, args.oracle_seed)
+        gt = _load_gt(args, vds, timings)
+        # Walk every frame of --gt, as run walks its scene's: a detection file ends at its last detection.
+        vds.offsets = np.pad(vds.offsets, (0, max(gt.n_frames - vds.n_frames, 0)), mode="edge")
+        track_fn = _oracle_track_fn(gt, args.noise, args.oracle_seed)
     else:
         track_fn = make_replay_track_fn(_load_preds(args, [vds], timings)[vds.video])
 
@@ -433,7 +437,7 @@ def cmd_eval(args, argv) -> int:
 
 
 def run_variant(spec, variant: str, cfg: PipelineConfig, noise: NoiseParams,
-                oracle_seed: int = 0, link_iou: float = LINK_IOU_DEFAULT, eval_iou: float = 0.5):
+                oracle_seed: int = 0, link_iou: float = LINK_IOU_DEFAULT, eval_iou: float = EVAL_IOU_DEFAULT):
     """Generate a scene, run one ablation variant on it and evaluate the result.
 
     Returns ``(EvalResult, artifacts)``. ``artifacts`` holds the scene's
@@ -551,8 +555,8 @@ def build_parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParse
     p.add_argument("--dets", required=True)
     p.add_argument("--weights", help="tracker weights container")
     p.add_argument("--features-dir", help="directory of frame_<n>.feat pyramids")
-    p.add_argument("--template-pool", type=int, default=7)
-    p.add_argument("--search-pool", type=int, default=21)
+    p.add_argument("--template-pool", type=int, default=TrackerConfig.template_pool)
+    p.add_argument("--search-pool", type=int, default=TrackerConfig.search_pool)
     p.add_argument("--fuse-stride", type=int)
     _add_oracle_flags(p)
     p.add_argument("--out", required=True)
@@ -572,7 +576,7 @@ def build_parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParse
     p.add_argument("--preds", help="predictions on the rows of --dets (needed for seqtrack)")
     p.add_argument("--mode", choices=("seqnms", "seqtrack"), required=True)
     p.add_argument("--link-iou", type=_unit_interval, default=LINK_IOU_DEFAULT)
-    p.add_argument("--nms-iou", type=_unit_interval, default=0.45)
+    p.add_argument("--nms-iou", type=_unit_interval, default=PipelineConfig.final_nms_iou)
     p.add_argument("--score-min", type=_unit_interval, default=0.0,
                    help="drop detections below this score before linking")
     p.add_argument("--out", required=True)
@@ -581,7 +585,7 @@ def build_parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParse
     p = sub.add_parser("eval", help="mean average precision of predictions against ground truth")
     p.add_argument("--preds", required=True)
     p.add_argument("--gt", required=True)
-    p.add_argument("--iou", type=_unit_interval, default=0.5)
+    p.add_argument("--iou", type=_unit_interval, default=EVAL_IOU_DEFAULT)
     p.add_argument("--out", help="write the result as JSON")
     p.add_argument("--label", help="variant label stored in the result JSON")
     p.set_defaults(func=cmd_eval)
@@ -591,7 +595,7 @@ def build_parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParse
     p.add_argument("--variant", choices=VARIANTS, default="tfd+seqnms")
     _add_threshold_flags(p, _CONFIG_FLAGS)
     p.add_argument("--link-iou", type=_unit_interval, default=LINK_IOU_DEFAULT)
-    p.add_argument("--iou", type=_unit_interval, default=0.5, help="evaluation IoU threshold")
+    p.add_argument("--iou", type=_unit_interval, default=EVAL_IOU_DEFAULT, help="evaluation IoU threshold")
     _add_noise_flags(p)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--from-manifest", help="re-run a recorded run manifest")

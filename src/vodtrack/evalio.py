@@ -78,6 +78,7 @@ __all__ = [
     "VideoDetectionSet",
     "VideoPredictions",
     "EvalResult",
+    "EVAL_IOU_DEFAULT",
     "MAX_FRAME_INDEX",
     "INT64_MIN",
     "INT64_MAX",
@@ -659,10 +660,13 @@ def _greedy_hits(overlaps: np.ndarray, order: list[int], iou_thresh: float) -> l
     return hits
 
 
+EVAL_IOU_DEFAULT = 0.5
+
+
 def evaluate_map(
     preds: VideoDetectionSet | Sequence[VideoDetectionSet],
     gt: VideoDetectionSet | Sequence[VideoDetectionSet],
-    iou_thresh: float = 0.5,
+    iou_thresh: float = EVAL_IOU_DEFAULT,
 ) -> EvalResult:
     """Mean average precision of predictions against ground truth.
 

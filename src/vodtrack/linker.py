@@ -170,7 +170,7 @@ def best_path(
     return Tubelet(members=members, path_score=total)
 
 
-def rescore_and_suppress(video: VideoDetectionSet, graph: LinkGraph, nms_iou: float = 0.45) -> VideoDetectionSet:
+def rescore_and_suppress(video: VideoDetectionSet, graph: LinkGraph, nms_iou: float) -> VideoDetectionSet:
     """Extract tubelets best-first, average their scores, suppress around members.
 
     Repeats until every detection is either re-scored as a tubelet member or

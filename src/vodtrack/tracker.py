@@ -25,7 +25,7 @@ from __future__ import annotations
 import copy
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -261,16 +261,9 @@ def head_forward(
 
 
 def fuse_for_head(pyr: FeaturePyramid, cfg: TrackerConfig = TrackerConfig()) -> FeaturePyramid:
-    """``pyr`` fused at the head's stride, as a one-level pyramid.
-
-    A one-level pyramid at that stride is returned as it is, so a caller
-    that tracks every frame twice (as frame t+1, then as frame t) fuses each
-    frame once by passing this to :func:`track`.
-    """
-    # Without a configured stride, the second-finest level if there is one.
+    """``pyr`` fused at the head's stride, as the one-level pyramid :func:`track` takes: ``cfg.fuse_stride``
+    if set, else the stride of ``pyr``'s second-finest level (its only level if it has one)."""
     stride = cfg.fuse_stride if cfg.fuse_stride is not None else pyr.strides[min(1, len(pyr.levels) - 1)]
-    if pyr.strides == (stride,):
-        return pyr
     return FeaturePyramid(((stride, fuse_pyramid(pyr, stride)),), pyr.image_height, pyr.image_width)
 
 
@@ -281,25 +274,26 @@ def track(
     head: FoldedHead,
     cfg: TrackerConfig = TrackerConfig(),
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Predict each box's next-frame location from two frames' feature pyramids.
+    """Predict each box's next-frame location from two frames' fused feature maps.
 
-    ``boxes`` are one frame's ``(n, 4)`` corners and ``head`` the weights
-    folded for ``cfg``'s correlation size. Returns the ``(n, 4)``
-    predicted corners and the ``n`` qualities, in input order. All boxes
-    are pooled and run through the head in one batch; each box's
-    prediction is the same bit for bit whatever other boxes it is tracked
-    with. Only boxes of positive width and height are decoded: a flat box
-    has no scale to regress against, so it comes back as itself at quality
-    0.0. A decoded box that :func:`~vodtrack.geometry.check_corners` rejects
-    raises ``ValueError``. Pass pyramids from
-    :func:`fuse_for_head` to fuse each frame once.
+    ``feat_t`` and ``feat_t1`` are one-level pyramids at one stride, as
+    :func:`fuse_for_head` makes them, ``boxes`` one frame's ``(n, 4)``
+    corners and ``head`` the weights folded for ``cfg``'s correlation size.
+    Returns the ``(n, 4)`` predicted corners and the ``n`` qualities, in
+    input order. All boxes are pooled and run through the head in one batch;
+    each box's prediction is the same bit for bit whatever other boxes it is
+    tracked with. Only boxes of positive width and height are decoded: a
+    flat box has no scale to regress against, so it comes back as itself at
+    quality 0.0. Other pyramids, or a decoded box that
+    :func:`~vodtrack.geometry.check_corners` rejects, raise ``ValueError``.
     """
     if (feat_t.image_height, feat_t.image_width) != (feat_t1.image_height, feat_t1.image_width):
         raise ValueError("feature pyramids must come from frames of equal image size")
+    if len(feat_t.levels) != 1 or feat_t.strides != feat_t1.strides:
+        raise ValueError(f"pyramids must be fused at one stride, got strides {feat_t.strides} and {feat_t1.strides}")
     if not len(boxes):
         return np.zeros((0, 4)), np.zeros(0)
-    (stride, fused_t), = fuse_for_head(feat_t, cfg).levels
-    (_, fused_t1), = fuse_for_head(feat_t1, replace(cfg, fuse_stride=stride)).levels
+    ((stride, fused_t),), ((_, fused_t1),) = feat_t.levels, feat_t1.levels
     boxes = np.asarray(boxes, np.float64)
     templates = roi_align_full_avg(fused_t, boxes, cfg.template_pool, cfg.template_pool, stride)
     searches = roi_align_full_avg(fused_t1, expand(boxes, cfg.k), cfg.search_pool, cfg.search_pool, stride)
@@ -612,9 +606,8 @@ def synthesize_weights(
     seed: int = 0,
     *,
     shared_head_channels: int = 256,
-    share_pre: bool = True,
 ) -> TrackerWeights:
-    """Seeded random weights (uniform in [-0.05, 0.05]) with consistent shapes.
+    """Seeded random weights (uniform in [-0.05, 0.05]) with consistent shapes and one shared pre block.
 
     The head is never trained here; synthetic weights drive fixtures and
     end-to-end runs of the learned pathway.
@@ -637,11 +630,8 @@ def synthesize_weights(
 
     c = in_channels
     n_flat = shared_head_channels * cfg.corr_size * cfg.corr_size
-    pre_template = block(c, c, 1)
-    pre_search = None if share_pre else block(c, c, 1)
     return TrackerWeights(
-        pre_template=pre_template,
-        pre_search=pre_search,
+        pre_template=block(c, c, 1),
         post=block(c, c, 3),
         head_kernel=u(shared_head_channels, c, 3, 3),
         head_bias=u(shared_head_channels),

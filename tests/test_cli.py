@@ -1166,6 +1166,29 @@ class TestRun:
                        "--score-min", "0.03", "--out", linked_sn) == 0
         assert (out_sn / "final.jsonl").read_bytes() == linked_sn.read_bytes()
 
+    def test_equals_chained_subcommands_past_the_last_detection(self, tmp_path):
+        # The object outlives its last detection (frame 8). run tracks it through
+        # the scene's last frames; tfd --oracle must follow it through --gt's too.
+        spec = tmp_path / "scenario.json"
+        spec.write_text(json.dumps({
+            "width": 200, "height": 200, "n_frames": 12, "seed": 7, "video": "tail", "noise": {"miss_prob": 0.5},
+            "objects": [{"class_id": 0, "first_frame": 0, "last_frame": 11, "cx": 60, "cy": 60, "w": 30, "h": 30,
+                         "vx": 1.0, "vy": 0.5}]}))
+        out = tmp_path / "run"
+        assert run_cli("run", "--spec", spec, "--variant", "tfd+seqtracknms", "--out-dir", out) == 0
+        (dets,) = load_detections(out / "dets.jsonl")
+        assert dets.n_frames == 9
+        chain = tmp_path / "chain"
+        chain.mkdir()
+        assert run_cli("tfd", "--dets", out / "dets.jsonl", "--oracle", "--gt", out / "gt.jsonl",
+                       "--out", chain / "merged.jsonl", "--out-preds", chain / "preds.jsonl") == 0
+        assert run_cli("link", "--dets", chain / "merged.jsonl", "--preds", chain / "preds.jsonl",
+                       "--mode", "seqtrack", "--out", chain / "final.jsonl") == 0
+        assert run_cli("eval", "--preds", chain / "final.jsonl", "--gt", out / "gt.jsonl",
+                       "--out", chain / "result.json", "--label", "tfd+seqtracknms") == 0
+        for name in ("merged.jsonl", "preds.jsonl", "final.jsonl", "result.json"):
+            assert (chain / name).read_bytes() == (out / name).read_bytes(), name
+
     # Each command, or run variant, with the thresholds it reads ("run" is its default variant).
     MERGE_FIELDS = ("detect_to_track_score", "track_quality_min", "track_nms_iou", "t_merge")
     FINAL_FIELDS = ("final_score_min", "final_nms_iou")

@@ -274,7 +274,7 @@ class TestRescoreAndSuppress:
     def test_graph_of_other_video_rejected(self):
         g = build_graph_seqnms(as_set(SPEC_VIDEO[:2]))
         with pytest.raises(ValueError, match="video and graph frame counts differ"):
-            rescore_and_suppress(as_set(SPEC_VIDEO), g)
+            rescore_and_suppress(as_set(SPEC_VIDEO), g, 0.45)
 
     def test_single_frame_scores_unchanged(self):
         video = [[det(0, 0, 0.3, (0, 0, 10, 10)), det(0, 1, 0.9, (40, 40, 50, 50))]]

@@ -85,8 +85,9 @@ def valid_files(tmp_path_factory):
     save_features(pyr, tmp / "f.feat")
     save_named_arrays({"a": rng.random((2, 3)), "b": rng.random(4), "c": np.array(1.5)}, tmp / "w.tensors")
     # Separate search branch and a post-block bias, so every optional array is stored.
-    w = synthesize_weights(2, TrackerConfig(), seed=1, shared_head_channels=1, share_pre=False)
-    save_weights(replace(w, post=replace(w.post, bias=rng.random(2))), tmp / "head.tensors")
+    w = synthesize_weights(2, TrackerConfig(), seed=1, shared_head_channels=1)
+    pre_search = replace(w.pre_template, kernel=-w.pre_template.kernel)
+    save_weights(replace(w, pre_search=pre_search, post=replace(w.post, bias=rng.random(2))), tmp / "head.tensors")
     save_scenario(preset_scenario("degraded", 0), tmp / "scenario.json")
     return {
         "detections": (tmp / "dets.jsonl").read_text(),
@@ -248,8 +249,8 @@ def test_weights_with_broken_channel_chain(tmp_path_factory, block, data):
     channels, other = data.draw(st.lists(st.integers(1, 4), min_size=2, max_size=2, unique=True))
     tmp = tmp_path_factory.getbasetemp()
     for c, name in ((channels, "chain.tensors"), (other, "alien.tensors")):
-        save_weights(synthesize_weights(c, TrackerConfig(), seed=c, shared_head_channels=1,
-                                        share_pre=False), tmp / name)
+        w = synthesize_weights(c, TrackerConfig(), seed=c, shared_head_channels=1)
+        save_weights(replace(w, pre_search=replace(w.pre_template, kernel=-w.pre_template.kernel)), tmp / name)
     arrays, alien = load_named_arrays(tmp / "chain.tensors"), load_named_arrays(tmp / "alien.tensors")
     prefix = "head_" if block == "head" else f"{block}."
     arrays.update((k, v) for k, v in alien.items() if k.startswith(prefix))

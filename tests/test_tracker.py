@@ -53,6 +53,11 @@ def small_weights(seed=11, channels=2):
     return synthesize_weights(channels, SMALL_CFG, seed=seed, shared_head_channels=5)
 
 
+def with_search_branch(w):
+    """``w`` with a pre block of its own for the search branch: the template's, negated."""
+    return dataclasses.replace(w, pre_search=dataclasses.replace(w.pre_template, kernel=-w.pre_template.kernel))
+
+
 def zeroed_fc(w):
     return dataclasses.replace(
         w,
@@ -240,28 +245,6 @@ class TestTrack:
             assert [key(p) for p in track(pyr_t, pyr_t1, [det], w, cfg)] == [want]
         assert [key(p) for p in permuted] == [together[i] for i in order]
 
-    def test_fused_pyramid_gives_the_same_predictions(self):
-        cfg = TrackerConfig(template_pool=3, search_pool=9)
-        w = synthesize_weights(4, cfg, seed=19, shared_head_channels=5)
-        rng = np.random.default_rng(23)
-
-        def two_level():
-            return FeaturePyramid(
-                ((4, channels_last(rng.random((2, 16, 16)))), (8, channels_last(rng.random((2, 8, 8))))),
-                64, 64,
-            )
-
-        pyr_t, pyr_t1 = two_level(), two_level()
-        dets = [Detection(0, 0, 0.9, Box(12.3, 8.7, 30.1, 26.6))]
-        fused_t, fused_t1 = fuse_for_head(pyr_t, cfg), fuse_for_head(pyr_t1, cfg)
-        assert fused_t.strides == (8,)
-        assert fuse_for_head(fused_t, cfg) is fused_t
-        a = track(pyr_t, pyr_t1, dets, w, cfg)
-        b = track(fused_t, fused_t1, dets, w, cfg)
-        assert [(p.predicted_box.corners(), p.quality) for p in a] == [
-            (p.predicted_box.corners(), p.quality) for p in b
-        ]
-
     def test_head_forward_batch_matches_single_pairs(self):
         w = small_weights(channels=3).fold(7, 7)
         rng = np.random.default_rng(29)
@@ -279,6 +262,23 @@ class TestTrack:
         b = FeaturePyramid(((4, np.zeros((8, 8, 2))),), 32, 32)
         with pytest.raises(ValueError, match="equal image size"):
             track(a, b, [], w, SMALL_CFG)
+
+    def test_pyramids_not_fused_at_one_stride_rejected(self):
+        # track takes one-level pyramids at one stride, as fuse_for_head makes them, and
+        # checks them before it returns on a frame without boxes.
+        w = small_weights()
+        rng = np.random.default_rng(23)
+        two_level = FeaturePyramid(
+            ((4, channels_last(rng.random((1, 16, 16)))), (8, channels_last(rng.random((1, 8, 8))))), 64, 64)
+        fused = fuse_for_head(two_level, SMALL_CFG)
+        assert fused.strides == (8,)
+        pairs = {"(4, 8) and (4, 8)": (two_level, two_level), "(8,) and (4, 8)": (fused, two_level),
+                 "(4,) and (8,)": (pyramid(1, size=16, stride=4), pyramid(2, size=8, stride=8))}
+        for strides, pair in pairs.items():
+            for dets in ([Detection(0, 0, 0.9, Box(12.3, 8.7, 30.1, 26.6))], []):
+                with pytest.raises(ValueError) as info:
+                    track(*pair, dets, w, SMALL_CFG)
+                assert str(info.value) == f"pyramids must be fused at one stride, got strides {strides}"
 
 
 def head_weights(kernel, n_cells, channels=3, shared=5, seed=0):
@@ -342,7 +342,7 @@ class TestFoldedHead:
     @pytest.mark.parametrize("keep_conv", [False, True])
     def test_fold_views_no_loaded_array(self, tmp_path, monkeypatch, keep_conv):
         path = tmp_path / "head.tensors"
-        save_weights(synthesize_weights(2, SMALL_CFG, seed=5, shared_head_channels=5, share_pre=False), path)
+        save_weights(with_search_branch(synthesize_weights(2, SMALL_CFG, seed=5, shared_head_channels=5)), path)
         loaded = []
 
         def recorded(p):
@@ -481,7 +481,7 @@ class TestWeightsIO:
         assert w2.pre_search is None
 
     def test_separate_branches_round_trip(self, tmp_path):
-        w = synthesize_weights(2, SMALL_CFG, seed=2, shared_head_channels=4, share_pre=False)
+        w = with_search_branch(synthesize_weights(2, SMALL_CFG, seed=2, shared_head_channels=4))
         p = tmp_path / "w.tensors"
         save_weights(w, p)
         w2 = load_weights(p)
